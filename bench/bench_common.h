@@ -17,6 +17,21 @@
 namespace neosi {
 namespace bench {
 
+/// Seed every bench draws its per-thread streams from.
+constexpr uint64_t kBenchSeed = 1;
+
+/// Seed of stream `stream` under run seed `seed`: a SplitMix64 mix of the
+/// pair, so nearby pairs give unrelated generator states. Benches build ONE
+/// generator per worker thread from it and never reseed per operation: a
+/// per-op seed such as `t * k + op` makes thread t+1's stream thread t's
+/// shifted by k operations, so threads replay each other's choices.
+inline uint64_t StreamSeed(uint64_t seed, uint64_t stream) {
+  uint64_t z = seed * 0x9E3779B97F4A7C15ULL + stream + 0x632BE59BD9B4E019ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 inline double Scale() {
   const char* env = std::getenv("NEOSI_BENCH_SCALE");
   if (env == nullptr) return 1.0;

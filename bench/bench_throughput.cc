@@ -15,7 +15,7 @@
 // sync_commits=true; concurrent committers share one fsync per batch.
 //
 // E11d / E12 / E13 — GC daemon on vs off, checkpoint jitter fuzzy vs
-// legacy, segmented-WAL disk high-water (see the banners below).
+// none, segmented-WAL disk high-water (see the banners below).
 //
 // E14 — bounded version backlog: backlog high-water with a pinned long
 // reader, snapshot-too-old policy on vs off, plus a 1/4/8-shard GC drain
@@ -75,11 +75,6 @@ void MaybeWriteJson() {
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"throughput\",\n");
-  std::fprintf(f,
-               "  \"note\": \"latch_free_reads cells measured on a "
-               "single-core box unless stated otherwise: reader scaling "
-               "curves are flat by construction there, so judge the "
-               "epoch-vs-latched contrast on a multi-core runner\",\n");
   std::fprintf(f, "  \"cells\": [\n");
   for (size_t i = 0; i < Cells().size(); ++i) {
     const JsonCell& c = Cells()[i];
@@ -143,8 +138,17 @@ DriverResult RunCommitScalingCell(GraphDatabase& db,
                                   int threads, uint64_t duration_ms,
                                   int writes_per_txn) {
   const size_t stripe = nodes.size() / static_cast<size_t>(threads);
+  // One generator per thread, padded so threads never share a line.
+  struct alignas(64) ThreadRng {
+    Random rng;
+  };
+  std::vector<ThreadRng> rngs;
+  rngs.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    rngs.push_back({Random(StreamSeed(kBenchSeed, static_cast<uint64_t>(t)))});
+  }
   return RunForDuration(threads, duration_ms, [&, stripe](int t, uint64_t op) {
-    Random rng(t * 7919 + op);
+    Random& rng = rngs[static_cast<size_t>(t)].rng;
     auto txn = db.Begin(IsolationLevel::kSnapshotIsolation);
     const size_t base = static_cast<size_t>(t) * stripe;
     for (int i = 0; i < writes_per_txn; ++i) {
@@ -374,17 +378,15 @@ int main() {
     }
   }
 
-  Banner("E12: commit-latency jitter during checkpoint (fuzzy vs legacy)",
+  Banner("E12: commit-latency jitter during checkpoint",
          "the fuzzy incremental checkpoint notes the stable LSN, syncs only "
          "dirty stores and truncates only the replayed WAL prefix — commits "
-         "never stall behind it, unlike the legacy drain (gate all appends, "
-         "drain in-flight commits, fsync every store, reset the log)");
+         "never stall behind it");
 
   {
     std::printf("%-14s %8s %12s %10s %10s %10s %12s\n", "config", "threads",
                 "commits/s", "p50(us)", "p99(us)", "p99.9(us)", "checkpoints");
-    for (const char* config :
-         {"no_checkpoint", "fuzzy", "legacy_drain"}) {
+    for (const char* config : {"no_checkpoint", "fuzzy"}) {
       for (int threads : {1, 2}) {
         const std::string dir = MakeTempDir();
         if (dir.empty()) {
@@ -415,11 +417,8 @@ int main() {
         std::atomic<uint64_t> checkpoints{0};
         std::thread checkpointer([&, config] {
           if (std::string(config) == "no_checkpoint") return;
-          const bool fuzzy = std::string(config) == "fuzzy";
           while (!stop.load(std::memory_order_acquire)) {
-            Status s = fuzzy ? db->Checkpoint()
-                             : db->engine().store.CheckpointStopTheWorld();
-            if (s.ok()) checkpoints.fetch_add(1);
+            if (db->Checkpoint().ok()) checkpoints.fetch_add(1);
             std::this_thread::sleep_for(std::chrono::milliseconds(10));
           }
         });
@@ -443,9 +442,7 @@ int main() {
     }
     std::printf("\nexpected shape: fuzzy throughput and tail latency track "
                 "the no-checkpoint baseline (commits never wait for a "
-                "checkpoint); legacy_drain shows p99/p99.9 spikes — every "
-                "commit that lands during the drain+fsync window stalls "
-                "behind it.\n");
+                "checkpoint).\n");
   }
 
   Banner("E13: sustained-write WAL disk high-water (segmented vs "
@@ -658,69 +655,58 @@ int main() {
     }
   }
 
-  Banner("E15: latch-free read path — epoch-based reclamation vs latched "
-         "chain walks",
-         "read-mostly SI throughput stops degrading with reader count once "
-         "committed-visibility walks acquire no latches: readers enter an "
+  Banner("E15: latch-free read path (epoch-based reclamation)",
+         "read-mostly SI throughput does not degrade with reader count: "
+         "committed-visibility walks acquire no latches — readers enter an "
          "epoch (one CAS into a padded slot + one fence) and traverse raw "
-         "atomic links, so concurrent readers of a hot entity no longer "
+         "atomic links, so concurrent readers of a hot entity never "
          "serialize on its chain SpinLatch; RC rides the same path and "
-         "stops pinning the GC watermark entirely");
+         "never pins the GC watermark");
 
   {
-    std::printf("%-10s %-20s %7s %8s %10s %12s %10s %10s\n", "reads",
-                "isolation", "read%", "threads", "txn/s", "abort-rate",
-                "p50(us)", "p99(us)");
-    for (const bool latch_free : {false, true}) {
-      const char* mode = latch_free ? "epoch" : "latched";
-      for (double read_fraction : {0.95, 1.0}) {
-        // A fresh database per (mode, mix): comparable chain lengths, and
-        // the latched baseline must never share an engine with epoch cells.
-        DatabaseOptions options;
-        options.in_memory = true;
-        options.conflict_policy = ConflictPolicy::kFirstUpdaterWinsWait;
-        options.background_gc_interval_ms = 10;
-        options.latch_free_reads = latch_free;
-        auto opened = GraphDatabase::Open(options);
-        if (!opened.ok()) {
-          std::printf("skipped: %s\n", opened.status().ToString().c_str());
-          continue;
-        }
-        auto db = std::move(*opened);
-        SocialGraphSpec spec;
-        spec.people = Scaled(2000);
-        auto graph = *BuildSocialGraph(*db, spec);
-        for (IsolationLevel isolation : {IsolationLevel::kSnapshotIsolation,
-                                         IsolationLevel::kReadCommitted}) {
-          for (int threads : {1, 2, 4, 8}) {
-            const DriverResult r = RunCell(isolation, read_fraction, threads,
-                                           duration_ms, graph, *db);
-            std::printf(
-                "%-10s %-20s %6.0f%% %8d %10.0f %11.2f%% %10llu %10llu\n",
-                mode, std::string(IsolationLevelToString(isolation)).c_str(),
-                read_fraction * 100, threads, r.Throughput(),
-                100.0 * r.AbortRate(),
-                static_cast<unsigned long long>(r.latency_ns.Percentile(50) /
-                                                1000),
-                static_cast<unsigned long long>(r.latency_ns.Percentile(99) /
-                                                1000));
-            char config[64];
-            std::snprintf(
-                config, sizeof(config), "%s/%s/read%.0f", mode,
-                std::string(IsolationLevelToString(isolation)).c_str(),
-                read_fraction * 100);
-            Record("latch_free_reads", config, threads, r);
-          }
+    std::printf("%-20s %7s %8s %10s %12s %10s %10s\n", "isolation", "read%",
+                "threads", "txn/s", "abort-rate", "p50(us)", "p99(us)");
+    for (double read_fraction : {0.95, 1.0}) {
+      // A fresh database per mix: comparable chain lengths.
+      DatabaseOptions options;
+      options.in_memory = true;
+      options.conflict_policy = ConflictPolicy::kFirstUpdaterWinsWait;
+      options.background_gc_interval_ms = 10;
+      auto opened = GraphDatabase::Open(options);
+      if (!opened.ok()) {
+        std::printf("skipped: %s\n", opened.status().ToString().c_str());
+        continue;
+      }
+      auto db = std::move(*opened);
+      SocialGraphSpec spec;
+      spec.people = Scaled(2000);
+      auto graph = *BuildSocialGraph(*db, spec);
+      for (IsolationLevel isolation : {IsolationLevel::kSnapshotIsolation,
+                                       IsolationLevel::kReadCommitted}) {
+        for (int threads : {1, 2, 4, 8}) {
+          const DriverResult r = RunCell(isolation, read_fraction, threads,
+                                         duration_ms, graph, *db);
+          std::printf(
+              "%-20s %6.0f%% %8d %10.0f %11.2f%% %10llu %10llu\n",
+              std::string(IsolationLevelToString(isolation)).c_str(),
+              read_fraction * 100, threads, r.Throughput(),
+              100.0 * r.AbortRate(),
+              static_cast<unsigned long long>(r.latency_ns.Percentile(50) /
+                                              1000),
+              static_cast<unsigned long long>(r.latency_ns.Percentile(99) /
+                                              1000));
+          char config[64];
+          std::snprintf(
+              config, sizeof(config), "%s/read%.0f",
+              std::string(IsolationLevelToString(isolation)).c_str(),
+              read_fraction * 100);
+          Record("epoch_reads", config, threads, r);
         }
       }
     }
-    std::printf("\nexpected shape (multi-core): epoch SI/RC read-mostly "
-                "throughput is monotone non-degrading 1->8 threads while "
-                "latched throughput decays as readers contend on hot-chain "
-                "SpinLatches; at 1 thread the two modes are within noise "
-                "(the epoch guard costs one CAS + fence per walk). On a "
-                "single-core box all curves are flat and the contrast is "
-                "the per-walk overhead only.\n");
+    std::printf("\nexpected shape (multi-core): SI/RC read-mostly "
+                "throughput is monotone non-degrading 1->8 threads. On a "
+                "single-core box all curves are flat.\n");
   }
 
   Banner("E16: serializable (SSI) overhead vs plain SI, read-mostly",

@@ -4,11 +4,9 @@
 // transaction" — plus the cost of stragglers: how garbage accumulates while
 // an old snapshot stays open and how quickly it drains once it closes.
 //
-// The straggler sweep runs in both read-path modes: "latched"
-// (latch_free_reads=false) frees pruned versions inside the GC pass;
-// "epoch" (the default) retires them into the epoch limbo and frees them on
-// the drain tick, so the drain column splits into unlink time and the
-// deferred free, with the epoch gauges showing the retire/free ledger.
+// Pruned versions retire into the epoch limbo and are freed on the drain
+// tick, so the drain column covers unlink time plus the deferred free, with
+// the epoch gauges showing the retire/free ledger.
 
 #include <thread>
 
@@ -56,12 +54,11 @@ struct Row {
   uint64_t epoch_freed = 0;
 };
 
-Row StragglerRow(uint64_t updates, bool latch_free) {
+Row StragglerRow(uint64_t updates) {
   DatabaseOptions options;
   options.in_memory = true;
   options.conflict_policy = ConflictPolicy::kFirstUpdaterWinsWait;
   options.background_gc_interval_ms = 0;  // manual passes only
-  options.latch_free_reads = latch_free;
   auto opened = GraphDatabase::Open(options);
   if (!opened.ok()) std::abort();
   auto db = std::move(*opened);
@@ -85,13 +82,13 @@ Row StragglerRow(uint64_t updates, bool latch_free) {
   GcStats during = db->RunGc();
   row.queued_during = db->engine().gc_list.size();
   row.reclaimed_during = during.versions_pruned;
-  // Straggler closes: one pass drains the backlog. In epoch mode the pass
-  // unlinks + retires, and its built-in drain tick frees the PREVIOUS
-  // cycle's retirees — a second pass observes this cycle's frees.
+  // Straggler closes: one pass drains the backlog. The pass unlinks +
+  // retires, and its built-in drain tick frees the PREVIOUS cycle's
+  // retirees — a second pass observes this cycle's frees.
   (void)straggler->Commit();
   Timer t;
   GcStats after = db->RunGc();
-  (void)db->RunGc();  // epoch mode: the follow-up drain frees this batch
+  (void)db->RunGc();  // the follow-up drain frees this batch
   row.drain_ms = t.Seconds() * 1e3;
   row.reclaimed_after = after.versions_pruned;
   const DatabaseStats stats = db->Stats();
@@ -108,41 +105,33 @@ int main() {
   using namespace neosi;
   using namespace neosi::bench;
 
-  Banner("E12: the GC watermark (latched vs epoch reclamation)",
+  Banner("E12: the GC watermark",
          "versions older than what the oldest active transaction can read "
          "are dead (paper's {40,56,90}/100 example); stragglers pin garbage "
-         "and one O(garbage) pass drains it when they finish — in epoch "
-         "mode the unlink retires into limbo and the free lands one drain "
-         "tick later");
+         "and one O(garbage) pass drains it when they finish — the unlink "
+         "retires into the epoch limbo and the free lands one drain tick "
+         "later");
 
   PaperExample();
 
-  std::printf("%-8s %-18s %14s %16s %16s %10s %10s %10s\n", "mode",
-              "straggler-updates", "queued-during", "reclaimed-during",
-              "reclaimed-after", "drain(ms)", "retired", "freed");
-  for (const bool latch_free : {false, true}) {
-    const char* mode = latch_free ? "epoch" : "latched";
-    for (uint64_t updates : {100, 1000, 10000}) {
-      const Row row = StragglerRow(Scaled(updates), latch_free);
-      std::printf("%-8s %-18llu %14llu %16llu %16llu %10.2f %10llu %10llu\n",
-                  mode,
-                  static_cast<unsigned long long>(row.straggler_updates),
-                  static_cast<unsigned long long>(row.queued_during),
-                  static_cast<unsigned long long>(row.reclaimed_during),
-                  static_cast<unsigned long long>(row.reclaimed_after),
-                  row.drain_ms,
-                  static_cast<unsigned long long>(row.epoch_retired),
-                  static_cast<unsigned long long>(row.epoch_freed));
-    }
+  std::printf("%-18s %14s %16s %16s %10s %10s %10s\n", "straggler-updates",
+              "queued-during", "reclaimed-during", "reclaimed-after",
+              "drain(ms)", "retired", "freed");
+  for (uint64_t updates : {100, 1000, 10000}) {
+    const Row row = StragglerRow(Scaled(updates));
+    std::printf("%-18llu %14llu %16llu %16llu %10.2f %10llu %10llu\n",
+                static_cast<unsigned long long>(row.straggler_updates),
+                static_cast<unsigned long long>(row.queued_during),
+                static_cast<unsigned long long>(row.reclaimed_during),
+                static_cast<unsigned long long>(row.reclaimed_after),
+                row.drain_ms,
+                static_cast<unsigned long long>(row.epoch_retired),
+                static_cast<unsigned long long>(row.epoch_freed));
   }
   std::printf("\nexpected shape: reclaimed-during = 0 (straggler pins "
               "everything), queued-during = update count, reclaimed-after = "
-              "update count, drain time proportional to the backlog, in "
-              "both modes. Latched rows show retired = freed = 0 (pruned "
-              "versions free inside the pass); epoch rows show retired = "
-              "freed = 1 — the whole severed suffix retires as ONE limbo "
-              "entry regardless of backlog size — with comparable total "
-              "drain time: deferral shifts WHEN memory returns, not how "
-              "much work the drain does.\n");
+              "update count, drain time proportional to the backlog; "
+              "retired = freed = 1 — the whole severed suffix retires as ONE "
+              "limbo entry regardless of backlog size.\n");
   return 0;
 }

@@ -36,10 +36,25 @@ Cell RunCell(ConflictPolicy policy, double theta, int threads,
   std::atomic<uint64_t> aborted_writes{0};
   std::atomic<uint64_t> aborts{0};
 
+  // One key sampler and one value generator per thread, each seeded once:
+  // the sampler's CDF is built here, not per operation.
+  struct alignas(64) ThreadGen {
+    ZipfSampler zipf;
+    Random rng;
+  };
+  std::vector<ThreadGen> gens;
+  gens.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    const auto stream = static_cast<uint64_t>(t);
+    gens.push_back(
+        {ZipfSampler(hot_nodes, theta, StreamSeed(kBenchSeed, 1000 + stream)),
+         Random(StreamSeed(kBenchSeed, stream))});
+  }
+
   Cell cell;
-  cell.result = RunForOps(threads, ops_per_thread, [&](int t, uint64_t op) {
-    ZipfSampler zipf(hot_nodes, theta, t * 7919 + op);
-    Random rng(t * 31 + op);
+  cell.result = RunForOps(threads, ops_per_thread, [&](int t, uint64_t) {
+    ZipfSampler& zipf = gens[static_cast<size_t>(t)].zipf;
+    Random& rng = gens[static_cast<size_t>(t)].rng;
     auto txn = db->Begin(IsolationLevel::kSnapshotIsolation);
     uint64_t writes_done = 0;
     // Each transaction updates 4 hot nodes.

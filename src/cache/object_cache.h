@@ -41,11 +41,9 @@ struct ObjectCacheStats {
 /// Sharded id -> cached-object maps for nodes and relationships.
 class ObjectCache {
  public:
-  /// `epochs` non-null wires every cached entity's version chain into the
-  /// latch-free read mode (DatabaseOptions::latch_free_reads); null keeps
-  /// the latched baseline.
-  ObjectCache(GraphStore* store, size_t capacity,
-              EpochManager* epochs = nullptr);
+  /// Every cached entity's version chain reads latch-free under `epochs`
+  /// (non-null, the engine's reclamation domain).
+  ObjectCache(GraphStore* store, size_t capacity, EpochManager* epochs);
 
   ObjectCache(const ObjectCache&) = delete;
   ObjectCache& operator=(const ObjectCache&) = delete;

@@ -7,15 +7,18 @@
 //   GcDaemon          sharded version reclamation  (background_gc_interval_ms,
 //                     gc_backlog_threshold, gc_shards, snapshot_max_age_ms,
 //                     snapshot_expire_backlog) + epoch limbo drains
-//                     (latch_free_reads, epoch_slots)
 //   CheckpointDaemon  WAL bounding                 (checkpoint_interval_ms,
 //                     checkpoint_wal_threshold, wal_segment_size,
 //                     wal_recycle_segments)
 //
 // Auto-sized (0 = auto) options resolve from
-// std::thread::hardware_concurrency() at Open(): gc_shards,
-// txn_table_shards, epoch_slots. The Resolved*() helpers below are the
-// single source of truth for the resolution rules.
+// std::thread::hardware_concurrency() at Open(): gc_shards and
+// group_commit_max_batch. The Resolved*() helpers below are the single
+// source of truth for their resolution rules. Internal tables that no
+// deployment tunes are sized by fixed rules instead of options: epoch slots
+// max(64, 4 * cores) (EpochManager), active-transaction shards
+// max(16, 2 * cores) capped at 64 (ActiveTxnTable), and 64 SSI marker
+// shards (SsiTracker).
 
 #ifndef NEOSI_COMMON_OPTIONS_H_
 #define NEOSI_COMMON_OPTIONS_H_
@@ -78,14 +81,6 @@ struct DatabaseOptions {
   /// transaction through full tracking (useful to exercise the tracker).
   bool ssi_safe_snapshots = true;
 
-  /// Shard count of the SsiTracker's SIREAD-marker tables (entity, label,
-  /// property-range, adjacency markers). Default: 0 = AUTO (64, mirroring
-  /// the LockManager's shard fan-out). Explicit values are clamped to
-  /// [1, 64]. More shards keep concurrent serializable readers and writers
-  /// off each other's marker mutexes; the tables are touched only by
-  /// kSerializable transactions, so the setting is irrelevant otherwise.
-  size_t ssi_marker_shards = 0;
-
   // --- storage -------------------------------------------------------------
 
   /// Page size of the store files, in BYTES. Default: 8192. Fixed at
@@ -123,32 +118,6 @@ struct DatabaseOptions {
   /// single drain thread as the bottleneck at high core counts. 1
   /// reproduces the pre-sharding topology.
   size_t gc_shards = 0;
-
-  // --- read path (epoch-based reclamation) ---------------------------------
-
-  /// When true (the DEFAULT), committed-read chain walks are LATCH-FREE:
-  /// readers traverse raw atomic version links under an epoch guard
-  /// (src/mvcc/epoch.h) and GC unlinks retire versions into an epoch limbo
-  /// list that the GC daemon drains once no reader can reach them. False
-  /// restores the fully latched read path (SpinLatch per chain walk,
-  /// immediate frees) — the pre-epoch behaviour, kept as the comparison
-  /// baseline for the E15 bench. Consumed once at Open() when the object
-  /// cache is wired.
-  bool latch_free_reads = true;
-
-  /// Epoch slot-array size, in SLOTS — the number of readers that can be
-  /// simultaneously inside a latch-free chain walk (excess readers
-  /// spin-probe until a slot frees). Default: 0 = AUTO
-  /// (max(64, 4 * hardware_concurrency)). Ignored when latch_free_reads is
-  /// false.
-  size_t epoch_slots = 0;
-
-  /// Shard count of the active-transaction table (Begin()'s registration
-  /// point, scanned by Watermark()). Default: 0 = AUTO
-  /// (max(16, 2 * hardware_concurrency), clamped to 64). More shards keep
-  /// concurrent Begin()s off each other's mutexes; fewer make the
-  /// watermark scan cheaper.
-  size_t txn_table_shards = 0;
 
   // --- snapshot lifecycle (snapshot-too-old policy) ------------------------
 
@@ -294,27 +263,6 @@ struct DatabaseOptions {
     if (gc_shards != 0) return std::min<size_t>(gc_shards, 64);
     const size_t hw = std::thread::hardware_concurrency();
     return std::clamp<size_t>(hw == 0 ? 4 : hw, 1, 64);
-  }
-
-  /// txn_table_shards with auto resolved: max(16, 2 * cores), capped at 64.
-  size_t ResolvedTxnTableShards() const {
-    if (txn_table_shards != 0) return txn_table_shards;
-    const size_t hw = std::thread::hardware_concurrency();
-    return std::clamp<size_t>(2 * hw, 16, 64);
-  }
-
-  /// epoch_slots with auto resolved: max(64, 4 * cores).
-  size_t ResolvedEpochSlots() const {
-    if (epoch_slots != 0) return epoch_slots;
-    const size_t hw = std::thread::hardware_concurrency();
-    return std::max<size_t>(64, 4 * hw);
-  }
-
-  /// ssi_marker_shards with auto resolved: 64 (the LockManager fan-out),
-  /// explicit values clamped to [1, 64].
-  size_t ResolvedSsiMarkerShards() const {
-    if (ssi_marker_shards == 0) return 64;
-    return std::clamp<size_t>(ssi_marker_shards, 1, 64);
   }
 
   /// group_commit_max_batch with auto resolved: max(8, 4 * cores), capped

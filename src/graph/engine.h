@@ -78,11 +78,8 @@ struct Engine {
   explicit Engine(const DatabaseOptions& opts)
       : options(opts),
         store(opts),
-        active_txns(opts.ResolvedTxnTableShards()),
         lock_manager(opts.lock_timeout_ms),
-        gc_list(opts.ResolvedGcShards()),
-        epochs(opts.ResolvedEpochSlots()),
-        ssi(opts.ResolvedSsiMarkerShards()) {}
+        gc_list(opts.ResolvedGcShards()) {}
 
   DatabaseOptions options;
 
@@ -93,14 +90,13 @@ struct Engine {
   /// Entity-key-sharded reclamation queue (opts.gc_shards shards, auto =
   /// core count); each shard is drained by its own GcDaemon worker.
   ShardedGcList gc_list;
-  /// Epoch-based-reclamation domain for the latch-free read path. Always
-  /// constructed; wired into the cache's version chains only when
-  /// opts.latch_free_reads is set. The GC daemon bumps + drains it once
-  /// per cycle.
+  /// Epoch-based-reclamation domain for the latch-free read path, wired
+  /// into every cached version chain (slots auto-sized from the core
+  /// count). The GC daemon bumps + drains it once per cycle.
   EpochManager epochs;
   /// SIREAD markers + rw-antidependency edges for kSerializable
-  /// transactions (opts.ssi_marker_shards shards, auto = 64). Touched only
-  /// by serializable transactions; SI/RC paths never enter it.
+  /// transactions. Touched only by serializable transactions; SI/RC paths
+  /// never enter it.
   SsiTracker ssi;
 
   // Constructed after store.Open() (needs the store pointer).

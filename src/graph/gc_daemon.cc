@@ -94,6 +94,7 @@ void GcDaemon::Loop(size_t shard) {
   const bool primary = shard == 0;
   uint64_t wait_ms = interval_ms_;
   uint64_t seen_seq = 0;
+  bool held_arm = false;  // Set by this worker's pinned-backlog re-arm.
   for (;;) {
     bool nudged = false;
     {
@@ -124,6 +125,18 @@ void GcDaemon::Loop(size_t shard) {
     // chain, index or store work.
     const Timestamp fallback = oracle_->ReadTs();
     const Timestamp watermark = active_txns_->Watermark(fallback);
+    if (held_arm) {
+      held_arm = false;
+      // This worker's re-arm below suppressed commit nudges while the
+      // backlog looked pinned — possibly against a watermark that was stale
+      // by the time it looked. Over threshold but reclaimable now, the
+      // backlog sits in shards whose workers nothing has woken since: hand
+      // them the nudge, or it waits out a whole interval.
+      if (gc_list_->backlog() >= backlog_threshold_ &&
+          gc_list_->OldestObsoleteSince() <= watermark) {
+        Nudge();
+      }
+    }
     if (gc_list_->ShardOldestObsoleteSince(shard) > watermark) {
       // Pinned AGGREGATE backlog (e.g. a long-lived snapshot): RE-ARM so
       // per-commit nudges don't wake every worker into this same skip once
@@ -137,6 +150,7 @@ void GcDaemon::Loop(size_t shard) {
           gc_list_->OldestObsoleteSince() > watermark;
       if (pinned_backlog) {
         nudge_armed_.store(true, std::memory_order_release);
+        held_arm = true;
       }
       wait_ms = pinned_backlog ? std::min(interval_ms_, kPinnedRetryMs)
                                : interval_ms_;

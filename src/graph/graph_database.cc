@@ -54,7 +54,7 @@ Status GraphDatabase::OpenImpl() {
 
   engine_->cache = std::make_unique<ObjectCache>(
       &engine_->store, engine_->options.object_cache_capacity,
-      engine_->options.latch_free_reads ? &engine_->epochs : nullptr);
+      &engine_->epochs);
 
   NEOSI_RETURN_IF_ERROR(RebuildIndexes());
 

@@ -296,17 +296,11 @@ Status ReplicaApplier::ApplyRecord(const WalRecord& record) {
     switch (op.type) {
       case WalOpType::kCreateNode:
       case WalOpType::kDeleteNode:
-      case WalOpType::kSetNodeProperty:
-      case WalOpType::kRemoveNodeProperty:
-      case WalOpType::kAddLabel:
-      case WalOpType::kRemoveLabel:
       case WalOpType::kNodeState:
         apply = ApplyNodeOp(op, kApplierTxn, record.commit_ts);
         break;
       case WalOpType::kCreateRel:
       case WalOpType::kDeleteRel:
-      case WalOpType::kSetRelProperty:
-      case WalOpType::kRemoveRelProperty:
       case WalOpType::kRelState:
         apply = ApplyRelOp(op, kApplierTxn, record.commit_ts);
         break;

@@ -1386,15 +1386,11 @@ void Transaction::PruneAnnihilated() {
     // Drop its WAL ops.
     auto node_op = [](WalOpType t) {
       return t == WalOpType::kCreateNode || t == WalOpType::kDeleteNode ||
-             t == WalOpType::kNodeState ||
-             t == WalOpType::kSetNodeProperty ||
-             t == WalOpType::kRemoveNodeProperty ||
-             t == WalOpType::kAddLabel || t == WalOpType::kRemoveLabel;
+             t == WalOpType::kNodeState;
     };
     auto rel_op = [](WalOpType t) {
       return t == WalOpType::kCreateRel || t == WalOpType::kDeleteRel ||
-             t == WalOpType::kRelState || t == WalOpType::kSetRelProperty ||
-             t == WalOpType::kRemoveRelProperty;
+             t == WalOpType::kRelState;
     };
     wal_ops_.erase(
         std::remove_if(wal_ops_.begin(), wal_ops_.end(),

@@ -51,7 +51,7 @@ class EpochManager {
  public:
   /// `slots` bounds the number of concurrently entered readers (extra
   /// readers spin-probe until a slot frees up); 0 = auto-size from
-  /// std::thread::hardware_concurrency() (see DatabaseOptions::epoch_slots).
+  /// std::thread::hardware_concurrency(): max(64, 4 * cores).
   explicit EpochManager(size_t slots = 0);
 
   /// Frees everything still in limbo. The caller must guarantee no reader
@@ -61,15 +61,12 @@ class EpochManager {
   EpochManager(const EpochManager&) = delete;
   EpochManager& operator=(const EpochManager&) = delete;
 
-  /// RAII epoch entry. Constructing with a null manager is a no-op (the
-  /// latched-baseline configuration uses the same call sites).
+  /// RAII epoch entry.
   class Guard {
    public:
     explicit Guard(EpochManager* manager)
-        : manager_(manager), slot_(manager ? manager->Enter() : 0) {}
-    ~Guard() {
-      if (manager_) manager_->Exit(slot_);
-    }
+        : manager_(manager), slot_(manager->Enter()) {}
+    ~Guard() { manager_->Exit(slot_); }
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
 

@@ -4,12 +4,30 @@
 
 namespace neosi {
 
+namespace {
+
+/// One latch-free walk step: returns `v`'s older link and stores its commit
+/// timestamp in `*ts`. The link is loaded FIRST. In the reverse order a
+/// walk can see `v` uncommitted, lose the CPU while `v` commits and a prune
+/// keeps it as the newest version (nulling its link), and then end on the
+/// null link with every committed version missed. A prune nulls the link
+/// only after the commit, so a null link loaded first guarantees the
+/// timestamp load below sees the commit; a non-null one leads into a
+/// suffix the epoch guard keeps alive.
+const Version* OlderThenTs(const Version* v, Timestamp* ts) {
+  const Version* older = v->older_raw.load(std::memory_order_acquire);
+  *ts = v->commit_ts.load(std::memory_order_acquire);
+  return older;
+}
+
+}  // namespace
+
 VersionChain::~VersionChain() {
   // Unwind the chain iteratively; a long shared_ptr chain would otherwise
   // destruct recursively and can overflow the stack (E6 builds 1k+ chains).
-  // No retire needed even in epoch mode: anyone who can still walk this
-  // chain holds the owning CachedNode/CachedRel alive, so reaching the
-  // destructor means no reader can.
+  // No retire needed: anyone who can still walk this chain holds the owning
+  // CachedNode/CachedRel alive, so reaching the destructor means no reader
+  // can.
   std::shared_ptr<Version> cur = std::move(head_);
   while (cur) {
     std::shared_ptr<Version> next = std::move(cur->older);
@@ -67,30 +85,20 @@ void VersionChain::AbortHead(TxnId writer) {
     head_raw_.store(head_.get(), std::memory_order_release);
     // victim->older / older_raw stay intact: a latch-free reader standing
     // on the aborted head keeps walking into the surviving chain.
-    if (epochs_) epochs_->Retire(std::move(victim));
+    epochs_->Retire(std::move(victim));
   }
 }
 
 std::shared_ptr<const Version> VersionChain::Visible(Timestamp start_ts,
                                                      TxnId self) const {
-  if (epochs_ == nullptr) {
-    std::lock_guard<SpinLatch> guard(latch_);
-    for (std::shared_ptr<Version> v = head_; v; v = v->older) {
-      if (!v->committed()) {
-        if (self != kNoTxn && v->writer == self) return v;  // Own write.
-        continue;  // Private to another transaction.
-      }
-      if (v->commit_ts.load(std::memory_order_relaxed) <= start_ts) return v;
-    }
-    return nullptr;
-  }
   // Latch-free walk: raw atomic links under an epoch guard. Every version
   // reachable here is kept alive by its chain predecessor or by the epoch
   // limbo, so promoting the raw pointer back to an owning one is safe.
   EpochManager::Guard guard(epochs_);
-  for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
-       v = v->older_raw.load(std::memory_order_acquire)) {
-    const Timestamp ts = v->commit_ts.load(std::memory_order_acquire);
+  Timestamp ts = kNoTimestamp;
+  for (const Version *v = head_raw_.load(std::memory_order_acquire), *older;
+       v != nullptr; v = older) {
+    older = OlderThenTs(v, &ts);
     if (ts == kNoTimestamp) {
       if (self != kNoTxn && v->writer == self) {
         return v->shared_from_this();  // Own write.
@@ -103,17 +111,12 @@ std::shared_ptr<const Version> VersionChain::Visible(Timestamp start_ts,
 }
 
 std::shared_ptr<const Version> VersionChain::LatestCommitted() const {
-  if (epochs_ == nullptr) {
-    std::lock_guard<SpinLatch> guard(latch_);
-    for (std::shared_ptr<Version> v = head_; v; v = v->older) {
-      if (v->committed()) return v;
-    }
-    return nullptr;
-  }
   EpochManager::Guard guard(epochs_);
-  for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
-       v = v->older_raw.load(std::memory_order_acquire)) {
-    if (v->committed()) return v->shared_from_this();
+  Timestamp ts = kNoTimestamp;
+  for (const Version *v = head_raw_.load(std::memory_order_acquire), *older;
+       v != nullptr; v = older) {
+    older = OlderThenTs(v, &ts);
+    if (ts != kNoTimestamp) return v->shared_from_this();
   }
   return nullptr;
 }
@@ -129,17 +132,11 @@ bool VersionChain::HasUncommitted() const {
 }
 
 Timestamp VersionChain::NewestCommitTs() const {
-  if (epochs_ == nullptr) {
-    std::lock_guard<SpinLatch> guard(latch_);
-    for (std::shared_ptr<Version> v = head_; v; v = v->older) {
-      if (v->committed()) return v->commit_ts.load(std::memory_order_relaxed);
-    }
-    return kNoTimestamp;
-  }
   EpochManager::Guard guard(epochs_);
-  for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
-       v = v->older_raw.load(std::memory_order_acquire)) {
-    const Timestamp ts = v->commit_ts.load(std::memory_order_acquire);
+  Timestamp ts = kNoTimestamp;
+  for (const Version *v = head_raw_.load(std::memory_order_acquire), *older;
+       v != nullptr; v = older) {
+    older = OlderThenTs(v, &ts);
     if (ts != kNoTimestamp) return ts;
   }
   return kNoTimestamp;
@@ -147,22 +144,13 @@ Timestamp VersionChain::NewestCommitTs() const {
 
 void VersionChain::CommittedNewerThan(
     Timestamp start_ts, std::vector<std::pair<TxnId, Timestamp>>* out) const {
-  if (epochs_ == nullptr) {
-    std::lock_guard<SpinLatch> guard(latch_);
-    for (std::shared_ptr<Version> v = head_; v; v = v->older) {
-      if (!v->committed()) continue;  // Private to an in-flight writer.
-      const Timestamp ts = v->commit_ts.load(std::memory_order_relaxed);
-      if (ts <= start_ts) break;  // Newest-first: everything older is too.
-      out->emplace_back(v->writer, ts);
-    }
-    return;
-  }
   EpochManager::Guard guard(epochs_);
-  for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
-       v = v->older_raw.load(std::memory_order_acquire)) {
-    const Timestamp ts = v->commit_ts.load(std::memory_order_acquire);
-    if (ts == kNoTimestamp) continue;
-    if (ts <= start_ts) break;
+  Timestamp ts = kNoTimestamp;
+  for (const Version *v = head_raw_.load(std::memory_order_acquire), *older;
+       v != nullptr; v = older) {
+    older = OlderThenTs(v, &ts);
+    if (ts == kNoTimestamp) continue;  // Private to an in-flight writer.
+    if (ts <= start_ts) break;  // Newest-first: everything older is too.
     out->emplace_back(v->writer, ts);
   }
 }
@@ -177,7 +165,7 @@ bool VersionChain::Remove(const std::shared_ptr<Version>& target) {
     // through the splice, and the limbo push (under limbo_mu_) must
     // happen-after every access to target's fields above so the drainer's
     // FreeRetired — which mutates target->older — is ordered after them.
-    if (epochs_) epochs_->Retire(target);
+    epochs_->Retire(target);
     return true;
   }
   for (std::shared_ptr<Version> v = head_; v->older; v = v->older) {
@@ -189,7 +177,7 @@ bool VersionChain::Remove(const std::shared_ptr<Version>& target) {
       // `target` reference keeps the version alive meanwhile.
       v->older = target->older;
       v->older_raw.store(target->older.get(), std::memory_order_release);
-      if (epochs_) epochs_->Retire(target);
+      epochs_->Retire(target);
       return true;
     }
   }
@@ -223,7 +211,7 @@ size_t VersionChain::PruneSupersededUpTo(Timestamp watermark) {
   // is ordered after them.
   std::shared_ptr<Version> suffix = std::move(keep->older);
   keep->older_raw.store(nullptr, std::memory_order_release);
-  if (epochs_) epochs_->Retire(std::move(suffix));
+  epochs_->Retire(std::move(suffix));
   return dropped;
 }
 

@@ -3,20 +3,14 @@
 // right version for the reading transaction can be obtained by traversing
 // the list of versions").
 //
-// Two read-path modes, chosen at construction:
-//
-//   - LATCH-FREE (an EpochManager is wired in): committed-visibility walks
-//     (Visible / LatestCommitted / NewestCommitTs) traverse the raw atomic
-//     mirror links (`head_raw_` / `Version::older_raw`) under an epoch
-//     guard and acquire ZERO latches. Writers still take the chain latch,
-//     but only to install/commit/abort the head and to unlink for GC — and
-//     an unlink RETIRES the version into the epoch limbo (its own forward
-//     link intact) instead of freeing it, so a reader standing on it
-//     mid-walk keeps walking a valid chain.
-//   - LATCHED (null manager): the original SpinLatch-per-read behaviour,
-//     with immediate frees. The micro-benches keep this as the comparison
-//     baseline, and DatabaseOptions::latch_free_reads=false selects it
-//     engine-wide.
+// Committed-visibility walks (Visible / LatestCommitted / NewestCommitTs /
+// CommittedNewerThan) are LATCH-FREE: they traverse the raw atomic mirror
+// links (`head_raw_` / `Version::older_raw`) under an epoch guard of the
+// chain's EpochManager and acquire ZERO latches. Writers still take the
+// chain latch, but only to install/commit/abort the head and to unlink for
+// GC — and an unlink RETIRES the version into the epoch limbo (its own
+// forward link intact) instead of freeing it, so a reader standing on it
+// mid-walk keeps walking a valid chain.
 
 #ifndef NEOSI_MVCC_VERSION_CHAIN_H_
 #define NEOSI_MVCC_VERSION_CHAIN_H_
@@ -38,9 +32,9 @@ class EpochManager;
 /// Thread-safe newest-first list of versions for one entity.
 class VersionChain {
  public:
-  /// `epochs` non-null enables the latch-free read path; null keeps the
-  /// fully latched baseline (reads latch, unlinks free immediately).
-  explicit VersionChain(EpochManager* epochs = nullptr) : epochs_(epochs) {}
+  /// `epochs` (non-null, must outlive the chain's retirees) guards the
+  /// latch-free reads and receives every unlinked version.
+  explicit VersionChain(EpochManager* epochs) : epochs_(epochs) {}
   ~VersionChain();
 
   VersionChain(const VersionChain&) = delete;
@@ -63,20 +57,19 @@ class VersionChain {
   /// read path.
   Result<std::shared_ptr<Version>> CommitHead(TxnId writer, Timestamp ts);
 
-  /// Removes the uncommitted head if owned by `writer` (abort path). In
-  /// epoch mode the popped head is retired, not freed: a latch-free reader
-  /// may be standing on it.
+  /// Removes the uncommitted head if owned by `writer` (abort path). The
+  /// popped head is retired, not freed: a latch-free reader may be standing
+  /// on it.
   void AbortHead(TxnId writer);
 
   /// Snapshot read (paper §3 read rule): the most recent version with
   /// commit_ts <= start_ts, or the uncommitted version when owned by `self`
-  /// (read-your-own-writes). Null when nothing is visible. Latch-free in
-  /// epoch mode.
+  /// (read-your-own-writes). Null when nothing is visible. Latch-free.
   std::shared_ptr<const Version> Visible(Timestamp start_ts,
                                          TxnId self = kNoTxn) const;
 
   /// Latest committed version regardless of snapshot (read-committed reads).
-  /// Latch-free in epoch mode.
+  /// Latch-free.
   std::shared_ptr<const Version> LatestCommitted() const;
 
   /// The head version (committed or not); null when empty.
@@ -86,28 +79,27 @@ class VersionChain {
   bool HasUncommitted() const;
 
   /// Commit timestamp of the newest committed version (kNoTimestamp if
-  /// none). Latch-free in epoch mode (used on the write-conflict path,
-  /// which holds the entity's write lock but races GC unlinks).
+  /// none). Latch-free (used on the write-conflict path, which holds the
+  /// entity's write lock but races GC unlinks).
   Timestamp NewestCommitTs() const;
 
   /// Appends (writer, commit_ts) of every committed version with
   /// commit_ts > start_ts — the versions a snapshot at start_ts cannot see
   /// because their writers committed after it. The SSI read path turns each
   /// into an rw-antidependency conflict-out edge. Stops at the first
-  /// committed version <= start_ts (the chain is newest-first). Latch-free
-  /// in epoch mode.
+  /// committed version <= start_ts (the chain is newest-first). Latch-free.
   void CommittedNewerThan(Timestamp start_ts,
                           std::vector<std::pair<TxnId, Timestamp>>* out) const;
 
   /// Unlinks a specific version (GC). Returns true if found and removed.
-  /// Epoch mode retires the version into limbo instead of dropping the
-  /// last reference.
+  /// The version is retired into limbo instead of dropping the last
+  /// reference.
   bool Remove(const std::shared_ptr<Version>& target);
 
   /// Drops every version strictly older than the newest committed version
   /// with commit_ts <= watermark (those can never be read again). Returns
-  /// the number of versions dropped. Epoch mode retires the severed suffix
-  /// as ONE limbo entry (interior links intact for readers inside it).
+  /// the number of versions dropped. The severed suffix retires as ONE
+  /// limbo entry (interior links intact for readers inside it).
   size_t PruneSupersededUpTo(Timestamp watermark);
 
   /// Number of versions currently in the list.

@@ -169,17 +169,6 @@ Status GraphStore::Open() {
   return wal_->Open();
 }
 
-Status GraphStore::SyncAll() {
-  NEOSI_RETURN_IF_ERROR(nodes_->Sync());
-  NEOSI_RETURN_IF_ERROR(rels_->Sync());
-  NEOSI_RETURN_IF_ERROR(props_->Sync());
-  NEOSI_RETURN_IF_ERROR(label_dyn_->Sync());
-  NEOSI_RETURN_IF_ERROR(label_tokens_->Sync());
-  NEOSI_RETURN_IF_ERROR(prop_key_tokens_->Sync());
-  NEOSI_RETURN_IF_ERROR(rel_type_tokens_->Sync());
-  return Status::OK();
-}
-
 Status GraphStore::SyncDirty(uint64_t* synced, uint64_t* skipped) {
   uint64_t did = 0, skip = 0;
   auto tally = [&](Result<bool> r) -> Status {
@@ -771,40 +760,6 @@ Status GraphStore::ApplyWalOp(const WalOp& op, Timestamp commit_ts) {
       return PersistNodeTombstone(op.id, commit_ts);
     }
 
-    case WalOpType::kSetNodeProperty:
-    case WalOpType::kRemoveNodeProperty:
-    case WalOpType::kAddLabel:
-    case WalOpType::kRemoveLabel: {
-      NodeState state;
-      NEOSI_RETURN_IF_ERROR(ReadNodeState(op.id, &state));
-      if (!state.in_use) {
-        return Status::Corruption("wal replay: node missing for delta op");
-      }
-      if (state.commit_ts >= commit_ts) return Status::OK();
-      switch (op.type) {
-        case WalOpType::kSetNodeProperty:
-          state.props[op.token] = op.value;
-          break;
-        case WalOpType::kRemoveNodeProperty:
-          state.props.erase(op.token);
-          break;
-        case WalOpType::kAddLabel:
-          if (std::find(state.labels.begin(), state.labels.end(), op.token) ==
-              state.labels.end()) {
-            state.labels.push_back(op.token);
-          }
-          break;
-        case WalOpType::kRemoveLabel:
-          state.labels.erase(std::remove(state.labels.begin(),
-                                         state.labels.end(), op.token),
-                             state.labels.end());
-          break;
-        default:
-          break;
-      }
-      return PersistNodeState(op.id, state.labels, state.props, commit_ts);
-    }
-
     case WalOpType::kCreateRel: {
       NEOSI_RETURN_IF_ERROR(rels_->EnsureAllocated(op.id));
       RelationshipRecord rec;
@@ -843,22 +798,6 @@ Status GraphStore::ApplyWalOp(const WalOp& op, Timestamp commit_ts) {
         return Status::OK();
       }
       return PersistRelTombstone(op.id, commit_ts);
-    }
-
-    case WalOpType::kSetRelProperty:
-    case WalOpType::kRemoveRelProperty: {
-      RelState state;
-      NEOSI_RETURN_IF_ERROR(ReadRelState(op.id, &state));
-      if (!state.in_use) {
-        return Status::Corruption("wal replay: rel missing for delta op");
-      }
-      if (state.commit_ts >= commit_ts) return Status::OK();
-      if (op.type == WalOpType::kSetRelProperty) {
-        state.props[op.token] = op.value;
-      } else {
-        state.props.erase(op.token);
-      }
-      return PersistRelState(op.id, state.props, commit_ts);
     }
 
     case WalOpType::kPurgeNode: {
@@ -955,11 +894,10 @@ Result<Timestamp> GraphStore::Recover() {
   recovering_ = true;
   s = wal_->ReadFrom(replay_from, [&](Lsn lsn, const WalRecord& record) {
     for (const WalOp& op : record.ops) {
-      NEOSI_RECOVER_TRACE("replay lsn=%llu ts=%llu op=%d id=%llu tok=%u",
+      NEOSI_RECOVER_TRACE("replay lsn=%llu ts=%llu op=%d id=%llu",
                           (unsigned long long)lsn,
                           (unsigned long long)record.commit_ts,
-                          static_cast<int>(op.type), (unsigned long long)op.id,
-                          (unsigned)op.token);
+                          static_cast<int>(op.type), (unsigned long long)op.id);
       Status apply = ApplyWalOp(op, record.commit_ts);
       if (!apply.ok()) {
         NodeRecord rec;
@@ -1109,20 +1047,6 @@ Status GraphStore::Checkpoint() {
                                         std::memory_order_relaxed);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
-}
-
-Status GraphStore::CheckpointStopTheWorld() {
-  std::lock_guard<std::mutex> guard(checkpoint_mu_);
-  // Gate EVERY new append (commits stall at their WAL write), drain every
-  // in-flight commit, then fsync all stores and reset the log — the full
-  // write-stall the fuzzy path exists to avoid.
-  wal_->BlockAppends();
-  wal_->WaitPinsDrained();
-  Status s = SyncAll();
-  if (s.ok()) s = wal_->Reset();
-  wal_->UnblockAppends();
-  if (s.ok()) checkpoints_.fetch_add(1, std::memory_order_relaxed);
-  return s;
 }
 
 GraphStoreStats GraphStore::Stats() const {

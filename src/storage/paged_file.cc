@@ -151,7 +151,7 @@ Status PosixFile::PunchHole(uint64_t offset, uint64_t n) {
   if (::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
                   static_cast<off_t>(offset), static_cast<off_t>(n)) != 0) {
     // Advisory: not every filesystem supports holes; the dead bytes simply
-    // stay allocated until the next full Reset().
+    // stay allocated.
     if (errno != EOPNOTSUPP && errno != ENOTSUP && errno != EINVAL) {
       return Status::IOError("fallocate " + path_ + ": " + strerror(errno));
     }

@@ -1,8 +1,8 @@
 // File-set abstraction backing the segmented WAL.
 //
 // The rotating WAL is not one file but a small, changing set of files in one
-// directory (active segments, a recycle pool of retired segments, and —
-// transiently — a pre-segmentation legacy log being migrated). WalDir is the
+// directory (active segments, a recycle pool of retired segments, and the
+// flusher's pre-allocated next segment). WalDir is the
 // minimal directory surface the Wal needs: list, open-or-create, remove,
 // atomic rename, and a directory-metadata sync for crash-ordering the
 // create/rename/unlink transitions.

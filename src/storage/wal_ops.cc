@@ -21,24 +21,6 @@ WalOp WalOp::DeleteNode(NodeId id) {
   return op;
 }
 
-WalOp WalOp::SetNodeProperty(NodeId id, PropertyKeyId key,
-                             PropertyValue value) {
-  WalOp op;
-  op.type = WalOpType::kSetNodeProperty;
-  op.id = id;
-  op.token = key;
-  op.value = std::move(value);
-  return op;
-}
-
-WalOp WalOp::RemoveNodeProperty(NodeId id, PropertyKeyId key) {
-  WalOp op;
-  op.type = WalOpType::kRemoveNodeProperty;
-  op.id = id;
-  op.token = key;
-  return op;
-}
-
 WalOp WalOp::NodeState(NodeId id, std::vector<LabelId> labels,
                        PropertyMap props) {
   WalOp op;
@@ -54,22 +36,6 @@ WalOp WalOp::RelState(RelId id, PropertyMap props) {
   op.type = WalOpType::kRelState;
   op.id = id;
   op.props = std::move(props);
-  return op;
-}
-
-WalOp WalOp::AddLabel(NodeId id, LabelId label) {
-  WalOp op;
-  op.type = WalOpType::kAddLabel;
-  op.id = id;
-  op.token = label;
-  return op;
-}
-
-WalOp WalOp::RemoveLabel(NodeId id, LabelId label) {
-  WalOp op;
-  op.type = WalOpType::kRemoveLabel;
-  op.id = id;
-  op.token = label;
   return op;
 }
 
@@ -89,23 +55,6 @@ WalOp WalOp::DeleteRel(RelId id) {
   WalOp op;
   op.type = WalOpType::kDeleteRel;
   op.id = id;
-  return op;
-}
-
-WalOp WalOp::SetRelProperty(RelId id, PropertyKeyId key, PropertyValue value) {
-  WalOp op;
-  op.type = WalOpType::kSetRelProperty;
-  op.id = id;
-  op.token = key;
-  op.value = std::move(value);
-  return op;
-}
-
-WalOp WalOp::RemoveRelProperty(RelId id, PropertyKeyId key) {
-  WalOp op;
-  op.type = WalOpType::kRemoveRelProperty;
-  op.id = id;
-  op.token = key;
   return op;
 }
 
@@ -188,17 +137,6 @@ void WalOp::EncodeTo(std::string* dst) const {
     case WalOpType::kDeleteNode:
     case WalOpType::kDeleteRel:
       break;
-    case WalOpType::kSetNodeProperty:
-    case WalOpType::kSetRelProperty:
-      PutVarint32(dst, token);
-      value.EncodeTo(dst);
-      break;
-    case WalOpType::kRemoveNodeProperty:
-    case WalOpType::kRemoveRelProperty:
-    case WalOpType::kAddLabel:
-    case WalOpType::kRemoveLabel:
-      PutVarint32(dst, token);
-      break;
     case WalOpType::kCreateRel:
       PutVarint64(dst, src);
       PutVarint64(dst, this->dst);
@@ -246,22 +184,6 @@ Status WalOp::DecodeFrom(Slice* input, WalOp* out) {
     case WalOpType::kDeleteNode:
     case WalOpType::kDeleteRel:
       return Status::OK();
-    case WalOpType::kSetNodeProperty:
-    case WalOpType::kSetRelProperty: {
-      if (!GetVarint32(input, &out->token)) {
-        return Status::Corruption("wal: prop key");
-      }
-      return PropertyValue::DecodeFrom(input, &out->value);
-    }
-    case WalOpType::kRemoveNodeProperty:
-    case WalOpType::kRemoveRelProperty:
-    case WalOpType::kAddLabel:
-    case WalOpType::kRemoveLabel: {
-      if (!GetVarint32(input, &out->token)) {
-        return Status::Corruption("wal: token id");
-      }
-      return Status::OK();
-    }
     case WalOpType::kCreateRel: {
       if (!GetVarint64(input, &out->src)) {
         return Status::Corruption("wal: rel src");

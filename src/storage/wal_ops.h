@@ -18,18 +18,14 @@
 
 namespace neosi {
 
-/// Kind of logical mutation.
+/// Kind of logical mutation. Type bytes 3-6, 9 and 10 belonged to retired
+/// per-property / per-label delta ops; they are never reused and decode as
+/// Corruption.
 enum class WalOpType : uint8_t {
   kCreateNode = 1,
   kDeleteNode = 2,
-  kSetNodeProperty = 3,
-  kRemoveNodeProperty = 4,
-  kAddLabel = 5,
-  kRemoveLabel = 6,
   kCreateRel = 7,
   kDeleteRel = 8,
-  kSetRelProperty = 9,
-  kRemoveRelProperty = 10,
   kCreateToken = 11,
   /// GC physical reclamation of a node record (paper §4 tombstone removal).
   kPurgeNode = 12,
@@ -42,14 +38,12 @@ enum class WalOpType : uint8_t {
   /// so recovery replays only from the last marker's stable LSN onward.
   /// No-op on replay apply.
   kCheckpoint = 14,
-  /// Full node post-state (labels + props). Written instead of the delta
-  /// ops (kSetNodeProperty/kRemoveNodeProperty/kAddLabel/kRemoveLabel):
-  /// replay of a delta needs the pre-state from the store, but the fuzzy
-  /// checkpoint syncs nodes.store and props.store at different instants,
-  /// so after a crash the node record and its property chain can disagree
-  /// (unreadable or aliased chains). A full-state op is record-local —
-  /// replay never reads a chain it did not itself write. The delta kinds
-  /// above remain decodable for logs written before this change.
+  /// Full node post-state (labels + props), the only node-update op. A
+  /// delta op would need the pre-state from the store at replay, but the
+  /// fuzzy checkpoint syncs nodes.store and props.store at different
+  /// instants, so after a crash the node record and its property chain can
+  /// disagree (unreadable or aliased chains). A full-state op is
+  /// record-local — replay never reads a chain it did not itself write.
   kNodeState = 15,
   /// Full relationship post-state (props). Same rationale as kNodeState.
   kRelState = 16,
@@ -78,11 +72,8 @@ struct WalOp {
   RelId dst_prev = kInvalidRelId;
   RelId dst_next = kInvalidRelId;
 
-  uint32_t token = kInvalidToken;  ///< label id / property key id
-  PropertyValue value;             ///< kSet*Property
-
-  std::vector<LabelId> labels;  ///< kCreateNode
-  PropertyMap props;            ///< kCreateNode / kCreateRel
+  std::vector<LabelId> labels;  ///< kCreateNode / kNodeState
+  PropertyMap props;            ///< kCreateNode / kCreateRel / k*State
 
   TokenKind token_kind = TokenKind::kLabel;  ///< kCreateToken
   std::string name;                          ///< kCreateToken
@@ -91,20 +82,12 @@ struct WalOp {
   static WalOp CreateNode(NodeId id, std::vector<LabelId> labels,
                           PropertyMap props);
   static WalOp DeleteNode(NodeId id);
-  static WalOp SetNodeProperty(NodeId id, PropertyKeyId key,
-                               PropertyValue value);
-  static WalOp RemoveNodeProperty(NodeId id, PropertyKeyId key);
   static WalOp NodeState(NodeId id, std::vector<LabelId> labels,
                          PropertyMap props);
   static WalOp RelState(RelId id, PropertyMap props);
-  static WalOp AddLabel(NodeId id, LabelId label);
-  static WalOp RemoveLabel(NodeId id, LabelId label);
   static WalOp CreateRel(RelId id, NodeId src, NodeId dst, RelTypeId type,
                          PropertyMap props);
   static WalOp DeleteRel(RelId id);
-  static WalOp SetRelProperty(RelId id, PropertyKeyId key,
-                              PropertyValue value);
-  static WalOp RemoveRelProperty(RelId id, PropertyKeyId key);
   static WalOp CreateToken(TokenKind kind, uint32_t id, std::string name);
   static WalOp PurgeNode(NodeId id);
   static WalOp PurgeRel(RelId id, NodeId src, NodeId dst, RelId src_prev,

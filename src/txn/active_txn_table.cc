@@ -5,11 +5,9 @@
 
 namespace neosi {
 
-ActiveTxnTable::ActiveTxnTable(size_t shards) {
-  if (shards == 0) {
-    const size_t hw = std::thread::hardware_concurrency();
-    shards = std::clamp<size_t>(2 * hw, 16, 64);
-  }
+ActiveTxnTable::ActiveTxnTable() {
+  const size_t shards =
+      std::clamp<size_t>(2 * std::thread::hardware_concurrency(), 16, 64);
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());

@@ -57,10 +57,10 @@ struct SnapshotExpiryOutcome {
 /// Thread-safe sharded active-transaction table.
 class ActiveTxnTable {
  public:
-  /// `shards` sizes the shard array; 0 = AUTO
-  /// (max(16, 2 * hardware_concurrency), capped at 64 — see
-  /// DatabaseOptions::txn_table_shards).
-  explicit ActiveTxnTable(size_t shards = 0);
+  /// Shard count is auto-sized from std::thread::hardware_concurrency():
+  /// max(16, 2 * cores), capped at 64. More shards keep concurrent Begin()s
+  /// off each other's mutexes; fewer make the watermark scan cheaper.
+  ActiveTxnTable();
 
   ActiveTxnTable(const ActiveTxnTable&) = delete;
   ActiveTxnTable& operator=(const ActiveTxnTable&) = delete;

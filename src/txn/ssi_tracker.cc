@@ -62,9 +62,7 @@ OutView ViewOut(const SsiTxnInfo::OutEdge& e) {
 
 }  // namespace
 
-SsiTracker::SsiTracker(size_t shard_count)
-    : shard_count_(std::max<size_t>(1, shard_count)),
-      shards_(shard_count_) {}
+SsiTracker::SsiTracker() : shards_(kShardCount) {}
 
 uint64_t SsiTracker::Mix(uint64_t x) {
   // Splitmix finalizer (matches the EntityKey hash's diffusion).
@@ -76,11 +74,11 @@ uint64_t SsiTracker::Mix(uint64_t x) {
 }
 
 SsiTracker::Shard& SsiTracker::ShardForEntity(const EntityKey& key) {
-  return shards_[std::hash<EntityKey>{}(key) % shard_count_];
+  return shards_[std::hash<EntityKey>{}(key) % kShardCount];
 }
 
 SsiTracker::Shard& SsiTracker::ShardForKey(uint64_t key) {
-  return shards_[Mix(key) % shard_count_];
+  return shards_[Mix(key) % kShardCount];
 }
 
 // ---------------------------------------------------------------------------

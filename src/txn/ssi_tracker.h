@@ -170,7 +170,7 @@ struct SsiTrackerStats {
 /// Sharded SIREAD-marker tables + rw-antidependency edge registry.
 class SsiTracker {
  public:
-  explicit SsiTracker(size_t shard_count);
+  SsiTracker();
 
   SsiTracker(const SsiTracker&) = delete;
   SsiTracker& operator=(const SsiTracker&) = delete;
@@ -340,7 +340,9 @@ class SsiTracker {
   /// caller holds registry_mu_.
   void RecomputeRegistryLocked();
 
-  const size_t shard_count_;
+  /// Marker-table shards: the LockManager's fan-out. Only kSerializable
+  /// transactions touch these tables.
+  static constexpr size_t kShardCount = 64;
   std::vector<Shard> shards_;
   std::mutex all_nodes_mu_;
   MarkerList all_nodes_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/object_cache.h"
+#include "mvcc/epoch.h"
 
 namespace neosi {
 namespace {
@@ -18,7 +19,8 @@ std::unique_ptr<GraphStore> MakeStore() {
 
 TEST(ObjectCache, LoadsNewestCommittedVersionOnMiss) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, &epochs);
   const NodeId id = *store->AllocateNodeId();
   ASSERT_TRUE(
       store->PersistNewNode(id, {1}, {{2, PropertyValue("v")}}, 77).ok());
@@ -42,7 +44,8 @@ TEST(ObjectCache, LoadsNewestCommittedVersionOnMiss) {
 
 TEST(ObjectCache, MissOnFreeRecordIsNotFound) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, &epochs);
   EXPECT_TRUE(cache.GetNode(42).status().IsNotFound());
   const NodeId id = *store->AllocateNodeId();  // Allocated but zeroed.
   EXPECT_TRUE(cache.GetNode(id).status().IsNotFound());
@@ -50,7 +53,8 @@ TEST(ObjectCache, MissOnFreeRecordIsNotFound) {
 
 TEST(ObjectCache, LoadsTombstoneAsDeletedVersion) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, &epochs);
   const NodeId id = *store->AllocateNodeId();
   ASSERT_TRUE(store->PersistNewNode(id, {}, {}, 5).ok());
   ASSERT_TRUE(store->PersistNodeTombstone(id, 9).ok());
@@ -63,7 +67,8 @@ TEST(ObjectCache, LoadsTombstoneAsDeletedVersion) {
 
 TEST(ObjectCache, RelTopologyOnCachedObject) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, &epochs);
   const NodeId a = *store->AllocateNodeId();
   const NodeId b = *store->AllocateNodeId();
   ASSERT_TRUE(store->PersistNewNode(a, {}, {}, 1).ok());
@@ -82,7 +87,8 @@ TEST(ObjectCache, RelTopologyOnCachedObject) {
 
 TEST(ObjectCache, InsertNewAndErase) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, &epochs);
   auto node = cache.InsertNewNode(10);
   ASSERT_TRUE(node.ok());
   EXPECT_NE(cache.PeekNode(10), nullptr);
@@ -107,7 +113,8 @@ TEST(ObjectCache, InsertNewAndErase) {
 
 TEST(ObjectCache, EvictionKeepsMultiVersionEntitiesPinned) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), /*capacity=*/4);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), /*capacity=*/4, &epochs);
   // 10 single-version nodes (evictable) + 1 multi-version node (pinned).
   for (int i = 0; i < 10; ++i) {
     const NodeId id = *store->AllocateNodeId();
@@ -137,7 +144,8 @@ TEST(ObjectCache, EvictionKeepsMultiVersionEntitiesPinned) {
 
 TEST(ObjectCache, EvictedEntryReloadsFromStore) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), /*capacity=*/1);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), /*capacity=*/1, &epochs);
   std::vector<NodeId> ids;
   for (int i = 0; i < 5; ++i) {
     const NodeId id = *store->AllocateNodeId();
@@ -158,7 +166,8 @@ TEST(ObjectCache, EvictedEntryReloadsFromStore) {
 
 TEST(ObjectCache, StatsCountResidentVersions) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, &epochs);
   const NodeId id = *store->AllocateNodeId();
   ASSERT_TRUE(store->PersistNewNode(id, {}, {}, 1).ok());
   auto node = cache.GetNode(id);

@@ -216,9 +216,11 @@ TEST(CheckpointDaemon, ReclaimsWholeSegmentsOnHolelessBackend) {
   EXPECT_EQ(stats.store.wal_bytes, 0u);
   EXPECT_EQ(stats.store.wal_segments, 1u);
   EXPECT_LE(stats.store.wal_physical_bytes, options.wal_segment_size);
-  // Recycling honored its cap.
+  // Recycling honored its cap. With wal_preallocate on, the flusher's
+  // prepared next segment can hold one more pool-sourced file: it has left
+  // the pool but counts as reused only once a roll adopts it.
   EXPECT_LE(stats.store.wal_segments_recycled,
-            stats.store.wal_segments_reused + options.wal_recycle_segments);
+            stats.store.wal_segments_reused + options.wal_recycle_segments + 1);
   auto reader = db->Begin();
   EXPECT_EQ(reader->GetNodeProperty(id, "v")->AsInt(), 400);
 }
@@ -255,22 +257,6 @@ TEST(CheckpointDaemon, SegmentRolloverNudgesPastByteThreshold) {
                stats.store.wal_segments_recycled >=
            1;
   }));
-}
-
-// The retired stop-the-world checkpoint stays correct (it is the E12 bench
-// baseline): full sync + log reset, data preserved.
-TEST(CheckpointLegacy, StopTheWorldStillCorrect) {
-  auto options = MemOptions();
-  options.checkpoint_interval_ms = 0;
-  auto db = std::move(*GraphDatabase::Open(options));
-  auto txn = db->Begin();
-  const NodeId id = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{9})}});
-  ASSERT_TRUE(txn->Commit().ok());
-  ASSERT_GT(db->engine().store.wal().SizeBytes(), 0u);
-  ASSERT_TRUE(db->engine().store.CheckpointStopTheWorld().ok());
-  EXPECT_EQ(db->engine().store.wal().SizeBytes(), 0u);
-  auto reader = db->Begin();
-  EXPECT_EQ(reader->GetNodeProperty(id, "v")->AsInt(), 9);
 }
 
 }  // namespace

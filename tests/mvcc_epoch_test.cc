@@ -1,6 +1,6 @@
 // EpochManager: the reclamation domain behind the latch-free read path.
 // Covers enter/exit bookkeeping, min-epoch advance, deferred-free ordering
-// through a VersionChain in epoch mode, destructor cleanup, slot-exhaustion
+// through a VersionChain, destructor cleanup, slot-exhaustion
 // progress, and a torn-reader stress that races latch-free walks against
 // prune/retire/drain cycles (the sanitizer jobs run this one hot).
 
@@ -37,10 +37,6 @@ TEST(EpochManager, EnterExitPublishesAndClearsTheSlot) {
     EXPECT_EQ(epochs.MinActiveEpoch(), epochs.current_epoch());
   }
   EXPECT_EQ(epochs.MinActiveEpoch(), UINT64_MAX) << "guard exit frees the slot";
-}
-
-TEST(EpochManager, NullManagerGuardIsANoOp) {
-  EpochManager::Guard guard(nullptr);  // latched-baseline call sites do this
 }
 
 TEST(EpochManager, MinActiveEpochTracksTheOldestEnteredReader) {

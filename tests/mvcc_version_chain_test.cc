@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mvcc/epoch.h"
 #include "mvcc/version_chain.h"
 
 namespace neosi {
@@ -20,7 +21,8 @@ int64_t ValueOf(const std::shared_ptr<const Version>& v) {
 }
 
 TEST(VersionChain, EmptyChainHasNothingVisible) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   EXPECT_EQ(chain.Visible(100, 1), nullptr);
   EXPECT_EQ(chain.LatestCommitted(), nullptr);
   EXPECT_EQ(chain.Length(), 0u);
@@ -29,7 +31,8 @@ TEST(VersionChain, EmptyChainHasNothingVisible) {
 }
 
 TEST(VersionChain, InstallCommitRead) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   auto v = chain.InstallUncommitted(7, Data(10));
   ASSERT_TRUE(v.ok());
   // Uncommitted: visible only to the writer.
@@ -46,7 +49,8 @@ TEST(VersionChain, InstallCommitRead) {
 }
 
 TEST(VersionChain, ReadRuleMostRecentAtOrBeforeStart) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   for (int i = 1; i <= 5; ++i) {
     ASSERT_TRUE(chain.InstallUncommitted(i, Data(i * 10)).ok());
     ASSERT_TRUE(chain.CommitHead(i, i * 100).ok());
@@ -62,7 +66,8 @@ TEST(VersionChain, ReadRuleMostRecentAtOrBeforeStart) {
 }
 
 TEST(VersionChain, SameTxnCollapsesPendingWrites) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
   ASSERT_TRUE(chain.CommitHead(1, 10).ok());
   // Two writes by txn 2 produce ONE pending version.
@@ -75,14 +80,16 @@ TEST(VersionChain, SameTxnCollapsesPendingWrites) {
 }
 
 TEST(VersionChain, ConcurrentUncommittedWritersIsEngineBug) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
   auto second = chain.InstallUncommitted(2, Data(2));
   EXPECT_TRUE(second.status().IsInternal());
 }
 
 TEST(VersionChain, AbortRemovesPendingOnly) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
   ASSERT_TRUE(chain.CommitHead(1, 10).ok());
   ASSERT_TRUE(chain.InstallUncommitted(2, Data(2)).ok());
@@ -98,14 +105,16 @@ TEST(VersionChain, AbortRemovesPendingOnly) {
 }
 
 TEST(VersionChain, CommitWithoutPendingIsInternal) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   EXPECT_TRUE(chain.CommitHead(1, 10).status().IsInternal());
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
   EXPECT_TRUE(chain.CommitHead(2, 10).status().IsInternal());  // Wrong txn.
 }
 
 TEST(VersionChain, CommitReturnsSupersededVersion) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
   ASSERT_TRUE(chain.CommitHead(1, 10).ok());
   ASSERT_TRUE(chain.InstallUncommitted(2, Data(2)).ok());
@@ -116,7 +125,8 @@ TEST(VersionChain, CommitReturnsSupersededVersion) {
 }
 
 TEST(VersionChain, TombstoneVersionVisibleAsDeleted) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
   ASSERT_TRUE(chain.CommitHead(1, 10).ok());
   ASSERT_TRUE(chain.InstallUncommitted(2, Data(0, /*deleted=*/true)).ok());
@@ -127,7 +137,8 @@ TEST(VersionChain, TombstoneVersionVisibleAsDeleted) {
 }
 
 TEST(VersionChain, RemoveUnlinksSpecificVersion) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   std::vector<std::shared_ptr<Version>> versions;
   for (int i = 1; i <= 4; ++i) {
     versions.push_back(*chain.InstallUncommitted(i, Data(i)));
@@ -146,7 +157,8 @@ TEST(VersionChain, RemoveUnlinksSpecificVersion) {
 }
 
 TEST(VersionChain, PruneSupersededUpToWatermark) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   for (int i = 1; i <= 5; ++i) {
     ASSERT_TRUE(chain.InstallUncommitted(i, Data(i)).ok());
     ASSERT_TRUE(chain.CommitHead(i, i * 10).ok());
@@ -163,7 +175,8 @@ TEST(VersionChain, PruneSupersededUpToWatermark) {
 }
 
 TEST(VersionChain, PruneRespectsUncommittedHead) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(&epochs);
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
   ASSERT_TRUE(chain.CommitHead(1, 10).ok());
   ASSERT_TRUE(chain.InstallUncommitted(2, Data(2)).ok());
@@ -173,7 +186,8 @@ TEST(VersionChain, PruneRespectsUncommittedHead) {
 }
 
 TEST(VersionChain, LongChainDestructionDoesNotOverflowStack) {
-  auto chain = std::make_unique<VersionChain>();
+  EpochManager epochs;
+  auto chain = std::make_unique<VersionChain>(&epochs);
   for (int i = 1; i <= 200000; ++i) {
     ASSERT_TRUE(chain->InstallUncommitted(i, VersionData{}).ok());
     ASSERT_TRUE(chain->CommitHead(i, i).ok());

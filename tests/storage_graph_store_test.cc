@@ -192,12 +192,16 @@ TEST(GraphStore, ApplyWalOpsRebuildState) {
                                10)
                   .ok());
   ASSERT_TRUE(store->ApplyWalOp(WalOp::CreateNode(1, {}, {}), 10).ok());
-  ASSERT_TRUE(
-      store->ApplyWalOp(WalOp::SetNodeProperty(0, 3, PropertyValue(5)), 11)
-          .ok());
+  ASSERT_TRUE(store
+                  ->ApplyWalOp(WalOp::NodeState(0, {1},
+                                                {{2, PropertyValue("a")},
+                                                 {3, PropertyValue(5)}}),
+                               11)
+                  .ok());
   ASSERT_TRUE(store->ApplyWalOp(WalOp::CreateRel(0, 0, 1, 0, {}), 12).ok());
   NodeState state;
   ASSERT_TRUE(store->ReadNodeState(0, &state).ok());
+  EXPECT_EQ(state.props.at(2), PropertyValue("a"));
   EXPECT_EQ(state.props.at(3), PropertyValue(5));
   EXPECT_EQ(state.commit_ts, 11u);
   std::vector<RelId> chain;

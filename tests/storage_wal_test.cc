@@ -1,5 +1,5 @@
 // WAL framing, op serialization, torn-tail handling, segment rotation,
-// recycle pool, chain validation, and legacy single-file migration.
+// recycle pool, and chain validation.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +21,8 @@ WalRecord MakeRecord(TxnId txn, Timestamp ts) {
   record.commit_ts = ts;
   record.ops.push_back(WalOp::CreateNode(
       1, {2, 3}, {{4, PropertyValue("value")}, {5, PropertyValue(int64_t{9})}}));
-  record.ops.push_back(WalOp::SetNodeProperty(1, 4, PropertyValue(false)));
-  record.ops.push_back(WalOp::AddLabel(1, 7));
+  record.ops.push_back(
+      WalOp::NodeState(1, {2, 7}, {{4, PropertyValue(false)}}));
   record.ops.push_back(WalOp::CreateRel(2, 1, 3, 0, {{4, PropertyValue(1.5)}}));
   record.ops.push_back(WalOp::DeleteRel(2));
   record.ops.push_back(WalOp::DeleteNode(1));
@@ -30,10 +30,9 @@ WalRecord MakeRecord(TxnId txn, Timestamp ts) {
       WalOp::CreateToken(TokenKind::kPropertyKey, 4, "weight"));
   record.ops.push_back(WalOp::PurgeNode(9));
   record.ops.push_back(WalOp::PurgeRel(8, 1, 3, 10, 11, 12, 13));
-  record.ops.push_back(WalOp::RemoveLabel(1, 7));
-  record.ops.push_back(WalOp::RemoveNodeProperty(1, 5));
-  record.ops.push_back(WalOp::SetRelProperty(2, 4, PropertyValue("x")));
-  record.ops.push_back(WalOp::RemoveRelProperty(2, 4));
+  record.ops.push_back(WalOp::NodeState(1, {2}, {}));
+  record.ops.push_back(WalOp::RelState(2, {{4, PropertyValue("x")}}));
+  record.ops.push_back(WalOp::RelState(2, {}));
   record.ops.push_back(WalOp::Checkpoint(123456789));
   return record;
 }
@@ -83,16 +82,49 @@ TEST(WalOps, RecordRoundTrip) {
   EXPECT_EQ(out.ops[0].type, WalOpType::kCreateNode);
   EXPECT_EQ(out.ops[0].labels, (std::vector<LabelId>{2, 3}));
   EXPECT_EQ(out.ops[0].props.at(4), PropertyValue("value"));
-  EXPECT_EQ(out.ops[3].type, WalOpType::kCreateRel);
-  EXPECT_EQ(out.ops[3].src, 1u);
-  EXPECT_EQ(out.ops[3].dst, 3u);
-  EXPECT_EQ(out.ops[6].name, "weight");
-  EXPECT_EQ(out.ops[6].token_kind, TokenKind::kPropertyKey);
-  EXPECT_EQ(out.ops[8].type, WalOpType::kPurgeRel);
-  EXPECT_EQ(out.ops[8].src_prev, 10u);
-  EXPECT_EQ(out.ops[8].dst_next, 13u);
+  EXPECT_EQ(out.ops[1].type, WalOpType::kNodeState);
+  EXPECT_EQ(out.ops[1].labels, (std::vector<LabelId>{2, 7}));
+  EXPECT_EQ(out.ops[1].props.at(4), PropertyValue(false));
+  EXPECT_EQ(out.ops[2].type, WalOpType::kCreateRel);
+  EXPECT_EQ(out.ops[2].src, 1u);
+  EXPECT_EQ(out.ops[2].dst, 3u);
+  EXPECT_EQ(out.ops[5].name, "weight");
+  EXPECT_EQ(out.ops[5].token_kind, TokenKind::kPropertyKey);
+  EXPECT_EQ(out.ops[7].type, WalOpType::kPurgeRel);
+  EXPECT_EQ(out.ops[7].src_prev, 10u);
+  EXPECT_EQ(out.ops[7].dst_next, 13u);
+  EXPECT_EQ(out.ops[8].type, WalOpType::kNodeState);
+  EXPECT_EQ(out.ops[8].labels, (std::vector<LabelId>{2}));
+  EXPECT_TRUE(out.ops[8].props.empty());
+  EXPECT_EQ(out.ops[9].type, WalOpType::kRelState);
+  EXPECT_EQ(out.ops[9].id, 2u);
+  EXPECT_EQ(out.ops[9].props.at(4), PropertyValue("x"));
+  EXPECT_EQ(out.ops[10].type, WalOpType::kRelState);
+  EXPECT_TRUE(out.ops[10].props.empty());
   EXPECT_EQ(out.ops.back().type, WalOpType::kCheckpoint);
   EXPECT_EQ(out.ops.back().id, 123456789u);
+}
+
+TEST(WalOps, RetiredDeltaTypeBytesAreCorruption) {
+  // 3-6, 9 and 10 were the per-property / per-label delta ops. A record
+  // carrying one is from a log format this build no longer replays; the
+  // decoder must refuse it rather than misread its fields. The full-state
+  // ops that replaced them keep their type bytes, so logs written since
+  // decode unchanged.
+  EXPECT_EQ(static_cast<int>(WalOpType::kNodeState), 15);
+  EXPECT_EQ(static_cast<int>(WalOpType::kRelState), 16);
+  for (const uint8_t retired : {3, 4, 5, 6, 9, 10}) {
+    std::string buf;
+    PutVarint64(&buf, 1);  // txn id
+    PutVarint64(&buf, 2);  // commit ts
+    PutVarint64(&buf, 1);  // op count
+    buf.push_back(static_cast<char>(retired));
+    PutVarint64(&buf, 7);  // entity id
+    PutVarint32(&buf, 4);  // the retired token field
+    WalRecord out;
+    EXPECT_TRUE(WalRecord::DecodeFrom(Slice(buf), &out).IsCorruption())
+        << "type byte " << static_cast<int>(retired);
+  }
 }
 
 TEST(WalOps, TrailingBytesRejected) {
@@ -165,15 +197,6 @@ TEST(Wal, CorruptPayloadStopsReplay) {
   EXPECT_EQ(ReplayTimestamps(wal.get()), (std::vector<Timestamp>{10}));
 }
 
-TEST(Wal, ResetEmptiesLog) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  auto wal = OpenWal(dir);
-  ASSERT_TRUE(wal->Append(MakeRecord(1, 10)).ok());
-  ASSERT_TRUE(wal->Reset().ok());
-  EXPECT_EQ(wal->SizeBytes(), 0u);
-  EXPECT_TRUE(ReplayTimestamps(wal.get()).empty());
-}
-
 TEST(Wal, OpenPositionsCursorAfterValidPrefix) {
   auto dir = std::make_shared<InMemoryWalDir>();
   uint64_t valid;
@@ -202,16 +225,6 @@ TEST(Wal, AppendBatchFramesDecodeIndividually) {
 
   EXPECT_EQ(ReplayTimestamps(wal.get()),
             (std::vector<Timestamp>{10, 20, 30, 40}));
-}
-
-TEST(Wal, ResetKeepsLsnsMonotonic) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  auto wal = OpenWal(dir);
-  const Lsn before = *wal->Append(MakeRecord(1, 10));
-  ASSERT_TRUE(wal->Reset().ok());
-  EXPECT_EQ(wal->SizeBytes(), 0u);
-  const Lsn after = *wal->Append(MakeRecord(2, 20));
-  EXPECT_GT(after, before);
 }
 
 // ---------------------------------------------------------------------------
@@ -704,113 +717,6 @@ TEST(WalChain, TornFrameInsideOlderSegmentFailsReplayLoudly) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy single-file → segmented migration
-// ---------------------------------------------------------------------------
-
-/// Builds a legacy v2 single-file log: dual-slot header + frames.
-void WriteLegacyV2Log(InMemoryWalDir* dir, const std::vector<WalRecord>& records) {
-  std::unique_ptr<PagedFile> file;
-  ASSERT_TRUE(dir->Open(Wal::kLegacyName, &file).ok());
-  // Slot 1 (seq 1), matching a freshly created legacy log.
-  char slot[32] = {};
-  EncodeFixed32(slot, 0x324c574e);       // "NWL2"
-  EncodeFixed32(slot + 4, 2);            // version
-  EncodeFixed64(slot + 8, 0);            // head
-  EncodeFixed64(slot + 16, 0);           // base
-  EncodeFixed32(slot + 24, 1);           // seq
-  EncodeFixed32(slot + 28, Crc32c(slot, 28));
-  ASSERT_TRUE(file->WriteAt(32, slot, 32).ok());
-  uint64_t offset = 64;
-  for (const WalRecord& record : records) {
-    std::string payload;
-    record.EncodeTo(&payload);
-    char hdr[8];
-    EncodeFixed32(hdr, static_cast<uint32_t>(payload.size()));
-    EncodeFixed32(hdr + 4, Crc32c(payload.data(), payload.size()));
-    ASSERT_TRUE(file->WriteAt(offset, hdr, 8).ok());
-    ASSERT_TRUE(file->WriteAt(offset + 8, payload.data(), payload.size()).ok());
-    offset += 8 + payload.size();
-  }
-}
-
-TEST(WalMigration, V2SingleFileLogMigratesToSegments) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  WriteLegacyV2Log(dir.get(),
-                   {MakeRecord(1, 10), MakeRecord(2, 20), MakeRecord(3, 30)});
-
-  auto wal = OpenWal(dir);
-  EXPECT_FALSE(dir->Exists(Wal::kLegacyName));
-  EXPECT_GE(wal->SegmentCount(), 1u);
-  EXPECT_EQ(ReplayTimestamps(wal.get()),
-            (std::vector<Timestamp>{10, 20, 30}));
-
-  // Appends extend the migrated log; a second open sees a pure segment
-  // chain.
-  ASSERT_TRUE(wal->Append(MakeRecord(4, 40)).ok());
-  auto reopened = OpenWal(dir);
-  EXPECT_EQ(ReplayTimestamps(reopened.get()),
-            (std::vector<Timestamp>{10, 20, 30, 40}));
-}
-
-TEST(WalMigration, V2MigrationSplitsIntoSmallSegments) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  std::vector<WalRecord> records;
-  std::vector<Timestamp> expect;
-  for (int i = 1; i <= 24; ++i) {
-    records.push_back(SmallRecord(i, i * 10));
-    expect.push_back(i * 10);
-  }
-  WriteLegacyV2Log(dir.get(), records);
-
-  auto wal = OpenWal(dir, TinySegments());
-  EXPECT_GT(wal->SegmentCount(), 1u);
-  EXPECT_EQ(ReplayTimestamps(wal.get()), expect);
-}
-
-TEST(WalMigration, HeaderlessV1LogMigratesOnOpen) {
-  // Build a pre-header (v1) log by hand: raw frames from byte 0.
-  auto dir = std::make_shared<InMemoryWalDir>();
-  std::unique_ptr<PagedFile> raw;
-  ASSERT_TRUE(dir->Open(Wal::kLegacyName, &raw).ok());
-  uint64_t offset = 0;
-  for (int i = 1; i <= 3; ++i) {
-    std::string payload;
-    MakeRecord(i, i * 10).EncodeTo(&payload);
-    char hdr[8];
-    EncodeFixed32(hdr, static_cast<uint32_t>(payload.size()));
-    EncodeFixed32(hdr + 4, Crc32c(payload.data(), payload.size()));
-    ASSERT_TRUE(raw->WriteAt(offset, hdr, 8).ok());
-    ASSERT_TRUE(raw->WriteAt(offset + 8, payload.data(), payload.size()).ok());
-    offset += 8 + payload.size();
-  }
-  raw.reset();
-
-  auto wal = OpenWal(dir);
-  EXPECT_FALSE(dir->Exists(Wal::kLegacyName));
-  EXPECT_EQ(ReplayTimestamps(wal.get()),
-            (std::vector<Timestamp>{10, 20, 30}));
-  ASSERT_TRUE(wal->Append(MakeRecord(4, 40)).ok());
-  auto reopened = OpenWal(dir);
-  EXPECT_EQ(ReplayTimestamps(reopened.get()),
-            (std::vector<Timestamp>{10, 20, 30, 40}));
-}
-
-TEST(WalMigration, CrashMidMigrationRestartsFromScratch) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  WriteLegacyV2Log(dir.get(), {MakeRecord(1, 10), MakeRecord(2, 20)});
-  // Simulate a crash mid-migration: a partial segment exists NEXT TO the
-  // legacy file (which is only removed once the copied chain is durable).
-  std::unique_ptr<PagedFile> partial;
-  ASSERT_TRUE(dir->Open(Wal::SegmentName(1), &partial).ok());
-  ASSERT_TRUE(partial->WriteAt(0, "partial-copy", 12).ok());
-  partial.reset();
-
-  auto wal = OpenWal(dir);
-  EXPECT_FALSE(dir->Exists(Wal::kLegacyName));
-  EXPECT_EQ(ReplayTimestamps(wal.get()), (std::vector<Timestamp>{10, 20}));
-}
-
-// ---------------------------------------------------------------------------
 // LSN pins / stable LSN (the fuzzy checkpoint's truncation bound)
 // ---------------------------------------------------------------------------
 
@@ -949,7 +855,6 @@ TEST(WalPoison, SyncEioPoisonsUntilReopen) {
   std::vector<Lsn> lsns;
   EXPECT_TRUE(wal->AppendBatch(ptrs, &lsns, nullptr).IsIOError());
   EXPECT_TRUE(wal->group().Commit(SmallRecord(5, 50), true).status().IsIOError());
-  EXPECT_TRUE(wal->Reset().IsIOError());
   EXPECT_TRUE(wal->PoisonedStatus().IsIOError());
 
   // Reopen re-reads what is really durable: the synced record survives,
