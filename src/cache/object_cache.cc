@@ -99,6 +99,20 @@ Result<std::shared_ptr<CachedRel>> ObjectCache::GetRel(RelId id) {
   return rel;
 }
 
+Result<std::shared_ptr<VersionChain>> ObjectCache::GetChain(
+    const EntityKey& key) {
+  // Aliasing moves: the chain takes over the object's reference instead of
+  // adding one (hot objects' reference counts are shared by every reader).
+  if (key.type == EntityType::kNode) {
+    NEOSI_ASSIGN_OR_RETURN(auto node, GetNode(key.id));
+    VersionChain* chain = &node->chain;
+    return std::shared_ptr<VersionChain>(std::move(node), chain);
+  }
+  NEOSI_ASSIGN_OR_RETURN(auto rel, GetRel(key.id));
+  VersionChain* chain = &rel->chain;
+  return std::shared_ptr<VersionChain>(std::move(rel), chain);
+}
+
 namespace {
 
 /// True when a cache entry left behind for a purged-and-recycled id can be

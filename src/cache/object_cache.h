@@ -52,6 +52,9 @@ class ObjectCache {
   /// store on miss. NotFound if the record is free (never existed/purged).
   Result<std::shared_ptr<CachedNode>> GetNode(NodeId id);
   Result<std::shared_ptr<CachedRel>> GetRel(RelId id);
+  /// GetNode / GetRel by key type, returning the version chain (which
+  /// shares ownership of its cached object).
+  Result<std::shared_ptr<VersionChain>> GetChain(const EntityKey& key);
 
   /// Inserts a fresh (empty-chain) object for a brand-new entity; the store
   /// record is not consulted. Internal error if already cached.

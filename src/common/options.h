@@ -11,14 +11,14 @@
 //                     checkpoint_wal_threshold, wal_segment_size,
 //                     wal_recycle_segments)
 //
-// Auto-sized (0 = auto) options resolve from
-// std::thread::hardware_concurrency() at Open(): gc_shards and
-// group_commit_max_batch. The Resolved*() helpers below are the single
-// source of truth for their resolution rules. Internal tables that no
-// deployment tunes are sized by fixed rules instead of options: epoch slots
-// max(64, 4 * cores) (EpochManager), active-transaction shards
-// max(16, 2 * cores) capped at 64 (ActiveTxnTable), and 64 SSI marker
-// shards (SsiTracker).
+// The one auto-sized (0 = auto) option, gc_shards, resolves from
+// std::thread::hardware_concurrency() at Open() through ResolvedGcShards().
+// Internals that no deployment tunes are fixed rules instead of options:
+// epoch slots max(64, 4 * cores) (EpochManager), active-transaction shards
+// max(16, 2 * cores) capped at 64 (ActiveTxnTable), 64 SSI marker shards
+// (SsiTracker), group-commit batches of at most max(8, 4 * cores) capped at
+// 256 records (GroupCommitter), and a 10 s lock-wait backstop
+// (LockManager).
 
 #ifndef NEOSI_COMMON_OPTIONS_H_
 #define NEOSI_COMMON_OPTIONS_H_
@@ -82,10 +82,6 @@ struct DatabaseOptions {
   bool ssi_safe_snapshots = true;
 
   // --- storage -------------------------------------------------------------
-
-  /// Page size of the store files, in BYTES. Default: 8192. Fixed at
-  /// creation; reopening with a different value is rejected as corruption.
-  size_t page_size = 8192;
 
   /// Soft capacity of the object cache, in CACHED OBJECTS (nodes + rels).
   /// Default: 1'048'576 (1 << 20). 0 = unbounded. Clean single-version
@@ -205,13 +201,6 @@ struct DatabaseOptions {
   /// path. Default: true.
   bool wal_preallocate = true;
 
-  /// Most commit records a group-commit leader folds into one batched
-  /// append/fsync; later arrivals elect the next leader. Default: 0 = AUTO
-  /// (max(8, 4 * hardware_concurrency), capped at 256) — enough to absorb
-  /// every plausibly-runnable committer without letting a burst build a
-  /// batch whose ack latency is dominated by its own tail.
-  size_t group_commit_max_batch = 0;
-
   // --- replication (read replicas) -----------------------------------------
 
   /// Attach this database as a READ REPLICA of the primary whose WAL lives
@@ -247,14 +236,6 @@ struct DatabaseOptions {
     return replica_of != nullptr || !replica_of_path.empty();
   }
 
-  // --- locking -------------------------------------------------------------
-
-  /// Lock wait timeout, in MILLISECONDS, for the waiting conflict
-  /// policies; a wait longer than this aborts the waiter with
-  /// Status::Deadlock. Default: 10000. Backstop only: wait-die breaks
-  /// cycles well before this fires.
-  uint64_t lock_timeout_ms = 10000;
-
   // --- auto-size resolution (0 = auto options) -----------------------------
 
   /// gc_shards with auto resolved: hardware_concurrency clamped to
@@ -263,14 +244,6 @@ struct DatabaseOptions {
     if (gc_shards != 0) return std::min<size_t>(gc_shards, 64);
     const size_t hw = std::thread::hardware_concurrency();
     return std::clamp<size_t>(hw == 0 ? 4 : hw, 1, 64);
-  }
-
-  /// group_commit_max_batch with auto resolved: max(8, 4 * cores), capped
-  /// at 256.
-  size_t ResolvedGroupCommitBatch() const {
-    if (group_commit_max_batch != 0) return group_commit_max_batch;
-    const size_t hw = std::thread::hardware_concurrency();
-    return std::clamp<size_t>(4 * hw, 8, 256);
   }
 };
 

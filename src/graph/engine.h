@@ -76,16 +76,15 @@ struct AdmissionCounters {
 /// Everything the engine is made of, wired once at Open().
 struct Engine {
   explicit Engine(const DatabaseOptions& opts)
-      : options(opts),
-        store(opts),
-        lock_manager(opts.lock_timeout_ms),
-        gc_list(opts.ResolvedGcShards()) {}
+      : options(opts), store(opts), gc_list(opts.ResolvedGcShards()) {}
 
   DatabaseOptions options;
 
   GraphStore store;
   TimestampOracle oracle;
   ActiveTxnTable active_txns;
+  /// Lock waits time out after LockManager's 10 s default (a backstop:
+  /// wait-die breaks cycles long before it fires).
   LockManager lock_manager;
   /// Entity-key-sharded reclamation queue (opts.gc_shards shards, auto =
   /// core count); each shard is drained by its own GcDaemon worker.

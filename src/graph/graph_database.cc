@@ -1,5 +1,7 @@
 #include "graph/graph_database.h"
 
+#include "graph/index_maintenance.h"
+
 namespace neosi {
 
 GraphDatabase::GraphDatabase(const DatabaseOptions& options)
@@ -103,33 +105,19 @@ Status GraphDatabase::RebuildIndexes() {
   // open (the newest committed version of each entity). Association
   // timestamps collapse to the record's commit timestamp, which is exact
   // enough: no snapshot older than the restart can exist.
-  NEOSI_RETURN_IF_ERROR(engine_->store.ForEachNode([&](NodeId id) {
-    NodeState state;
-    NEOSI_RETURN_IF_ERROR(engine_->store.ReadNodeState(id, &state));
-    if (!state.in_use || state.deleted) return Status::OK();
-    for (LabelId label : state.labels) {
-      engine_->label_index.AddPending(label, id, kNoTxn);
-      engine_->label_index.CommitAdd(label, id, kNoTxn, state.commit_ts);
-    }
-    for (const auto& [key, value] : state.props) {
-      engine_->node_prop_index.AddPending(key, value, id, kNoTxn);
-      engine_->node_prop_index.CommitAdd(key, value, id, kNoTxn,
-                                         state.commit_ts);
-    }
+  auto rebuild = [&](const EntityKey& key) {
+    VersionData state;
+    Timestamp commit_ts = kNoTimestamp;
+    Status s = ReadPersistedState(engine_->store, key, &state, &commit_ts);
+    if (s.IsNotFound()) return Status::OK();
+    NEOSI_RETURN_IF_ERROR(s);
+    CommitIndexDiff(engine_.get(), key, nullptr, &state, kNoTxn, commit_ts);
     return Status::OK();
-  }));
-  NEOSI_RETURN_IF_ERROR(engine_->store.ForEachRel([&](RelId id) {
-    RelState state;
-    NEOSI_RETURN_IF_ERROR(engine_->store.ReadRelState(id, &state));
-    if (!state.in_use || state.deleted) return Status::OK();
-    for (const auto& [key, value] : state.props) {
-      engine_->rel_prop_index.AddPending(key, value, id, kNoTxn);
-      engine_->rel_prop_index.CommitAdd(key, value, id, kNoTxn,
-                                        state.commit_ts);
-    }
-    return Status::OK();
-  }));
-  return Status::OK();
+  };
+  NEOSI_RETURN_IF_ERROR(engine_->store.ForEachNode(
+      [&](NodeId id) { return rebuild(EntityKey::Node(id)); }));
+  return engine_->store.ForEachRel(
+      [&](RelId id) { return rebuild(EntityKey::Rel(id)); });
 }
 
 std::unique_ptr<Transaction> GraphDatabase::Begin() {

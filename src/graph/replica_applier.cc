@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/coding.h"
+#include "graph/index_maintenance.h"
 #include "storage/wal.h"
 
 namespace neosi {
@@ -23,10 +24,6 @@ constexpr TxnId kApplierTxn = std::numeric_limits<TxnId>::max() - 1;
 
 constexpr uint32_t kCursorMagic = 0x43525053;  // "SPRC"
 constexpr size_t kCursorPayload = 4 + 8 + 4;   // magic + cursor + crc
-
-bool Contains(const std::vector<LabelId>& labels, LabelId label) {
-  return std::find(labels.begin(), labels.end(), label) != labels.end();
-}
 
 }  // namespace
 
@@ -297,12 +294,12 @@ Status ReplicaApplier::ApplyRecord(const WalRecord& record) {
       case WalOpType::kCreateNode:
       case WalOpType::kDeleteNode:
       case WalOpType::kNodeState:
-        apply = ApplyNodeOp(op, kApplierTxn, record.commit_ts);
+        apply = ApplyEntityOp(EntityKey::Node(op.id), op, record.commit_ts);
         break;
       case WalOpType::kCreateRel:
       case WalOpType::kDeleteRel:
       case WalOpType::kRelState:
-        apply = ApplyRelOp(op, kApplierTxn, record.commit_ts);
+        apply = ApplyEntityOp(EntityKey::Rel(op.id), op, record.commit_ts);
         break;
       case WalOpType::kPurgeNode:
       case WalOpType::kPurgeRel:
@@ -321,163 +318,45 @@ Status ReplicaApplier::ApplyRecord(const WalRecord& record) {
   return apply;
 }
 
-Status ReplicaApplier::ApplyNodeOp(const WalOp& op, TxnId txn, Timestamp ts) {
+Status ReplicaApplier::ApplyEntityOp(const EntityKey& key, const WalOp& op,
+                                     Timestamp ts) {
   // Materialize the PRE-state into the cache before the store changes:
   // pinned snapshots below `ts` must keep finding the version this op
   // supersedes (the cache never evicts multi-version chains, and a
   // single-version chain it does evict re-materializes losslessly).
-  std::shared_ptr<CachedNode> node;
+  std::shared_ptr<VersionChain> chain;
   {
-    auto cached = engine_->cache->GetNode(op.id);
+    auto cached = engine_->cache->GetChain(key);
     if (cached.ok()) {
-      node = *cached;
+      chain = *cached;
     } else if (!cached.status().IsNotFound()) {
       return cached.status();
     }
   }
   // Skip only strictly-older replays (defensive; Ingest dedupes records).
-  // Equality must fall through: one commit record can carry several ops for
-  // the same entity, all sharing its commit_ts — the second and later ops
-  // stack same-ts versions, and readers take the newest on a ts tie.
-  if (node != nullptr && node->chain.NewestCommitTs() > ts) {
-    return Status::OK();
-  }
-
-  VersionData pre;
-  bool pre_live = false;
-  if (node != nullptr) {
-    auto latest = node->chain.LatestCommitted();
-    if (latest != nullptr && !latest->data.deleted) {
-      pre_live = true;
-      pre = latest->data;
-    }
-  }
+  // Equality must fall through: a record may carry several ops for one
+  // entity, all sharing its commit_ts — the later ops stack same-ts
+  // versions, and readers take the newest on a ts tie.
+  if (chain != nullptr && chain->NewestCommitTs() > ts) return Status::OK();
+  const std::shared_ptr<const Version> pre =
+      chain != nullptr ? chain->LatestCommitted() : nullptr;
 
   NEOSI_RETURN_IF_ERROR(engine_->store.ApplyWalOp(op, ts));
 
-  NodeState post;
-  Status rs = engine_->store.ReadNodeState(op.id, &post);
-  if (!rs.ok() && !rs.IsOutOfRange() && !rs.IsNotFound()) return rs;
-  const bool post_in_use = rs.ok() && post.in_use;
-  const bool post_live = post_in_use && !post.deleted;
-
-  if (node != nullptr && post_in_use) {
-    VersionData data;
-    data.deleted = post.deleted;
-    data.labels = post.labels;
-    data.props = post.props;
-    NEOSI_ASSIGN_OR_RETURN(auto installed,
-                           node->chain.InstallUncommitted(txn, std::move(data)));
-    (void)installed;
-    NEOSI_ASSIGN_OR_RETURN(auto superseded, node->chain.CommitHead(txn, ts));
-    if (superseded != nullptr) {
-      engine_->gc_list.Append({EntityKey::Node(op.id), superseded, ts});
-    }
-  }
+  VersionData post;
+  Timestamp persisted_ts = kNoTimestamp;
+  Status rs = ReadPersistedState(engine_->store, key, &post, &persisted_ts);
+  if (!rs.ok() && !rs.IsNotFound()) return rs;
+  CommitIndexDiff(engine_, key, pre != nullptr ? &pre->data : nullptr,
+                  rs.ok() ? &post : nullptr, kApplierTxn, ts);
   // No cache entry and the record was free before: a create replays with no
   // resident chain — a later reader materializes it lazily, and its
   // commit_ts keeps it invisible to snapshots below `ts`.
-
-  const std::vector<LabelId> kNoLabels;
-  const PropertyMap kNoProps;
-  const std::vector<LabelId>& pre_labels = pre_live ? pre.labels : kNoLabels;
-  const PropertyMap& pre_props = pre_live ? pre.props : kNoProps;
-  const std::vector<LabelId>& post_labels =
-      post_live ? post.labels : kNoLabels;
-  const PropertyMap& post_props = post_live ? post.props : kNoProps;
-
-  for (LabelId label : pre_labels) {
-    if (!Contains(post_labels, label)) {
-      engine_->label_index.RemovePending(label, op.id, txn);
-      engine_->label_index.CommitRemove(label, op.id, txn, ts);
-    }
-  }
-  for (LabelId label : post_labels) {
-    if (!Contains(pre_labels, label)) {
-      engine_->label_index.AddPending(label, op.id, txn);
-      engine_->label_index.CommitAdd(label, op.id, txn, ts);
-    }
-  }
-  for (const auto& [key, value] : pre_props) {
-    auto found = post_props.find(key);
-    if (found == post_props.end() || !(found->second == value)) {
-      engine_->node_prop_index.RemovePending(key, value, op.id, txn);
-      engine_->node_prop_index.CommitRemove(key, value, op.id, txn, ts);
-    }
-  }
-  for (const auto& [key, value] : post_props) {
-    auto found = pre_props.find(key);
-    if (found == pre_props.end() || !(found->second == value)) {
-      engine_->node_prop_index.AddPending(key, value, op.id, txn);
-      engine_->node_prop_index.CommitAdd(key, value, op.id, txn, ts);
-    }
-  }
-  return Status::OK();
-}
-
-Status ReplicaApplier::ApplyRelOp(const WalOp& op, TxnId txn, Timestamp ts) {
-  std::shared_ptr<CachedRel> rel;
-  {
-    auto cached = engine_->cache->GetRel(op.id);
-    if (cached.ok()) {
-      rel = *cached;
-    } else if (!cached.status().IsNotFound()) {
-      return cached.status();
-    }
-  }
-  // Same-ts ops from one record must all apply; see ApplyNodeOp.
-  if (rel != nullptr && rel->chain.NewestCommitTs() > ts) {
-    return Status::OK();
-  }
-
-  VersionData pre;
-  bool pre_live = false;
-  if (rel != nullptr) {
-    auto latest = rel->chain.LatestCommitted();
-    if (latest != nullptr && !latest->data.deleted) {
-      pre_live = true;
-      pre = latest->data;
-    }
-  }
-
-  NEOSI_RETURN_IF_ERROR(engine_->store.ApplyWalOp(op, ts));
-
-  RelState post;
-  Status rs = engine_->store.ReadRelState(op.id, &post);
-  if (!rs.ok() && !rs.IsOutOfRange() && !rs.IsNotFound()) return rs;
-  const bool post_in_use = rs.ok() && post.in_use;
-  const bool post_live = post_in_use && !post.deleted;
-
-  if (rel != nullptr && post_in_use) {
-    VersionData data;
-    data.deleted = post.deleted;
-    data.props = post.props;
-    NEOSI_ASSIGN_OR_RETURN(auto installed,
-                           rel->chain.InstallUncommitted(txn, std::move(data)));
-    (void)installed;
-    NEOSI_ASSIGN_OR_RETURN(auto superseded, rel->chain.CommitHead(txn, ts));
-    if (superseded != nullptr) {
-      engine_->gc_list.Append({EntityKey::Rel(op.id), superseded, ts});
-    }
-  }
-
-  const PropertyMap kNoProps;
-  const PropertyMap& pre_props = pre_live ? pre.props : kNoProps;
-  const PropertyMap& post_props = post_live ? post.props : kNoProps;
-  for (const auto& [key, value] : pre_props) {
-    auto found = post_props.find(key);
-    if (found == post_props.end() || !(found->second == value)) {
-      engine_->rel_prop_index.RemovePending(key, value, op.id, txn);
-      engine_->rel_prop_index.CommitRemove(key, value, op.id, txn, ts);
-    }
-  }
-  for (const auto& [key, value] : post_props) {
-    auto found = pre_props.find(key);
-    if (found == pre_props.end() || !(found->second == value)) {
-      engine_->rel_prop_index.AddPending(key, value, op.id, txn);
-      engine_->rel_prop_index.CommitAdd(key, value, op.id, txn, ts);
-    }
-  }
+  if (chain == nullptr || !rs.ok()) return Status::OK();
+  NEOSI_RETURN_IF_ERROR(
+      chain->InstallUncommitted(kApplierTxn, std::move(post)).status());
+  NEOSI_ASSIGN_OR_RETURN(auto superseded, chain->CommitHead(kApplierTxn, ts));
+  if (superseded != nullptr) engine_->gc_list.Append({key, superseded, ts});
   return Status::OK();
 }
 

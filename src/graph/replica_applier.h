@@ -137,8 +137,10 @@ class ReplicaApplier {
   Status DrainPending();
   /// Re-logs into the local wal, then applies every op at record.commit_ts.
   Status ApplyRecord(const WalRecord& record);
-  Status ApplyNodeOp(const WalOp& op, TxnId txn, Timestamp ts);
-  Status ApplyRelOp(const WalOp& op, TxnId txn, Timestamp ts);
+  /// One node or relationship op: store apply, then the post-state
+  /// committed on the resident chain and the index diff from the latest
+  /// committed state committed at `ts`.
+  Status ApplyEntityOp(const EntityKey& key, const WalOp& op, Timestamp ts);
   Status ApplyPurgeOp(const WalOp& op, Timestamp ts);
   /// Standby-conflict resolution: waits out the grace period, then expires
   /// every pinning snapshot below `purge_ts`.

@@ -157,45 +157,21 @@ Status Transaction::CheckWriteConflict(const VersionChain& chain) {
 // Token helpers
 // ---------------------------------------------------------------------------
 
-Result<LabelId> Transaction::LabelToken(const std::string& name, bool create) {
-  if (!create) {
-    return engine_->store.labels().Lookup(name, SnapshotTs());
-  }
-  auto existing = engine_->store.labels().Lookup(name);
+Result<uint32_t> Transaction::Token(TokenKind kind, const std::string& name,
+                                    bool create) {
+  TokenStore& tokens = kind == TokenKind::kLabel ? engine_->store.labels()
+                       : kind == TokenKind::kPropertyKey
+                           ? engine_->store.prop_keys()
+                           : engine_->store.rel_types();
+  if (!create) return tokens.Lookup(name, SnapshotTs());
+  // Checked before the token is created, not only by the write itself: a
+  // replica's tokens must come from the primary's log alone.
+  NEOSI_RETURN_IF_ERROR(FailIfReadOnly());
+  auto existing = tokens.Lookup(name);
   if (existing.ok()) return existing;
-  auto created = engine_->store.labels().GetOrCreate(name, start_ts_);
+  auto created = tokens.GetOrCreate(name, start_ts_);
   if (created.ok()) {
-    wal_ops_.push_back(WalOp::CreateToken(TokenKind::kLabel, *created, name));
-  }
-  return created;
-}
-
-Result<PropertyKeyId> Transaction::PropKeyToken(const std::string& name,
-                                                bool create) {
-  if (!create) {
-    return engine_->store.prop_keys().Lookup(name, SnapshotTs());
-  }
-  auto existing = engine_->store.prop_keys().Lookup(name);
-  if (existing.ok()) return existing;
-  auto created = engine_->store.prop_keys().GetOrCreate(name, start_ts_);
-  if (created.ok()) {
-    wal_ops_.push_back(
-        WalOp::CreateToken(TokenKind::kPropertyKey, *created, name));
-  }
-  return created;
-}
-
-Result<RelTypeId> Transaction::RelTypeToken(const std::string& name,
-                                            bool create) {
-  if (!create) {
-    return engine_->store.rel_types().Lookup(name, SnapshotTs());
-  }
-  auto existing = engine_->store.rel_types().Lookup(name);
-  if (existing.ok()) return existing;
-  auto created = engine_->store.rel_types().GetOrCreate(name, start_ts_);
-  if (created.ok()) {
-    wal_ops_.push_back(
-        WalOp::CreateToken(TokenKind::kRelType, *created, name));
+    token_ops_.push_back(WalOp::CreateToken(kind, *created, name));
   }
   return created;
 }
@@ -214,87 +190,96 @@ Result<NamedProperties> Transaction::NameProps(const PropertyMap& props) const {
 // Pending-version plumbing
 // ---------------------------------------------------------------------------
 
-Result<std::shared_ptr<Version>> Transaction::PendingNodeVersion(
-    NodeId id, std::shared_ptr<CachedNode>* node_out) {
+Result<Transaction::WriteRecord*> Transaction::PendingVersion(
+    const EntityKey& key) {
   NEOSI_RETURN_IF_ERROR(CheckActive());
   NEOSI_RETURN_IF_ERROR(FailIfReadOnly());
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  const EntityKey key = EntityKey::Node(id);
   auto it = writes_.find(key);
   if (it != writes_.end()) {
-    if (node_out) *node_out = it->second.node;
-    return it->second.pending;
+    if (it->second.pending->data.deleted) {
+      return Status::NotFound(key.ToString() + " was deleted by this "
+                              "transaction");
+    }
+    return &it->second;
   }
-
-  auto node = engine_->cache->GetNode(id);
-  if (!node.ok()) return node.status();
-
-  NEOSI_RETURN_IF_ERROR(AcquireWriteLock(key));
-  NEOSI_RETURN_IF_ERROR(CheckWriteConflict((*node)->chain));
-
-  auto visible = (*node)->chain.Visible(SnapshotTs(), id_);
-  if (!visible || visible->data.deleted) {
-    return Status::NotFound("node " + std::to_string(id) +
-                            " is not visible to this transaction");
-  }
-
-  VersionData base = visible->data;  // Copy: the pending version starts here.
-  auto pending = (*node)->chain.InstallUncommitted(id_, std::move(base));
-  if (!pending.ok()) return pending.status();
 
   WriteRecord record;
-  record.node = *node;
-  record.pending = *pending;
-  record.created = false;
-  writes_[key] = std::move(record);
-  if (node_out) *node_out = *node;
+  if (key.type == EntityType::kNode) {
+    NEOSI_ASSIGN_OR_RETURN(record.node, engine_->cache->GetNode(key.id));
+  } else {
+    NEOSI_ASSIGN_OR_RETURN(record.rel, engine_->cache->GetRel(key.id));
+  }
+
+  NEOSI_RETURN_IF_ERROR(AcquireWriteLock(key));
+  NEOSI_RETURN_IF_ERROR(CheckWriteConflict(record.chain()));
+
+  auto visible = record.chain().Visible(SnapshotTs(), id_);
+  if (!visible || visible->data.deleted) {
+    return Status::NotFound(key.ToString() +
+                            " is not visible to this transaction");
+  }
+  // The pending version starts as a copy of the visible one.
+  NEOSI_ASSIGN_OR_RETURN(record.pending,
+                         record.chain().InstallUncommitted(id_, visible->data));
+  WriteRecord* w = &(writes_[key] = std::move(record));
   // Post-walk expiry check: the pending version was based on the snapshot-
   // visible version, which expiry-driven reclamation may have pruned
   // mid-walk. Rolls the whole transaction back (including the record just
   // installed) if so.
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  return *pending;
+  return w;
 }
 
-Result<std::shared_ptr<Version>> Transaction::PendingRelVersion(
-    RelId id, std::shared_ptr<CachedRel>* rel_out) {
-  NEOSI_RETURN_IF_ERROR(CheckActive());
-  NEOSI_RETURN_IF_ERROR(FailIfReadOnly());
-  NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  const EntityKey key = EntityKey::Rel(id);
-  auto it = writes_.find(key);
-  if (it != writes_.end()) {
-    if (rel_out) *rel_out = it->second.rel;
-    return it->second.pending;
+Status Transaction::Update(const EntityKey& key,
+                           const std::function<void(VersionData&)>& mutate) {
+  NEOSI_ASSIGN_OR_RETURN(WriteRecord* w, PendingVersion(key));
+  VersionData post = w->pending->data;
+  mutate(post);
+  std::vector<IndexChange> changes =
+      DiffIndexEntries(key, &w->pending->data, &post);
+  // A write that changes nothing leaves no index or SSI footprint: it must
+  // not be able to fail a serializable transaction or doom concurrent
+  // readers.
+  if (changes.empty()) return Status::OK();
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Entity(key)));
+  NEOSI_RETURN_IF_ERROR(StageIndexChanges(std::move(changes)));
+  w->pending->data = std::move(post);
+  return Status::OK();
+}
+
+Status Transaction::StageIndexChanges(std::vector<IndexChange> changes) {
+  for (IndexChange& change : changes) {
+    NEOSI_RETURN_IF_ERROR(SsiOnWrite(change.Footprint()));
+    ApplyIndexChange(engine_, change, IndexStep::kPending, id_);
+    index_ops_.push_back(std::move(change));
   }
+  return Status::OK();
+}
 
-  auto rel = engine_->cache->GetRel(id);
-  if (!rel.ok()) return rel.status();
+Status Transaction::LockEndpoints(NodeId src, NodeId dst) {
+  auto lock = [&](NodeId node) {
+    return engine_->lock_manager.AcquireExclusive(id_, EntityKey::Node(node),
+                                                  /*wait=*/true);
+  };
+  const NodeId lo = std::min(src, dst), hi = std::max(src, dst);
+  Status s = lock(lo);
+  if (s.ok() && hi != lo) s = lock(hi);
+  if (!s.ok()) RollbackLocked();
+  return s;
+}
 
-  NEOSI_RETURN_IF_ERROR(AcquireWriteLock(key));
-  NEOSI_RETURN_IF_ERROR(CheckWriteConflict((*rel)->chain));
-
-  auto visible = (*rel)->chain.Visible(SnapshotTs(), id_);
-  if (!visible || visible->data.deleted) {
-    return Status::NotFound("relationship " + std::to_string(id) +
-                            " is not visible to this transaction");
+void Transaction::Unwind(const EntityKey& key, const WriteRecord& w) {
+  w.chain().AbortHead(id_);
+  if (!w.created) return;
+  if (w.node) {
+    engine_->cache->EraseNode(key.id);
+    engine_->store.ReleaseNodeId(key.id);
+  } else {
+    engine_->cache->EraseRel(key.id);
+    engine_->store.ReleaseRelId(key.id);
   }
-
-  VersionData base = visible->data;
-  auto pending = (*rel)->chain.InstallUncommitted(id_, std::move(base));
-  if (!pending.ok()) return pending.status();
-
-  WriteRecord record;
-  record.rel = *rel;
-  record.pending = *pending;
-  record.created = false;
-  writes_[key] = std::move(record);
-  if (rel_out) *rel_out = *rel;
-  // Post-walk expiry check (see PendingNodeVersion).
-  NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  return *pending;
 }
 
 // ---------------------------------------------------------------------------
@@ -308,175 +293,76 @@ Result<NodeId> Transaction::CreateNode(const std::vector<std::string>& labels,
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
 
-  std::vector<LabelId> label_ids;
-  label_ids.reserve(labels.size());
+  VersionData data;
   for (const std::string& name : labels) {
-    auto token = LabelToken(name, /*create=*/true);
-    if (!token.ok()) return token.status();
-    if (std::find(label_ids.begin(), label_ids.end(), *token) ==
-        label_ids.end()) {
-      label_ids.push_back(*token);
+    NEOSI_ASSIGN_OR_RETURN(const LabelId label,
+                           Token(TokenKind::kLabel, name, /*create=*/true));
+    if (std::find(data.labels.begin(), data.labels.end(), label) ==
+        data.labels.end()) {
+      data.labels.push_back(label);
     }
   }
-  PropertyMap prop_map;
   for (const auto& [name, value] : props) {
-    auto token = PropKeyToken(name, /*create=*/true);
-    if (!token.ok()) return token.status();
-    prop_map[*token] = value;
+    NEOSI_ASSIGN_OR_RETURN(
+        const PropertyKeyId key,
+        Token(TokenKind::kPropertyKey, name, /*create=*/true));
+    data.props[key] = value;
   }
 
-  auto id = engine_->store.AllocateNodeId();
-  if (!id.ok()) return id.status();
+  NEOSI_ASSIGN_OR_RETURN(const NodeId id, engine_->store.AllocateNodeId());
+  NEOSI_ASSIGN_OR_RETURN(auto node, engine_->cache->InsertNewNode(id));
+  const EntityKey key = EntityKey::Node(id);
+  NEOSI_RETURN_IF_ERROR(AcquireWriteLock(key));
+  NEOSI_ASSIGN_OR_RETURN(auto pending,
+                         node->chain.InstallUncommitted(id_, std::move(data)));
+  writes_[key] = WriteRecord{node, nullptr, pending, /*created=*/true};
+  created_nodes_.push_back(id);
 
-  auto node = engine_->cache->InsertNewNode(*id);
-  if (!node.ok()) return node.status();
-
-  NEOSI_RETURN_IF_ERROR(AcquireWriteLock(EntityKey::Node(*id)));
-
-  VersionData data;
-  data.labels = label_ids;
-  data.props = prop_map;
-  auto pending = (*node)->chain.InstallUncommitted(id_, std::move(data));
-  if (!pending.ok()) return pending.status();
-
-  WriteRecord record;
-  record.node = *node;
-  record.pending = *pending;
-  record.created = true;
-  writes_[EntityKey::Node(*id)] = std::move(record);
-  created_nodes_.push_back(*id);
-
-  for (LabelId label : label_ids) {
-    engine_->label_index.AddPending(label, *id, id_);
-    index_ops_.push_back(
-        {IndexOp::Kind::kLabelAdd, *id, label, kInvalidToken, {}});
-  }
-  for (const auto& [key, value] : prop_map) {
-    engine_->node_prop_index.AddPending(key, value, *id, id_);
-    index_ops_.push_back(
-        {IndexOp::Kind::kNodePropAdd, *id, kInvalidToken, key, value});
-  }
-
-  wal_ops_.push_back(WalOp::CreateNode(*id, label_ids, prop_map));
-
-  // SSI phantom protection: a fresh node invalidates full scans, label
-  // scans and property scans that predate it (no Entity footprint — the id
-  // was never visible, so no marker can exist on it).
+  // SSI phantom protection: a fresh node invalidates full scans, and its
+  // index entries the label and property scans that predate it (no Entity
+  // footprint — the id was never visible, so no marker can exist on it).
   NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::AllNodes()));
-  for (LabelId label : label_ids) {
-    NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Label(label)));
-  }
-  for (const auto& [key, value] : prop_map) {
-    NEOSI_RETURN_IF_ERROR(
-        SsiOnWrite(SsiWriteFootprint::NodeProperty(key, value)));
-  }
-  return *id;
+  NEOSI_RETURN_IF_ERROR(
+      StageIndexChanges(DiffIndexEntries(key, nullptr, &pending->data)));
+  return id;
 }
 
 Status Transaction::SetNodeProperty(NodeId id, const std::string& key,
                                     PropertyValue value) {
-  auto token = PropKeyToken(key, /*create=*/true);
-  if (!token.ok()) return token.status();
-
-  auto pending = PendingNodeVersion(id, nullptr);
-  if (!pending.ok()) return pending.status();
-
-  auto& props = (*pending)->data.props;
-  auto it = props.find(*token);
-  if (it != props.end() && it->second == value) {
-    // No-op write: leaves no WAL, index, or SSI footprint — a write that
-    // changes nothing must not be able to fail a serializable transaction
-    // or doom concurrent readers.
-    return Status::OK();
-  }
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::Entity(EntityKey::Node(id))));
-  if (it != props.end()) {
-    NEOSI_RETURN_IF_ERROR(
-        SsiOnWrite(SsiWriteFootprint::NodeProperty(*token, it->second)));
-    engine_->node_prop_index.RemovePending(*token, it->second, id, id_);
-    index_ops_.push_back({IndexOp::Kind::kNodePropRemove, id, kInvalidToken,
-                          *token, it->second});
-  }
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::NodeProperty(*token, value)));
-  engine_->node_prop_index.AddPending(*token, value, id, id_);
-  index_ops_.push_back(
-      {IndexOp::Kind::kNodePropAdd, id, kInvalidToken, *token, value});
-  props[*token] = std::move(value);
-  // Full post-state, not a delta: replay must never need the (possibly
-  // torn) on-disk pre-state. See WalOpType::kNodeState.
-  wal_ops_.push_back(WalOp::NodeState(id, (*pending)->data.labels, props));
-  return Status::OK();
+  NEOSI_ASSIGN_OR_RETURN(const PropertyKeyId token,
+                         Token(TokenKind::kPropertyKey, key, /*create=*/true));
+  return Update(EntityKey::Node(id),
+                [&](VersionData& d) { d.props[token] = std::move(value); });
 }
 
 Status Transaction::RemoveNodeProperty(NodeId id, const std::string& key) {
-  auto token = PropKeyToken(key, /*create=*/false);
+  auto token = Token(TokenKind::kPropertyKey, key, /*create=*/false);
   if (!token.ok()) {
     return token.status().IsNotFound() ? Status::OK() : token.status();
   }
-  auto pending = PendingNodeVersion(id, nullptr);
-  if (!pending.ok()) return pending.status();
-
-  auto& props = (*pending)->data.props;
-  auto it = props.find(*token);
-  if (it == props.end()) return Status::OK();
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::Entity(EntityKey::Node(id))));
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::NodeProperty(*token, it->second)));
-  engine_->node_prop_index.RemovePending(*token, it->second, id, id_);
-  index_ops_.push_back({IndexOp::Kind::kNodePropRemove, id, kInvalidToken,
-                        *token, it->second});
-  props.erase(it);
-  wal_ops_.push_back(WalOp::NodeState(id, (*pending)->data.labels, props));
-  return Status::OK();
+  return Update(EntityKey::Node(id),
+                [&](VersionData& d) { d.props.erase(*token); });
 }
 
 Status Transaction::AddLabel(NodeId id, const std::string& label) {
-  auto token = LabelToken(label, /*create=*/true);
-  if (!token.ok()) return token.status();
-
-  auto pending = PendingNodeVersion(id, nullptr);
-  if (!pending.ok()) return pending.status();
-
-  auto& labels = (*pending)->data.labels;
-  if (std::find(labels.begin(), labels.end(), *token) != labels.end()) {
-    return Status::OK();
-  }
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::Entity(EntityKey::Node(id))));
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Label(*token)));
-  labels.push_back(*token);
-  engine_->label_index.AddPending(*token, id, id_);
-  index_ops_.push_back(
-      {IndexOp::Kind::kLabelAdd, id, *token, kInvalidToken, {}});
-  wal_ops_.push_back(
-      WalOp::NodeState(id, labels, (*pending)->data.props));
-  return Status::OK();
+  NEOSI_ASSIGN_OR_RETURN(const LabelId token,
+                         Token(TokenKind::kLabel, label, /*create=*/true));
+  return Update(EntityKey::Node(id), [&](VersionData& d) {
+    if (std::find(d.labels.begin(), d.labels.end(), token) == d.labels.end()) {
+      d.labels.push_back(token);
+    }
+  });
 }
 
 Status Transaction::RemoveLabel(NodeId id, const std::string& label) {
-  auto token = LabelToken(label, /*create=*/false);
+  auto token = Token(TokenKind::kLabel, label, /*create=*/false);
   if (!token.ok()) {
     return token.status().IsNotFound() ? Status::OK() : token.status();
   }
-  auto pending = PendingNodeVersion(id, nullptr);
-  if (!pending.ok()) return pending.status();
-
-  auto& labels = (*pending)->data.labels;
-  auto it = std::find(labels.begin(), labels.end(), *token);
-  if (it == labels.end()) return Status::OK();
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::Entity(EntityKey::Node(id))));
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Label(*token)));
-  labels.erase(it);
-  engine_->label_index.RemovePending(*token, id, id_);
-  index_ops_.push_back(
-      {IndexOp::Kind::kLabelRemove, id, *token, kInvalidToken, {}});
-  wal_ops_.push_back(
-      WalOp::NodeState(id, labels, (*pending)->data.props));
-  return Status::OK();
+  return Update(EntityKey::Node(id), [&](VersionData& d) {
+    d.labels.erase(std::remove(d.labels.begin(), d.labels.end(), *token),
+                   d.labels.end());
+  });
 }
 
 Result<RelId> Transaction::CreateRelationship(NodeId src, NodeId dst,
@@ -486,40 +372,20 @@ Result<RelId> Transaction::CreateRelationship(NodeId src, NodeId dst,
   NEOSI_RETURN_IF_ERROR(FailIfReadOnly());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
 
-  auto type_token = RelTypeToken(type, /*create=*/true);
-  if (!type_token.ok()) return type_token.status();
-  PropertyMap prop_map;
+  NEOSI_ASSIGN_OR_RETURN(const RelTypeId type_token,
+                         Token(TokenKind::kRelType, type, /*create=*/true));
+  VersionData data;
   for (const auto& [name, value] : props) {
-    auto token = PropKeyToken(name, /*create=*/true);
-    if (!token.ok()) return token.status();
-    prop_map[*token] = value;
+    NEOSI_ASSIGN_OR_RETURN(
+        const PropertyKeyId key,
+        Token(TokenKind::kPropertyKey, name, /*create=*/true));
+    data.props[key] = value;
   }
 
   // Endpoints must be visible in our snapshot.
-  auto src_version = VisibleNodeVersion(src);
-  if (!src_version.ok()) return src_version.status();
-  auto dst_version = VisibleNodeVersion(dst);
-  if (!dst_version.ok()) return dst_version.status();
-
-  // Long write locks on both endpoint nodes, smaller id first (as Neo4j
-  // does: relationship creation mutates both nodes' chains). These always
-  // wait (wait-die breaks cycles); the no-wait conflict policy applies to
-  // data writes, not structural endpoint locks.
-  const NodeId lo = std::min(src, dst), hi = std::max(src, dst);
-  Status s = engine_->lock_manager.AcquireExclusive(id_, EntityKey::Node(lo),
-                                                    /*wait=*/true);
-  if (!s.ok()) {
-    RollbackLocked();
-    return s;
-  }
-  if (hi != lo) {
-    s = engine_->lock_manager.AcquireExclusive(id_, EntityKey::Node(hi),
-                                               /*wait=*/true);
-    if (!s.ok()) {
-      RollbackLocked();
-      return s;
-    }
-  }
+  NEOSI_RETURN_IF_ERROR(VisibleVersion(EntityKey::Node(src)).status());
+  NEOSI_RETURN_IF_ERROR(VisibleVersion(EntityKey::Node(dst)).status());
+  NEOSI_RETURN_IF_ERROR(LockEndpoints(src, dst));
 
   // Re-check after acquiring the locks: a concurrent transaction may have
   // deleted an endpoint and committed while we waited. Creating the edge
@@ -545,155 +411,65 @@ Result<RelId> Transaction::CreateRelationship(NodeId src, NodeId dst,
       return Status::Aborted(
           "endpoint node deleted by a concurrent transaction");
     }
-    if (UsesSnapshotReads() && latest->commit_ts > start_ts_ &&
-        latest->data.deleted) {
-      RollbackLocked();
-      return Status::Aborted("endpoint deleted after snapshot");
-    }
   }
 
-  auto rel_id = engine_->store.AllocateRelId();
-  if (!rel_id.ok()) return rel_id.status();
+  NEOSI_ASSIGN_OR_RETURN(const RelId rel_id, engine_->store.AllocateRelId());
+  NEOSI_ASSIGN_OR_RETURN(
+      auto rel, engine_->cache->InsertNewRel(rel_id, src, dst, type_token));
+  const EntityKey key = EntityKey::Rel(rel_id);
+  NEOSI_RETURN_IF_ERROR(AcquireWriteLock(key));
+  NEOSI_ASSIGN_OR_RETURN(auto pending,
+                         rel->chain.InstallUncommitted(id_, std::move(data)));
+  writes_[key] = WriteRecord{nullptr, rel, pending, /*created=*/true};
 
-  auto rel = engine_->cache->InsertNewRel(*rel_id, src, dst, *type_token);
-  if (!rel.ok()) return rel.status();
-
-  NEOSI_RETURN_IF_ERROR(AcquireWriteLock(EntityKey::Rel(*rel_id)));
-
-  VersionData data;
-  data.props = prop_map;
-  auto pending = (*rel)->chain.InstallUncommitted(id_, std::move(data));
-  if (!pending.ok()) return pending.status();
-
-  WriteRecord record;
-  record.rel = *rel;
-  record.pending = *pending;
-  record.created = true;
-  writes_[EntityKey::Rel(*rel_id)] = std::move(record);
-
-  created_rels_by_node_[src].push_back(*rel_id);
-  if (dst != src) created_rels_by_node_[dst].push_back(*rel_id);
-
-  for (const auto& [key, value] : prop_map) {
-    engine_->rel_prop_index.AddPending(key, value, *rel_id, id_);
-    index_ops_.push_back(
-        {IndexOp::Kind::kRelPropAdd, *rel_id, kInvalidToken, key, value});
-  }
-
-  wal_ops_.push_back(
-      WalOp::CreateRel(*rel_id, src, dst, *type_token, prop_map));
+  created_rels_by_node_[src].push_back(rel_id);
+  if (dst != src) created_rels_by_node_[dst].push_back(rel_id);
 
   // SSI phantom protection: the new edge invalidates adjacency scans of
-  // both endpoints and rel-property scans covering its properties.
+  // both endpoints, and its index entries the rel-property scans covering
+  // its properties.
   NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(src)));
   if (dst != src) {
     NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(dst)));
   }
-  for (const auto& [key, value] : prop_map) {
-    NEOSI_RETURN_IF_ERROR(
-        SsiOnWrite(SsiWriteFootprint::RelProperty(key, value)));
-  }
-  return *rel_id;
+  NEOSI_RETURN_IF_ERROR(
+      StageIndexChanges(DiffIndexEntries(key, nullptr, &pending->data)));
+  return rel_id;
 }
 
 Status Transaction::DeleteRelationship(RelId id) {
-  std::shared_ptr<CachedRel> rel;
-  auto pending = PendingRelVersion(id, &rel);
-  if (!pending.ok()) return pending.status();
-  if ((*pending)->data.deleted) {
-    return Status::NotFound("relationship already deleted");
-  }
+  const EntityKey key = EntityKey::Rel(id);
+  NEOSI_ASSIGN_OR_RETURN(WriteRecord* w, PendingVersion(key));
+  const NodeId src = w->rel->src, dst = w->rel->dst;
+  NEOSI_RETURN_IF_ERROR(LockEndpoints(src, dst));
 
-  // Lock endpoints (Neo4j semantics: structural change on both nodes).
-  const NodeId lo = std::min(rel->src, rel->dst);
-  const NodeId hi = std::max(rel->src, rel->dst);
-  Status s = engine_->lock_manager.AcquireExclusive(id_, EntityKey::Node(lo),
-                                                    /*wait=*/true);
-  if (!s.ok()) {
-    RollbackLocked();
-    return s;
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Entity(key)));
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(src)));
+  if (dst != src) {
+    NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(dst)));
   }
-  if (hi != lo) {
-    s = engine_->lock_manager.AcquireExclusive(id_, EntityKey::Node(hi),
-                                               /*wait=*/true);
-    if (!s.ok()) {
-      RollbackLocked();
-      return s;
-    }
-  }
-
   NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::Entity(EntityKey::Rel(id))));
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(rel->src)));
-  if (rel->dst != rel->src) {
-    NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(rel->dst)));
-  }
-  for (const auto& [key, value] : (*pending)->data.props) {
-    NEOSI_RETURN_IF_ERROR(
-        SsiOnWrite(SsiWriteFootprint::RelProperty(key, value)));
-    engine_->rel_prop_index.RemovePending(key, value, id, id_);
-    index_ops_.push_back(
-        {IndexOp::Kind::kRelPropRemove, id, kInvalidToken, key, value});
-  }
-  (*pending)->data.deleted = true;
-  (*pending)->data.props.clear();
-  wal_ops_.push_back(WalOp::DeleteRel(id));
+      StageIndexChanges(DiffIndexEntries(key, &w->pending->data, nullptr)));
+  w->pending->data = VersionData{};
+  w->pending->data.deleted = true;
   return Status::OK();
 }
 
 Status Transaction::SetRelProperty(RelId id, const std::string& key,
                                    PropertyValue value) {
-  auto token = PropKeyToken(key, /*create=*/true);
-  if (!token.ok()) return token.status();
-
-  auto pending = PendingRelVersion(id, nullptr);
-  if (!pending.ok()) return pending.status();
-
-  auto& props = (*pending)->data.props;
-  auto it = props.find(*token);
-  if (it != props.end() && it->second == value) {
-    return Status::OK();  // No-op write: no WAL, index, or SSI footprint.
-  }
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::Entity(EntityKey::Rel(id))));
-  if (it != props.end()) {
-    NEOSI_RETURN_IF_ERROR(
-        SsiOnWrite(SsiWriteFootprint::RelProperty(*token, it->second)));
-    engine_->rel_prop_index.RemovePending(*token, it->second, id, id_);
-    index_ops_.push_back({IndexOp::Kind::kRelPropRemove, id, kInvalidToken,
-                          *token, it->second});
-  }
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::RelProperty(*token, value)));
-  engine_->rel_prop_index.AddPending(*token, value, id, id_);
-  index_ops_.push_back(
-      {IndexOp::Kind::kRelPropAdd, id, kInvalidToken, *token, value});
-  props[*token] = std::move(value);
-  wal_ops_.push_back(WalOp::RelState(id, props));
-  return Status::OK();
+  NEOSI_ASSIGN_OR_RETURN(const PropertyKeyId token,
+                         Token(TokenKind::kPropertyKey, key, /*create=*/true));
+  return Update(EntityKey::Rel(id),
+                [&](VersionData& d) { d.props[token] = std::move(value); });
 }
 
 Status Transaction::RemoveRelProperty(RelId id, const std::string& key) {
-  auto token = PropKeyToken(key, /*create=*/false);
+  auto token = Token(TokenKind::kPropertyKey, key, /*create=*/false);
   if (!token.ok()) {
     return token.status().IsNotFound() ? Status::OK() : token.status();
   }
-  auto pending = PendingRelVersion(id, nullptr);
-  if (!pending.ok()) return pending.status();
-
-  auto& props = (*pending)->data.props;
-  auto it = props.find(*token);
-  if (it == props.end()) return Status::OK();
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::Entity(EntityKey::Rel(id))));
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::RelProperty(*token, it->second)));
-  engine_->rel_prop_index.RemovePending(*token, it->second, id, id_);
-  index_ops_.push_back({IndexOp::Kind::kRelPropRemove, id, kInvalidToken,
-                        *token, it->second});
-  props.erase(it);
-  wal_ops_.push_back(WalOp::RelState(id, props));
-  return Status::OK();
+  return Update(EntityKey::Rel(id),
+                [&](VersionData& d) { d.props.erase(*token); });
 }
 
 Status Transaction::DeleteNode(NodeId id) {
@@ -710,9 +486,8 @@ Status Transaction::DeleteNode(NodeId id) {
         std::to_string(visible_rels->size()) + " relationship(s)");
   }
 
-  std::shared_ptr<CachedNode> node;
-  auto pending = PendingNodeVersion(id, &node);
-  if (!pending.ok()) return pending.status();
+  const EntityKey key = EntityKey::Node(id);
+  NEOSI_ASSIGN_OR_RETURN(WriteRecord* w, PendingVersion(key));
 
   // Adjacency conflict check at latest-committed state: a relationship
   // added by a concurrent committed transaction (invisible to our snapshot)
@@ -737,27 +512,13 @@ Status Transaction::DeleteNode(NodeId id) {
     }
   }
 
-  NEOSI_RETURN_IF_ERROR(
-      SsiOnWrite(SsiWriteFootprint::Entity(EntityKey::Node(id))));
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Entity(key)));
   NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::AllNodes()));
   NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(id)));
-  for (LabelId label : (*pending)->data.labels) {
-    NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Label(label)));
-    engine_->label_index.RemovePending(label, id, id_);
-    index_ops_.push_back(
-        {IndexOp::Kind::kLabelRemove, id, label, kInvalidToken, {}});
-  }
-  for (const auto& [key, value] : (*pending)->data.props) {
-    NEOSI_RETURN_IF_ERROR(
-        SsiOnWrite(SsiWriteFootprint::NodeProperty(key, value)));
-    engine_->node_prop_index.RemovePending(key, value, id, id_);
-    index_ops_.push_back(
-        {IndexOp::Kind::kNodePropRemove, id, kInvalidToken, key, value});
-  }
-  (*pending)->data.deleted = true;
-  (*pending)->data.labels.clear();
-  (*pending)->data.props.clear();
-  wal_ops_.push_back(WalOp::DeleteNode(id));
+  NEOSI_RETURN_IF_ERROR(
+      StageIndexChanges(DiffIndexEntries(key, &w->pending->data, nullptr)));
+  w->pending->data = VersionData{};
+  w->pending->data.deleted = true;
   return Status::OK();
 }
 
@@ -765,12 +526,11 @@ Status Transaction::DeleteNode(NodeId id) {
 // Reads
 // ---------------------------------------------------------------------------
 
-Result<std::shared_ptr<const Version>> Transaction::VisibleNodeVersion(
-    NodeId id) {
+Result<std::shared_ptr<const Version>> Transaction::VisibleVersion(
+    const EntityKey& key) {
   NEOSI_RETURN_IF_ERROR(CheckActive());
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  const EntityKey key = EntityKey::Node(id);
 
   // SIREAD marker BEFORE the walk (a serializable writer stamps its commit
   // before its post-stamp marker rescan, so one side always observes the
@@ -791,17 +551,17 @@ Result<std::shared_ptr<const Version>> Transaction::VisibleNodeVersion(
     if (short_lock) engine_->lock_manager.Release(id_, key);
   };
 
-  auto node = engine_->cache->GetNode(id);
-  if (!node.ok()) {
+  auto chain = engine_->cache->GetChain(key);
+  if (!chain.ok()) {
     release();
-    return node.status();
+    return chain.status();
   }
-  auto version = (*node)->chain.Visible(SnapshotTs(), id_);
+  auto version = (*chain)->Visible(SnapshotTs(), id_);
   // Read-time conflict-out: versions committed after our snapshot are
   // rw-antidependencies this --rw--> writer (we read underneath them).
   if (ssi_) {
     std::vector<std::pair<TxnId, Timestamp>> newer;
-    (*node)->chain.CommittedNewerThan(start_ts_, &newer);
+    (*chain)->CommittedNewerThan(start_ts_, &newer);
     release();
     NEOSI_RETURN_IF_ERROR(SsiObserveNewer(newer));
   } else {
@@ -812,58 +572,13 @@ Result<std::shared_ptr<const Version>> Transaction::VisibleNodeVersion(
   // reflect reclaimed state — fail the read instead.
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
   if (!version || version->data.deleted) {
-    return Status::NotFound("node " + std::to_string(id) + " not visible");
-  }
-  return version;
-}
-
-Result<std::shared_ptr<const Version>> Transaction::VisibleRelVersion(
-    RelId id) {
-  NEOSI_RETURN_IF_ERROR(CheckActive());
-  NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  const EntityKey key = EntityKey::Rel(id);
-
-  // SIREAD marker BEFORE the walk (see VisibleNodeVersion).
-  if (ssi_) engine_->ssi.AddEntityRead(ssi_, key);
-
-  const bool short_lock = isolation_ == IsolationLevel::kReadCommitted;
-  if (short_lock) {
-    Status s = engine_->lock_manager.AcquireShared(id_, key);
-    if (!s.ok()) {
-      RollbackLocked();
-      return s;
-    }
-  }
-  auto release = [&] {
-    if (short_lock) engine_->lock_manager.Release(id_, key);
-  };
-
-  auto rel = engine_->cache->GetRel(id);
-  if (!rel.ok()) {
-    release();
-    return rel.status();
-  }
-  auto version = (*rel)->chain.Visible(SnapshotTs(), id_);
-  if (ssi_) {
-    std::vector<std::pair<TxnId, Timestamp>> newer;
-    (*rel)->chain.CommittedNewerThan(start_ts_, &newer);
-    release();
-    NEOSI_RETURN_IF_ERROR(SsiObserveNewer(newer));
-  } else {
-    release();
-  }
-  // Post-walk expiry check (see VisibleNodeVersion).
-  NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  if (!version || version->data.deleted) {
-    return Status::NotFound("relationship " + std::to_string(id) +
-                            " not visible");
+    return Status::NotFound(key.ToString() + " not visible");
   }
   return version;
 }
 
 Result<NodeView> Transaction::GetNode(NodeId id) {
-  auto version = VisibleNodeVersion(id);
+  auto version = VisibleVersion(EntityKey::Node(id));
   if (!version.ok()) return version.status();
 
   NodeView view;
@@ -880,7 +595,7 @@ Result<NodeView> Transaction::GetNode(NodeId id) {
 }
 
 Result<RelView> Transaction::GetRelationship(RelId id) {
-  auto version = VisibleRelVersion(id);
+  auto version = VisibleVersion(EntityKey::Rel(id));
   if (!version.ok()) return version.status();
   auto rel = engine_->cache->GetRel(id);
   if (!rel.ok()) return rel.status();
@@ -898,49 +613,48 @@ Result<RelView> Transaction::GetRelationship(RelId id) {
   return view;
 }
 
-Result<PropertyValue> Transaction::GetNodeProperty(NodeId id,
-                                                   const std::string& key) {
-  auto token = PropKeyToken(key, /*create=*/false);
-  if (!token.ok()) return token.status();
-  auto version = VisibleNodeVersion(id);
-  if (!version.ok()) return version.status();
-  auto it = (*version)->data.props.find(*token);
-  if (it == (*version)->data.props.end()) {
-    return Status::NotFound("node has no property \"" + key + "\"");
+Result<PropertyValue> Transaction::PropertyOf(const EntityKey& entity,
+                                              const std::string& key) {
+  NEOSI_ASSIGN_OR_RETURN(const PropertyKeyId token,
+                         Token(TokenKind::kPropertyKey, key, /*create=*/false));
+  NEOSI_ASSIGN_OR_RETURN(auto version, VisibleVersion(entity));
+  auto it = version->data.props.find(token);
+  if (it == version->data.props.end()) {
+    return Status::NotFound(entity.ToString() + " has no property \"" + key +
+                            "\"");
   }
   return it->second;
+}
+
+Result<PropertyValue> Transaction::GetNodeProperty(NodeId id,
+                                                   const std::string& key) {
+  return PropertyOf(EntityKey::Node(id), key);
 }
 
 Result<PropertyValue> Transaction::GetRelProperty(RelId id,
                                                   const std::string& key) {
-  auto token = PropKeyToken(key, /*create=*/false);
-  if (!token.ok()) return token.status();
-  auto version = VisibleRelVersion(id);
-  if (!version.ok()) return version.status();
-  auto it = (*version)->data.props.find(*token);
-  if (it == (*version)->data.props.end()) {
-    return Status::NotFound("relationship has no property \"" + key + "\"");
-  }
-  return it->second;
+  return PropertyOf(EntityKey::Rel(id), key);
 }
 
 Result<bool> Transaction::NodeHasLabel(NodeId id, const std::string& label) {
-  auto token = LabelToken(label, /*create=*/false);
+  auto token = Token(TokenKind::kLabel, label, /*create=*/false);
   if (!token.ok()) {
     if (token.status().IsNotFound()) return false;
     return token.status();
   }
-  auto version = VisibleNodeVersion(id);
+  auto version = VisibleVersion(EntityKey::Node(id));
   if (!version.ok()) return version.status();
   const auto& labels = (*version)->data.labels;
   return std::find(labels.begin(), labels.end(), *token) != labels.end();
 }
 
 bool Transaction::NodeExists(NodeId id) {
-  return VisibleNodeVersion(id).ok();
+  return VisibleVersion(EntityKey::Node(id)).ok();
 }
 
-bool Transaction::RelExists(RelId id) { return VisibleRelVersion(id).ok(); }
+bool Transaction::RelExists(RelId id) {
+  return VisibleVersion(EntityKey::Rel(id)).ok();
+}
 
 Result<std::vector<NodeId>> Transaction::AllNodes() {
   NEOSI_RETURN_IF_ERROR(CheckActive());
@@ -987,7 +701,7 @@ Result<std::vector<NodeId>> Transaction::GetNodesByLabel(
     const std::string& label) {
   NEOSI_RETURN_IF_ERROR(CheckActive());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  auto token = LabelToken(label, /*create=*/false);
+  auto token = Token(TokenKind::kLabel, label, /*create=*/false);
   if (!token.ok()) {
     if (token.status().IsNotFound()) return std::vector<NodeId>{};
     return token.status();
@@ -1012,7 +726,7 @@ Result<std::vector<NodeId>> Transaction::GetNodesByProperty(
     const std::string& key, const PropertyValue& value) {
   NEOSI_RETURN_IF_ERROR(CheckActive());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  auto token = PropKeyToken(key, /*create=*/false);
+  auto token = Token(TokenKind::kPropertyKey, key, /*create=*/false);
   if (!token.ok()) {
     if (token.status().IsNotFound()) return std::vector<NodeId>{};
     return token.status();
@@ -1037,7 +751,7 @@ Result<std::vector<NodeId>> Transaction::GetNodesByPropertyRange(
     const std::optional<PropertyValue>& hi) {
   NEOSI_RETURN_IF_ERROR(CheckActive());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  auto token = PropKeyToken(key, /*create=*/false);
+  auto token = Token(TokenKind::kPropertyKey, key, /*create=*/false);
   if (!token.ok()) {
     if (token.status().IsNotFound()) return std::vector<NodeId>{};
     return token.status();
@@ -1059,7 +773,7 @@ Result<std::vector<RelId>> Transaction::GetRelsByProperty(
     const std::string& key, const PropertyValue& value) {
   NEOSI_RETURN_IF_ERROR(CheckActive());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  auto token = PropKeyToken(key, /*create=*/false);
+  auto token = Token(TokenKind::kPropertyKey, key, /*create=*/false);
   if (!token.ok()) {
     if (token.status().IsNotFound()) return std::vector<RelId>{};
     return token.status();
@@ -1085,12 +799,12 @@ Result<std::vector<RelId>> Transaction::GetRelationships(
   NEOSI_RETURN_IF_ERROR(CheckActive());
 
   // The anchor node must itself be visible.
-  auto anchor = VisibleNodeVersion(node);
+  auto anchor = VisibleVersion(EntityKey::Node(node));
   if (!anchor.ok()) return anchor.status();
 
   RelTypeId type_token = kInvalidToken;
   if (type.has_value()) {
-    auto token = RelTypeToken(*type, /*create=*/false);
+    auto token = Token(TokenKind::kRelType, *type, /*create=*/false);
     if (!token.ok()) {
       if (token.status().IsNotFound()) return std::vector<RelId>{};
       return token.status();
@@ -1327,80 +1041,22 @@ Status Transaction::Commit() {
 }
 
 void Transaction::PruneAnnihilated() {
-  std::vector<EntityKey> annihilated;
-  for (auto& [key, w] : writes_) {
-    if (w.created && w.pending->data.deleted) annihilated.push_back(key);
-  }
-  for (const EntityKey& key : annihilated) {
-    auto& w = writes_[key];
-    if (w.node) {
-      w.node->chain.AbortHead(id_);
-      engine_->cache->EraseNode(key.id);
-      engine_->store.ReleaseNodeId(key.id);
+  bool pruned = false;
+  for (auto it = writes_.begin(); it != writes_.end();) {
+    if (it->second.created && it->second.pending->data.deleted) {
+      Unwind(it->first, it->second);
+      it = writes_.erase(it);
+      pruned = true;
     } else {
-      w.rel->chain.AbortHead(id_);
-      engine_->cache->EraseRel(key.id);
-      engine_->store.ReleaseRelId(key.id);
+      ++it;
     }
-    const bool is_node = w.node != nullptr;
-    // Cancel this entity's pending index entries and drop its ops.
-    for (auto it = index_ops_.begin(); it != index_ops_.end();) {
-      const bool entity_matches =
-          it->entity == key.id &&
-          (is_node ? (it->kind == IndexOp::Kind::kLabelAdd ||
-                      it->kind == IndexOp::Kind::kLabelRemove ||
-                      it->kind == IndexOp::Kind::kNodePropAdd ||
-                      it->kind == IndexOp::Kind::kNodePropRemove)
-                   : (it->kind == IndexOp::Kind::kRelPropAdd ||
-                      it->kind == IndexOp::Kind::kRelPropRemove));
-      if (entity_matches) {
-        switch (it->kind) {
-          case IndexOp::Kind::kLabelAdd:
-            engine_->label_index.AbortAdd(it->label, it->entity, id_);
-            break;
-          case IndexOp::Kind::kLabelRemove:
-            engine_->label_index.AbortRemove(it->label, it->entity, id_);
-            break;
-          case IndexOp::Kind::kNodePropAdd:
-            engine_->node_prop_index.AbortAdd(it->key, it->value, it->entity,
-                                              id_);
-            break;
-          case IndexOp::Kind::kNodePropRemove:
-            engine_->node_prop_index.AbortRemove(it->key, it->value,
-                                                 it->entity, id_);
-            break;
-          case IndexOp::Kind::kRelPropAdd:
-            engine_->rel_prop_index.AbortAdd(it->key, it->value, it->entity,
-                                             id_);
-            break;
-          case IndexOp::Kind::kRelPropRemove:
-            engine_->rel_prop_index.AbortRemove(it->key, it->value,
-                                                it->entity, id_);
-            break;
-        }
-        it = index_ops_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // Drop its WAL ops.
-    auto node_op = [](WalOpType t) {
-      return t == WalOpType::kCreateNode || t == WalOpType::kDeleteNode ||
-             t == WalOpType::kNodeState;
-    };
-    auto rel_op = [](WalOpType t) {
-      return t == WalOpType::kCreateRel || t == WalOpType::kDeleteRel ||
-             t == WalOpType::kRelState;
-    };
-    wal_ops_.erase(
-        std::remove_if(wal_ops_.begin(), wal_ops_.end(),
-                       [&](const WalOp& op) {
-                         return op.id == key.id &&
-                                (is_node ? node_op(op.type) : rel_op(op.type));
-                       }),
-        wal_ops_.end());
-    writes_.erase(key);
   }
+  if (!pruned) return;
+  // Cancel the pending index entries of the entities just pruned.
+  AbortIndexOps(std::stable_partition(
+      index_ops_.begin(), index_ops_.end(), [&](const IndexChange& change) {
+        return writes_.count(change.Entity()) != 0;
+      }));
 }
 
 Status Transaction::CommitTokenOnly() {
@@ -1421,12 +1077,12 @@ Status Transaction::CommitTokenOnly() {
   // creations (never rolled back) may still need to reach the WAL — and
   // must honour sync_commits like any other commit: the tokens are durable
   // prerequisites of later records.
-  if (!wal_ops_.empty()) {
+  if (!token_ops_.empty()) {
     WalRecord record;
     record.txn_id = id_;
     record.commit_ts = engine_->oracle.ReadTs();
     record.publish_ts = record.commit_ts;
-    record.ops = std::move(wal_ops_);
+    record.ops = std::move(token_ops_);
     // No LSN pin needed: the token-store page writes happened at
     // GetOrCreate time (BEFORE this append), so a fuzzy checkpoint that
     // truncates this record has already captured the tokens in its store
@@ -1459,9 +1115,7 @@ Status Transaction::ValidateCommit() {
   }
   for (const auto& [key, w] : writes_) {
     if (w.created) continue;
-    const Timestamp newest =
-        w.node ? w.node->chain.NewestCommitTs() : w.rel->chain.NewestCommitTs();
-    if (newest > start_ts_) {
+    if (w.chain().NewestCommitTs() > start_ts_) {
       RollbackLocked();
       return Status::Aborted(
           "write-write conflict detected at commit "
@@ -1479,7 +1133,25 @@ Result<Lsn> Transaction::WriteCommitRecord(Timestamp ts) {
   // or below the CURRENT watermark already finished its append (appends
   // happen before publication), so it sits at a lower LSN than this record.
   record.publish_ts = engine_->oracle.ReadTs();
-  record.ops = std::move(wal_ops_);
+  record.ops = std::move(token_ops_);
+  // One op per written entity, carrying its final state: full post-state,
+  // never a delta, so replay never needs the (possibly torn) on-disk
+  // pre-state (see WalOpType::kNodeState). Same split as ApplyToStore.
+  for (const auto& [key, w] : writes_) {
+    const VersionData& data = w.pending->data;
+    if (w.node) {
+      record.ops.push_back(
+          w.created    ? WalOp::CreateNode(key.id, data.labels, data.props)
+          : data.deleted ? WalOp::DeleteNode(key.id)
+                         : WalOp::NodeState(key.id, data.labels, data.props));
+    } else {
+      record.ops.push_back(
+          w.created ? WalOp::CreateRel(key.id, w.rel->src, w.rel->dst,
+                                       w.rel->type, data.props)
+          : data.deleted ? WalOp::DeleteRel(key.id)
+                         : WalOp::RelState(key.id, data.props));
+    }
+  }
   // pin=true: the returned lsn stays checkpoint-proof until the caller has
   // applied this commit to the stores and unpins it.
   return engine_->store.wal().group().Commit(
@@ -1528,8 +1200,7 @@ Status Transaction::StampVersions(Timestamp ts) {
   for (const auto& [key, w] : writes_) {
     // CommitHead stamps obsolete_since on the superseded version (and on
     // tombstones) under the chain latch; no global ordering is needed.
-    auto superseded = w.node ? w.node->chain.CommitHead(id_, ts)
-                             : w.rel->chain.CommitHead(id_, ts);
+    auto superseded = w.chain().CommitHead(id_, ts);
     if (!superseded.ok()) return superseded.status();
     if (*superseded) {
       engine_->gc_list.Append({key, *superseded, ts});
@@ -1542,80 +1213,25 @@ Status Transaction::StampVersions(Timestamp ts) {
 }
 
 void Transaction::StampIndexes(Timestamp ts) {
-  for (const IndexOp& op : index_ops_) {
-    switch (op.kind) {
-      case IndexOp::Kind::kLabelAdd:
-        engine_->label_index.CommitAdd(op.label, op.entity, id_, ts);
-        break;
-      case IndexOp::Kind::kLabelRemove:
-        engine_->label_index.CommitRemove(op.label, op.entity, id_, ts);
-        break;
-      case IndexOp::Kind::kNodePropAdd:
-        engine_->node_prop_index.CommitAdd(op.key, op.value, op.entity, id_,
-                                           ts);
-        break;
-      case IndexOp::Kind::kNodePropRemove:
-        engine_->node_prop_index.CommitRemove(op.key, op.value, op.entity,
-                                              id_, ts);
-        break;
-      case IndexOp::Kind::kRelPropAdd:
-        engine_->rel_prop_index.CommitAdd(op.key, op.value, op.entity, id_,
-                                          ts);
-        break;
-      case IndexOp::Kind::kRelPropRemove:
-        engine_->rel_prop_index.CommitRemove(op.key, op.value, op.entity,
-                                             id_, ts);
-        break;
-    }
+  for (const IndexChange& change : index_ops_) {
+    ApplyIndexChange(engine_, change, IndexStep::kCommit, id_, ts);
   }
 }
 
-void Transaction::RollbackLocked() {
-  for (auto& [key, w] : writes_) {
-    if (w.node) {
-      w.node->chain.AbortHead(id_);
-      if (w.created) {
-        engine_->cache->EraseNode(key.id);
-        engine_->store.ReleaseNodeId(key.id);
-      }
-    } else if (w.rel) {
-      w.rel->chain.AbortHead(id_);
-      if (w.created) {
-        engine_->cache->EraseRel(key.id);
-        engine_->store.ReleaseRelId(key.id);
-      }
-    }
+void Transaction::AbortIndexOps(std::vector<IndexChange>::iterator first) {
+  for (auto it = index_ops_.end(); it != first;) {
+    ApplyIndexChange(engine_, *--it, IndexStep::kAbort, id_);
   }
+  index_ops_.erase(first, index_ops_.end());
+}
+
+void Transaction::RollbackLocked() {
+  for (const auto& [key, w] : writes_) Unwind(key, w);
   writes_.clear();
   created_nodes_.clear();
   created_rels_by_node_.clear();
-
-  for (auto it = index_ops_.rbegin(); it != index_ops_.rend(); ++it) {
-    switch (it->kind) {
-      case IndexOp::Kind::kLabelAdd:
-        engine_->label_index.AbortAdd(it->label, it->entity, id_);
-        break;
-      case IndexOp::Kind::kLabelRemove:
-        engine_->label_index.AbortRemove(it->label, it->entity, id_);
-        break;
-      case IndexOp::Kind::kNodePropAdd:
-        engine_->node_prop_index.AbortAdd(it->key, it->value, it->entity, id_);
-        break;
-      case IndexOp::Kind::kNodePropRemove:
-        engine_->node_prop_index.AbortRemove(it->key, it->value, it->entity,
-                                             id_);
-        break;
-      case IndexOp::Kind::kRelPropAdd:
-        engine_->rel_prop_index.AbortAdd(it->key, it->value, it->entity, id_);
-        break;
-      case IndexOp::Kind::kRelPropRemove:
-        engine_->rel_prop_index.AbortRemove(it->key, it->value, it->entity,
-                                            id_);
-        break;
-    }
-  }
-  index_ops_.clear();
-  wal_ops_.clear();
+  AbortIndexOps(index_ops_.begin());
+  token_ops_.clear();
 
   // SSI: drop out of the tracker (prunes our markers, breaks our edges).
   // Idempotent and a no-op if we already reached kCommitted.

@@ -13,6 +13,7 @@
 #define NEOSI_GRAPH_TRANSACTION_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,6 +26,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "graph/engine.h"
+#include "graph/index_maintenance.h"
 #include "graph/views.h"
 #include "mvcc/snapshot.h"
 #include "storage/wal_ops.h"
@@ -157,29 +159,14 @@ class Transaction {
               std::shared_ptr<SsiTxnInfo> ssi = nullptr,
               bool read_only = false);
 
-  /// One pending index mutation, replayed as commit/abort stamps.
-  struct IndexOp {
-    enum class Kind : uint8_t {
-      kLabelAdd,
-      kLabelRemove,
-      kNodePropAdd,
-      kNodePropRemove,
-      kRelPropAdd,
-      kRelPropRemove,
-    };
-    Kind kind;
-    uint64_t entity;
-    LabelId label = kInvalidToken;
-    PropertyKeyId key = kInvalidToken;
-    PropertyValue value;
-  };
-
   /// Book-keeping for one written entity.
   struct WriteRecord {
     std::shared_ptr<CachedNode> node;  // exactly one of node/rel set
     std::shared_ptr<CachedRel> rel;
     std::shared_ptr<Version> pending;  // the uncommitted version
     bool created = false;
+
+    VersionChain& chain() const { return node ? node->chain : rel->chain; }
   };
 
   /// True for the snapshot-based levels (kSnapshotIsolation and
@@ -231,23 +218,44 @@ class Transaction {
   /// skipped for first-committer-wins, which validates at commit).
   Status CheckWriteConflict(const VersionChain& chain);
 
-  /// Returns (creating if absent) this transaction's pending version for a
-  /// node/rel, basing it on the version visible to the snapshot.
-  Result<std::shared_ptr<Version>> PendingNodeVersion(
-      NodeId id, std::shared_ptr<CachedNode>* node_out);
-  Result<std::shared_ptr<Version>> PendingRelVersion(
-      RelId id, std::shared_ptr<CachedRel>* rel_out);
+  /// Returns (creating if absent) this transaction's write record for an
+  /// existing entity: the first write takes the long write lock and bases
+  /// the pending version on the version visible to the snapshot. NotFound
+  /// once the entity is invisible, including deleted by this transaction.
+  Result<WriteRecord*> PendingVersion(const EntityKey& key);
 
-  /// Resolves the version of a node visible to this transaction (shared
-  /// short read lock under read committed). Null result -> NotFound mapped
-  /// by callers.
-  Result<std::shared_ptr<const Version>> VisibleNodeVersion(NodeId id);
-  Result<std::shared_ptr<const Version>> VisibleRelVersion(RelId id);
+  /// The one update path: applies `mutate` to a copy of the entity's
+  /// pending state and stages the index diff to the result. Every label
+  /// and property is indexed, so an empty diff is a no-op.
+  Status Update(const EntityKey& key,
+                const std::function<void(VersionData&)>& mutate);
 
-  /// Token helpers (log creation to the WAL set; §4 token versioning).
-  Result<LabelId> LabelToken(const std::string& name, bool create);
-  Result<PropertyKeyId> PropKeyToken(const std::string& name, bool create);
-  Result<RelTypeId> RelTypeToken(const std::string& name, bool create);
+  /// For each change: the SSI write check on its footprint, the pending
+  /// index entry, and the journal entry StampIndexes/RollbackLocked replay.
+  Status StageIndexChanges(std::vector<IndexChange> changes);
+
+  /// Long write locks on both endpoints of a relationship, smaller id first
+  /// (Neo4j semantics: creating or deleting an edge mutates both nodes).
+  /// These always wait (wait-die breaks cycles); the no-wait conflict
+  /// policy applies to data writes, not structural endpoint locks.
+  Status LockEndpoints(NodeId src, NodeId dst);
+
+  /// Withdraws `w`'s pending version; a created entity also leaves the
+  /// cache and hands its id back.
+  void Unwind(const EntityKey& key, const WriteRecord& w);
+
+  /// Resolves the version of an entity visible to this transaction (shared
+  /// short read lock under read committed); NotFound when invisible.
+  Result<std::shared_ptr<const Version>> VisibleVersion(const EntityKey& key);
+
+  /// Property `key` of the visible version of `entity`.
+  Result<PropertyValue> PropertyOf(const EntityKey& entity,
+                                   const std::string& key);
+
+  /// Resolves a label / property key / relationship type name (§4 token
+  /// versioning: lookups read at the snapshot). With `create`, a missing
+  /// token is created and its creation journaled for the WAL.
+  Result<uint32_t> Token(TokenKind kind, const std::string& name, bool create);
 
   /// Maps internal (token) properties to named properties for views.
   Result<NamedProperties> NameProps(const PropertyMap& props) const;
@@ -260,7 +268,8 @@ class Transaction {
   // per-entity safety comes from the long write locks held until the end.
 
   /// Entities created AND deleted inside this transaction cancel out: they
-  /// were never visible to anyone and leave no trace (no WAL, no store).
+  /// were never visible to anyone and leave no trace (no WAL, no store, no
+  /// index entry).
   void PruneAnnihilated();
 
   /// Commit path for transactions with no surviving writes: only token
@@ -274,9 +283,11 @@ class Transaction {
   Status ValidateCommit();
 
   /// Appends this transaction's commit record through the group committer
-  /// (one shared fsync per batch when sync_commits is set). The returned
-  /// LSN is pinned against checkpoint truncation until the commit has been
-  /// applied to the stores (Wal::Unpin).
+  /// (one shared fsync per batch when sync_commits is set): the token ops,
+  /// then one full post-state op per written entity, in the order
+  /// ApplyToStore persists them. The returned LSN is pinned against
+  /// checkpoint truncation until the commit has been applied to the stores
+  /// (Wal::Unpin).
   Result<Lsn> WriteCommitRecord(Timestamp ts);
 
   /// Persists the newest committed version of every written entity (§4 —
@@ -291,6 +302,10 @@ class Transaction {
 
   /// Stamps pending index entries with the commit timestamp.
   void StampIndexes(Timestamp ts);
+
+  /// Aborts, newest first, the journaled index changes from `first` to the
+  /// end of index_ops_, and drops them.
+  void AbortIndexOps(std::vector<IndexChange>::iterator first);
 
   /// Abort internals shared by Abort() and failed Commit().
   void RollbackLocked();
@@ -337,8 +352,11 @@ class Transaction {
   TxnState state_ = TxnState::kActive;
 
   std::map<EntityKey, WriteRecord> writes_;
-  std::vector<IndexOp> index_ops_;
-  std::vector<WalOp> wal_ops_;
+  /// Index changes staged as pending, in staging order.
+  std::vector<IndexChange> index_ops_;
+  /// Token creations, journaled as they happen (tokens are never rolled
+  /// back, so they reach the WAL even when every entity write cancels out).
+  std::vector<WalOp> token_ops_;
   /// Rels created by this txn, per endpoint (merged into adjacency scans so
   /// the transaction reads its own structural writes).
   std::unordered_map<NodeId, std::vector<RelId>> created_rels_by_node_;

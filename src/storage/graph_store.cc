@@ -164,7 +164,6 @@ Status GraphStore::Open() {
   wal_options.keep_segments = options_.wal_keep_segments;
   wal_options.async_flush = options_.wal_async_flush;
   wal_options.preallocate = options_.wal_preallocate;
-  wal_options.group_commit_max_batch = options_.ResolvedGroupCommitBatch();
   wal_ = std::make_unique<Wal>(std::move(wal_dir), wal_options);
   return wal_->Open();
 }
@@ -716,8 +715,7 @@ Status GraphStore::ApplyWalOp(const WalOp& op, Timestamp commit_ts) {
           store = rel_type_tokens_.get();
           break;
       }
-      auto r = store->GetOrCreate(op.name, commit_ts);
-      return r.ok() ? Status::OK() : r.status();
+      return store->Restore(static_cast<uint32_t>(op.id), op.name, commit_ts);
     }
 
     case WalOpType::kCreateNode: {

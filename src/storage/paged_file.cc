@@ -7,7 +7,6 @@
 #include <linux/falloc.h>
 #endif
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -42,14 +41,6 @@ Status InMemoryFile::Truncate(uint64_t size) {
     buf_.resize(size, '\0');
   }
   MarkDirty();
-  return Status::OK();
-}
-
-Status InMemoryFile::PunchHole(uint64_t offset, uint64_t n) {
-  WriteGuard guard(latch_);
-  if (offset >= buf_.size()) return Status::OK();
-  const uint64_t end = std::min<uint64_t>(offset + n, buf_.size());
-  memset(buf_.data() + offset, 0, end - offset);
   return Status::OK();
 }
 
@@ -141,23 +132,6 @@ Status PosixFile::Preallocate(uint64_t size) {
   }
 #else
   (void)size;
-#endif
-  return Status::OK();
-}
-
-Status PosixFile::PunchHole(uint64_t offset, uint64_t n) {
-  if (n == 0) return Status::OK();
-#if defined(__linux__) && defined(FALLOC_FL_PUNCH_HOLE)
-  if (::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
-                  static_cast<off_t>(offset), static_cast<off_t>(n)) != 0) {
-    // Advisory: not every filesystem supports holes; the dead bytes simply
-    // stay allocated.
-    if (errno != EOPNOTSUPP && errno != ENOTSUP && errno != EINVAL) {
-      return Status::IOError("fallocate " + path_ + ": " + strerror(errno));
-    }
-  }
-#else
-  (void)offset;
 #endif
   return Status::OK();
 }

@@ -43,18 +43,6 @@ class PagedFile {
     return Status::OK();
   }
 
-  /// Releases the physical storage backing [offset, offset+n) without
-  /// changing the file size; the range reads back as zeros where supported.
-  /// Advisory: backends without hole support return OK and do nothing.
-  /// No longer used by the WAL (segment rotation reclaims by unlinking
-  /// whole files); retained as a general backend capability — sparse store
-  /// files are a natural future user.
-  virtual Status PunchHole(uint64_t offset, uint64_t n) {
-    (void)offset;
-    (void)n;
-    return Status::OK();
-  }
-
   /// True when writes have landed since the last SyncIfDirty() (or since
   /// open). Fuzzy checkpoints use this to sync only stores that changed.
   bool dirty() const { return dirty_.load(std::memory_order_acquire); }
@@ -92,9 +80,6 @@ class InMemoryFile final : public PagedFile {
   Status Truncate(uint64_t size) override;
   uint64_t Size() const override;
   Status Sync() override { return Status::OK(); }
-  /// Zeroes the range (mirrors the hole-read-as-zeros contract; memory is
-  /// not actually released).
-  Status PunchHole(uint64_t offset, uint64_t n) override;
 
  private:
   mutable SharedLatch latch_;
@@ -123,9 +108,6 @@ class PosixFile final : public PagedFile {
   /// fallocate(KEEP_SIZE) / posix_fallocate where supported; silently a
   /// no-op on filesystems without allocation support.
   Status Preallocate(uint64_t size) override;
-  /// fallocate(PUNCH_HOLE) where the platform/filesystem supports it;
-  /// silently a no-op otherwise.
-  Status PunchHole(uint64_t offset, uint64_t n) override;
 
  private:
   explicit PosixFile(int fd, std::string path)

@@ -48,8 +48,27 @@ Result<uint32_t> TokenStore::GetOrCreate(const std::string& name,
 
   auto alloc = store_.Allocate();
   if (!alloc.ok()) return alloc.status();
-  const uint64_t id = *alloc;
+  const auto id = static_cast<uint32_t>(*alloc);
+  NEOSI_RETURN_IF_ERROR(PutLocked(id, name, created_ts));
+  return id;
+}
 
+Status TokenStore::Restore(uint32_t id, const std::string& name,
+                           Timestamp created_ts) {
+  WriteGuard guard(latch_);
+  auto it = by_name_.find(name);
+  if (it != by_name_.end() && it->second == id) return Status::OK();
+  if (it != by_name_.end() ||
+      (id < by_id_.size() && by_id_[id].id != kInvalidToken)) {
+    return Status::Corruption("logged token " + std::to_string(id) + " \"" +
+                              name + "\" clashes with an existing token");
+  }
+  NEOSI_RETURN_IF_ERROR(store_.EnsureAllocated(id));
+  return PutLocked(id, name, created_ts);
+}
+
+Status TokenStore::PutLocked(uint32_t id, const std::string& name,
+                             Timestamp created_ts) {
   TokenRecord rec;
   rec.in_use = true;
   rec.created_ts = created_ts;
@@ -60,12 +79,12 @@ Result<uint32_t> TokenStore::GetOrCreate(const std::string& name,
 
   if (by_id_.size() <= id) by_id_.resize(id + 1);
   Token token;
-  token.id = static_cast<uint32_t>(id);
+  token.id = id;
   token.name = name;
   token.created_ts = created_ts;
   by_id_[id] = token;
-  by_name_[name] = token.id;
-  return token.id;
+  by_name_[name] = id;
+  return Status::OK();
 }
 
 Result<uint32_t> TokenStore::Lookup(const std::string& name,

@@ -42,6 +42,14 @@ class TokenStore {
   /// transactional in Neo4j and are never rolled back).
   Result<uint32_t> GetOrCreate(const std::string& name, Timestamp created_ts);
 
+  /// WAL replay of a token creation (recovery and replicas): creates `name`
+  /// under the `id` it was logged with, because later records refer to the
+  /// id. Tokens are logged in commit order, not creation order, so
+  /// GetOrCreate here could hand out a different id. OK when the token
+  /// already exists under that id; Corruption when the name or the id
+  /// belongs to another token.
+  Status Restore(uint32_t id, const std::string& name, Timestamp created_ts);
+
   /// Id lookup with snapshot visibility: NotFound if the token is absent OR
   /// was created after `snapshot_ts` (the reader must discard it, §4).
   Result<uint32_t> Lookup(const std::string& name,
@@ -64,6 +72,9 @@ class TokenStore {
   Result<bool> SyncIfDirty() { return store_.SyncIfDirty(); }
 
  private:
+  /// Persists and registers a new token at `id` (latch_ held exclusively).
+  Status PutLocked(uint32_t id, const std::string& name, Timestamp created_ts);
+
   RecordStore store_;
   mutable SharedLatch latch_;
   std::unordered_map<std::string, uint32_t> by_name_;

@@ -995,12 +995,10 @@ Result<Lsn> GroupCommitter::Commit(const WalRecord& record, bool sync,
   if (req.done) return Finish(req);
 
   leader_active_ = true;
-  // Fold at most max_batch queued requests into this write; the remainder
+  // Fold at most max_batch_ queued requests into this write; the remainder
   // elects the next leader as soon as the seat frees (which, in async-flush
   // mode, is before this batch's fsync even completes).
-  size_t take = queue_.size();
-  const size_t cap = wal_->options_.group_commit_max_batch;
-  if (cap != 0 && cap < take) take = cap;
+  const size_t take = std::min(queue_.size(), max_batch_);
   std::vector<Request*> batch(queue_.begin(),
                               queue_.begin() + static_cast<long>(take));
   queue_.erase(queue_.begin(), queue_.begin() + static_cast<long>(take));

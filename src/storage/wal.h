@@ -78,6 +78,7 @@
 #ifndef NEOSI_STORAGE_WAL_H_
 #define NEOSI_STORAGE_WAL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -122,9 +123,6 @@ struct WalOptions {
   /// create+header+sync on the append path. Default OFF at this layer,
   /// like async_flush.
   bool preallocate = false;
-  /// Most records a group-commit leader folds into one batch (0 =
-  /// unbounded). DatabaseOptions sizes this from hardware_concurrency.
-  size_t group_commit_max_batch = 0;
 };
 
 /// Named crash-point hook (tests only; never set on production paths). When
@@ -195,6 +193,12 @@ class GroupCommitter {
   Result<Lsn> Finish(const Request& req);
 
   Wal* wal_;
+  /// Most records one leader folds into a batch: max(8, 4 * cores), capped
+  /// at 256 — enough to absorb every plausibly-runnable committer without
+  /// letting a burst build a batch whose ack latency is dominated by its
+  /// own tail. Later arrivals elect the next leader.
+  const size_t max_batch_ =
+      std::clamp<size_t>(4 * std::thread::hardware_concurrency(), 8, 256);
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Request*> queue_;

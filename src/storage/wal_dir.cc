@@ -28,9 +28,6 @@ class SharedFileRef final : public PagedFile {
   Status Truncate(uint64_t size) override { return target_->Truncate(size); }
   uint64_t Size() const override { return target_->Size(); }
   Status Sync() override { return target_->Sync(); }
-  Status PunchHole(uint64_t offset, uint64_t n) override {
-    return target_->PunchHole(offset, n);
-  }
 
  private:
   std::shared_ptr<InMemoryFile> target_;

@@ -8,8 +8,10 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "graph/graph_database.h"
 
@@ -561,6 +563,83 @@ TEST_F(RecoveryTest, AnnihilatedEntityLeavesNoStateInWalReplay) {
   auto rels = reader->GetRelationships(keep, Direction::kOutgoing);
   ASSERT_TRUE(rels.ok());
   EXPECT_TRUE(rels->empty());
+}
+
+// A commit record carries exactly one op per written entity, holding the
+// entity's final state, however many writes the transaction made to it: an
+// update is one kNodeState, a create-then-update one kCreateNode, and an
+// update-then-delete one kDeleteNode.
+TEST_F(RecoveryTest, CommitRecordHoldsOneFinalStateOpPerEntity) {
+  auto db = std::move(*GraphDatabase::Open(DiskOptions()));
+  NodeId existing, doomed, created;
+  {
+    auto txn = db->Begin();
+    existing = *txn->CreateNode({"Seed"});
+    doomed = *txn->CreateNode({});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  auto commit = [&](auto&& body) {
+    auto txn = db->Begin();
+    body(*txn);
+    EXPECT_TRUE(txn->Commit().ok());
+    return txn->id();
+  };
+  const TxnId update = commit([&](Transaction& txn) {
+    for (const char* key : {"a", "b", "c"}) {
+      ASSERT_TRUE(txn.SetNodeProperty(existing, key, PropertyValue(key)).ok());
+    }
+    ASSERT_TRUE(txn.AddLabel(existing, "Extra").ok());
+  });
+  const TxnId create = commit([&](Transaction& txn) {
+    created = *txn.CreateNode({"New"});
+    ASSERT_TRUE(
+        txn.SetNodeProperty(created, "a", PropertyValue(int64_t{7})).ok());
+  });
+  const TxnId remove = commit([&](Transaction& txn) {
+    ASSERT_TRUE(
+        txn.SetNodeProperty(doomed, "a", PropertyValue(int64_t{5})).ok());
+    ASSERT_TRUE(txn.DeleteNode(doomed).ok());
+  });
+
+  std::map<TxnId, std::vector<WalOp>> entity_ops;
+  ASSERT_TRUE(db->engine()
+                  .store.wal()
+                  .ReadAll([&](const WalRecord& record) {
+                    for (const WalOp& op : record.ops) {
+                      if (op.type != WalOpType::kCreateToken) {
+                        entity_ops[record.txn_id].push_back(op);
+                      }
+                    }
+                    return Status::OK();
+                  })
+                  .ok());
+  auto label = [&](const char* name) {
+    return *db->engine().store.labels().Lookup(name);
+  };
+  auto key = [&](const char* name) {
+    return *db->engine().store.prop_keys().Lookup(name);
+  };
+
+  ASSERT_EQ(entity_ops[update].size(), 1u);
+  const WalOp& state = entity_ops[update][0];
+  EXPECT_EQ(state.type, WalOpType::kNodeState);
+  EXPECT_EQ(state.id, existing);
+  EXPECT_EQ(state.labels,
+            (std::vector<LabelId>{label("Seed"), label("Extra")}));
+  EXPECT_EQ(state.props, (PropertyMap{{key("a"), PropertyValue("a")},
+                                      {key("b"), PropertyValue("b")},
+                                      {key("c"), PropertyValue("c")}}));
+
+  ASSERT_EQ(entity_ops[create].size(), 1u);
+  const WalOp& fresh = entity_ops[create][0];
+  EXPECT_EQ(fresh.type, WalOpType::kCreateNode);
+  EXPECT_EQ(fresh.id, created);
+  EXPECT_EQ(fresh.labels, std::vector<LabelId>{label("New")});
+  EXPECT_EQ(fresh.props, (PropertyMap{{key("a"), PropertyValue(int64_t{7})}}));
+
+  ASSERT_EQ(entity_ops[remove].size(), 1u);
+  EXPECT_EQ(entity_ops[remove][0].type, WalOpType::kDeleteNode);
+  EXPECT_EQ(entity_ops[remove][0].id, doomed);
 }
 
 }  // namespace

@@ -324,6 +324,27 @@ TEST(Replication, KeepSegmentsWidensTheShippingWindow) {
   EXPECT_EQ(Materialize(primary.get()), Materialize(replica.get()));
 }
 
+// Tokens are logged with the commit record of the transaction that created
+// them, so the log can carry them in a different order than the primary
+// created them in. The replica must keep the primary's ids: the entity ops
+// refer to tokens by id.
+TEST(Replication, TokensKeepPrimaryIdsWhenCommittedOutOfCreationOrder) {
+  auto primary = MustOpen(PrimaryOptions());
+  auto replica = MustOpen(ManualReplicaOptions(primary.get()));
+
+  auto first = primary->Begin();
+  auto second = primary->Begin();
+  ASSERT_TRUE(first->CreateNode({"First"}, {{"a", PropertyValue("1")}}).ok());
+  ASSERT_TRUE(second->CreateNode({"Second"}, {{"b", PropertyValue("2")}}).ok());
+  ASSERT_TRUE(second->Commit().ok());
+  ASSERT_TRUE(first->Commit().ok());
+  CatchUp(replica.get());
+
+  EXPECT_EQ(Materialize(primary.get()), Materialize(replica.get()));
+  EXPECT_EQ(*replica->engine().store.labels().Lookup("First"),
+            *primary->engine().store.labels().Lookup("First"));
+}
+
 TEST(Replication, DaemonModeFollowsConcurrentWriters) {
   // Live mode: the applier daemon tails while writer threads churn the
   // primary over many tiny, recycling segments — the recycle-race and

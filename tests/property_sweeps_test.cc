@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "graph/graph_database.h"
@@ -57,7 +60,7 @@ TEST_P(SerialEquivalenceSweep, CommittedStateMatchesOracle) {
     bool ok = true;
     const int ops = 1 + rng.Uniform(3);
     for (int op = 0; op < ops && ok; ++op) {
-      const uint64_t kind = rng.Uniform(4);
+      const uint64_t kind = rng.Uniform(6);
       if (kind == 0 || candidate_live.empty()) {
         const std::string& label = label_pool[rng.Uniform(label_pool.size())];
         auto id = txn->CreateNode({label});
@@ -67,7 +70,9 @@ TEST_P(SerialEquivalenceSweep, CommittedStateMatchesOracle) {
       } else if (kind == 1) {
         const NodeId id = candidate_live[rng.Uniform(candidate_live.size())];
         const std::string& key = key_pool[rng.Uniform(key_pool.size())];
-        const int64_t value = static_cast<int64_t>(rng.Uniform(1000));
+        // A small value range, so sets often repeat a value or collide with
+        // another node's entry under the same index key.
+        const int64_t value = static_cast<int64_t>(rng.Uniform(8));
         ASSERT_TRUE(txn->SetNodeProperty(id, key, PropertyValue(value)).ok());
         candidate[id].props[key] = value;
       } else if (kind == 2) {
@@ -75,6 +80,16 @@ TEST_P(SerialEquivalenceSweep, CommittedStateMatchesOracle) {
         const std::string& label = label_pool[rng.Uniform(label_pool.size())];
         ASSERT_TRUE(txn->AddLabel(id, label).ok());
         candidate[id].labels.insert(label);
+      } else if (kind == 3) {
+        const NodeId id = candidate_live[rng.Uniform(candidate_live.size())];
+        const std::string& key = key_pool[rng.Uniform(key_pool.size())];
+        ASSERT_TRUE(txn->RemoveNodeProperty(id, key).ok());
+        candidate[id].props.erase(key);
+      } else if (kind == 4) {
+        const NodeId id = candidate_live[rng.Uniform(candidate_live.size())];
+        const std::string& label = label_pool[rng.Uniform(label_pool.size())];
+        ASSERT_TRUE(txn->RemoveLabel(id, label).ok());
+        candidate[id].labels.erase(label);
       } else {
         const size_t idx = rng.Uniform(candidate_live.size());
         const NodeId id = candidate_live[idx];
@@ -114,13 +129,41 @@ TEST_P(SerialEquivalenceSweep, CommittedStateMatchesOracle) {
       ASSERT_TRUE(view->props.count(key));
       EXPECT_EQ(view->props.at(key).AsInt(), value);
     }
-    // Index consistency: every label lookup contains the node.
-    for (const std::string& label : node.labels) {
-      auto by_label = reader->GetNodesByLabel(label);
-      ASSERT_TRUE(by_label.ok());
-      EXPECT_TRUE(std::find(by_label->begin(), by_label->end(), id) !=
-                  by_label->end())
-          << "label index lost node " << id << " label " << label;
+  }
+
+  // Index consistency: every label and property lookup returns exactly the
+  // oracle's nodes — no lost entry, and no stale one left behind by a
+  // removal, an overwrite, a delete or an abort.
+  for (const std::string& label : label_pool) {
+    std::vector<NodeId> expected;
+    for (const auto& [id, node] : model) {
+      if (node.labels.count(label)) expected.push_back(id);
+    }
+    auto by_label = reader->GetNodesByLabel(label);
+    ASSERT_TRUE(by_label.ok());
+    EXPECT_EQ(*by_label, expected) << "label " << label;
+  }
+  for (const std::string& key : key_pool) {
+    std::vector<NodeId> with_key;
+    for (const auto& [id, node] : model) {
+      if (node.props.count(key)) with_key.push_back(id);
+    }
+    auto scanned = reader->GetNodesByPropertyRange(key, std::nullopt,
+                                                   std::nullopt);
+    ASSERT_TRUE(scanned.ok());
+    std::sort(scanned->begin(), scanned->end());
+    EXPECT_EQ(*scanned, with_key) << "property " << key;
+    for (int64_t value = 0; value < 8; ++value) {
+      std::vector<NodeId> expected;
+      for (const auto& [id, node] : model) {
+        auto it = node.props.find(key);
+        if (it != node.props.end() && it->second == value) {
+          expected.push_back(id);
+        }
+      }
+      auto by_value = reader->GetNodesByProperty(key, PropertyValue(value));
+      ASSERT_TRUE(by_value.ok());
+      EXPECT_EQ(*by_value, expected) << "property " << key << "=" << value;
     }
   }
 }

@@ -146,34 +146,5 @@ TEST_F(PosixFileTest, DirtyTrackingAcrossWriteSyncCycles) {
   EXPECT_FALSE(*r);  // Second checkpoint skips the clean file.
 }
 
-TEST(PunchHole, InMemoryZeroesRange) {
-  InMemoryFile file;
-  ASSERT_TRUE(file.WriteAt(0, "abcdefgh", 8).ok());
-  ASSERT_TRUE(file.PunchHole(2, 4).ok());
-  char buf[8];
-  ASSERT_TRUE(file.ReadAt(0, 8, buf).ok());
-  EXPECT_EQ(std::string(buf, 8), std::string("ab\0\0\0\0gh", 8));
-  EXPECT_EQ(file.Size(), 8u);  // KEEP_SIZE semantics.
-  // Punching past the end is harmless.
-  ASSERT_TRUE(file.PunchHole(100, 10).ok());
-}
-
-TEST_F(PosixFileTest, PunchHoleKeepsSizeAndReadsZeros) {
-  std::unique_ptr<PagedFile> file;
-  ASSERT_TRUE(PosixFile::Open(path_.string(), &file).ok());
-  std::string data(8192, 'x');
-  ASSERT_TRUE(file->WriteAt(0, data.data(), data.size()).ok());
-  ASSERT_TRUE(file->PunchHole(0, 4096).ok());
-  EXPECT_EQ(file->Size(), 8192u);
-  char buf[16];
-  ASSERT_TRUE(file->ReadAt(4096, 16, buf).ok());
-  EXPECT_EQ(std::string(buf, 16), std::string(16, 'x'));
-  // PunchHole is advisory: where the filesystem supports holes the range
-  // reads zeros; where it does not, the bytes are simply untouched.
-  ASSERT_TRUE(file->ReadAt(0, 16, buf).ok());
-  const std::string head(buf, 16);
-  EXPECT_TRUE(head == std::string(16, '\0') || head == std::string(16, 'x'));
-}
-
 }  // namespace
 }  // namespace neosi

@@ -981,8 +981,11 @@ TEST(WalPrealloc, RollsAdoptPreparedSegmentsAndReopenDiscardsPrepFiles) {
 
   // The flusher may leave a prepared-but-unadopted wal.prep.* file behind
   // at shutdown; reopen must discard it (its header was never written, so
-  // adopting it would be chain corruption) and replay everything.
+  // adopting it would be chain corruption) and replay everything. Reopen
+  // without preallocation: the discard does not depend on it, and a new
+  // flusher could otherwise prepare a fresh wal.prep.* before the listing.
   wal.reset();
+  options.preallocate = false;
   auto reopened = OpenWal(dir, options);
   for (const std::string& name : ListNames(dir.get())) {
     EXPECT_EQ(name.rfind("wal.prep.", 0), std::string::npos) << name;
