@@ -54,6 +54,14 @@ enum class EntityType : uint8_t {
   kRelationship = 1,
 };
 
+/// One of the engine's three versioned indexes (paper §2: nodes have a label
+/// index and a property index, relationships a property index).
+enum class IndexId : uint8_t {
+  kLabel = 0,
+  kNodeProperty = 1,
+  kRelProperty = 2,
+};
+
 /// Direction of relationship traversal relative to an anchor node.
 enum class Direction : uint8_t {
   kOutgoing = 0,

@@ -11,8 +11,7 @@
 
 #include "cache/object_cache.h"
 #include "common/options.h"
-#include "index/label_index.h"
-#include "index/property_index.h"
+#include "index/versioned_index.h"
 #include "mvcc/epoch.h"
 #include "mvcc/gc_list.h"
 #include "storage/graph_store.h"
@@ -101,9 +100,17 @@ struct Engine {
   // Constructed after store.Open() (needs the store pointer).
   std::unique_ptr<ObjectCache> cache;
 
-  LabelIndex label_index;
-  PropertyIndex node_prop_index;
-  PropertyIndex rel_prop_index;
+  /// The three instances of the one versioned index type (IndexId).
+  VersionedIndex label_index;
+  VersionedIndex node_prop_index;
+  VersionedIndex rel_prop_index;
+
+  /// The instance `which` names.
+  VersionedIndex& index(IndexId which) {
+    return which == IndexId::kLabel          ? label_index
+           : which == IndexId::kNodeProperty ? node_prop_index
+                                             : rel_prop_index;
+  }
 
   // There is deliberately no global commit mutex: commits validate under
   // their long write locks, allocate a timestamp from the oracle (the only

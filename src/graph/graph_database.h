@@ -33,9 +33,9 @@ struct DatabaseStats {
   GraphStoreStats store;
   ObjectCacheStats cache;
   LockManagerStats locks;
-  LabelIndexStats label_index;
-  PropertyIndexStats node_prop_index;
-  PropertyIndexStats rel_prop_index;
+  IndexStats label_index;
+  IndexStats node_prop_index;
+  IndexStats rel_prop_index;
   uint64_t gc_queue = 0;
   uint64_t gc_appended = 0;
   uint64_t gc_reclaimed = 0;

@@ -10,32 +10,7 @@ bool Contains(const std::vector<LabelId>& labels, LabelId label) {
   return std::find(labels.begin(), labels.end(), label) != labels.end();
 }
 
-/// `index`'s call for one step of `c`; `key` is the index key (a label, or
-/// a property key and value) the entity is filed under.
-template <typename Index, typename... Key>
-void Step(Index& index, const IndexChange& c, IndexStep step, TxnId txn,
-          Timestamp ts, const Key&... key) {
-  switch (step) {
-    case IndexStep::kPending:
-      return c.add ? index.AddPending(key..., c.entity, txn)
-                   : index.RemovePending(key..., c.entity, txn);
-    case IndexStep::kCommit:
-      return c.add ? index.CommitAdd(key..., c.entity, txn, ts)
-                   : index.CommitRemove(key..., c.entity, txn, ts);
-    case IndexStep::kAbort:
-      return c.add ? index.AbortAdd(key..., c.entity, txn)
-                   : index.AbortRemove(key..., c.entity, txn);
-  }
-}
-
 }  // namespace
-
-SsiWriteFootprint IndexChange::Footprint() const {
-  if (index == Index::kLabel) return SsiWriteFootprint::Label(label);
-  return index == Index::kNodeProperty
-             ? SsiWriteFootprint::NodeProperty(key, value)
-             : SsiWriteFootprint::RelProperty(key, value);
-}
 
 std::vector<IndexChange> DiffIndexEntries(const EntityKey& key,
                                           const VersionData* pre,
@@ -46,36 +21,31 @@ std::vector<IndexChange> DiffIndexEntries(const EntityKey& key,
   const bool node = key.type == EntityType::kNode;
 
   std::vector<IndexChange> out;
-  auto emit = [&](IndexChange::Index index, bool add) -> IndexChange& {
-    IndexChange& change = out.emplace_back();
-    change.index = index;
-    change.add = add;
-    change.entity = key.id;
-    return change;
+  auto emit = [&](IndexId index, bool add, uint32_t token,
+                  const PropertyValue& value) {
+    out.push_back(IndexChange{index, add, key.id, token, value});
   };
   if (node) {
+    // A label is filed under the null value.
     auto diff = [&](const std::vector<LabelId>& a,
                     const std::vector<LabelId>& b, bool add) {
       for (LabelId label : a) {
         if (!Contains(b, label)) {
-          emit(IndexChange::Index::kLabel, add).label = label;
+          emit(IndexId::kLabel, add, label, PropertyValue());
         }
       }
     };
     diff(from.labels, to.labels, /*add=*/false);
     diff(to.labels, from.labels, /*add=*/true);
   }
-  const IndexChange::Index index = node ? IndexChange::Index::kNodeProperty
-                                        : IndexChange::Index::kRelProperty;
+  const IndexId index = node ? IndexId::kNodeProperty : IndexId::kRelProperty;
   // A changed value is a removal of the old tuple plus an addition of the
   // new one: the two live under different index keys.
   auto diff = [&](const PropertyMap& a, const PropertyMap& b, bool add) {
     for (const auto& [prop, value] : a) {
       auto found = b.find(prop);
       if (found == b.end() || !(found->second == value)) {
-        IndexChange& change = emit(index, add);
-        change.key = prop;
-        change.value = value;
+        emit(index, add, prop, value);
       }
     }
   };
@@ -86,15 +56,19 @@ std::vector<IndexChange> DiffIndexEntries(const EntityKey& key,
 
 void ApplyIndexChange(Engine* engine, const IndexChange& change,
                       IndexStep step, TxnId txn, Timestamp ts) {
-  switch (change.index) {
-    case IndexChange::Index::kLabel:
-      return Step(engine->label_index, change, step, txn, ts, change.label);
-    case IndexChange::Index::kNodeProperty:
-      return Step(engine->node_prop_index, change, step, txn, ts, change.key,
-                  change.value);
-    case IndexChange::Index::kRelProperty:
-      return Step(engine->rel_prop_index, change, step, txn, ts, change.key,
-                  change.value);
+  VersionedEntrySet& set =
+      engine->index(change.index).SetFor(change.token, change.value);
+  const uint64_t entity = change.entity;
+  switch (step) {
+    case IndexStep::kPending:
+      return change.add ? set.AddPending(entity, txn)
+                        : set.RemovePending(entity, txn);
+    case IndexStep::kCommit:
+      return change.add ? set.CommitAdd(entity, txn, ts)
+                        : set.CommitRemove(entity, txn, ts);
+    case IndexStep::kAbort:
+      return change.add ? set.AbortAdd(entity, txn)
+                        : set.AbortRemove(entity, txn);
   }
 }
 

@@ -27,22 +27,22 @@ namespace neosi {
 
 /// One index tuple an entity gains (`add`) or loses between two states.
 struct IndexChange {
-  enum class Index : uint8_t { kLabel, kNodeProperty, kRelProperty };
-  Index index = Index::kLabel;
+  IndexId index = IndexId::kLabel;
   bool add = true;
   uint64_t entity = kInvalidId;
-  LabelId label = kInvalidToken;      ///< kLabel
-  PropertyKeyId key = kInvalidToken;  ///< kNodeProperty / kRelProperty
-  PropertyValue value;                ///< kNodeProperty / kRelProperty
+  uint32_t token = kInvalidToken;  ///< The label or the property key.
+  PropertyValue value;             ///< The property value; null for a label.
 
   EntityKey Entity() const {
-    return index == Index::kRelProperty ? EntityKey::Rel(entity)
-                                        : EntityKey::Node(entity);
+    return index == IndexId::kRelProperty ? EntityKey::Rel(entity)
+                                          : EntityKey::Node(entity);
   }
 
   /// The SIREAD range the tuple lies in: writing it is a rw-antidependency
   /// from every serializable scan of that range (Ports & Grittner).
-  SsiWriteFootprint Footprint() const;
+  SsiWriteFootprint Footprint() const {
+    return SsiWriteFootprint::Index(index, token, value);
+  }
 };
 
 /// The index changes that take `key` from `pre` to `post`: labels for

@@ -169,9 +169,25 @@ Result<uint32_t> Transaction::Token(TokenKind kind, const std::string& name,
   NEOSI_RETURN_IF_ERROR(FailIfReadOnly());
   auto existing = tokens.Lookup(name);
   if (existing.ok()) return existing;
-  auto created = tokens.GetOrCreate(name, start_ts_);
-  if (created.ok()) {
-    token_ops_.push_back(WalOp::CreateToken(kind, *created, name));
+  // The creation is logged in a record of its own before the id is
+  // published: it reaches the log even if this transaction aborts, and
+  // ahead of any commit that names the id. The record stays pinned until
+  // the token's page is written, so a checkpoint cannot truncate it first.
+  std::optional<Lsn> pinned;
+  auto created = tokens.GetOrCreate(name, start_ts_, [&](uint32_t id) {
+    WalRecord record;
+    record.txn_id = id_;
+    record.commit_ts = engine_->oracle.ReadTs();
+    record.publish_ts = record.commit_ts;
+    record.ops.push_back(WalOp::CreateToken(kind, id, name));
+    auto lsn = engine_->store.wal().group().Commit(
+        record, engine_->options.sync_commits, /*pin=*/true);
+    if (lsn.ok()) pinned = *lsn;
+    return lsn.status();
+  });
+  // A failed page write keeps the pin: the record is the token's only copy.
+  if (created.ok() && pinned.has_value()) {
+    engine_->store.wal().Unpin(*pinned);
   }
   return created;
 }
@@ -697,100 +713,53 @@ Result<std::vector<NodeId>> Transaction::AllNodes() {
   return out;
 }
 
-Result<std::vector<NodeId>> Transaction::GetNodesByLabel(
-    const std::string& label) {
+Result<std::vector<uint64_t>> Transaction::ScanIndex(
+    IndexId which, const std::string& name,
+    const std::optional<PropertyValue>& lo,
+    const std::optional<PropertyValue>& hi) {
   NEOSI_RETURN_IF_ERROR(CheckActive());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  auto token = Token(TokenKind::kLabel, label, /*create=*/false);
+  const TokenKind kind = which == IndexId::kLabel ? TokenKind::kLabel
+                                                  : TokenKind::kPropertyKey;
+  auto token = Token(kind, name, /*create=*/false);
   if (!token.ok()) {
-    if (token.status().IsNotFound()) return std::vector<NodeId>{};
+    if (token.status().IsNotFound()) return std::vector<uint64_t>{};
     return token.status();
   }
-  // Label-range SIREAD marker before the lookup; anonymous conflict-out
-  // after it (index entries only carry commit timestamps, not writer ids —
-  // see SsiObserveAnonymous).
-  if (ssi_) engine_->ssi.AddLabelRead(ssi_, *token);
-  std::vector<NodeId> out = engine_->label_index.Lookup(*token,
-                                                        ReadSnapshot());
+  // Index-range SIREAD marker before the scan; anonymous conflict-out after
+  // it (index entries only carry commit timestamps, not writer ids — see
+  // SsiObserveAnonymous).
+  const VersionedIndex& index = engine_->index(which);
+  if (ssi_) engine_->ssi.AddIndexRead(ssi_, which, *token, lo, hi);
+  std::vector<uint64_t> out = index.Scan(*token, lo, hi, ReadSnapshot());
   if (ssi_) {
     std::vector<Timestamp> conflicts;
-    engine_->label_index.CollectConflictsOut(*token, start_ts_, &conflicts);
+    index.CollectConflictsOut(*token, lo, hi, start_ts_, &conflicts);
     NEOSI_RETURN_IF_ERROR(SsiObserveAnonymous(conflicts));
   }
-  std::sort(out.begin(), out.end());
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
   return out;
 }
 
+Result<std::vector<NodeId>> Transaction::GetNodesByLabel(
+    const std::string& label) {
+  return ScanIndex(IndexId::kLabel, label, std::nullopt, std::nullopt);
+}
+
 Result<std::vector<NodeId>> Transaction::GetNodesByProperty(
     const std::string& key, const PropertyValue& value) {
-  NEOSI_RETURN_IF_ERROR(CheckActive());
-  NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  auto token = Token(TokenKind::kPropertyKey, key, /*create=*/false);
-  if (!token.ok()) {
-    if (token.status().IsNotFound()) return std::vector<NodeId>{};
-    return token.status();
-  }
-  if (ssi_) engine_->ssi.AddPropertyRead(ssi_, /*node=*/true, *token,
-                                         value, value);
-  std::vector<NodeId> out =
-      engine_->node_prop_index.Lookup(*token, value, ReadSnapshot());
-  if (ssi_) {
-    std::vector<Timestamp> conflicts;
-    engine_->node_prop_index.CollectConflictsOut(*token, value, value,
-                                                 start_ts_, &conflicts);
-    NEOSI_RETURN_IF_ERROR(SsiObserveAnonymous(conflicts));
-  }
-  std::sort(out.begin(), out.end());
-  NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  return out;
+  return ScanIndex(IndexId::kNodeProperty, key, value, value);
 }
 
 Result<std::vector<NodeId>> Transaction::GetNodesByPropertyRange(
     const std::string& key, const std::optional<PropertyValue>& lo,
     const std::optional<PropertyValue>& hi) {
-  NEOSI_RETURN_IF_ERROR(CheckActive());
-  NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  auto token = Token(TokenKind::kPropertyKey, key, /*create=*/false);
-  if (!token.ok()) {
-    if (token.status().IsNotFound()) return std::vector<NodeId>{};
-    return token.status();
-  }
-  if (ssi_) engine_->ssi.AddPropertyRead(ssi_, /*node=*/true, *token, lo, hi);
-  std::vector<NodeId> out =
-      engine_->node_prop_index.Scan(*token, lo, hi, ReadSnapshot());
-  if (ssi_) {
-    std::vector<Timestamp> conflicts;
-    engine_->node_prop_index.CollectConflictsOut(*token, lo, hi, start_ts_,
-                                                 &conflicts);
-    NEOSI_RETURN_IF_ERROR(SsiObserveAnonymous(conflicts));
-  }
-  NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  return out;
+  return ScanIndex(IndexId::kNodeProperty, key, lo, hi);
 }
 
 Result<std::vector<RelId>> Transaction::GetRelsByProperty(
     const std::string& key, const PropertyValue& value) {
-  NEOSI_RETURN_IF_ERROR(CheckActive());
-  NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  auto token = Token(TokenKind::kPropertyKey, key, /*create=*/false);
-  if (!token.ok()) {
-    if (token.status().IsNotFound()) return std::vector<RelId>{};
-    return token.status();
-  }
-  if (ssi_) engine_->ssi.AddPropertyRead(ssi_, /*node=*/false, *token,
-                                         value, value);
-  std::vector<RelId> out =
-      engine_->rel_prop_index.Lookup(*token, value, ReadSnapshot());
-  if (ssi_) {
-    std::vector<Timestamp> conflicts;
-    engine_->rel_prop_index.CollectConflictsOut(*token, value, value,
-                                                start_ts_, &conflicts);
-    NEOSI_RETURN_IF_ERROR(SsiObserveAnonymous(conflicts));
-  }
-  std::sort(out.begin(), out.end());
-  NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  return out;
+  return ScanIndex(IndexId::kRelProperty, key, value, value);
 }
 
 Result<std::vector<RelId>> Transaction::GetRelationships(
@@ -886,7 +855,7 @@ Status Transaction::Commit() {
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
 
   PruneAnnihilated();
-  if (writes_.empty()) return CommitTokenOnly();
+  if (writes_.empty()) return CommitWithoutWrites();
 
   // Stage 1 — validate, then sequence. The oracle's timestamp allocation is
   // the ONLY global synchronization point of the whole commit.
@@ -1059,11 +1028,11 @@ void Transaction::PruneAnnihilated() {
       }));
 }
 
-Status Transaction::CommitTokenOnly() {
+Status Transaction::CommitWithoutWrites() {
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
   // Even a read-only serializable commit must pass the dangerous-structure
   // gate: a committed reader can be the incoming side of a pivot (that is
-  // exactly the read-only-anomaly shape).
+  // exactly the read-only-anomaly shape). Nothing is applied or logged.
   std::unique_lock<std::mutex> ssi_commit_guard;
   if (ssi_) {
     Status ssi_s =
@@ -1071,27 +1040,6 @@ Status Transaction::CommitTokenOnly() {
     if (!ssi_s.ok()) {
       RollbackLocked();
       return ssi_s;
-    }
-  }
-  // Read-only (or fully annihilated): nothing to apply or log, but token
-  // creations (never rolled back) may still need to reach the WAL — and
-  // must honour sync_commits like any other commit: the tokens are durable
-  // prerequisites of later records.
-  if (!token_ops_.empty()) {
-    WalRecord record;
-    record.txn_id = id_;
-    record.commit_ts = engine_->oracle.ReadTs();
-    record.publish_ts = record.commit_ts;
-    record.ops = std::move(token_ops_);
-    // No LSN pin needed: the token-store page writes happened at
-    // GetOrCreate time (BEFORE this append), so a fuzzy checkpoint that
-    // truncates this record has already captured the tokens in its store
-    // sync — the record is redundant by the time it becomes truncatable.
-    auto lsn = engine_->store.wal().group().Commit(
-        record, engine_->options.sync_commits);
-    if (!lsn.ok()) {
-      RollbackLocked();
-      return lsn.status();
     }
   }
   // Commit timestamp for a writeless serializable txn: the newest read
@@ -1133,7 +1081,6 @@ Result<Lsn> Transaction::WriteCommitRecord(Timestamp ts) {
   // or below the CURRENT watermark already finished its append (appends
   // happen before publication), so it sits at a lower LSN than this record.
   record.publish_ts = engine_->oracle.ReadTs();
-  record.ops = std::move(token_ops_);
   // One op per written entity, carrying its final state: full post-state,
   // never a delta, so replay never needs the (possibly torn) on-disk
   // pre-state (see WalOpType::kNodeState). Same split as ApplyToStore.
@@ -1231,7 +1178,6 @@ void Transaction::RollbackLocked() {
   created_nodes_.clear();
   created_rels_by_node_.clear();
   AbortIndexOps(index_ops_.begin());
-  token_ops_.clear();
 
   // SSI: drop out of the tracker (prunes our markers, breaks our edges).
   // Idempotent and a no-op if we already reached kCommitted.

@@ -252,16 +252,26 @@ class Transaction {
   Result<PropertyValue> PropertyOf(const EntityKey& entity,
                                    const std::string& key);
 
+  /// The scan behind every index read: entities filed in index `which`
+  /// under the token named `name` with a value in [lo, hi] (either bound
+  /// optional; inclusive), in value order — id order for a label or an
+  /// equality scan. Serializable transactions leave the range's SIREAD
+  /// marker first and observe its later commits as conflicts-out.
+  Result<std::vector<uint64_t>> ScanIndex(
+      IndexId which, const std::string& name,
+      const std::optional<PropertyValue>& lo,
+      const std::optional<PropertyValue>& hi);
+
   /// Resolves a label / property key / relationship type name (§4 token
   /// versioning: lookups read at the snapshot). With `create`, a missing
-  /// token is created and its creation journaled for the WAL.
+  /// token is created, and its creation logged before the id is published.
   Result<uint32_t> Token(TokenKind kind, const std::string& name, bool create);
 
   /// Maps internal (token) properties to named properties for views.
   Result<NamedProperties> NameProps(const PropertyMap& props) const;
 
   // --- commit pipeline stages (see ARCHITECTURE.md, "Commit pipeline").
-  // Commit() = PruneAnnihilated -> [token-only shortcut] -> Validate ->
+  // Commit() = PruneAnnihilated -> [no-writes shortcut] -> Validate ->
   // sequence (oracle.NextCommitTs) -> WriteCommitRecord (group-commit WAL)
   // -> ApplyToStore -> StampVersions -> StampIndexes -> ordered publication
   // (oracle.FinishCommit). No stage after sequencing holds a global lock;
@@ -272,9 +282,9 @@ class Transaction {
   /// index entry).
   void PruneAnnihilated();
 
-  /// Commit path for transactions with no surviving writes: only token
-  /// creations (never rolled back) may need to reach the WAL.
-  Status CommitTokenOnly();
+  /// Commit path for transactions with no surviving writes: nothing to
+  /// apply or log, only the SSI commit decision.
+  Status CommitWithoutWrites();
 
   /// First-committer-wins validation (§3's alternative write rule). Needs no
   /// global lock: every checked entity is pinned by this transaction's long
@@ -283,11 +293,10 @@ class Transaction {
   Status ValidateCommit();
 
   /// Appends this transaction's commit record through the group committer
-  /// (one shared fsync per batch when sync_commits is set): the token ops,
-  /// then one full post-state op per written entity, in the order
-  /// ApplyToStore persists them. The returned LSN is pinned against
-  /// checkpoint truncation until the commit has been applied to the stores
-  /// (Wal::Unpin).
+  /// (one shared fsync per batch when sync_commits is set): one full
+  /// post-state op per written entity, in the order ApplyToStore persists
+  /// them. The returned LSN is pinned against checkpoint truncation until
+  /// the commit has been applied to the stores (Wal::Unpin).
   Result<Lsn> WriteCommitRecord(Timestamp ts);
 
   /// Persists the newest committed version of every written entity (§4 —
@@ -354,9 +363,6 @@ class Transaction {
   std::map<EntityKey, WriteRecord> writes_;
   /// Index changes staged as pending, in staging order.
   std::vector<IndexChange> index_ops_;
-  /// Token creations, journaled as they happen (tokens are never rolled
-  /// back, so they reach the WAL even when every entity write cancels out).
-  std::vector<WalOp> token_ops_;
   /// Rels created by this txn, per endpoint (merged into adjacency scans so
   /// the transaction reads its own structural writes).
   std::unordered_map<NodeId, std::vector<RelId>> created_rels_by_node_;

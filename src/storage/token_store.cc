@@ -16,19 +16,14 @@ Status TokenStore::Open() {
   return store_.ForEach([&](uint64_t id, const std::string& raw) {
     TokenRecord rec;
     NEOSI_RETURN_IF_ERROR(TokenRecord::DecodeFrom(Slice(raw), &rec));
-    if (by_id_.size() <= id) by_id_.resize(id + 1);
-    Token token;
-    token.id = static_cast<uint32_t>(id);
-    token.name = rec.name;
-    token.created_ts = rec.created_ts;
-    by_name_[rec.name] = token.id;
-    by_id_[id] = std::move(token);
+    PublishLocked(static_cast<uint32_t>(id), rec.name, rec.created_ts);
     return Status::OK();
   });
 }
 
-Result<uint32_t> TokenStore::GetOrCreate(const std::string& name,
-                                         Timestamp created_ts) {
+Result<uint32_t> TokenStore::GetOrCreate(
+    const std::string& name, Timestamp created_ts,
+    const std::function<Status(uint32_t id)>& log) {
   if (name.empty()) {
     return Status::InvalidArgument("token name must be non-empty");
   }
@@ -37,19 +32,27 @@ Result<uint32_t> TokenStore::GetOrCreate(const std::string& name,
                                    std::to_string(TokenRecord::kMaxNameLen) +
                                    " bytes): " + name);
   }
-  {
-    ReadGuard guard(latch_);
-    auto it = by_name_.find(name);
-    if (it != by_name_.end()) return it->second;
-  }
-  WriteGuard guard(latch_);
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) return it->second;  // Raced creation.
+  auto lookup = Lookup(name);
+  if (lookup.ok()) return lookup;
+  std::lock_guard<std::mutex> create(create_mu_);
+  lookup = Lookup(name);
+  if (lookup.ok()) return lookup;  // Raced creation.
 
-  auto alloc = store_.Allocate();
-  if (!alloc.ok()) return alloc.status();
-  const auto id = static_cast<uint32_t>(*alloc);
-  NEOSI_RETURN_IF_ERROR(PutLocked(id, name, created_ts));
+  NEOSI_ASSIGN_OR_RETURN(const uint64_t alloc, store_.Allocate());
+  const auto id = static_cast<uint32_t>(alloc);
+  Status s = log(id);
+  if (!s.ok()) {
+    store_.Free(id);  // Never published: nothing can name it.
+    return s;
+  }
+  // The logged id wins even if the page write fails: recovery and replicas
+  // restore the token from its record, so a retry must find this id rather
+  // than log the name again under another.
+  WriteGuard guard(latch_);
+  s = fault_hooks.Check("token.page.write");
+  if (s.ok()) s = WriteRecord(id, name, created_ts);
+  PublishLocked(id, name, created_ts);
+  if (!s.ok()) return s;
   return id;
 }
 
@@ -64,27 +67,31 @@ Status TokenStore::Restore(uint32_t id, const std::string& name,
                               name + "\" clashes with an existing token");
   }
   NEOSI_RETURN_IF_ERROR(store_.EnsureAllocated(id));
-  return PutLocked(id, name, created_ts);
+  NEOSI_RETURN_IF_ERROR(WriteRecord(id, name, created_ts));
+  PublishLocked(id, name, created_ts);
+  return Status::OK();
 }
 
-Status TokenStore::PutLocked(uint32_t id, const std::string& name,
-                             Timestamp created_ts) {
+Status TokenStore::WriteRecord(uint32_t id, const std::string& name,
+                               Timestamp created_ts) {
   TokenRecord rec;
   rec.in_use = true;
   rec.created_ts = created_ts;
   rec.name = name;
   char buf[TokenRecord::kSize];
   rec.EncodeTo(buf);
-  NEOSI_RETURN_IF_ERROR(store_.Write(id, Slice(buf, TokenRecord::kSize)));
+  return store_.Write(id, Slice(buf, TokenRecord::kSize));
+}
 
+void TokenStore::PublishLocked(uint32_t id, const std::string& name,
+                               Timestamp created_ts) {
   if (by_id_.size() <= id) by_id_.resize(id + 1);
   Token token;
   token.id = id;
   token.name = name;
   token.created_ts = created_ts;
-  by_id_[id] = token;
+  by_id_[id] = std::move(token);
   by_name_[name] = id;
-  return Status::OK();
 }
 
 Result<uint32_t> TokenStore::Lookup(const std::string& name,

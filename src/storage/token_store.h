@@ -9,7 +9,9 @@
 #ifndef NEOSI_STORAGE_TOKEN_STORE_H_
 #define NEOSI_STORAGE_TOKEN_STORE_H_
 
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/record_store.h"
+#include "storage/wal.h"
 
 namespace neosi {
 
@@ -39,15 +42,22 @@ class TokenStore {
 
   /// Returns the id for `name`, creating the token with `created_ts` if it
   /// does not exist yet. Creation is immediately persisted (tokens are not
-  /// transactional in Neo4j and are never rolled back).
-  Result<uint32_t> GetOrCreate(const std::string& name, Timestamp created_ts);
+  /// transactional in Neo4j and are never rolled back). A new id is first
+  /// handed to `log` (the creation's WAL append) and published only once
+  /// that succeeds, so no record naming the id can reach the log before
+  /// the token's own. Once logged, the id is published even if the page
+  /// write then fails (the error is still returned): the record is the
+  /// token's copy that recovery and replicas restore, and a retry must get
+  /// the same id. Creators serialise on create_mu_; lookups never wait on
+  /// `log`.
+  Result<uint32_t> GetOrCreate(const std::string& name, Timestamp created_ts,
+                               const std::function<Status(uint32_t id)>& log);
 
   /// WAL replay of a token creation (recovery and replicas): creates `name`
   /// under the `id` it was logged with, because later records refer to the
-  /// id. Tokens are logged in commit order, not creation order, so
-  /// GetOrCreate here could hand out a different id. OK when the token
-  /// already exists under that id; Corruption when the name or the id
-  /// belongs to another token.
+  /// id and GetOrCreate here could hand out a different one. OK when the
+  /// token already exists under that id; Corruption when the name or the
+  /// id belongs to another token.
   Status Restore(uint32_t id, const std::string& name, Timestamp created_ts);
 
   /// Id lookup with snapshot visibility: NotFound if the token is absent OR
@@ -71,11 +81,20 @@ class TokenStore {
   Status Sync() { return store_.Sync(); }
   Result<bool> SyncIfDirty() { return store_.SyncIfDirty(); }
 
+  /// Named fault point (tests only): "token.page.write", the page write of
+  /// a token GetOrCreate has just logged.
+  FaultHooks fault_hooks;
+
  private:
-  /// Persists and registers a new token at `id` (latch_ held exclusively).
-  Status PutLocked(uint32_t id, const std::string& name, Timestamp created_ts);
+  /// Persists token `id`'s record page.
+  Status WriteRecord(uint32_t id, const std::string& name,
+                     Timestamp created_ts);
+  /// Makes token `id` visible to lookups (latch_ held exclusively).
+  void PublishLocked(uint32_t id, const std::string& name,
+                     Timestamp created_ts);
 
   RecordStore store_;
+  std::mutex create_mu_;  // Serialises GetOrCreate's allocate-log-publish.
   mutable SharedLatch latch_;
   std::unordered_map<std::string, uint32_t> by_name_;
   std::vector<Token> by_id_;

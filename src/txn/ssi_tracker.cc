@@ -250,13 +250,6 @@ void SsiTracker::AddEntityRead(const std::shared_ptr<SsiTxnInfo>& self,
                   (unsigned long long)key.id);
 }
 
-void SsiTracker::AddLabelRead(const std::shared_ptr<SsiTxnInfo>& self,
-                              LabelId label) {
-  Shard& shard = ShardForKey(label);
-  std::lock_guard<std::mutex> guard(shard.mu);
-  InsertMarkerLocked(&shard.labels[label], self);
-}
-
 void SsiTracker::AddAdjacencyRead(const std::shared_ptr<SsiTxnInfo>& self,
                                   NodeId node) {
   Shard& shard = ShardForKey(node);
@@ -269,18 +262,15 @@ void SsiTracker::AddAllNodesRead(const std::shared_ptr<SsiTxnInfo>& self) {
   InsertMarkerLocked(&all_nodes_, self);
 }
 
-void SsiTracker::AddPropertyRead(const std::shared_ptr<SsiTxnInfo>& self,
-                                 bool node_index, PropertyKeyId key,
-                                 const std::optional<PropertyValue>& lo,
-                                 const std::optional<PropertyValue>& hi) {
+void SsiTracker::AddIndexRead(const std::shared_ptr<SsiTxnInfo>& self,
+                              IndexId which, uint32_t token,
+                              const std::optional<PropertyValue>& lo,
+                              const std::optional<PropertyValue>& hi) {
+  const uint64_t key = IndexKey(which, token);
   Shard& shard = ShardForKey(key);
   std::lock_guard<std::mutex> guard(shard.mu);
-  auto& ranges = node_index ? shard.node_props[key] : shard.rel_props[key];
-  ranges.erase(std::remove_if(ranges.begin(), ranges.end(),
-                              [&](const RangeMarker& m) {
-                                return Prunable(*m.reader);
-                              }),
-               ranges.end());
+  auto& ranges = shard.index_ranges[key];
+  std::erase_if(ranges, [&](const auto& m) { return Prunable(*m.reader); });
   for (const RangeMarker& m : ranges) {
     if (m.reader == self && m.lo == lo && m.hi == hi) return;
   }
@@ -306,11 +296,19 @@ std::vector<std::shared_ptr<SsiTxnInfo>> SsiTracker::CollectReaders(
       if (it != shard.entities.end()) harvest(&it->second);
       break;
     }
-    case SsiWriteFootprint::Kind::kLabel: {
-      Shard& shard = ShardForKey(fp.label);
+    case SsiWriteFootprint::Kind::kIndex: {
+      const uint64_t key = IndexKey(fp.index, fp.token);
+      Shard& shard = ShardForKey(key);
       std::lock_guard<std::mutex> guard(shard.mu);
-      auto it = shard.labels.find(fp.label);
-      if (it != shard.labels.end()) harvest(&it->second);
+      auto it = shard.index_ranges.find(key);
+      if (it == shard.index_ranges.end()) break;
+      std::erase_if(it->second,
+                    [&](const auto& m) { return Prunable(*m.reader); });
+      for (const RangeMarker& m : it->second) {
+        if (m.lo.has_value() && fp.value < *m.lo) continue;
+        if (m.hi.has_value() && *m.hi < fp.value) continue;
+        out.push_back(m.reader);
+      }
       break;
     }
     case SsiWriteFootprint::Kind::kAdjacency: {
@@ -323,28 +321,6 @@ std::vector<std::shared_ptr<SsiTxnInfo>> SsiTracker::CollectReaders(
     case SsiWriteFootprint::Kind::kAllNodes: {
       std::lock_guard<std::mutex> guard(all_nodes_mu_);
       harvest(&all_nodes_);
-      break;
-    }
-    case SsiWriteFootprint::Kind::kNodeProperty:
-    case SsiWriteFootprint::Kind::kRelProperty: {
-      const bool node_index =
-          fp.kind == SsiWriteFootprint::Kind::kNodeProperty;
-      Shard& shard = ShardForKey(fp.prop_key);
-      std::lock_guard<std::mutex> guard(shard.mu);
-      auto& map = node_index ? shard.node_props : shard.rel_props;
-      auto it = map.find(fp.prop_key);
-      if (it == map.end()) break;
-      auto& ranges = it->second;
-      ranges.erase(std::remove_if(ranges.begin(), ranges.end(),
-                                  [&](const RangeMarker& m) {
-                                    return Prunable(*m.reader);
-                                  }),
-                   ranges.end());
-      for (const RangeMarker& m : ranges) {
-        if (m.lo.has_value() && fp.value < *m.lo) continue;
-        if (m.hi.has_value() && *m.hi < fp.value) continue;
-        out.push_back(m.reader);
-      }
       break;
     }
   }

@@ -6,9 +6,9 @@
 // edges: I --rw--> P --rw--> O where the three are pairwise concurrent and O
 // commits first (the "dangerous structure"; P is the pivot). SSI therefore
 // leaves SIREAD markers behind every snapshot read a kSerializable
-// transaction performs — on entities for point reads, on label / property
-// ranges / adjacency keys for index and traversal scans — and records an
-// rw-antidependency edge whenever
+// transaction performs — on entities for point reads, on index ranges (a
+// label scan covers its label's whole range) and adjacency keys for index
+// and traversal scans — and records an rw-antidependency edge whenever
 //
 //   * a writer's footprint overlaps an existing marker (write-time
 //     detection: the reader read before this write), or
@@ -104,17 +104,15 @@ struct SsiTxnInfo {
 /// of the two scans is guaranteed to see it).
 struct SsiWriteFootprint {
   enum class Kind : uint8_t {
-    kEntity,        ///< Point-read marker on a node/rel id.
-    kLabel,         ///< Label-scan marker.
-    kNodeProperty,  ///< Node property-range marker (key + value bounds).
-    kRelProperty,   ///< Rel property-range marker.
-    kAdjacency,     ///< GetRelationships marker on an anchor node.
-    kAllNodes,      ///< AllNodes() full-scan marker.
+    kEntity,     ///< Point-read marker on a node/rel id.
+    kIndex,      ///< Index-range marker (index, token, value bounds).
+    kAdjacency,  ///< GetRelationships marker on an anchor node.
+    kAllNodes,   ///< AllNodes() full-scan marker.
   };
   Kind kind = Kind::kEntity;
   EntityKey entity{};
-  LabelId label = kInvalidToken;
-  PropertyKeyId prop_key = kInvalidToken;
+  IndexId index = IndexId::kLabel;
+  uint32_t token = kInvalidToken;
   PropertyValue value;
   NodeId node = kInvalidNodeId;
 
@@ -124,25 +122,14 @@ struct SsiWriteFootprint {
     fp.entity = key;
     return fp;
   }
-  static SsiWriteFootprint Label(LabelId label) {
+  /// The index tuple (token, value) in index `which`; a label's value is
+  /// null.
+  static SsiWriteFootprint Index(IndexId which, uint32_t token,
+                                 PropertyValue value) {
     SsiWriteFootprint fp;
-    fp.kind = Kind::kLabel;
-    fp.label = label;
-    return fp;
-  }
-  static SsiWriteFootprint NodeProperty(PropertyKeyId key,
-                                        PropertyValue value) {
-    SsiWriteFootprint fp;
-    fp.kind = Kind::kNodeProperty;
-    fp.prop_key = key;
-    fp.value = std::move(value);
-    return fp;
-  }
-  static SsiWriteFootprint RelProperty(PropertyKeyId key,
-                                       PropertyValue value) {
-    SsiWriteFootprint fp;
-    fp.kind = Kind::kRelProperty;
-    fp.prop_key = key;
+    fp.kind = Kind::kIndex;
+    fp.index = which;
+    fp.token = token;
     fp.value = std::move(value);
     return fp;
   }
@@ -214,11 +201,11 @@ class SsiTracker {
   /// the writer side: one of the two orders always observes the other).
   void AddEntityRead(const std::shared_ptr<SsiTxnInfo>& self,
                      const EntityKey& key);
-  void AddLabelRead(const std::shared_ptr<SsiTxnInfo>& self, LabelId label);
-  void AddPropertyRead(const std::shared_ptr<SsiTxnInfo>& self,
-                       bool node_index, PropertyKeyId key,
-                       const std::optional<PropertyValue>& lo,
-                       const std::optional<PropertyValue>& hi);
+  /// Range marker over the values [lo, hi] (either bound optional;
+  /// inclusive) of `token` in index `which`. A label scan is the open range.
+  void AddIndexRead(const std::shared_ptr<SsiTxnInfo>& self, IndexId which,
+                    uint32_t token, const std::optional<PropertyValue>& lo,
+                    const std::optional<PropertyValue>& hi);
   void AddAdjacencyRead(const std::shared_ptr<SsiTxnInfo>& self, NodeId node);
   void AddAllNodesRead(const std::shared_ptr<SsiTxnInfo>& self);
 
@@ -294,12 +281,14 @@ class SsiTracker {
   struct Shard {
     std::mutex mu;
     std::unordered_map<EntityKey, MarkerList> entities;
-    std::unordered_map<LabelId, MarkerList> labels;
     std::unordered_map<NodeId, MarkerList> adjacency;
-    std::unordered_map<PropertyKeyId, std::vector<RangeMarker>> node_props;
-    std::unordered_map<PropertyKeyId, std::vector<RangeMarker>> rel_props;
+    /// Keyed by IndexKey(which, token).
+    std::unordered_map<uint64_t, std::vector<RangeMarker>> index_ranges;
   };
 
+  static uint64_t IndexKey(IndexId which, uint32_t token) {
+    return static_cast<uint64_t>(which) << 32 | token;
+  }
   static uint64_t Mix(uint64_t x);
   Shard& ShardForEntity(const EntityKey& key);
   Shard& ShardForKey(uint64_t key);

@@ -95,8 +95,12 @@ class CrashPoint {
       state->fired.store(true, std::memory_order_release);
       return Status::IOError("injected crash at " + state->point);
     };
-    db->engine().store.fault_hooks.Set(fn);
-    db->engine().store.wal().fault_hooks.Set(fn);
+    GraphStore& store = db->engine().store;
+    store.fault_hooks.Set(fn);
+    store.wal().fault_hooks.Set(fn);
+    store.labels().fault_hooks.Set(fn);
+    store.prop_keys().fault_hooks.Set(fn);
+    store.rel_types().fault_hooks.Set(fn);
   }
 
   bool fired() const { return state_->fired.load(std::memory_order_acquire); }

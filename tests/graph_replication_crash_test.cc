@@ -163,7 +163,9 @@ TEST(ReplicationCrash, PrimaryDiesAtEachPointWhileReplicaTails) {
     int seq = 0;
     for (int round = 0; round < 2; ++round) {
       auto primary = MustOpen(PrimaryOptions(dirs));
-      fault::CrashPoint crash(primary.get(), point, /*fire_on_hit=*/2);
+      // On a fresh store the first two appends log the "Item" and "seq"
+      // token creations; the third hit lets a later round commit first.
+      fault::CrashPoint crash(primary.get(), point, /*fire_on_hit=*/3);
       for (int i = 0; i < 120 && !crash.fired(); ++i) {
         auto txn = primary->Begin();
         auto id = txn->CreateNode(
@@ -188,6 +190,38 @@ TEST(ReplicationCrash, PrimaryDiesAtEachPointWhileReplicaTails) {
       EXPECT_EQ(Materialize(recovered.get()), Materialize(replica.get()));
     }
     ASSERT_GT(seq, 0) << "no commit ever succeeded";
+  }
+}
+
+TEST(ReplicationCrash, PrimaryDiesInATokenAppendWhileReplicaTails) {
+  // On a fresh store the first two appends are the token-only records of
+  // "Item" and "seq". Tear each one mid-frame while a replica tails: the
+  // recovered primary and the replica must agree, and keep agreeing once
+  // the recovered primary commits under those tokens.
+  for (const uint64_t hit : {1, 2}) {
+    SCOPED_TRACE("hit " + std::to_string(hit));
+    PairDirs dirs("token_" + std::to_string(hit));
+    auto replica = MustOpen(ReplicaOptions(dirs));
+    {
+      auto primary = MustOpen(PrimaryOptions(dirs));
+      fault::CrashPoint crash(primary.get(), "wal.append.mid_frame", hit);
+      auto txn = primary->Begin();
+      auto id = txn->CreateNode({"Item"}, {{"seq", PropertyValue(int64_t{0})}});
+      ASSERT_TRUE(crash.fired()) << "no token append reached the point";
+      EXPECT_FALSE(id.ok());
+      ASSERT_TRUE(replica->replica_applier()->RunOnce().ok())
+          << replica->replica_applier()->last_error();
+    }  // "kill -9" the primary with the token record torn.
+
+    auto recovered = MustOpen(PrimaryOptions(dirs));
+    ASSERT_TRUE(replica->replica_applier()->RunOnce().ok())
+        << replica->replica_applier()->last_error();
+    EXPECT_EQ(Materialize(recovered.get()), Materialize(replica.get()));
+
+    ASSERT_EQ(CommitBatch(recovered.get(), 0, 3), 3);
+    ASSERT_TRUE(replica->replica_applier()->RunOnce().ok())
+        << replica->replica_applier()->last_error();
+    EXPECT_EQ(Materialize(recovered.get()), Materialize(replica.get()));
   }
 }
 

@@ -324,10 +324,9 @@ TEST(Replication, KeepSegmentsWidensTheShippingWindow) {
   EXPECT_EQ(Materialize(primary.get()), Materialize(replica.get()));
 }
 
-// Tokens are logged with the commit record of the transaction that created
-// them, so the log can carry them in a different order than the primary
-// created them in. The replica must keep the primary's ids: the entity ops
-// refer to tokens by id.
+// Transactions can commit in a different order than they created their
+// tokens in. The replica must keep the primary's ids: the entity ops refer
+// to tokens by id.
 TEST(Replication, TokensKeepPrimaryIdsWhenCommittedOutOfCreationOrder) {
   auto primary = MustOpen(PrimaryOptions());
   auto replica = MustOpen(ManualReplicaOptions(primary.get()));
@@ -343,6 +342,41 @@ TEST(Replication, TokensKeepPrimaryIdsWhenCommittedOutOfCreationOrder) {
   EXPECT_EQ(Materialize(primary.get()), Materialize(replica.get()));
   EXPECT_EQ(*replica->engine().store.labels().Lookup("First"),
             *primary->engine().store.labels().Lookup("First"));
+}
+
+// Tokens are never rolled back: once a creator has published a token's id,
+// any writer may name it, even after the creator aborts. The creation must
+// therefore reach the log on its own, or the replica holds an id it cannot
+// name.
+TEST(Replication, TokenOfAnAbortedCreatorShipsBeforeItsFirstUse) {
+  auto primary = MustOpen(PrimaryOptions());
+  auto replica = MustOpen(ManualReplicaOptions(primary.get()));
+
+  NodeId node;
+  {
+    auto txn = primary->Begin();
+    node = *txn->CreateNode({"Person"});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  {
+    auto creator = primary->Begin();
+    ASSERT_TRUE(creator->AddLabel(node, "Fresh").ok());
+    ASSERT_TRUE(creator->Abort().ok());
+  }
+  {
+    auto user = primary->Begin();
+    ASSERT_TRUE(user->AddLabel(node, "Fresh").ok());
+    ASSERT_TRUE(user->Commit().ok());
+  }
+  CatchUp(replica.get());
+
+  auto reader = replica->Begin();
+  auto view = reader->GetNode(node);
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(view->labels, (std::vector<std::string>{"Person", "Fresh"}));
+  auto fresh = reader->GetNodesByLabel("Fresh");
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(*fresh, std::vector<NodeId>{node});
 }
 
 TEST(Replication, DaemonModeFollowsConcurrentWriters) {

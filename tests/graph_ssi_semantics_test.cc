@@ -304,41 +304,138 @@ TEST(SsiSemantics, WriteSkewSecondCommitterAborts) {
   EXPECT_GE(db->Stats().ssi_aborts_doomed, 1u);
 }
 
-// Predicate (index-range) reads carry SIREAD markers too: a serializable
-// label scan followed by a concurrent committed insert into that label
-// creates the same dangerous structure as an entity read — phantom-based
-// write skew must also abort.
-TEST(SsiSemantics, LabelScanPredicateWriteSkewAborts) {
-  auto db = OpenDb();
-  {
-    auto txn = db->Begin();
-    ASSERT_TRUE(txn->CreateNode({"OnCall"}).ok());
-    ASSERT_TRUE(txn->CreateNode({"OnCall"}).ok());
+// --- Predicate write skew, once per index scan ------------------------------
+
+// Predicate (index-range) reads carry SIREAD markers too. Two doctors are
+// on call; each transaction scans for the on-call set, sees both, and takes
+// one doctor off — write skew through a predicate read instead of an entity
+// read. Under SI both commit and nobody stays on call; under SSI exactly
+// one of the two commits. Label scans, node-property equality and ranges,
+// and rel-property equality share one index-range marker path; each scan
+// must close the structure.
+enum class IndexScan { kLabel, kNodeEquality, kNodeRange, kRelEquality };
+
+class PredicateWriteSkew
+    : public ::testing::TestWithParam<std::tuple<IndexScan, IsolationLevel>> {
+ protected:
+  void SetUp() override {
+    db_ = OpenDb();
+    auto txn = db_->Begin();
+    for (int doctor = 0; doctor < 2; ++doctor) {
+      switch (scan()) {
+        case IndexScan::kLabel:
+          ASSERT_TRUE(txn->CreateNode({"OnCall"}).ok());
+          break;
+        case IndexScan::kNodeEquality:
+          ASSERT_TRUE(txn->CreateNode({}, {{"on_call", PropertyValue(true)}})
+                          .ok());
+          break;
+        case IndexScan::kNodeRange:
+          ASSERT_TRUE(
+              txn->CreateNode({}, {{"shift", PropertyValue(int64_t{5})}})
+                  .ok());
+          break;
+        case IndexScan::kRelEquality: {
+          auto ward = txn->CreateNode({});
+          auto doc = txn->CreateNode({});
+          ASSERT_TRUE(ward.ok() && doc.ok());
+          const NamedProperties on_call{{"on_call", PropertyValue(true)}};
+          ASSERT_TRUE(
+              txn->CreateRelationship(*doc, *ward, "COVERS", on_call).ok());
+          break;
+        }
+      }
+    }
     ASSERT_TRUE(txn->Commit().ok());
   }
 
-  // Both transactions check "at least one other doctor stays on call",
-  // then take themselves off (delete one OnCall node each).
-  auto t1 = db->Begin(IsolationLevel::kSerializable);
-  auto t2 = db->Begin(IsolationLevel::kSerializable);
-  auto on_call_1 = t1->GetNodesByLabel("OnCall");
-  auto on_call_2 = t2->GetNodesByLabel("OnCall");
-  ASSERT_TRUE(on_call_1.ok());
-  ASSERT_TRUE(on_call_2.ok());
-  ASSERT_EQ(on_call_1->size(), 2u);
-  ASSERT_EQ(on_call_2->size(), 2u);
+  IndexScan scan() const { return std::get<0>(GetParam()); }
+  IsolationLevel isolation() const { return std::get<1>(GetParam()); }
 
-  ASSERT_TRUE(t1->RemoveLabel((*on_call_1)[0], "OnCall").ok());
-  ASSERT_TRUE(t2->RemoveLabel((*on_call_2)[1], "OnCall").ok());
+  /// The on-call set, through this case's index scan.
+  Result<std::vector<uint64_t>> OnCall(Transaction& txn) const {
+    switch (scan()) {
+      case IndexScan::kLabel:
+        return txn.GetNodesByLabel("OnCall");
+      case IndexScan::kNodeEquality:
+        return txn.GetNodesByProperty("on_call", PropertyValue(true));
+      case IndexScan::kNodeRange:
+        return txn.GetNodesByPropertyRange("shift", PropertyValue(int64_t{1}),
+                                           PropertyValue(int64_t{9}));
+      case IndexScan::kRelEquality:
+        return txn.GetRelsByProperty("on_call", PropertyValue(true));
+    }
+    return Status::Internal("unknown scan");
+  }
 
-  ASSERT_TRUE(t1->Commit().ok());
-  Status s = t2->Commit();
-  EXPECT_TRUE(s.IsSerializationFailure()) << s;
+  /// Moves `id` out of the on-call set.
+  Status TakeOff(Transaction& txn, uint64_t id) const {
+    switch (scan()) {
+      case IndexScan::kLabel:
+        return txn.RemoveLabel(id, "OnCall");
+      case IndexScan::kNodeEquality:
+        return txn.SetNodeProperty(id, "on_call", PropertyValue(false));
+      case IndexScan::kNodeRange:
+        return txn.SetNodeProperty(id, "shift", PropertyValue(int64_t{20}));
+      case IndexScan::kRelEquality:
+        return txn.SetRelProperty(id, "on_call", PropertyValue(false));
+    }
+    return Status::Internal("unknown scan");
+  }
 
-  // Someone is still on call.
-  auto check = db->Begin();
-  EXPECT_EQ(check->GetNodesByLabel("OnCall")->size(), 1u);
+  std::unique_ptr<GraphDatabase> db_;
+};
+
+TEST_P(PredicateWriteSkew, OnlySerializableKeepsSomeoneOnCall) {
+  auto t1 = db_->Begin(isolation());
+  auto t2 = db_->Begin(isolation());
+  auto seen_1 = OnCall(*t1);
+  auto seen_2 = OnCall(*t2);
+  ASSERT_TRUE(seen_1.ok()) << seen_1.status();
+  ASSERT_TRUE(seen_2.ok()) << seen_2.status();
+  ASSERT_EQ(seen_1->size(), 2u);
+  ASSERT_EQ(seen_2->size(), 2u);
+
+  // Each sees a colleague still on call and takes a different doctor off.
+  Status s1 = TakeOff(*t1, (*seen_1)[0]);
+  Status s2 = TakeOff(*t2, (*seen_2)[1]);
+  if (s1.ok()) s1 = t1->Commit();
+  if (s2.ok()) s2 = t2->Commit();
+
+  auto check = db_->Begin();
+  auto left = OnCall(*check);
+  ASSERT_TRUE(left.ok()) << left.status();
+  if (isolation() == IsolationLevel::kSerializable) {
+    ASSERT_NE(s1.ok(), s2.ok()) << s1 << " / " << s2;
+    const Status& failed = s1.ok() ? s2 : s1;
+    EXPECT_TRUE(failed.IsSerializationFailure()) << failed;
+    EXPECT_EQ(left->size(), 1u);
+  } else {
+    EXPECT_TRUE(s1.ok()) << s1;
+    EXPECT_TRUE(s2.ok()) << s2;
+    EXPECT_TRUE(left->empty());
+  }
 }
+
+std::string CaseName(
+    const ::testing::TestParamInfo<PredicateWriteSkew::ParamType>& info) {
+  static const char* const kScans[] = {"Label", "NodeEquality", "NodeRange",
+                                       "RelEquality"};
+  return std::string(kScans[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) == IsolationLevel::kSerializable
+              ? "Serializable"
+              : "SnapshotIsolation");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SsiSemantics, PredicateWriteSkew,
+    ::testing::Combine(::testing::Values(IndexScan::kLabel,
+                                         IndexScan::kNodeEquality,
+                                         IndexScan::kNodeRange,
+                                         IndexScan::kRelEquality),
+                       ::testing::Values(IsolationLevel::kSerializable,
+                                         IsolationLevel::kSnapshotIsolation)),
+    CaseName);
 
 // --- Safe-snapshot / commit-publication race --------------------------------
 

@@ -3,8 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include "index/label_index.h"
-#include "index/property_index.h"
+#include <set>
+
+#include "index/versioned_index.h"
 
 namespace neosi {
 namespace {
@@ -95,30 +96,56 @@ TEST(VersionedEntrySet, CompactDropsClosedIntervalsBelowWatermark) {
   EXPECT_EQ(set.Compact(kMaxTimestamp - 1), 1u);  // Only entity 2's interval.
 }
 
-TEST(LabelIndex, LookupFiltersBySnapshot) {
-  LabelIndex index;
-  index.AddPending(1, 100, 5);
-  index.AddPending(1, 101, 5);
-  index.CommitAdd(1, 100, 5, 10);
-  index.CommitAdd(1, 101, 5, 20);
-  EXPECT_EQ(index.Lookup(1, At(15)).size(), 1u);
-  EXPECT_EQ(index.Lookup(1, At(25)).size(), 2u);
-  EXPECT_TRUE(index.Lookup(2, At(25)).empty());  // Unknown label.
-  EXPECT_TRUE(index.Has(1, 100, At(15)));
-  EXPECT_FALSE(index.Has(1, 101, At(15)));
+/// A label entry's value.
+const PropertyValue kLabel;
+
+/// Files `entity` under (token, value) for `txn`, committed at `ts`.
+void Add(VersionedIndex& index, uint32_t token, const PropertyValue& value,
+         uint64_t entity, TxnId txn, Timestamp ts) {
+  VersionedEntrySet& set = index.SetFor(token, value);
+  set.AddPending(entity, txn);
+  set.CommitAdd(entity, txn, ts);
 }
 
-TEST(LabelIndex, StatsAndCompaction) {
-  LabelIndex index;
-  for (NodeId n = 0; n < 10; ++n) {
-    index.AddPending(1, n, 1);
-    index.CommitAdd(1, n, 1, 5);
+/// Removes `entity` from (token, value) for `txn`, committed at `ts`.
+void Remove(VersionedIndex& index, uint32_t token, const PropertyValue& value,
+            uint64_t entity, TxnId txn, Timestamp ts) {
+  VersionedEntrySet& set = index.SetFor(token, value);
+  set.RemovePending(entity, txn);
+  set.CommitRemove(entity, txn, ts);
+}
+
+std::vector<uint64_t> LabelScan(const VersionedIndex& index, uint32_t label,
+                                const Snapshot& snap) {
+  return index.Scan(label, std::nullopt, std::nullopt, snap);
+}
+
+TEST(VersionedIndex, LabelScanFiltersBySnapshot) {
+  VersionedIndex index;
+  Add(index, 1, kLabel, 100, 5, 10);
+  Add(index, 1, kLabel, 101, 5, 20);
+  EXPECT_EQ(LabelScan(index, 1, At(15)), (std::vector<uint64_t>{100}));
+  EXPECT_EQ(LabelScan(index, 1, At(25)), (std::vector<uint64_t>{100, 101}));
+  EXPECT_TRUE(LabelScan(index, 2, At(25)).empty());  // Unknown label.
+}
+
+TEST(VersionedIndex, LabelAndEqualityScansAreInIdOrder) {
+  VersionedIndex index;
+  for (uint64_t entity : {9, 3, 7, 1}) {
+    Add(index, 1, kLabel, entity, 5, 10);
+    Add(index, 2, PropertyValue(int64_t{4}), entity, 5, 10);
   }
-  for (NodeId n = 0; n < 4; ++n) {
-    index.RemovePending(1, n, 2);
-    index.CommitRemove(1, n, 2, 8);
-  }
-  LabelIndexStats stats = index.Stats();
+  const std::vector<uint64_t> ids{1, 3, 7, 9};
+  EXPECT_EQ(LabelScan(index, 1, At(10)), ids);
+  const PropertyValue four(int64_t{4});
+  EXPECT_EQ(index.Scan(2, four, four, At(10)), ids);
+}
+
+TEST(VersionedIndex, LabelStatsAndCompaction) {
+  VersionedIndex index;
+  for (NodeId n = 0; n < 10; ++n) Add(index, 1, kLabel, n, 1, 5);
+  for (NodeId n = 0; n < 4; ++n) Remove(index, 1, kLabel, n, 2, 8);
+  IndexStats stats = index.Stats();
   EXPECT_EQ(stats.keys, 1u);
   EXPECT_EQ(stats.entries_total, 10u);
   EXPECT_EQ(index.Compact(10), 4u);
@@ -126,21 +153,20 @@ TEST(LabelIndex, StatsAndCompaction) {
   EXPECT_EQ(index.Stats().compacted, 4u);
 }
 
-TEST(PropertyIndex, ExactLookup) {
-  PropertyIndex index;
-  index.AddPending(1, PropertyValue(int64_t{30}), 100, 5);
-  index.CommitAdd(1, PropertyValue(int64_t{30}), 100, 5, 10);
-  EXPECT_EQ(index.Lookup(1, PropertyValue(int64_t{30}), At(10)).size(), 1u);
-  EXPECT_TRUE(index.Lookup(1, PropertyValue(int64_t{31}), At(10)).empty());
+TEST(VersionedIndex, ExactLookup) {
+  VersionedIndex index;
+  const PropertyValue thirty(int64_t{30}), other(int64_t{31});
+  Add(index, 1, thirty, 100, 5, 10);
+  EXPECT_EQ(index.Scan(1, thirty, thirty, At(10)).size(), 1u);
+  EXPECT_TRUE(index.Scan(1, other, other, At(10)).empty());
   // Same value under a different key id is distinct.
-  EXPECT_TRUE(index.Lookup(2, PropertyValue(int64_t{30}), At(10)).empty());
+  EXPECT_TRUE(index.Scan(2, thirty, thirty, At(10)).empty());
 }
 
-TEST(PropertyIndex, RangeScanOrderedInclusive) {
-  PropertyIndex index;
+TEST(VersionedIndex, RangeScanOrderedInclusive) {
+  VersionedIndex index;
   for (int64_t v = 0; v < 10; ++v) {
-    index.AddPending(1, PropertyValue(v), 100 + v, 5);
-    index.CommitAdd(1, PropertyValue(v), 100 + v, 5, 10);
+    Add(index, 1, PropertyValue(v), 100 + v, 5, 10);
   }
   auto hits = index.Scan(1, PropertyValue(int64_t{3}),
                          PropertyValue(int64_t{6}), At(10));
@@ -155,24 +181,34 @@ TEST(PropertyIndex, RangeScanOrderedInclusive) {
   EXPECT_EQ(index.Scan(1, std::nullopt, std::nullopt, At(10)).size(), 10u);
 }
 
-TEST(PropertyIndex, RangeScanDoesNotCrossKeys) {
-  PropertyIndex index;
-  index.AddPending(1, PropertyValue(int64_t{5}), 100, 9);
-  index.CommitAdd(1, PropertyValue(int64_t{5}), 100, 9, 10);
-  index.AddPending(2, PropertyValue(int64_t{5}), 200, 9);
-  index.CommitAdd(2, PropertyValue(int64_t{5}), 200, 9, 10);
+TEST(VersionedIndex, RangeScanIsInValueOrder) {
+  VersionedIndex index;
+  Add(index, 1, PropertyValue(int64_t{2}), 8, 5, 10);
+  Add(index, 1, PropertyValue(int64_t{1}), 9, 5, 10);
+  Add(index, 1, PropertyValue(int64_t{2}), 4, 5, 10);
+  Add(index, 1, PropertyValue(int64_t{1}), 6, 5, 10);
+  const auto hits = index.Scan(1, std::nullopt, std::nullopt, At(10));
+  ASSERT_EQ(hits.size(), 4u);
+  // Value 1's entities, then value 2's.
+  EXPECT_EQ(std::set<uint64_t>(hits.begin(), hits.begin() + 2),
+            (std::set<uint64_t>{6, 9}));
+  EXPECT_EQ(std::set<uint64_t>(hits.begin() + 2, hits.end()),
+            (std::set<uint64_t>{4, 8}));
+}
+
+TEST(VersionedIndex, RangeScanDoesNotCrossKeys) {
+  VersionedIndex index;
+  Add(index, 1, PropertyValue(int64_t{5}), 100, 9, 10);
+  Add(index, 2, PropertyValue(int64_t{5}), 200, 9, 10);
   auto hits = index.Scan(1, std::nullopt, std::nullopt, At(10));
   EXPECT_EQ(hits, (std::vector<uint64_t>{100}));
 }
 
-TEST(PropertyIndex, MixedValueKindsInOneKey) {
-  PropertyIndex index;
-  index.AddPending(1, PropertyValue(int64_t{5}), 1, 9);
-  index.CommitAdd(1, PropertyValue(int64_t{5}), 1, 9, 10);
-  index.AddPending(1, PropertyValue("text"), 2, 9);
-  index.CommitAdd(1, PropertyValue("text"), 2, 9, 10);
-  index.AddPending(1, PropertyValue(true), 3, 9);
-  index.CommitAdd(1, PropertyValue(true), 3, 9, 10);
+TEST(VersionedIndex, MixedValueKindsInOneKey) {
+  VersionedIndex index;
+  Add(index, 1, PropertyValue(int64_t{5}), 1, 9, 10);
+  Add(index, 1, PropertyValue("text"), 2, 9, 10);
+  Add(index, 1, PropertyValue(true), 3, 9, 10);
   // Full scan sees all three, ordered bool < int < string.
   auto hits = index.Scan(1, std::nullopt, std::nullopt, At(10));
   EXPECT_EQ(hits, (std::vector<uint64_t>{3, 1, 2}));
@@ -182,13 +218,26 @@ TEST(PropertyIndex, MixedValueKindsInOneKey) {
   EXPECT_EQ(ints, (std::vector<uint64_t>{1}));
 }
 
-TEST(PropertyIndex, CompactAcrossKeys) {
-  PropertyIndex index;
+TEST(VersionedIndex, ConflictsOutStayInsideTheScannedRange) {
+  VersionedIndex index;
   for (int64_t v = 0; v < 4; ++v) {
-    index.AddPending(1, PropertyValue(v), 100 + v, 5);
-    index.CommitAdd(1, PropertyValue(v), 100 + v, 5, 10);
-    index.RemovePending(1, PropertyValue(v), 100 + v, 6);
-    index.CommitRemove(1, PropertyValue(v), 100 + v, 6, 20);
+    Add(index, 1, PropertyValue(v), 100 + v, 5, 20 + v);
+  }
+  std::vector<Timestamp> conflicts;
+  index.CollectConflictsOut(1, PropertyValue(int64_t{1}),
+                            PropertyValue(int64_t{2}), 10, &conflicts);
+  EXPECT_EQ(conflicts, (std::vector<Timestamp>{21, 22}));
+  // Nothing committed after the snapshot is a conflict.
+  conflicts.clear();
+  index.CollectConflictsOut(1, std::nullopt, std::nullopt, 23, &conflicts);
+  EXPECT_TRUE(conflicts.empty());
+}
+
+TEST(VersionedIndex, CompactAcrossKeys) {
+  VersionedIndex index;
+  for (int64_t v = 0; v < 4; ++v) {
+    Add(index, 1, PropertyValue(v), 100 + v, 5, 10);
+    Remove(index, 1, PropertyValue(v), 100 + v, 6, 20);
   }
   EXPECT_EQ(index.Stats().entries_total, 4u);
   EXPECT_EQ(index.Compact(20), 4u);

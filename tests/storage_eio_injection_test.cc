@@ -165,5 +165,84 @@ TEST(ReplicaCursorEio, FailedCursorSyncResumesWithoutLoss) {
   fs::remove_all(base);
 }
 
+// --- token page write --------------------------------------------------------
+
+// A new token's record reaches the log before its id is published. If the
+// token's page write then fails, the logged id must still win: the creator
+// sees the error, a retry gets the same id without logging the name again,
+// and a replica and a reopened primary both restore the token from that
+// one record.
+TEST(TokenPageEio, FailedPageWriteKeepsTheLoggedId) {
+  const fs::path base = fs::temp_directory_path() / "neosi_eio_token";
+  const fs::path primary_dir = base / "primary";
+  const fs::path replica_dir = base / "replica";
+  fs::remove_all(base);
+  fs::create_directories(primary_dir);
+  fs::create_directories(replica_dir);
+
+  DatabaseOptions primary_options;
+  primary_options.in_memory = false;
+  primary_options.path = primary_dir.string();
+  primary_options.background_gc_interval_ms = 0;
+  primary_options.checkpoint_interval_ms = 0;
+  primary_options.sync_commits = true;
+
+  DatabaseOptions replica_options;
+  replica_options.in_memory = false;
+  replica_options.path = replica_dir.string();
+  replica_options.replica_of_path = primary_dir.string();
+  replica_options.replica_poll_interval_ms = 0;  // Manual RunOnce().
+  replica_options.background_gc_interval_ms = 0;
+  replica_options.checkpoint_interval_ms = 0;
+
+  auto primary_opened = GraphDatabase::Open(primary_options);
+  ASSERT_TRUE(primary_opened.ok()) << primary_opened.status();
+  auto primary = std::move(*primary_opened);
+
+  fault::CrashPoint eio(primary.get(), "token.page.write");
+  {
+    auto txn = primary->Begin();
+    auto id = txn->CreateNode({"Item"}, {});
+    ASSERT_TRUE(eio.fired()) << "token page write never reached";
+    EXPECT_TRUE(id.status().IsIOError()) << id.status();
+    ASSERT_TRUE(txn->Abort().ok());
+  }
+  NodeId item;
+  {
+    auto txn = primary->Begin();
+    auto id = txn->CreateNode({"Item"}, {});
+    ASSERT_TRUE(id.ok()) << id.status();
+    item = *id;
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  EXPECT_EQ(eio.hits(), 1u) << "the retry created the token a second time";
+
+  auto expect_item = [&](GraphDatabase* db, const char* who) {
+    TransactionOptions read_opts;
+    read_opts.read_only = true;
+    auto txn = db->Begin(IsolationLevel::kSnapshotIsolation, read_opts);
+    auto nodes = txn->GetNodesByLabel("Item");
+    ASSERT_TRUE(nodes.ok()) << who << ": " << nodes.status();
+    EXPECT_EQ(*nodes, std::vector<NodeId>{item}) << who;
+  };
+  {
+    auto replica_opened = GraphDatabase::Open(replica_options);
+    ASSERT_TRUE(replica_opened.ok()) << replica_opened.status();
+    auto replica = std::move(*replica_opened);
+    ASSERT_TRUE(replica->replica_applier()->RunOnce().ok())
+        << replica->replica_applier()->last_error();
+    expect_item(replica.get(), "replica");
+  }
+
+  primary.reset();  // Kill with the token page never written.
+  primary_opened = GraphDatabase::Open(primary_options);
+  ASSERT_TRUE(primary_opened.ok()) << primary_opened.status();
+  primary = std::move(*primary_opened);
+  expect_item(primary.get(), "reopened primary");
+
+  primary.reset();
+  fs::remove_all(base);
+}
+
 }  // namespace
 }  // namespace neosi
