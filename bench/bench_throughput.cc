@@ -18,8 +18,7 @@
 // none, segmented-WAL disk high-water (see the banners below).
 //
 // E14 — bounded version backlog: backlog high-water with a pinned long
-// reader, snapshot-too-old policy on vs off, plus a 1/4/8-shard GC drain
-// sweep.
+// reader, snapshot-too-old policy on vs off.
 //
 // Set NEOSI_BENCH_JSON=<path> to also emit every cell as JSON (the perf
 // trajectory file BENCH_throughput.json).
@@ -527,18 +526,15 @@ int main() {
                 "run produced.\n");
   }
 
-  Banner("E14: bounded version backlog — snapshot-too-old policy & sharded "
-         "GC drain",
+  Banner("E14: bounded version backlog — snapshot-too-old policy",
          "one long-lived reader pins the reclamation watermark, so under "
          "sustained writes the version backlog grows with TOTAL write "
          "volume; the snapshot lifecycle policy (snapshot_max_age_ms) "
          "expires the pinning snapshot, advances the watermark past it and "
-         "keeps the backlog high-water bounded — and the entity-key-sharded "
-         "GC list with per-shard drain workers reclaims the churn without a "
-         "single-list bottleneck");
+         "keeps the backlog high-water bounded");
 
   {
-    // Part 1 — pinned long reader, policy off vs on. A reader re-pins the
+    // Pinned long reader, policy off vs on. A reader re-pins the
     // watermark continuously (new snapshot as soon as the previous one is
     // evicted or the hold expires); two writers churn versions. With the
     // policy off the backlog high-water tracks total appends; with a 20 ms
@@ -552,7 +548,6 @@ int main() {
       options.in_memory = true;
       options.background_gc_interval_ms = 2;
       options.gc_backlog_threshold = 64;
-      options.gc_shards = 4;
       options.snapshot_max_age_ms = policy_on ? 20 : 0;
       auto opened = GraphDatabase::Open(options);
       if (!opened.ok()) {
@@ -612,47 +607,6 @@ int main() {
                 "(the pinned watermark retains every superseded version); "
                 "policy_on keeps it orders of magnitude lower at comparable "
                 "commit throughput.\n");
-  }
-
-  {
-    // Part 2 — sharded drain: update churn with the daemon collecting
-    // continuously, swept over 1/4/8 shards (= drain workers). On a
-    // multi-core box the sharded drains overlap with each other and the
-    // writers; on the single-core CI box the interesting signal is that
-    // sharding costs nothing.
-    std::printf("%-12s %8s %12s %14s %14s %12s\n", "config", "threads",
-                "commits/s", "backlog-peak", "reclaimed", "gc-passes");
-    for (const size_t shards : {size_t{1}, size_t{4}, size_t{8}}) {
-      DatabaseOptions options;
-      options.in_memory = true;
-      options.background_gc_interval_ms = 2;
-      options.gc_backlog_threshold = 256;
-      options.gc_shards = shards;
-      auto opened = GraphDatabase::Open(options);
-      if (!opened.ok()) {
-        std::printf("skipped: %s\n", opened.status().ToString().c_str());
-        continue;
-      }
-      auto db = std::move(*opened);
-      auto nodes = BuildFlatNodes(*db, Scaled(16384));
-      if (!nodes.ok()) {
-        std::printf("skipped: %s\n", nodes.status().ToString().c_str());
-        continue;
-      }
-      const int threads = 4;
-      const DriverResult r = RunCommitScalingCell(*db, *nodes, threads,
-                                                  duration_ms,
-                                                  /*writes_per_txn=*/4);
-      const DatabaseStats stats = db->Stats();
-      char config[32];
-      std::snprintf(config, sizeof(config), "shards%zu", shards);
-      std::printf("%-12s %8d %12.0f %14llu %14llu %12llu\n", config, threads,
-                  r.Throughput(),
-                  static_cast<unsigned long long>(stats.gc_backlog_high_water),
-                  static_cast<unsigned long long>(stats.gc_reclaimed),
-                  static_cast<unsigned long long>(stats.gc_daemon_passes));
-      Record("gc_shards", config, threads, r);
-    }
   }
 
   Banner("E15: latch-free read path (epoch-based reclamation)",

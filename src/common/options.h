@@ -4,31 +4,30 @@
 // the daemon / trigger it paces (or the code path that consumes it), so an
 // operator can reason about a deployment from this file alone. The daemons:
 //
-//   GcDaemon          sharded version reclamation  (background_gc_interval_ms,
-//                     gc_backlog_threshold, gc_shards, snapshot_max_age_ms,
+//   GcDaemon          version reclamation          (background_gc_interval_ms,
+//                     gc_backlog_threshold, snapshot_max_age_ms,
 //                     snapshot_expire_backlog) + epoch limbo drains
 //   CheckpointDaemon  WAL bounding                 (checkpoint_interval_ms,
 //                     checkpoint_wal_threshold, wal_segment_size,
 //                     wal_recycle_segments)
 //
-// The one auto-sized (0 = auto) option, gc_shards, resolves from
-// std::thread::hardware_concurrency() at Open() through ResolvedGcShards().
+// Both daemons run one thread each on the same paced loop (PacedLoop).
 // Internals that no deployment tunes are fixed rules instead of options:
-// epoch slots max(64, 4 * cores) (EpochManager), active-transaction shards
-// max(16, 2 * cores) capped at 64 (ActiveTxnTable), 64 SSI marker shards
-// (SsiTracker), group-commit batches of at most max(8, 4 * cores) capped at
-// 256 records (GroupCommitter), and a 10 s lock-wait backstop
-// (LockManager).
+// GC list shards = cores clamped to [1, 64], 4 when unknown
+// (ShardedGcList; shards split commit-path append contention, one GC
+// thread drains them all), epoch slots max(64, 4 * cores) (EpochManager),
+// active-transaction shards max(16, 2 * cores) capped at 64
+// (ActiveTxnTable), 64 SSI marker shards (SsiTracker), group-commit batches
+// of at most max(8, 4 * cores) capped at 256 records (GroupCommitter), and
+// a 10 s lock-wait backstop (LockManager).
 
 #ifndef NEOSI_COMMON_OPTIONS_H_
 #define NEOSI_COMMON_OPTIONS_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "common/types.h"
 
@@ -91,7 +90,7 @@ struct DatabaseOptions {
 
   // --- GC daemon (version reclamation) -------------------------------------
 
-  /// Pass interval of the background GC drain workers, in MILLISECONDS.
+  /// Pass interval of the background GC daemon, in MILLISECONDS.
   /// Default: 50. Reclamation is fully asynchronous: no GC work ever runs
   /// on the commit path. 0 disables the daemon entirely (callers invoke
   /// GraphDatabase::RunGc() manually — and the snapshot lifecycle policy
@@ -99,21 +98,11 @@ struct DatabaseOptions {
   uint64_t background_gc_interval_ms = 50;
 
   /// GC backlog (obsolete versions queued across all shards, in ENTRIES)
-  /// at which commit publication nudges the GC drain workers for an
-  /// immediate pass instead of waiting out the interval. Default: 1024.
+  /// at which commit publication nudges the GC daemon for an immediate
+  /// pass instead of waiting out the interval. Default: 1024.
   /// 0 disables nudging (interval pacing only). Also the trigger gauge for
   /// snapshot_expire_backlog below.
   uint64_t gc_backlog_threshold = 1024;
-
-  /// Number of entity-key shards of the GC list — and of background drain
-  /// worker threads (one per shard). Default: 0 = AUTO (the machine's
-  /// hardware_concurrency, clamped to [1, 64]; 4 when the core count is
-  /// unknown). Explicit values are clamped to [1, 64]. Each shard keeps
-  /// the paper's timestamp-sorted list (near-sorted tail insert,
-  /// O(#reclaimed) drain); sharding removes the single-list mutex and
-  /// single drain thread as the bottleneck at high core counts. 1
-  /// reproduces the pre-sharding topology.
-  size_t gc_shards = 0;
 
   // --- snapshot lifecycle (snapshot-too-old policy) ------------------------
 
@@ -234,16 +223,6 @@ struct DatabaseOptions {
   /// True when this instance was configured as a read replica.
   bool IsReplica() const {
     return replica_of != nullptr || !replica_of_path.empty();
-  }
-
-  // --- auto-size resolution (0 = auto options) -----------------------------
-
-  /// gc_shards with auto resolved: hardware_concurrency clamped to
-  /// [1, 64], 4 when the core count is unknown.
-  size_t ResolvedGcShards() const {
-    if (gc_shards != 0) return std::min<size_t>(gc_shards, 64);
-    const size_t hw = std::thread::hardware_concurrency();
-    return std::clamp<size_t>(hw == 0 ? 4 : hw, 1, 64);
   }
 };
 

@@ -1,44 +1,13 @@
 #include "graph/checkpoint_daemon.h"
 
-#include <chrono>
-
 namespace neosi {
 
 CheckpointDaemon::CheckpointDaemon(GraphStore* store, uint64_t interval_ms,
                                    uint64_t wal_threshold_bytes)
     : store_(store),
       interval_ms_(interval_ms == 0 ? 100 : interval_ms),
-      wal_threshold_bytes_(wal_threshold_bytes) {}
-
-CheckpointDaemon::~CheckpointDaemon() { Stop(); }
-
-void CheckpointDaemon::Start() {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (thread_.joinable()) return;
-  stop_requested_ = false;
-  nudge_armed_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void CheckpointDaemon::Stop() {
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (!thread_.joinable()) return;
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  running_.store(false, std::memory_order_release);
-}
-
-void CheckpointDaemon::Nudge() {
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    nudged_ = true;
-  }
-  cv_.notify_all();
-}
+      wal_threshold_bytes_(wal_threshold_bytes),
+      loop_(interval_ms_, [this](bool nudged) { return Pass(nudged); }) {}
 
 bool CheckpointDaemon::WalNeedsCheckpoint() const {
   if (wal_threshold_bytes_ == 0) return true;
@@ -49,46 +18,15 @@ bool CheckpointDaemon::WalNeedsCheckpoint() const {
          store_->wal().SegmentCount() > 1;
 }
 
-void CheckpointDaemon::NudgeIfWalExceedsThreshold() {
-  if (wal_threshold_bytes_ == 0) return;
-  if (!WalNeedsCheckpoint()) return;
-  if (nudge_armed_.exchange(true, std::memory_order_acq_rel)) return;
-  Nudge();
-}
-
-void CheckpointDaemon::Loop() {
-  for (;;) {
-    bool nudged = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                   [this] { return stop_requested_ || nudged_; });
-      if (stop_requested_) return;
-      nudged = nudged_;
-      nudged_ = false;
-    }
-    // Re-arm the commit nudge BEFORE reading the gauge: WAL growth that
-    // lands after this point re-nudges for the next iteration, so no burst
-    // is swallowed by a pass computed against a stale size.
-    nudge_armed_.store(false, std::memory_order_release);
-
-    // An explicit Nudge() always checkpoints; an interval wakeup only when
-    // the live WAL has outgrown the threshold (bytes or segments). Idle
-    // wakeups cost a few atomic loads — no store or log work.
-    if (!nudged && !WalNeedsCheckpoint()) {
-      idle_skips_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-
-    Status s = store_->Checkpoint();
-    passes_.fetch_add(1, std::memory_order_relaxed);
-    if (nudged) {
-      nudge_passes_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      interval_passes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!s.ok()) failed_passes_.fetch_add(1, std::memory_order_relaxed);
+PacedLoop::Outcome CheckpointDaemon::Pass(bool nudged) {
+  // An explicit Nudge() always checkpoints; an interval wakeup only when
+  // the live WAL has outgrown the threshold (bytes or segments). Idle
+  // wakeups cost a few atomic loads — no store or log work.
+  if (!nudged && !WalNeedsCheckpoint()) return {false, interval_ms_};
+  if (!store_->Checkpoint().ok()) {
+    failed_passes_.fetch_add(1, std::memory_order_relaxed);
   }
+  return {true, interval_ms_};
 }
 
 }  // namespace neosi

@@ -1,4 +1,5 @@
-// Background checkpoint thread, the durability twin of GcDaemon.
+// Background checkpoint thread, the durability twin of GcDaemon: both run
+// on the same PacedLoop and hold only their own pass.
 //
 // Pacing: the daemon wakes on a fixed interval and runs one FUZZY
 // incremental checkpoint (GraphStore::Checkpoint — stable LSN, dirty-store
@@ -15,12 +16,9 @@
 #define NEOSI_GRAPH_CHECKPOINT_DAEMON_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 
-#include "common/status.h"
+#include "graph/paced_loop.h"
 #include "storage/graph_store.h"
 
 namespace neosi {
@@ -32,42 +30,40 @@ class CheckpointDaemon {
   /// (0 = checkpoint on every interval pass).
   CheckpointDaemon(GraphStore* store, uint64_t interval_ms,
                    uint64_t wal_threshold_bytes);
-  ~CheckpointDaemon();
 
   CheckpointDaemon(const CheckpointDaemon&) = delete;
   CheckpointDaemon& operator=(const CheckpointDaemon&) = delete;
 
   /// Starts the thread (idempotent).
-  void Start();
+  void Start() { loop_.Start(); }
 
-  /// Stops and joins the thread (idempotent; also done by the destructor).
-  /// An in-flight checkpoint completes, then the thread exits.
-  void Stop();
+  /// Stops and joins the thread (idempotent, safe from concurrent callers;
+  /// also done by the destructor). An in-flight checkpoint completes, then
+  /// the thread exits.
+  void Stop() { loop_.Stop(); }
 
   /// Wakes the daemon for an immediate pass, regardless of the threshold.
-  void Nudge();
+  void Nudge() { loop_.Nudge(); }
 
   /// Commit-publication hook: nudges iff the live WAL has reached the
   /// threshold, by bytes OR by segments (a rolled-past segment is whole-
   /// file reclaimable once the stable LSN passes it — worth a pass even
   /// below the byte threshold). The common case is a few relaxed atomic
   /// loads; an already armed nudge is never re-notified.
-  void NudgeIfWalExceedsThreshold();
+  void NudgeIfWalExceedsThreshold() {
+    if (wal_threshold_bytes_ == 0) return;
+    if (!WalNeedsCheckpoint()) return;
+    loop_.NudgeArmed();
+  }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return loop_.running(); }
 
   /// Totals across all passes so far.
-  uint64_t passes() const { return passes_.load(std::memory_order_relaxed); }
-  uint64_t nudge_passes() const {
-    return nudge_passes_.load(std::memory_order_relaxed);
-  }
-  uint64_t interval_passes() const {
-    return interval_passes_.load(std::memory_order_relaxed);
-  }
+  uint64_t passes() const { return loop_.passes(); }
+  uint64_t nudge_passes() const { return loop_.nudge_passes(); }
+  uint64_t interval_passes() const { return loop_.interval_passes(); }
   /// Wakeups that found the live WAL below the threshold and skipped.
-  uint64_t idle_skips() const {
-    return idle_skips_.load(std::memory_order_relaxed);
-  }
+  uint64_t idle_skips() const { return loop_.idle_skips(); }
   /// Passes whose checkpoint returned an error (kept counting; the next
   /// pass retries).
   uint64_t failed_passes() const {
@@ -77,9 +73,9 @@ class CheckpointDaemon {
   uint64_t wal_threshold_bytes() const { return wal_threshold_bytes_; }
 
  private:
-  void Loop();
+  PacedLoop::Outcome Pass(bool nudged);
 
-  /// The pass gate shared by the interval loop and the commit nudge: live
+  /// The pass gate shared by the interval wakeup and the commit nudge: live
   /// WAL bytes past the threshold, or more than one chained segment (so a
   /// checkpoint can turn a cold segment into an unlink).
   bool WalNeedsCheckpoint() const;
@@ -88,21 +84,11 @@ class CheckpointDaemon {
   const uint64_t interval_ms_;
   const uint64_t wal_threshold_bytes_;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
-  bool nudged_ = false;
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  /// Collapses the per-commit nudge storm above the threshold into one
-  /// notify until the daemon has reacted.
-  std::atomic<bool> nudge_armed_{false};
-
-  std::atomic<uint64_t> passes_{0};
-  std::atomic<uint64_t> nudge_passes_{0};
-  std::atomic<uint64_t> interval_passes_{0};
-  std::atomic<uint64_t> idle_skips_{0};
   std::atomic<uint64_t> failed_passes_{0};
+
+  /// Declared last: destroyed (stopped and joined) first, while the state
+  /// its pass touches is still alive.
+  PacedLoop loop_;
 };
 
 }  // namespace neosi

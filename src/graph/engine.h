@@ -75,7 +75,7 @@ struct AdmissionCounters {
 /// Everything the engine is made of, wired once at Open().
 struct Engine {
   explicit Engine(const DatabaseOptions& opts)
-      : options(opts), store(opts), gc_list(opts.ResolvedGcShards()) {}
+      : options(opts), store(opts) {}
 
   DatabaseOptions options;
 
@@ -85,12 +85,12 @@ struct Engine {
   /// Lock waits time out after LockManager's 10 s default (a backstop:
   /// wait-die breaks cycles long before it fires).
   LockManager lock_manager;
-  /// Entity-key-sharded reclamation queue (opts.gc_shards shards, auto =
-  /// core count); each shard is drained by its own GcDaemon worker.
+  /// Entity-key-sharded reclamation queue (one shard per core, see
+  /// ShardedGcList); one GC pass drains every shard.
   ShardedGcList gc_list;
   /// Epoch-based-reclamation domain for the latch-free read path, wired
   /// into every cached version chain (slots auto-sized from the core
-  /// count). The GC daemon bumps + drains it once per cycle.
+  /// count). The GC daemon bumps + drains it once per wakeup.
   EpochManager epochs;
   /// SIREAD markers + rw-antidependency edges for kSerializable
   /// transactions. Touched only by serializable transactions; SI/RC paths

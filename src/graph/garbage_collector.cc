@@ -69,12 +69,7 @@ uint64_t LogAndPurgeTombstones(Engine* engine, const std::vector<RelId>& rels,
   return purged;
 }
 
-GcEngine::GcEngine(Engine* engine) : engine_(engine) {
-  shard_mus_.reserve(engine_->gc_list.shard_count());
-  for (size_t i = 0; i < engine_->gc_list.shard_count(); ++i) {
-    shard_mus_.push_back(std::make_unique<std::mutex>());
-  }
-}
+GcEngine::GcEngine(Engine* engine) : engine_(engine) {}
 
 void GcEngine::EvictCache() { engine_->cache->EvictIfNeeded(); }
 
@@ -94,11 +89,9 @@ void GcEngine::DrainEntries(std::vector<GcEntry> entries, Timestamp watermark,
   // Partition: superseded versions are pruned from their chains; tombstone
   // versions trigger physical purges (relationships strictly before nodes,
   // so node purges find an empty chain — a node whose chain is still
-  // populated, because its rel tombstones hash to a shard that has not
-  // drained yet, is deferred below). Entries for the same entity are
-  // batched so a long backlog is pruned with ONE chain walk per entity
-  // (cost stays O(#reclaimed), the paper's complexity claim); an entity's
-  // entries always share a shard, so shard-local batching loses nothing.
+  // populated is deferred below). Entries for the same entity are batched
+  // so a long backlog is pruned with ONE chain walk per entity (cost stays
+  // O(#reclaimed), the paper's complexity claim).
   std::vector<GcEntry> purge_rels;
   std::vector<GcEntry> purge_nodes;
   std::unordered_map<EntityKey, std::vector<std::shared_ptr<Version>>>
@@ -152,13 +145,13 @@ void GcEngine::DrainEntries(std::vector<GcEntry> entries, Timestamp watermark,
   // Node purge admission: only nodes whose PHYSICAL rel chain is already
   // empty enter the batch. Rel purges only ever shrink a tombstoned
   // node's chain (attaching a rel needs a visible endpoint), so "empty" is
-  // stable once observed — but a chain still holding tombstoned rels that
-  // another shard's worker has yet to purge must wait. The skipped entry
-  // goes straight back onto its shard (same obsolete_since: reclaimable on
-  // the very next pass, by which time the rel shard has typically
-  // drained). Crucially the admission check runs BEFORE the WAL purge
-  // record is written: a logged-but-failed PurgeNode would fail-stop
-  // recovery when the replay hits the chained node.
+  // stable once observed — but a chain still holding rels this batch did
+  // not purge (e.g. their purge record failed to log) must wait. The
+  // skipped entry goes straight back onto the list (same obsolete_since:
+  // reclaimable on the very next pass).
+  // Crucially the admission check runs BEFORE the WAL purge record is
+  // written: a logged-but-failed PurgeNode would fail-stop recovery when
+  // the replay hits the chained node.
   std::vector<NodeId> node_ids;
   node_ids.reserve(purge_nodes.size());
   for (GcEntry& entry : purge_nodes) {
@@ -187,11 +180,7 @@ void GcEngine::CompactIndexes(Timestamp watermark, GcStats* stats) {
 }
 
 GcStats GcEngine::CollectUpTo(Timestamp watermark) {
-  // Global pass: exclusive on every shard, in order (the per-shard workers
-  // take exactly one, so ordered acquisition cannot deadlock with them).
-  std::vector<std::unique_lock<std::mutex>> guards;
-  guards.reserve(shard_mus_.size());
-  for (auto& mu : shard_mus_) guards.emplace_back(*mu);
+  std::lock_guard<std::mutex> guard(pass_mu_);
   const auto t0 = std::chrono::steady_clock::now();
 
   GcStats stats;
@@ -200,44 +189,16 @@ GcStats GcEngine::CollectUpTo(Timestamp watermark) {
   // Pop exactly the reclaimable prefix of every shard FIRST, then reclaim:
   // with all rel tombstones <= watermark popped into this one batch, the
   // rels-before-nodes order inside DrainEntries leaves every node chain
-  // empty by the time its purge runs — the pre-sharding behaviour.
+  // empty by the time its purge runs.
   DrainEntries(engine_->gc_list.PopReclaimable(watermark), watermark, &stats);
-
-  {
-    std::lock_guard<std::mutex> extras(extras_mu_);
-    CompactIndexes(watermark, &stats);
-    // Cache eviction rides the GC pass (it used to ride the retired
-    // foreground auto-GC): single-version clean objects beyond capacity go.
-    EvictCache();
-    // Versions the prune/purge above unlinked were retired into the epoch
-    // limbo (latch-free read path); bump + drain frees the reachable-free
-    // ones now, so a manual RunGc() pass reclaims memory end to end.
-    DrainEpochs();
-  }
-
-  stats.nanos = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  return stats;
-}
-
-GcStats GcEngine::CollectShardUpTo(size_t shard, Timestamp watermark,
-                                   bool run_global_extras) {
-  std::lock_guard<std::mutex> guard(*shard_mus_[shard]);
-  const auto t0 = std::chrono::steady_clock::now();
-
-  GcStats stats;
-  stats.watermark = watermark;
-  DrainEntries(engine_->gc_list.PopReclaimableFromShard(shard, watermark),
-               watermark, &stats);
-
-  if (run_global_extras) {
-    std::lock_guard<std::mutex> extras(extras_mu_);
-    CompactIndexes(watermark, &stats);
-    EvictCache();
-    DrainEpochs();
-  }
+  CompactIndexes(watermark, &stats);
+  // Cache eviction rides the GC pass: single-version clean objects beyond
+  // capacity go.
+  EvictCache();
+  // Versions the prune/purge above unlinked were retired into the epoch
+  // limbo (latch-free read path); bump + drain frees the reachable-free
+  // ones now, so a pass reclaims memory end to end.
+  DrainEpochs();
 
   stats.nanos = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

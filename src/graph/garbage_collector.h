@@ -2,20 +2,18 @@
 // timestamp-sorted list of obsolete versions, so each pass touches only the
 // versions it reclaims — never the whole store (contrast: VacuumGc).
 //
-// Sharded drains: the list is entity-key-sharded (ShardedGcList) and each
-// shard is drained independently by its own GcDaemon worker
-// (CollectShardUpTo). Reclaimability is per-version, so shards need no
-// cross-coordination — with one exception: physical tombstone purges must
-// remove relationships before their endpoint nodes, and a node's rel
-// tombstones may hash to other shards. A node purge that still sees a
-// physical rel chain is therefore DEFERRED (re-appended to its shard) until
-// the rel shards have drained; see CollectShardUpTo.
+// One pass drains every shard: the list is entity-key-sharded
+// (ShardedGcList) only to split contention between commit-path appends. A
+// pass pops every shard's reclaimable prefix in one batch, so physical
+// tombstone purges can remove relationships before their endpoint nodes
+// within that batch. A node purge that still sees a physical rel chain is
+// DEFERRED (re-appended) to a later pass — the fail-closed check that keeps
+// a logged purge from ever failing on replay; see DrainEntries.
 
 #ifndef NEOSI_GRAPH_GARBAGE_COLLECTOR_H_
 #define NEOSI_GRAPH_GARBAGE_COLLECTOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -31,8 +29,8 @@ struct GcStats {
   uint64_t tombstones_purged = 0;  ///< Entities physically removed.
   uint64_t index_entries_dropped = 0;
   /// Node purges pushed to a later pass because the node's physical rel
-  /// chain was non-empty (its rel tombstones live in a shard still
-  /// draining). Each deferral re-appends the entry, so nothing is lost.
+  /// chain was non-empty (or could not be read). Each deferral re-appends
+  /// the entry, so nothing is lost.
   uint64_t purges_deferred = 0;
   uint64_t nanos = 0;              ///< Wall time of the pass.
 };
@@ -45,33 +43,25 @@ class GcEngine {
   GcEngine(const GcEngine&) = delete;
   GcEngine& operator=(const GcEngine&) = delete;
 
-  /// One GLOBAL pass: computes the watermark, pops every shard's
-  /// reclaimable entries, prunes chains, purges tombstones (relationships
-  /// before nodes), and compacts the indexes. Safe to call concurrently
-  /// with transactions and with the per-shard drain workers.
+  /// One pass: computes the watermark, pops every shard's reclaimable
+  /// entries, prunes chains, purges tombstones (relationships before
+  /// nodes), and compacts the indexes. Safe to call concurrently with
+  /// transactions and with the GC daemon (passes serialize).
   GcStats Collect();
 
-  /// Global pass with an explicit watermark (tests).
+  /// The pass with an explicit watermark (the daemon computes its own).
   GcStats CollectUpTo(Timestamp watermark);
 
-  /// One SHARD drain (the per-worker path): pops only `shard`'s
-  /// reclaimable entries and reclaims them. When `run_global_extras` is
-  /// set (exactly one worker per daemon cycle — the primary), the pass
-  /// also compacts the indexes and runs the cache-eviction sweep, which
-  /// are global structures that must not be swept once per shard.
-  GcStats CollectShardUpTo(size_t shard, Timestamp watermark,
-                           bool run_global_extras);
-
-  /// Object-cache eviction sweep (EvictIfNeeded). Runs with the global
-  /// extras of a pass; the daemon also calls it on idle-skipped wakeups so
-  /// eviction never starves on garbage-free (e.g. insert-only) workloads.
+  /// Object-cache eviction sweep (EvictIfNeeded). Runs at the end of every
+  /// pass; the daemon also calls it on idle-skipped wakeups so eviction
+  /// never starves on garbage-free (e.g. insert-only) workloads.
   void EvictCache();
 
   /// Epoch tick for the latch-free read path: bumps the global epoch, then
-  /// frees every limbo version no entered reader can still reach. Run by
-  /// the PRIMARY daemon worker once per cycle (pass or idle skip) and by
-  /// the manual/global pass, so retirees from cycle N are freed by cycle
-  /// N+1 at the latest. Cheap no-op when nothing was retired.
+  /// frees every limbo version no entered reader can still reach. Run at
+  /// the end of every pass and on every daemon idle skip, so retirees from
+  /// wakeup N are freed by wakeup N+1 at the latest. Cheap no-op when
+  /// nothing was retired.
   void DrainEpochs();
 
  private:
@@ -84,13 +74,8 @@ class GcEngine {
   void CompactIndexes(Timestamp watermark, GcStats* stats);
 
   Engine* const engine_;
-  /// One drain at a time PER SHARD (a shard worker and a global pass may
-  /// target the same shard); global passes additionally serialize among
-  /// themselves and with every shard via ordered acquisition.
-  std::vector<std::unique_ptr<std::mutex>> shard_mus_;
-  /// Serializes the global extras (index compaction + eviction) between
-  /// the primary worker and manual Collect() calls.
-  std::mutex extras_mu_;
+  /// One pass at a time: serializes the daemon and manual RunGc() calls.
+  std::mutex pass_mu_;
 };
 
 /// WAL-logs and physically purges tombstoned entities — relationships

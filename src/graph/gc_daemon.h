@@ -1,105 +1,93 @@
-// Background garbage-collection workers. The paper's GC is cheap enough
+// Background garbage collection. The paper's GC is cheap enough
 // (O(garbage) per pass, E8) to run continuously without stalling
 // processing — the property that PostgreSQL's vacuum lacks (§4).
 //
-// Topology: ONE drain worker thread per GC-list shard (shard i is drained
-// only by worker i, so shard drains never contend with each other; the
-// worker count is options.gc_shards). The daemon is the only automatic
-// reclamation path — no GC work runs on the commit path. Workers wake on a
-// fixed interval, and commit publication nudges them early whenever the
+// One worker thread (a PacedLoop) runs the global pass,
+// GcEngine::CollectUpTo, the same pass RunGc() runs: it pops every GC-list
+// shard's reclaimable prefix in one batch. The daemon is the only automatic
+// reclamation path — no GC work runs on the commit path. The worker wakes
+// on a fixed interval, and commit publication nudges it early whenever the
 // aggregate GcList backlog crosses the configured threshold — a lock-free
-// gauge read plus a rare notify. Every pass drains its shard strictly up
-// to the publication/active-transaction watermark, so a version some live
+// gauge read plus a rare notify. Every pass drains strictly up to the
+// publication/active-transaction watermark, so a version some live
 // snapshot can still read is never reclaimed.
 //
-// Snapshot lifecycle: worker 0 (the "primary") additionally runs the
-// snapshot expiry sweep (ActiveTxnTable::ExpireSnapshots) on every wakeup —
-// age-based (snapshot_max_age_ms) plus backlog-pressure eviction of the
-// watermark-pinning cohort (snapshot_expire_backlog) — and carries the
-// global per-pass extras (index compaction, cache eviction, and the epoch
-// bump+drain tick that frees limbo versions retired by the latch-free
-// read path) that must not run once per shard. The epoch tick runs on
-// idle skips too, so abort-path retirees are freed even when nothing is
-// reclaimable.
+// Snapshot lifecycle: every wakeup first runs the snapshot expiry sweep
+// (ActiveTxnTable::ExpireSnapshots) — age-based (snapshot_max_age_ms) plus
+// backlog-pressure eviction of the watermark-pinning cohort
+// (snapshot_expire_backlog). Idle skips still run cache eviction and the
+// epoch bump+drain tick that frees limbo versions retired by the
+// latch-free read path, so abort-path retirees are freed even when nothing
+// is reclaimable.
 
 #ifndef NEOSI_GRAPH_GC_DAEMON_H_
 #define NEOSI_GRAPH_GC_DAEMON_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "graph/garbage_collector.h"
+#include "graph/paced_loop.h"
 #include "mvcc/gc_list.h"
 #include "txn/active_txn_table.h"
 #include "txn/timestamp_oracle.h"
 
 namespace neosi {
 
-/// Watermark-paced asynchronous reclamation workers over a GcEngine.
+/// Watermark-paced asynchronous reclamation worker over a GcEngine.
 class GcDaemon {
  public:
   /// `oracle` + `active_txns` supply the reclamation watermark (the table
-  /// is mutable: the primary worker marks snapshots expired on it);
-  /// `gc_list` is the sharded backlog — one worker thread is spawned per
-  /// shard. `backlog_threshold` == 0 disables nudging (interval pacing
-  /// only). `snapshot_max_age_ms` / `snapshot_expire_backlog` == 0 disable
-  /// the respective expiry triggers.
+  /// is mutable: the expiry sweep marks snapshots expired on it);
+  /// `gc_list` is the backlog. `backlog_threshold` == 0 disables nudging
+  /// (interval pacing only). `snapshot_max_age_ms` /
+  /// `snapshot_expire_backlog` == 0 disable the respective expiry triggers.
   GcDaemon(GcEngine* gc, const TimestampOracle* oracle,
            ActiveTxnTable* active_txns, ShardedGcList* gc_list,
            uint64_t interval_ms, uint64_t backlog_threshold,
            uint64_t snapshot_max_age_ms, uint64_t snapshot_expire_backlog);
-  ~GcDaemon();
 
   GcDaemon(const GcDaemon&) = delete;
   GcDaemon& operator=(const GcDaemon&) = delete;
 
-  /// Starts the worker threads (idempotent).
-  void Start();
+  /// Starts the worker thread (idempotent).
+  void Start() { loop_.Start(); }
 
-  /// Stops and joins every worker (idempotent; also done by the
-  /// destructor). Safe to call during in-flight passes: each pass
-  /// completes, then its thread exits.
-  void Stop();
+  /// Stops and joins the worker (idempotent; also done by the destructor).
+  /// Safe to call during an in-flight pass: the pass completes, then the
+  /// thread exits.
+  void Stop() { loop_.Stop(); }
 
-  /// Wakes every worker for an immediate pass, without waiting for the
+  /// Wakes the worker for an immediate pass, without waiting for the
   /// interval.
-  void Nudge();
+  void Nudge() { loop_.Nudge(); }
 
   /// Commit-publication hook: nudges iff the aggregate GcList backlog has
   /// reached the threshold. The common case is one relaxed atomic load; an
   /// already armed nudge is never re-notified.
-  void NudgeIfBacklogged();
-
-  bool running() const { return running_.load(std::memory_order_acquire); }
-
-  size_t worker_count() const { return shard_count_; }
-
-  /// Totals across all workers and passes so far. A "pass" is one worker
-  /// draining one shard (so one daemon cycle contributes up to
-  /// worker_count() passes).
-  uint64_t passes() const { return passes_.load(std::memory_order_relaxed); }
-  uint64_t nudge_passes() const {
-    return nudge_passes_.load(std::memory_order_relaxed);
+  void NudgeIfBacklogged() {
+    if (backlog_threshold_ == 0) return;
+    if (gc_list_->backlog() < backlog_threshold_) return;
+    loop_.NudgeArmed();
   }
-  uint64_t interval_passes() const {
-    return interval_passes_.load(std::memory_order_relaxed);
-  }
-  /// Wakeups that found nothing reclaimable in their shard below the
-  /// watermark and skipped the pass entirely.
-  uint64_t idle_skips() const {
-    return idle_skips_.load(std::memory_order_relaxed);
-  }
+
+  bool running() const { return loop_.running(); }
+
+  /// Totals across all passes so far. A "pass" is one global drain of
+  /// every shard.
+  uint64_t passes() const { return loop_.passes(); }
+  uint64_t nudge_passes() const { return loop_.nudge_passes(); }
+  uint64_t interval_passes() const { return loop_.interval_passes(); }
+  /// Wakeups that found nothing reclaimable below the watermark and
+  /// skipped the pass entirely.
+  uint64_t idle_skips() const { return loop_.idle_skips(); }
   uint64_t versions_pruned() const {
     return versions_pruned_.load(std::memory_order_relaxed);
   }
   uint64_t tombstones_purged() const {
     return tombstones_purged_.load(std::memory_order_relaxed);
   }
-  /// Node purges deferred across shard-drain passes (see GcStats).
+  /// Node purges deferred to a later pass (see GcStats).
   uint64_t purges_deferred() const {
     return purges_deferred_.load(std::memory_order_relaxed);
   }
@@ -107,49 +95,29 @@ class GcDaemon {
   uint64_t backlog_threshold() const { return backlog_threshold_; }
 
  private:
-  void Loop(size_t shard);
+  PacedLoop::Outcome Pass();
 
-  /// Primary-worker expiry sweep: age expiry plus backlog-pressure
-  /// eviction when the backlog is over threshold AND pinned (its head is
-  /// not reclaimable below the current watermark).
+  /// Expiry sweep: age expiry plus backlog-pressure eviction when the
+  /// backlog is over threshold AND pinned (its head is not reclaimable
+  /// below the current watermark).
   void MaybeExpireSnapshots();
 
   GcEngine* const gc_;
   const TimestampOracle* const oracle_;
   ActiveTxnTable* const active_txns_;
   ShardedGcList* const gc_list_;
-  const size_t shard_count_;
   const uint64_t interval_ms_;
   const uint64_t backlog_threshold_;
   const uint64_t snapshot_max_age_ms_;
   const uint64_t snapshot_expire_backlog_;
 
-  /// Serializes Start()/Stop() transitions end to end (held ACROSS the
-  /// joins, which mu_ cannot be — workers need mu_ to observe the stop
-  /// flag). Without it a Start() racing a mid-join Stop() could clear
-  /// stop_requested_ before the outgoing workers saw it, wedging Stop()
-  /// on threads that never exit.
-  std::mutex lifecycle_mu_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
-  /// Nudge generation: bumped by Nudge(), observed per worker (a worker
-  /// that slept through N nudges reacts once — the pass it runs sees the
-  /// freshest watermark anyway).
-  uint64_t nudge_seq_ = 0;
-  std::vector<std::thread> threads_;
-  std::atomic<bool> running_{false};
-  /// Collapses the per-commit nudge storm above the threshold into one
-  /// notify until a worker has reacted.
-  std::atomic<bool> nudge_armed_{false};
-
-  std::atomic<uint64_t> passes_{0};
-  std::atomic<uint64_t> nudge_passes_{0};
-  std::atomic<uint64_t> interval_passes_{0};
-  std::atomic<uint64_t> idle_skips_{0};
   std::atomic<uint64_t> versions_pruned_{0};
   std::atomic<uint64_t> tombstones_purged_{0};
   std::atomic<uint64_t> purges_deferred_{0};
+
+  /// Declared last: destroyed (stopped and joined) first, while the state
+  /// its pass touches is still alive.
+  PacedLoop loop_;
 };
 
 }  // namespace neosi

@@ -206,11 +206,6 @@ DatabaseStats GraphDatabase::Stats() const {
   stats.gc_appended = engine_->gc_list.total_appended();
   stats.gc_reclaimed = engine_->gc_list.total_reclaimed();
   stats.gc_backlog_high_water = engine_->gc_list.backlog_high_water();
-  stats.gc_shards = engine_->gc_list.shard_count();
-  stats.gc_shard_backlogs.reserve(engine_->gc_list.shard_count());
-  for (size_t i = 0; i < engine_->gc_list.shard_count(); ++i) {
-    stats.gc_shard_backlogs.push_back(engine_->gc_list.shard_backlog(i));
-  }
   if (gc_daemon_) {
     stats.gc_daemon_passes = gc_daemon_->passes();
     stats.gc_daemon_nudge_passes = gc_daemon_->nudge_passes();

@@ -14,7 +14,6 @@
 #define NEOSI_GRAPH_GRAPH_DATABASE_H_
 
 #include <memory>
-#include <vector>
 
 #include "common/options.h"
 #include "common/status.h"
@@ -43,17 +42,13 @@ struct DatabaseStats {
   /// headroom; the snapshot-too-old policy's backlog trigger reads the
   /// live gauge behind this).
   uint64_t gc_backlog_high_water = 0;
-  /// GC list shard count and the per-shard live backlogs (one gauge per
-  /// entity-key shard; each shard has its own drain worker).
-  uint64_t gc_shards = 0;
-  std::vector<uint64_t> gc_shard_backlogs;
   /// Daemon pacing counters (all zero when the daemon is disabled). A
-  /// "pass" is one worker draining one shard.
+  /// "pass" is one global drain of every GC-list shard.
   uint64_t gc_daemon_passes = 0;
   uint64_t gc_daemon_nudge_passes = 0;     ///< Triggered by backlog nudges.
   uint64_t gc_daemon_interval_passes = 0;  ///< Triggered by the interval.
-  /// Node purges pushed to a later pass because the node's rel tombstones
-  /// were still draining in another shard.
+  /// Node purges pushed to a later pass because the node's physical rel
+  /// chain was not yet empty (see GcStats::purges_deferred).
   uint64_t gc_purges_deferred = 0;
   /// Snapshot lifecycle (snapshot-too-old policy) per-cause counters.
   uint64_t snapshots_expired_age = 0;      ///< Victims of snapshot_max_age_ms.

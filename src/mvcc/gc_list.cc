@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <thread>
 
 namespace neosi {
 
@@ -51,8 +52,19 @@ Timestamp GcList::OldestObsoleteSince() const {
 // ShardedGcList
 // ---------------------------------------------------------------------------
 
+namespace {
+
+size_t CoreCount() {
+  const size_t hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 4 : hw;  // 0 when unknown.
+}
+
+}  // namespace
+
+ShardedGcList::ShardedGcList() : ShardedGcList(CoreCount()) {}
+
 ShardedGcList::ShardedGcList(size_t shards)
-    : shards_(std::min(std::max<size_t>(shards, 1), kMaxShards)) {}
+    : shards_(std::clamp<size_t>(shards, 1, kMaxShards)) {}
 
 void ShardedGcList::Append(GcEntry entry) {
   const size_t shard = ShardOf(entry.key);
@@ -73,24 +85,15 @@ void ShardedGcList::Append(GcEntry entry) {
   shards_[shard].Append(std::move(entry));
 }
 
-std::vector<GcEntry> ShardedGcList::PopReclaimableFromShard(
-    size_t shard, Timestamp watermark, size_t max_batch) {
-  std::vector<GcEntry> out =
-      shards_[shard].PopReclaimable(watermark, max_batch);
-  if (!out.empty()) {
-    backlog_.fetch_sub(out.size(), std::memory_order_relaxed);
-  }
-  return out;
-}
-
 std::vector<GcEntry> ShardedGcList::PopReclaimable(Timestamp watermark,
                                                    size_t max_batch) {
   std::vector<GcEntry> out;
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
+  for (GcList& shard : shards_) {
     if (max_batch != 0 && out.size() >= max_batch) break;
     const size_t remaining = max_batch == 0 ? 0 : max_batch - out.size();
-    std::vector<GcEntry> popped =
-        PopReclaimableFromShard(shard, watermark, remaining);
+    std::vector<GcEntry> popped = shard.PopReclaimable(watermark, remaining);
+    if (popped.empty()) continue;
+    backlog_.fetch_sub(popped.size(), std::memory_order_relaxed);
     out.insert(out.end(), std::make_move_iterator(popped.begin()),
                std::make_move_iterator(popped.end()));
   }

@@ -10,14 +10,12 @@
 // number of versions reclaimed (experiment E8), in contrast with the
 // full-scan vacuum baseline.
 
-// Sharding (GC daemon sharding): one global list + one drain thread become
-// the reclamation bottleneck at high core counts — every committer's Append
-// funnels through one mutex and one thread walks every entry. ShardedGcList
-// splits the queue by entity key: each shard keeps the paper's timestamp
-// order independently (reclaimability is a per-version property — a version
-// is dead once the watermark passes its obsolete_since, regardless of what
-// sits in other shards), appenders only contend within a shard, and one
-// drain worker per shard reclaims in parallel.
+// Sharding: one global list funnels every committer's Append through one
+// mutex. ShardedGcList splits the queue by entity key: each shard keeps the
+// paper's timestamp order independently (reclaimability is a per-version
+// property — a version is dead once the watermark passes its
+// obsolete_since, regardless of what sits in other shards), so appenders
+// only contend within a shard. One GC pass still drains every shard.
 
 #ifndef NEOSI_MVCC_GC_LIST_H_
 #define NEOSI_MVCC_GC_LIST_H_
@@ -93,34 +91,29 @@ class GcList {
 
 /// Entity-key-sharded reclamation queue: N independent timestamp-sorted
 /// GcLists. Appends hash the entity key to a shard (a chain's obsolete
-/// versions always land in the same shard, so per-entity batching in the
-/// collector still works); each shard is drained by its own worker. The
-/// aggregate backlog gauge stays a single lock-free load — commit
-/// publication reads it on every commit to decide whether to nudge the
-/// drain workers, and the snapshot lifecycle policy reads it as its
+/// versions always land in the same shard); PopReclaimable drains them
+/// all. The aggregate backlog gauge stays a single lock-free load — commit
+/// publication reads it on every commit to decide whether to nudge the GC
+/// daemon, and the snapshot lifecycle policy reads it as its
 /// backlog-pressure trigger.
 class ShardedGcList {
  public:
-  /// `shards` is clamped to [1, kMaxShards]; 1 reproduces the unsharded
-  /// behaviour exactly.
-  explicit ShardedGcList(size_t shards = 1);
-
   static constexpr size_t kMaxShards = 64;
+
+  /// The engine's shard count: hardware_concurrency clamped to
+  /// [1, kMaxShards], 4 when the core count is unknown.
+  ShardedGcList();
+
+  /// An explicit shard count, clamped to [1, kMaxShards] (tests).
+  explicit ShardedGcList(size_t shards);
 
   /// Inserts into the entity's shard, keeping that shard timestamp-sorted
   /// (near-sorted tail insert, O(1) amortized — see GcList::Append).
   void Append(GcEntry entry);
 
-  /// Watermark-bounded drain of ONE shard (the per-worker path). Cost is
-  /// O(#returned) within the shard.
-  std::vector<GcEntry> PopReclaimableFromShard(size_t shard,
-                                               Timestamp watermark,
-                                               size_t max_batch = 0);
-
-  /// Watermark-bounded drain across ALL shards (the manual RunGc() /
-  /// single-threaded path). Entries are in timestamp order within each
-  /// shard but only shard-concatenated globally — no consumer requires a
-  /// global sort.
+  /// Watermark-bounded drain across ALL shards. Entries are in timestamp
+  /// order within each shard, shards concatenated in index order — no
+  /// consumer requires a global sort. Cost is O(#returned + #shards).
   std::vector<GcEntry> PopReclaimable(Timestamp watermark,
                                       size_t max_batch = 0);
 
@@ -135,25 +128,14 @@ class ShardedGcList {
   /// Alias of backlog() (kept for older call sites).
   size_t size() const { return backlog(); }
 
-  /// Entries currently queued in one shard. Lock-free.
-  size_t shard_backlog(size_t shard) const {
-    return shards_[shard].backlog();
-  }
-
   /// Largest aggregate backlog ever observed at an Append. Lock-free.
   uint64_t backlog_high_water() const {
     return backlog_high_water_.load(std::memory_order_relaxed);
   }
 
   /// Minimum head obsolete_since across shards (kMaxTimestamp when all are
-  /// empty): the aggregate "is anything reclaimable / is the backlog
-  /// pinned" probe.
+  /// empty): the "is anything reclaimable / is the backlog pinned" probe.
   Timestamp OldestObsoleteSince() const;
-
-  /// Head obsolete_since of one shard (kMaxTimestamp when empty).
-  Timestamp ShardOldestObsoleteSince(size_t shard) const {
-    return shards_[shard].OldestObsoleteSince();
-  }
 
   /// Totals across all shards (stats; re-appended purge-deferred entries
   /// count again on both sides, so backlog == appended - reclaimed holds).

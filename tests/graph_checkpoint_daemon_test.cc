@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/graph_database.h"
+#include "hang_watchdog.h"
 
 namespace neosi {
 namespace {
@@ -42,6 +43,26 @@ TEST(CheckpointDaemon, DisabledWhenIntervalZero) {
   EXPECT_EQ(db->checkpoint_daemon(), nullptr);
   const DatabaseStats stats = db->Stats();
   EXPECT_EQ(stats.checkpoint_daemon_passes, 0u);
+}
+
+// Two threads stopping the daemon at once must both return, and the daemon
+// must restart cleanly after every round.
+TEST(CheckpointDaemon, ConcurrentStopsNeverHang) {
+  auto options = MemOptions();
+  options.checkpoint_interval_ms = 1;
+  auto db = std::move(*GraphDatabase::Open(options));
+  CheckpointDaemon* daemon = db->checkpoint_daemon();
+  ASSERT_NE(daemon, nullptr);
+  RunWithHangWatchdog(std::chrono::seconds(60), [&] {
+    for (int i = 0; i < 500; ++i) {
+      daemon->Start();
+      std::thread a([&] { daemon->Stop(); });
+      std::thread b([&] { daemon->Stop(); });
+      a.join();
+      b.join();
+      ASSERT_FALSE(daemon->running()) << "round " << i;
+    }
+  });
 }
 
 TEST(CheckpointDaemon, IdleWakeupsSkipWithoutCheckpointing) {

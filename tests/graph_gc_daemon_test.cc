@@ -4,17 +4,24 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "graph/graph_database.h"
+#include "hang_watchdog.h"
 
 namespace neosi {
 namespace {
 
-void AwaitDrained(GraphDatabase& db, size_t below = 1) {
+// Waits until the backlog is below `below` and `counted` holds. A pass pops
+// its batch before it prunes and counts it, so a test that asserts a
+// pass's counters waits for them too.
+void AwaitDrained(
+    GraphDatabase& db, size_t below = 1,
+    const std::function<bool()>& counted = [] { return true; }) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (db.engine().gc_list.backlog() >= below &&
+  while ((db.engine().gc_list.backlog() >= below || !counted()) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -41,7 +48,8 @@ TEST(GcDaemon, CollectsInBackground) {
     ASSERT_TRUE(txn->Commit().ok());
   }
   // The daemon reclaims the superseded versions without any explicit call.
-  AwaitDrained(*db);
+  AwaitDrained(*db, /*below=*/1,
+               [&] { return db->gc_daemon()->versions_pruned() >= 50; });
   EXPECT_EQ(db->engine().gc_list.backlog(), 0u);
   EXPECT_GT(db->gc_daemon()->passes(), 0u);
   EXPECT_GE(db->gc_daemon()->versions_pruned(), 50u);
@@ -93,7 +101,8 @@ TEST(GcDaemon, BacklogThresholdNudgeFiresWithoutInterval) {
     ASSERT_TRUE(txn->SetNodeProperty(id, "v", PropertyValue(int64_t{i})).ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
-  AwaitDrained(*db, /*below=*/4);
+  AwaitDrained(*db, /*below=*/4,
+               [&] { return db->gc_daemon()->nudge_passes() >= 1; });
   EXPECT_LT(db->engine().gc_list.backlog(), 4u);
   EXPECT_GE(db->gc_daemon()->nudge_passes(), 1u);
   EXPECT_EQ(db->gc_daemon()->interval_passes(), 0u);
@@ -231,6 +240,26 @@ TEST(GcDaemon, StopIsIdempotentAndDestructorSafe) {
   db->gc_daemon()->Start();
   EXPECT_TRUE(db->gc_daemon()->running());
   // Destructor stops it again.
+}
+
+// Two threads stopping the daemon at once must both return, and the daemon
+// must restart cleanly after every round.
+TEST(GcDaemon, ConcurrentStopsNeverHang) {
+  DatabaseOptions options;
+  options.in_memory = true;
+  options.background_gc_interval_ms = 1;
+  auto db = std::move(*GraphDatabase::Open(options));
+  GcDaemon* daemon = db->gc_daemon();
+  RunWithHangWatchdog(std::chrono::seconds(60), [&] {
+    for (int i = 0; i < 500; ++i) {
+      daemon->Start();
+      std::thread a([&] { daemon->Stop(); });
+      std::thread b([&] { daemon->Stop(); });
+      a.join();
+      b.join();
+      ASSERT_FALSE(daemon->running()) << "round " << i;
+    }
+  });
 }
 
 TEST(GcDaemon, OnByDefaultOffWhenIntervalZero) {

@@ -1,4 +1,5 @@
-// Snapshot lifecycle (snapshot-too-old policy) + sharded GC drain.
+// Snapshot lifecycle (snapshot-too-old policy) + the GC drain of the
+// sharded list.
 //
 // The retention hazard: one long-lived snapshot pins the reclamation
 // watermark, so under sustained writes the version backlog grows without
@@ -6,8 +7,8 @@
 // over-age (snapshot_max_age_ms) or watermark-pinning-under-pressure
 // (snapshot_expire_backlog) snapshots expired; the watermark advances past
 // them immediately and the victims fail their next read or commit with
-// Status::SnapshotTooOld. The sharded GC list + per-shard drain workers
-// then reclaim the released backlog in parallel.
+// Status::SnapshotTooOld. The GC worker then drains the released backlog
+// from every shard of the list in one pass.
 
 #include <gtest/gtest.h>
 
@@ -286,20 +287,17 @@ TEST(SnapshotLifecycle, ReadCommittedNeverPinsBacklogNorExpires) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded GC drain
+// GC drain of the sharded list
 // ---------------------------------------------------------------------------
 
-// Multi-entity churn across every shard: the per-shard workers must drain
-// the whole backlog, the chains must end at length 1, and the aggregate
+// Multi-entity churn across every shard: the GC worker must drain the
+// whole backlog, the chains must end at length 1, and the aggregate
 // accounting (backlog == appended - reclaimed) must hold.
 TEST(ShardedGc, DrainsAcrossShardsUnderConcurrentWriters) {
   DatabaseOptions options;
   options.background_gc_interval_ms = 2;
   options.gc_backlog_threshold = 16;
-  options.gc_shards = 8;
   auto db = OpenDb(options);
-  ASSERT_EQ(db->engine().gc_list.shard_count(), 8u);
-  ASSERT_EQ(db->gc_daemon()->worker_count(), 8u);
 
   std::vector<NodeId> nodes;
   {
@@ -345,21 +343,17 @@ TEST(ShardedGc, DrainsAcrossShardsUnderConcurrentWriters) {
   }
   EXPECT_TRUE(drained());
   EXPECT_EQ(list.backlog(), list.total_appended() - list.total_reclaimed());
-  for (size_t s = 0; s < list.shard_count(); ++s) {
-    EXPECT_EQ(list.shard_backlog(s), 0u) << "shard " << s;
-  }
   EXPECT_GT(db->gc_daemon()->versions_pruned(), 0u);
 }
 
 // Tombstone purges across shards: a node and its relationships hash to
-// different shards, so the node purge may run before the rel shards have
-// drained — the deferral path must retry it until the chain is physically
-// empty, and every entity must end purged.
+// different shards, and one pass pops them all, so every rel must purge
+// before its endpoint node (any node still chained is deferred and
+// retried), and every entity must end purged.
 TEST(ShardedGc, CrossShardTombstonePurgesConverge) {
   DatabaseOptions options;
   options.background_gc_interval_ms = 2;
   options.gc_backlog_threshold = 4;
-  options.gc_shards = 8;
   auto db = OpenDb(options);
 
   // A hub node with many spokes maximizes cross-shard rel/node splits.
@@ -388,9 +382,9 @@ TEST(ShardedGc, CrossShardTombstonePurgesConverge) {
   }
 
   // True quiescence is the PURGE counter, not the backlog gauge: the
-  // aggregate gauge transiently dips to zero between a shard pop and a
-  // deferred node's re-append, so a backlog()==0 read can race in-flight
-  // passes (flaked under TSan before this wait was counter-based).
+  // gauge drops to zero at the pop, before the pass has purged (or
+  // re-appended a deferred node), so a backlog()==0 read can race an
+  // in-flight pass.
   const size_t expected = hubs.size() + spokes.size() + rels.size();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -406,15 +400,17 @@ TEST(ShardedGc, CrossShardTombstonePurgesConverge) {
   EXPECT_EQ(db->engine().gc_list.backlog(), 0u);
 }
 
-// One shard reproduces the pre-sharding topology exactly; the manual
-// RunGc() path must also drain a multi-shard list completely in one pass.
-TEST(ShardedGc, SingleShardAndManualPassStayEquivalent) {
-  for (const size_t shards : {size_t{1}, size_t{4}}) {
+// The daemon runs the very pass a manual RunGc() runs: the same backlog,
+// reclaimed either way, prunes the same versions and ends in the same
+// state.
+TEST(ShardedGc, ManualPassAndDaemonStayEquivalent) {
+  for (const bool daemon : {false, true}) {
     DatabaseOptions options;
-    options.background_gc_interval_ms = 0;  // Manual GC only.
-    options.gc_shards = shards;
+    // Daemon on: nothing wakes it but the explicit Nudge() below.
+    options.background_gc_interval_ms = daemon ? 60000 : 0;
+    options.gc_backlog_threshold = 0;
     auto db = OpenDb(options);
-    ASSERT_EQ(db->engine().gc_list.shard_count(), shards);
+    ASSERT_EQ(db->gc_daemon() != nullptr, daemon);
 
     std::vector<NodeId> nodes;
     {
@@ -435,21 +431,36 @@ TEST(ShardedGc, SingleShardAndManualPassStayEquivalent) {
     }
     ASSERT_EQ(db->engine().gc_list.backlog(), 48u);
 
-    const GcStats stats = db->RunGc();
-    EXPECT_EQ(stats.versions_pruned, 48u) << shards << " shards";
+    uint64_t pruned = 0;
+    if (daemon) {
+      db->gc_daemon()->Nudge();
+      // The counter lands after the pass has pruned: quiescence.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (db->gc_daemon()->versions_pruned() < 48u &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      pruned = db->gc_daemon()->versions_pruned();
+    } else {
+      pruned = db->RunGc().versions_pruned;
+    }
+    EXPECT_EQ(pruned, 48u) << (daemon ? "daemon" : "manual");
     EXPECT_EQ(db->engine().gc_list.backlog(), 0u);
+    for (NodeId id : nodes) {
+      EXPECT_EQ(db->engine().cache->PeekNode(id)->chain.Length(), 1u);
+    }
     EXPECT_EQ(db->Begin()->GetNodeProperty(nodes[0], "v")->AsInt(), 3);
   }
 }
 
-// Expiry + sharded drain together under concurrent load: pinned readers
+// Expiry + the GC drain together under concurrent load: pinned readers
 // keep starting while writers churn; the policy keeps evicting them, so
 // the backlog high-water stays bounded and the system ends fully drained.
 TEST(ShardedGc, PolicyBoundsBacklogUnderPinningReaders) {
   DatabaseOptions options;
   options.background_gc_interval_ms = 2;
   options.gc_backlog_threshold = 32;
-  options.gc_shards = 4;
   options.snapshot_max_age_ms = 20;
   auto db = OpenDb(options);
 
