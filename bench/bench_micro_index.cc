@@ -2,6 +2,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <random>
+#include <vector>
+
 #include "index/versioned_index.h"
 
 namespace neosi {
@@ -13,17 +16,15 @@ const PropertyValue kLabelValue;
 /// Files `entity` under (token, value), committed at `ts`.
 void Add(VersionedIndex& index, uint32_t token, const PropertyValue& value,
          uint64_t entity, Timestamp ts) {
-  VersionedEntrySet& set = index.SetFor(token, value);
-  set.AddPending(entity, 7);
-  set.CommitAdd(entity, 7, ts);
+  index.Commit(index.Stage(/*add=*/true, token, value, entity, 7), ts);
 }
 
-/// Removes `entity` from (token, value), committed at `ts`.
+/// Removes `entity` from (token, value), committed at `ts`. The removal
+/// scans the key newest slot first, so removing the entity added last is
+/// O(1).
 void Remove(VersionedIndex& index, uint32_t token, const PropertyValue& value,
             uint64_t entity, Timestamp ts) {
-  VersionedEntrySet& set = index.SetFor(token, value);
-  set.RemovePending(entity, 8);
-  set.CommitRemove(entity, 8, ts);
+  index.Commit(index.Stage(/*add=*/false, token, value, entity, 8), ts);
 }
 
 void BM_LabelIndexAddCommit(benchmark::State& state) {
@@ -91,6 +92,7 @@ void BM_PropertyIndexRangeScan(benchmark::State& state) {
 }
 BENCHMARK(BM_PropertyIndexRangeScan)->Arg(10)->Arg(1000);
 
+/// Frees 10k closed intervals of one key (which the pass then erases).
 void BM_IndexCompact(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
@@ -102,8 +104,58 @@ void BM_IndexCompact(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(index.Compact(100));
   }
+  state.SetItemsProcessed(state.iterations() * 10000);
 }
-BENCHMARK(BM_IndexCompact);
+BENCHMARK(BM_IndexCompact)->Iterations(50);
+
+/// One committed move of a random entity within one key of range(0)
+/// entities — the shape of a relationship's `since` value set under
+/// serializable_overcache — with the interval it closes freed right away.
+void BM_EntrySetMove(benchmark::State& state) {
+  VersionedIndex index;
+  const uint64_t entities = static_cast<uint64_t>(state.range(0));
+  for (uint64_t e = 0; e < entities; ++e) Add(index, 1, kLabelValue, e, 1);
+  std::mt19937_64 rng(42);
+  Timestamp ts = 1;
+  for (auto _ : state) {
+    const uint64_t entity = rng() % entities;
+    ++ts;
+    const IndexHandle removed =
+        index.Stage(/*add=*/false, 1, kLabelValue, entity, 9);
+    const IndexHandle added =
+        index.Stage(/*add=*/true, 1, kLabelValue, entity, 9);
+    index.Commit(removed, ts);
+    index.Commit(added, ts);
+    benchmark::DoNotOptimize(index.Compact(ts));
+  }
+}
+BENCHMARK(BM_EntrySetMove)->Arg(11560);
+
+/// A GC pass over an index of range(0) keys in which 16 intervals closed
+/// since the last pass.
+void BM_IndexCompactSparse(benchmark::State& state) {
+  VersionedIndex index;
+  const int64_t keys = state.range(0);
+  for (int64_t v = 0; v < keys; ++v) {
+    Add(index, 1, PropertyValue(v), static_cast<uint64_t>(v), 1);
+  }
+  std::mt19937_64 rng(42);
+  Timestamp ts = 1;
+  uint64_t visitor = static_cast<uint64_t>(keys);
+  for (auto _ : state) {
+    state.PauseTiming();
+    ++ts;
+    for (int i = 0; i < 16; ++i) {
+      const PropertyValue value(static_cast<int64_t>(rng() % keys));
+      Add(index, 1, value, visitor, ts);
+      Remove(index, 1, value, visitor, ts);
+      ++visitor;
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(index.Compact(ts));
+  }
+}
+BENCHMARK(BM_IndexCompactSparse)->Arg(100000);
 
 }  // namespace
 }  // namespace neosi

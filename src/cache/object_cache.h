@@ -105,7 +105,10 @@ class ObjectCache {
   mutable std::array<NodeShard, kShards> node_shards_;
   mutable std::array<RelShard, kShards> rel_shards_;
 
-  mutable SpinLatch stats_latch_;
+  // Every lookup takes this latch to count a hit or a miss. Aligned so the
+  // latch and the counters it guards share one cache line, and no shard's
+  // data does, wherever the heap places the cache.
+  alignas(64) mutable SpinLatch stats_latch_;
   mutable ObjectCacheStats stats_;
 };
 

@@ -172,8 +172,8 @@ void GcEngine::DrainEntries(std::vector<GcEntry> entries, Timestamp watermark,
 }
 
 void GcEngine::CompactIndexes(Timestamp watermark, GcStats* stats) {
-  // Index compaction: drop entries whose removal interval closed below the
-  // watermark.
+  // Index compaction: free the queued intervals that closed at or below the
+  // watermark — work proportional to them, not to the index.
   stats->index_entries_dropped += engine_->label_index.Compact(watermark);
   stats->index_entries_dropped += engine_->node_prop_index.Compact(watermark);
   stats->index_entries_dropped += engine_->rel_prop_index.Compact(watermark);

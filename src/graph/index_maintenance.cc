@@ -23,7 +23,7 @@ std::vector<IndexChange> DiffIndexEntries(const EntityKey& key,
   std::vector<IndexChange> out;
   auto emit = [&](IndexId index, bool add, uint32_t token,
                   const PropertyValue& value) {
-    out.push_back(IndexChange{index, add, key.id, token, value});
+    out.push_back(IndexChange{index, add, key.id, token, value, {}});
   };
   if (node) {
     // A label is filed under the null value.
@@ -54,30 +54,18 @@ std::vector<IndexChange> DiffIndexEntries(const EntityKey& key,
   return out;
 }
 
-void ApplyIndexChange(Engine* engine, const IndexChange& change,
-                      IndexStep step, TxnId txn, Timestamp ts) {
-  VersionedEntrySet& set =
-      engine->index(change.index).SetFor(change.token, change.value);
-  const uint64_t entity = change.entity;
-  switch (step) {
-    case IndexStep::kPending:
-      return change.add ? set.AddPending(entity, txn)
-                        : set.RemovePending(entity, txn);
-    case IndexStep::kCommit:
-      return change.add ? set.CommitAdd(entity, txn, ts)
-                        : set.CommitRemove(entity, txn, ts);
-    case IndexStep::kAbort:
-      return change.add ? set.AbortAdd(entity, txn)
-                        : set.AbortRemove(entity, txn);
-  }
+void StageIndexChange(Engine* engine, IndexChange* change, TxnId txn) {
+  change->handle = engine->index(change->index)
+                       .Stage(change->add, change->token, change->value,
+                              change->entity, txn);
 }
 
 void CommitIndexDiff(Engine* engine, const EntityKey& key,
                      const VersionData* pre, const VersionData* post,
                      TxnId txn, Timestamp ts) {
-  for (const IndexChange& change : DiffIndexEntries(key, pre, post)) {
-    ApplyIndexChange(engine, change, IndexStep::kPending, txn);
-    ApplyIndexChange(engine, change, IndexStep::kCommit, txn, ts);
+  for (IndexChange& change : DiffIndexEntries(key, pre, post)) {
+    StageIndexChange(engine, &change, txn);
+    engine->index(change.index).Commit(change.handle, ts);
   }
 }
 

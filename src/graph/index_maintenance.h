@@ -6,7 +6,8 @@
 // changes state derives its index work from the same diff of the entity's
 // pre- and post-state:
 //  - a transaction's writes stage each change as a pending entry (and take
-//    the change's SSI write footprint), then commit or abort it;
+//    the change's SSI write footprint), journal the change with the handle
+//    staging returned, then commit or abort it through that handle;
 //  - the replica applier diffs latest-committed against the store's
 //    post-state and commits at the record's timestamp;
 //  - the open-time rebuild diffs nothing against the persisted state.
@@ -32,6 +33,8 @@ struct IndexChange {
   uint64_t entity = kInvalidId;
   uint32_t token = kInvalidToken;  ///< The label or the property key.
   PropertyValue value;             ///< The property value; null for a label.
+  /// Set by staging: the slot the change's commit or abort touches.
+  IndexHandle handle;
 
   EntityKey Entity() const {
     return index == IndexId::kRelProperty ? EntityKey::Rel(entity)
@@ -52,17 +55,11 @@ std::vector<IndexChange> DiffIndexEntries(const EntityKey& key,
                                           const VersionData* pre,
                                           const VersionData* post);
 
-/// Lifecycle step of an index change made by one transaction.
-enum class IndexStep : uint8_t { kPending, kCommit, kAbort };
+/// Stages `change` as pending for `txn` and records its handle.
+void StageIndexChange(Engine* engine, IndexChange* change, TxnId txn);
 
-/// Applies one step of `change` on behalf of `txn` (`ts` is the commit
-/// timestamp, read only by kCommit).
-void ApplyIndexChange(Engine* engine, const IndexChange& change,
-                      IndexStep step, TxnId txn,
-                      Timestamp ts = kNoTimestamp);
-
-/// Diffs `pre` -> `post` and applies every change as pending, then commits
-/// it at `ts` — for state that is already committed.
+/// Diffs `pre` -> `post` and stages every change, then commits it at `ts`
+/// — for state that is already committed.
 void CommitIndexDiff(Engine* engine, const EntityKey& key,
                      const VersionData* pre, const VersionData* post,
                      TxnId txn, Timestamp ts);

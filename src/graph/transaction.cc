@@ -268,7 +268,7 @@ Status Transaction::Update(const EntityKey& key,
 Status Transaction::StageIndexChanges(std::vector<IndexChange> changes) {
   for (IndexChange& change : changes) {
     NEOSI_RETURN_IF_ERROR(SsiOnWrite(change.Footprint()));
-    ApplyIndexChange(engine_, change, IndexStep::kPending, id_);
+    StageIndexChange(engine_, &change, id_);
     index_ops_.push_back(std::move(change));
   }
   return Status::OK();
@@ -1161,13 +1161,14 @@ Status Transaction::StampVersions(Timestamp ts) {
 
 void Transaction::StampIndexes(Timestamp ts) {
   for (const IndexChange& change : index_ops_) {
-    ApplyIndexChange(engine_, change, IndexStep::kCommit, id_, ts);
+    engine_->index(change.index).Commit(change.handle, ts);
   }
 }
 
 void Transaction::AbortIndexOps(std::vector<IndexChange>::iterator first) {
   for (auto it = index_ops_.end(); it != first;) {
-    ApplyIndexChange(engine_, *--it, IndexStep::kAbort, id_);
+    --it;
+    engine_->index(it->index).Abort(it->handle);
   }
   index_ops_.erase(first, index_ops_.end());
 }

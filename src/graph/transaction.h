@@ -309,7 +309,9 @@ class Transaction {
   /// superseded versions (and tombstones) onto the GC list (§4).
   Status StampVersions(Timestamp ts);
 
-  /// Stamps pending index entries with the commit timestamp.
+  /// Stamps pending index entries with the commit timestamp, each through
+  /// its journaled handle: O(1) per change, no key lookup and no entry
+  /// scan, since a serializable commit runs it under the SSI commit mutex.
   void StampIndexes(Timestamp ts);
 
   /// Aborts, newest first, the journaled index changes from `first` to the

@@ -1,80 +1,77 @@
 #include "index/versioned_entry_set.h"
 
-#include <algorithm>
-
 namespace neosi {
 
-void VersionedEntrySet::AddPending(uint64_t entity, TxnId txn) {
+uint32_t VersionedEntrySet::AddPending(uint64_t entity, TxnId txn) {
   std::lock_guard<SpinLatch> guard(latch_);
-  IndexEntry entry;
-  entry.entity = entity;
-  entry.added_by = txn;
-  entries_.push_back(entry);
-}
-
-void VersionedEntrySet::RemovePending(uint64_t entity, TxnId txn) {
-  std::lock_guard<SpinLatch> guard(latch_);
-  // Mark the newest committed, not-yet-removed interval (or this txn's own
-  // pending add, which is simply cancelled at commit-time by the engine
-  // issuing AbortAdd — but handle it here defensively too).
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    if (it->entity != entity) continue;
-    if (it->removed_ts != kMaxTimestamp || it->removed_by != kNoTxn) continue;
-    it->removed_by = txn;
-    return;
+  uint32_t slot = free_head_;
+  if (slot == kNoSlot) {
+    slot = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
+  } else {
+    free_head_ = static_cast<uint32_t>(entries_[slot].added_by);
   }
+  entries_[slot] = IndexEntry{};
+  entries_[slot].entity = entity;
+  entries_[slot].added_by = txn;
+  ++occupied_;
+  return slot;
 }
 
-void VersionedEntrySet::CommitAdd(uint64_t entity, TxnId txn, Timestamp ts) {
+uint32_t VersionedEntrySet::RemovePending(uint64_t entity, TxnId txn) {
   std::lock_guard<SpinLatch> guard(latch_);
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    if (it->entity == entity && it->added_by == txn &&
-        it->added_ts == kNoTimestamp) {
-      it->added_ts = ts;
-      it->added_by = kNoTxn;
-      return;
-    }
+  // At most one open interval per entity: the committed one, or this
+  // transaction's own pending add. Newest slots first: a key that has only
+  // grown keeps its recent adds at the end.
+  for (uint32_t slot = static_cast<uint32_t>(entries_.size()); slot-- > 0;) {
+    IndexEntry& entry = entries_[slot];
+    if (entry.entity != entity || !entry.Open()) continue;
+    entry.removed_by = txn;
+    return slot;
   }
+  return kNoSlot;
 }
 
-void VersionedEntrySet::AbortAdd(uint64_t entity, TxnId txn) {
+void VersionedEntrySet::CommitAdd(uint32_t slot, Timestamp ts) {
   std::lock_guard<SpinLatch> guard(latch_);
-  entries_.erase(
-      std::remove_if(entries_.begin(), entries_.end(),
-                     [&](const IndexEntry& e) {
-                       return e.entity == entity && e.added_by == txn &&
-                              e.added_ts == kNoTimestamp;
-                     }),
-      entries_.end());
+  entries_[slot].added_ts = ts;
+  entries_[slot].added_by = kNoTxn;
 }
 
-void VersionedEntrySet::CommitRemove(uint64_t entity, TxnId txn,
-                                     Timestamp ts) {
+void VersionedEntrySet::CommitRemove(uint32_t slot, Timestamp ts) {
   std::lock_guard<SpinLatch> guard(latch_);
-  for (auto& entry : entries_) {
-    if (entry.entity == entity && entry.removed_by == txn) {
-      entry.removed_ts = ts;
-      entry.removed_by = kNoTxn;
-      return;
-    }
-  }
+  entries_[slot].removed_ts = ts;
+  entries_[slot].removed_by = kNoTxn;
 }
 
-void VersionedEntrySet::AbortRemove(uint64_t entity, TxnId txn) {
+void VersionedEntrySet::AbortAdd(uint32_t slot) {
   std::lock_guard<SpinLatch> guard(latch_);
-  for (auto& entry : entries_) {
-    if (entry.entity == entity && entry.removed_by == txn) {
-      entry.removed_by = kNoTxn;
-      return;
-    }
-  }
+  // Invisible to every snapshot, and no longer open.
+  entries_[slot].added_by = kNoTxn;
+  entries_[slot].removed_ts = kNoTimestamp;
+  entries_[slot].removed_by = kNoTxn;
+}
+
+void VersionedEntrySet::AbortRemove(uint32_t slot) {
+  std::lock_guard<SpinLatch> guard(latch_);
+  entries_[slot].removed_by = kNoTxn;
+}
+
+bool VersionedEntrySet::Free(uint32_t slot) {
+  std::lock_guard<SpinLatch> guard(latch_);
+  entries_[slot] = IndexEntry{};
+  entries_[slot].added_by = free_head_;
+  free_head_ = slot;
+  return --occupied_ == 0;
 }
 
 void VersionedEntrySet::CollectVisible(const Snapshot& snap,
                                        std::vector<uint64_t>* out) const {
   std::lock_guard<SpinLatch> guard(latch_);
   for (const IndexEntry& entry : entries_) {
-    if (entry.VisibleAt(snap)) out->push_back(entry.entity);
+    if (entry.entity != kInvalidId && entry.VisibleAt(snap)) {
+      out->push_back(entry.entity);
+    }
   }
 }
 
@@ -90,6 +87,7 @@ void VersionedEntrySet::CollectConflictsOut(Timestamp start_ts,
                                             std::vector<Timestamp>* out) const {
   std::lock_guard<SpinLatch> guard(latch_);
   for (const IndexEntry& entry : entries_) {
+    if (entry.entity == kInvalidId) continue;
     if (entry.added_ts != kNoTimestamp && entry.added_ts > start_ts) {
       out->push_back(entry.added_ts);
     }
@@ -100,30 +98,14 @@ void VersionedEntrySet::CollectConflictsOut(Timestamp start_ts,
   }
 }
 
-size_t VersionedEntrySet::Compact(Timestamp watermark) {
-  std::lock_guard<SpinLatch> guard(latch_);
-  const size_t before = entries_.size();
-  entries_.erase(
-      std::remove_if(entries_.begin(), entries_.end(),
-                     [&](const IndexEntry& e) {
-                       // Removal committed and no active snapshot can still
-                       // fall inside the [added, removed) interval.
-                       return e.removed_by == kNoTxn &&
-                              e.removed_ts != kMaxTimestamp &&
-                              e.removed_ts <= watermark;
-                     }),
-      entries_.end());
-  return before - entries_.size();
-}
-
 size_t VersionedEntrySet::SizeIncludingDead() const {
   std::lock_guard<SpinLatch> guard(latch_);
-  return entries_.size();
+  return occupied_;
 }
 
 bool VersionedEntrySet::Empty() const {
   std::lock_guard<SpinLatch> guard(latch_);
-  return entries_.empty();
+  return occupied_ == 0;
 }
 
 }  // namespace neosi

@@ -9,17 +9,18 @@
 // timestamp of the transaction that ADDED it and, once dissociated, the
 // commit timestamp of the transaction that REMOVED it. Uncommitted entries
 // are private to their writer (read-your-own-writes applies to index scans
-// too). Entries whose removal timestamp falls below the GC watermark are
-// compacted away.
+// too). Entries live in stable slots: the pending step returns the slot, so
+// commit and abort touch it directly, and a closed interval keeps its slot
+// until GC frees it below the watermark.
 
 #ifndef NEOSI_INDEX_VERSIONED_ENTRY_SET_H_
 #define NEOSI_INDEX_VERSIONED_ENTRY_SET_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/latch.h"
-#include "common/status.h"
 #include "common/types.h"
 #include "mvcc/snapshot.h"
 
@@ -27,6 +28,7 @@ namespace neosi {
 
 /// One entity's membership interval for one index key.
 struct IndexEntry {
+  /// kInvalidId marks a free slot; its `added_by` holds the next free slot.
   uint64_t entity = kInvalidId;
 
   /// Commit ts of the adding transaction; kNoTimestamp while uncommitted.
@@ -34,10 +36,17 @@ struct IndexEntry {
   /// Writer while the add is uncommitted.
   TxnId added_by = kNoTxn;
 
-  /// Commit ts of the removing transaction; kMaxTimestamp while present.
+  /// Commit ts of the removing transaction; kMaxTimestamp while present,
+  /// kNoTimestamp once the add aborted.
   Timestamp removed_ts = kMaxTimestamp;
   /// Writer while the removal is uncommitted.
   TxnId removed_by = kNoTxn;
+
+  /// Neither removed nor pending removal: the one interval of its entity
+  /// that a removal may close.
+  bool Open() const {
+    return removed_ts == kMaxTimestamp && removed_by == kNoTxn;
+  }
 
   /// Snapshot visibility (§4): the association is visible iff it was added
   /// at or before the snapshot (or by the reader itself) and not removed at
@@ -55,23 +64,33 @@ struct IndexEntry {
   }
 };
 
-/// Thread-safe list of membership intervals for one index key.
+/// Thread-safe membership intervals for one index key, one slot each.
 class VersionedEntrySet {
  public:
-  /// Records an uncommitted association by `txn`.
-  void AddPending(uint64_t entity, TxnId txn);
+  /// No slot: a removal that found no open interval.
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
 
-  /// Marks the current visible association of `entity` as pending removal
-  /// by `txn`. No-op if none (engine guards).
-  void RemovePending(uint64_t entity, TxnId txn);
+  /// Files an uncommitted association of `entity` by `txn` in a free slot
+  /// and returns the slot.
+  uint32_t AddPending(uint64_t entity, TxnId txn);
 
-  /// Commit / abort of the pending ops performed by `txn` on `entity`.
-  void CommitAdd(uint64_t entity, TxnId txn, Timestamp ts);
-  void AbortAdd(uint64_t entity, TxnId txn);
-  void CommitRemove(uint64_t entity, TxnId txn, Timestamp ts);
-  void AbortRemove(uint64_t entity, TxnId txn);
+  /// Marks the open interval of `entity` as pending removal by `txn` and
+  /// returns its slot; kNoSlot if it has none.
+  uint32_t RemovePending(uint64_t entity, TxnId txn);
 
-  /// Appends every entity visible at `snap` to *out.
+  /// Commit / abort of the pending step at `slot`. CommitRemove closes the
+  /// interval at `ts`; AbortAdd closes it, empty, at kNoTimestamp. Closed
+  /// intervals keep their slot until Free().
+  void CommitAdd(uint32_t slot, Timestamp ts);
+  void CommitRemove(uint32_t slot, Timestamp ts);
+  void AbortAdd(uint32_t slot);
+  void AbortRemove(uint32_t slot);
+
+  /// Returns the closed interval at `slot` to the free list. True if no
+  /// occupied slot remains.
+  bool Free(uint32_t slot);
+
+  /// Appends every entity visible at `snap` to *out, in slot order.
   void CollectVisible(const Snapshot& snap, std::vector<uint64_t>* out) const;
 
   /// True if `entity` is visible at `snap`.
@@ -86,11 +105,8 @@ class VersionedEntrySet {
   void CollectConflictsOut(Timestamp start_ts,
                            std::vector<Timestamp>* out) const;
 
-  /// Drops entries whose removal committed at or before the watermark, and
-  /// fully-superseded duplicates. Returns the number of entries dropped.
-  size_t Compact(Timestamp watermark);
-
-  /// Total entries including dead ones (experiment E7's dead fraction).
+  /// Occupied slots: live entries plus closed ones awaiting Free() (the
+  /// dead fraction of experiment E7).
   size_t SizeIncludingDead() const;
 
   bool Empty() const;
@@ -98,6 +114,8 @@ class VersionedEntrySet {
  private:
   mutable SpinLatch latch_;
   std::vector<IndexEntry> entries_;
+  uint32_t free_head_ = kNoSlot;
+  uint32_t occupied_ = 0;
 };
 
 }  // namespace neosi

@@ -8,12 +8,20 @@
 // scan serves every lookup: a label scan is the whole range of its token, an
 // equality lookup the range [v, v], and a predicate scan — the operation
 // vulnerable to phantoms under read committed — any [lo, hi] (E2/E7).
+//
+// A writer stages each entry change and gets back a handle on the slot it
+// touched; commit and abort go straight to that slot. Intervals close (a
+// committed removal, an aborted add) onto one queue per index, in closing
+// order, and GC frees them from its front once the watermark passes them,
+// erasing the keys that empties.
 
 #ifndef NEOSI_INDEX_VERSIONED_INDEX_H_
 #define NEOSI_INDEX_VERSIONED_INDEX_H_
 
+#include <atomic>
+#include <deque>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -32,13 +40,30 @@ struct IndexStats {
   uint64_t compacted = 0;      ///< Entries dropped by Compact() so far.
 };
 
+/// A staged entry change: the set and slot its commit or abort touches.
+/// Null for a removal that found no open interval. The set outlives the
+/// handle: a key is erased only once every slot in it is free.
+struct IndexHandle {
+  VersionedEntrySet* set = nullptr;
+  uint32_t slot = VersionedEntrySet::kNoSlot;
+  bool add = true;
+};
+
 /// Thread-safe versioned index.
 class VersionedIndex {
  public:
-  /// The entry set filed under (token, value), created on first use. Sets
-  /// are never freed while the index lives (Compact only empties them), so
-  /// the reference stays valid.
-  VersionedEntrySet& SetFor(uint32_t token, const PropertyValue& value);
+  /// Stages `entity` gaining (`add`) or losing the entry under (token,
+  /// value) on behalf of `txn`. An add creates the key on first use; a
+  /// removal with no open interval returns a null handle and creates
+  /// nothing.
+  IndexHandle Stage(bool add, uint32_t token, const PropertyValue& value,
+                    uint64_t entity, TxnId txn);
+
+  /// Commits a staged change at `ts`, and aborts one: O(1) on its slot,
+  /// no key lookup. A committed removal and an aborted add close their
+  /// interval onto the queue Compact() drains. No-ops on a null handle.
+  void Commit(const IndexHandle& handle, Timestamp ts);
+  void Abort(const IndexHandle& handle);
 
   /// Entities filed under `token` with a value in [lo, hi] (either bound
   /// optional; inclusive) that are visible at `snap`, in value order. When
@@ -58,7 +83,10 @@ class VersionedIndex {
                            Timestamp start_ts,
                            std::vector<Timestamp>* out) const;
 
-  /// GC hook: drops dead entries across all keys; returns entries dropped.
+  /// GC hook: frees closed intervals from the front of the queue while
+  /// they closed at or below the watermark (one closed later stops the
+  /// pass), and erases the keys left empty. Work is proportional to the
+  /// intervals freed. Returns that number.
   size_t Compact(Timestamp watermark);
 
   IndexStats Stats() const;
@@ -74,15 +102,37 @@ class VersionedIndex {
     }
   };
 
+  /// A set that knows its map key, so Compact can erase it.
+  struct KeyedSet : VersionedEntrySet {
+    const Key* key = nullptr;
+  };
+
+  /// An interval closed at `ts`, awaiting Compact.
+  struct Closed {
+    KeyedSet* set;
+    uint32_t slot;
+    Timestamp ts;
+  };
+
+  void Close(const IndexHandle& handle, Timestamp ts);
+
   /// Calls fn(set) for every set filed under `token` with a value in
   /// [lo, hi], in value order, holding latch_ shared.
   template <typename Fn>
   void ForRange(uint32_t token, const std::optional<PropertyValue>& lo,
                 const std::optional<PropertyValue>& hi, Fn&& fn) const;
 
-  mutable SharedLatch latch_;  // Guards the map structure, not the sets.
-  std::map<Key, std::unique_ptr<VersionedEntrySet>> sets_;
-  uint64_t compacted_total_ = 0;
+  /// Guards the map structure, not the sets. Staging holds it shared from
+  /// lookup through the pending step, so no handle points into a set
+  /// Compact is erasing under it exclusively.
+  mutable SharedLatch latch_;
+  std::map<Key, KeyedSet> sets_;
+
+  SpinLatch closed_latch_;
+  std::deque<Closed> closed_;  // Guarded by closed_latch_.
+
+  std::mutex compact_mu_;  // One Compact at a time: it alone erases keys.
+  std::atomic<uint64_t> compacted_total_{0};
 };
 
 }  // namespace neosi

@@ -226,7 +226,10 @@ size_t VersionChain::ApproximateBytes() const {
   std::lock_guard<SpinLatch> guard(latch_);
   size_t n = 0;
   for (Version* v = head_.get(); v; v = v->older.get()) {
-    n += sizeof(Version) + v->data.ApproximateSize();
+    n += sizeof(Version);
+    // An uncommitted head's data is its writer's, rewritten without the
+    // latch; only committed data is immutable.
+    if (v->committed()) n += v->data.ApproximateSize();
   }
   return n;
 }

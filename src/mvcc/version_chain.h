@@ -109,7 +109,9 @@ class VersionChain {
 
   /// Approximate heap footprint of every resident version (cache
   /// accounting / E9). Walks under the chain latch — the stats path must
-  /// not race GC unlinks with an unprotected raw walk.
+  /// not race GC unlinks with an unprotected raw walk. An uncommitted
+  /// version counts sizeof(Version) only: its writer rewrites its data
+  /// without the latch.
   size_t ApproximateBytes() const;
 
  private:

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -66,6 +68,45 @@ TEST(Concurrency, SiAuditAlwaysSeesConservedTotal) {
 // Property: two concurrent committed transactions never both updated the
 // same entity (the SI write rule, §3). We count per-entity committed
 // updates via a version counter and verify monotonic single-step growth.
+// Stats() sums every cached chain's footprint under the chain latch while
+// writers rewrite their uncommitted head's data without it: the footprint
+// must not read an uncommitted version's contents (TSan checks).
+TEST(Concurrency, StatsPollingRacesUncommittedWrites) {
+  auto db = OpenDb();
+  std::vector<NodeId> nodes;
+  {
+    auto txn = db->Begin(IsolationLevel::kSnapshotIsolation);
+    for (int i = 0; i < 4; ++i) nodes.push_back(*txn->CreateNode({"N"}));
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (NodeId node : nodes) {
+    writers.emplace_back([&db, &stop, node] {
+      for (int round = 0; !stop.load(); ++round) {
+        auto txn = db->Begin(IsolationLevel::kSnapshotIsolation);
+        for (int i = 0; i < 16; ++i) {
+          const std::string value(static_cast<size_t>(1 + (round + i) % 64),
+                                  'x');
+          ASSERT_TRUE(
+              txn->SetNodeProperty(node, "p", PropertyValue(value)).ok());
+        }
+        ASSERT_TRUE(txn->Commit().ok());
+      }
+    });
+  }
+  uint64_t polls = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < deadline) {
+    EXPECT_GT(db->Stats().cache.approx_bytes, 0u);
+    ++polls;
+  }
+  stop.store(true);
+  for (auto& writer : writers) writer.join();
+  EXPECT_GT(polls, 0u);
+}
+
 TEST(Concurrency, WriteWriteExclusionUnderAllPolicies) {
   for (ConflictPolicy policy : {ConflictPolicy::kFirstUpdaterWinsNoWait,
                                 ConflictPolicy::kFirstUpdaterWinsWait,

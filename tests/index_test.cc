@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 
+#include "common/random.h"
+#include "graph/graph_database.h"
 #include "index/versioned_index.h"
 
 namespace neosi {
@@ -22,31 +27,33 @@ TEST(VersionedEntrySet, PendingAddVisibleOnlyToWriter) {
 
 TEST(VersionedEntrySet, CommittedAddVisibleFromItsTimestamp) {
   VersionedEntrySet set;
-  set.AddPending(7, 3);
-  set.CommitAdd(7, 3, 50);
+  set.CommitAdd(set.AddPending(7, 3), 50);
   EXPECT_FALSE(set.Contains(7, At(49)));
   EXPECT_TRUE(set.Contains(7, At(50)));
   EXPECT_TRUE(set.Contains(7, At(kMaxTimestamp)));
 }
 
-TEST(VersionedEntrySet, AbortAddErasesEntry) {
+TEST(VersionedEntrySet, AbortedAddIsInvisibleUntilFreed) {
   VersionedEntrySet set;
-  set.AddPending(7, 3);
-  set.AbortAdd(7, 3);
+  const uint32_t slot = set.AddPending(7, 3);
+  set.AbortAdd(slot);
   EXPECT_FALSE(set.Contains(7, At(kMaxTimestamp, 3)));
+  // Closed, not open: a later removal of 7 finds nothing to close.
+  EXPECT_EQ(set.RemovePending(7, 4), VersionedEntrySet::kNoSlot);
+  EXPECT_EQ(set.SizeIncludingDead(), 1u);
+  EXPECT_TRUE(set.Free(slot));
   EXPECT_TRUE(set.Empty());
 }
 
 TEST(VersionedEntrySet, RemoveIntervalSemantics) {
   VersionedEntrySet set;
-  set.AddPending(7, 1);
-  set.CommitAdd(7, 1, 10);
+  set.CommitAdd(set.AddPending(7, 1), 10);
   // Pending removal hides from the remover, not from others.
-  set.RemovePending(7, 2);
+  const uint32_t slot = set.RemovePending(7, 2);
   EXPECT_FALSE(set.Contains(7, At(100, 2)));
   EXPECT_TRUE(set.Contains(7, At(100, 3)));
   // Committed removal: visible in [10, 60), invisible at >= 60.
-  set.CommitRemove(7, 2, 60);
+  set.CommitRemove(slot, 60);
   EXPECT_TRUE(set.Contains(7, At(59)));
   EXPECT_FALSE(set.Contains(7, At(60)));
   // The read-committed "latest" snapshot no longer sees it.
@@ -55,45 +62,38 @@ TEST(VersionedEntrySet, RemoveIntervalSemantics) {
 
 TEST(VersionedEntrySet, AbortRemoveRestoresVisibility) {
   VersionedEntrySet set;
-  set.AddPending(7, 1);
-  set.CommitAdd(7, 1, 10);
-  set.RemovePending(7, 2);
-  set.AbortRemove(7, 2);
+  set.CommitAdd(set.AddPending(7, 1), 10);
+  set.AbortRemove(set.RemovePending(7, 2));
   EXPECT_TRUE(set.Contains(7, At(100, 2)));
   EXPECT_TRUE(set.Contains(7, At(kMaxTimestamp)));
 }
 
 TEST(VersionedEntrySet, ReAddAfterRemoveCreatesSecondInterval) {
   VersionedEntrySet set;
-  set.AddPending(7, 1);
-  set.CommitAdd(7, 1, 10);
-  set.RemovePending(7, 2);
-  set.CommitRemove(7, 2, 20);
-  set.AddPending(7, 3);
-  set.CommitAdd(7, 3, 30);
+  set.CommitAdd(set.AddPending(7, 1), 10);
+  set.CommitRemove(set.RemovePending(7, 2), 20);
+  set.CommitAdd(set.AddPending(7, 3), 30);
   EXPECT_TRUE(set.Contains(7, At(15)));   // First interval.
   EXPECT_FALSE(set.Contains(7, At(25)));  // Gap.
   EXPECT_TRUE(set.Contains(7, At(35)));   // Second interval.
   EXPECT_EQ(set.SizeIncludingDead(), 2u);
 }
 
-TEST(VersionedEntrySet, CompactDropsClosedIntervalsBelowWatermark) {
+TEST(VersionedEntrySet, FreedSlotIsReusedByTheNextAdd) {
   VersionedEntrySet set;
-  for (uint64_t e = 0; e < 5; ++e) {
-    set.AddPending(e, 1);
-    set.CommitAdd(e, 1, 10);
-  }
-  for (uint64_t e = 0; e < 3; ++e) {
-    set.RemovePending(e, 2);
-    set.CommitRemove(e, 2, 20 + e);  // Removed at 20, 21, 22.
-  }
-  EXPECT_EQ(set.Compact(21), 2u);  // Entries removed at 20 and 21.
-  EXPECT_EQ(set.SizeIncludingDead(), 3u);
-  // Entry removed at 22 still present (a snapshot at 21 may need it).
-  EXPECT_TRUE(set.Contains(2, At(21)));
-  // Pending removals are never compacted.
-  set.RemovePending(3, 5);
-  EXPECT_EQ(set.Compact(kMaxTimestamp - 1), 1u);  // Only entity 2's interval.
+  const uint32_t first = set.AddPending(7, 1);
+  const uint32_t second = set.AddPending(8, 1);
+  set.CommitAdd(first, 10);
+  set.CommitAdd(second, 10);
+  set.CommitRemove(set.RemovePending(7, 2), 20);
+  EXPECT_FALSE(set.Free(first));  // 8 still occupies a slot.
+  EXPECT_EQ(set.AddPending(9, 3), first);
+  EXPECT_EQ(set.SizeIncludingDead(), 2u);
+  // The freed interval is gone from every scan.
+  std::vector<uint64_t> seen;
+  set.CollectVisible(At(15), &seen);
+  EXPECT_EQ(seen, (std::vector<uint64_t>{8}));
+  EXPECT_EQ(set.RemovePending(7, 4), VersionedEntrySet::kNoSlot);
 }
 
 /// A label entry's value.
@@ -102,17 +102,13 @@ const PropertyValue kLabel;
 /// Files `entity` under (token, value) for `txn`, committed at `ts`.
 void Add(VersionedIndex& index, uint32_t token, const PropertyValue& value,
          uint64_t entity, TxnId txn, Timestamp ts) {
-  VersionedEntrySet& set = index.SetFor(token, value);
-  set.AddPending(entity, txn);
-  set.CommitAdd(entity, txn, ts);
+  index.Commit(index.Stage(/*add=*/true, token, value, entity, txn), ts);
 }
 
 /// Removes `entity` from (token, value) for `txn`, committed at `ts`.
 void Remove(VersionedIndex& index, uint32_t token, const PropertyValue& value,
             uint64_t entity, TxnId txn, Timestamp ts) {
-  VersionedEntrySet& set = index.SetFor(token, value);
-  set.RemovePending(entity, txn);
-  set.CommitRemove(entity, txn, ts);
+  index.Commit(index.Stage(/*add=*/false, token, value, entity, txn), ts);
 }
 
 std::vector<uint64_t> LabelScan(const VersionedIndex& index, uint32_t label,
@@ -242,6 +238,212 @@ TEST(VersionedIndex, CompactAcrossKeys) {
   EXPECT_EQ(index.Stats().entries_total, 4u);
   EXPECT_EQ(index.Compact(20), 4u);
   EXPECT_EQ(index.Stats().entries_total, 0u);
+  EXPECT_EQ(index.Stats().keys, 0u);  // Every emptied key is erased.
+}
+
+TEST(VersionedIndex, ReusedSlotIsInvisibleBeforeItsAdd) {
+  VersionedIndex index;
+  Add(index, 1, kLabel, 100, 5, 10);
+  Remove(index, 1, kLabel, 100, 6, 20);
+  Add(index, 1, kLabel, 101, 5, 10);  // Keeps the key alive.
+  EXPECT_EQ(index.Compact(20), 1u);
+  Add(index, 1, kLabel, 102, 7, 30);  // Takes the freed slot.
+  EXPECT_EQ(index.Stats().entries_total, 2u);
+  EXPECT_EQ(LabelScan(index, 1, At(25)), (std::vector<uint64_t>{101}));
+  EXPECT_EQ(LabelScan(index, 1, At(30)), (std::vector<uint64_t>{101, 102}));
+  std::vector<Timestamp> conflicts;
+  index.CollectConflictsOut(1, std::nullopt, std::nullopt, 25, &conflicts);
+  EXPECT_EQ(conflicts, (std::vector<Timestamp>{30}));
+}
+
+/// Stages, in one transaction, entity 7 moving 5 -> 6 -> 5 -> 6 under
+/// token 1, from a committed value 5; returns the handles in staging order.
+std::vector<IndexHandle> FlipFlop(VersionedIndex& index, TxnId txn) {
+  const PropertyValue five(int64_t{5}), six(int64_t{6});
+  std::vector<IndexHandle> handles;
+  for (int move = 0; move < 3; ++move) {
+    const PropertyValue& from = move % 2 == 0 ? five : six;
+    const PropertyValue& to = move % 2 == 0 ? six : five;
+    handles.push_back(index.Stage(/*add=*/false, 1, from, 7, txn));
+    handles.push_back(index.Stage(/*add=*/true, 1, to, 7, txn));
+  }
+  for (const IndexHandle& handle : handles) EXPECT_NE(handle.set, nullptr);
+  return handles;
+}
+
+TEST(VersionedIndex, SameTransactionFlipFlopCommitsEmptyIntervals) {
+  VersionedIndex index;
+  const PropertyValue five(int64_t{5}), six(int64_t{6});
+  Add(index, 1, five, 7, 1, 10);
+  const std::vector<IndexHandle> handles = FlipFlop(index, 2);
+  // The writer sees its last move; everyone else the committed state.
+  EXPECT_TRUE(index.Scan(1, five, five, At(100, 2)).empty());
+  EXPECT_EQ(index.Scan(1, six, six, At(100, 2)), (std::vector<uint64_t>{7}));
+  EXPECT_EQ(index.Scan(1, five, five, At(100, 3)), (std::vector<uint64_t>{7}));
+  for (const IndexHandle& handle : handles) index.Commit(handle, 20);
+  EXPECT_EQ(index.Scan(1, five, five, At(19)), (std::vector<uint64_t>{7}));
+  EXPECT_TRUE(index.Scan(1, five, five, At(20)).empty());
+  EXPECT_TRUE(index.Scan(1, six, six, At(19)).empty());
+  EXPECT_EQ(index.Scan(1, six, six, At(20)), (std::vector<uint64_t>{7}));
+  // [10, 20) plus two empty [20, 20) intervals close; one stays open.
+  EXPECT_EQ(index.Stats().entries_total, 4u);
+  EXPECT_EQ(index.Compact(20), 3u);
+  EXPECT_EQ(index.Stats().entries_total, 1u);
+  EXPECT_EQ(index.Stats().keys, 1u);
+  // Exactly one open interval is left for a later move to close.
+  Remove(index, 1, six, 7, 3, 30);
+  EXPECT_TRUE(index.Scan(1, std::nullopt, std::nullopt, At(30)).empty());
+}
+
+TEST(VersionedIndex, SameTransactionFlipFlopAbortsNewestFirst) {
+  VersionedIndex index;
+  const PropertyValue five(int64_t{5}), six(int64_t{6});
+  Add(index, 1, five, 7, 1, 10);
+  const std::vector<IndexHandle> handles = FlipFlop(index, 2);
+  for (auto it = handles.rbegin(); it != handles.rend(); ++it) {
+    index.Abort(*it);
+  }
+  EXPECT_EQ(index.Scan(1, five, five, At(100)), (std::vector<uint64_t>{7}));
+  EXPECT_TRUE(index.Scan(1, six, six, At(100)).empty());
+  // The three aborted adds close as empty intervals and free at once.
+  EXPECT_EQ(index.Stats().entries_total, 4u);
+  EXPECT_EQ(index.Compact(kNoTimestamp), 3u);
+  EXPECT_EQ(index.Stats().entries_total, 1u);
+  EXPECT_EQ(index.Stats().keys, 1u);
+  // The committed interval is open again.
+  Remove(index, 1, five, 7, 3, 30);
+  EXPECT_EQ(index.Scan(1, five, five, At(29)), (std::vector<uint64_t>{7}));
+  EXPECT_TRUE(index.Scan(1, five, five, At(30)).empty());
+}
+
+TEST(VersionedIndex, RemovalWithoutOpenIntervalCreatesNothing) {
+  VersionedIndex index;
+  const PropertyValue four(int64_t{4});
+  const IndexHandle missing_key = index.Stage(/*add=*/false, 1, four, 7, 2);
+  EXPECT_EQ(missing_key.set, nullptr);
+  EXPECT_EQ(index.Stats().keys, 0u);
+  Add(index, 1, four, 8, 1, 10);
+  const IndexHandle missing_entity = index.Stage(/*add=*/false, 1, four, 7, 2);
+  EXPECT_EQ(missing_entity.set, nullptr);
+  // Null handles commit and abort as no-ops.
+  index.Commit(missing_key, 20);
+  index.Abort(missing_entity);
+  EXPECT_EQ(index.Stats().keys, 1u);
+  EXPECT_EQ(index.Stats().entries_total, 1u);
+  EXPECT_EQ(index.Compact(kMaxTimestamp - 1), 0u);
+}
+
+TEST(VersionedIndex, CompactFreesOnlyAtOrBelowTheWatermark) {
+  VersionedIndex index;
+  for (uint64_t e = 0; e < 5; ++e) Add(index, 1, kLabel, e, 1, 10);
+  // Intervals close at 20, 22 and 21, in that order.
+  Remove(index, 1, kLabel, 0, 2, 20);
+  Remove(index, 1, kLabel, 1, 3, 22);
+  Remove(index, 1, kLabel, 2, 4, 21);
+  // A pending removal is not closed and is never freed.
+  const IndexHandle pending = index.Stage(/*add=*/false, 1, kLabel, 3, 5);
+  // 20 goes; 22 is above the watermark, and 21 waits behind it.
+  EXPECT_EQ(index.Compact(21), 1u);
+  EXPECT_EQ(index.Stats().entries_total, 4u);
+  EXPECT_TRUE(LabelScan(index, 1, At(21)).size() == 3u);  // 1, 3, 4.
+  // The second pass frees the rest.
+  EXPECT_EQ(index.Compact(22), 2u);
+  EXPECT_EQ(index.Compact(kMaxTimestamp - 1), 0u);
+  EXPECT_EQ(index.Stats().entries_total, 2u);
+  EXPECT_EQ(index.Stats().compacted, 3u);
+  index.Abort(pending);
+  EXPECT_EQ(LabelScan(index, 1, At(30)), (std::vector<uint64_t>{3, 4}));
+}
+
+TEST(VersionedIndex, CompactErasesKeysItEmpties) {
+  VersionedIndex index;
+  // One entity moves across 1000 distinct values.
+  Add(index, 1, PropertyValue(int64_t{0}), 7, 1, 1);
+  for (int64_t v = 1; v <= 1000; ++v) {
+    const Timestamp ts = static_cast<Timestamp>(v + 1);
+    Remove(index, 1, PropertyValue(v - 1), 7, ts, ts);
+    Add(index, 1, PropertyValue(v), 7, ts, ts);
+  }
+  EXPECT_EQ(index.Stats().keys, 1001u);
+  EXPECT_EQ(index.Compact(kMaxTimestamp - 1), 1000u);
+  EXPECT_EQ(index.Stats().keys, 1u);
+  EXPECT_EQ(index.Stats().entries_total, 1u);
+  const PropertyValue last(int64_t{1000});
+  EXPECT_EQ(index.Scan(1, last, last, At(2000)), (std::vector<uint64_t>{7}));
+}
+
+TEST(IndexThroughTransactions, SerializableScansSeeEachEntityOnce) {
+  DatabaseOptions options;
+  options.in_memory = true;
+  options.background_gc_interval_ms = 1;
+  auto db = std::move(*GraphDatabase::Open(options));
+  constexpr int kNodes = 24;
+  constexpr int64_t kValues = 3;
+  std::vector<NodeId> nodes;
+  {
+    auto txn = db->Begin(IsolationLevel::kSnapshotIsolation);
+    for (int i = 0; i < kNodes; ++i) {
+      auto id = txn->CreateNode({"N"});
+      ASSERT_TRUE(id.ok()) << id.status();
+      ASSERT_TRUE(
+          txn->SetNodeProperty(*id, "v", PropertyValue(int64_t{i % kValues}))
+              .ok());
+      nodes.push_back(*id);
+    }
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> commits{0};
+  auto writer = [&](IsolationLevel isolation, uint64_t seed) {
+    Random rng(seed);
+    while (!stop.load()) {
+      auto txn = db->Begin(isolation);
+      // Move two entities, one of them possibly twice.
+      Status s;
+      for (int move = 0; move < 3 && s.ok(); ++move) {
+        const NodeId id = nodes[rng.Uniform(kNodes)];
+        const int64_t value = static_cast<int64_t>(rng.Uniform(kValues));
+        s = txn->SetNodeProperty(id, "v", PropertyValue(value));
+      }
+      if (s.ok()) s = txn->Commit();
+      if (s.ok()) commits.fetch_add(1);
+      // Conflicts abort the transaction; it is simply dropped.
+    }
+  };
+  std::thread si_writer(writer, IsolationLevel::kSnapshotIsolation, 1);
+  std::thread ssi_writer(writer, IsolationLevel::kSerializable, 2);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  int scans = 0;
+  while (std::chrono::steady_clock::now() < deadline || commits.load() < 50) {
+    auto txn = db->Begin(IsolationLevel::kSerializable);
+    auto range = txn->GetNodesByPropertyRange("v", std::nullopt, std::nullopt);
+    ASSERT_TRUE(range.ok()) << range.status();
+    EXPECT_EQ(std::set<NodeId>(range->begin(), range->end()).size(),
+              range->size());
+    EXPECT_EQ(range->size(), static_cast<size_t>(kNodes));
+    std::multiset<NodeId> by_value;
+    for (int64_t v = 0; v < kValues; ++v) {
+      auto hits = txn->GetNodesByProperty("v", PropertyValue(v));
+      ASSERT_TRUE(hits.ok()) << hits.status();
+      by_value.insert(hits->begin(), hits->end());
+    }
+    EXPECT_EQ(by_value, std::multiset<NodeId>(nodes.begin(), nodes.end()));
+    (void)txn->Commit();
+    ++scans;
+  }
+  stop.store(true);
+  si_writer.join();
+  ssi_writer.join();
+  EXPECT_GT(scans, 0);
+  // Every closed interval is eventually freed, every emptied key erased:
+  // at most one entry per node remains live, across at most kValues keys.
+  db->RunGc();
+  const IndexStats stats = db->engine().node_prop_index.Stats();
+  EXPECT_LE(stats.keys, static_cast<uint64_t>(kValues));
+  EXPECT_EQ(stats.entries_total, static_cast<uint64_t>(kNodes));
 }
 
 }  // namespace
