@@ -16,21 +16,22 @@ Result<std::shared_ptr<CachedNode>> ObjectCache::GetNode(NodeId id) {
     ReadGuard guard(shard.latch);
     auto it = shard.map.find(id);
     if (it != shard.map.end()) {
-      std::lock_guard<SpinLatch> sg(stats_latch_);
-      ++stats_.node_hits;
+      shard.hits.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
   }
   // Miss: load the newest committed version from the store.
   WriteGuard guard(shard.latch);
   auto it = shard.map.find(id);
-  if (it != shard.map.end()) return it->second;  // Raced another loader.
+  if (it != shard.map.end()) {  // Raced another loader: its load is our hit.
+    shard.hits.fetch_add(1, std::memory_order_relaxed);
+    return it->second;
+  }
 
   NodeState state;
   Status s = store_->ReadNodeState(id, &state);
   if (s.IsOutOfRange() || (s.ok() && !state.in_use)) {
-    std::lock_guard<SpinLatch> sg(stats_latch_);
-    ++stats_.node_misses;
+    shard.misses.fetch_add(1, std::memory_order_relaxed);
     return Status::NotFound("node " + std::to_string(id) + " does not exist");
   }
   NEOSI_RETURN_IF_ERROR(s);
@@ -47,11 +48,8 @@ Result<std::shared_ptr<CachedNode>> ObjectCache::GetNode(NodeId id) {
   if (!superseded.ok()) return superseded.status();
 
   shard.map[id] = node;
-  {
-    std::lock_guard<SpinLatch> sg(stats_latch_);
-    ++stats_.node_misses;
-    ++stats_.loads;
-  }
+  shard.misses.fetch_add(1, std::memory_order_relaxed);
+  shard.loads.fetch_add(1, std::memory_order_relaxed);
   return node;
 }
 
@@ -61,20 +59,21 @@ Result<std::shared_ptr<CachedRel>> ObjectCache::GetRel(RelId id) {
     ReadGuard guard(shard.latch);
     auto it = shard.map.find(id);
     if (it != shard.map.end()) {
-      std::lock_guard<SpinLatch> sg(stats_latch_);
-      ++stats_.rel_hits;
+      shard.hits.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
   }
   WriteGuard guard(shard.latch);
   auto it = shard.map.find(id);
-  if (it != shard.map.end()) return it->second;
+  if (it != shard.map.end()) {
+    shard.hits.fetch_add(1, std::memory_order_relaxed);
+    return it->second;
+  }
 
   RelState state;
   Status s = store_->ReadRelState(id, &state);
   if (s.IsOutOfRange() || (s.ok() && !state.in_use)) {
-    std::lock_guard<SpinLatch> sg(stats_latch_);
-    ++stats_.rel_misses;
+    shard.misses.fetch_add(1, std::memory_order_relaxed);
     return Status::NotFound("relationship " + std::to_string(id) +
                             " does not exist");
   }
@@ -91,11 +90,8 @@ Result<std::shared_ptr<CachedRel>> ObjectCache::GetRel(RelId id) {
   if (!superseded.ok()) return superseded.status();
 
   shard.map[id] = rel;
-  {
-    std::lock_guard<SpinLatch> sg(stats_latch_);
-    ++stats_.rel_misses;
-    ++stats_.loads;
-  }
+  shard.misses.fetch_add(1, std::memory_order_relaxed);
+  shard.loads.fetch_add(1, std::memory_order_relaxed);
   return rel;
 }
 
@@ -219,8 +215,7 @@ size_t ObjectCache::EvictIfNeeded() {
       }
     }
   }
-  std::lock_guard<SpinLatch> sg(stats_latch_);
-  stats_.evictions += evicted;
+  evictions_.fetch_add(evicted, std::memory_order_relaxed);
   return evicted;
 }
 
@@ -265,14 +260,17 @@ size_t ObjectCache::ResidentCount() const {
 
 ObjectCacheStats ObjectCache::Stats() const {
   ObjectCacheStats out;
-  {
-    std::lock_guard<SpinLatch> sg(stats_latch_);
-    out = stats_;
+  for (const auto& shard : node_shards_) {
+    out.node_hits += shard.hits.load(std::memory_order_relaxed);
+    out.node_misses += shard.misses.load(std::memory_order_relaxed);
+    out.loads += shard.loads.load(std::memory_order_relaxed);
   }
-  out.resident_nodes = 0;
-  out.resident_rels = 0;
-  out.resident_versions = 0;
-  out.approx_bytes = 0;
+  for (const auto& shard : rel_shards_) {
+    out.rel_hits += shard.hits.load(std::memory_order_relaxed);
+    out.rel_misses += shard.misses.load(std::memory_order_relaxed);
+    out.loads += shard.loads.load(std::memory_order_relaxed);
+  }
+  out.evictions = evictions_.load(std::memory_order_relaxed);
   // Footprint walks go through the chain (its own latch): a raw
   // head/older walk here would race GC unlinks.
   ForEachNode([&](const std::shared_ptr<CachedNode>& node) {

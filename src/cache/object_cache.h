@@ -11,6 +11,7 @@
 #define NEOSI_CACHE_OBJECT_CACHE_H_
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -86,12 +87,20 @@ class ObjectCache {
  private:
   static constexpr size_t kShards = 64;
 
-  struct NodeShard {
+  // Each shard counts its own lookups in relaxed atomics next to its
+  // latch, so a hit writes only the shard's line; Stats() sums them.
+  struct alignas(64) NodeShard {
     mutable SharedLatch latch;
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+    std::atomic<uint64_t> loads{0};
     std::unordered_map<NodeId, std::shared_ptr<CachedNode>> map;
   };
-  struct RelShard {
+  struct alignas(64) RelShard {
     mutable SharedLatch latch;
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+    std::atomic<uint64_t> loads{0};
     std::unordered_map<RelId, std::shared_ptr<CachedRel>> map;
   };
 
@@ -105,11 +114,7 @@ class ObjectCache {
   mutable std::array<NodeShard, kShards> node_shards_;
   mutable std::array<RelShard, kShards> rel_shards_;
 
-  // Every lookup takes this latch to count a hit or a miss. Aligned so the
-  // latch and the counters it guards share one cache line, and no shard's
-  // data does, wherever the heap places the cache.
-  alignas(64) mutable SpinLatch stats_latch_;
-  mutable ObjectCacheStats stats_;
+  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace neosi

@@ -129,7 +129,8 @@ Status Transaction::AcquireWriteLock(const EntityKey& key) {
           ConflictPolicy::kFirstUpdaterWinsNoWait) {
     wait = false;
   }
-  Status s = engine_->lock_manager.AcquireExclusive(id_, key, wait);
+  Status s = engine_->lock_manager.AcquireExclusive(id_, key, wait,
+                                                    &locked_shards_);
   if (!s.ok()) {
     RollbackLocked();
   }
@@ -276,8 +277,8 @@ Status Transaction::StageIndexChanges(std::vector<IndexChange> changes) {
 
 Status Transaction::LockEndpoints(NodeId src, NodeId dst) {
   auto lock = [&](NodeId node) {
-    return engine_->lock_manager.AcquireExclusive(id_, EntityKey::Node(node),
-                                                  /*wait=*/true);
+    return engine_->lock_manager.AcquireExclusive(
+        id_, EntityKey::Node(node), /*wait=*/true, &locked_shards_);
   };
   const NodeId lo = std::min(src, dst), hi = std::max(src, dst);
   Status s = lock(lo);
@@ -557,7 +558,7 @@ Result<std::shared_ptr<const Version>> Transaction::VisibleVersion(
   // Stock Neo4j read committed: short shared read lock around the read.
   const bool short_lock = isolation_ == IsolationLevel::kReadCommitted;
   if (short_lock) {
-    Status s = engine_->lock_manager.AcquireShared(id_, key);
+    Status s = engine_->lock_manager.AcquireShared(id_, key, &locked_shards_);
     if (!s.ok()) {
       RollbackLocked();
       return s;
@@ -982,7 +983,7 @@ Status Transaction::Commit() {
   // the commits that are no longer observable.
   engine_->ssi.AdvanceSnapshotFloor(engine_->oracle.ReadTs());
 
-  engine_->lock_manager.ReleaseAll(id_);
+  engine_->lock_manager.ReleaseAll(id_, locked_shards_);
   engine_->active_txns.Unregister(id_);
   state_ = TxnState::kCommitted;
   commit_ts_ = ts;
@@ -1050,7 +1051,7 @@ Status Transaction::CommitWithoutWrites() {
     engine_->ssi.FinishCommit(ssi_, engine_->oracle.ReadTs());
     ssi_commit_guard.unlock();
   }
-  engine_->lock_manager.ReleaseAll(id_);
+  engine_->lock_manager.ReleaseAll(id_, locked_shards_);
   engine_->active_txns.Unregister(id_);
   state_ = TxnState::kCommitted;
   return Status::OK();
@@ -1184,7 +1185,7 @@ void Transaction::RollbackLocked() {
   // Idempotent and a no-op if we already reached kCommitted.
   if (ssi_) engine_->ssi.Abort(ssi_);
 
-  engine_->lock_manager.ReleaseAll(id_);
+  engine_->lock_manager.ReleaseAll(id_, locked_shards_);
   engine_->active_txns.Unregister(id_);
   state_ = TxnState::kAborted;
 }

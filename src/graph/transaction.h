@@ -361,6 +361,9 @@ class Transaction {
   const bool read_only_;
   Timestamp commit_ts_ = kNoTimestamp;
   TxnState state_ = TxnState::kActive;
+  /// LockManager shards this transaction has locked in (one bit each);
+  /// commit and abort release only these, and nothing when it is zero.
+  uint64_t locked_shards_ = 0;
 
   std::map<EntityKey, WriteRecord> writes_;
   /// Index changes staged as pending, in staging order.

@@ -7,6 +7,7 @@
 #include <linux/falloc.h>
 #endif
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -14,22 +15,50 @@ namespace neosi {
 
 // ----------------------------- InMemoryFile -------------------------------
 
+template <typename Fn>
+void InMemoryFile::ForEachSpan(uint64_t offset, size_t n, Fn&& fn) const {
+  while (n > 0) {
+    const size_t in_chunk = offset % kChunkSize;
+    const size_t len = std::min(n, kChunkSize - in_chunk);
+    fn(chunks_[offset / kChunkSize].get() + in_chunk, len);
+    offset += len;
+    n -= len;
+  }
+}
+
+void InMemoryFile::Resize(uint64_t size) {
+  const size_t chunks = (size + kChunkSize - 1) / kChunkSize;
+  chunks_.resize(std::min(chunks, chunks_.size()));
+  while (chunks_.size() < chunks) {
+    chunks_.push_back(std::make_unique_for_overwrite<char[]>(kChunkSize));
+  }
+  if (size > size_) {
+    ForEachSpan(size_, size - size_,
+                [](char* span, size_t len) { memset(span, 0, len); });
+  }
+  size_ = size;
+}
+
 Status InMemoryFile::ReadAt(uint64_t offset, size_t n, char* buf) const {
   ReadGuard guard(latch_);
-  if (offset + n > buf_.size()) {
+  if (offset + n > size_) {
     return Status::OutOfRange("read past end of in-memory file");
   }
-  memcpy(buf, buf_.data() + offset, n);
+  ForEachSpan(offset, n, [&](char* span, size_t len) {
+    memcpy(buf, span, len);
+    buf += len;
+  });
   return Status::OK();
 }
 
 Status InMemoryFile::WriteAt(uint64_t offset, const char* data, size_t n) {
   {
     WriteGuard guard(latch_);
-    if (offset + n > buf_.size()) {
-      buf_.resize(offset + n, '\0');
-    }
-    memcpy(buf_.data() + offset, data, n);
+    if (offset + n > size_) Resize(offset + n);
+    ForEachSpan(offset, n, [&](char* span, size_t len) {
+      memcpy(span, data, len);
+      data += len;
+    });
   }
   MarkDirty();
   return Status::OK();
@@ -38,7 +67,7 @@ Status InMemoryFile::WriteAt(uint64_t offset, const char* data, size_t n) {
 Status InMemoryFile::Truncate(uint64_t size) {
   {
     WriteGuard guard(latch_);
-    buf_.resize(size, '\0');
+    Resize(size);
   }
   MarkDirty();
   return Status::OK();
@@ -46,7 +75,7 @@ Status InMemoryFile::Truncate(uint64_t size) {
 
 uint64_t InMemoryFile::Size() const {
   ReadGuard guard(latch_);
-  return buf_.size();
+  return size_;
 }
 
 // ------------------------------- PosixFile --------------------------------

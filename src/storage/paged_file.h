@@ -10,6 +10,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/latch.h"
 #include "common/status.h"
@@ -73,8 +74,19 @@ class PagedFile {
 };
 
 /// Heap-backed file; contents are lost when the object dies.
+///
+/// The bytes live in fixed 64 KiB chunks, so the file grows a chunk at a
+/// time and no write copies the contents: a doubling buffer would hold the
+/// old and the new copy at once while a WAL segment grows to its rotation
+/// size, and its capacity can overshoot the segment by up to 2x.
+/// Invariant: exactly the chunks covering [0, size_) are allocated. Bytes
+/// past size_ are left as they are (a shrink does not clear them, a new
+/// chunk is not zeroed); growth zero-fills from the old end instead, so an
+/// append never clears a whole chunk.
 class InMemoryFile final : public PagedFile {
  public:
+  static constexpr size_t kChunkSize = 64 << 10;
+
   Status ReadAt(uint64_t offset, size_t n, char* buf) const override;
   Status WriteAt(uint64_t offset, const char* data, size_t n) override;
   Status Truncate(uint64_t size) override;
@@ -82,8 +94,17 @@ class InMemoryFile final : public PagedFile {
   Status Sync() override { return Status::OK(); }
 
  private:
+  /// Calls fn(span, len) on each within-chunk piece of [offset, offset + n),
+  /// in order. The range must lie within the allocated chunks.
+  template <typename Fn>
+  void ForEachSpan(uint64_t offset, size_t n, Fn&& fn) const;
+  /// Sets the size, allocating or freeing whole chunks, and zero-fills
+  /// [old size, size) on growth. Caller holds the write latch.
+  void Resize(uint64_t size);
+
   mutable SharedLatch latch_;
-  std::string buf_;
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  uint64_t size_ = 0;
 };
 
 /// POSIX file using pread/pwrite; created if absent.

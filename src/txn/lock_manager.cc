@@ -1,5 +1,6 @@
 #include "txn/lock_manager.h"
 
+#include <bit>
 #include <chrono>
 
 namespace neosi {
@@ -17,8 +18,9 @@ bool LockManager::MustDie(TxnId txn, const LockState& state) {
   return false;
 }
 
-Status LockManager::AcquireShared(TxnId txn, const EntityKey& key) {
-  Shard& shard = ShardFor(key);
+Status LockManager::AcquireShared(TxnId txn, const EntityKey& key,
+                                  uint64_t* shards) {
+  Shard& shard = MarkShard(key, shards);
   std::unique_lock<std::mutex> lock(shard.mu);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms_);
@@ -28,30 +30,27 @@ Status LockManager::AcquireShared(TxnId txn, const EntityKey& key) {
     if (state.exclusive == kNoTxn || state.exclusive == txn) {
       ++state.shared[txn];
       ++shard.held[txn][key];
-      std::lock_guard<std::mutex> sg(stats_mu_);
-      ++stats_.shared_acquired;
-      if (waited) ++stats_.waits;
+      shard.shared_acquired.fetch_add(1, std::memory_order_relaxed);
+      if (waited) shard.waits.fetch_add(1, std::memory_order_relaxed);
       return Status::OK();
     }
     if (state.exclusive < txn) {
-      std::lock_guard<std::mutex> sg(stats_mu_);
-      ++stats_.wait_die_aborts;
+      shard.wait_die_aborts.fetch_add(1, std::memory_order_relaxed);
       return Status::Deadlock("wait-die: shared lock on " + key.ToString() +
                               " held by older txn " +
                               std::to_string(state.exclusive));
     }
     waited = true;
     if (shard.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-      std::lock_guard<std::mutex> sg(stats_mu_);
-      ++stats_.timeouts;
+      shard.timeouts.fetch_add(1, std::memory_order_relaxed);
       return Status::Deadlock("lock timeout (shared) on " + key.ToString());
     }
   }
 }
 
 Status LockManager::AcquireExclusive(TxnId txn, const EntityKey& key,
-                                     bool wait) {
-  Shard& shard = ShardFor(key);
+                                     bool wait, uint64_t* shards) {
+  Shard& shard = MarkShard(key, shards);
   std::unique_lock<std::mutex> lock(shard.mu);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms_);
@@ -69,28 +68,24 @@ Status LockManager::AcquireExclusive(TxnId txn, const EntityKey& key,
       state.exclusive = txn;
       ++state.exclusive_count;
       ++shard.held[txn][key];
-      std::lock_guard<std::mutex> sg(stats_mu_);
-      ++stats_.exclusive_acquired;
-      if (waited) ++stats_.waits;
+      shard.exclusive_acquired.fetch_add(1, std::memory_order_relaxed);
+      if (waited) shard.waits.fetch_add(1, std::memory_order_relaxed);
       return Status::OK();
     }
 
     if (!wait) {
-      std::lock_guard<std::mutex> sg(stats_mu_);
-      ++stats_.nowait_conflicts;
+      shard.nowait_conflicts.fetch_add(1, std::memory_order_relaxed);
       return Status::Aborted("write-write conflict on " + key.ToString() +
                              " (first-updater-wins, no-wait)");
     }
     if (MustDie(txn, state)) {
-      std::lock_guard<std::mutex> sg(stats_mu_);
-      ++stats_.wait_die_aborts;
+      shard.wait_die_aborts.fetch_add(1, std::memory_order_relaxed);
       return Status::Deadlock("wait-die: exclusive lock on " +
                               key.ToString() + " held by older txn");
     }
     waited = true;
     if (shard.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-      std::lock_guard<std::mutex> sg(stats_mu_);
-      ++stats_.timeouts;
+      shard.timeouts.fetch_add(1, std::memory_order_relaxed);
       return Status::Deadlock("lock timeout (exclusive) on " +
                               key.ToString());
     }
@@ -126,8 +121,9 @@ void LockManager::Release(TxnId txn, const EntityKey& key) {
   shard.cv.notify_all();
 }
 
-void LockManager::ReleaseAll(TxnId txn) {
-  for (Shard& shard : shards_) {
+void LockManager::ReleaseAll(TxnId txn, uint64_t shards) {
+  for (; shards != 0; shards &= shards - 1) {
+    Shard& shard = shards_[std::countr_zero(shards)];
     std::lock_guard<std::mutex> lock(shard.mu);
     auto held_it = shard.held.find(txn);
     if (held_it == shard.held.end()) continue;
@@ -155,8 +151,20 @@ TxnId LockManager::ExclusiveHolder(const EntityKey& key) const {
 }
 
 LockManagerStats LockManager::Stats() const {
-  std::lock_guard<std::mutex> guard(stats_mu_);
-  return stats_;
+  LockManagerStats out;
+  for (const Shard& shard : shards_) {
+    out.shared_acquired +=
+        shard.shared_acquired.load(std::memory_order_relaxed);
+    out.exclusive_acquired +=
+        shard.exclusive_acquired.load(std::memory_order_relaxed);
+    out.waits += shard.waits.load(std::memory_order_relaxed);
+    out.nowait_conflicts +=
+        shard.nowait_conflicts.load(std::memory_order_relaxed);
+    out.wait_die_aborts +=
+        shard.wait_die_aborts.load(std::memory_order_relaxed);
+    out.timeouts += shard.timeouts.load(std::memory_order_relaxed);
+  }
+  return out;
 }
 
 }  // namespace neosi

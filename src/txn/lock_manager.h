@@ -12,10 +12,17 @@
 //
 // Deadlocks among waiters are prevented with wait-die (older transactions
 // wait, younger ones abort with Status::Deadlock), plus a timeout backstop.
+//
+// The caller owns a 64-bit mask of the shards its transaction touched: every
+// acquisition sets its shard's bit (before the attempt, so a transaction that
+// dies midway still releases what it took), and ReleaseAll visits only the
+// set bits. A transaction that took no lock — every SI reader — never touches
+// the manager at commit or abort.
 
 #ifndef NEOSI_TXN_LOCK_MANAGER_H_
 #define NEOSI_TXN_LOCK_MANAGER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -47,20 +54,25 @@ class LockManager {
   LockManager& operator=(const LockManager&) = delete;
 
   /// Shared (read) lock; blocks while another transaction holds the
-  /// exclusive lock. Reentrant. Wait-die applies while blocked.
-  Status AcquireShared(TxnId txn, const EntityKey& key);
+  /// exclusive lock. Reentrant. Wait-die applies while blocked. Sets the
+  /// key's shard bit in `*shards` (txn's mask) before the attempt.
+  Status AcquireShared(TxnId txn, const EntityKey& key, uint64_t* shards);
 
   /// Exclusive (write) lock. Reentrant; upgrades a sole shared holding.
   /// With wait=false, returns Status::Aborted immediately when any other
   /// transaction holds the lock (first-updater-wins no-wait). With
-  /// wait=true, blocks under wait-die until available.
-  Status AcquireExclusive(TxnId txn, const EntityKey& key, bool wait);
+  /// wait=true, blocks under wait-die until available. Sets the key's
+  /// shard bit in `*shards` (txn's mask) before the attempt.
+  Status AcquireExclusive(TxnId txn, const EntityKey& key, bool wait,
+                          uint64_t* shards);
 
-  /// Releases one lock held by txn on key (short read locks).
+  /// Releases one lock held by txn on key (short read locks). The shard's
+  /// bit stays set in txn's mask; ReleaseAll skips a shard it finds empty.
   void Release(TxnId txn, const EntityKey& key);
 
-  /// Releases everything txn holds (commit/abort).
-  void ReleaseAll(TxnId txn);
+  /// Releases everything txn holds (commit/abort), visiting only the shards
+  /// whose bits are set in `shards`. An empty mask returns at once.
+  void ReleaseAll(TxnId txn, uint64_t shards);
 
   /// The transaction currently holding key exclusively (kNoTxn if none).
   TxnId ExclusiveHolder(const EntityKey& key) const;
@@ -80,18 +92,35 @@ class LockManager {
     }
   };
 
+  // Counters are bumped under `mu` but read by Stats() without it.
   struct Shard {
     std::mutex mu;
     std::condition_variable cv;
     std::unordered_map<EntityKey, LockState> locks;
     // Keys held per transaction, for ReleaseAll.
     std::unordered_map<TxnId, std::unordered_map<EntityKey, uint32_t>> held;
+    std::atomic<uint64_t> shared_acquired{0};
+    std::atomic<uint64_t> exclusive_acquired{0};
+    std::atomic<uint64_t> waits{0};
+    std::atomic<uint64_t> nowait_conflicts{0};
+    std::atomic<uint64_t> wait_die_aborts{0};
+    std::atomic<uint64_t> timeouts{0};
   };
 
   static constexpr size_t kShardCount = 64;
+  static_assert(kShardCount == 64, "one shard per bit of a uint64_t mask");
 
+  static size_t ShardIndex(const EntityKey& key) {
+    return std::hash<EntityKey>{}(key) % kShardCount;
+  }
   Shard& ShardFor(const EntityKey& key) const {
-    return shards_[std::hash<EntityKey>{}(key) % kShardCount];
+    return shards_[ShardIndex(key)];
+  }
+  /// The key's shard, after setting its bit in `*shards`.
+  Shard& MarkShard(const EntityKey& key, uint64_t* shards) const {
+    const size_t i = ShardIndex(key);
+    *shards |= uint64_t{1} << i;
+    return shards_[i];
   }
 
   /// True when `txn` must die instead of waiting (some conflicting holder is
@@ -100,9 +129,6 @@ class LockManager {
 
   mutable std::vector<Shard> shards_;
   const uint64_t timeout_ms_;
-
-  mutable std::mutex stats_mu_;
-  LockManagerStats stats_;
 };
 
 }  // namespace neosi

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "cache/object_cache.h"
 #include "mvcc/epoch.h"
 
@@ -180,6 +183,35 @@ TEST(ObjectCache, StatsCountResidentVersions) {
   EXPECT_EQ(stats.resident_nodes, 1u);
   EXPECT_EQ(stats.resident_versions, 4u);
   EXPECT_GT(stats.approx_bytes, 0u);
+}
+
+// Every lookup is counted exactly once, including the one that loses the
+// load race to another thread (it returns the winner's load: a hit).
+TEST(ObjectCache, ConcurrentColdLookupsCountEveryCall) {
+  auto store = MakeStore();
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, &epochs);
+  constexpr int kIds = 1000;
+  constexpr int kThreads = 8;
+  std::vector<NodeId> ids;
+  for (int i = 0; i < kIds; ++i) {
+    const NodeId id = *store->AllocateNodeId();
+    ASSERT_TRUE(store->PersistNewNode(id, {}, {}, 1).ok());
+    ids.push_back(id);
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (NodeId id : ids) EXPECT_TRUE(cache.GetNode(id).ok());
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  ObjectCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.node_hits + stats.node_misses,
+            static_cast<uint64_t>(kIds * kThreads));
+  EXPECT_EQ(stats.node_misses, static_cast<uint64_t>(kIds));
+  EXPECT_EQ(stats.loads, static_cast<uint64_t>(kIds));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -435,6 +436,35 @@ TEST(Concurrency, OppositeOrderWritesNeverHang) {
   });
   EXPECT_EQ(result.committed, 200u);
   EXPECT_EQ(result.errors, 0u);
+}
+
+// A younger writer that dies in LockEndpoints on its second endpoint must
+// free the first: the abort releases every shard the transaction marked,
+// including the one whose lock it did get before dying.
+TEST(Concurrency, WriterDyingOnSecondEndpointFreesTheFirst) {
+  auto db = OpenDb(ConflictPolicy::kFirstUpdaterWinsNoWait);
+  NodeId lo, hi;
+  {
+    auto txn = db->Begin();
+    lo = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{0})}});
+    hi = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{0})}});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  if (lo > hi) std::swap(lo, hi);
+
+  auto older = db->Begin();
+  ASSERT_TRUE(older->SetNodeProperty(hi, "v", PropertyValue(int64_t{1})).ok());
+  auto younger = db->Begin();
+  ASSERT_GT(younger->id(), older->id());
+  // Endpoints lock low then high: `lo` is taken, then wait-die kills the
+  // younger writer on `hi`, held by the older one.
+  EXPECT_TRUE(younger->CreateRelationship(lo, hi, "R").status().IsDeadlock());
+
+  // No-wait: this write aborts at once if `lo` was left locked.
+  auto third = db->Begin();
+  ASSERT_TRUE(third->SetNodeProperty(lo, "v", PropertyValue(int64_t{2})).ok());
+  EXPECT_TRUE(third->Commit().ok());
+  EXPECT_TRUE(older->Commit().ok());
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <string>
 
 #include "storage/paged_file.h"
 
@@ -47,6 +49,79 @@ TEST(InMemoryFile, TruncateShrinksAndGrows) {
   ASSERT_TRUE(file.ReadAt(0, 8, buf).ok());
   EXPECT_EQ(std::string(buf, 3), "abc");
   EXPECT_EQ(buf[5], '\0');
+}
+
+TEST(InMemoryFile, WriteSpanningChunkBoundaryRoundTrips) {
+  InMemoryFile file;
+  constexpr size_t kChunk = InMemoryFile::kChunkSize;
+  std::string data(3 * kChunk / 2, '\0');
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<char>(i * 7);
+  const uint64_t offset = kChunk - 100;  // Crosses two boundaries.
+  ASSERT_TRUE(file.WriteAt(offset, data.data(), data.size()).ok());
+  EXPECT_EQ(file.Size(), offset + data.size());
+  std::string back(data.size(), 'x');
+  ASSERT_TRUE(file.ReadAt(offset, back.size(), back.data()).ok());
+  EXPECT_EQ(back, data);
+  // A short read straddling one boundary.
+  char pair[2];
+  ASSERT_TRUE(file.ReadAt(kChunk - 1, 2, pair).ok());
+  EXPECT_EQ(pair[0], data[99]);
+  EXPECT_EQ(pair[1], data[100]);
+}
+
+TEST(InMemoryFile, RegrowthAfterMidChunkTruncateReadsZeros) {
+  InMemoryFile file;
+  constexpr size_t kChunk = InMemoryFile::kChunkSize;
+  const std::string ones(2 * kChunk + 10, '\1');
+  ASSERT_TRUE(file.WriteAt(0, ones.data(), ones.size()).ok());
+  const uint64_t cut = kChunk + 123;  // Mid second chunk.
+  ASSERT_TRUE(file.Truncate(cut).ok());
+  EXPECT_EQ(file.Size(), cut);
+
+  // Regrow by a write past the old end and by Truncate.
+  ASSERT_TRUE(file.WriteAt(ones.size() + 5, "z", 1).ok());
+  std::string back(ones.size() + 5 - cut, 'x');
+  ASSERT_TRUE(file.ReadAt(cut, back.size(), back.data()).ok());
+  EXPECT_EQ(back, std::string(back.size(), '\0'));
+  ASSERT_TRUE(file.Truncate(cut).ok());
+  ASSERT_TRUE(file.Truncate(3 * kChunk).ok());
+  back.assign(3 * kChunk - cut, 'x');
+  ASSERT_TRUE(file.ReadAt(cut, back.size(), back.data()).ok());
+  EXPECT_EQ(back, std::string(back.size(), '\0'));
+  // The kept prefix is intact.
+  std::string prefix(cut, 'x');
+  ASSERT_TRUE(file.ReadAt(0, cut, prefix.data()).ok());
+  EXPECT_EQ(prefix, ones.substr(0, cut));
+}
+
+TEST(InMemoryFile, ManyAppendsReportExactSize) {
+  InMemoryFile file;
+  const std::string record(1000, 'r');
+  constexpr uint64_t kTotal = 20ull << 20;
+  uint64_t size = 0;
+  while (size < kTotal) {
+    const size_t n = std::min<uint64_t>(record.size(), kTotal - size);
+    ASSERT_TRUE(file.WriteAt(size, record.data(), n).ok());
+    size += n;
+  }
+  EXPECT_EQ(file.Size(), kTotal);
+  char tail[4];
+  ASSERT_TRUE(file.ReadAt(kTotal - 4, 4, tail).ok());
+  EXPECT_EQ(std::string(tail, 4), "rrrr");
+}
+
+TEST(InMemoryFile, ReadPastEndIsOutOfRangeAcrossChunks) {
+  InMemoryFile file;
+  constexpr size_t kChunk = InMemoryFile::kChunkSize;
+  const std::string data(kChunk + 1, 'd');
+  ASSERT_TRUE(file.WriteAt(0, data.data(), data.size()).ok());
+  std::string buf(kChunk + 2, 'x');
+  EXPECT_TRUE(file.ReadAt(0, kChunk + 2, buf.data()).IsOutOfRange());
+  EXPECT_TRUE(file.ReadAt(kChunk + 1, 1, buf.data()).IsOutOfRange());
+  EXPECT_TRUE(file.ReadAt(3 * kChunk, 1, buf.data()).IsOutOfRange());
+  ASSERT_TRUE(file.Truncate(kChunk - 1).ok());
+  EXPECT_TRUE(file.ReadAt(kChunk - 1, 1, buf.data()).IsOutOfRange());
+  EXPECT_TRUE(file.ReadAt(0, kChunk - 1, buf.data()).ok());
 }
 
 class PosixFileTest : public ::testing::Test {

@@ -1,10 +1,13 @@
 // LockManager: shared/exclusive semantics, reentrancy, upgrade, wait-die,
-// no-wait conflicts.
+// no-wait conflicts, and release by the caller's shard mask.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <thread>
+#include <utility>
 
 #include "txn/lock_manager.h"
 
@@ -14,8 +17,42 @@ namespace {
 const EntityKey kA = EntityKey::Node(1);
 const EntityKey kB = EntityKey::Node(2);
 
-TEST(LockManager, SharedLocksCoexist) {
+/// A LockManager plus each test transaction's shard mask, indexed by txn id
+/// (a mask is touched only by its own transaction's thread). ReleaseAll
+/// hands the mask over and clears it, as a transaction's commit does.
+struct Locks {
+  explicit Locks(uint64_t timeout_ms = 10000) : lm(timeout_ms) {}
+
+  Status AcquireShared(TxnId txn, const EntityKey& key) {
+    return lm.AcquireShared(txn, key, &masks.at(txn));
+  }
+  Status AcquireExclusive(TxnId txn, const EntityKey& key, bool wait) {
+    return lm.AcquireExclusive(txn, key, wait, &masks.at(txn));
+  }
+  void Release(TxnId txn, const EntityKey& key) { lm.Release(txn, key); }
+  void ReleaseAll(TxnId txn) {
+    lm.ReleaseAll(txn, std::exchange(masks.at(txn), 0));
+  }
+  TxnId ExclusiveHolder(const EntityKey& key) const {
+    return lm.ExclusiveHolder(key);
+  }
+  LockManagerStats Stats() const { return lm.Stats(); }
+
   LockManager lm;
+  std::array<uint64_t, 16> masks{};
+};
+
+/// The first node key after `key` whose lock lives in another shard.
+EntityKey KeyInOtherShard(const EntityKey& key) {
+  const std::hash<EntityKey> hash;
+  for (uint64_t id = key.id + 1;; ++id) {
+    const EntityKey other = EntityKey::Node(id);
+    if (hash(other) % 64 != hash(key) % 64) return other;
+  }
+}
+
+TEST(LockManager, SharedLocksCoexist) {
+  Locks lm;
   EXPECT_TRUE(lm.AcquireShared(1, kA).ok());
   EXPECT_TRUE(lm.AcquireShared(2, kA).ok());
   EXPECT_TRUE(lm.AcquireShared(3, kA).ok());
@@ -25,7 +62,7 @@ TEST(LockManager, SharedLocksCoexist) {
 }
 
 TEST(LockManager, ExclusiveExcludesEverything) {
-  LockManager lm;
+  Locks lm;
   ASSERT_TRUE(lm.AcquireExclusive(1, kA, /*wait=*/false).ok());
   EXPECT_TRUE(lm.AcquireExclusive(2, kA, /*wait=*/false).IsAborted());
   EXPECT_EQ(lm.ExclusiveHolder(kA), 1u);
@@ -35,7 +72,7 @@ TEST(LockManager, ExclusiveExcludesEverything) {
 }
 
 TEST(LockManager, ExclusiveIsReentrant) {
-  LockManager lm;
+  Locks lm;
   ASSERT_TRUE(lm.AcquireExclusive(1, kA, false).ok());
   ASSERT_TRUE(lm.AcquireExclusive(1, kA, false).ok());
   lm.Release(1, kA);
@@ -46,7 +83,7 @@ TEST(LockManager, ExclusiveIsReentrant) {
 }
 
 TEST(LockManager, SharedThenExclusiveUpgradeWhenSoleHolder) {
-  LockManager lm;
+  Locks lm;
   ASSERT_TRUE(lm.AcquireShared(1, kA).ok());
   EXPECT_TRUE(lm.AcquireExclusive(1, kA, false).ok());
   EXPECT_EQ(lm.ExclusiveHolder(kA), 1u);
@@ -54,14 +91,14 @@ TEST(LockManager, SharedThenExclusiveUpgradeWhenSoleHolder) {
 }
 
 TEST(LockManager, SharedBlocksExclusiveNoWait) {
-  LockManager lm;
+  Locks lm;
   ASSERT_TRUE(lm.AcquireShared(1, kA).ok());
   EXPECT_TRUE(lm.AcquireExclusive(2, kA, false).IsAborted());
   lm.ReleaseAll(1);
 }
 
 TEST(LockManager, ShortReadLockReleaseUnblocksWriter) {
-  LockManager lm;
+  Locks lm;
   ASSERT_TRUE(lm.AcquireShared(2, kA).ok());
   std::atomic<bool> acquired{false};
   // Txn 1 is OLDER than holder 2 -> wait-die lets it wait.
@@ -78,7 +115,7 @@ TEST(LockManager, ShortReadLockReleaseUnblocksWriter) {
 }
 
 TEST(LockManager, WaitDieYoungerRequesterDies) {
-  LockManager lm;
+  Locks lm;
   // Txn 1 (older) holds; txn 2 (younger) must die instead of waiting.
   ASSERT_TRUE(lm.AcquireExclusive(1, kA, true).ok());
   EXPECT_TRUE(lm.AcquireExclusive(2, kA, true).IsDeadlock());
@@ -88,7 +125,7 @@ TEST(LockManager, WaitDieYoungerRequesterDies) {
 }
 
 TEST(LockManager, WaitDieOlderRequesterWaits) {
-  LockManager lm;
+  Locks lm;
   ASSERT_TRUE(lm.AcquireExclusive(5, kA, true).ok());
   std::atomic<bool> acquired{false};
   std::thread older([&] {
@@ -104,7 +141,7 @@ TEST(LockManager, WaitDieOlderRequesterWaits) {
 }
 
 TEST(LockManager, OppositeOrderDeadlockResolvedByWaitDie) {
-  LockManager lm;
+  Locks lm;
   ASSERT_TRUE(lm.AcquireExclusive(1, kA, true).ok());
   ASSERT_TRUE(lm.AcquireExclusive(2, kB, true).ok());
   // Txn 2 (younger) requests A held by older txn 1: dies immediately.
@@ -116,7 +153,7 @@ TEST(LockManager, OppositeOrderDeadlockResolvedByWaitDie) {
 }
 
 TEST(LockManager, TimeoutBackstopFires) {
-  LockManager lm(/*timeout_ms=*/50);
+  Locks lm(/*timeout_ms=*/50);
   ASSERT_TRUE(lm.AcquireExclusive(7, kA, true).ok());
   // Older txn 3 waits... and times out because 7 never releases.
   const auto t0 = std::chrono::steady_clock::now();
@@ -130,7 +167,7 @@ TEST(LockManager, TimeoutBackstopFires) {
 }
 
 TEST(LockManager, ReleaseAllDropsEverything) {
-  LockManager lm;
+  Locks lm;
   ASSERT_TRUE(lm.AcquireShared(1, kA).ok());
   ASSERT_TRUE(lm.AcquireExclusive(1, kB, false).ok());
   lm.ReleaseAll(1);
@@ -140,7 +177,7 @@ TEST(LockManager, ReleaseAllDropsEverything) {
 }
 
 TEST(LockManager, StatsCountConflicts) {
-  LockManager lm;
+  Locks lm;
   ASSERT_TRUE(lm.AcquireExclusive(1, kA, false).ok());
   (void)lm.AcquireExclusive(2, kA, false);  // no-wait conflict
   (void)lm.AcquireExclusive(2, kA, true);   // wait-die abort
@@ -149,6 +186,45 @@ TEST(LockManager, StatsCountConflicts) {
   EXPECT_EQ(stats.nowait_conflicts, 1u);
   EXPECT_EQ(stats.wait_die_aborts, 1u);
   lm.ReleaseAll(1);
+}
+
+TEST(LockManager, ReleaseAllFreesLocksInEveryMarkedShard) {
+  Locks lm;
+  const EntityKey other = KeyInOtherShard(kA);
+  ASSERT_TRUE(lm.AcquireExclusive(1, kA, false).ok());
+  ASSERT_TRUE(lm.AcquireShared(1, other).ok());
+  EXPECT_EQ(std::popcount(lm.masks[1]), 2);
+  lm.ReleaseAll(1);
+  EXPECT_EQ(lm.ExclusiveHolder(kA), kNoTxn);
+  EXPECT_TRUE(lm.AcquireExclusive(2, kA, false).ok());
+  EXPECT_TRUE(lm.AcquireExclusive(2, other, false).ok());
+  lm.ReleaseAll(2);
+}
+
+TEST(LockManager, EmptyMaskReleasesNothing) {
+  Locks lm;
+  ASSERT_TRUE(lm.AcquireExclusive(1, kA, false).ok());
+  lm.ReleaseAll(2);  // Txn 2 locked nothing: its mask is empty.
+  EXPECT_EQ(lm.ExclusiveHolder(kA), 1u);
+  // Even a full mask releases only the named transaction's locks.
+  lm.lm.ReleaseAll(2, ~uint64_t{0});
+  EXPECT_EQ(lm.ExclusiveHolder(kA), 1u);
+  EXPECT_TRUE(lm.AcquireExclusive(3, kA, false).IsAborted());
+  lm.ReleaseAll(1);
+}
+
+TEST(LockManager, FailedNoWaitAttemptThenAbortLeavesKeyLockable) {
+  Locks lm;
+  ASSERT_TRUE(lm.AcquireExclusive(1, kA, false).ok());
+  EXPECT_TRUE(lm.AcquireExclusive(2, kA, false).IsAborted());
+  // The shard bit is set before the attempt, so the loser's abort visits
+  // the shard — and must not free the winner's lock.
+  EXPECT_NE(lm.masks[2], 0u);
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.ExclusiveHolder(kA), 1u);
+  lm.ReleaseAll(1);
+  EXPECT_TRUE(lm.AcquireExclusive(3, kA, false).ok());
+  lm.ReleaseAll(3);
 }
 
 TEST(LockManager, ManyThreadsMutualExclusion) {
@@ -161,7 +237,8 @@ TEST(LockManager, ManyThreadsMutualExclusion) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 2000; ++i) {
         const TxnId txn = static_cast<TxnId>(t * 100000 + i + 1);
-        if (lm.AcquireExclusive(txn, kA, false).ok()) {
+        uint64_t mask = 0;
+        if (lm.AcquireExclusive(txn, kA, false, &mask).ok()) {
           const int now = inside.fetch_add(1) + 1;
           int prev_max = max_inside.load();
           while (now > prev_max &&
@@ -169,8 +246,8 @@ TEST(LockManager, ManyThreadsMutualExclusion) {
           }
           acquisitions.fetch_add(1);
           inside.fetch_sub(1);
-          lm.ReleaseAll(txn);
         }
+        lm.ReleaseAll(txn, mask);
       }
     });
   }
