@@ -473,7 +473,6 @@ int main() {
       // below the head can be physically reclaimed while the log is hot).
       options.wal_segment_size =
           std::string(config) == "segmented" ? (32ull << 10) : (1ull << 30);
-      options.wal_recycle_segments = 0;  // Delete-only: crisp footprints.
       auto opened = GraphDatabase::Open(options);
       if (!opened.ok()) {
         std::printf("skipped: %s\n", opened.status().ToString().c_str());
@@ -516,8 +515,7 @@ int main() {
                   static_cast<unsigned long long>(high_water.load() >> 10),
                   static_cast<unsigned long long>(final_bytes >> 10),
                   static_cast<unsigned long long>(
-                      stats.store.wal_segments_deleted +
-                      stats.store.wal_segments_recycled));
+                      stats.store.wal_segments_deleted));
       Record("wal_disk", config, threads, r);
     }
     std::printf("\nexpected shape: comparable commit throughput, but the "

@@ -8,8 +8,7 @@
 //                     gc_backlog_threshold, snapshot_max_age_ms,
 //                     snapshot_expire_backlog) + epoch limbo drains
 //   CheckpointDaemon  WAL bounding                 (checkpoint_interval_ms,
-//                     checkpoint_wal_threshold, wal_segment_size,
-//                     wal_recycle_segments)
+//                     checkpoint_wal_threshold, wal_segment_size)
 //
 // Both daemons run one thread each on the same paced loop (PacedLoop).
 // Internals that no deployment tunes are fixed rules instead of options:
@@ -154,12 +153,6 @@ struct DatabaseOptions {
   /// backend — no filesystem hole support needed.
   uint64_t wal_segment_size = 16ull << 20;  // 16 MiB
 
-  /// Retired WAL segments kept in a recycle pool, in FILES, and reused for
-  /// new segments instead of being unlinked (PostgreSQL-style xlog
-  /// recycling: reuse skips the file-creation + directory-fsync cost on
-  /// the roll path). Default: 2. 0 = always unlink.
-  uint64_t wal_recycle_segments = 2;
-
   /// Fully-checkpointed WAL segments RETAINED (not retired) beyond the live
   /// chain, in FILES, so a lagging replica can still ship them
   /// (PostgreSQL's wal_keep_size). Default: 0 = retire eagerly. A replica
@@ -184,10 +177,9 @@ struct DatabaseOptions {
   /// docs/OPERATIONS.md, durability invariants).
   bool wal_async_flush = true;
 
-  /// Keep the next WAL segment file pre-created (recycled or
-  /// fallocate-reserved) by the flusher thread so a segment roll is an
-  /// atomic-rename adoption instead of a create+header+fsync on the append
-  /// path. Default: true.
+  /// Keep the next WAL segment file built (fallocate-reserved, fsynced,
+  /// dir-synced) by the flusher thread so a segment roll only adopts it by
+  /// rename instead of building it on the append path. Default: true.
   bool wal_preallocate = true;
 
   // --- replication (read replicas) -----------------------------------------

@@ -160,7 +160,6 @@ Status GraphStore::Open() {
   }
   WalOptions wal_options;
   wal_options.segment_size = options_.wal_segment_size;
-  wal_options.recycle_segments = options_.wal_recycle_segments;
   wal_options.keep_segments = options_.wal_keep_segments;
   wal_options.async_flush = options_.wal_async_flush;
   wal_options.preallocate = options_.wal_preallocate;
@@ -1036,7 +1035,7 @@ Status GraphStore::Checkpoint() {
   NEOSI_RETURN_IF_ERROR(fault_hooks.Check("checkpoint.post_marker"));
 
   // 4. Drop the replayed prefix: segments wholly below the cut are
-  //    unlinked (or recycled). Crash-safe in either direction: a crash
+  //    unlinked. Crash-safe in either direction: a crash
   //    before the unlink just leaves dead segments recovery skips via the
   //    marker; the unlink itself only removes fully-applied, fully-synced
   //    records (or the marker, which survives in the active segment).
@@ -1061,8 +1060,6 @@ GraphStoreStats GraphStore::Stats() const {
   stats.wal_physical_bytes = wal_->PhysicalBytes();
   stats.wal_segments_created = wal_->segments_created();
   stats.wal_segments_deleted = wal_->segments_deleted();
-  stats.wal_segments_recycled = wal_->segments_recycled();
-  stats.wal_segments_reused = wal_->segments_reused();
   stats.wal_segments_preallocated = wal_->segments_preallocated();
   stats.wal_flushed_lsn = wal_->FlushedLsn();
   stats.wal_poisoned = wal_->poisoned();

@@ -71,11 +71,10 @@ struct GraphStoreStats {
   /// Rotating WAL segment gauges/counters.
   uint64_t wal_segments = 0;            ///< Segment files currently chained.
   uint64_t wal_physical_bytes = 0;      ///< On-disk bytes of the chain.
-  uint64_t wal_segments_created = 0;    ///< Fresh segment files created.
-  uint64_t wal_segments_deleted = 0;    ///< Dead segments unlinked outright.
-  uint64_t wal_segments_recycled = 0;   ///< Dead segments parked for reuse.
-  uint64_t wal_segments_reused = 0;     ///< Pool segments re-entering chain.
-  uint64_t wal_segments_preallocated = 0;  ///< Rolls that adopted a prebuilt file.
+  uint64_t wal_segments_created = 0;    ///< Segments that entered the chain.
+  uint64_t wal_segments_deleted = 0;    ///< Dead segments unlinked.
+  /// Rolls that adopted a segment the flusher built off-path.
+  uint64_t wal_segments_preallocated = 0;
   /// Commit I/O state: the flushed-LSN watermark acks wait on, and the
   /// sticky-failure flag (true after any WAL fsync/dir-sync error — every
   /// later commit fails until the store is reopened).
@@ -235,8 +234,8 @@ class GraphStore {
   ///   2. fsync only the stores dirtied since the last checkpoint,
   ///   3. append + sync a checkpoint marker carrying the stable LSN,
   ///   4. truncate the WAL prefix below the stable LSN (whole dead
-  ///      segments are unlinked or recycled; recovery replays from the
-  ///      marker, tolerating a crash anywhere in this sequence).
+  ///      segments are unlinked; recovery replays from the marker,
+  ///      tolerating a crash anywhere in this sequence).
   /// Commit traffic proceeds concurrently through all four steps.
   Status Checkpoint();
 

@@ -12,12 +12,6 @@ namespace {
 
 constexpr size_t kFrameHeader = 8;  // u32 length + u32 crc
 
-// Mirrors the segment header wal.cc writes: magic(4) version(4) base(8)
-// epoch(8) crc(4), zero-padded to Wal::kSegmentHeaderSize ("NWS1").
-constexpr uint32_t kSegmentMagic = 0x3153574e;
-constexpr uint32_t kSegmentVersion = 1;
-constexpr size_t kSegmentCrcOffset = 24;
-
 struct TailSegment {
   uint64_t index = 0;
   Lsn base = 0;
@@ -25,8 +19,9 @@ struct TailSegment {
   std::unique_ptr<PagedFile> file;
 };
 
-/// True iff `name` is "wal." followed by digits only (free-pool files are
-/// "wal.free.NNNNNN" and fail the all-digits check).
+/// True iff `name` is "wal." followed by digits only (the Wal's
+/// "wal.prep.NNNNNN" builds, and the "wal.free.NNNNNN" files older versions
+/// kept, fail the all-digits check).
 bool ParseSegmentName(const std::string& name, uint64_t* index) {
   constexpr const char* kPrefix = "wal.";
   constexpr size_t kPrefixLen = 4;
@@ -43,23 +38,14 @@ bool ParseSegmentName(const std::string& name, uint64_t* index) {
   return true;
 }
 
-/// Reads and validates `file`'s segment header. Returns false (not an
-/// error) when the header is absent, torn, or fails its CRC — for a tailer
-/// that simply means the file is mid-recycle or mid-creation and the next
-/// poll will see a settled state.
+/// Reads and validates `file`'s segment header through the Wal's decoder.
+/// Returns false (not an error) when the header is unreadable, absent,
+/// torn, fails its CRC or has an unsupported version — for a tailer that
+/// simply means the file is mid-creation and the next poll will see a
+/// settled state.
 bool ReadHeader(PagedFile* file, Lsn* base, uint64_t* epoch) {
-  char buf[Wal::kSegmentHeaderSize];
-  if (file->Size() < Wal::kSegmentHeaderSize) return false;
-  if (!file->ReadAt(0, Wal::kSegmentHeaderSize, buf).ok()) return false;
-  if (DecodeFixed32(buf) != kSegmentMagic) return false;
-  if (DecodeFixed32(buf + kSegmentCrcOffset) !=
-      Crc32c(buf, kSegmentCrcOffset)) {
-    return false;
-  }
-  if (DecodeFixed32(buf + 4) != kSegmentVersion) return false;
-  *base = DecodeFixed64(buf + 8);
-  *epoch = DecodeFixed64(buf + 16);
-  return true;
+  bool valid = false;
+  return Wal::ReadSegmentHeader(file, base, epoch, &valid).ok() && valid;
 }
 
 }  // namespace
@@ -128,7 +114,7 @@ Status WalDirReplicationSource::Poll(Lsn cursor,
         break;
       }
       if (Crc32c(buf.data(), len) != crc) {
-        clean_stop = false;  // In-flight append or recycled-under-us bytes.
+        clean_stop = false;  // In-flight append or changed-under-us bytes.
         break;
       }
       ShippedRecord shipped;
@@ -143,10 +129,13 @@ Status WalDirReplicationSource::Poll(Lsn cursor,
       lsn += kFrameHeader + len;
     }
 
-    // Identity re-check: if the segment was recycled under the reads above,
-    // nothing read from it can be trusted — drop this segment's batch and
-    // let the next poll re-list. With the identity intact the CRC-verified
-    // frames are final bytes of this segment.
+    // Identity re-check, a safety net: a segment enters the chain by
+    // rename and leaves by unlink, so an open file should keep its header —
+    // but a rename can replace a chain name that a failed rollback left
+    // behind. If the header changed under the reads above, nothing read
+    // from it can be trusted: drop this segment's batch and let the next
+    // poll re-list. With the identity intact the CRC-verified frames are
+    // final bytes of this segment.
     Lsn base_now = 0;
     uint64_t epoch_now = 0;
     if (!ReadHeader(seg.file.get(), &base_now, &epoch_now) ||
@@ -160,9 +149,9 @@ Status WalDirReplicationSource::Poll(Lsn cursor,
     if (has_successor && lsn < seg_end) {
       if (out->size() == batch_start && clean_stop) {
         // No frame at the cursor at all — the cursor points into a segment
-        // whose content was checkpointed away and recycled with a reused
-        // base. Unreachable in practice (bases are monotonic), but report
-        // it as the gap it is rather than spin.
+        // whose content was checkpointed away and replaced by one with a
+        // reused base. Unreachable in practice (bases are monotonic), but
+        // report it as the gap it is rather than spin.
         return Status::Corruption(
             "replication cursor " + std::to_string(cursor) +
             " not found in segment with base " + std::to_string(seg.base));

@@ -14,9 +14,10 @@
 //  - a segment's frames are final once a successor segment exists (the Wal
 //    syncs the retiring segment before the new one enters the chain), so
 //    only the newest segment may have a growing / torn tail;
-//  - segment recycling truncates the file to zero FIRST, so a tailer that
-//    raced a recycle sees either a shrunk file, a missing file, or a header
-//    whose base changed — the source re-validates the header after reading
+//  - a segment enters the chain by rename and leaves it by unlink, so a
+//    tailer that raced either sees a missing file, a file whose header is
+//    not valid yet (skipped until the next poll), or the settled segment;
+//    as a safety net the source re-validates the header after reading
 //    frames and discards everything from a segment that changed identity
 //    mid-read (the next poll re-reads it from the fresh listing);
 //  - every frame carries a CRC, so a torn or in-flight write is detected

@@ -73,10 +73,6 @@ std::string Wal::SegmentName(uint64_t index) {
   return IndexedName("wal.", index);
 }
 
-std::string Wal::FreeName(uint64_t index) {
-  return IndexedName("wal.free.", index);
-}
-
 std::string Wal::PrepName(uint64_t seq) {
   return IndexedName("wal.prep.", seq);
 }
@@ -104,12 +100,6 @@ Status Wal::PoisonedStatus() const {
   return PoisonedStatusLocked();
 }
 
-Status Wal::CheckPoisoned() const {
-  if (!poisoned_.load(std::memory_order_acquire)) return Status::OK();
-  std::lock_guard<std::mutex> guard(flush_mu_);
-  return PoisonedStatusLocked();
-}
-
 void Wal::Poison(const Status& cause) {
   // Recovery-time failures stay fail-stop: Open() itself errors out and no
   // state survives to need poisoning.
@@ -119,7 +109,7 @@ void Wal::Poison(const Status& cause) {
     std::lock_guard<std::mutex> guard(flush_mu_);
     if (!poisoned_.load(std::memory_order_relaxed)) {
       poison_cause_ = cause;
-      // RELEASE-publish after the cause is recorded: CheckPoisoned()'s
+      // RELEASE-publish after the cause is recorded: PoisonedStatus()'s
       // acquire load then always finds the cause it is about to report.
       poisoned_.store(true, std::memory_order_release);
     }
@@ -162,101 +152,17 @@ Status Wal::ReadSegmentHeader(PagedFile* file, Lsn* base, uint64_t* epoch,
 }
 
 Status Wal::AddSegmentLocked(Lsn base) {
-  {
-    std::unique_ptr<PreparedSegment> prep;
-    {
-      std::lock_guard<std::mutex> guard(seg_mu_);
-      prep = std::move(prepared_);
-    }
-    if (prep != nullptr) return AdoptPreparedLocked(base, std::move(prep));
-  }
-  const uint64_t index = next_index_;
-  const std::string name = SegmentName(index);
-  std::string free_name;
+  std::unique_ptr<PreparedSegment> prep;
   {
     std::lock_guard<std::mutex> guard(seg_mu_);
-    if (!free_pool_.empty()) {
-      free_name = free_pool_.front();
-      free_pool_.pop_front();
-    }
+    prep = std::move(prepared_);
   }
-  std::unique_ptr<PagedFile> file;
-  Status s;
-  if (!free_name.empty()) {
-    // Recycle: rewrite the file (truncate + header + sync) while it still
-    // carries its free-pool name, then publish it into the chain with one
-    // atomic rename. A crash before the rename leaves a free file that Open
-    // ignores; after it, a valid empty segment.
-    s = dir_->Open(free_name, &file);
-    if (s.ok()) s = file->Truncate(0);
-    if (s.ok()) s = WriteSegmentHeader(file.get(), base, epoch_);
-    if (s.ok()) s = file->Sync();
-    if (!s.ok()) {
-      Poison(s);  // A failed fsync of the next chain link is sticky too.
-      return s;   // Still free-named: ignored at any reopen.
-    }
-    s = dir_->Rename(free_name, name);
-    if (!s.ok()) return s;
-    s = fault_hooks.Check("wal.dirsync.rename");
-    if (s.ok()) s = dir_->SyncDir();
-    if (!s.ok()) {
-      Poison(s);
-      return s;
-    }
-    segments_reused_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    NEOSI_RETURN_IF_ERROR(dir_->Open(name, &file));
-    // Truncate even the "fresh" file: a failed rollback Remove can leave a
-    // prior life of this index on disk, and stale valid-CRC frames beyond
-    // the new prefix would otherwise be replayable after a crash.
-    s = file->Truncate(0);
-    if (s.ok()) s = WriteSegmentHeader(file.get(), base, epoch_);
-    if (s.ok()) s = file->Sync();
-    if (s.ok()) {
-      s = fault_hooks.Check("wal.dirsync.create");
-      if (s.ok()) s = dir_->SyncDir();
-    }
-    if (!s.ok()) {
-      // Take the half-created file back out of the chain position (see the
-      // post_create cleanup below for why leaving it would be fatal).
-      file.reset();
-      (void)dir_->Remove(name);
-      (void)dir_->SyncDir();
-      Poison(s);
-      return s;
-    }
-    segments_created_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The segment file exists with a synced header but is not yet active: a
-  // crash RIGHT HERE leaves a chain Open() accepts (a valid empty newest
-  // segment).
-  if (s.ok()) s = fault_hooks.Check("wal.segment.post_create");
-  if (!s.ok()) {
-    // Transient failure with the file already sitting in the chain
-    // position ON DISK but not adopted in memory. A process that keeps
-    // running would desynchronize the chains — smaller later frames can
-    // keep fitting into the previous segment, growing it past this file's
-    // recorded base — so take the file back out before surfacing the
-    // error. (A real crash performs no cleanup; Open() handles that state
-    // instead.)
-    file.reset();
-    (void)dir_->Remove(name);
-    (void)dir_->SyncDir();
-    return s;
-  }
-
-  auto segment = std::make_unique<Segment>();
-  segment->index = index;
-  segment->base = base;
-  segment->epoch = epoch_;
-  segment->file = std::move(file);
-  {
-    std::lock_guard<std::mutex> guard(seg_mu_);
-    segments_.push_back(std::move(segment));
-    active_.store(segments_.back().get(), std::memory_order_release);
-    segment_count_.store(segments_.size(), std::memory_order_release);
-  }
-  next_index_ = index + 1;
+  const bool prebuilt = prep != nullptr;
+  // Nothing prepared (no flusher, or it has not caught up): build inline.
+  // The size reservation is skipped — it only pays off the append path.
+  if (!prebuilt) NEOSI_RETURN_IF_ERROR(BuildSegment(/*reserve=*/false, &prep));
+  NEOSI_RETURN_IF_ERROR(AdoptPreparedLocked(base, std::move(prep)));
+  if (prebuilt) segments_preallocated_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -275,10 +181,11 @@ Status Wal::AdoptPreparedLocked(Lsn base,
     if (!s.ok()) {
       dir_sync_pending_.store(true, std::memory_order_release);
       Poison(s);
-      return s;
     }
   }
-  s = dir_->Rename(prep->name, name);
+  // The rename replaces any leftover of this index (a failed rollback
+  // Remove), so stale frames of a prior life can never be replayed.
+  if (s.ok()) s = dir_->Rename(prep->name, name);
   if (s.ok()) {
     // BUFFERED header write — no fsync on the append path. Safe to defer:
     // an ack requires a flush of this (about to be active) file, and that
@@ -287,11 +194,17 @@ Status Wal::AdoptPreparedLocked(Lsn base,
     // nothing acked can have lived there.
     s = WriteSegmentHeader(prep->file.get(), base, epoch_);
   }
+  // The segment file sits in the chain position but is not yet active: a
+  // crash RIGHT HERE leaves a chain Open() accepts (a newest segment that
+  // is empty, or whose torn header gets it discarded).
   if (s.ok()) s = fault_hooks.Check("wal.segment.post_create");
   if (!s.ok()) {
-    // Same cleanup contract as the inline path: the file must not squat in
-    // the chain position while the process keeps running. If the rename
-    // itself failed the prep name survives instead — remove that.
+    // A process that keeps running must not leave the file squatting in
+    // the chain position ON DISK while it is not adopted in memory: smaller
+    // later frames can keep fitting into the previous segment, growing it
+    // past this file's recorded base. Whichever name the file has now, take
+    // it out. (A real crash performs no cleanup; Open() handles that state
+    // instead.)
     prep->file.reset();
     (void)dir_->Remove(name);
     (void)dir_->Remove(prep->name);
@@ -299,8 +212,8 @@ Status Wal::AdoptPreparedLocked(Lsn base,
     NudgeFlusherPrep();
     return s;
   }
-  // The rename's dir entry rides the flusher's next pass (or the next
-  // roll, whichever comes first).
+  // The rename's dir entry rides the next flush (or the next roll,
+  // whichever comes first).
   dir_sync_pending_.store(true, std::memory_order_release);
 
   auto segment = std::make_unique<Segment>();
@@ -315,9 +228,7 @@ Status Wal::AdoptPreparedLocked(Lsn base,
     segment_count_.store(segments_.size(), std::memory_order_release);
   }
   next_index_ = index + 1;
-  (prep->from_free_pool ? segments_reused_ : segments_created_)
-      .fetch_add(1, std::memory_order_relaxed);
-  segments_preallocated_.fetch_add(1, std::memory_order_relaxed);
+  segments_created_.fetch_add(1, std::memory_order_relaxed);
   NudgeFlusherPrep();
   return Status::OK();
 }
@@ -351,48 +262,34 @@ Status Wal::OpenChain() {
   NEOSI_RETURN_IF_ERROR(dir_->List(&names));
 
   std::vector<std::pair<uint64_t, std::string>> chain_names;
-  std::vector<std::pair<uint64_t, std::string>> free_names;
-  std::vector<std::string> prep_names;
+  std::vector<std::string> stale_names;
   for (const std::string& name : names) {
     uint64_t index = 0;
-    if (ParseIndexed(name, "wal.free.", &index)) {
-      free_names.emplace_back(index, name);
-    } else if (ParseIndexed(name, "wal.prep.", &index)) {
-      prep_names.push_back(name);
+    if (ParseIndexed(name, "wal.prep.", &index) ||
+        ParseIndexed(name, "wal.free.", &index)) {
+      stale_names.push_back(name);
     } else if (ParseIndexed(name, "wal.", &index)) {
       chain_names.emplace_back(index, name);
     }
     // Anything else in the directory (store files) is not ours.
   }
 
-  // Stale pre-allocations from the previous life — headerless scratch, or
-  // an adoption whose rename never became durable (then the frames in it
-  // were never flushed-acked, see the adoption protocol). Either way: not
-  // part of the chain, remove.
-  for (const std::string& name : prep_names) {
+  // Stale builds from the previous life — headerless scratch, or an
+  // adoption whose rename never became durable (then the frames in it were
+  // never flushed-acked, see the adoption protocol) — and the recycle-pool
+  // files older versions parked retired segments in. None is part of the
+  // chain: remove.
+  for (const std::string& name : stale_names) {
     NEOSI_RETURN_IF_ERROR(dir_->Remove(name));
   }
-  if (!prep_names.empty()) {
+  if (!stale_names.empty()) {
     NEOSI_RETURN_IF_ERROR(dir_->SyncDir());
   }
   std::sort(chain_names.begin(), chain_names.end());
-  std::sort(free_names.begin(), free_names.end());
 
   next_index_ = 1;
   for (const auto& [index, name] : chain_names) {
     next_index_ = std::max(next_index_, index + 1);
-  }
-  for (const auto& [index, name] : free_names) {
-    next_index_ = std::max(next_index_, index + 1);
-  }
-
-  // Adopt free files into the recycle pool up to its cap; drop the rest.
-  for (const auto& [index, name] : free_names) {
-    if (free_pool_.size() < options_.recycle_segments) {
-      free_pool_.push_back(name);
-    } else {
-      NEOSI_RETURN_IF_ERROR(dir_->Remove(name));
-    }
   }
 
   for (size_t i = 0; i < chain_names.size(); ++i) {
@@ -499,7 +396,7 @@ void Wal::RollbackUnpublishedSegmentsLocked() {
     // this file after a crash with a base the surviving active segment has
     // since grown past, and Open() would refuse the chain. A leftover from
     // a FAILED remove is defused at the next roll, which reuses the index
-    // and truncates the file before writing its fresh header.
+    // and renames a freshly built file over it.
     (void)dir_->Remove(victim);
     (void)dir_->SyncDir();
   }
@@ -540,7 +437,7 @@ Status Wal::AppendBatch(const std::vector<const WalRecord*>& records,
   std::lock_guard<SpinLatch> guard(latch_);
   // Sticky-poison check: an appender must not grow a log whose durability
   // is already unprovable.
-  NEOSI_RETURN_IF_ERROR(CheckPoisoned());
+  NEOSI_RETURN_IF_ERROR(PoisonedStatus());
   const Lsn first = next_lsn_.load(std::memory_order_relaxed);
   {
     Status fault = fault_hooks.Check("wal.append.mid_frame");
@@ -621,7 +518,7 @@ Status Wal::AppendBatch(const std::vector<const WalRecord*>& records,
 }
 
 Status Wal::Sync() {
-  NEOSI_RETURN_IF_ERROR(CheckPoisoned());
+  NEOSI_RETURN_IF_ERROR(PoisonedStatus());
   if (UseAsyncFlush()) {
     const Lsn target = next_lsn_.load(std::memory_order_acquire);
     NEOSI_RETURN_IF_ERROR(RequestFlush(target));
@@ -650,7 +547,7 @@ Status Wal::FlushOnce() {
   // already dropped pages (the satellite race: two inline Sync()s, one
   // injected).
   std::lock_guard<std::mutex> sync_guard(sync_mu_);
-  NEOSI_RETURN_IF_ERROR(CheckPoisoned());
+  NEOSI_RETURN_IF_ERROR(PoisonedStatus());
   // Cursor FIRST, file snapshot second: any frame below the cursor read
   // here is either in the file snapshotted next, or in an older segment a
   // roll already retiring-synced — so fsyncing the snapshot really does
@@ -699,7 +596,7 @@ Status Wal::FlushOnce() {
 }
 
 Status Wal::RequestFlush(Lsn target) {
-  NEOSI_RETURN_IF_ERROR(CheckPoisoned());
+  NEOSI_RETURN_IF_ERROR(PoisonedStatus());
   {
     std::lock_guard<std::mutex> guard(flush_mu_);
     if (target > flush_target_) flush_target_ = target;
@@ -756,48 +653,47 @@ void Wal::NudgeFlusherPrep() {
   flush_cv_.notify_all();
 }
 
+Status Wal::BuildSegment(bool reserve,
+                         std::unique_ptr<PreparedSegment>* out) {
+  auto prep = std::make_unique<PreparedSegment>();
+  prep->name = PrepName(prep_seq_.fetch_add(1, std::memory_order_relaxed));
+  Status s = dir_->Open(prep->name, &prep->file);
+  if (s.ok()) s = prep->file->Truncate(0);
+  if (s.ok() && reserve) s = prep->file->Preallocate(options_.segment_size);
+  if (!s.ok()) {
+    // Allocation-class failure (ENOSPC and friends): not a durability
+    // statement, so no poison. An off-path build leaves the next roll to
+    // build inline, which may still succeed with a plain sparse file.
+    prep->file.reset();
+    (void)dir_->Remove(prep->name);
+    return s;
+  }
+  // The file, then its dir entry: adoption's only directory work is then
+  // the rename.
+  s = prep->file->Sync();
+  if (s.ok()) s = fault_hooks.Check("wal.dirsync.create");
+  if (s.ok()) s = dir_->SyncDir();
+  if (!s.ok()) {
+    // An fsync/dir-sync failure in the WAL directory IS a durability
+    // statement: fail sticky, same as every other chain sync.
+    prep->file.reset();
+    (void)dir_->Remove(prep->name);
+    Poison(s);
+    return s;
+  }
+  *out = std::move(prep);
+  return Status::OK();
+}
+
 void Wal::PrepareSegmentOffPath() {
   if (poisoned_.load(std::memory_order_acquire)) return;
-  auto prep = std::make_unique<PreparedSegment>();
   {
     std::lock_guard<std::mutex> guard(seg_mu_);
     if (prepared_ != nullptr) return;
-    if (!free_pool_.empty()) {
-      prep->name = free_pool_.front();
-      free_pool_.pop_front();
-      prep->from_free_pool = true;
-    }
   }
-  if (!prep->from_free_pool) prep->name = PrepName(prep_seq_++);
-  std::unique_ptr<PagedFile> file;
-  Status s = dir_->Open(prep->name, &file);
-  if (s.ok()) s = file->Truncate(0);
-  if (s.ok()) s = file->Preallocate(options_.segment_size);
-  if (!s.ok()) {
-    // Allocation-class failure (ENOSPC and friends): abandon the prep —
-    // the next roll falls back to the inline path, which may still succeed
-    // with a plain sparse file. Not a durability statement, so no poison.
-    file.reset();
-    std::lock_guard<std::mutex> guard(seg_mu_);
-    if (prep->from_free_pool) free_pool_.push_front(prep->name);
-    return;
-  }
-  s = file->Sync();
-  if (s.ok() && !prep->from_free_pool) {
-    // Fresh file: make its dir entry durable off-path so adoption's only
-    // directory work is the rename.
-    s = fault_hooks.Check("wal.dirsync.create");
-    if (s.ok()) s = dir_->SyncDir();
-  }
-  if (!s.ok()) {
-    // An fsync/dir-sync failure in the WAL directory IS a durability
-    // statement: fail sticky, same as on-path syncs.
-    file.reset();
-    (void)dir_->Remove(prep->name);
-    Poison(s);
-    return;
-  }
-  prep->file = std::move(file);
+  // Only this thread publishes prepared_, so it is still empty below.
+  std::unique_ptr<PreparedSegment> prep;
+  if (!BuildSegment(/*reserve=*/true, &prep).ok()) return;
   std::lock_guard<std::mutex> guard(seg_mu_);
   prepared_ = std::move(prep);
 }
@@ -874,36 +770,9 @@ size_t Wal::PinnedCount() const {
   return pins_.size();
 }
 
-Status Wal::RetireSegmentFile(const std::string& name, uint64_t index) {
-  // Retirements are serialized (trunc_mu_), but appender rolls pop the pool
-  // concurrently — the free name must not be published until the rename has
-  // actually executed, or a roll could Open (create!) the not-yet-existing
-  // free file and then have the rename clobber it, stranding the roll's
-  // frames in an orphaned inode. Capacity can only shrink between the check
-  // and the push (rolls pop), so checking first never overfills the pool.
-  bool recycle = false;
-  {
-    std::lock_guard<std::mutex> guard(seg_mu_);
-    recycle = free_pool_.size() < options_.recycle_segments;
-  }
-  if (recycle) {
-    const std::string free_name = FreeName(index);
-    NEOSI_RETURN_IF_ERROR(dir_->Rename(name, free_name));
-    {
-      std::lock_guard<std::mutex> guard(seg_mu_);
-      free_pool_.push_back(free_name);
-    }
-    segments_recycled_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-  NEOSI_RETURN_IF_ERROR(dir_->Remove(name));
-  segments_deleted_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
 Status Wal::TruncatePrefix(Lsn lsn) {
   std::lock_guard<std::mutex> guard(trunc_mu_);
-  NEOSI_RETURN_IF_ERROR(CheckPoisoned());
+  NEOSI_RETURN_IF_ERROR(PoisonedStatus());
   const Lsn head = head_lsn_.load(std::memory_order_acquire);
   const Lsn next = next_lsn_.load(std::memory_order_acquire);
   if (lsn <= head) return Status::OK();  // Nothing below to drop.
@@ -918,13 +787,12 @@ Status Wal::TruncatePrefix(Lsn lsn) {
   // it from the oldest retained segment and the checkpoint markers — so
   // this ordering has no crash-consistency implications. The active segment
   // is never retired: it anchors lsn monotonicity and keeps appends
-  // untouched, making reclamation a pure unlink/rename of cold files —
+  // untouched, making reclamation a pure unlink of cold files —
   // unconditional on every backend, no hole punching, no quiescent rebase.
   NEOSI_RETURN_IF_ERROR(fault_hooks.Check("wal.truncate.pre_unlink"));
 
   for (;;) {
-    std::string victim;
-    uint64_t index = 0;
+    std::unique_ptr<Segment> victim;
     {
       std::lock_guard<std::mutex> seg_guard(seg_mu_);
       // A segment's frames end where its successor begins; it is dead iff
@@ -934,12 +802,22 @@ Status Wal::TruncatePrefix(Lsn lsn) {
           segments_[1]->base > lsn) {
         break;
       }
-      index = segments_.front()->index;
-      victim = SegmentName(index);
+      victim = std::move(segments_.front());
       segments_.pop_front();
       segment_count_.store(segments_.size(), std::memory_order_release);
     }
-    NEOSI_RETURN_IF_ERROR(RetireSegmentFile(victim, index));
+    Status removed = dir_->Remove(SegmentName(victim->index));
+    if (!removed.ok()) {
+      // The file is still on disk: put the segment back at the chain front
+      // (trunc_mu_ is held, so nothing else moved the front), or the next
+      // truncation would unlink its successor and leave a gap Open()
+      // refuses.
+      std::lock_guard<std::mutex> seg_guard(seg_mu_);
+      segments_.push_front(std::move(victim));
+      segment_count_.store(segments_.size(), std::memory_order_release);
+      return removed;
+    }
+    segments_deleted_.fetch_add(1, std::memory_order_relaxed);
     // Directory-sync EACH retirement before the next: POSIX gives no
     // ordering between unlinks, and a crash that persisted the second
     // unlink but not the first would leave an index gap Open() rightly
@@ -976,7 +854,7 @@ Result<Lsn> GroupCommitter::Finish(const Request& req) {
 
 Result<Lsn> GroupCommitter::Commit(const WalRecord& record, bool sync,
                                    bool pin) {
-  NEOSI_RETURN_IF_ERROR(wal_->CheckPoisoned());
+  NEOSI_RETURN_IF_ERROR(wal_->PoisonedStatus());
   if (!sync) {
     // Nothing to amortize without an fsync; a plain latched append is
     // cheaper than parking behind a leader that may be mid-fsync.

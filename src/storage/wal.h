@@ -5,12 +5,12 @@
 //
 //   [magic u32][version u32][base_lsn u64][epoch u64][crc32c u32][pad]
 //
-// written once (and synced) when the segment enters the chain; frames follow
-// from byte 32. The header never changes afterwards, so there is nothing a
-// torn header rewrite could destroy — the dual-slot ping-pong header of the
-// single-file WAL is gone. A torn header can only exist on the NEWEST
-// segment (a crash during its creation) and Open() simply discards that
-// empty file.
+// written once when the segment enters the chain (and synced by the next
+// flush, before any frame in it is acked); frames follow from byte 32. The
+// header never changes afterwards, so there is nothing a torn header
+// rewrite could destroy — the dual-slot ping-pong header of the single-file
+// WAL is gone. A torn header can only exist on the NEWEST segment (a crash
+// during its adoption) and Open() simply discards that empty file.
 //
 // Frame format (unchanged): [payload_len u32][crc32c u32][payload bytes].
 // Frames never span segments: Append rolls to a fresh segment when the next
@@ -27,20 +27,25 @@
 // kSegmentHeaderSize + (L - base).
 //
 // Reclamation — the point of rotation — is UNCONDITIONAL on every backend:
-// TruncatePrefix(lsn) advances the logical head and unlinks (or parks in a
-// recycle pool, capped at WalOptions::recycle_segments) every segment wholly
-// below `lsn`. No PUNCH_HOLE, no quiescent rebase: the on-disk footprint is
-// bounded by the live bytes plus at most two partial segments. The active
-// segment is never unlinked, which also anchors lsn monotonicity across a
-// reopen. Recycled files re-enter the chain via write-header-then-rename, so
-// a crash at any point leaves either a free file (ignored) or a valid empty
-// segment.
+// TruncatePrefix(lsn) advances the logical head and unlinks every segment
+// wholly below `lsn`. No PUNCH_HOLE, no quiescent rebase: the on-disk
+// footprint is bounded by the live bytes plus at most two partial segments.
+// The active segment is never unlinked, which also anchors lsn monotonicity
+// across a reopen.
 //
-// Crash ordering at the directory level: retire-sync → create/rename new
-// segment → dir sync; head advance is logical (in-memory) and recovery
-// re-derives it from the oldest retained segment plus checkpoint markers —
-// replay is idempotent, so the segment-granular head after a crash only
-// costs replay work, never correctness.
+// One way in: every segment is BUILT under a `wal.prep.N` name (created,
+// truncated, fsynced, dir-synced) and then ADOPTED by renaming it to
+// `wal.N` and writing its header. A crash before the rename leaves a prep
+// file Open() removes; after it, a newest segment whose header is either
+// valid (an empty segment) or torn (discarded, nothing acked lived there).
+//
+// Crash ordering at the directory level: retire-sync → build (file and dir
+// synced) → rename → dir sync (deferred, see below); retirement is unlink →
+// dir sync, one segment at a time from the front. The head advance is
+// logical (in-memory) and recovery re-derives it from the oldest retained
+// segment plus checkpoint markers — replay is idempotent, so the
+// segment-granular head after a crash only costs replay work, never
+// correctness.
 //
 // Group commit and LSN pins are unchanged from the single-file WAL: see
 // GroupCommitter and StableLsn() below.
@@ -64,16 +69,17 @@
 // hole). Recovery-time syncs (inside Open) keep their fail-stop
 // behaviour: the open simply fails, nothing is poisoned.
 //
-// With WalOptions::preallocate the flusher also keeps the NEXT segment
-// file ready off-path (recycled or freshly created, fallocate-reserved,
-// dir-synced): a roll adopts it with one rename plus a BUFFERED header
-// write, deferring both the header fsync and the rename's dir-sync to the
-// flusher's next pass. Deferral is safe because an ack requires a flush,
-// and the flusher always syncs the file before the directory — an acked
-// frame therefore implies both its segment's header and its dir entry are
-// durable. At most one adoption rename may be outstanding: the next roll
-// dir-syncs the previous one inline first, so a crash can only ever lose
-// the NEWEST segment's dir entry and the chain stays contiguous.
+// Adopting a segment is one rename plus a BUFFERED header write; the
+// header fsync and the rename's dir-sync ride the next flush (the flusher's
+// pass in async mode, Sync() inline). Deferral is safe because an ack
+// requires a flush, and a flush always syncs the file before the directory
+// — an acked frame therefore implies both its segment's header and its dir
+// entry are durable. At most one adoption rename may be outstanding: the
+// next roll dir-syncs the previous one inline first, so a crash can only
+// ever lose the NEWEST segment's dir entry and the chain stays contiguous.
+// With WalOptions::preallocate the flusher builds the next segment off-path
+// (fallocate-reserved) so a roll only adopts; otherwise, or when no built
+// file is ready, the roll builds one inline first.
 
 #ifndef NEOSI_STORAGE_WAL_H_
 #define NEOSI_STORAGE_WAL_H_
@@ -105,9 +111,6 @@ class Wal;
 struct WalOptions {
   /// Roll to a fresh segment once the current one reaches this many bytes.
   uint64_t segment_size = 16ull << 20;  // 16 MiB
-  /// Retired segments kept in the recycle pool for reuse instead of being
-  /// unlinked (0 = always unlink).
-  uint64_t recycle_segments = 2;
   /// Fully-checkpointed segments RETAINED in the chain beyond the live
   /// prefix so a lagging replica can still read them (0 = retire eagerly).
   /// TruncatePrefix keeps this many extra segments below the cut.
@@ -118,10 +121,9 @@ struct WalOptions {
   /// raw-Wal unit tests keep deterministic inline syncs; DatabaseOptions
   /// turns it on for the engine.
   bool async_flush = false;
-  /// Flusher keeps the next segment pre-created (recycled or
-  /// fallocate-reserved) so a roll is a rename adoption, never a
-  /// create+header+sync on the append path. Default OFF at this layer,
-  /// like async_flush.
+  /// Flusher keeps the next segment built (fallocate-reserved, fsynced,
+  /// dir-synced) so a roll only adopts it by rename instead of building it
+  /// on the append path. Default OFF at this layer, like async_flush.
   bool preallocate = false;
 };
 
@@ -213,19 +215,26 @@ class Wal {
   /// Immutable per-segment header preceding the first frame.
   static constexpr uint64_t kSegmentHeaderSize = 32;
 
+  /// Decodes `file`'s segment header — the one definition of the format,
+  /// shared with the replica tailer. *valid is false (status OK) when the
+  /// header is absent, torn or fails its CRC; an intact header with an
+  /// unsupported version is Corruption.
+  static Status ReadSegmentHeader(PagedFile* file, Lsn* base, uint64_t* epoch,
+                                  bool* valid);
+
   /// File names inside the WalDir.
   static std::string SegmentName(uint64_t index);  ///< "wal.000001"
-  static std::string FreeName(uint64_t index);     ///< "wal.free.000001"
-  static std::string PrepName(uint64_t seq);       ///< "wal.prep.000001"
+  static std::string PrepName(uint64_t seq);     ///< "wal.prep.000001"
 
   explicit Wal(std::shared_ptr<WalDir> dir, WalOptions options = {});
   ~Wal();
 
   /// Discovers, orders and validates the segment chain (creating the first
-  /// segment for an empty directory), drops a half-created newest segment,
-  /// and positions the append cursor after the newest segment's valid frame
-  /// prefix (truncating a torn tail). A gap or out-of-order base inside the
-  /// chain is Corruption.
+  /// segment for an empty directory), removes leftover `wal.prep.*` files
+  /// (and the `wal.free.*` recycle-pool files older versions kept), drops
+  /// a half-created newest segment, and positions the append cursor after
+  /// the newest segment's valid frame prefix (truncating a torn tail). A
+  /// gap or out-of-order base inside the chain is Corruption.
   Status Open();
 
   /// Appends one record as a batch of one (see AppendBatch); returns its
@@ -277,7 +286,9 @@ class Wal {
   bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
 
   /// The sticky non-retryable IOError handed to every operation on a
-  /// poisoned log (names the original cause). OK when not poisoned.
+  /// poisoned log (names the original cause). OK when not poisoned. Entry
+  /// check of every append / sync / truncate path (acquire side of the
+  /// poison publication).
   Status PoisonedStatus() const;
 
   /// The commit batcher bound to this log.
@@ -303,10 +314,11 @@ class Wal {
   // --- fuzzy checkpoint support ----------------------------------------
 
   /// Drops the log prefix below `lsn`: advances the logical head and
-  /// unlinks (or recycles) every segment wholly below it — unconditional
-  /// physical reclamation on every backend. Appends proceed concurrently.
-  /// `lsn` below the current head is a no-op; `lsn` above the append cursor
-  /// is InvalidArgument.
+  /// unlinks every segment wholly below it — unconditional physical
+  /// reclamation on every backend. Appends proceed concurrently. `lsn`
+  /// below the current head is a no-op; `lsn` above the append cursor is
+  /// InvalidArgument. A failed unlink leaves the chain intact (the segment
+  /// stays at the front) so a later truncation can retry it.
   Status TruncatePrefix(Lsn lsn);
 
   /// Releases a pin taken by an Append/AppendBatch/group Commit with
@@ -346,13 +358,12 @@ class Wal {
   /// not yet rolled past) — the physical footprint rotation bounds.
   uint64_t PhysicalBytes() const;
 
-  /// Segment lifecycle counters.
+  /// Segment lifecycle counters: segments that entered the chain, and
+  /// retired segments unlinked.
   uint64_t segments_created() const { return segments_created_.load(); }
   uint64_t segments_deleted() const { return segments_deleted_.load(); }
-  uint64_t segments_recycled() const { return segments_recycled_.load(); }
-  uint64_t segments_reused() const { return segments_reused_.load(); }
-  /// Rolls that adopted a pre-built segment by rename instead of running
-  /// create+header+sync inline on the append path.
+  /// Rolls that adopted a segment the flusher built off-path, instead of
+  /// building one inline on the append path.
   uint64_t segments_preallocated() const {
     return segments_preallocated_.load();
   }
@@ -371,7 +382,7 @@ class Wal {
   /// "wal.sync.fail" (active-segment fsync — group flush and inline),
   /// "wal.sync.retiring" (retiring-segment fsync at a roll),
   /// "wal.dirsync.create" / "wal.dirsync.rename" / "wal.dirsync.unlink"
-  /// (segment create / rename-adoption / retirement directory syncs).
+  /// (segment build / rename-adoption / retirement directory syncs).
   FaultHooks fault_hooks;
 
  private:
@@ -387,26 +398,24 @@ class Wal {
     std::shared_ptr<PagedFile> file;
   };
 
-  /// A segment file built off-path by the flusher, waiting to be adopted
-  /// into the chain by the next roll.
+  /// A built segment file under its `wal.prep.N` name, waiting to be
+  /// adopted into the chain by a roll.
   struct PreparedSegment {
     std::string name;
-    bool from_free_pool = false;
     std::unique_ptr<PagedFile> file;
   };
 
   static Status WriteSegmentHeader(PagedFile* file, Lsn base, uint64_t epoch);
-  static Status ReadSegmentHeader(PagedFile* file, Lsn* base, uint64_t* epoch,
-                                  bool* valid);
 
-  /// Opens (recycled or fresh) a segment anchored at `base` and appends it
-  /// to the chain — adopting the flusher's prepared segment when one is
-  /// ready. Caller holds latch_ (or is single-threaded Open).
+  /// Appends a segment anchored at `base` to the chain: adopts the
+  /// flusher's prepared segment when one is ready, else builds one inline
+  /// (without a size reservation) and adopts that. Caller holds latch_ (or
+  /// is single-threaded Open).
   Status AddSegmentLocked(Lsn base);
 
-  /// Rename-adopts a prepared segment as the new active segment at `base`:
-  /// one rename + a buffered header write, fsync and dir-sync deferred to
-  /// the flusher. Caller holds latch_.
+  /// Rename-adopts a built segment as the new active segment at `base`:
+  /// one rename + a buffered header write, the header fsync and the
+  /// rename's dir-sync deferred to the next flush. Caller holds latch_.
   Status AdoptPreparedLocked(Lsn base, std::unique_ptr<PreparedSegment> prep);
 
   /// Retiring-segment fsync at a roll (named EIO point; poisons on
@@ -421,10 +430,6 @@ class Wal {
   /// offset. Caller holds latch_.
   void RollbackUnpublishedSegmentsLocked();
 
-  /// Retires the named chain segment file: recycle-pool rename while the
-  /// pool has room, unlink otherwise.
-  Status RetireSegmentFile(const std::string& name, uint64_t index);
-
   /// Segment containing `lsn` (largest base <= lsn); caller holds seg_mu_.
   const Segment* SegmentAtLocked(Lsn lsn) const;
 
@@ -432,10 +437,6 @@ class Wal {
   Status OpenChain();
 
   // --- poison / flusher internals ---------------------------------------
-
-  /// OK, or the sticky poison IOError. Entry check of every append / sync
-  /// / truncate path (acquire side of the poison publication).
-  Status CheckPoisoned() const;
 
   /// Records `cause` (first failure wins) and publishes the poison flag
   /// with release ordering, failing every parked flush waiter. No-op
@@ -459,9 +460,15 @@ class Wal {
   /// log is poisoned.
   void SimulateSyncLoss(const std::shared_ptr<PagedFile>& file, Lsn base);
 
-  /// Builds the next segment file off-path (flusher thread): recycled or
-  /// fresh, size-reserved, fsynced and dir-synced, published into
-  /// prepared_ for the next roll to adopt.
+  /// Builds a segment file under a fresh `wal.prep.N` name: open,
+  /// truncate, size reservation when `reserve`, fsync, dir-sync. The
+  /// flusher builds off-path (reserved) into prepared_; a roll builds
+  /// inline when nothing is prepared. An fsync/dir-sync failure poisons;
+  /// an allocation failure does not. Either way no file is left behind.
+  Status BuildSegment(bool reserve, std::unique_ptr<PreparedSegment>* out);
+
+  /// Flusher pass: builds a reserved segment into prepared_ unless one is
+  /// already waiting.
   void PrepareSegmentOffPath();
 
   /// Asks the flusher to (re)build a prepared segment.
@@ -492,20 +499,14 @@ class Wal {
   std::atomic<Segment*> active_{nullptr};
   std::atomic<uint64_t> segment_count_{0};
 
-  /// Next segment file number; monotonic, never reused (so truncation keeps
-  /// chain indices contiguous and recycled names can't collide).
+  /// Next segment file number; monotonic, so truncation keeps chain
+  /// indices contiguous.
   uint64_t next_index_ = 1;
   /// This open's generation, stamped into headers of segments it creates.
   uint64_t epoch_ = 1;
 
-  /// Names of retired segment files available for reuse (bounded by
-  /// options_.recycle_segments). Guarded by seg_mu_.
-  std::deque<std::string> free_pool_;
-
   std::atomic<uint64_t> segments_created_{0};
   std::atomic<uint64_t> segments_deleted_{0};
-  std::atomic<uint64_t> segments_recycled_{0};
-  std::atomic<uint64_t> segments_reused_{0};
   std::atomic<uint64_t> segments_preallocated_{0};
 
   /// Set once Open() succeeds: sync failures before that are fail-stop
@@ -513,7 +514,7 @@ class Wal {
   std::atomic<bool> open_complete_{false};
 
   /// Sticky failure flag. Published with RELEASE after poison_cause_ is
-  /// recorded under flush_mu_; read with ACQUIRE by CheckPoisoned() and by
+  /// recorded under flush_mu_; read with ACQUIRE by PoisonedStatus() and by
   /// FlushOnce()'s pre-fsync check, so a thread that observes the flag also
   /// observes the cause — and, because fsync passes are serialized by
   /// sync_mu_, no sync can report OK after a peer's EIO poisoned the log.
@@ -544,14 +545,15 @@ class Wal {
   };
   std::map<Lsn, std::shared_ptr<FlushWaiter>> flush_waiters_;
 
-  /// Next pre-built segment, ready for rename adoption. Guarded by
-  /// seg_mu_. prep_seq_ is touched only by the flusher thread.
+  /// Next segment the flusher built, ready for rename adoption. Guarded by
+  /// seg_mu_. prep_seq_ numbers built files; atomic because the flusher
+  /// and an inline roll may build at the same time.
   std::unique_ptr<PreparedSegment> prepared_;
-  uint64_t prep_seq_ = 1;
+  std::atomic<uint64_t> prep_seq_{1};
 
-  /// True while the newest adoption's rename (and the recycle-pool churn
-  /// around it) still needs a directory sync — performed by the flusher's
-  /// next pass, or inline by the NEXT roll (at most one outstanding).
+  /// True while the newest adoption's rename still needs a directory sync
+  /// — performed by the next flush, or inline by the NEXT roll (at most
+  /// one outstanding).
   std::atomic<bool> dir_sync_pending_{false};
 
   GroupCommitter group_{this};

@@ -1,11 +1,11 @@
 // File-set abstraction backing the segmented WAL.
 //
 // The rotating WAL is not one file but a small, changing set of files in one
-// directory (active segments, a recycle pool of retired segments, and the
-// flusher's pre-allocated next segment). WalDir is the
-// minimal directory surface the Wal needs: list, open-or-create, remove,
-// atomic rename, and a directory-metadata sync for crash-ordering the
-// create/rename/unlink transitions.
+// directory (the segment chain, and the next segment being built before it
+// is renamed into the chain). WalDir is the minimal directory surface the
+// Wal needs: list, open-or-create, remove, atomic rename, and a
+// directory-metadata sync for crash-ordering the create/rename/unlink
+// transitions.
 //
 // Two implementations mirror PagedFile's: a POSIX directory for the
 // durability and recovery paths, and an in-memory directory whose files

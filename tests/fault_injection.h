@@ -48,7 +48,7 @@ namespace fault {
 inline const std::vector<std::string>& AllCrashPoints() {
   static const std::vector<std::string> points = {
       "wal.append.mid_frame",       // Torn frame: half the record's bytes.
-      "wal.segment.post_create",    // New segment durable, not yet active.
+      "wal.segment.post_create",    // New segment renamed in, not active.
       "wal.append.fail_after_roll", // Rolled, then the frame write died.
       "wal.truncate.pre_unlink",    // Head advanced, dead segments remain.
       "checkpoint.pre_marker",      // Stores synced, marker never written.
@@ -67,7 +67,7 @@ inline const std::vector<std::string>& AllEioPoints() {
   static const std::vector<std::string> points = {
       "wal.sync.fail",        // fsync of the active segment.
       "wal.sync.retiring",    // fsync of a full segment at roll.
-      "wal.dirsync.create",   // Directory sync publishing a fresh segment.
+      "wal.dirsync.create",   // Directory sync publishing a built segment.
       "wal.dirsync.rename",   // Directory sync publishing an adoption.
       "wal.dirsync.unlink",   // Directory sync retiring dead segments.
   };
@@ -129,7 +129,6 @@ class CrashLoopHarness {
     int checkpoint_every = 7;
     /// Tiny segments: the workload rotates the chain many times per round.
     uint64_t wal_segment_size = 2048;
-    uint64_t wal_recycle_segments = 1;
     bool sync_commits = true;
     /// Isolation every harness transaction runs under (the EIO matrix runs
     /// each point under both SI and Serializable — the SSI commit path
@@ -161,7 +160,6 @@ class CrashLoopHarness {
     options.checkpoint_interval_ms = 0;
     options.sync_commits = options_.sync_commits;
     options.wal_segment_size = options_.wal_segment_size;
-    options.wal_recycle_segments = options_.wal_recycle_segments;
     options.default_isolation = options_.isolation;
     options.wal_async_flush = options_.wal_async_flush;
     options.wal_preallocate = options_.wal_preallocate;
@@ -287,6 +285,10 @@ class CrashLoopHarness {
                                  // corrupt the shadow model below.
         }
       }
+      // Guard against a round that silently tested nothing.
+      EXPECT_TRUE(eio.fired()) << "round " << round << ": " << point
+                               << " reached only " << eio.hits()
+                               << " times, never the armed hit";
       // Kill: destroy without clean-shutdown work; reopen at the top of
       // the next round verifies no acked commit was lost.
     }
@@ -297,8 +299,9 @@ class CrashLoopHarness {
     VerifyRecovered(db.get(), options_.rounds);
   }
 
-  /// Sum of the on-disk bytes of every WAL file (chain + recycle pool) —
-  /// the physical footprint segment rotation is supposed to bound.
+  /// Sum of the on-disk bytes of every WAL file (the chain plus a built
+  /// next segment) — the physical footprint segment rotation is supposed
+  /// to bound.
   uint64_t WalDiskBytes() const {
     uint64_t total = 0;
     std::error_code ec;

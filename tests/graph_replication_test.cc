@@ -381,8 +381,8 @@ TEST(Replication, TokenOfAnAbortedCreatorShipsBeforeItsFirstUse) {
 
 TEST(Replication, DaemonModeFollowsConcurrentWriters) {
   // Live mode: the applier daemon tails while writer threads churn the
-  // primary over many tiny, recycling segments — the recycle-race and
-  // torn-tail paths get exercised for real here.
+  // primary over many tiny segments — the adoption-race and torn-tail
+  // paths get exercised for real here.
   DatabaseOptions primary_options = PrimaryOptions();
   primary_options.wal_segment_size = 1024;
   primary_options.wal_keep_segments = 1024;  // Never outrun the tailer.
@@ -445,7 +445,6 @@ class TailerTest : public ::testing::Test {
     dir_ = std::make_shared<InMemoryWalDir>();
     WalOptions options;
     options.segment_size = 256;  // Tiny: every few records rotate.
-    options.recycle_segments = 2;
     wal_ = std::make_unique<Wal>(dir_, options);
     ASSERT_TRUE(wal_->Open().ok());
   }
@@ -497,7 +496,6 @@ TEST_F(TailerTest, TornTailInNewestSegmentShipsCleanPrefixOnly) {
   uint64_t newest = 0;
   std::string newest_name;
   for (const auto& name : names) {
-    if (name.rfind("wal.free.", 0) == 0) continue;
     if (name.rfind("wal.", 0) == 0 && name >= newest_name) {
       newest_name = name;
       newest = 1;
@@ -540,9 +538,9 @@ TEST_F(TailerTest, CursorBelowRetainedHistoryIsCorruption) {
   EXPECT_TRUE(source.Poll(cursor, &shipped, &cursor).ok());
 }
 
-TEST_F(TailerTest, RecycledSegmentChangingIdentityMidReadIsDropped) {
-  // Fill several segments, remember the oldest, then recycle it under an
-  // open handle: the identity re-check must discard anything read from it.
+TEST_F(TailerTest, RetiredSegmentsBelowTheCursorAreNeverRead) {
+  // Ship several segments, then retire them under the tailer: its cursor
+  // is already past them, so later polls read only the live chain.
   for (Timestamp ts = 1; ts <= 50; ++ts) {
     ASSERT_TRUE(wal_->Append(MakeRecord(ts)).ok());
   }
@@ -553,9 +551,9 @@ TEST_F(TailerTest, RecycledSegmentChangingIdentityMidReadIsDropped) {
   const size_t total = shipped.size();
   ASSERT_EQ(total, 50u);
 
-  // Truncate the prefix (recycling the retired files) and keep appending:
-  // the tailer's cursor is already past the recycled range, so subsequent
-  // polls ship only new records and never trip on the recycled files.
+  // Truncate the prefix (unlinking the retired files) and keep appending:
+  // subsequent polls ship only new records and never trip on the gone
+  // files.
   ASSERT_TRUE(wal_->TruncatePrefix(wal_->StableLsn()).ok());
   ASSERT_TRUE(wal_->Append(MakeRecord(51)).ok());
   std::vector<ShippedRecord> more;

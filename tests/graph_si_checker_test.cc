@@ -243,7 +243,6 @@ TEST(SiChecker, HistorySpansRotationDaemonCheckpointAndMidRotationCrash) {
   options.checkpoint_interval_ms = 1;
   options.checkpoint_wal_threshold = 512;
   options.wal_segment_size = 512;  // Rotation every few commits.
-  options.wal_recycle_segments = 1;
 
   std::vector<TxnRecord> history;
   std::vector<NodeId> keys;

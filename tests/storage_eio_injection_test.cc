@@ -31,6 +31,7 @@ struct MatrixCase {
   std::string point;
   IsolationLevel isolation;
   bool async_flush;
+  bool preallocate = true;
 };
 
 std::string CaseTag(const MatrixCase& param) {
@@ -40,6 +41,7 @@ std::string CaseTag(const MatrixCase& param) {
   }
   name += param.isolation == IsolationLevel::kSerializable ? "_ssi" : "_si";
   name += param.async_flush ? "_async" : "_inline";
+  if (!param.preallocate) name += "_noprealloc";
   return name;
 }
 
@@ -62,6 +64,13 @@ std::vector<MatrixCase> BuildMatrix() {
   cases.push_back(
       {"wal.sync.fail", IsolationLevel::kSnapshotIsolation, false});
   cases.push_back({"wal.sync.fail", IsolationLevel::kSerializable, false});
+  // Without pre-allocation every roll builds its segment inline and then
+  // adopts it: the build's and the adoption's directory syncs run on the
+  // committer's own thread.
+  for (const char* point : {"wal.dirsync.create", "wal.dirsync.rename"}) {
+    cases.push_back({point, IsolationLevel::kSnapshotIsolation,
+                     /*async_flush=*/false, /*preallocate=*/false});
+  }
   return cases;
 }
 
@@ -72,7 +81,12 @@ TEST_P(EioMatrixTest, StickyPoisonNeverLosesAckedCommit) {
   fault::CrashLoopHarness::Options options;
   options.isolation = param.isolation;
   options.wal_async_flush = param.async_flush;
+  options.wal_preallocate = param.preallocate;
   options.rounds = 4;
+  // Every round rolls and retires segments several times, so the armed
+  // hit (the first, second or third) is always reached.
+  options.wal_segment_size = 512;
+  options.txns_per_round = 80;
   fault::CrashLoopHarness harness(
       fs::temp_directory_path() / ("neosi_eio_" + CaseTag(param)), options);
   harness.RunEio(param.point);

@@ -1,5 +1,5 @@
 // WAL framing, op serialization, torn-tail handling, segment rotation,
-// recycle pool, and chain validation.
+// segment build-and-adopt, and chain validation.
 
 #include <gtest/gtest.h>
 
@@ -231,12 +231,19 @@ TEST(Wal, AppendBatchFramesDecodeIndividually) {
 // Segment rotation
 // ---------------------------------------------------------------------------
 
-WalOptions TinySegments(uint64_t segment_size = 192,
-                        uint64_t recycle_segments = 0) {
+WalOptions TinySegments(uint64_t segment_size = 192) {
   WalOptions options;
   options.segment_size = segment_size;
-  options.recycle_segments = recycle_segments;
   return options;
+}
+
+/// Files in `dir` whose name starts with `prefix`.
+int CountPrefixed(InMemoryWalDir* dir, const std::string& prefix) {
+  int count = 0;
+  for (const std::string& name : ListNames(dir)) {
+    count += name.rfind(prefix, 0) == 0 ? 1 : 0;
+  }
+  return count;
 }
 
 TEST(WalSegments, AppendRollsAtThreshold) {
@@ -531,62 +538,134 @@ TEST(WalTruncatePrefix, TornTailAfterTruncationStillDetected) {
 }
 
 // ---------------------------------------------------------------------------
-// Recycle pool
+// One way in (build, then adopt by rename), one way out (unlink)
 // ---------------------------------------------------------------------------
 
-TEST(WalRecycle, RetiredSegmentsParkInPoolAndGetReused) {
+TEST(WalSegments, TruncationLeavesOnlyTheChainAndOnePrepFile) {
   auto dir = std::make_shared<InMemoryWalDir>();
-  auto wal = OpenWal(dir, TinySegments(192, /*recycle_segments=*/2));
-  for (int i = 1; i <= 24; ++i) {
+  WalOptions options = TinySegments();
+  options.async_flush = true;
+  options.preallocate = true;
+  auto wal = OpenWal(dir, options);
+  for (int i = 1; i <= 48; ++i) {
     ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
+    ASSERT_TRUE(wal->Sync().ok());
   }
   const uint64_t retired = wal->SegmentCount() - 1;
   ASSERT_GE(retired, 2u);
   ASSERT_TRUE(wal->TruncatePrefix(wal->NextLsn()).ok());
 
-  // Pool capped at 2: two renamed into the pool, the rest unlinked.
-  EXPECT_EQ(wal->segments_recycled(), 2u);
-  EXPECT_EQ(wal->segments_deleted(), retired - 2);
-  int free_files = 0;
-  for (const std::string& name : ListNames(dir.get())) {
-    free_files += name.rfind("wal.free.", 0) == 0 ? 1 : 0;
-  }
-  EXPECT_EQ(free_files, 2);
-
-  // New rolls drain the pool before creating fresh files, then run dry.
-  const uint64_t created_before = wal->segments_created();
-  for (int i = 25; i <= 96; ++i) {
-    ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
-  }
-  EXPECT_EQ(wal->segments_reused(), 2u);
-  EXPECT_GT(wal->segments_created(), created_before);  // Pool ran dry.
-  // Reused segments replay like any other.
-  std::vector<Timestamp> expect;
-  for (int i = 25; i <= 96; ++i) expect.push_back(i * 10);
-  EXPECT_EQ(ReplayTimestamps(wal.get()), expect);
+  // Every retired segment was unlinked; what is left is the active
+  // segment plus at most the flusher's built next one.
+  EXPECT_EQ(wal->segments_deleted(), retired);
+  EXPECT_EQ(wal->SegmentCount(), 1u);
+  const int prep = CountPrefixed(dir.get(), "wal.prep.");
+  EXPECT_LE(prep, 1);
+  EXPECT_EQ(ListNames(dir.get()).size(), 1u + prep);
+  EXPECT_TRUE(dir->Exists(wal->SegmentNameOf(wal->NextLsn())));
 }
 
-TEST(WalRecycle, PoolSurvivesReopenAndExcessIsTrimmed) {
+TEST(WalSegments, InlineRollsBuildThenAdoptWithoutPreallocation) {
   auto dir = std::make_shared<InMemoryWalDir>();
+  std::vector<Timestamp> expect;
   {
-    auto wal = OpenWal(dir, TinySegments(192, /*recycle_segments=*/2));
+    WalOptions options = TinySegments();
+    options.preallocate = false;
+    auto wal = OpenWal(dir, options);
     for (int i = 1; i <= 24; ++i) {
       ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
+      expect.push_back(i * 10);
     }
-    ASSERT_TRUE(wal->TruncatePrefix(wal->NextLsn()).ok());
-    ASSERT_EQ(wal->segments_recycled(), 2u);
+    ASSERT_GT(wal->SegmentCount(), 2u);
+    // Every segment, the first one included, was built inline and adopted;
+    // none came from a flusher build.
+    EXPECT_EQ(wal->segments_created(), wal->SegmentCount());
+    EXPECT_EQ(wal->segments_preallocated(), 0u);
+    EXPECT_EQ(CountPrefixed(dir.get(), "wal.prep."), 0);
+    EXPECT_EQ(ListNames(dir.get()).size(), wal->SegmentCount());
+    ASSERT_TRUE(wal->Sync().ok());
   }
-  // Reopen with a smaller pool: one free file adopted, the extra removed.
-  auto reopened = OpenWal(dir, TinySegments(192, /*recycle_segments=*/1));
-  int free_files = 0;
-  for (const std::string& name : ListNames(dir.get())) {
-    free_files += name.rfind("wal.free.", 0) == 0 ? 1 : 0;
+  auto reopened = OpenWal(dir, TinySegments());
+  EXPECT_EQ(ReplayTimestamps(reopened.get()), expect);
+}
+
+/// Forwards to an InMemoryWalDir, failing the Remove calls it is armed for.
+class FlakyRemoveDir : public WalDir {
+ public:
+  explicit FlakyRemoveDir(std::shared_ptr<InMemoryWalDir> inner)
+      : inner_(std::move(inner)) {}
+
+  Status List(std::vector<std::string>* names) const override {
+    return inner_->List(names);
   }
-  EXPECT_EQ(free_files, 1);
-  for (int i = 1; i <= 12; ++i) {
-    ASSERT_TRUE(reopened->Append(SmallRecord(i, i)).ok());
+  Status Open(const std::string& name,
+              std::unique_ptr<PagedFile>* out) override {
+    return inner_->Open(name, out);
   }
-  EXPECT_EQ(reopened->segments_reused(), 1u);
+  Status OpenExisting(const std::string& name,
+                      std::unique_ptr<PagedFile>* out) override {
+    return inner_->OpenExisting(name, out);
+  }
+  bool Exists(const std::string& name) const override {
+    return inner_->Exists(name);
+  }
+  Status Remove(const std::string& name) override {
+    if (fail_removes > 0) {
+      --fail_removes;
+      return Status::IOError("injected unlink failure: " + name);
+    }
+    return inner_->Remove(name);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return inner_->Rename(from, to);
+  }
+  Status SyncDir() override { return inner_->SyncDir(); }
+
+  int fail_removes = 0;
+
+ private:
+  std::shared_ptr<InMemoryWalDir> inner_;
+};
+
+TEST(WalTruncatePrefix, FailedUnlinkKeepsTheChainContiguous) {
+  auto mem = std::make_shared<InMemoryWalDir>();
+  auto flaky = std::make_shared<FlakyRemoveDir>(mem);
+  std::vector<Lsn> lsns;
+  std::vector<Timestamp> ts;
+  {
+    Wal wal(flaky, TinySegments());
+    ASSERT_TRUE(wal.Open().ok());
+    for (int i = 1; i <= 48; ++i) {
+      lsns.push_back(*wal.Append(SmallRecord(i, i * 10)));
+      ts.push_back(i * 10);
+    }
+    const uint64_t segments = wal.SegmentCount();
+    ASSERT_GT(segments, 3u);
+
+    // The first retirement's unlink fails: the truncation fails, and the
+    // segment stays at the chain front instead of vanishing from it.
+    flaky->fail_removes = 1;
+    EXPECT_FALSE(wal.TruncatePrefix(lsns[36]).ok());
+    EXPECT_EQ(wal.SegmentCount(), segments);
+    EXPECT_EQ(wal.segments_deleted(), 0u);
+
+    // A later truncation retries it and retires the rest in order.
+    ASSERT_TRUE(wal.TruncatePrefix(lsns[36]).ok());
+    EXPECT_LT(wal.SegmentCount(), segments);
+    EXPECT_EQ(wal.segments_deleted(), segments - wal.SegmentCount());
+  }
+  // No gap on disk: reopen accepts the chain and replays the live suffix.
+  Wal reopened(mem, TinySegments());
+  ASSERT_TRUE(reopened.Open().ok());
+  std::vector<Timestamp> replayed;
+  ASSERT_TRUE(reopened
+                  .ReadAll([&](const WalRecord& record) {
+                    replayed.push_back(record.commit_ts);
+                    return Status::OK();
+                  })
+                  .ok());
+  ASSERT_GE(replayed.size(), ts.size() - 36);
+  EXPECT_TRUE(std::equal(replayed.rbegin(), replayed.rend(), ts.rbegin()));
 }
 
 // ---------------------------------------------------------------------------
@@ -655,6 +734,42 @@ TEST(WalChain, ValidEmptyNewestSegmentIsAccepted) {
   EXPECT_EQ(ReplayTimestamps(reopened.get()), expect);
   ASSERT_TRUE(reopened->Append(SmallRecord(99, 990)).ok());
   expect.push_back(990);
+  EXPECT_EQ(ReplayTimestamps(reopened.get()), expect);
+}
+
+TEST(WalChain, LeftoverFreePoolFileIsRemovedAtOpen) {
+  // Older versions parked retired segments in a recycle pool under
+  // wal.free.N names. Such a file is never part of the chain: reopen drops
+  // it, replays the chain alone, and rolls on as usual.
+  auto dir = std::make_shared<InMemoryWalDir>();
+  std::vector<Timestamp> expect;
+  {
+    auto wal = OpenWal(dir, TinySegments());
+    for (int i = 1; i <= 24; ++i) {
+      ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
+      expect.push_back(i * 10);
+    }
+  }
+  // The pool kept a retired segment's bytes as they were: valid header,
+  // valid frames.
+  std::unique_ptr<PagedFile> retired;
+  ASSERT_TRUE(dir->Open(Wal::SegmentName(1), &retired).ok());
+  std::vector<char> bytes(retired->Size());
+  ASSERT_TRUE(retired->ReadAt(0, bytes.size(), bytes.data()).ok());
+  std::unique_ptr<PagedFile> free_file;
+  ASSERT_TRUE(dir->Open("wal.free.000003", &free_file).ok());
+  ASSERT_TRUE(free_file->WriteAt(0, bytes.data(), bytes.size()).ok());
+  free_file.reset();
+
+  auto reopened = OpenWal(dir, TinySegments());
+  EXPECT_FALSE(dir->Exists("wal.free.000003"));
+  EXPECT_EQ(ReplayTimestamps(reopened.get()), expect);
+  const uint64_t segments = reopened->SegmentCount();
+  for (int i = 25; i <= 48; ++i) {
+    ASSERT_TRUE(reopened->Append(SmallRecord(i, i * 10)).ok());
+    expect.push_back(i * 10);
+  }
+  EXPECT_GT(reopened->SegmentCount(), segments);
   EXPECT_EQ(ReplayTimestamps(reopened.get()), expect);
 }
 
@@ -964,7 +1079,7 @@ TEST(WalAsyncFlush, PoisonFailsWaitersAndLaterCommits) {
 
 TEST(WalPrealloc, RollsAdoptPreparedSegmentsAndReopenDiscardsPrepFiles) {
   auto dir = std::make_shared<InMemoryWalDir>();
-  WalOptions options = TinySegments(192, /*recycle_segments=*/2);
+  WalOptions options = TinySegments(192);
   options.async_flush = true;
   options.preallocate = true;
   auto wal = OpenWal(dir, options);
