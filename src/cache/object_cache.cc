@@ -1,113 +1,11 @@
 #include "cache/object_cache.h"
 
-#include <array>
+#include <string>
+#include <vector>
+
+#include "mvcc/epoch.h"
 
 namespace neosi {
-
-ObjectCache::ObjectCache(GraphStore* store, size_t capacity,
-                         EpochManager* epochs)
-    : store_(store),
-      capacity_(capacity == 0 ? SIZE_MAX : capacity),
-      epochs_(epochs) {}
-
-Result<std::shared_ptr<CachedNode>> ObjectCache::GetNode(NodeId id) {
-  NodeShard& shard = NodeShardFor(id);
-  {
-    ReadGuard guard(shard.latch);
-    auto it = shard.map.find(id);
-    if (it != shard.map.end()) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  // Miss: load the newest committed version from the store.
-  WriteGuard guard(shard.latch);
-  auto it = shard.map.find(id);
-  if (it != shard.map.end()) {  // Raced another loader: its load is our hit.
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-  }
-
-  NodeState state;
-  Status s = store_->ReadNodeState(id, &state);
-  if (s.IsOutOfRange() || (s.ok() && !state.in_use)) {
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    return Status::NotFound("node " + std::to_string(id) + " does not exist");
-  }
-  NEOSI_RETURN_IF_ERROR(s);
-
-  auto node = std::make_shared<CachedNode>(id, epochs_);
-  VersionData data;
-  data.deleted = state.deleted;
-  data.labels = std::move(state.labels);
-  data.props = std::move(state.props);
-  auto installed = node->chain.InstallUncommitted(kNoTxn, std::move(data));
-  if (!installed.ok()) return installed.status();
-  // Stamp directly with the persisted commit timestamp.
-  auto superseded = node->chain.CommitHead(kNoTxn, state.commit_ts);
-  if (!superseded.ok()) return superseded.status();
-
-  shard.map[id] = node;
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  shard.loads.fetch_add(1, std::memory_order_relaxed);
-  return node;
-}
-
-Result<std::shared_ptr<CachedRel>> ObjectCache::GetRel(RelId id) {
-  RelShard& shard = RelShardFor(id);
-  {
-    ReadGuard guard(shard.latch);
-    auto it = shard.map.find(id);
-    if (it != shard.map.end()) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  WriteGuard guard(shard.latch);
-  auto it = shard.map.find(id);
-  if (it != shard.map.end()) {
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-  }
-
-  RelState state;
-  Status s = store_->ReadRelState(id, &state);
-  if (s.IsOutOfRange() || (s.ok() && !state.in_use)) {
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    return Status::NotFound("relationship " + std::to_string(id) +
-                            " does not exist");
-  }
-  NEOSI_RETURN_IF_ERROR(s);
-
-  auto rel = std::make_shared<CachedRel>(id, state.src, state.dst, state.type,
-                                         epochs_);
-  VersionData data;
-  data.deleted = state.deleted;
-  data.props = std::move(state.props);
-  auto installed = rel->chain.InstallUncommitted(kNoTxn, std::move(data));
-  if (!installed.ok()) return installed.status();
-  auto superseded = rel->chain.CommitHead(kNoTxn, state.commit_ts);
-  if (!superseded.ok()) return superseded.status();
-
-  shard.map[id] = rel;
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  shard.loads.fetch_add(1, std::memory_order_relaxed);
-  return rel;
-}
-
-Result<std::shared_ptr<VersionChain>> ObjectCache::GetChain(
-    const EntityKey& key) {
-  // Aliasing moves: the chain takes over the object's reference instead of
-  // adding one (hot objects' reference counts are shared by every reader).
-  if (key.type == EntityType::kNode) {
-    NEOSI_ASSIGN_OR_RETURN(auto node, GetNode(key.id));
-    VersionChain* chain = &node->chain;
-    return std::shared_ptr<VersionChain>(std::move(node), chain);
-  }
-  NEOSI_ASSIGN_OR_RETURN(auto rel, GetRel(key.id));
-  VersionChain* chain = &rel->chain;
-  return std::shared_ptr<VersionChain>(std::move(rel), chain);
-}
 
 namespace {
 
@@ -122,167 +20,285 @@ bool IsDefunct(const VersionChain& chain) {
   return latest == nullptr || latest->data.deleted;
 }
 
+/// Installs `data` as `chain`'s one committed version, stamped with the
+/// persisted commit timestamp.
+Status Materialize(VersionChain* chain, VersionData data, Timestamp ts) {
+  NEOSI_RETURN_IF_ERROR(
+      chain->InstallUncommitted(kNoTxn, std::move(data)).status());
+  return chain->CommitHead(kNoTxn, ts).status();
+}
+
 }  // namespace
 
-Result<std::shared_ptr<CachedNode>> ObjectCache::InsertNewNode(NodeId id) {
-  NodeShard& shard = NodeShardFor(id);
-  WriteGuard guard(shard.latch);
-  auto [it, inserted] = shard.map.emplace(id, nullptr);
-  if (!inserted) {
-    if (!IsDefunct(it->second->chain)) {
-      return Status::Internal("InsertNewNode: live node already cached: " +
-                              std::to_string(id));
-    }
-    // Stale entry for the previous (purged) occupant of this record id.
+template <typename Entry>
+ObjectCache::Table<Entry>::~Table() {
+  // No reader is left (the engine outlives its transactions); retired
+  // entries belong to the epoch limbo, published ones to us.
+  const size_t limit = page_limit.load(std::memory_order_relaxed);
+  for (size_t p = 0; p < limit; ++p) {
+    Page* page = pages[p].load(std::memory_order_relaxed);
+    if (page == nullptr) continue;
+    for (auto& slot : page->slots) delete slot.load(std::memory_order_relaxed);
+    delete page;
   }
-  it->second = std::make_shared<CachedNode>(id, epochs_);
-  return it->second;
 }
 
-Result<std::shared_ptr<CachedRel>> ObjectCache::InsertNewRel(RelId id,
-                                                             NodeId src,
-                                                             NodeId dst,
-                                                             RelTypeId type) {
-  RelShard& shard = RelShardFor(id);
-  WriteGuard guard(shard.latch);
-  auto [it, inserted] = shard.map.emplace(id, nullptr);
-  if (!inserted) {
-    if (!IsDefunct(it->second->chain)) {
-      return Status::Internal(
-          "InsertNewRel: live relationship already cached: " +
-          std::to_string(id));
+template <typename Entry>
+std::atomic<Entry*>* ObjectCache::Table<Entry>::Slot(uint64_t id) {
+  if (id >= kPages * kPageSlots) return nullptr;
+  const size_t index = id >> kPageBits;
+  Page* page = pages[index].load(std::memory_order_acquire);
+  if (page == nullptr) {
+    // Pages are shared across stripes, so a new one is installed by CAS.
+    auto fresh = std::make_unique<Page>();
+    if (pages[index].compare_exchange_strong(page, fresh.get(),
+                                             std::memory_order_acq_rel)) {
+      page = fresh.release();
+      size_t limit = page_limit.load(std::memory_order_relaxed);
+      while (limit <= index &&
+             !page_limit.compare_exchange_weak(limit, index + 1,
+                                               std::memory_order_relaxed)) {
+      }
     }
   }
-  it->second = std::make_shared<CachedRel>(id, src, dst, type, epochs_);
-  return it->second;
+  return &page->slots[id & (kPageSlots - 1)];
 }
 
-std::shared_ptr<CachedNode> ObjectCache::PeekNode(NodeId id) const {
-  NodeShard& shard = NodeShardFor(id);
-  ReadGuard guard(shard.latch);
-  auto it = shard.map.find(id);
-  return it == shard.map.end() ? nullptr : it->second;
+ObjectCache::ObjectCache(GraphStore* store, size_t capacity,
+                         EpochManager* epochs)
+    : store_(store),
+      capacity_(capacity == 0 ? SIZE_MAX : capacity),
+      epochs_(epochs) {}
+
+ObjectCache::~ObjectCache() = default;
+
+template <typename Entry, typename Load>
+Result<Entry*> ObjectCache::Get(Table<Entry>& table, uint64_t id, Load load) {
+  Stripe& stripe = table.StripeOf(id);
+  if (Entry* hit = table.Find(id)) {
+    stripe.hits.fetch_add(1, std::memory_order_relaxed);
+    return hit;
+  }
+  // Miss: load the newest committed version from the store.
+  std::lock_guard<std::mutex> guard(stripe.latch);
+  if (Entry* hit = table.Find(id)) {  // Raced another loader: our hit.
+    stripe.hits.fetch_add(1, std::memory_order_relaxed);
+    return hit;
+  }
+  Result<std::unique_ptr<Entry>> loaded = load(id);
+  if (!loaded.ok()) {
+    if (loaded.status().IsNotFound()) {
+      stripe.misses.fetch_add(1, std::memory_order_relaxed);
+    }
+    return loaded.status();
+  }
+  std::atomic<Entry*>* slot = table.Slot(id);
+  if (slot == nullptr) {
+    return Status::Internal("id " + std::to_string(id) +
+                            " is beyond the object cache directory");
+  }
+  Entry* entry = loaded->release();
+  slot->store(entry, std::memory_order_release);
+  CountPublished(table);
+  stripe.misses.fetch_add(1, std::memory_order_relaxed);
+  stripe.loads.fetch_add(1, std::memory_order_relaxed);
+  return entry;
 }
 
-std::shared_ptr<CachedRel> ObjectCache::PeekRel(RelId id) const {
-  RelShard& shard = RelShardFor(id);
-  ReadGuard guard(shard.latch);
-  auto it = shard.map.find(id);
-  return it == shard.map.end() ? nullptr : it->second;
+Result<CachedNode*> ObjectCache::GetNode(NodeId id) {
+  using Loaded = Result<std::unique_ptr<CachedNode>>;
+  return Get(nodes_, id, [this](NodeId node_id) -> Loaded {
+    NodeState state;
+    Status s = store_->ReadNodeState(node_id, &state);
+    if (s.IsOutOfRange() || (s.ok() && !state.in_use)) {
+      return Status::NotFound("node " + std::to_string(node_id) +
+                              " does not exist");
+    }
+    NEOSI_RETURN_IF_ERROR(s);
+    auto node = std::make_unique<CachedNode>(node_id, epochs_);
+    VersionData data;
+    data.deleted = state.deleted;
+    data.labels = std::move(state.labels);
+    data.props = std::move(state.props);
+    NEOSI_RETURN_IF_ERROR(
+        Materialize(&node->chain, std::move(data), state.commit_ts));
+    return node;
+  });
 }
 
-void ObjectCache::EraseNode(NodeId id) {
-  NodeShard& shard = NodeShardFor(id);
-  WriteGuard guard(shard.latch);
-  shard.map.erase(id);
+Result<CachedRel*> ObjectCache::GetRel(RelId id) {
+  using Loaded = Result<std::unique_ptr<CachedRel>>;
+  return Get(rels_, id, [this](RelId rel_id) -> Loaded {
+    RelState state;
+    Status s = store_->ReadRelState(rel_id, &state);
+    if (s.IsOutOfRange() || (s.ok() && !state.in_use)) {
+      return Status::NotFound("relationship " + std::to_string(rel_id) +
+                              " does not exist");
+    }
+    NEOSI_RETURN_IF_ERROR(s);
+    auto rel = std::make_unique<CachedRel>(rel_id, state.src, state.dst,
+                                           state.type, epochs_);
+    VersionData data;
+    data.deleted = state.deleted;
+    data.props = std::move(state.props);
+    NEOSI_RETURN_IF_ERROR(
+        Materialize(&rel->chain, std::move(data), state.commit_ts));
+    return rel;
+  });
 }
 
-void ObjectCache::EraseRel(RelId id) {
-  RelShard& shard = RelShardFor(id);
-  WriteGuard guard(shard.latch);
-  shard.map.erase(id);
+Result<VersionChain*> ObjectCache::GetChain(const EntityKey& key) {
+  if (key.type == EntityType::kNode) {
+    NEOSI_ASSIGN_OR_RETURN(CachedNode* node, GetNode(key.id));
+    return &node->chain;
+  }
+  NEOSI_ASSIGN_OR_RETURN(CachedRel* rel, GetRel(key.id));
+  return &rel->chain;
+}
+
+template <typename Entry>
+Result<Entry*> ObjectCache::Insert(Table<Entry>& table, uint64_t id,
+                                   std::unique_ptr<Entry> entry) {
+  std::lock_guard<std::mutex> guard(table.StripeOf(id).latch);
+  std::atomic<Entry*>* slot = table.Slot(id);
+  if (slot == nullptr) {
+    return Status::Internal("id " + std::to_string(id) +
+                            " is beyond the object cache directory");
+  }
+  Entry* old = slot->load(std::memory_order_relaxed);
+  // A stale entry for the previous (purged) occupant of this record id is
+  // replaced; a live one means the id was handed out twice.
+  if (old != nullptr && !IsDefunct(old->chain)) {
+    return Status::Internal("object cache: live entity already cached: " +
+                            std::to_string(id));
+  }
+  Entry* fresh = entry.release();
+  slot->store(fresh, std::memory_order_release);
+  if (old != nullptr) {
+    epochs_->Retire(std::unique_ptr<Entry>(old));
+  } else {
+    CountPublished(table);
+  }
+  return fresh;
+}
+
+Result<CachedNode*> ObjectCache::InsertNewNode(NodeId id) {
+  return Insert(nodes_, id, std::make_unique<CachedNode>(id, epochs_));
+}
+
+Result<CachedRel*> ObjectCache::InsertNewRel(RelId id, NodeId src,
+                                             NodeId dst, RelTypeId type) {
+  return Insert(rels_, id,
+                std::make_unique<CachedRel>(id, src, dst, type, epochs_));
+}
+
+CachedNode* ObjectCache::PeekNode(NodeId id) const { return nodes_.Find(id); }
+
+CachedRel* ObjectCache::PeekRel(RelId id) const { return rels_.Find(id); }
+
+bool ObjectCache::Holds(const EntityKey& key,
+                        const VersionChain* chain) const {
+  if (key.type == EntityType::kNode) {
+    const CachedNode* node = nodes_.Find(key.id);
+    return node != nullptr && &node->chain == chain;
+  }
+  const CachedRel* rel = rels_.Find(key.id);
+  return rel != nullptr && &rel->chain == chain;
+}
+
+template <typename Entry>
+void ObjectCache::CountPublished(Table<Entry>& table) {
+  table.resident.fetch_add(1, std::memory_order_relaxed);
+  if (over_capacity_ && ResidentCount() > capacity_) over_capacity_();
+}
+
+template <typename Entry>
+void ObjectCache::Erase(Table<Entry>& table, uint64_t id) {
+  std::lock_guard<std::mutex> guard(table.StripeOf(id).latch);
+  if (table.Find(id) == nullptr) return;
+  Entry* old = table.Slot(id)->exchange(nullptr, std::memory_order_acq_rel);
+  table.resident.fetch_sub(1, std::memory_order_relaxed);
+  epochs_->Retire(std::unique_ptr<Entry>(old));
+}
+
+void ObjectCache::EraseNode(NodeId id) { Erase(nodes_, id); }
+
+void ObjectCache::EraseRel(RelId id) { Erase(rels_, id); }
+
+template <typename Entry>
+size_t ObjectCache::Evict(Table<Entry>& table) {
+  // The pass's evictions retire together, as one limbo entry.
+  auto evicted = std::make_unique<std::vector<std::unique_ptr<Entry>>>();
+  const size_t limit = table.page_limit.load(std::memory_order_acquire);
+  for (size_t p = 0; p < limit; ++p) {
+    auto* page = table.pages[p].load(std::memory_order_acquire);
+    if (page == nullptr) continue;
+    for (size_t i = 0; i < kPageSlots; ++i) {
+      std::atomic<Entry*>& slot = page->slots[i];
+      if (slot.load(std::memory_order_relaxed) == nullptr) continue;
+      const uint64_t id = (uint64_t{p} << kPageBits) | i;
+      std::lock_guard<std::mutex> guard(table.StripeOf(id).latch);
+      Entry* entry = slot.load(std::memory_order_relaxed);
+      if (entry == nullptr) continue;
+      // Single committed version: the store already holds exactly this
+      // state. Multi-version or uncommitted entities are pinned (old
+      // versions exist only in memory; uncommitted state belongs to a live
+      // transaction). The unpublish runs under the chain latch, so a
+      // writer's install either pins the entry first or sees it orphaned.
+      const bool unpublished = entry->chain.IfSoleCommitted(
+          [&] { slot.store(nullptr, std::memory_order_release); });
+      if (!unpublished) continue;
+      table.resident.fetch_sub(1, std::memory_order_relaxed);
+      evicted->emplace_back(entry);
+    }
+  }
+  const size_t count = evicted->size();
+  if (count > 0) epochs_->Retire(std::move(evicted), count);
+  return count;
 }
 
 size_t ObjectCache::EvictIfNeeded() {
   if (ResidentCount() <= capacity_) return 0;
-  size_t evicted = 0;
-  auto evictable_chain = [](const VersionChain& chain) {
-    // Single committed version: the store already holds exactly this state.
-    // Multi-version or uncommitted entities are pinned (old versions exist
-    // only in memory; uncommitted state belongs to a live transaction).
-    if (chain.Length() != 1) return false;
-    return !chain.HasUncommitted();
-  };
-  for (auto& shard : node_shards_) {
-    WriteGuard guard(shard.latch);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (evictable_chain(it->second->chain)) {
-        it = shard.map.erase(it);
-        ++evicted;
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& shard : rel_shards_) {
-    WriteGuard guard(shard.latch);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (evictable_chain(it->second->chain)) {
-        it = shard.map.erase(it);
-        ++evicted;
-      } else {
-        ++it;
-      }
-    }
-  }
+  const size_t evicted = Evict(nodes_) + Evict(rels_);
   evictions_.fetch_add(evicted, std::memory_order_relaxed);
   return evicted;
 }
 
-void ObjectCache::ForEachNode(
-    const std::function<void(const std::shared_ptr<CachedNode>&)>& fn) const {
-  for (const auto& shard : node_shards_) {
-    std::vector<std::shared_ptr<CachedNode>> snapshot;
-    {
-      ReadGuard guard(shard.latch);
-      snapshot.reserve(shard.map.size());
-      for (const auto& [id, node] : shard.map) snapshot.push_back(node);
+template <typename Entry>
+void ObjectCache::Tally(const Table<Entry>& table, uint64_t* resident,
+                        ObjectCacheStats* out) const {
+  // Footprint walks go through the chain (its own latch): a raw head/older
+  // walk here would race GC unlinks. The guard keeps evicted entries alive.
+  EpochManager::Guard guard(epochs_);
+  const size_t limit = table.page_limit.load(std::memory_order_acquire);
+  for (size_t p = 0; p < limit; ++p) {
+    const auto* page = table.pages[p].load(std::memory_order_acquire);
+    if (page == nullptr) continue;
+    for (const auto& slot : page->slots) {
+      const Entry* entry = slot.load(std::memory_order_acquire);
+      if (entry == nullptr) continue;
+      ++*resident;
+      out->resident_versions += entry->chain.Length();
+      out->approx_bytes += entry->chain.ApproximateBytes();
     }
-    for (const auto& node : snapshot) fn(node);
   }
-}
-
-void ObjectCache::ForEachRel(
-    const std::function<void(const std::shared_ptr<CachedRel>&)>& fn) const {
-  for (const auto& shard : rel_shards_) {
-    std::vector<std::shared_ptr<CachedRel>> snapshot;
-    {
-      ReadGuard guard(shard.latch);
-      snapshot.reserve(shard.map.size());
-      for (const auto& [id, rel] : shard.map) snapshot.push_back(rel);
-    }
-    for (const auto& rel : snapshot) fn(rel);
-  }
-}
-
-size_t ObjectCache::ResidentCount() const {
-  size_t n = 0;
-  for (const auto& shard : node_shards_) {
-    ReadGuard guard(shard.latch);
-    n += shard.map.size();
-  }
-  for (const auto& shard : rel_shards_) {
-    ReadGuard guard(shard.latch);
-    n += shard.map.size();
-  }
-  return n;
 }
 
 ObjectCacheStats ObjectCache::Stats() const {
   ObjectCacheStats out;
-  for (const auto& shard : node_shards_) {
-    out.node_hits += shard.hits.load(std::memory_order_relaxed);
-    out.node_misses += shard.misses.load(std::memory_order_relaxed);
-    out.loads += shard.loads.load(std::memory_order_relaxed);
+  for (const Stripe& stripe : nodes_.stripes) {
+    out.node_hits += stripe.hits.load(std::memory_order_relaxed);
+    out.node_misses += stripe.misses.load(std::memory_order_relaxed);
+    out.loads += stripe.loads.load(std::memory_order_relaxed);
   }
-  for (const auto& shard : rel_shards_) {
-    out.rel_hits += shard.hits.load(std::memory_order_relaxed);
-    out.rel_misses += shard.misses.load(std::memory_order_relaxed);
-    out.loads += shard.loads.load(std::memory_order_relaxed);
+  for (const Stripe& stripe : rels_.stripes) {
+    out.rel_hits += stripe.hits.load(std::memory_order_relaxed);
+    out.rel_misses += stripe.misses.load(std::memory_order_relaxed);
+    out.loads += stripe.loads.load(std::memory_order_relaxed);
   }
   out.evictions = evictions_.load(std::memory_order_relaxed);
-  // Footprint walks go through the chain (its own latch): a raw
-  // head/older walk here would race GC unlinks.
-  ForEachNode([&](const std::shared_ptr<CachedNode>& node) {
-    ++out.resident_nodes;
-    out.resident_versions += node->chain.Length();
-    out.approx_bytes += node->chain.ApproximateBytes();
-  });
-  ForEachRel([&](const std::shared_ptr<CachedRel>& rel) {
-    ++out.resident_rels;
-    out.resident_versions += rel->chain.Length();
-    out.approx_bytes += rel->chain.ApproximateBytes();
-  });
+  Tally(nodes_, &out.resident_nodes, &out);
+  Tally(rels_, &out.resident_rels, &out);
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -74,8 +75,20 @@ GcEngine::GcEngine(Engine* engine) : engine_(engine) {}
 void GcEngine::EvictCache() { engine_->cache->EvictIfNeeded(); }
 
 void GcEngine::DrainEpochs() {
-  engine_->epochs.BumpEpoch();
-  engine_->epochs.Drain();
+  EpochManager& epochs = engine_->epochs;
+  const uint64_t epoch = epochs.BumpEpoch();
+  // A guard spans one engine call, so the readers that entered before the
+  // bump (the only ones that can still reach this pass's retirees) leave
+  // within microseconds. Wait them out, briefly, so that entries evicted by
+  // this pass are freed now instead of doubling the cache's footprint in
+  // limbo until the next pass.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(500);
+  while (epochs.limbo_size() > 0 && epochs.MinActiveEpoch() < epoch &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  epochs.Drain();
 }
 
 GcStats GcEngine::Collect() {
@@ -108,15 +121,14 @@ void GcEngine::DrainEntries(std::vector<GcEntry> entries, Timestamp watermark,
     superseded_by_entity[entry.key].push_back(std::move(entry.version));
   }
   for (auto& [key, versions] : superseded_by_entity) {
+    EpochManager::Guard guard(&engine_->epochs);  // The entry is borrowed.
     VersionChain* chain = nullptr;
-    std::shared_ptr<CachedNode> node;
-    std::shared_ptr<CachedRel> rel;
     if (key.type == EntityType::kNode) {
-      node = engine_->cache->PeekNode(key.id);
-      if (node) chain = &node->chain;
-    } else {
-      rel = engine_->cache->PeekRel(key.id);
-      if (rel) chain = &rel->chain;
+      if (CachedNode* node = engine_->cache->PeekNode(key.id)) {
+        chain = &node->chain;
+      }
+    } else if (CachedRel* rel = engine_->cache->PeekRel(key.id)) {
+      chain = &rel->chain;
     }
     if (chain == nullptr) continue;
     if (versions.size() > 1) {

@@ -58,10 +58,10 @@ class GcEngine {
   void EvictCache();
 
   /// Epoch tick for the latch-free read path: bumps the global epoch, then
-  /// frees every limbo version no entered reader can still reach. Run at
-  /// the end of every pass and on every daemon idle skip, so retirees from
-  /// wakeup N are freed by wakeup N+1 at the latest. Cheap no-op when
-  /// nothing was retired.
+  /// frees every limbo version and cache entry no entered reader can still
+  /// reach. Run after EvictCache at the end of every pass and on every
+  /// daemon idle skip, so retirees from wakeup N are freed by wakeup N+1 at
+  /// the latest. Cheap no-op when nothing was retired.
   void DrainEpochs();
 
  private:

@@ -17,8 +17,8 @@
 // backlog-pressure eviction of the watermark-pinning cohort
 // (snapshot_expire_backlog). Idle skips still run cache eviction and the
 // epoch bump+drain tick that frees limbo versions retired by the
-// latch-free read path, so abort-path retirees are freed even when nothing
-// is reclaimable.
+// latch-free read path and the cache entries eviction just retired, so
+// abort-path retirees are freed even when nothing is reclaimable.
 
 #ifndef NEOSI_GRAPH_GC_DAEMON_H_
 #define NEOSI_GRAPH_GC_DAEMON_H_
@@ -70,6 +70,11 @@ class GcDaemon {
     if (gc_list_->backlog() < backlog_threshold_) return;
     loop_.NudgeArmed();
   }
+
+  /// Object-cache hook (ObjectCache::SetOverCapacityHook): the cache just
+  /// outgrew its capacity, so the next wakeup's eviction should not wait
+  /// out the interval. Armed like the commit nudge.
+  void NudgeCacheFull() { loop_.NudgeArmed(); }
 
   bool running() const { return loop_.running(); }
 

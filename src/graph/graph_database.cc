@@ -57,6 +57,11 @@ Status GraphDatabase::OpenImpl() {
   engine_->cache = std::make_unique<ObjectCache>(
       &engine_->store, engine_->options.object_cache_capacity,
       &engine_->epochs);
+  engine_->cache->SetOverCapacityHook([engine = engine_.get()] {
+    if (GcDaemon* daemon = engine->gc_daemon.load(std::memory_order_acquire)) {
+      daemon->NudgeCacheFull();
+    }
+  });
 
   NEOSI_RETURN_IF_ERROR(RebuildIndexes());
 

@@ -56,7 +56,7 @@ struct DatabaseStats {
   uint64_t snapshot_too_old_aborts = 0;    ///< Ops failed with SnapshotTooOld.
   /// Epoch-based reclamation (latch-free read path) gauges.
   uint64_t epoch_current = 0;        ///< Global epoch counter.
-  uint64_t epoch_limbo = 0;          ///< Versions awaiting an epoch drain.
+  uint64_t epoch_limbo = 0;  ///< Versions + cache entries awaiting a drain.
   uint64_t epoch_retired = 0;        ///< Lifetime retire count.
   uint64_t epoch_freed = 0;          ///< Lifetime limbo frees.
   /// Checkpoint daemon pacing counters (zero when the daemon is disabled).

@@ -320,41 +320,62 @@ Status ReplicaApplier::ApplyRecord(const WalRecord& record) {
 
 Status ReplicaApplier::ApplyEntityOp(const EntityKey& key, const WalOp& op,
                                      Timestamp ts) {
-  // Materialize the PRE-state into the cache before the store changes:
-  // pinned snapshots below `ts` must keep finding the version this op
-  // supersedes (the cache never evicts multi-version chains, and a
-  // single-version chain it does evict re-materializes losslessly).
-  std::shared_ptr<VersionChain> chain;
-  {
+  // Pin the PRE-state in the cache before the store changes: pinned
+  // snapshots below `ts` must keep finding the version this op supersedes.
+  // The pin is a pending version (a copy of the pre-state, rewritten to the
+  // post-state below), which eviction never unpublishes. As for a
+  // transaction's first write, it is installed and then confirmed inside
+  // one guard, and retried if eviction unpublished the entry first.
+  EpochManager::Guard guard(&engine_->epochs);
+  VersionChain* chain = nullptr;
+  std::shared_ptr<Version> pending;
+  for (;;) {
     auto cached = engine_->cache->GetChain(key);
-    if (cached.ok()) {
-      chain = *cached;
-    } else if (!cached.status().IsNotFound()) {
-      return cached.status();
+    if (!cached.ok()) {
+      if (!cached.status().IsNotFound()) return cached.status();
+      break;
     }
+    chain = *cached;
+    // Skip only strictly-older replays (defensive; Ingest dedupes records).
+    // Equality must fall through: a record may carry several ops for one
+    // entity, all sharing its commit_ts — the later ops stack same-ts
+    // versions, and readers take the newest on a ts tie.
+    if (chain->NewestCommitTs() > ts) return Status::OK();
+    const std::shared_ptr<const Version> latest = chain->LatestCommitted();
+    NEOSI_ASSIGN_OR_RETURN(
+        pending, chain->InstallUncommitted(
+                     kApplierTxn, latest != nullptr ? latest->data
+                                                    : VersionData{}));
+    if (engine_->cache->Holds(key, chain)) break;
+    chain->AbortHead(kApplierTxn);
+    chain = nullptr;
   }
-  // Skip only strictly-older replays (defensive; Ingest dedupes records).
-  // Equality must fall through: a record may carry several ops for one
-  // entity, all sharing its commit_ts — the later ops stack same-ts
-  // versions, and readers take the newest on a ts tie.
-  if (chain != nullptr && chain->NewestCommitTs() > ts) return Status::OK();
   const std::shared_ptr<const Version> pre =
       chain != nullptr ? chain->LatestCommitted() : nullptr;
 
-  NEOSI_RETURN_IF_ERROR(engine_->store.ApplyWalOp(op, ts));
-
   VersionData post;
   Timestamp persisted_ts = kNoTimestamp;
-  Status rs = ReadPersistedState(engine_->store, key, &post, &persisted_ts);
-  if (!rs.ok() && !rs.IsNotFound()) return rs;
+  Status rs;
+  Status s = engine_->store.ApplyWalOp(op, ts);
+  if (s.ok()) {
+    rs = ReadPersistedState(engine_->store, key, &post, &persisted_ts);
+    if (!rs.ok() && !rs.IsNotFound()) s = rs;
+  }
+  if (!s.ok()) {
+    if (chain != nullptr) chain->AbortHead(kApplierTxn);
+    return s;
+  }
   CommitIndexDiff(engine_, key, pre != nullptr ? &pre->data : nullptr,
                   rs.ok() ? &post : nullptr, kApplierTxn, ts);
   // No cache entry and the record was free before: a create replays with no
   // resident chain — a later reader materializes it lazily, and its
   // commit_ts keeps it invisible to snapshots below `ts`.
-  if (chain == nullptr || !rs.ok()) return Status::OK();
-  NEOSI_RETURN_IF_ERROR(
-      chain->InstallUncommitted(kApplierTxn, std::move(post)).status());
+  if (chain == nullptr) return Status::OK();
+  if (!rs.ok()) {
+    chain->AbortHead(kApplierTxn);
+    return Status::OK();
+  }
+  pending->data = std::move(post);
   NEOSI_ASSIGN_OR_RETURN(auto superseded, chain->CommitHead(kApplierTxn, ts));
   if (superseded != nullptr) engine_->gc_list.Append({key, superseded, ts});
   return Status::OK();

@@ -222,25 +222,38 @@ Result<Transaction::WriteRecord*> Transaction::PendingVersion(
     return &it->second;
   }
 
-  WriteRecord record;
-  if (key.type == EntityType::kNode) {
-    NEOSI_ASSIGN_OR_RETURN(record.node, engine_->cache->GetNode(key.id));
-  } else {
-    NEOSI_ASSIGN_OR_RETURN(record.rel, engine_->cache->GetRel(key.id));
-  }
-
+  // Lock first, so no epoch guard is held across a lock wait.
   NEOSI_RETURN_IF_ERROR(AcquireWriteLock(key));
-  NEOSI_RETURN_IF_ERROR(CheckWriteConflict(record.chain()));
-
-  auto visible = record.chain().Visible(SnapshotTs(), id_);
-  if (!visible || visible->data.deleted) {
-    return Status::NotFound(key.ToString() +
-                            " is not visible to this transaction");
+  WriteRecord* w = nullptr;
+  {
+    EpochManager::Guard guard(&engine_->epochs);
+    for (;;) {
+      WriteRecord record;
+      if (key.type == EntityType::kNode) {
+        NEOSI_ASSIGN_OR_RETURN(record.node, engine_->cache->GetNode(key.id));
+      } else {
+        NEOSI_ASSIGN_OR_RETURN(record.rel, engine_->cache->GetRel(key.id));
+      }
+      NEOSI_RETURN_IF_ERROR(CheckWriteConflict(record.chain()));
+      auto visible = record.chain().Visible(SnapshotTs(), id_);
+      if (!visible || visible->data.deleted) {
+        return Status::NotFound(key.ToString() +
+                                " is not visible to this transaction");
+      }
+      // The pending version starts as a copy of the visible one.
+      NEOSI_ASSIGN_OR_RETURN(
+          record.pending,
+          record.chain().InstallUncommitted(id_, visible->data));
+      // Install, then confirm: if eviction unpublished the entry before the
+      // install, the version went into an orphan that a reload has already
+      // replaced — withdraw it and retry on the published entry.
+      if (engine_->cache->Holds(key, &record.chain())) {
+        w = &(writes_[key] = std::move(record));
+        break;
+      }
+      record.chain().AbortHead(id_);
+    }
   }
-  // The pending version starts as a copy of the visible one.
-  NEOSI_ASSIGN_OR_RETURN(record.pending,
-                         record.chain().InstallUncommitted(id_, visible->data));
-  WriteRecord* w = &(writes_[key] = std::move(record));
   // Post-walk expiry check: the pending version was based on the snapshot-
   // visible version, which expiry-driven reclamation may have pruned
   // mid-walk. Rolls the whole transaction back (including the record just
@@ -327,9 +340,11 @@ Result<NodeId> Transaction::CreateNode(const std::vector<std::string>& labels,
   }
 
   NEOSI_ASSIGN_OR_RETURN(const NodeId id, engine_->store.AllocateNodeId());
-  NEOSI_ASSIGN_OR_RETURN(auto node, engine_->cache->InsertNewNode(id));
   const EntityKey key = EntityKey::Node(id);
+  // The fresh entry's empty chain is never evictable, and its pending
+  // version pins it from the install on.
   NEOSI_RETURN_IF_ERROR(AcquireWriteLock(key));
+  NEOSI_ASSIGN_OR_RETURN(CachedNode* node, engine_->cache->InsertNewNode(id));
   NEOSI_ASSIGN_OR_RETURN(auto pending,
                          node->chain.InstallUncommitted(id_, std::move(data)));
   writes_[key] = WriteRecord{node, nullptr, pending, /*created=*/true};
@@ -407,34 +422,38 @@ Result<RelId> Transaction::CreateRelationship(NodeId src, NodeId dst,
   // Re-check after acquiring the locks: a concurrent transaction may have
   // deleted an endpoint and committed while we waited. Creating the edge
   // anyway would dangle, so this is treated as a write-write conflict.
-  for (NodeId endpoint : {src, dst}) {
-    const EntityKey ekey = EntityKey::Node(endpoint);
-    auto wit = writes_.find(ekey);
-    if (wit != writes_.end()) {
-      if (wit->second.pending->data.deleted) {
-        RollbackLocked();
-        return Status::Aborted("endpoint node deleted by this transaction");
+  {
+    EpochManager::Guard guard(&engine_->epochs);
+    for (NodeId endpoint : {src, dst}) {
+      const EntityKey ekey = EntityKey::Node(endpoint);
+      auto wit = writes_.find(ekey);
+      if (wit != writes_.end()) {
+        if (wit->second.pending->data.deleted) {
+          RollbackLocked();
+          return Status::Aborted("endpoint node deleted by this transaction");
+        }
+        continue;
       }
-      continue;
-    }
-    auto cached = engine_->cache->GetNode(endpoint);
-    if (!cached.ok()) {
-      RollbackLocked();
-      return Status::Aborted("endpoint node vanished concurrently");
-    }
-    auto latest = (*cached)->chain.LatestCommitted();
-    if (!latest || latest->data.deleted) {
-      RollbackLocked();
-      return Status::Aborted(
-          "endpoint node deleted by a concurrent transaction");
+      auto cached = engine_->cache->GetNode(endpoint);
+      if (!cached.ok()) {
+        RollbackLocked();
+        return Status::Aborted("endpoint node vanished concurrently");
+      }
+      auto latest = (*cached)->chain.LatestCommitted();
+      if (!latest || latest->data.deleted) {
+        RollbackLocked();
+        return Status::Aborted(
+            "endpoint node deleted by a concurrent transaction");
+      }
     }
   }
 
   NEOSI_ASSIGN_OR_RETURN(const RelId rel_id, engine_->store.AllocateRelId());
-  NEOSI_ASSIGN_OR_RETURN(
-      auto rel, engine_->cache->InsertNewRel(rel_id, src, dst, type_token));
   const EntityKey key = EntityKey::Rel(rel_id);
   NEOSI_RETURN_IF_ERROR(AcquireWriteLock(key));
+  NEOSI_ASSIGN_OR_RETURN(
+      CachedRel* rel,
+      engine_->cache->InsertNewRel(rel_id, src, dst, type_token));
   NEOSI_ASSIGN_OR_RETURN(auto pending,
                          rel->chain.InstallUncommitted(id_, std::move(data)));
   writes_[key] = WriteRecord{nullptr, rel, pending, /*created=*/true};
@@ -513,6 +532,7 @@ Status Transaction::DeleteNode(NodeId id) {
   std::vector<RelId> chain_ids;
   Status chain_status = engine_->store.RelChainOf(id, &chain_ids);
   if (!chain_status.ok()) return chain_status;
+  EpochManager::Guard guard(&engine_->epochs);
   for (RelId rel_id : chain_ids) {
     auto wit = writes_.find(EntityKey::Rel(rel_id));
     if (wit != writes_.end() && wit->second.pending->data.deleted) {
@@ -568,6 +588,9 @@ Result<std::shared_ptr<const Version>> Transaction::VisibleVersion(
     if (short_lock) engine_->lock_manager.Release(id_, key);
   };
 
+  // One guard covers the lookup and every walk of the borrowed chain (taken
+  // after the short lock: no guard is held across a lock wait).
+  EpochManager::Guard guard(&engine_->epochs);
   auto chain = engine_->cache->GetChain(key);
   if (!chain.ok()) {
     release();
@@ -614,6 +637,7 @@ Result<NodeView> Transaction::GetNode(NodeId id) {
 Result<RelView> Transaction::GetRelationship(RelId id) {
   auto version = VisibleVersion(EntityKey::Rel(id));
   if (!version.ok()) return version.status();
+  EpochManager::Guard guard(&engine_->epochs);
   auto rel = engine_->cache->GetRel(id);
   if (!rel.ok()) return rel.status();
 
@@ -689,6 +713,7 @@ Result<std::vector<NodeId>> Transaction::AllNodes() {
   // iterator of §4. Tombstoned records are still in the store; visibility
   // filters them.
   Status s = engine_->store.ForEachNode([&](NodeId id) {
+    EpochManager::Guard guard(&engine_->epochs);
     auto node = engine_->cache->GetNode(id);
     if (!node.ok()) return Status::OK();  // Purged between scan and resolve.
     auto version = (*node)->chain.Visible(snap.start_ts, snap.txn_id);
@@ -788,7 +813,9 @@ Result<std::vector<RelId>> Transaction::GetRelationships(
   if (ssi_) engine_->ssi.AddAdjacencyRead(ssi_, node);
 
   // Enriched iterator (§4): persistent relationship chain merged with the
-  // transaction's own in-cache, not-yet-committed relationships.
+  // transaction's own in-cache, not-yet-committed relationships. One guard
+  // covers every lookup and walk below.
+  EpochManager::Guard guard(&engine_->epochs);
   std::vector<RelId> candidates;
   Status s = engine_->store.RelChainOf(node, &candidates);
   if (!s.ok() && !s.IsOutOfRange()) return s;
@@ -828,6 +855,7 @@ Result<std::vector<NodeId>> Transaction::GetNeighbors(
   if (!rels.ok()) return rels.status();
   std::vector<NodeId> out;
   out.reserve(rels->size());
+  EpochManager::Guard guard(&engine_->epochs);
   for (RelId rel_id : *rels) {
     auto rel = engine_->cache->GetRel(rel_id);
     if (!rel.ok()) continue;
@@ -1145,11 +1173,17 @@ Status Transaction::ApplyToStore(Timestamp ts) {
 }
 
 Status Transaction::StampVersions(Timestamp ts) {
-  for (const auto& [key, w] : writes_) {
+  for (auto it = writes_.begin(); it != writes_.end(); ++it) {
+    const auto& [key, w] = *it;
     // CommitHead stamps obsolete_since on the superseded version (and on
     // tombstones) under the chain latch; no global ordering is needed.
     auto superseded = w.chain().CommitHead(id_, ts);
-    if (!superseded.ok()) return superseded.status();
+    if (!superseded.ok()) {
+      // The stamped records leave the write set: their entries are no
+      // longer pinned (eviction may free them) and nothing is left to undo.
+      writes_.erase(writes_.begin(), it);
+      return superseded.status();
+    }
     if (*superseded) {
       engine_->gc_list.Append({key, *superseded, ts});
     }

@@ -159,10 +159,12 @@ class Transaction {
               std::shared_ptr<SsiTxnInfo> ssi = nullptr,
               bool read_only = false);
 
-  /// Book-keeping for one written entity.
+  /// Book-keeping for one written entity. The cache entry is borrowed: the
+  /// pending version pins it (eviction skips chains with a pending version)
+  /// until StampVersions commits it or Unwind aborts it.
   struct WriteRecord {
-    std::shared_ptr<CachedNode> node;  // exactly one of node/rel set
-    std::shared_ptr<CachedRel> rel;
+    CachedNode* node = nullptr;  // exactly one of node/rel set
+    CachedRel* rel = nullptr;
     std::shared_ptr<Version> pending;  // the uncommitted version
     bool created = false;
 
@@ -219,9 +221,10 @@ class Transaction {
   Status CheckWriteConflict(const VersionChain& chain);
 
   /// Returns (creating if absent) this transaction's write record for an
-  /// existing entity: the first write takes the long write lock and bases
-  /// the pending version on the version visible to the snapshot. NotFound
-  /// once the entity is invisible, including deleted by this transaction.
+  /// existing entity: the first write takes the long write lock, then looks
+  /// the entity up and bases the pending version on the version visible to
+  /// the snapshot. NotFound once the entity is invisible, including deleted
+  /// by this transaction.
   Result<WriteRecord*> PendingVersion(const EntityKey& key);
 
   /// The one update path: applies `mutate` to a copy of the entity's

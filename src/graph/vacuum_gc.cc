@@ -33,7 +33,8 @@ VacuumStats VacuumGc::RunUpTo(Timestamp watermark) {
         ++stats.records_scanned;
         RelationshipRecord rec;
         NEOSI_RETURN_IF_ERROR(engine_->store.ReadRelRecord(id, &rec));
-        auto rel = engine_->cache->PeekRel(id);
+        EpochManager::Guard guard(&engine_->epochs);  // `rel` is borrowed.
+        CachedRel* rel = engine_->cache->PeekRel(id);
         if (rel) {
           // Prune superseded versions below the watermark.
           stats.versions_pruned += rel->chain.PruneSupersededUpTo(watermark);
@@ -58,7 +59,8 @@ VacuumStats VacuumGc::RunUpTo(Timestamp watermark) {
         ++stats.records_scanned;
         NodeRecord rec;
         NEOSI_RETURN_IF_ERROR(engine_->store.ReadNodeRecord(id, &rec));
-        auto node = engine_->cache->PeekNode(id);
+        EpochManager::Guard guard(&engine_->epochs);  // `node` is borrowed.
+        CachedNode* node = engine_->cache->PeekNode(id);
         if (node) {
           stats.versions_pruned += node->chain.PruneSupersededUpTo(watermark);
           auto latest = node->chain.LatestCommitted();

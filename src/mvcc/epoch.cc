@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <thread>
 
 namespace neosi {
@@ -23,7 +24,7 @@ EpochManager::EpochManager(size_t slots)
     : slot_count_(ResolveSlots(slots)), slots_(new Slot[slot_count_]) {}
 
 EpochManager::~EpochManager() {
-  for (LimboEntry& entry : limbo_) FreeRetired(std::move(entry.version));
+  for (LimboEntry& entry : limbo_) Free(entry);
 }
 
 size_t EpochManager::Enter() {
@@ -55,21 +56,31 @@ size_t EpochManager::Enter() {
   }
 }
 
-void EpochManager::Retire(std::shared_ptr<Version> version) {
-  if (!version) return;
-  // The unlink stores precede this call in the retiring thread; the seq_cst
-  // global load below orders them against reader entry (see epoch.h).
-  const uint64_t epoch = global_epoch_.load(std::memory_order_seq_cst);
+void EpochManager::Push(LimboEntry entry) {
+  // The unlink (or unpublish) stores precede this call in the retiring
+  // thread; the seq_cst global load below orders them against reader entry
+  // (see the header comment).
+  entry.retired_epoch = global_epoch_.load(std::memory_order_seq_cst);
   {
     std::lock_guard<std::mutex> guard(limbo_mu_);
-    limbo_.push_back({std::move(version), epoch});
-    limbo_size_.store(limbo_.size(), std::memory_order_relaxed);
+    limbo_count_ += entry.count;
+    total_retired_.fetch_add(entry.count, std::memory_order_relaxed);
+    limbo_.push_back(std::move(entry));
+    limbo_size_.store(limbo_count_, std::memory_order_relaxed);
   }
-  total_retired_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void EpochManager::Free(LimboEntry& entry) {
+  if (entry.object != nullptr) {
+    entry.destroy(entry.object);
+  } else {
+    FreeRetired(std::move(entry.version));
+  }
 }
 
 size_t EpochManager::Drain() {
   std::vector<LimboEntry> eligible;
+  size_t freed = 0;
   {
     std::lock_guard<std::mutex> guard(limbo_mu_);
     if (limbo_.empty()) return 0;
@@ -80,22 +91,21 @@ size_t EpochManager::Drain() {
       const uint64_t e = slots_[i].epoch.load(std::memory_order_seq_cst);
       if (e != kIdle) min_active = std::min(min_active, e);
     }
-    std::vector<LimboEntry> keep;
-    keep.reserve(limbo_.size());
-    for (LimboEntry& entry : limbo_) {
-      if (entry.retired_epoch < min_active) {
-        eligible.push_back(std::move(entry));
-      } else {
-        keep.push_back(std::move(entry));
-      }
-    }
-    limbo_.swap(keep);
-    limbo_size_.store(limbo_.size(), std::memory_order_relaxed);
+    const auto kept_end = std::partition(
+        limbo_.begin(), limbo_.end(), [&](const LimboEntry& entry) {
+          return entry.retired_epoch >= min_active;
+        });
+    eligible.assign(std::make_move_iterator(kept_end),
+                    std::make_move_iterator(limbo_.end()));
+    limbo_.erase(kept_end, limbo_.end());
+    for (const LimboEntry& entry : eligible) freed += entry.count;
+    limbo_count_ -= freed;
+    limbo_size_.store(limbo_count_, std::memory_order_relaxed);
   }
   // Free outside the mutex: unwinding a retired chain suffix is O(length).
-  for (LimboEntry& entry : eligible) FreeRetired(std::move(entry.version));
-  total_freed_.fetch_add(eligible.size(), std::memory_order_relaxed);
-  return eligible.size();
+  for (LimboEntry& entry : eligible) Free(entry);
+  total_freed_.fetch_add(freed, std::memory_order_relaxed);
+  return freed;
 }
 
 uint64_t EpochManager::MinActiveEpoch() const {

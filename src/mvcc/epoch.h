@@ -31,6 +31,13 @@
 // CASes any idle slot. This keeps the manager self-contained per database
 // instance (no thread registration, no leak when threads or databases come
 // and go — the test suite opens thousands of short-lived databases).
+//
+// Guards NEST: a guard taken while the same thread already holds one on the
+// same manager claims no slot, so one outer guard covers a whole engine call
+// (a cache lookup plus every chain walk inside it) and the walks' own guards
+// cost a thread-local compare. The limbo holds two kinds of retirees:
+// versions (chain unlinks) and unpublished object-cache entries (eviction,
+// erase), which the drain deletes like versions.
 
 #ifndef NEOSI_MVCC_EPOCH_H_
 #define NEOSI_MVCC_EPOCH_H_
@@ -61,25 +68,54 @@ class EpochManager {
   EpochManager(const EpochManager&) = delete;
   EpochManager& operator=(const EpochManager&) = delete;
 
-  /// RAII epoch entry.
+  /// RAII epoch entry. Re-entrant per thread and manager: nested inside a
+  /// guard on the same manager it claims no slot. Guards must be released
+  /// in reverse order of acquisition (RAII scoping does this).
   class Guard {
    public:
     explicit Guard(EpochManager* manager)
-        : manager_(manager), slot_(manager->Enter()) {}
-    ~Guard() { manager_->Exit(slot_); }
+        : manager_(manager), outer_(entered_) {
+      if (outer_ == manager_) return;  // Nested: the outer guard covers us.
+      slot_ = manager_->Enter();
+      entered_ = manager_;
+    }
+    ~Guard() {
+      if (slot_ == kNested) return;
+      entered_ = outer_;
+      manager_->Exit(slot_);
+    }
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
 
    private:
+    static constexpr size_t kNested = SIZE_MAX;
+    /// The manager this thread's innermost slot-claiming guard entered.
+    inline static thread_local const EpochManager* entered_ = nullptr;
+
     EpochManager* const manager_;
-    const size_t slot_;
+    const EpochManager* const outer_;
+    size_t slot_ = kNested;
   };
 
   /// Moves an unlinked version into the limbo list, stamped with the
   /// current global epoch. The version's own `older` / `older_raw` links
   /// must be left INTACT by the caller — a reader standing on it mid-walk
   /// follows them.
-  void Retire(std::shared_ptr<Version> version);
+  void Retire(std::shared_ptr<Version> version) {
+    if (version) Push({std::move(version), nullptr, nullptr, 1, 0});
+  }
+
+  /// Moves an object no reader can newly reach into the limbo list; the
+  /// drain that frees it deletes it. `count` is the number of retirees it
+  /// stands for in the gauges (an eviction pass retires its unpublished
+  /// cache entries as one batch object).
+  template <typename T>
+  void Retire(std::unique_ptr<T> object, size_t count = 1) {
+    if (object) {
+      Push({nullptr, object.release(),
+            [](void* p) { delete static_cast<T*>(p); }, count, 0});
+    }
+  }
 
   /// Advances the global epoch (called by the GC daemon once per cycle, so
   /// a drain one cycle later can free this cycle's retirees). Returns the
@@ -121,10 +157,20 @@ class EpochManager {
     std::atomic<uint64_t> epoch{kIdle};
   };
 
+  /// Either a version (or severed chain suffix) or an object with its
+  /// deleter.
   struct LimboEntry {
     std::shared_ptr<Version> version;
-    uint64_t retired_epoch = 0;
+    void* object;
+    void (*destroy)(void*);
+    size_t count;  ///< Retirees it stands for (limbo_size, totals).
+    uint64_t retired_epoch;
   };
+
+  /// Stamps `entry` with the current global epoch and appends it to limbo.
+  void Push(LimboEntry entry);
+  /// Frees one limbo entry.
+  static void Free(LimboEntry& entry);
 
   size_t Enter();
   void Exit(size_t slot) {
@@ -144,6 +190,7 @@ class EpochManager {
 
   mutable std::mutex limbo_mu_;
   std::vector<LimboEntry> limbo_;
+  size_t limbo_count_ = 0;  ///< Sum of limbo_'s counts.
 
   std::atomic<size_t> limbo_size_{0};
   std::atomic<uint64_t> total_retired_{0};

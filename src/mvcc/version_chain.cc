@@ -25,9 +25,9 @@ const Version* OlderThenTs(const Version* v, Timestamp* ts) {
 VersionChain::~VersionChain() {
   // Unwind the chain iteratively; a long shared_ptr chain would otherwise
   // destruct recursively and can overflow the stack (E6 builds 1k+ chains).
-  // No retire needed: anyone who can still walk this chain holds the owning
-  // CachedNode/CachedRel alive, so reaching the destructor means no reader
-  // can.
+  // No retire needed: the object cache deletes an entry only when the
+  // epoch drain proves no guard that could reach it is still held, so
+  // reaching the destructor means no reader can walk this chain.
   std::shared_ptr<Version> cur = std::move(head_);
   while (cur) {
     std::shared_ptr<Version> next = std::move(cur->older);

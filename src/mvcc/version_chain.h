@@ -102,6 +102,20 @@ class VersionChain {
   /// limbo entry (interior links intact for readers inside it).
   size_t PruneSupersededUpTo(Timestamp watermark);
 
+  /// Runs `fn` under the chain latch iff the chain holds exactly one
+  /// version and it is committed; returns whether it ran. Object-cache
+  /// eviction unpublishes the entry inside `fn`: the store then holds
+  /// exactly this state, and a writer's install (also under the latch)
+  /// either pins the chain first or lands after the unpublish, where the
+  /// writer's confirm step sees it.
+  template <typename Fn>
+  bool IfSoleCommitted(Fn&& fn) {
+    std::lock_guard<SpinLatch> guard(latch_);
+    if (!head_ || head_->older || !head_->committed()) return false;
+    fn();
+    return true;
+  }
+
   /// Number of versions currently in the list.
   size_t Length() const;
 

@@ -195,21 +195,21 @@ std::vector<WriteGuard> GraphStore::LockNodePair(NodeId a, NodeId b) const {
   const size_t sa = a % kShards, sb = b % kShards;
   std::vector<WriteGuard> guards;
   if (sa == sb) {
-    guards.emplace_back(node_shards_[sa]);
+    guards.emplace_back(node_shards_[sa].latch);
   } else if (sa < sb) {
-    guards.emplace_back(node_shards_[sa]);
-    guards.emplace_back(node_shards_[sb]);
+    guards.emplace_back(node_shards_[sa].latch);
+    guards.emplace_back(node_shards_[sb].latch);
   } else {
-    guards.emplace_back(node_shards_[sb]);
-    guards.emplace_back(node_shards_[sa]);
+    guards.emplace_back(node_shards_[sb].latch);
+    guards.emplace_back(node_shards_[sa].latch);
   }
   return guards;
 }
 
 Status GraphStore::ReadNodeRecord(NodeId id, NodeRecord* out) const {
-  std::string buf;
-  NEOSI_RETURN_IF_ERROR(nodes_->Read(id, &buf));
-  return NodeRecord::DecodeFrom(Slice(buf), out);
+  char buf[NodeRecord::kSize];
+  NEOSI_RETURN_IF_ERROR(nodes_->Read(id, buf));
+  return NodeRecord::DecodeFrom(Slice(buf, NodeRecord::kSize), out);
 }
 
 Status GraphStore::WriteNodeRecord(NodeId id, const NodeRecord& rec) {
@@ -219,9 +219,10 @@ Status GraphStore::WriteNodeRecord(NodeId id, const NodeRecord& rec) {
 }
 
 Status GraphStore::ReadRelRecord(RelId id, RelationshipRecord* out) const {
-  std::string buf;
-  NEOSI_RETURN_IF_ERROR(rels_->Read(id, &buf));
-  return RelationshipRecord::DecodeFrom(Slice(buf), out);
+  char buf[RelationshipRecord::kSize];
+  NEOSI_RETURN_IF_ERROR(rels_->Read(id, buf));
+  return RelationshipRecord::DecodeFrom(
+      Slice(buf, RelationshipRecord::kSize), out);
 }
 
 Status GraphStore::WriteRelRecord(RelId id, const RelationshipRecord& rec) {

@@ -260,10 +260,18 @@ class GraphStore {
  private:
   static constexpr size_t kShards = 128;
 
+  /// A shard latch on its own cache line: a glibc shared_mutex is 56
+  /// bytes, so unpadded neighbours would share lines.
+  struct alignas(64) PaddedLatch {
+    SharedLatch latch;
+  };
+
   SharedLatch& NodeShard(NodeId id) const {
-    return node_shards_[id % kShards];
+    return node_shards_[id % kShards].latch;
   }
-  SharedLatch& RelShard(RelId id) const { return rel_shards_[id % kShards]; }
+  SharedLatch& RelShard(RelId id) const {
+    return rel_shards_[id % kShards].latch;
+  }
 
   /// Locks the shards of (a, b) uniquely in ascending order (once if equal).
   /// Returned guards unlock in destruction order.
@@ -327,8 +335,8 @@ class GraphStore {
   std::unique_ptr<TokenStore> rel_type_tokens_;
   std::unique_ptr<Wal> wal_;
 
-  mutable std::array<SharedLatch, kShards> node_shards_;
-  mutable std::array<SharedLatch, kShards> rel_shards_;
+  mutable std::array<PaddedLatch, kShards> node_shards_;
+  mutable std::array<PaddedLatch, kShards> rel_shards_;
 };
 
 }  // namespace neosi

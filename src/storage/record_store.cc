@@ -51,7 +51,7 @@ Status RecordStore::Open() {
   // Rebuild high id and free list by scanning in-use flags.
   const uint64_t records = (size - header_size_) / record_size_;
   std::lock_guard<SpinLatch> guard(latch_);
-  high_id_ = records;
+  high_id_.store(records, std::memory_order_release);
   free_list_.clear();
   std::string rec;
   for (uint64_t id = 0; id < records; ++id) {
@@ -72,7 +72,8 @@ Result<uint64_t> RecordStore::Allocate() {
       id = free_list_.back();
       free_list_.pop_back();
     } else {
-      id = high_id_++;
+      id = high_id_.load(std::memory_order_relaxed);
+      high_id_.store(id + 1, std::memory_order_release);
     }
   }
   std::string zeros(record_size_, '\0');
@@ -82,12 +83,9 @@ Result<uint64_t> RecordStore::Allocate() {
 }
 
 Status RecordStore::Free(uint64_t id) {
-  {
-    std::lock_guard<SpinLatch> guard(latch_);
-    if (id >= high_id_) {
-      return Status::OutOfRange(name_ + ": free of unallocated id " +
-                                std::to_string(id));
-    }
+  if (id >= high_id()) {
+    return Status::OutOfRange(name_ + ": free of unallocated id " +
+                              std::to_string(id));
   }
   std::string zeros(record_size_, '\0');
   NEOSI_RETURN_IF_ERROR(file_->WriteAt(OffsetOf(id), zeros.data(),
@@ -97,28 +95,21 @@ Status RecordStore::Free(uint64_t id) {
   return Status::OK();
 }
 
-Status RecordStore::Read(uint64_t id, std::string* buf) const {
-  {
-    std::lock_guard<SpinLatch> guard(latch_);
-    if (id >= high_id_) {
-      return Status::OutOfRange(name_ + ": read of unallocated id " +
-                                std::to_string(id));
-    }
+Status RecordStore::Read(uint64_t id, char* buf) const {
+  if (id >= high_id()) {
+    return Status::OutOfRange(name_ + ": read of unallocated id " +
+                              std::to_string(id));
   }
-  buf->resize(record_size_);
-  return file_->ReadAt(OffsetOf(id), record_size_, buf->data());
+  return file_->ReadAt(OffsetOf(id), record_size_, buf);
 }
 
 Status RecordStore::Write(uint64_t id, Slice data) {
   if (data.size() != record_size_) {
     return Status::InvalidArgument(name_ + ": record size mismatch on write");
   }
-  {
-    std::lock_guard<SpinLatch> guard(latch_);
-    if (id >= high_id_) {
-      return Status::OutOfRange(name_ + ": write of unallocated id " +
-                                std::to_string(id));
-    }
+  if (id >= high_id()) {
+    return Status::OutOfRange(name_ + ": write of unallocated id " +
+                              std::to_string(id));
   }
   return file_->WriteAt(OffsetOf(id), data.data(), data.size());
 }
@@ -127,12 +118,9 @@ Status RecordStore::WriteField64(uint64_t id, size_t offset, uint64_t value) {
   if (offset + 8 > record_size_) {
     return Status::InvalidArgument(name_ + ": field write out of record");
   }
-  {
-    std::lock_guard<SpinLatch> guard(latch_);
-    if (id >= high_id_) {
-      return Status::OutOfRange(name_ + ": field write of unallocated id " +
-                                std::to_string(id));
-    }
+  if (id >= high_id()) {
+    return Status::OutOfRange(name_ + ": field write of unallocated id " +
+                              std::to_string(id));
   }
   char buf[8];
   EncodeFixed64(buf, value);
@@ -140,10 +128,7 @@ Status RecordStore::WriteField64(uint64_t id, size_t offset, uint64_t value) {
 }
 
 bool RecordStore::InUse(uint64_t id) const {
-  {
-    std::lock_guard<SpinLatch> guard(latch_);
-    if (id >= high_id_) return false;
-  }
+  if (id >= high_id()) return false;
   char flag;
   if (!file_->ReadAt(OffsetOf(id), 1, &flag).ok()) return false;
   return (static_cast<uint8_t>(flag) & kRecordInUse) != 0;
@@ -162,15 +147,10 @@ Status RecordStore::ForEach(
   return Status::OK();
 }
 
-uint64_t RecordStore::high_id() const {
-  std::lock_guard<SpinLatch> guard(latch_);
-  return high_id_;
-}
-
 RecordStoreStats RecordStore::Stats() const {
   std::lock_guard<SpinLatch> guard(latch_);
   RecordStoreStats stats;
-  stats.high_id = high_id_;
+  stats.high_id = high_id_.load(std::memory_order_relaxed);
   stats.free_records = free_list_.size();
   stats.bytes = file_->Size();
   return stats;
@@ -180,7 +160,8 @@ Status RecordStore::EnsureAllocated(uint64_t id) {
   std::vector<uint64_t> to_zero;
   {
     std::lock_guard<SpinLatch> guard(latch_);
-    if (id < high_id_) {
+    const uint64_t high = high_id_.load(std::memory_order_relaxed);
+    if (id < high) {
       // Recycled id may sit on the free list; pull it off.
       for (size_t i = 0; i < free_list_.size(); ++i) {
         if (free_list_[i] == id) {
@@ -191,12 +172,12 @@ Status RecordStore::EnsureAllocated(uint64_t id) {
       }
       return Status::OK();
     }
-    for (uint64_t gap = high_id_; gap < id; ++gap) {
+    for (uint64_t gap = high; gap < id; ++gap) {
       free_list_.push_back(gap);
       to_zero.push_back(gap);
     }
     to_zero.push_back(id);
-    high_id_ = id + 1;
+    high_id_.store(id + 1, std::memory_order_release);
   }
   std::string zeros(record_size_, '\0');
   for (uint64_t gap : to_zero) {

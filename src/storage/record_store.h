@@ -9,6 +9,7 @@
 #ifndef NEOSI_STORAGE_RECORD_STORE_H_
 #define NEOSI_STORAGE_RECORD_STORE_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -51,8 +52,15 @@ class RecordStore {
   /// Returns a record to the free list and clears its in-use flag.
   Status Free(uint64_t id);
 
+  /// Reads the full record into `buf` (record_size bytes). Like Write,
+  /// WriteField64, InUse and high_id, takes no latch: only the allocation
+  /// paths write high_id, and they publish it with a release store.
+  Status Read(uint64_t id, char* buf) const;
   /// Reads the full record into buf (resized to record_size).
-  Status Read(uint64_t id, std::string* buf) const;
+  Status Read(uint64_t id, std::string* buf) const {
+    buf->resize(record_size_);
+    return Read(id, buf->data());
+  }
 
   /// Overwrites the full record; data.size() must equal record_size.
   Status Write(uint64_t id, Slice data);
@@ -71,7 +79,7 @@ class RecordStore {
   Status ForEach(
       const std::function<Status(uint64_t, const std::string&)>& fn) const;
 
-  uint64_t high_id() const;
+  uint64_t high_id() const { return high_id_.load(std::memory_order_acquire); }
   uint32_t record_size() const { return record_size_; }
   const std::string& name() const { return name_; }
   RecordStoreStats Stats() const;
@@ -101,8 +109,8 @@ class RecordStore {
   const std::string name_;
   const uint64_t header_size_ = kHeaderSize;
 
-  mutable SpinLatch latch_;       // guards high_id_ / free_list_
-  uint64_t high_id_ = 0;
+  mutable SpinLatch latch_;  // guards free_list_ and writes of high_id_
+  std::atomic<uint64_t> high_id_{0};
   std::vector<uint64_t> free_list_;
 };
 

@@ -41,11 +41,20 @@ Status LockManager::AcquireShared(TxnId txn, const EntityKey& key,
                               std::to_string(state.exclusive));
     }
     waited = true;
-    if (shard.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
+    if (Wait(shard, lock, deadline) == std::cv_status::timeout) {
       shard.timeouts.fetch_add(1, std::memory_order_relaxed);
       return Status::Deadlock("lock timeout (shared) on " + key.ToString());
     }
   }
+}
+
+std::cv_status LockManager::Wait(
+    Shard& shard, std::unique_lock<std::mutex>& lock,
+    std::chrono::steady_clock::time_point deadline) {
+  shard.waiting.fetch_add(1, std::memory_order_relaxed);
+  const std::cv_status woke = shard.cv.wait_until(lock, deadline);
+  shard.waiting.fetch_sub(1, std::memory_order_relaxed);
+  return woke;
 }
 
 Status LockManager::AcquireExclusive(TxnId txn, const EntityKey& key,
@@ -84,7 +93,7 @@ Status LockManager::AcquireExclusive(TxnId txn, const EntityKey& key,
                               key.ToString() + " held by older txn");
     }
     waited = true;
-    if (shard.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
+    if (Wait(shard, lock, deadline) == std::cv_status::timeout) {
       shard.timeouts.fetch_add(1, std::memory_order_relaxed);
       return Status::Deadlock("lock timeout (exclusive) on " +
                               key.ToString());
@@ -163,6 +172,7 @@ LockManagerStats LockManager::Stats() const {
     out.wait_die_aborts +=
         shard.wait_die_aborts.load(std::memory_order_relaxed);
     out.timeouts += shard.timeouts.load(std::memory_order_relaxed);
+    out.waiting += shard.waiting.load(std::memory_order_relaxed);
   }
   return out;
 }

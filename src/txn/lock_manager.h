@@ -23,6 +23,7 @@
 #define NEOSI_TXN_LOCK_MANAGER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -43,6 +44,9 @@ struct LockManagerStats {
   uint64_t nowait_conflicts = 0; ///< Immediate aborts (first-updater no-wait).
   uint64_t wait_die_aborts = 0;  ///< Younger waiter killed by wait-die.
   uint64_t timeouts = 0;         ///< Timeout backstop fired.
+  /// LIVE gauge: acquisitions blocked right now (tests synchronize on it to
+  /// act while a transaction provably waits for a lock).
+  uint64_t waiting = 0;
 };
 
 /// Sharded table of per-entity reader/writer locks.
@@ -105,7 +109,12 @@ class LockManager {
     std::atomic<uint64_t> nowait_conflicts{0};
     std::atomic<uint64_t> wait_die_aborts{0};
     std::atomic<uint64_t> timeouts{0};
+    std::atomic<uint64_t> waiting{0};
   };
+
+  /// Blocks on the shard's condition variable, counted in `waiting`.
+  static std::cv_status Wait(Shard& shard, std::unique_lock<std::mutex>& lock,
+                             std::chrono::steady_clock::time_point deadline);
 
   static constexpr size_t kShardCount = 64;
   static_assert(kShardCount == 64, "one shard per bit of a uint64_t mask");

@@ -1,7 +1,8 @@
 // EpochManager: the reclamation domain behind the latch-free read path.
 // Covers enter/exit bookkeeping, min-epoch advance, deferred-free ordering
-// through a VersionChain, destructor cleanup, slot-exhaustion
-// progress, and a torn-reader stress that races latch-free walks against
+// through a VersionChain, retired objects (cache entries) and nested
+// guards, destructor cleanup, slot-exhaustion progress, and a torn-reader
+// stress that races latch-free walks against
 // prune/retire/drain cycles (the sanitizer jobs run this one hot).
 
 #include <gtest/gtest.h>
@@ -159,6 +160,62 @@ TEST(EpochManager, PruneRetiresTheSuffixAsOneEntryWithLinksIntact) {
     v = v->older_raw.load(std::memory_order_acquire);
   }
   EXPECT_EQ(expected, 0) << "walked 20 -> 10 -> end";
+}
+
+/// Counts its own destruction (stands in for a retired cache entry).
+struct Counted {
+  explicit Counted(std::atomic<int>* destroyed) : destroyed(destroyed) {}
+  ~Counted() { destroyed->fetch_add(1); }
+  std::atomic<int>* const destroyed;
+};
+
+TEST(EpochManager, RetiredObjectOutlivesEveryOlderGuard) {
+  EpochManager epochs(4);
+  std::atomic<int> destroyed{0};
+  {
+    EpochManager::Guard outer(&epochs);
+    {
+      // Nested on the same manager: claims no slot, and its exit does not
+      // release the outer guard's pin.
+      EpochManager::Guard nested(&epochs);
+      epochs.Retire(std::make_unique<Counted>(&destroyed));
+    }
+    EXPECT_EQ(epochs.limbo_size(), 1u) << "a retired object counts as limbo";
+    epochs.BumpEpoch();
+    EXPECT_EQ(epochs.Drain(), 0u);
+    EXPECT_EQ(destroyed.load(), 0) << "freed under a guard older than it";
+  }
+
+  // Another thread's guard, entered before the second retirement, pins
+  // that object (but not the first); a guard entered later pins neither.
+  std::atomic<int> phase{0};
+  std::thread old_reader([&] {
+    EpochManager::Guard guard(&epochs);
+    phase.store(1);
+    while (phase.load() != 2) std::this_thread::yield();
+  });
+  while (phase.load() != 1) std::this_thread::yield();
+  epochs.Retire(std::make_unique<Counted>(&destroyed));
+  epochs.BumpEpoch();
+  {
+    EpochManager::Guard young_reader(&epochs);
+    EXPECT_EQ(epochs.Drain(), 1u);
+    EXPECT_EQ(destroyed.load(), 1);
+  }
+  phase.store(2);
+  old_reader.join();
+  EXPECT_EQ(epochs.Drain(), 1u);
+  EXPECT_EQ(destroyed.load(), 2);
+  EXPECT_EQ(epochs.limbo_size(), 0u);
+  EXPECT_EQ(epochs.total_freed(), epochs.total_retired());
+}
+
+TEST(EpochManager, NestedGuardsShareOneSlot) {
+  EpochManager epochs(1);  // A second claimed slot would spin forever.
+  EpochManager::Guard outer(&epochs);
+  EpochManager::Guard nested(&epochs);
+  { EpochManager::Guard deeper(&epochs); }
+  EXPECT_EQ(epochs.MinActiveEpoch(), epochs.current_epoch());
 }
 
 TEST(EpochManager, SlotExhaustionStallsEntryButMakesProgress) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/coding.h"
 #include "storage/record_store.h"
 #include "storage/records.h"
@@ -259,6 +264,51 @@ TEST(RecordStoreRecords, PointerFieldOffsetsMatchLayout) {
   EXPECT_EQ(DecodeFixed64(buf + RelationshipRecord::kSrcNextOffset), 0xBBBBu);
   EXPECT_EQ(DecodeFixed64(buf + RelationshipRecord::kDstPrevOffset), 0xCCCCu);
   EXPECT_EQ(DecodeFixed64(buf + RelationshipRecord::kDstNextOffset), 0xDDDDu);
+}
+
+// Read, Write and high_id take no latch: a reader racing Allocate sees an
+// id either unallocated (OutOfRange) or allocated, and once Allocate has
+// returned and the record is written, its bytes.
+TEST(RecordStore, ReadsRaceAllocateWithoutTheLatch) {
+  auto store = MakeStore();
+  constexpr uint64_t kRecords = 3000;
+  std::atomic<uint64_t> written{0};  // Ids below this hold their record.
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      std::string rec;
+      uint64_t probe = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        const uint64_t ready = written.load(std::memory_order_acquire);
+        const uint64_t high = store->high_id();
+        if (high < ready) bad.fetch_add(1);
+        // An id never allocated reads OutOfRange, never garbage.
+        if (!store->Read(kRecords, &rec).IsOutOfRange()) bad.fetch_add(1);
+        if (ready == 0) continue;
+        const uint64_t id = probe++ % ready;
+        if (!store->Read(id, &rec).ok() ||
+            rec != MakeRecord(static_cast<char>('a' + id % 26))) {
+          bad.fetch_add(1);
+        }
+        if (!store->InUse(id)) bad.fetch_add(1);
+      }
+    });
+  }
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    auto id = store->Allocate();
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(*id, i);
+    ASSERT_TRUE(
+        store->Write(i, Slice(MakeRecord(static_cast<char>('a' + i % 26))))
+            .ok());
+    written.store(i + 1, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(store->high_id(), kRecords);
 }
 
 }  // namespace
