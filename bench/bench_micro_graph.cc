@@ -52,6 +52,34 @@ void BM_Adjacency(benchmark::State& state) {
 }
 BENCHMARK(BM_Adjacency)->Arg(4)->Arg(32)->Arg(256);
 
+// The cold shape BM_Adjacency hides: each call reads a random person of a
+// 20k-person graph, so its node entry, relationship list and relationship
+// entries are rarely in the CPU cache. Threads share one database.
+void BM_AdjacencyScattered(benchmark::State& state) {
+  // Thread 0 replaces the previous run's database (its threads have all
+  // finished); the last one lives until exit, after every reader is done.
+  static std::unique_ptr<GraphDatabase> db;
+  static SocialGraph graph;
+  if (state.thread_index() == 0) {
+    db = OpenDb();
+    SocialGraphSpec spec;
+    spec.people = 20000;
+    graph = *BuildSocialGraph(*db, spec);
+  }
+  Random rng(11 + state.thread_index());
+  // Begun inside the loop: only its start barrier orders the other threads
+  // after thread 0's set-up.
+  std::unique_ptr<Transaction> txn;
+  for (auto _ : state) {
+    if (txn == nullptr) txn = db->Begin(IsolationLevel::kSnapshotIsolation);
+    const NodeId person = graph.people[rng.Uniform(graph.people.size())];
+    auto rels = txn->GetRelationships(person);
+    if (!rels.ok()) std::abort();
+    benchmark::DoNotOptimize(rels->size());
+  }
+}
+BENCHMARK(BM_AdjacencyScattered)->Threads(1)->Threads(4);
+
 void BM_LabelScan(benchmark::State& state) {
   auto db = OpenDb();
   {

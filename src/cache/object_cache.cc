@@ -1,6 +1,7 @@
 #include "cache/object_cache.h"
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mvcc/epoch.h"
@@ -192,6 +193,38 @@ Result<CachedRel*> ObjectCache::InsertNewRel(RelId id, NodeId src,
                 std::make_unique<CachedRel>(id, src, dst, type, epochs_));
 }
 
+Result<const RelIdList*> ObjectCache::RelListOf(CachedNode* node) {
+  if (const RelIdList* list = node->rel_list.load(std::memory_order_acquire)) {
+    return list;
+  }
+  std::vector<RelId> ids;
+  const RelIdList* published = nullptr;
+  NEOSI_RETURN_IF_ERROR(store_->RelChainOf(node->id, &ids, [&] {
+    // Under the shard read latch: a list another reader published first
+    // was filled from this same chain (an edit would have dropped it).
+    std::unique_ptr<RelIdList> fresh = RelIdList::Copy(ids);
+    RelIdList* current = nullptr;
+    if (node->rel_list.compare_exchange_strong(current, fresh.get(),
+                                               std::memory_order_acq_rel)) {
+      nodes_.StripeOf(node->id).rel_list_loads.fetch_add(
+          1, std::memory_order_relaxed);
+      current = fresh.release();
+    }
+    published = current;
+  }));
+  return published;
+}
+
+void ObjectCache::DropRelList(NodeId id) {
+  EpochManager::Guard guard(epochs_);
+  CachedNode* node = nodes_.Find(id);
+  if (node == nullptr) return;
+  RelIdList* list = node->rel_list.exchange(nullptr, std::memory_order_acq_rel);
+  if (list == nullptr) return;
+  nodes_.StripeOf(id).rel_list_drops.fetch_add(1, std::memory_order_relaxed);
+  epochs_->Retire(std::unique_ptr<RelIdList>(list));
+}
+
 CachedNode* ObjectCache::PeekNode(NodeId id) const { return nodes_.Find(id); }
 
 CachedRel* ObjectCache::PeekRel(RelId id) const { return rels_.Find(id); }
@@ -280,6 +313,12 @@ void ObjectCache::Tally(const Table<Entry>& table, uint64_t* resident,
       ++*resident;
       out->resident_versions += entry->chain.Length();
       out->approx_bytes += entry->chain.ApproximateBytes();
+      if constexpr (std::is_same_v<Entry, CachedNode>) {
+        if (const RelIdList* list =
+                entry->rel_list.load(std::memory_order_acquire)) {
+          out->approx_bytes += list->bytes();
+        }
+      }
     }
   }
 }
@@ -290,6 +329,8 @@ ObjectCacheStats ObjectCache::Stats() const {
     out.node_hits += stripe.hits.load(std::memory_order_relaxed);
     out.node_misses += stripe.misses.load(std::memory_order_relaxed);
     out.loads += stripe.loads.load(std::memory_order_relaxed);
+    out.rel_list_loads += stripe.rel_list_loads.load(std::memory_order_relaxed);
+    out.rel_list_drops += stripe.rel_list_drops.load(std::memory_order_relaxed);
   }
   for (const Stripe& stripe : rels_.stripes) {
     out.rel_hits += stripe.hits.load(std::memory_order_relaxed);

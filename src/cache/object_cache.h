@@ -20,6 +20,14 @@
 //
 // Every slot write (publish on miss, insert, erase, evict) happens under the
 // id's stripe latch; reads take none.
+//
+// A cached node's relationship list (CachedNode::rel_list) is filled by
+// RelListOf from GraphStore::RelChainOf while that walk still holds the
+// node's shard read latch, and dropped by DropRelList, which the store's
+// chain-changed hook runs under the shard write latch of every chain edit.
+// A published list is therefore never older than the store chain. Dropped
+// lists retire through the epoch limbo, and an unpublished entry takes its
+// list along, so a list read under a guard stays valid like the entry.
 
 #ifndef NEOSI_CACHE_OBJECT_CACHE_H_
 #define NEOSI_CACHE_OBJECT_CACHE_H_
@@ -46,10 +54,12 @@ struct ObjectCacheStats {
   uint64_t rel_misses = 0;
   uint64_t loads = 0;
   uint64_t evictions = 0;
+  uint64_t rel_list_loads = 0;      ///< Node relationship lists filled.
+  uint64_t rel_list_drops = 0;      ///< Lists dropped by a chain edit.
   uint64_t resident_nodes = 0;
   uint64_t resident_rels = 0;
   uint64_t resident_versions = 0;   ///< Sum of chain lengths.
-  uint64_t approx_bytes = 0;        ///< Approximate heap footprint.
+  uint64_t approx_bytes = 0;        ///< Heap footprint: chains, lists.
 };
 
 /// Id-indexed directories of cached nodes and relationships.
@@ -77,6 +87,18 @@ class ObjectCache {
   Result<CachedNode*> InsertNewNode(NodeId id);
   Result<CachedRel*> InsertNewRel(RelId id, NodeId src, NodeId dst,
                                   RelTypeId type);
+
+  /// The ids of `node`'s store relationship chain, filling the list from
+  /// the store when the node has none. `node` comes from GetNode, and the
+  /// caller's guard covers the result as it covers the entry.
+  Result<const RelIdList*> RelListOf(CachedNode* node);
+
+  /// Drops the published node's relationship list, if any. The store's
+  /// chain-changed hook: the caller holds the node's shard write latch.
+  /// Engine callers enter an epoch guard before that latch, so the guard
+  /// taken here nests: one claimed under the latch could wait for a slot
+  /// held by a reader that is itself waiting for the latch.
+  void DropRelList(NodeId id);
 
   /// Lookup without loading (GC paths). Null on miss. Borrowed.
   CachedNode* PeekNode(NodeId id) const;
@@ -123,6 +145,8 @@ class ObjectCache {
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> loads{0};
+    std::atomic<uint64_t> rel_list_loads{0};
+    std::atomic<uint64_t> rel_list_drops{0};
   };
 
   /// One entity kind's directory.

@@ -57,6 +57,9 @@ uint64_t LogAndPurgeTombstones(Engine* engine, const std::vector<RelId>& rels,
   }
 
   uint64_t purged = 0;
+  // Before any store latch: the unlinks' list drops nest in this guard
+  // (see ObjectCache::DropRelList).
+  EpochManager::Guard guard(&engine->epochs);
   for (RelId id : rels) {
     // Drop any residual older versions, then the entity itself.
     engine->cache->EraseRel(id);

@@ -62,6 +62,10 @@ Status GraphDatabase::OpenImpl() {
       daemon->NudgeCacheFull();
     }
   });
+  // Cached relationship lists follow every store chain edit from here on
+  // (replayed edits above ran before any list existed).
+  engine_->store.SetChainChangedHook(
+      [cache = engine_->cache.get()](NodeId id) { cache->DropRelList(id); });
 
   NEOSI_RETURN_IF_ERROR(RebuildIndexes());
 

@@ -390,6 +390,9 @@ Status ReplicaApplier::ApplyPurgeOp(const WalOp& op, Timestamp ts) {
   } else {
     engine_->cache->EraseRel(op.id);
   }
+  // Before any store latch: the unlinks' list drops nest in this guard
+  // (see ObjectCache::DropRelList).
+  EpochManager::Guard guard(&engine_->epochs);
   NEOSI_RETURN_IF_ERROR(engine_->store.ApplyWalOp(op, ts));
   purges_applied_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();

@@ -656,9 +656,11 @@ Result<RelView> Transaction::GetRelationship(RelId id) {
 
 Result<PropertyValue> Transaction::PropertyOf(const EntityKey& entity,
                                               const std::string& key) {
+  // The entity read (and its SIREAD marker) comes first: reading a key this
+  // snapshot cannot name is still a read of the entity.
+  NEOSI_ASSIGN_OR_RETURN(auto version, VisibleVersion(entity));
   NEOSI_ASSIGN_OR_RETURN(const PropertyKeyId token,
                          Token(TokenKind::kPropertyKey, key, /*create=*/false));
-  NEOSI_ASSIGN_OR_RETURN(auto version, VisibleVersion(entity));
   auto it = version->data.props.find(token);
   if (it == version->data.props.end()) {
     return Status::NotFound(entity.ToString() + " has no property \"" + key +
@@ -678,13 +680,14 @@ Result<PropertyValue> Transaction::GetRelProperty(RelId id,
 }
 
 Result<bool> Transaction::NodeHasLabel(NodeId id, const std::string& label) {
+  // Entity read first, as in PropertyOf.
+  auto version = VisibleVersion(EntityKey::Node(id));
+  if (!version.ok()) return version.status();
   auto token = Token(TokenKind::kLabel, label, /*create=*/false);
   if (!token.ok()) {
     if (token.status().IsNotFound()) return false;
     return token.status();
   }
-  auto version = VisibleVersion(EntityKey::Node(id));
-  if (!version.ok()) return version.status();
   const auto& labels = (*version)->data.labels;
   return std::find(labels.begin(), labels.end(), *token) != labels.end();
 }
@@ -797,50 +800,65 @@ Result<std::vector<RelId>> Transaction::GetRelationships(
   auto anchor = VisibleVersion(EntityKey::Node(node));
   if (!anchor.ok()) return anchor.status();
 
+  // Adjacency-range SIREAD marker: later relationship creation/deletion
+  // touching this node is a rw-antidependency into this transaction (the
+  // anchor read above already left its own entity marker). Placed, and the
+  // walk below run, even for a type this snapshot cannot name: "no such
+  // relationship" is still a read.
+  if (ssi_) engine_->ssi.AddAdjacencyRead(ssi_, node);
+
+  bool type_known = true;
   RelTypeId type_token = kInvalidToken;
   if (type.has_value()) {
     auto token = Token(TokenKind::kRelType, *type, /*create=*/false);
-    if (!token.ok()) {
-      if (token.status().IsNotFound()) return std::vector<RelId>{};
+    if (token.ok()) {
+      type_token = *token;
+    } else if (token.status().IsNotFound()) {
+      type_known = false;
+    } else {
       return token.status();
     }
-    type_token = *token;
   }
 
-  // Adjacency-range SIREAD marker: later relationship creation/deletion
-  // touching this node is a rw-antidependency into this transaction (the
-  // anchor read above already left its own entity marker).
-  if (ssi_) engine_->ssi.AddAdjacencyRead(ssi_, node);
-
-  // Enriched iterator (§4): persistent relationship chain merged with the
-  // transaction's own in-cache, not-yet-committed relationships. One guard
-  // covers every lookup and walk below.
+  // Enriched iterator (§4): the node's persistent relationship chain,
+  // served from its cache entry's list, merged with the transaction's own
+  // in-cache, not-yet-committed relationships. One guard covers every
+  // lookup and walk below, the list included.
   EpochManager::Guard guard(&engine_->epochs);
-  std::vector<RelId> candidates;
-  Status s = engine_->store.RelChainOf(node, &candidates);
-  if (!s.ok() && !s.IsOutOfRange()) return s;
-  auto created_it = created_rels_by_node_.find(node);
-  if (created_it != created_rels_by_node_.end()) {
-    candidates.insert(candidates.end(), created_it->second.begin(),
-                      created_it->second.end());
+  const RelIdList* persistent = nullptr;
+  auto cached = engine_->cache->GetNode(node);
+  if (cached.ok()) {
+    auto list = engine_->cache->RelListOf(*cached);
+    if (!list.ok() && !list.status().IsOutOfRange()) return list.status();
+    if (list.ok()) persistent = *list;
+  } else if (!cached.status().IsNotFound()) {
+    return cached.status();
   }
 
   const Snapshot snap = ReadSnapshot();
   std::vector<RelId> out;
   std::vector<std::pair<TxnId, Timestamp>> newer;
-  for (RelId rel_id : candidates) {
+  auto visit = [&](RelId rel_id) {
     auto rel = engine_->cache->GetRel(rel_id);
-    if (!rel.ok()) continue;  // Purged concurrently: invisible regardless.
+    if (!rel.ok()) return;  // Purged concurrently: invisible regardless.
     auto version = (*rel)->chain.Visible(snap.start_ts, snap.txn_id);
     if (ssi_) (*rel)->chain.CommittedNewerThan(start_ts_, &newer);
-    if (!version || version->data.deleted) continue;
+    if (!version || version->data.deleted || !type_known) return;
 
     const bool outgoing = (*rel)->src == node;
     const bool incoming = (*rel)->dst == node;
-    if (direction == Direction::kOutgoing && !outgoing) continue;
-    if (direction == Direction::kIncoming && !incoming) continue;
-    if (type_token != kInvalidToken && (*rel)->type != type_token) continue;
+    if (!outgoing && !incoming) return;  // A recycled id.
+    if (direction == Direction::kOutgoing && !outgoing) return;
+    if (direction == Direction::kIncoming && !incoming) return;
+    if (type_token != kInvalidToken && (*rel)->type != type_token) return;
     out.push_back(rel_id);
+  };
+  if (persistent != nullptr) {
+    for (RelId rel_id : *persistent) visit(rel_id);
+  }
+  auto created_it = created_rels_by_node_.find(node);
+  if (created_it != created_rels_by_node_.end()) {
+    for (RelId rel_id : created_it->second) visit(rel_id);
   }
   NEOSI_RETURN_IF_ERROR(SsiObserveNewer(newer));
   // Post-scan expiry check (see AllNodes).
@@ -1135,6 +1153,10 @@ Result<Lsn> Transaction::WriteCommitRecord(Timestamp ts) {
 }
 
 Status Transaction::ApplyToStore(Timestamp ts) {
+  // Entered before any store latch: a relationship-chain edit drops cached
+  // lists under the node's write latch, and its guard nests in this one
+  // instead of claiming a slot there (see ObjectCache::DropRelList).
+  EpochManager::Guard guard(&engine_->epochs);
   int ops_budget = engine_->test_hooks.crash_after_n_store_ops.load();
   auto tick_budget = [&]() -> bool {
     if (ops_budget < 0) return false;

@@ -300,6 +300,7 @@ Status GraphStore::PersistNodeState(NodeId id,
   NEOSI_RETURN_IF_ERROR(ReadNodeRecord(id, &rec));
   if (!rec.in_use) {
     // Crash-recovery path: the record vanished; recreate it.
+    ChainChanged(id);
     rec = NodeRecord();
     rec.first_rel = kInvalidRelId;
     rec.first_prop = kInvalidPropId;
@@ -351,6 +352,7 @@ Status GraphStore::PersistNodeTombstone(NodeId id, Timestamp ts) {
 
 Status GraphStore::LinkIntoChain(RelId id, RelationshipRecord* rec,
                                  NodeId node) {
+  ChainChanged(node);
   NodeRecord node_rec;
   NEOSI_RETURN_IF_ERROR(ReadNodeRecord(node, &node_rec));
   const RelId old_head = node_rec.first_rel;
@@ -491,6 +493,7 @@ Status GraphStore::PurgeNode(NodeId id) {
 
 Status GraphStore::UnlinkFromChain(RelId id, const RelationshipRecord& rec,
                                    NodeId node) {
+  ChainChanged(node);
   const RelId prev = rec.PrevFor(node);
   const RelId next = rec.NextFor(node);
 
@@ -601,14 +604,13 @@ Status GraphStore::ReadRelState(RelId id, RelState* out) const {
   return Status::OK();
 }
 
-Status GraphStore::RelChainOf(NodeId id, std::vector<RelId>* out) const {
+Status GraphStore::RelChainOf(NodeId id, std::vector<RelId>* out,
+                              const std::function<void()>& under_latch) const {
   ReadGuard guard(NodeShard(id));
   out->clear();
   NodeRecord node_rec;
   NEOSI_RETURN_IF_ERROR(ReadNodeRecord(id, &node_rec));
-  if (!node_rec.in_use) return Status::OK();
-
-  RelId cur = node_rec.first_rel;
+  RelId cur = node_rec.in_use ? node_rec.first_rel : kInvalidRelId;
   uint64_t steps = 0;
   const uint64_t max_steps = rels_->high_id() + 1;
   while (cur != kInvalidRelId) {
@@ -621,6 +623,7 @@ Status GraphStore::RelChainOf(NodeId id, std::vector<RelId>* out) const {
     NEOSI_RETURN_IF_ERROR(ReadRelRecord(cur, &rec));
     cur = rec.NextFor(id);
   }
+  if (under_latch) under_latch();
   return Status::OK();
 }
 

@@ -180,7 +180,10 @@ class GraphStore {
 
   /// Collects the relationship ids in a node's chain (tombstones included;
   /// callers filter by visibility). Snapshot under the node's shared latch.
-  Status RelChainOf(NodeId id, std::vector<RelId>* out) const;
+  /// A successful walk runs `under_latch` (if set) before that latch is
+  /// released, so no chain edit can land between the walk and it.
+  Status RelChainOf(NodeId id, std::vector<RelId>* out,
+                    const std::function<void()>& under_latch = {}) const;
 
   /// True while the node's physical relationship chain is non-empty
   /// (tombstoned rels awaiting purge included). Sharded GC reads this
@@ -211,6 +214,14 @@ class GraphStore {
   /// Recovery helper: verifies a relationship record is reachable from both
   /// endpoint chains, redoing the link surgery if a crash interrupted it.
   Status EnsureRelLinked(RelId id);
+
+  /// Called with the node id at every edit of a node's relationship chain
+  /// (link, unlink, record recreate), under that node's shard write latch.
+  /// The engine points it at the object cache's list drop. Set once, before
+  /// the store is shared between threads.
+  void SetChainChangedHook(std::function<void(NodeId)> hook) {
+    chain_changed_ = std::move(hook);
+  }
 
   // --- WAL & recovery ------------------------------------------------------
 
@@ -296,6 +307,11 @@ class GraphStore {
   /// Unlink surgery for one endpoint. Caller holds the node-pair latches.
   Status UnlinkFromChain(RelId id, const RelationshipRecord& rec, NodeId node);
 
+  /// Runs the chain-changed hook for `node`. Caller holds its write latch.
+  void ChainChanged(NodeId node) {
+    if (chain_changed_) chain_changed_(node);
+  }
+
   DatabaseOptions options_;
 
   /// Lifetime checkpoint counters (see GraphStoreStats).
@@ -334,6 +350,8 @@ class GraphStore {
   std::unique_ptr<TokenStore> prop_key_tokens_;
   std::unique_ptr<TokenStore> rel_type_tokens_;
   std::unique_ptr<Wal> wal_;
+
+  std::function<void(NodeId)> chain_changed_;
 
   mutable std::array<PaddedLatch, kShards> node_shards_;
   mutable std::array<PaddedLatch, kShards> rel_shards_;

@@ -442,5 +442,49 @@ TEST(ObjectCacheEviction, BorrowedReadsSurviveEvictionAndDrains) {
       << "evicted entries were reloaded";
 }
 
+// Relationship lists are counted on their fill and drop paths only: a
+// re-read of an unchanged node loads nothing, and a committed relationship
+// drops exactly its two endpoints' lists.
+TEST(ObjectCacheRelList, RereadLoadsNothingAndCommitDropsTwoLists) {
+  auto db = OpenDb(/*cache_capacity=*/0, /*gc_interval_ms=*/0);
+  NodeId a, b, c;
+  {
+    auto setup = db->Begin();
+    a = *setup->CreateNode({});
+    b = *setup->CreateNode({});
+    c = *setup->CreateNode({});
+    ASSERT_TRUE(setup->CreateRelationship(a, b, "K").ok());
+    ASSERT_TRUE(setup->Commit().ok());
+  }
+  const ObjectCacheStats before = db->Stats().cache;
+  auto reader = db->Begin();
+  for (NodeId node : {a, b, c}) {
+    ASSERT_TRUE(reader->GetRelationships(node).ok());
+  }
+  const ObjectCacheStats filled = db->Stats().cache;
+  EXPECT_EQ(filled.rel_list_loads, 3u);
+  EXPECT_EQ(filled.rel_list_drops, 0u);
+  // The footprint counts the lists: two one-id lists and an empty one.
+  EXPECT_EQ(filled.approx_bytes - before.approx_bytes,
+            3 * sizeof(RelIdList) + 2 * sizeof(RelId));
+
+  ASSERT_EQ(reader->GetRelationships(a)->size(), 1u);
+  EXPECT_EQ(db->Stats().cache.rel_list_loads, filled.rel_list_loads);
+
+  {
+    auto writer = db->Begin();
+    ASSERT_TRUE(writer->CreateRelationship(b, c, "K").ok());
+    ASSERT_TRUE(writer->Commit().ok());
+  }
+  const ObjectCacheStats dropped = db->Stats().cache;
+  EXPECT_EQ(dropped.rel_list_drops, 2u);  // b and c; a keeps its list.
+  EXPECT_EQ(dropped.rel_list_loads, filled.rel_list_loads);
+
+  auto fresh = db->Begin();
+  EXPECT_EQ(fresh->GetRelationships(b)->size(), 2u);
+  EXPECT_EQ(fresh->GetRelationships(a)->size(), 1u);
+  EXPECT_EQ(db->Stats().cache.rel_list_loads, filled.rel_list_loads + 1);
+}
+
 }  // namespace
 }  // namespace neosi

@@ -1,9 +1,25 @@
-// Cursor-style iterator API.
+// Cursor-style iterator API, and the cached relationship list behind
+// GetRelationships: after every kind of store chain edit a fresh snapshot
+// reads exactly the store chain (the sanitizer jobs and the repeat-until-
+// fail step run this suite).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <unistd.h>
+
+#include "common/random.h"
 #include "graph/graph_database.h"
 #include "graph/iterators.h"
+#include "graph/replica_applier.h"
+#include "mvcc/epoch.h"
 
 namespace neosi {
 namespace {
@@ -132,6 +148,302 @@ TEST_F(IteratorsTest, InvalidAfterExhaustion) {
   ASSERT_TRUE(it.Valid());
   it.Next();
   EXPECT_FALSE(it.Valid());
+}
+
+// --- The cached relationship list ------------------------------------------
+
+std::vector<RelId> Sorted(std::vector<RelId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// The node's physical relationship chain, sorted.
+std::vector<RelId> StoreChain(GraphDatabase& db, NodeId node) {
+  std::vector<RelId> chain;
+  EXPECT_TRUE(db.engine().store.RelChainOf(node, &chain).ok());
+  return Sorted(chain);
+}
+
+/// Checks `node` with no tombstone left in its chain: a fresh snapshot's
+/// GetRelationships and the node's cached list both equal the store chain.
+void ExpectAdjacencyMatchesStore(GraphDatabase& db, NodeId node) {
+  const std::vector<RelId> chain = StoreChain(db, node);
+  auto txn = db.Begin();
+  auto rels = txn->GetRelationships(node);
+  ASSERT_TRUE(rels.ok()) << rels.status();
+  EXPECT_EQ(Sorted(*rels), chain) << "node " << node;
+
+  EpochManager::Guard guard(&db.engine().epochs);
+  const CachedNode* cached = db.engine().cache->PeekNode(node);
+  ASSERT_NE(cached, nullptr);
+  const RelIdList* list = cached->rel_list.load(std::memory_order_acquire);
+  ASSERT_NE(list, nullptr) << "GetRelationships left no list";
+  EXPECT_EQ(Sorted(std::vector<RelId>(list->begin(), list->end())), chain);
+}
+
+/// Fills both endpoints' lists, so the edit under test must drop them.
+void FillLists(GraphDatabase& db, std::initializer_list<NodeId> nodes) {
+  auto txn = db.Begin();
+  for (NodeId node : nodes) ASSERT_TRUE(txn->GetRelationships(node).ok());
+}
+
+/// A hub with `spokes` outgoing relationships; no GC daemon, so purges run
+/// only when a test calls RunGc.
+struct Star {
+  std::unique_ptr<GraphDatabase> db;
+  NodeId hub = kInvalidNodeId;
+  std::vector<NodeId> spokes;
+  std::vector<RelId> rels;
+};
+
+Star OpenStar(int spokes) {
+  DatabaseOptions options;
+  options.in_memory = true;
+  options.background_gc_interval_ms = 0;
+  Star star;
+  star.db = std::move(*GraphDatabase::Open(options));
+  auto txn = star.db->Begin();
+  star.hub = *txn->CreateNode({"Hub"});
+  for (int i = 0; i < spokes; ++i) {
+    star.spokes.push_back(*txn->CreateNode({}));
+    star.rels.push_back(
+        *txn->CreateRelationship(star.hub, star.spokes.back(), "OWNS"));
+  }
+  EXPECT_TRUE(txn->Commit().ok());
+  return star;
+}
+
+TEST(RelListEditPaths, CommittedCreateDropsBothEndpointLists) {
+  Star star = OpenStar(5);
+  FillLists(*star.db, {star.hub, star.spokes[4]});
+  {
+    auto txn = star.db->Begin();
+    ASSERT_TRUE(
+        txn->CreateRelationship(star.spokes[4], star.hub, "OWNS").ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ExpectAdjacencyMatchesStore(*star.db, star.hub);
+  ExpectAdjacencyMatchesStore(*star.db, star.spokes[4]);
+  EXPECT_EQ(StoreChain(*star.db, star.hub).size(), 6u);
+}
+
+TEST(RelListEditPaths, PurgedDeleteDropsBothEndpointLists) {
+  Star star = OpenStar(5);
+  {
+    auto txn = star.db->Begin();
+    ASSERT_TRUE(txn->DeleteRelationship(star.rels[2]).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  // The tombstone still sits in the chain: the list keeps it, visibility
+  // filters it.
+  FillLists(*star.db, {star.hub, star.spokes[2]});
+  EXPECT_EQ(star.db->Begin()->GetRelationships(star.hub)->size(), 4u);
+  ASSERT_GE(star.db->RunGc().tombstones_purged, 1u);
+  ExpectAdjacencyMatchesStore(*star.db, star.hub);
+  ExpectAdjacencyMatchesStore(*star.db, star.spokes[2]);
+  EXPECT_EQ(StoreChain(*star.db, star.hub).size(), 4u);
+  EXPECT_TRUE(StoreChain(*star.db, star.spokes[2]).empty());
+}
+
+TEST(RelListEditPaths, ReplicaAppliesShippedCreateAndPurge) {
+  DatabaseOptions primary_options;
+  primary_options.in_memory = true;
+  primary_options.background_gc_interval_ms = 0;
+  auto primary = std::move(*GraphDatabase::Open(primary_options));
+  DatabaseOptions replica_options;
+  replica_options.in_memory = true;
+  replica_options.replica_of = primary->engine().store.wal().dir();
+  replica_options.replica_poll_interval_ms = 0;  // Driven by RunOnce.
+  replica_options.background_gc_interval_ms = 0;
+  auto replica = std::move(*GraphDatabase::Open(replica_options));
+
+  NodeId a, b;
+  RelId first;
+  {
+    auto txn = primary->Begin();
+    a = *txn->CreateNode({});
+    b = *txn->CreateNode({});
+    first = *txn->CreateRelationship(a, b, "KNOWS");
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ASSERT_TRUE(replica->replica_applier()->RunOnce().ok());
+  FillLists(*replica, {a, b});
+
+  // Shipped create.
+  {
+    auto txn = primary->Begin();
+    ASSERT_TRUE(txn->CreateRelationship(b, a, "KNOWS").ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ASSERT_TRUE(replica->replica_applier()->RunOnce().ok());
+  ExpectAdjacencyMatchesStore(*replica, a);
+  ExpectAdjacencyMatchesStore(*replica, b);
+  EXPECT_EQ(StoreChain(*replica, a).size(), 2u);
+
+  // Shipped delete, then shipped purge.
+  {
+    auto txn = primary->Begin();
+    ASSERT_TRUE(txn->DeleteRelationship(first).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ASSERT_TRUE(replica->replica_applier()->RunOnce().ok());
+  FillLists(*replica, {a, b});
+  ASSERT_GE(primary->RunGc().tombstones_purged, 1u);
+  ASSERT_TRUE(replica->replica_applier()->RunOnce().ok());
+  ASSERT_GE(replica->Stats().replica_purges_applied, 1u);
+  ExpectAdjacencyMatchesStore(*replica, a);
+  ExpectAdjacencyMatchesStore(*replica, b);
+  EXPECT_EQ(StoreChain(*replica, a).size(), 1u);
+}
+
+TEST(RelListEditPaths, RecoveryRelinkMatchesAfterReopen) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("neosi_rel_list_recovery_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  DatabaseOptions options;
+  options.in_memory = false;
+  options.path = dir.string();
+  options.checkpoint_interval_ms = 0;  // Reopen replays every commit.
+  NodeId a, b;
+  {
+    auto db = std::move(*GraphDatabase::Open(options));
+    auto txn = db->Begin();
+    a = *txn->CreateNode({});
+    b = *txn->CreateNode({});
+    ASSERT_TRUE(txn->CreateRelationship(a, b, "KNOWS").ok());
+    ASSERT_TRUE(txn->CreateRelationship(b, a, "KNOWS").ok());
+    ASSERT_TRUE(txn->Commit().ok());
+    FillLists(*db, {a, b});
+  }
+  {
+    // Replaying the creates finds their records present and runs the link
+    // repair (EnsureRelLinked) on each.
+    auto db = std::move(*GraphDatabase::Open(options));
+    ExpectAdjacencyMatchesStore(*db, a);
+    ExpectAdjacencyMatchesStore(*db, b);
+    EXPECT_EQ(StoreChain(*db, a).size(), 2u);
+    // A repair of an intact link edits nothing.
+    for (RelId rel : StoreChain(*db, a)) {
+      ASSERT_TRUE(db->engine().store.EnsureRelLinked(rel).ok());
+    }
+    ExpectAdjacencyMatchesStore(*db, a);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Writers create relationships on 16 hubs and delete them again, keeping a
+// `degree` property on the hub in step in the same transaction; the GC
+// daemon purges the deletes and, at capacity 8, evicts entries with their
+// lists. Every reader snapshot must count exactly `degree` relationships.
+TEST(RelListStress, SnapshotDegreeMatchesAdjacencyUnderChurnAndEviction) {
+  DatabaseOptions options;
+  options.in_memory = true;
+  options.object_cache_capacity = 8;
+  options.background_gc_interval_ms = 1;
+  auto db = std::move(*GraphDatabase::Open(options));
+
+  constexpr int kHubs = 16;
+  constexpr int kLeaves = 32;
+  std::vector<NodeId> hubs, leaves;
+  {
+    auto txn = db->Begin();
+    for (int i = 0; i < kHubs; ++i) {
+      hubs.push_back(
+          *txn->CreateNode({"Hub"}, {{"degree", PropertyValue(int64_t{0})}}));
+    }
+    for (int i = 0; i < kLeaves; ++i) leaves.push_back(*txn->CreateNode({}));
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> commits{0}, reads{0}, mismatches{0}, errors{0};
+
+  auto writer = [&](uint64_t seed) {
+    Random rng(seed);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const NodeId hub = hubs[rng.Uniform(kHubs)];
+      auto txn = db->Begin();
+      auto degree = txn->GetNodeProperty(hub, "degree");
+      auto rels = txn->GetRelationships(hub);
+      Status s = degree.ok() ? rels.status() : degree.status();
+      if (s.ok()) {
+        int64_t next = degree->AsInt();
+        if (rels->empty() || rng.Uniform(3) != 0) {
+          s = txn->CreateRelationship(hub, leaves[rng.Uniform(kLeaves)],
+                                      "LINK")
+                  .status();
+          ++next;
+        } else {
+          s = txn->DeleteRelationship((*rels)[rng.Uniform(rels->size())]);
+          --next;
+        }
+        if (s.ok()) {
+          s = txn->SetNodeProperty(hub, "degree", PropertyValue(next));
+        }
+      }
+      if (s.ok()) s = txn->Commit();
+      if (s.ok()) {
+        commits.fetch_add(1, std::memory_order_relaxed);
+      } else if (!s.IsRetryable()) {
+        errors.fetch_add(1, std::memory_order_relaxed);
+        ADD_FAILURE() << s;
+      }
+    }
+  };
+  auto reader = [&](uint64_t seed) {
+    Random rng(seed);
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto txn = db->Begin();
+      for (int i = 0; i < 4; ++i) {
+        const NodeId hub = hubs[rng.Uniform(kHubs)];
+        auto degree = txn->GetNodeProperty(hub, "degree");
+        auto rels = txn->GetRelationships(hub);
+        if (!degree.ok() || !rels.ok()) {
+          Status s = degree.ok() ? rels.status() : degree.status();
+          if (!s.IsRetryable()) {
+            errors.fetch_add(1, std::memory_order_relaxed);
+            ADD_FAILURE() << s;
+          }
+          break;
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+        if (static_cast<int64_t>(rels->size()) != degree->AsInt()) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  };
+
+  std::vector<std::thread> threads;
+  threads.emplace_back(writer, 1);
+  threads.emplace_back(writer, 2);
+  threads.emplace_back(reader, 3);
+  threads.emplace_back(reader, 4);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (commits.load() < 20000 || reads.load() < 20000)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  stop.store(true);
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_GT(commits.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  const ObjectCacheStats stats = db->Stats().cache;
+  EXPECT_GT(stats.rel_list_drops, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  // Quiesced: every hub's adjacency is its degree and its store chain.
+  db->RunGc();
+  auto txn = db->Begin();
+  for (NodeId hub : hubs) {
+    EXPECT_EQ(static_cast<int64_t>(txn->GetRelationships(hub)->size()),
+              txn->GetNodeProperty(hub, "degree")->AsInt());
+  }
 }
 
 }  // namespace

@@ -566,5 +566,105 @@ TEST(SsiSemantics, EqualValueNoOpWritesLeaveNoSsiFootprint) {
   EXPECT_EQ(stats.ssi_aborts_doomed, 0u);
 }
 
+// --- Reads that name a token the snapshot cannot see -----------------------
+
+// A read that names a property key, label or relationship type no snapshot
+// version carries is still a read of the entity (or the adjacency): it must
+// leave its SIREAD marker, or a later writer that introduces the token slips
+// past it. Each schedule is write skew: T1 reads the missing token on `n`
+// and writes `m`; T2 reads `m` and writes the token onto `n`. Serializable
+// lets at most one of them commit, and the loser fails retryably.
+class UnknownTokenReadSkew : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = OpenDb();
+    auto txn = db_->Begin();
+    n_ = *txn->CreateNode({}, {{"balance", PropertyValue(int64_t{0})}});
+    m_ = *txn->CreateNode({}, {{"balance", PropertyValue(int64_t{0})}});
+    k_ = *txn->CreateNode({});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+
+  /// Runs T1's read of `n` (via `t1_read`), T1's write of `m`, T2's read of
+  /// `m` and T2's write onto `n` (via `t2_write`), then commits T1 and T2.
+  /// Returns how many committed; every failure must be retryable.
+  template <typename Read, typename Write>
+  int RunSkew(Read t1_read, Write t2_write) {
+    auto t1 = db_->Begin(IsolationLevel::kSerializable);
+    auto t2 = db_->Begin(IsolationLevel::kSerializable);
+    t1_read(*t1);
+    EXPECT_TRUE(
+        t1->SetNodeProperty(m_, "balance", PropertyValue(int64_t{1})).ok());
+    EXPECT_EQ(Balance(*t2, m_), 0);
+    Status write = t2_write(*t2);
+    int committed = 0;
+    for (Transaction* txn : {t1.get(), t2.get()}) {
+      Status s = txn == t2.get() && !write.ok() ? write : txn->Commit();
+      if (s.ok()) {
+        ++committed;
+      } else {
+        EXPECT_TRUE(s.IsSerializationFailure()) << s;
+      }
+    }
+    return committed;
+  }
+
+  std::unique_ptr<GraphDatabase> db_;
+  NodeId n_ = kInvalidNodeId;
+  NodeId m_ = kInvalidNodeId;
+  NodeId k_ = kInvalidNodeId;
+};
+
+TEST_F(UnknownTokenReadSkew, PropertyReadOfAMissingKey) {
+  const int committed = RunSkew(
+      [&](Transaction& t1) {
+        EXPECT_TRUE(t1.GetNodeProperty(n_, "flag").status().IsNotFound());
+      },
+      [&](Transaction& t2) {
+        return t2.SetNodeProperty(n_, "flag", PropertyValue(true));
+      });
+  EXPECT_EQ(committed, 1);
+}
+
+TEST_F(UnknownTokenReadSkew, LabelTestOfAMissingLabel) {
+  const int committed = RunSkew(
+      [&](Transaction& t1) {
+        auto has = t1.NodeHasLabel(n_, "VIP");
+        ASSERT_TRUE(has.ok()) << has.status();
+        EXPECT_FALSE(*has);
+      },
+      [&](Transaction& t2) { return t2.AddLabel(n_, "VIP"); });
+  EXPECT_EQ(committed, 1);
+}
+
+// Run with and without the type already named by some relationship: the
+// outcome must not depend on whether the reader's snapshot knows the type.
+class UnknownRelTypeReadSkew
+    : public UnknownTokenReadSkew,
+      public ::testing::WithParamInterface<bool> {};
+
+TEST_P(UnknownRelTypeReadSkew, TypedAdjacencyReadOfAMissingType) {
+  if (GetParam()) {
+    auto txn = db_->Begin();
+    ASSERT_TRUE(txn->CreateRelationship(m_, k_, "BLOCKS").ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  const int committed = RunSkew(
+      [&](Transaction& t1) {
+        auto rels = t1.GetRelationships(n_, Direction::kBoth, "BLOCKS");
+        ASSERT_TRUE(rels.ok()) << rels.status();
+        EXPECT_TRUE(rels->empty());
+      },
+      [&](Transaction& t2) {
+        return t2.CreateRelationship(n_, k_, "BLOCKS").status();
+      });
+  EXPECT_EQ(committed, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(TypeKnown, UnknownRelTypeReadSkew, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "TypeExists" : "TypeMissing";
+                         });
+
 }  // namespace
 }  // namespace neosi
