@@ -203,6 +203,7 @@ Result<const RelIdList*> ObjectCache::RelListOf(CachedNode* node) {
     // Under the shard read latch: a list another reader published first
     // was filled from this same chain (an edit would have dropped it).
     std::unique_ptr<RelIdList> fresh = RelIdList::Copy(ids);
+    (void)store_->sync_points().Check("cache.rel_list.pre_publish");
     RelIdList* current = nullptr;
     if (node->rel_list.compare_exchange_strong(current, fresh.get(),
                                                std::memory_order_acq_rel)) {
@@ -278,8 +279,10 @@ size_t ObjectCache::Evict(Table<Entry>& table) {
       // versions exist only in memory; uncommitted state belongs to a live
       // transaction). The unpublish runs under the chain latch, so a
       // writer's install either pins the entry first or sees it orphaned.
-      const bool unpublished = entry->chain.IfSoleCommitted(
-          [&] { slot.store(nullptr, std::memory_order_release); });
+      const bool unpublished = entry->chain.IfSoleCommitted([&] {
+        (void)store_->sync_points().Check("cache.evict.pre_unpublish");
+        slot.store(nullptr, std::memory_order_release);
+      });
       if (!unpublished) continue;
       table.resident.fetch_sub(1, std::memory_order_relaxed);
       evicted->emplace_back(entry);

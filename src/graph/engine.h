@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 
 #include "cache/object_cache.h"
 #include "common/options.h"
@@ -25,30 +24,6 @@ namespace neosi {
 class CheckpointDaemon;
 class GcDaemon;
 
-/// Failure-injection switches used by the recovery / crash tests. All off by
-/// default; production paths never set them.
-struct TestHooks {
-  /// Commit appends the WAL record, then "crashes" before applying anything
-  /// to the stores (returns IOError; the database must be reopened).
-  std::atomic<bool> crash_before_store_apply{false};
-  /// Commit crashes after this many successful store-apply operations
-  /// (-1 = disabled).
-  std::atomic<int> crash_after_n_store_ops{-1};
-  /// Commit parks between its WAL append and its store apply — with its
-  /// record's lsn pinned against checkpoint truncation — until the flag is
-  /// cleared (checkpoint-vs-group-commit race tests).
-  std::atomic<bool> stall_before_store_apply{false};
-  /// Number of commits that have reached the stall point above.
-  std::atomic<uint64_t> stalled_commits{0};
-  /// Commit parks after its effects are applied and its SSI bookkeeping is
-  /// finished, but before the oracle's ordered publication of the commit
-  /// timestamp — the window where a freshly begun transaction can still
-  /// acquire a snapshot predating the commit (safe-snapshot race tests).
-  std::atomic<bool> stall_before_publication{false};
-  /// Number of commits that have reached the publication stall point.
-  std::atomic<uint64_t> stalled_publications{0};
-};
-
 /// Per-cause admission-control counters, incremented by the network session
 /// front-end (src/server) and surfaced through DatabaseStats. The engine
 /// itself never sheds anything — admission decisions live at the session
@@ -60,10 +35,6 @@ struct AdmissionCounters {
   /// Begin requests that waited at least one delay quantum for pressure to
   /// clear before being admitted or shed.
   std::atomic<uint64_t> delayed{0};
-  /// LIVE gauge: Begin requests currently parked in the admission delay
-  /// window (tests synchronize on this to drain pressure deterministically
-  /// while a Begin is provably waiting).
-  std::atomic<uint64_t> waiting{0};
   /// Begin requests shed with Busy because the GC backlog gauge sat above
   /// snapshot_expire_backlog for the whole admission window.
   std::atomic<uint64_t> shed_backlog{0};
@@ -75,7 +46,7 @@ struct AdmissionCounters {
 /// Everything the engine is made of, wired once at Open().
 struct Engine {
   explicit Engine(const DatabaseOptions& opts)
-      : options(opts), store(opts) {}
+      : options(opts), store(opts), lock_manager(&store.sync_points()) {}
 
   DatabaseOptions options;
 
@@ -132,8 +103,6 @@ struct Engine {
   /// Admission-control counters written by the network front-end (zero in
   /// purely in-process deployments).
   AdmissionCounters admission;
-
-  TestHooks test_hooks;
 };
 
 }  // namespace neosi

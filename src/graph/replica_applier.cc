@@ -452,7 +452,7 @@ Status ReplicaApplier::WriteCursorFile(Lsn cursor) {
   // swallowed and let the durable cursor claim records the crashed kernel
   // dropped.
   NEOSI_RETURN_IF_ERROR(
-      engine_->store.fault_hooks.Check("replica.cursor.sync"));
+      engine_->store.sync_points().Check("replica.cursor.sync"));
   NEOSI_RETURN_IF_ERROR(file->Sync());
   file.reset();
   NEOSI_RETURN_IF_ERROR(dir->Rename(tmp, kCursorFileName));

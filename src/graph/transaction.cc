@@ -1,9 +1,7 @@
 #include "graph/transaction.h"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
-#include <thread>
 
 #include "graph/checkpoint_daemon.h"
 #include "graph/gc_daemon.h"
@@ -235,6 +233,7 @@ Result<Transaction::WriteRecord*> Transaction::PendingVersion(
         NEOSI_ASSIGN_OR_RETURN(record.rel, engine_->cache->GetRel(key.id));
       }
       NEOSI_RETURN_IF_ERROR(CheckWriteConflict(record.chain()));
+      (void)engine_->store.sync_points().Check("txn.write.pre_install");
       auto visible = record.chain().Visible(SnapshotTs(), id_);
       if (!visible || visible->data.deleted) {
         return Status::NotFound(key.ToString() +
@@ -944,30 +943,25 @@ Status Transaction::Commit() {
     return lsn.status();
   }
 
-  // Failure injection: crash after WAL append, before store apply. The pin
-  // is deliberately NOT released: like a real crash, the record must stay
-  // replayable until recovery applies it.
-  if (engine_->test_hooks.crash_before_store_apply.load()) {
+  // Between WAL append and store apply, with the record's lsn pinned. A
+  // failure here is a crash: the pin is deliberately NOT released, so like
+  // a real crash the record stays replayable until recovery applies it.
+  Status s = engine_->store.sync_points().Check("commit.pre_apply");
+  if (!s.ok()) {
     // The commit record is durable — recovery will replay it — so the SSI
     // record must read committed: peers' danger checks and marker pruning
     // would otherwise treat a durable commit as aborted and commit over a
     // dangerous structure whose effects exist after recovery.
     if (ssi_) engine_->ssi.FinishCommit(ssi_, ts);
     engine_->oracle.FinishCommit(ts);
-    return Status::IOError("simulated crash before store apply");
-  }
-  if (engine_->test_hooks.stall_before_store_apply.load()) {
-    engine_->test_hooks.stalled_commits.fetch_add(1);
-    while (engine_->test_hooks.stall_before_store_apply.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    return s;
   }
 
   // Stage 3 — parallel application, outside any global lock: store apply,
   // version stamping, index stamping. Concurrent committers interleave
   // freely here; the long write locks (held until this commit has fully
   // applied and handed its timestamp back) keep each entity single-writer.
-  Status s = ApplyToStore(ts);
+  s = ApplyToStore(ts);
   if (!s.ok()) {
     // Pin retained: the WAL record is now the only complete copy of this
     // commit; truncating it before recovery replays it would lose the
@@ -1010,15 +1004,9 @@ Status Transaction::Commit() {
     ssi_commit_guard.unlock();
   }
 
-  // Failure injection: park between SSI finish and ordered publication —
-  // the window a freshly begun transaction's snapshot can still predate
-  // this commit (safe-snapshot race tests).
-  if (engine_->test_hooks.stall_before_publication.load()) {
-    engine_->test_hooks.stalled_publications.fetch_add(1);
-    while (engine_->test_hooks.stall_before_publication.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
+  // Between SSI finish and ordered publication: the window in which a
+  // freshly begun transaction's snapshot can still predate this commit.
+  (void)engine_->store.sync_points().Check("commit.pre_publish");
 
   // Stage 4 — ordered publication: the watermark advances past ts once
   // every lower timestamp has also finished, and only then can a new
@@ -1157,18 +1145,9 @@ Status Transaction::ApplyToStore(Timestamp ts) {
   // lists under the node's write latch, and its guard nests in this one
   // instead of claiming a slot there (see ObjectCache::DropRelList).
   EpochManager::Guard guard(&engine_->epochs);
-  int ops_budget = engine_->test_hooks.crash_after_n_store_ops.load();
-  auto tick_budget = [&]() -> bool {
-    if (ops_budget < 0) return false;
-    if (ops_budget == 0) return true;
-    --ops_budget;
-    return false;
-  };
   for (const auto& [key, w] : writes_) {
-    if (tick_budget()) {
-      return Status::IOError("simulated crash during store apply");
-    }
-    Status s;
+    Status s = engine_->store.sync_points().Check("commit.apply.op");
+    if (!s.ok()) return s;
     const VersionData& data = w.pending->data;
     if (w.node) {
       if (w.created) {

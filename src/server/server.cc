@@ -599,7 +599,7 @@ std::string Server::HandleBegin(Session* s, Slice body) {
   if (threshold > 0 && engine.gc_list.backlog() > threshold) {
     bool over = true;
     admission.delayed.fetch_add(1, std::memory_order_relaxed);
-    admission.waiting.fetch_add(1, std::memory_order_relaxed);
+    (void)engine.store.sync_points().Check("admission.delay");
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(options_.admission_delay_ms);
@@ -611,7 +611,6 @@ std::string Server::HandleBegin(Session* s, Slice body) {
         break;
       }
     }
-    admission.waiting.fetch_sub(1, std::memory_order_relaxed);
     if (over) {
       admission.shed_backlog.fetch_add(1, std::memory_order_relaxed);
       return ErrorReply(Status::Busy(

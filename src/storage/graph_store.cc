@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <thread>
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
@@ -137,17 +135,20 @@ Status GraphStore::Open() {
   NEOSI_RETURN_IF_ERROR(label_dyn_->Open());
 
   NEOSI_RETURN_IF_ERROR(open_file("tokens_label.store", &f));
-  label_tokens_ = std::make_unique<TokenStore>(std::move(f), "label-tokens");
+  label_tokens_ = std::make_unique<TokenStore>(std::move(f), "label-tokens",
+                                               &sync_points_);
   NEOSI_RETURN_IF_ERROR(label_tokens_->Open());
 
   NEOSI_RETURN_IF_ERROR(open_file("tokens_propkey.store", &f));
   prop_key_tokens_ =
-      std::make_unique<TokenStore>(std::move(f), "prop-key-tokens");
+      std::make_unique<TokenStore>(std::move(f), "prop-key-tokens",
+                                   &sync_points_);
   NEOSI_RETURN_IF_ERROR(prop_key_tokens_->Open());
 
   NEOSI_RETURN_IF_ERROR(open_file("tokens_reltype.store", &f));
   rel_type_tokens_ =
-      std::make_unique<TokenStore>(std::move(f), "rel-type-tokens");
+      std::make_unique<TokenStore>(std::move(f), "rel-type-tokens",
+                                   &sync_points_);
   NEOSI_RETURN_IF_ERROR(rel_type_tokens_->Open());
 
   // The WAL is a rotating chain of segment files in the same directory
@@ -163,6 +164,7 @@ Status GraphStore::Open() {
   wal_options.keep_segments = options_.wal_keep_segments;
   wal_options.async_flush = options_.wal_async_flush;
   wal_options.preallocate = options_.wal_preallocate;
+  wal_options.sync_points = &sync_points_;
   wal_ = std::make_unique<Wal>(std::move(wal_dir), wal_options);
   return wal_->Open();
 }
@@ -352,6 +354,7 @@ Status GraphStore::PersistNodeTombstone(NodeId id, Timestamp ts) {
 
 Status GraphStore::LinkIntoChain(RelId id, RelationshipRecord* rec,
                                  NodeId node) {
+  (void)sync_points_.Check("store.chain.pre_drop");
   ChainChanged(node);
   NodeRecord node_rec;
   NEOSI_RETURN_IF_ERROR(ReadNodeRecord(node, &node_rec));
@@ -995,15 +998,7 @@ Status GraphStore::Checkpoint() {
   checkpoint_stores_synced_.fetch_add(synced, std::memory_order_relaxed);
   checkpoint_stores_skipped_.fetch_add(skipped, std::memory_order_relaxed);
 
-  if (checkpoint_hooks.stall_before_marker.load(std::memory_order_acquire)) {
-    checkpoint_hooks.stalls.fetch_add(1, std::memory_order_relaxed);
-    while (
-        checkpoint_hooks.stall_before_marker.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-
-  NEOSI_RETURN_IF_ERROR(fault_hooks.Check("checkpoint.pre_marker"));
+  NEOSI_RETURN_IF_ERROR(sync_points_.Check("checkpoint.pre_marker"));
 
   // 3. Marker record: declares [.., stable) durably applied. Synced so a
   //    post-crash replay can skip the prefix even if the truncation below
@@ -1033,10 +1028,7 @@ Status GraphStore::Checkpoint() {
     if (*marker_lsn == stable) cut = marker_end;
   }
 
-  if (checkpoint_hooks.crash_after_marker.load(std::memory_order_acquire)) {
-    return Status::IOError("simulated crash between marker and truncation");
-  }
-  NEOSI_RETURN_IF_ERROR(fault_hooks.Check("checkpoint.post_marker"));
+  NEOSI_RETURN_IF_ERROR(sync_points_.Check("checkpoint.post_marker"));
 
   // 4. Drop the replayed prefix: segments wholly below the cut are
   //    unlinked. Crash-safe in either direction: a crash

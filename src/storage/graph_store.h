@@ -26,6 +26,7 @@
 #include "common/options.h"
 #include "common/property_value.h"
 #include "common/status.h"
+#include "common/sync_points.h"
 #include "common/types.h"
 #include "storage/dynamic_store.h"
 #include "storage/property_store.h"
@@ -90,20 +91,6 @@ struct GraphStoreStats {
   uint64_t checkpoint_bytes_truncated = 0;  ///< WAL prefix bytes dropped.
   uint64_t checkpoint_stores_synced = 0;    ///< Dirty files fsynced.
   uint64_t checkpoint_stores_skipped = 0;   ///< Clean files skipped.
-};
-
-/// Failure-injection switches for checkpoint crash tests. All off by
-/// default; production paths never set them.
-struct CheckpointTestHooks {
-  /// Checkpoint() parks after syncing the stores, before writing the
-  /// marker, until cleared (commits must keep completing meanwhile).
-  std::atomic<bool> stall_before_marker{false};
-  /// Number of checkpoints that have reached the stall point above.
-  std::atomic<uint64_t> stalls{0};
-  /// Checkpoint() "crashes" (returns IOError) after writing + syncing the
-  /// marker but BEFORE truncating the WAL prefix — the classic torn
-  /// checkpoint window recovery must tolerate.
-  std::atomic<bool> crash_after_marker{false};
 };
 
 /// The persistent half of the engine. Thread-safe.
@@ -250,13 +237,9 @@ class GraphStore {
   /// Commit traffic proceeds concurrently through all four steps.
   Status Checkpoint();
 
-  /// Checkpoint crash/stall injection (tests only).
-  CheckpointTestHooks checkpoint_hooks;
-
-  /// Named crash points on the checkpoint path (tests only):
-  /// "checkpoint.pre_marker", "checkpoint.post_marker". The WAL's own
-  /// points (segment create, truncate, mid-append) live on wal().fault_hooks.
-  FaultHooks fault_hooks;
+  /// This database's sync points, shared with its WAL, token stores and
+  /// lock manager (see common/sync_points.h).
+  SyncPoints& sync_points() { return sync_points_; }
 
   // --- tokens --------------------------------------------------------------
   TokenStore& labels() { return *label_tokens_; }
@@ -341,6 +324,10 @@ class GraphStore {
   /// (-1 when in-memory or not yet opened). Held for the store's lifetime;
   /// the kernel drops the lock when the fd closes — including on crash.
   int lock_fd_ = -1;
+
+  /// Declared before the stores: the WAL's flusher may check a point
+  /// while the WAL shuts down.
+  SyncPoints sync_points_;
 
   std::unique_ptr<RecordStore> nodes_;
   std::unique_ptr<RecordStore> rels_;

@@ -4,9 +4,11 @@
 
 namespace neosi {
 
-TokenStore::TokenStore(std::unique_ptr<PagedFile> file, std::string name)
+TokenStore::TokenStore(std::unique_ptr<PagedFile> file, std::string name,
+                       SyncPoints* sync_points)
     : store_(std::move(file), TokenRecord::kSize, TokenRecord::kMagic,
-             std::move(name)) {}
+             std::move(name)),
+      sync_points_(sync_points) {}
 
 Status TokenStore::Open() {
   NEOSI_RETURN_IF_ERROR(store_.Open());
@@ -49,7 +51,7 @@ Result<uint32_t> TokenStore::GetOrCreate(
   // restore the token from its record, so a retry must find this id rather
   // than log the name again under another.
   WriteGuard guard(latch_);
-  s = fault_hooks.Check("token.page.write");
+  if (sync_points_ != nullptr) s = sync_points_->Check("token.page.write");
   if (s.ok()) s = WriteRecord(id, name, created_ts);
   PublishLocked(id, name, created_ts);
   if (!s.ok()) return s;

@@ -18,9 +18,9 @@
 
 #include "common/latch.h"
 #include "common/status.h"
+#include "common/sync_points.h"
 #include "common/types.h"
 #include "storage/record_store.h"
-#include "storage/wal.h"
 
 namespace neosi {
 
@@ -35,7 +35,9 @@ struct Token {
 /// never reused; tokens are never deleted.
 class TokenStore {
  public:
-  TokenStore(std::unique_ptr<PagedFile> file, std::string name);
+  /// GetOrCreate checks "token.page.write" on `sync_points` (if any).
+  TokenStore(std::unique_ptr<PagedFile> file, std::string name,
+             SyncPoints* sync_points = nullptr);
 
   /// Loads existing tokens into the in-memory maps.
   Status Open();
@@ -81,10 +83,6 @@ class TokenStore {
   Status Sync() { return store_.Sync(); }
   Result<bool> SyncIfDirty() { return store_.SyncIfDirty(); }
 
-  /// Named fault point (tests only): "token.page.write", the page write of
-  /// a token GetOrCreate has just logged.
-  FaultHooks fault_hooks;
-
  private:
   /// Persists token `id`'s record page.
   Status WriteRecord(uint32_t id, const std::string& name,
@@ -94,6 +92,7 @@ class TokenStore {
                      Timestamp created_ts);
 
   RecordStore store_;
+  SyncPoints* const sync_points_;
   std::mutex create_mu_;  // Serialises GetOrCreate's allocate-log-publish.
   mutable SharedLatch latch_;
   std::unordered_map<std::string, uint32_t> by_name_;

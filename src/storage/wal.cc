@@ -176,7 +176,7 @@ Status Wal::AdoptPreparedLocked(Lsn base,
   // otherwise a crash could persist THIS rename but not the previous one
   // and leave an index gap Open() rightly refuses.
   if (dir_sync_pending_.exchange(false, std::memory_order_acq_rel)) {
-    s = fault_hooks.Check("wal.dirsync.rename");
+    s = Point("wal.dirsync.rename");
     if (s.ok()) s = dir_->SyncDir();
     if (!s.ok()) {
       dir_sync_pending_.store(true, std::memory_order_release);
@@ -197,7 +197,7 @@ Status Wal::AdoptPreparedLocked(Lsn base,
   // The segment file sits in the chain position but is not yet active: a
   // crash RIGHT HERE leaves a chain Open() accepts (a newest segment that
   // is empty, or whose torn header gets it discarded).
-  if (s.ok()) s = fault_hooks.Check("wal.segment.post_create");
+  if (s.ok()) s = Point("wal.segment.post_create");
   if (!s.ok()) {
     // A process that keeps running must not leave the file squatting in
     // the chain position ON DISK while it is not adopted in memory: smaller
@@ -234,7 +234,7 @@ Status Wal::AdoptPreparedLocked(Lsn base,
 }
 
 Status Wal::SyncRetiringLocked(Segment* retiring) {
-  Status fault = fault_hooks.Check("wal.sync.retiring");
+  Status fault = Point("wal.sync.retiring");
   if (!fault.ok()) {
     SimulateSyncLoss(retiring->file, retiring->base);
     Poison(fault);
@@ -440,7 +440,7 @@ Status Wal::AppendBatch(const std::vector<const WalRecord*>& records,
   NEOSI_RETURN_IF_ERROR(PoisonedStatus());
   const Lsn first = next_lsn_.load(std::memory_order_relaxed);
   {
-    Status fault = fault_hooks.Check("wal.append.mid_frame");
+    Status fault = Point("wal.append.mid_frame");
     if (!fault.ok()) {
       // Simulated mid-append crash: half the batch's bytes land, the cursor
       // never advances. Recovery must detect and truncate the torn bytes.
@@ -478,7 +478,7 @@ Status Wal::AppendBatch(const std::vector<const WalRecord*>& records,
     }
     if (rolled) {
       // Post-roll write-failure crash point: exercises the un-roll below.
-      write_status = fault_hooks.Check("wal.append.fail_after_roll");
+      write_status = Point("wal.append.fail_after_roll");
       if (!write_status.ok()) break;
     }
     size_t end = idx + 1;
@@ -568,7 +568,7 @@ Status Wal::FlushOnce() {
     file = segments_.back()->file;
     base = segments_.back()->base;
   }
-  Status fault = fault_hooks.Check("wal.sync.fail");
+  Status fault = Point("wal.sync.fail");
   if (!fault.ok()) {
     SimulateSyncLoss(file, base);
     Poison(fault);
@@ -583,7 +583,7 @@ Status Wal::FlushOnce() {
   // segment's header is already durable, so a crash can never leave a
   // durable dir entry pointing at a headerless file that is not the newest.
   if (dir_sync_pending_.exchange(false, std::memory_order_acq_rel)) {
-    Status d = fault_hooks.Check("wal.dirsync.rename");
+    Status d = Point("wal.dirsync.rename");
     if (d.ok()) d = dir_->SyncDir();
     if (!d.ok()) {
       dir_sync_pending_.store(true, std::memory_order_release);
@@ -671,7 +671,7 @@ Status Wal::BuildSegment(bool reserve,
   // The file, then its dir entry: adoption's only directory work is then
   // the rename.
   s = prep->file->Sync();
-  if (s.ok()) s = fault_hooks.Check("wal.dirsync.create");
+  if (s.ok()) s = Point("wal.dirsync.create");
   if (s.ok()) s = dir_->SyncDir();
   if (!s.ok()) {
     // An fsync/dir-sync failure in the WAL directory IS a durability
@@ -789,7 +789,7 @@ Status Wal::TruncatePrefix(Lsn lsn) {
   // is never retired: it anchors lsn monotonicity and keeps appends
   // untouched, making reclamation a pure unlink of cold files —
   // unconditional on every backend, no hole punching, no quiescent rebase.
-  NEOSI_RETURN_IF_ERROR(fault_hooks.Check("wal.truncate.pre_unlink"));
+  NEOSI_RETURN_IF_ERROR(Point("wal.truncate.pre_unlink"));
 
   for (;;) {
     std::unique_ptr<Segment> victim;
@@ -823,7 +823,7 @@ Status Wal::TruncatePrefix(Lsn lsn) {
     // unlink but not the first would leave an index gap Open() rightly
     // refuses to accept. Front-to-back with a sync per step, the survivors
     // are always a contiguous chain suffix.
-    Status d = fault_hooks.Check("wal.dirsync.unlink");
+    Status d = Point("wal.dirsync.unlink");
     if (d.ok()) d = dir_->SyncDir();
     if (!d.ok()) {
       Poison(d);

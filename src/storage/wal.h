@@ -99,6 +99,7 @@
 
 #include "common/latch.h"
 #include "common/status.h"
+#include "common/sync_points.h"
 #include "storage/paged_file.h"
 #include "storage/wal_dir.h"
 #include "storage/wal_ops.h"
@@ -125,32 +126,9 @@ struct WalOptions {
   /// dir-synced) so a roll only adopts it by rename instead of building it
   /// on the append path. Default OFF at this layer, like async_flush.
   bool preallocate = false;
-};
-
-/// Named crash-point hook (tests only; never set on production paths). When
-/// armed, the owner calls Check(point) at each named point and treats a
-/// non-OK status as the process dying right there: the operation fails
-/// without performing any further writes, and the test reopens the store to
-/// exercise recovery from exactly that state.
-/// Thread-safe: tests install hooks right after open, while the WAL's
-/// flusher thread may already be evaluating sync-path fault points.
-struct FaultHooks {
-  using Fn = std::function<Status(const char* point)>;
-  void Set(Fn f) {
-    std::lock_guard<std::mutex> lock(mu_);
-    fn_ = std::move(f);
-  }
-  Status Check(const char* point) const {
-    // The hook runs under the lock: installers replace hooks between runs,
-    // never from inside one, and serializing Check keeps a hook's own
-    // state (hit counters) race-free without burdening every test with it.
-    std::lock_guard<std::mutex> lock(mu_);
-    return fn_ ? fn_(point) : Status::OK();
-  }
-
- private:
-  mutable std::mutex mu_;
-  Fn fn_;
+  /// The owning database's sync points (null: none). A failed "wal.sync.*"
+  /// or "wal.dirsync.*" point is that fsync failing: it POISONS the log.
+  SyncPoints* sync_points = nullptr;
 };
 
 /// Leader/follower commit batcher over a Wal. Thread-safe.
@@ -375,15 +353,6 @@ class Wal {
   /// File name of the segment containing `lsn` (test hook).
   std::string SegmentNameOf(Lsn lsn) const;
 
-  /// Named crash points (tests only): "wal.append.mid_frame",
-  /// "wal.segment.post_create", "wal.truncate.pre_unlink",
-  /// "wal.append.fail_after_roll"; and EIO sync points (a non-OK status
-  /// simulates the fsync/dir-sync itself failing, which POISONS the log):
-  /// "wal.sync.fail" (active-segment fsync — group flush and inline),
-  /// "wal.sync.retiring" (retiring-segment fsync at a roll),
-  /// "wal.dirsync.create" / "wal.dirsync.rename" / "wal.dirsync.unlink"
-  /// (segment build / rename-adoption / retirement directory syncs).
-  FaultHooks fault_hooks;
 
  private:
   friend class GroupCommitter;
@@ -406,6 +375,12 @@ class Wal {
   };
 
   static Status WriteSegmentHeader(PagedFile* file, Lsn base, uint64_t epoch);
+
+  /// Checks sync point `name` (see WalOptions::sync_points).
+  Status Point(const char* name) const {
+    return options_.sync_points ? options_.sync_points->Check(name)
+                                : Status::OK();
+  }
 
   /// Appends a segment anchored at `base` to the chain: adopts the
   /// flusher's prepared segment when one is ready, else builds one inline

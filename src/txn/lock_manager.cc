@@ -5,8 +5,10 @@
 
 namespace neosi {
 
-LockManager::LockManager(uint64_t timeout_ms)
-    : shards_(kShardCount), timeout_ms_(timeout_ms) {}
+LockManager::LockManager(SyncPoints* sync_points, uint64_t timeout_ms)
+    : shards_(kShardCount),
+      timeout_ms_(timeout_ms),
+      sync_points_(sync_points) {}
 
 bool LockManager::MustDie(TxnId txn, const LockState& state) {
   // Wait-die: a requester may only wait for YOUNGER holders (larger ids).
@@ -41,20 +43,12 @@ Status LockManager::AcquireShared(TxnId txn, const EntityKey& key,
                               std::to_string(state.exclusive));
     }
     waited = true;
-    if (Wait(shard, lock, deadline) == std::cv_status::timeout) {
+    if (sync_points_ != nullptr) (void)sync_points_->Check("lock.wait");
+    if (shard.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
       shard.timeouts.fetch_add(1, std::memory_order_relaxed);
       return Status::Deadlock("lock timeout (shared) on " + key.ToString());
     }
   }
-}
-
-std::cv_status LockManager::Wait(
-    Shard& shard, std::unique_lock<std::mutex>& lock,
-    std::chrono::steady_clock::time_point deadline) {
-  shard.waiting.fetch_add(1, std::memory_order_relaxed);
-  const std::cv_status woke = shard.cv.wait_until(lock, deadline);
-  shard.waiting.fetch_sub(1, std::memory_order_relaxed);
-  return woke;
 }
 
 Status LockManager::AcquireExclusive(TxnId txn, const EntityKey& key,
@@ -93,7 +87,8 @@ Status LockManager::AcquireExclusive(TxnId txn, const EntityKey& key,
                               key.ToString() + " held by older txn");
     }
     waited = true;
-    if (Wait(shard, lock, deadline) == std::cv_status::timeout) {
+    if (sync_points_ != nullptr) (void)sync_points_->Check("lock.wait");
+    if (shard.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
       shard.timeouts.fetch_add(1, std::memory_order_relaxed);
       return Status::Deadlock("lock timeout (exclusive) on " +
                               key.ToString());
@@ -172,7 +167,6 @@ LockManagerStats LockManager::Stats() const {
     out.wait_die_aborts +=
         shard.wait_die_aborts.load(std::memory_order_relaxed);
     out.timeouts += shard.timeouts.load(std::memory_order_relaxed);
-    out.waiting += shard.waiting.load(std::memory_order_relaxed);
   }
   return out;
 }

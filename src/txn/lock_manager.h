@@ -23,7 +23,6 @@
 #define NEOSI_TXN_LOCK_MANAGER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/sync_points.h"
 #include "common/types.h"
 
 namespace neosi {
@@ -44,15 +44,14 @@ struct LockManagerStats {
   uint64_t nowait_conflicts = 0; ///< Immediate aborts (first-updater no-wait).
   uint64_t wait_die_aborts = 0;  ///< Younger waiter killed by wait-die.
   uint64_t timeouts = 0;         ///< Timeout backstop fired.
-  /// LIVE gauge: acquisitions blocked right now (tests synchronize on it to
-  /// act while a transaction provably waits for a lock).
-  uint64_t waiting = 0;
 };
 
 /// Sharded table of per-entity reader/writer locks.
 class LockManager {
  public:
-  explicit LockManager(uint64_t timeout_ms = 10000);
+  /// Every blocking wait checks "lock.wait" on `sync_points` (if any).
+  explicit LockManager(SyncPoints* sync_points = nullptr,
+                       uint64_t timeout_ms = 10000);
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -109,12 +108,7 @@ class LockManager {
     std::atomic<uint64_t> nowait_conflicts{0};
     std::atomic<uint64_t> wait_die_aborts{0};
     std::atomic<uint64_t> timeouts{0};
-    std::atomic<uint64_t> waiting{0};
   };
-
-  /// Blocks on the shard's condition variable, counted in `waiting`.
-  static std::cv_status Wait(Shard& shard, std::unique_lock<std::mutex>& lock,
-                             std::chrono::steady_clock::time_point deadline);
 
   static constexpr size_t kShardCount = 64;
   static_assert(kShardCount == 64, "one shard per bit of a uint64_t mask");
@@ -138,6 +132,7 @@ class LockManager {
 
   mutable std::vector<Shard> shards_;
   const uint64_t timeout_ms_;
+  SyncPoints* const sync_points_;
 };
 
 }  // namespace neosi

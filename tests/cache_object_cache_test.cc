@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "graph/graph_database.h"
 #include "mvcc/epoch.h"
+#include "sync_points.h"
 
 namespace neosi {
 namespace {
@@ -261,18 +262,15 @@ TEST(ObjectCacheEviction, WriteAfterLockWaitLandsInThePublishedEntry) {
   // counter stays a one-version (evictable) chain while its lock is held.
   ASSERT_TRUE(holder->CreateRelationship(counter, other, "R").ok());
 
+  ArmedPoints points(db.get());
+  points.Count("lock.wait");
   Status written;
   std::thread blocked([&] {
     written =
         writer->SetNodeProperty(counter, "count", PropertyValue(int64_t{1}));
   });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (engine.lock_manager.Stats().waiting == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  ASSERT_EQ(engine.lock_manager.Stats().waiting, 1u);
+  points.WaitFor("lock.wait");
+  ASSERT_EQ(points.Arrivals("lock.wait"), 1u);
 
   ASSERT_GT(engine.cache->EvictIfNeeded(), 0u);
   EXPECT_EQ(engine.cache->PeekNode(counter), nullptr);

@@ -4,10 +4,9 @@
 // The model (in the black-box spirit of Huang et al., "Efficient Black-box
 // Checking of Snapshot Isolation in Databases"): a SHADOW MODEL tracks, for
 // every key, the last value whose commit was ACKED to the client. A crash
-// point is armed at one of the named sites in the WAL or checkpoint path
-// ("wal.append.mid_frame", "wal.segment.post_create",
-// "wal.truncate.pre_unlink", "checkpoint.pre_marker",
-// "checkpoint.post_marker"); the workload runs until the injection fires
+// point is armed at one of the named sync points of the WAL or checkpoint
+// path (AllCrashPoints; ARCHITECTURE.md, "Sync points", has the whole
+// catalogue); the workload runs until the injection fires
 // (the in-flight operation fails exactly as if the process died there — no
 // further writes happen on that path), the database object is destroyed
 // WITHOUT any clean-shutdown work, and a fresh open recovers from the files
@@ -29,31 +28,32 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/graph_database.h"
+#include "sync_points.h"
 
 namespace neosi {
 namespace fault {
 
+/// The catalogued sync points of one kind, in catalogue order.
+inline std::vector<std::string> PointsOfKind(SyncPointKind kind) {
+  std::vector<std::string> out;
+  for (const SyncPointInfo& info : kSyncPoints) {
+    if (info.kind == kind) out.emplace_back(info.name);
+  }
+  return out;
+}
+
 /// Every named crash point the WAL / checkpoint path exposes.
 inline const std::vector<std::string>& AllCrashPoints() {
-  static const std::vector<std::string> points = {
-      "wal.append.mid_frame",       // Torn frame: half the record's bytes.
-      "wal.segment.post_create",    // New segment renamed in, not active.
-      "wal.append.fail_after_roll", // Rolled, then the frame write died.
-      "wal.truncate.pre_unlink",    // Head advanced, dead segments remain.
-      "checkpoint.pre_marker",      // Stores synced, marker never written.
-      "checkpoint.post_marker",     // Marker durable, truncation never ran.
-  };
+  static const std::vector<std::string> points =
+      PointsOfKind(SyncPointKind::kCrash);
   return points;
 }
 
@@ -64,13 +64,8 @@ inline const std::vector<std::string>& AllCrashPoints() {
 /// dirty pages (the harness's Wal simulates exactly that), so every later
 /// commit must fail until a reopen re-reads what is really on disk.
 inline const std::vector<std::string>& AllEioPoints() {
-  static const std::vector<std::string> points = {
-      "wal.sync.fail",        // fsync of the active segment.
-      "wal.sync.retiring",    // fsync of a full segment at roll.
-      "wal.dirsync.create",   // Directory sync publishing a built segment.
-      "wal.dirsync.rename",   // Directory sync publishing an adoption.
-      "wal.dirsync.unlink",   // Directory sync retiring dead segments.
-  };
+  static const std::vector<std::string> points =
+      PointsOfKind(SyncPointKind::kEio);
   return points;
 }
 
@@ -78,43 +73,18 @@ inline const std::vector<std::string>& AllEioPoints() {
 /// it, the operation fails with IOError as if the process died there.
 /// Install immediately after open; the database must be discarded after the
 /// injection fires.
-class CrashPoint {
+class CrashPoint : public ArmedPoints {
  public:
   CrashPoint(GraphDatabase* db, std::string point, uint64_t fire_on_hit = 1)
-      : state_(std::make_shared<State>(std::move(point), fire_on_hit)) {
-    // The hook owns the state via shared_ptr: the WAL flusher thread may
-    // still be evaluating it after this CrashPoint object goes out of
-    // scope (the database outlives the arming object in every harness).
-    auto state = state_;
-    auto fn = [state](const char* at) -> Status {
-      if (state->point != at) return Status::OK();
-      if (state->hits.fetch_add(1, std::memory_order_acq_rel) + 1 !=
-          state->fire_on_hit) {
-        return Status::OK();
-      }
-      state->fired.store(true, std::memory_order_release);
-      return Status::IOError("injected crash at " + state->point);
-    };
-    GraphStore& store = db->engine().store;
-    store.fault_hooks.Set(fn);
-    store.wal().fault_hooks.Set(fn);
-    store.labels().fault_hooks.Set(fn);
-    store.prop_keys().fault_hooks.Set(fn);
-    store.rel_types().fault_hooks.Set(fn);
+      : ArmedPoints(db), point_(std::move(point)) {
+    Fail(point_, fire_on_hit);
   }
 
-  bool fired() const { return state_->fired.load(std::memory_order_acquire); }
-  uint64_t hits() const { return state_->hits.load(std::memory_order_acquire); }
+  bool fired() const { return Fired(point_); }
+  uint64_t hits() const { return Arrivals(point_); }
 
  private:
-  struct State {
-    State(std::string p, uint64_t n) : point(std::move(p)), fire_on_hit(n) {}
-    const std::string point;
-    const uint64_t fire_on_hit;
-    std::atomic<uint64_t> hits{0};
-    std::atomic<bool> fired{false};
-  };
-  const std::shared_ptr<State> state_;
+  const std::string point_;
 };
 
 /// Kill-and-recover loop over an on-disk database with a shadow model.
@@ -205,6 +175,9 @@ class CrashLoopHarness {
           if (!db->Checkpoint().ok()) break;
         }
       }
+      EXPECT_TRUE(crash.fired()) << "round " << round << ": " << point
+                                 << " reached only " << crash.hits()
+                                 << " times, never the armed hit";
       // Kill: destroy the database with no clean-shutdown work (the
       // destructor only joins daemons, which are disabled here).
     }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "graph/graph_database.h"
+#include "sync_points.h"
 
 namespace neosi {
 namespace {
@@ -96,7 +97,8 @@ TEST_F(RecoveryTest, CrashBeforeStoreApplyIsRepairedFromWal) {
       id = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{1})}});
       ASSERT_TRUE(txn->Commit().ok());
     }
-    db->engine().test_hooks.crash_before_store_apply.store(true);
+    ArmedPoints points(db.get());
+    points.Fail("commit.pre_apply");
     auto txn = db->Begin();
     ASSERT_TRUE(txn->SetNodeProperty(id, "v", PropertyValue(int64_t{2})).ok());
     Status s = txn->Commit();
@@ -119,7 +121,8 @@ TEST_F(RecoveryTest, CrashMidStoreApplyIsRepairedFromWal) {
       ASSERT_TRUE(txn->Commit().ok());
     }
     // Crash after exactly one of the two store writes.
-    db->engine().test_hooks.crash_after_n_store_ops.store(1);
+    ArmedPoints points(db.get());
+    points.Fail("commit.apply.op", /*nth=*/2);
     auto txn = db->Begin();
     ASSERT_TRUE(txn->SetNodeProperty(a, "v", PropertyValue(int64_t{2})).ok());
     ASSERT_TRUE(txn->SetNodeProperty(b, "v", PropertyValue(int64_t{2})).ok());
@@ -143,7 +146,8 @@ TEST_F(RecoveryTest, CrashDuringRelCreationRepairsChains) {
       b = *txn->CreateNode({});
       ASSERT_TRUE(txn->Commit().ok());
     }
-    db->engine().test_hooks.crash_before_store_apply.store(true);
+    ArmedPoints points(db.get());
+    points.Fail("commit.pre_apply");
     auto txn = db->Begin();
     ASSERT_TRUE(txn->CreateRelationship(a, b, "KNOWS").ok());
     EXPECT_TRUE(txn->Commit().IsIOError());
@@ -286,7 +290,8 @@ TEST_F(RecoveryTest, CheckpointDoesNotBlockOnInFlightCommit) {
     }
 
     // Park the next commit between its WAL append and its store apply.
-    db->engine().test_hooks.stall_before_store_apply.store(true);
+    ArmedPoints points(db.get());
+    points.Park("commit.pre_apply");
     std::atomic<bool> commit_acked{false};
     std::thread committer([&] {
       auto txn = db->Begin();
@@ -295,13 +300,8 @@ TEST_F(RecoveryTest, CheckpointDoesNotBlockOnInFlightCommit) {
       ASSERT_TRUE(txn->Commit().ok());
       commit_acked.store(true);
     });
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (db->engine().test_hooks.stalled_commits.load() == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_GE(db->engine().test_hooks.stalled_commits.load(), 1u);
+    points.WaitFor("commit.pre_apply");
+    ASSERT_GE(points.Arrivals("commit.pre_apply"), 1u);
 
     // The checkpoint completes while the commit is still parked — no
     // drain, no stall — and must leave the unapplied record in the log.
@@ -315,7 +315,7 @@ TEST_F(RecoveryTest, CheckpointDoesNotBlockOnInFlightCommit) {
 
     // Release: the commit applies and acks; a later checkpoint may then
     // truncate past it.
-    db->engine().test_hooks.stall_before_store_apply.store(false);
+    points.Release("commit.pre_apply");
     committer.join();
     EXPECT_TRUE(commit_acked.load());
     ASSERT_TRUE(db->Checkpoint().ok());
@@ -342,19 +342,15 @@ TEST_F(RecoveryTest, CommitsCompleteDuringInProgressCheckpoint) {
   }
 
   // Park the checkpoint after its store sync, before its marker write.
-  db->engine().store.checkpoint_hooks.stall_before_marker.store(true);
+  ArmedPoints points(db.get());
+  points.Park("checkpoint.pre_marker");
   std::atomic<bool> checkpoint_done{false};
   std::thread checkpointer([&] {
     ASSERT_TRUE(db->Checkpoint().ok());
     checkpoint_done.store(true);
   });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (db->engine().store.checkpoint_hooks.stalls.load() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(db->engine().store.checkpoint_hooks.stalls.load(), 1u);
+  points.WaitFor("checkpoint.pre_marker");
+  ASSERT_GE(points.Arrivals("checkpoint.pre_marker"), 1u);
 
   // Full durable commits complete while the checkpoint is mid-flight.
   for (int i = 1; i <= 5; ++i) {
@@ -366,7 +362,7 @@ TEST_F(RecoveryTest, CommitsCompleteDuringInProgressCheckpoint) {
   }
   EXPECT_FALSE(checkpoint_done.load());
 
-  db->engine().store.checkpoint_hooks.stall_before_marker.store(false);
+  points.Release("checkpoint.pre_marker");
   checkpointer.join();
   EXPECT_TRUE(checkpoint_done.load());
   auto reader = db->Begin();
@@ -389,7 +385,8 @@ TEST_F(RecoveryTest, CrashBetweenMarkerAndTruncationRecovers) {
     }
     // This commit reaches the WAL but "crashes" before the store apply; its
     // lsn stays pinned, so the checkpoint's stable LSN stops below it.
-    db->engine().test_hooks.crash_before_store_apply.store(true);
+    ArmedPoints points(db.get());
+    points.Fail("commit.pre_apply", /*nth=*/1);
     {
       auto txn = db->Begin();
       ASSERT_TRUE(
@@ -397,11 +394,10 @@ TEST_F(RecoveryTest, CrashBetweenMarkerAndTruncationRecovers) {
               .ok());
       EXPECT_TRUE(txn->Commit().IsIOError());
     }
-    db->engine().test_hooks.crash_before_store_apply.store(false);
 
     // Checkpoint crashes after writing + syncing the marker, before
     // truncating the prefix.
-    db->engine().store.checkpoint_hooks.crash_after_marker.store(true);
+    points.Fail("checkpoint.post_marker");
     EXPECT_TRUE(db->Checkpoint().IsIOError());
     const auto stats = db->engine().store.Stats();
     EXPECT_GE(stats.checkpoint_markers, 1u);

@@ -23,10 +23,10 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <thread>
 
 #include "graph/graph_database.h"
+#include "sync_points.h"
 
 namespace neosi {
 namespace {
@@ -448,18 +448,15 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SsiSemantics, ReadOnlyBeginningBeforeCommitPublicationIsNotSafe) {
   auto db = OpenDb();
   const Accounts acc = SetupBank(*db);
-  auto& hooks = db->engine().test_hooks;
-
-  hooks.stall_before_publication.store(true);
+  ArmedPoints points(db.get());
+  points.Park("commit.pre_publish");
   std::thread committer([&] {
     auto w = db->Begin(IsolationLevel::kSerializable);
     EXPECT_TRUE(
         w->SetNodeProperty(acc.x, "balance", PropertyValue(int64_t{10})).ok());
     EXPECT_TRUE(w->Commit().ok());  // Parks after tracker-finish,
   });                               // before publication.
-  while (hooks.stalled_publications.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(points.WaitFor("commit.pre_publish"));
 
   const uint64_t safe_before = db->Stats().ssi_safe_snapshots;
   TransactionOptions ro;
@@ -471,7 +468,7 @@ TEST(SsiSemantics, ReadOnlyBeginningBeforeCommitPublicationIsNotSafe) {
   // tracked and can still be the s3 of a read-only anomaly.
   EXPECT_EQ(db->Stats().ssi_safe_snapshots, safe_before);
 
-  hooks.stall_before_publication.store(false);
+  points.Release("commit.pre_publish");
   committer.join();
   ASSERT_TRUE(reader->Commit().ok());
 
@@ -519,10 +516,10 @@ TEST(SsiSemantics, DurableCommitWithFailedStoreApplyStillGatesPeers) {
 
   // p's commit record reaches the WAL, then store-apply "crashes". The
   // commit is durable; Commit reports IOError but p is committed.
-  db->engine().test_hooks.crash_before_store_apply.store(true);
+  ArmedPoints points(db.get());
+  points.Fail("commit.pre_apply", /*nth=*/1);
   Status ps = p->Commit();
   EXPECT_TRUE(ps.IsIOError()) << ps;
-  db->engine().test_hooks.crash_before_store_apply.store(false);
   // Destroying p must not flip its SSI record to aborted.
   p.reset();
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "fault_injection.h"
 #include "graph/graph_database.h"
 #include "workload/driver.h"
 
@@ -287,9 +288,8 @@ TEST_P(RecoverySweep, CommittedSurvivesCrashedIsAtomic) {
       ASSERT_TRUE(txn->Commit().ok());
       committed_model[*id] = round;
     }
-    // The crashing transaction writes several nodes; the store apply is cut
-    // short after `crash_after_ops` record writes.
-    db->engine().test_hooks.crash_after_n_store_ops.store(crash_after_ops);
+    // The next commit's store apply dies after `crash_after_ops` writes.
+    fault::CrashPoint crash(db.get(), "commit.apply.op", crash_after_ops + 1);
     auto txn = db->Begin();
     for (int i = 0; i < 5; ++i) {
       auto id = txn->CreateNode(

@@ -14,12 +14,12 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <thread>
 
 #include "graph/graph_database.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "sync_points.h"
 
 namespace neosi {
 namespace {
@@ -121,12 +121,12 @@ TEST(ServerAdmission, BeginDelayedThroughDrainIsAdmittedNotShed) {
 
   ChurnPastThreshold(*db, SeedChurnNode(*db));
 
-  // Drain the backlog once the Begin is PROVABLY parked in the admission
-  // window (the live waiting gauge makes this race-free).
-  std::thread drainer([&db] {
-    while (db->engine().admission.waiting.load() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+  // Drain the backlog once the Begin is PROVABLY in the admission window
+  // (its arrival at the delay point makes this race-free).
+  ArmedPoints points(db.get());
+  points.Count("admission.delay");
+  std::thread drainer([&db, &points] {
+    EXPECT_TRUE(points.WaitFor("admission.delay"));
     db->RunGc();
   });
 

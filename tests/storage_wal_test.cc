@@ -11,6 +11,7 @@
 
 #include "common/coding.h"
 #include "storage/wal.h"
+#include "sync_points.h"
 
 namespace neosi {
 namespace {
@@ -320,19 +321,18 @@ TEST(WalSegments, OversizedRecordGetsItsOwnSegment) {
 
 TEST(WalSegments, FailedWriteAfterMidBatchRollIsRolledBack) {
   auto dir = std::make_shared<InMemoryWalDir>();
-  auto wal = OpenWal(dir, TinySegments());
+  SyncPoints registry;
+  WalOptions options = TinySegments();
+  options.sync_points = &registry;
+  auto wal = OpenWal(dir, options);
   ASSERT_TRUE(wal->Append(SmallRecord(1, 10)).ok());
 
   // A batch big enough to roll mid-way, armed to fail right after the
   // roll: the fresh (empty) segment must be un-rolled, or the cursor would
   // sit BELOW the active base and every later append would underflow its
   // physical offset.
-  wal->fault_hooks.Set([calls = 0](const char* point) mutable -> Status {
-    if (std::string(point) == "wal.append.fail_after_roll" && ++calls == 1) {
-      return Status::IOError("injected write failure after roll");
-    }
-    return Status::OK();
-  });
+  ArmedPoints points(&registry);
+  points.Fail("wal.append.fail_after_roll", /*nth=*/1);
   std::vector<WalRecord> records;
   std::vector<const WalRecord*> ptrs;
   for (int i = 2; i <= 17; ++i) records.push_back(SmallRecord(i, i * 10));
@@ -340,7 +340,6 @@ TEST(WalSegments, FailedWriteAfterMidBatchRollIsRolledBack) {
   std::vector<Lsn> lsns;
   EXPECT_TRUE(wal->AppendBatch(ptrs, &lsns, nullptr).IsIOError());
   EXPECT_EQ(wal->SegmentCount(), 1u);  // The fresh segment was un-rolled.
-  wal->fault_hooks.Set(nullptr);
 
   // The log is fully usable: appends land at the cursor (overwriting the
   // partial batch) and everything replays.
@@ -945,20 +944,20 @@ TEST(GroupCommitter, ConcurrentSyncCommitsAllDurableAndDecodable) {
 
 TEST(WalPoison, SyncEioPoisonsUntilReopen) {
   auto dir = std::make_shared<InMemoryWalDir>();
-  auto wal = OpenWal(dir);  // Inline flush: the caller's thread fsyncs.
+  SyncPoints registry;
+  WalOptions options;
+  options.sync_points = &registry;
+  auto wal = OpenWal(dir, options);  // Inline flush: the caller fsyncs.
   ASSERT_TRUE(wal->Append(SmallRecord(1, 10)).ok());
   ASSERT_TRUE(wal->Sync().ok());
   ASSERT_TRUE(wal->Append(SmallRecord(2, 20)).ok());
 
-  wal->fault_hooks.Set([](const char* point) -> Status {
-    if (std::string(point) == "wal.sync.fail") {
-      return Status::IOError("injected EIO");
-    }
-    return Status::OK();
-  });
-  EXPECT_TRUE(wal->Sync().IsIOError());
-  EXPECT_TRUE(wal->poisoned());
-  wal->fault_hooks.Set(nullptr);
+  {
+    ArmedPoints points(&registry);
+    points.Fail("wal.sync.fail");
+    EXPECT_TRUE(wal->Sync().IsIOError());
+    EXPECT_TRUE(wal->poisoned());
+  }
 
   // Sticky: the fault is gone, but the log stays wedged — after a failed
   // fsync the kernel may have dropped the dirty pages, so a later clean
@@ -985,17 +984,16 @@ TEST(WalPoison, SyncEioPoisonsUntilReopen) {
 
 TEST(WalPoison, ConcurrentSyncersSeeStickyFailure) {
   auto dir = std::make_shared<InMemoryWalDir>();
-  auto wal = OpenWal(dir);
+  SyncPoints registry;
+  WalOptions options;
+  options.sync_points = &registry;
+  auto wal = OpenWal(dir, options);
   // Fire on the 5th sync pass so several threads are mid-flight when the
   // EIO lands. The poisoned-flag check-then-publish is what TSan is
   // pointed at: a peer's fsync+watermark-advance must never interleave
   // with the poisoning pass in a way that acks lost bytes.
-  wal->fault_hooks.Set([hits = 0](const char* point) mutable -> Status {
-    if (std::string(point) == "wal.sync.fail" && ++hits == 5) {
-      return Status::IOError("injected EIO");
-    }
-    return Status::OK();
-  });
+  ArmedPoints points(&registry);
+  points.Fail("wal.sync.fail", /*nth=*/5);
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 40;
@@ -1052,24 +1050,23 @@ TEST(WalAsyncFlush, WatermarkAcksExactlyTheSyncedPrefix) {
 
 TEST(WalAsyncFlush, PoisonFailsWaitersAndLaterCommits) {
   auto dir = std::make_shared<InMemoryWalDir>();
+  SyncPoints registry;
   WalOptions options;
   options.async_flush = true;
+  options.sync_points = &registry;
   auto wal = OpenWal(dir, options);
   ASSERT_TRUE(wal->Append(SmallRecord(1, 10)).ok());
   ASSERT_TRUE(wal->Sync().ok());
 
-  wal->fault_hooks.Set([](const char* point) -> Status {
-    if (std::string(point) == "wal.sync.fail") {
-      return Status::IOError("injected EIO");
-    }
-    return Status::OK();
-  });
-  ASSERT_TRUE(wal->Append(SmallRecord(2, 20)).ok());
-  // The flusher hits the EIO; the blocked waiter must be failed, not left
-  // hanging, and the already-durable watermark must not retreat.
-  EXPECT_TRUE(wal->Sync().IsIOError());
-  EXPECT_TRUE(wal->poisoned());
-  wal->fault_hooks.Set(nullptr);
+  {
+    ArmedPoints points(&registry);
+    points.Fail("wal.sync.fail");
+    ASSERT_TRUE(wal->Append(SmallRecord(2, 20)).ok());
+    // The flusher hits the EIO; the blocked waiter must be failed, not left
+    // hanging, and the already-durable watermark must not retreat.
+    EXPECT_TRUE(wal->Sync().IsIOError());
+    EXPECT_TRUE(wal->poisoned());
+  }
   EXPECT_TRUE(wal->group().Commit(SmallRecord(3, 30), true).status().IsIOError());
 
   wal.reset();

@@ -21,7 +21,7 @@ const EntityKey kB = EntityKey::Node(2);
 /// (a mask is touched only by its own transaction's thread). ReleaseAll
 /// hands the mask over and clears it, as a transaction's commit does.
 struct Locks {
-  explicit Locks(uint64_t timeout_ms = 10000) : lm(timeout_ms) {}
+  explicit Locks(uint64_t timeout_ms = 10000) : lm(nullptr, timeout_ms) {}
 
   Status AcquireShared(TxnId txn, const EntityKey& key) {
     return lm.AcquireShared(txn, key, &masks.at(txn));
