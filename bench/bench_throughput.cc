@@ -891,8 +891,8 @@ int main() {
          "latency & throughput",
          "the same read-modify-write transaction driven through the "
          "embedded API and through the wire protocol (one socket session "
-         "per client thread, multiplexed over the server's epoll loop + "
-         "2-worker pool): the column gap is the full cost of framing, "
+         "per client thread, multiplexed over the server's 2 threads on "
+         "one epoll set): the column gap is the full cost of framing, "
          "CRCs, loopback TCP, and session scheduling — 4 round trips per "
          "transaction (begin/read/write/commit)");
 

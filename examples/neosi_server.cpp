@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   }
   auto db = std::move(*db_or);
 
-  // 2. Start the front-end: one epoll thread multiplexing sessions over a
-  //    fixed worker pool — no thread-per-connection.
+  // 2. Start the front-end: two threads share one epoll set, each running
+  //    a request to completion — no thread-per-connection.
   ServerOptions server_options;
   server_options.port = port;
   server_options.workers = 2;

@@ -57,44 +57,51 @@ Status Client::SendAll(const char* data, size_t n) {
   return Status::OK();
 }
 
-Status Client::RecvAll(char* data, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t r = ::recv(fd_, data + off, n - off, 0);
-    if (r > 0) {
-      off += static_cast<size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    Close();
-    return Status::IOError(
-        r == 0 ? "connection closed by server (session dropped)"
-               : "recv failed");
-  }
-  return Status::OK();
-}
-
 Status Client::RoundTrip(const std::string& payload, Slice* body) {
   if (fd_ < 0) return Status::IOError("client is not connected");
   const std::string frame = EncodeFrame(payload);
   NEOSI_RETURN_IF_ERROR(SendAll(frame.data(), frame.size()));
 
-  char header[kFrameHeaderBytes];
-  NEOSI_RETURN_IF_ERROR(RecvAll(header, sizeof(header)));
-  const uint32_t len = DecodeFixed32(header);
-  const uint32_t crc = DecodeFixed32(header + 4);
-  if (len > (64u << 20)) {
-    Close();
-    return Status::Corruption("oversized reply frame");
+  // One recv usually brings the whole reply frame; loop only on a short
+  // read. The server sends nothing unasked, so nothing follows the frame.
+  if (reply_storage_.size() < kReplyBufferBytes) {
+    reply_storage_.resize(kReplyBufferBytes);
   }
-  reply_storage_.resize(len);
-  NEOSI_RETURN_IF_ERROR(RecvAll(reply_storage_.data(), len));
-  if (Crc32c(reply_storage_.data(), len) != crc) {
+  size_t have = 0;
+  size_t want = kFrameHeaderBytes;
+  while (have < want) {
+    const ssize_t r = ::recv(fd_, reply_storage_.data() + have,
+                             reply_storage_.size() - have, 0);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) {
+      Close();
+      return Status::IOError(
+          r == 0 ? "connection closed by server (session dropped)"
+                 : "recv failed");
+    }
+    have += static_cast<size_t>(r);
+    if (want == kFrameHeaderBytes && have >= kFrameHeaderBytes) {
+      const uint32_t len = DecodeFixed32(reply_storage_.data());
+      if (len > (64u << 20)) {
+        Close();
+        return Status::Corruption("oversized reply frame");
+      }
+      want = kFrameHeaderBytes + len;
+      if (reply_storage_.size() < want) reply_storage_.resize(want);
+    }
+  }
+  if (have != want) {
+    Close();
+    return Status::Corruption("bytes after reply frame");
+  }
+  const Slice reply(reply_storage_.data() + kFrameHeaderBytes,
+                    want - kFrameHeaderBytes);
+  if (Crc32c(reply) != DecodeFixed32(reply_storage_.data() + 4)) {
     Close();
     return Status::Corruption("reply CRC mismatch");
   }
   Status wire_status;
-  NEOSI_RETURN_IF_ERROR(DecodeReply(reply_storage_, &wire_status, body));
+  NEOSI_RETURN_IF_ERROR(DecodeReply(reply, &wire_status, body));
   return wire_status;
 }
 

@@ -2,7 +2,7 @@
 //
 // One Client == one session == at most one open transaction. Not
 // thread-safe: a session is a serial command stream, so give each thread
-// its own Client (the server multiplexes them over its worker pool).
+// its own Client (the server multiplexes them over its worker threads).
 //
 // Every call returns the server-side Status verbatim, so the embedded
 // retry contract carries over the wire: Status::IsRetryable() covers
@@ -72,10 +72,12 @@ class Client {
   /// reply body is left in `*body` (backed by reply_storage_).
   Status RoundTrip(const std::string& payload, Slice* body);
   Status SendAll(const char* data, size_t n);
-  Status RecvAll(char* data, size_t n);
+
+  /// Receive buffer floor: most replies fit, so one recv reads them whole.
+  static constexpr size_t kReplyBufferBytes = 4096;
 
   int fd_ = -1;
-  std::string reply_storage_;
+  std::string reply_storage_;  ///< Whole reply frame, header included.
 };
 
 }  // namespace neosi

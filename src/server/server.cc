@@ -19,7 +19,18 @@ namespace {
 
 /// epoll_data.ptr sentinels for the two non-session fds.
 void* const kListenTag = nullptr;
-void* const kEventTag = reinterpret_cast<void*>(1);
+void* const kStopTag = reinterpret_cast<void*>(1);
+
+/// Session::idle_since_ns values that are not a timestamp.
+constexpr int64_t kOwned = 0;        ///< A thread is serving the session.
+constexpr int64_t kBacklogged = -1;  ///< Armed for write: never idle.
+constexpr int64_t kReaped = -2;      ///< The idle sweep shut it down.
+
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 bool GetProps(Slice* in, NamedProperties* props) {
   uint32_t n = 0;
@@ -69,7 +80,6 @@ Result<std::unique_ptr<Server>> Server::Start(GraphDatabase* db,
     const unsigned hw = std::thread::hardware_concurrency();
     workers = static_cast<int>(hw == 0 ? 2 : (hw < 4 ? hw : 4));
   }
-  server->epoll_thread_ = std::thread(&Server::EpollLoop, server.get());
   server->workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     server->workers_.emplace_back(&Server::WorkerLoop, server.get());
@@ -107,16 +117,17 @@ Status Server::Listen() {
   port_ = ntohs(bound.sin_port);
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || event_fd_ < 0) {
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epoll_fd_ < 0 || stop_fd_ < 0) {
     return Status::IOError("epoll/eventfd setup failed");
   }
   epoll_event ev{};
-  ev.events = EPOLLIN;
+  ev.events = EPOLLIN | EPOLLEXCLUSIVE;  // A connection wakes one thread.
   ev.data.ptr = kListenTag;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.ptr = kEventTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
+  ev.events = EPOLLIN;
+  ev.data.ptr = kStopTag;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &ev);
   return Status::OK();
 }
 
@@ -124,27 +135,19 @@ void Server::Stop() {
   if (stopped_.exchange(true)) return;
   stop_.store(true, std::memory_order_release);
   uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof(one));
-  if (epoll_thread_.joinable()) epoll_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      work_queue_.push_back(nullptr);
-    }
-  }
-  work_cv_.notify_all();
+  [[maybe_unused]] ssize_t n = ::write(stop_fd_, &one, sizeof(one));
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
-  // All threads are gone; sessions are exclusively ours now. Every request
-  // that was ever queued has been executed (sentinels sit BEHIND real work
-  // in the FIFO), so first deliver the replies those executions produced:
-  // a Commit the engine applied whose reply evaporated here would leave
-  // the client believing in an abort while the write is durable.
+  // All threads are gone; sessions are exclusively ours now. A thread
+  // finishes the request it took before it looks at stop_, so first
+  // deliver the replies those executions could not send: a Commit the
+  // engine applied whose reply evaporated here would leave the client
+  // believing in an abort while the write is durable.
   FlushPendingRepliesOnStop();
   // Then abort every still-open transaction so locks release and
   // snapshots unregister.
-  for (auto& [fd, session] : sessions_) {
+  for (auto& [key, session] : sessions_) {
     if (session->txn) {
       if (session->txn->IsActive()) session->txn->Abort();
       session->txn.reset();
@@ -156,19 +159,12 @@ void Server::Stop() {
   session_gauge_.store(0, std::memory_order_relaxed);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (event_fd_ >= 0) ::close(event_fd_);
-  listen_fd_ = epoll_fd_ = event_fd_ = -1;
+  if (stop_fd_ >= 0) ::close(stop_fd_);
+  listen_fd_ = epoll_fd_ = stop_fd_ = -1;
 }
 
 void Server::FlushPendingRepliesOnStop() {
-  // Collect the sessions workers finished with after the epoll thread
-  // left; their framed replies are sitting in outbuf like any kWriting
-  // session's.
-  {
-    std::lock_guard<std::mutex> lock(rearm_mu_);
-    rearm_queue_.clear();  // The walk below covers every session.
-  }
-  for (auto& [fd, session] : sessions_) {
+  for (auto& [key, session] : sessions_) {
     Session* s = session.get();
     if (s->out_off >= s->outbuf.size()) continue;
     const auto deadline =
@@ -192,147 +188,123 @@ void Server::FlushPendingRepliesOnStop() {
   }
 }
 
-void Server::EpollLoop() {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
+void Server::WorkerLoop() {
+  const int timeout_ms =
+      options_.idle_timeout_ms > 0 ? static_cast<int>(SweepIntervalMs()) : -1;
+  epoll_event event{};
   while (!stop_.load(std::memory_order_acquire)) {
-    int timeout_ms = -1;
-    if (options_.idle_timeout_ms > 0) {
-      timeout_ms = static_cast<int>(
-          options_.idle_timeout_ms < 100 ? options_.idle_timeout_ms : 100);
-    }
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    // One event at a time: a second ready session must not queue behind
+    // this one's fsync wait while another thread sleeps in epoll_wait.
+    const int n = ::epoll_wait(epoll_fd_, &event, 1, timeout_ms);
     if (stop_.load(std::memory_order_acquire)) break;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      void* tag = events[i].data.ptr;
-      if (tag == kListenTag) {
+    if (n < 0 && errno != EINTR) break;
+    if (n == 1) {
+      if (event.data.ptr == kListenTag) {
         AcceptAll();
-      } else if (tag == kEventTag) {
-        uint64_t drain;
-        while (::read(event_fd_, &drain, sizeof(drain)) > 0) {
-        }
       } else {
-        Session* s = static_cast<Session*>(tag);
-        const uint32_t ev = events[i].events;
-        if (s->state == Session::State::kWriting) {
-          if (ev & (EPOLLERR | EPOLLHUP)) {
-            Teardown(s);
-          } else {
-            OnWritable(s);
-          }
-        } else {
-          // kReading: EPOLLRDHUP/EPOLLHUP surface through read() returning
-          // 0, so just attempt the read.
-          OnReadable(s);
-        }
+        Serve(static_cast<Session*>(event.data.ptr));
       }
     }
-    DrainRearmQueue();
-    SweepIdle();
+    if (options_.idle_timeout_ms > 0) SweepIdle();
   }
 }
 
 void Server::AcceptAll() {
   while (true) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                       SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN (or transient error): back to epoll.
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto session = std::make_unique<Session>();
-    session->fd = fd;
-    session->last_active = std::chrono::steady_clock::now();
+    auto owned = std::make_unique<Session>();
+    Session* s = owned.get();
+    s->fd = fd;
+    s->idle_since_ns.store(NowNs(), std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      sessions_.emplace(s, std::move(owned));
+    }
+    session_gauge_.fetch_add(1, std::memory_order_relaxed);
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-    ev.data.ptr = session.get();
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      continue;
-    }
-    sessions_[fd] = std::move(session);
-    session_gauge_.fetch_add(1, std::memory_order_relaxed);
+    ev.data.ptr = s;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) Teardown(s);
   }
 }
 
-void Server::ArmRead(Session* s) {
-  s->state = Session::State::kReading;
-  epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-  ev.data.ptr = s;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, s->fd, &ev);
-}
-
-void Server::ArmWrite(Session* s) {
-  s->state = Session::State::kWriting;
-  epoll_event ev{};
-  ev.events = EPOLLOUT | EPOLLONESHOT;
-  ev.data.ptr = s;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, s->fd, &ev);
-}
-
-void Server::Teardown(Session* s) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, s->fd, nullptr);
-  ::close(s->fd);
-  if (s->txn) {
-    if (s->txn->IsActive()) s->txn->Abort();
-    s->txn.reset();
-    open_txns_.fetch_sub(1, std::memory_order_relaxed);
+void Server::Serve(Session* s) {
+  // The acquire half of the hand-off. The thread that armed the fd
+  // publishes the session just after epoll_ctl returns, so the event can
+  // beat that store by a few instructions: wait them out.
+  int64_t was = s->idle_since_ns.exchange(kOwned, std::memory_order_acq_rel);
+  while (was == kOwned) {
+    std::this_thread::yield();
+    was = s->idle_since_ns.exchange(kOwned, std::memory_order_acq_rel);
   }
-  sessions_.erase(s->fd);
-  session_gauge_.fetch_sub(1, std::memory_order_relaxed);
+  if (was == kReaped) {
+    idle_drops_.fetch_add(1, std::memory_order_relaxed);
+    Teardown(s);
+    return;
+  }
+  // A backlogged session finishes its reply before reading anything new.
+  const bool live = was == kBacklogged ? Flush(s) : ReadInput(s);
+  if (live) Pump(s);
 }
 
-void Server::OnReadable(Session* s) {
+bool Server::ReadInput(Session* s) {
   char buf[16 * 1024];
   while (true) {
     const ssize_t n = ::read(s->fd, buf, sizeof(buf));
     if (n > 0) {
       s->inbuf.append(buf, static_cast<size_t>(n));
+      // A short read drained the socket; bytes arriving later fire the
+      // read re-arm, so no second read just to collect EAGAIN.
+      if (static_cast<size_t>(n) < sizeof(buf)) return true;
       continue;
     }
-    if (n == 0) {  // Peer closed.
-      Teardown(s);
-      return;
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    // EOF or a socket error. Unanswered bytes mean the peer hung up in
+    // the middle of a frame: a protocol violation.
+    if (!s->inbuf.empty()) {
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     Teardown(s);
-    return;
+    return false;
   }
-  s->last_active = std::chrono::steady_clock::now();
-  PumpInput(s);
 }
 
-void Server::PumpInput(Session* s) {
-  Slice payload;
-  size_t consumed = 0;
-  switch (ParseFrame(s->inbuf, options_.max_frame_bytes, &payload,
-                     &consumed)) {
-    case FrameParse::kNeedMore:
-      ArmRead(s);
-      return;
-    case FrameParse::kMalformed:
+void Server::Pump(Session* s) {
+  while (true) {
+    Slice payload;
+    size_t consumed = 0;
+    switch (ParseFrame(s->inbuf, options_.max_frame_bytes, &payload,
+                       &consumed)) {
+      case FrameParse::kNeedMore:
+        Arm(s, EPOLLIN | EPOLLRDHUP);
+        return;
+      case FrameParse::kMalformed:
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        Teardown(s);
+        return;
+      case FrameParse::kOk:
+        break;
+    }
+    const std::string reply = ExecutePayload(s, payload);
+    s->inbuf.erase(0, consumed);
+    if (reply.empty()) {
+      // Malformed body inside a CRC-valid frame: no reply, drop.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       Teardown(s);
       return;
-    case FrameParse::kOk:
-      break;
+    }
+    s->outbuf = EncodeFrame(reply);
+    // Pipelined requests may already be buffered: serve them too.
+    if (!Flush(s)) return;
   }
-  s->request.assign(payload.data(), payload.size());
-  s->inbuf.erase(0, consumed);
-  s->state = Session::State::kExecuting;
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    work_queue_.push_back(s);
-  }
-  work_cv_.notify_one();
 }
 
-void Server::OnWritable(Session* s) {
+bool Server::Flush(Session* s) {
   while (s->out_off < s->outbuf.size()) {
     const ssize_t n = ::send(s->fd, s->outbuf.data() + s->out_off,
                              s->outbuf.size() - s->out_off, MSG_NOSIGNAL);
@@ -342,81 +314,76 @@ void Server::OnWritable(Session* s) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      ArmWrite(s);
-      return;
+      Arm(s, EPOLLOUT);
+      return false;
     }
     Teardown(s);
-    return;
+    return false;
   }
   s->outbuf.clear();
   s->out_off = 0;
-  s->last_active = std::chrono::steady_clock::now();
-  // Pipelined requests may already be buffered; otherwise rearm for reads.
-  PumpInput(s);
+  return true;
 }
 
-void Server::DrainRearmQueue() {
-  std::deque<Session*> done;
+void Server::Arm(Session* s, uint32_t events) {
+  epoll_event ev{};
+  ev.events = events | EPOLLONESHOT;
+  ev.data.ptr = s;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, s->fd, &ev);
+  // The release half of the hand-off: the next owner waits for this
+  // store, so everything this thread did to `s` (the epoll_ctl included)
+  // happens-before its teardown. Only a session waiting for a request
+  // can go idle.
+  s->idle_since_ns.store((events & EPOLLIN) ? NowNs() : kBacklogged,
+                         std::memory_order_release);
+}
+
+void Server::Teardown(Session* s) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, s->fd, nullptr);
+  if (s->txn) {
+    if (s->txn->IsActive()) s->txn->Abort();
+    s->txn.reset();
+    open_txns_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  std::unique_ptr<Session> owned;
   {
-    std::lock_guard<std::mutex> lock(rearm_mu_);
-    done.swap(rearm_queue_);
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    auto it = sessions_.find(s);
+    owned = std::move(it->second);
+    sessions_.erase(it);
   }
-  for (Session* s : done) {
-    if (s->outbuf.empty()) {
-      // The worker flagged a protocol violation (malformed body inside a
-      // CRC-valid frame): no reply, drop the session.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      Teardown(s);
-      continue;
-    }
-    OnWritable(s);
-  }
+  // Closed only once the sweep cannot reach it: accept4 may reuse the fd.
+  ::close(s->fd);
+  session_gauge_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+uint64_t Server::SweepIntervalMs() const {
+  return options_.idle_timeout_ms < 100 ? options_.idle_timeout_ms : 100;
 }
 
 void Server::SweepIdle() {
-  if (options_.idle_timeout_ms == 0) return;
-  const auto now = std::chrono::steady_clock::now();
-  const auto limit = std::chrono::milliseconds(options_.idle_timeout_ms);
-  std::vector<Session*> victims;
-  for (auto& [fd, session] : sessions_) {
-    if (session->state == Session::State::kReading &&
-        now - session->last_active > limit) {
-      victims.push_back(session.get());
+  const int64_t now = NowNs();
+  int64_t due = next_sweep_ns_.load(std::memory_order_relaxed);
+  if (now < due ||
+      !next_sweep_ns_.compare_exchange_strong(
+          due, now + static_cast<int64_t>(SweepIntervalMs()) * 1000000,
+          std::memory_order_relaxed)) {
+    return;  // Not due, or another thread claimed this sweep.
+  }
+  const int64_t limit = static_cast<int64_t>(options_.idle_timeout_ms) * 1000000;
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  for (auto& [key, s] : sessions_) {
+    int64_t since = s->idle_since_ns.load(std::memory_order_relaxed);
+    // The CAS fails if the session was taken (or re-armed, which moves
+    // its timestamp) since the load.
+    if (since > 0 && now - since > limit &&
+        s->idle_since_ns.compare_exchange_strong(since, kReaped,
+                                                 std::memory_order_relaxed)) {
+      // Never freed here: the thread that takes the resulting EOF event
+      // tears the session down and counts the drop.
+      ::shutdown(s->fd, SHUT_RDWR);
     }
   }
-  for (Session* s : victims) {
-    idle_drops_.fetch_add(1, std::memory_order_relaxed);
-    Teardown(s);
-  }
-}
-
-void Server::WorkerLoop() {
-  while (true) {
-    Session* s;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [this] { return !work_queue_.empty(); });
-      s = work_queue_.front();
-      work_queue_.pop_front();
-    }
-    if (s == nullptr) return;  // Shutdown sentinel.
-    Execute(s);
-    {
-      std::lock_guard<std::mutex> lock(rearm_mu_);
-      rearm_queue_.push_back(s);
-    }
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof(one));
-  }
-}
-
-void Server::Execute(Session* s) {
-  const std::string reply = ExecutePayload(s, s->request);
-  s->request.clear();
-  // Empty reply = protocol violation; DrainRearmQueue tears the session
-  // down. Otherwise frame it for the epoll thread to write.
-  s->outbuf = reply.empty() ? std::string() : EncodeFrame(reply);
-  s->out_off = 0;
 }
 
 std::string Server::ExecutePayload(Session* s, const Slice& payload) {

@@ -1,18 +1,26 @@
 // Network session front-end: a socket server multiplexing client sessions
 // over an embedded GraphDatabase.
 //
-// Shape (PostgreSQL postmaster/backend split, scaled down): ONE epoll
-// thread owns every socket — it accepts, reads frames, writes replies, and
-// sweeps idle sessions — while a fixed pool of `workers` threads executes
-// requests against the engine. There is no thread-per-connection anywhere:
-// a thousand mostly-idle sessions cost a thousand fds, not a thousand
-// stacks. Sessions are handed between the epoll thread and a worker through
-// mutex-protected queues (an eventfd wakes the epoll thread for rearms), so
-// each Session object always has exactly one owner:
+// Shape: `workers` threads share ONE epoll set, and whichever thread takes
+// a session's event runs its request to completion: it reads the frame,
+// executes it against the engine and sends the reply itself, so a round
+// trip costs two wake-ups (client and server) and no cross-thread hand-off.
+// There is no thread-per-connection anywhere: a thousand mostly-idle
+// sessions cost a thousand fds, not a thousand stacks. Every session fd is
+// armed EPOLLONESHOT, so a session has exactly one owner from the moment
+// its event fires until that thread re-arms the fd or tears it down:
 //
-//   kReading    epoll thread owns it; fd armed EPOLLIN | EPOLLONESHOT
-//   kExecuting  a worker owns it; fd armed for NOTHING (oneshot fired)
-//   kWriting    epoll thread owns it; fd armed EPOLLOUT | EPOLLONESHOT
+//   waiting     no owner; fd armed EPOLLIN | EPOLLONESHOT; the idle sweep
+//               may reap it
+//   owned       the thread whose event fired reads, executes and replies
+//   backlogged  no owner; fd armed EPOLLOUT | EPOLLONESHOT (the socket
+//               buffer could not take the whole reply)
+//
+// Each thread takes ONE event per epoll_wait: a thread holding a batch
+// would run the second session behind the first one's fsync wait. A
+// request that blocks (the commit's fsync wait, an admission delay, a lock
+// wait) blocks the thread running it, so `workers` bounds how many
+// sessions make progress at once.
 //
 // Admission control gates NEW wire Begins only — established snapshots are
 // never aborted by admission (that stays the snapshot-lifecycle policy's
@@ -29,18 +37,18 @@
 //     would just burn a worker.
 //
 // Protocol violations (oversized frame, CRC mismatch, truncated or
-// malformed body) and idle timeouts drop the session: the open transaction
-// is aborted (locks released, snapshot unregistered) and the fd closed. The
-// server never replies to a frame it cannot trust.
+// malformed body, a hang-up in the middle of a frame) and idle timeouts
+// drop the session: the open transaction is aborted (locks released,
+// snapshot unregistered) and the fd closed. The server never replies to a
+// frame it cannot trust. The idle sweep never frees a session itself: it
+// shuts an idle session's socket down, and the thread that takes the
+// resulting event tears it down on the ordinary path.
 
 #ifndef NEOSI_SERVER_SERVER_H_
 #define NEOSI_SERVER_SERVER_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -59,7 +67,8 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Worker threads executing requests; 0 = min(4, hardware_concurrency).
+  /// Threads that wait on the shared epoll set and run each request to
+  /// completion; 0 = min(4, hardware_concurrency).
   int workers = 0;
   /// Cap on concurrently OPEN wire transactions (one per session); Begins
   /// beyond it are shed with Status::Busy. 0 = unlimited.
@@ -77,7 +86,7 @@ struct ServerOptions {
 /// One connected client. Internal, but visible for the session gauge.
 class Server {
  public:
-  /// Binds, listens, and spins up the epoll + worker threads. The database
+  /// Binds, listens, and spins up the worker threads. The database
   /// must outlive the Server; destroy (or Stop) the Server first.
   static Result<std::unique_ptr<Server>> Start(GraphDatabase* db,
                                                const ServerOptions& options);
@@ -111,41 +120,44 @@ class Server {
  private:
   struct Session {
     int fd = -1;
-    enum class State { kReading, kExecuting, kWriting };
-    State state = State::kReading;
+    /// steady_clock nanoseconds since which the session has waited for a
+    /// request, or kOwned / kBacklogged / kReaped (server.cc). Also the
+    /// ownership hand-off: stored (release) once the fd is re-armed,
+    /// exchanged (acquire) by the thread its event wakes.
+    std::atomic<int64_t> idle_since_ns{0};
     std::string inbuf;          ///< Raw bytes read; frames carved off front.
-    std::string request;        ///< Payload of the frame being executed.
     std::string outbuf;         ///< Encoded reply frame being written.
     size_t out_off = 0;
     std::unique_ptr<Transaction> txn;
-    std::chrono::steady_clock::time_point last_active;
   };
 
   Server(GraphDatabase* db, const ServerOptions& options);
 
   Status Listen();
-  void EpollLoop();
   void WorkerLoop();
-
-  // Epoll-thread-only helpers.
   void AcceptAll();
-  void OnReadable(Session* s);
-  void OnWritable(Session* s);
-  void DrainRearmQueue();
-  void SweepIdle();
-  /// Parses inbuf; dispatches to a worker, tears down on violation.
-  void PumpInput(Session* s);
-  void ArmRead(Session* s);
-  void ArmWrite(Session* s);
+
+  // Owner-only helpers: the calling thread owns `s` (its event fired).
+  void Serve(Session* s);
+  /// Reads what has arrived; false if the session was torn down.
+  bool ReadInput(Session* s);
+  /// Executes every complete buffered frame, then re-arms the session.
+  void Pump(Session* s);
+  /// Sends outbuf; false if the fd was re-armed for write or torn down.
+  bool Flush(Session* s);
+  /// Hands the session back to epoll (any thread may take it next).
+  void Arm(Session* s, uint32_t events);
   void Teardown(Session* s);
+
+  uint64_t SweepIntervalMs() const;
+  /// Shuts idle sessions down when a sweep is due (one thread claims it).
+  void SweepIdle();
   /// Stop()-only (all threads joined): best-effort bounded-blocking flush
   /// of every session's pending reply, so a commit the engine already
   /// acked never loses its reply to shutdown (the client would record an
   /// abort for a transaction whose write is durable).
   void FlushPendingRepliesOnStop();
 
-  // Worker-side execution.
-  void Execute(Session* s);
   std::string ExecutePayload(Session* s, const Slice& payload);
   std::string HandleBegin(Session* s, Slice body);
 
@@ -155,7 +167,9 @@ class Server {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int event_fd_ = -1;
+  /// Level-triggered and never drained: once Stop() writes it, every
+  /// thread's epoll_wait returns it.
+  int stop_fd_ = -1;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> stopped_{false};
@@ -164,21 +178,14 @@ class Server {
   std::atomic<uint64_t> idle_drops_{0};
   /// Open wire transactions (the max_sessions admission gauge).
   std::atomic<uint64_t> open_txns_{0};
+  /// steady_clock nanoseconds at which the next idle sweep is due.
+  std::atomic<int64_t> next_sweep_ns_{0};
 
-  /// All sessions, keyed by fd. Epoll thread only.
-  std::unordered_map<int, std::unique_ptr<Session>> sessions_;
+  /// All sessions. Keyed by Session*, not fd: accept4 may reuse the fd of
+  /// a session being torn down. Guards accept, teardown and the sweep only.
+  std::mutex sessions_mu_;
+  std::unordered_map<Session*, std::unique_ptr<Session>> sessions_;
 
-  /// Sessions with a validated request, waiting for a worker.
-  std::mutex work_mu_;
-  std::condition_variable work_cv_;
-  std::deque<Session*> work_queue_;  // nullptr = worker shutdown sentinel
-
-  /// Sessions a worker finished with, waiting for the epoll thread to
-  /// start writing the reply.
-  std::mutex rearm_mu_;
-  std::deque<Session*> rearm_queue_;
-
-  std::thread epoll_thread_;
   std::vector<std::thread> workers_;
 };
 

@@ -143,6 +143,46 @@ TEST(ServerAdmission, BeginDelayedThroughDrainIsAdmittedNotShed) {
   server->Stop();
 }
 
+// The idle sweep reaps only sessions waiting for a request: a Begin parked
+// in the admission delay for many idle timeouts keeps its session, while
+// an idle session beside it is reaped and counted exactly once.
+TEST(ServerAdmission, IdleSweepSparesSessionParkedInAdmission) {
+  auto db = OpenPressureDb();
+  ServerOptions server_options;
+  server_options.workers = 2;
+  server_options.idle_timeout_ms = 20;
+  server_options.admission_delay_ms = 2000;
+  auto server = std::move(*Server::Start(db.get(), server_options));
+  ChurnPastThreshold(*db, SeedChurnNode(*db));
+
+  ArmedPoints points(db.get());
+  points.Park("admission.delay");
+  Client busy;
+  ASSERT_TRUE(busy.Connect("127.0.0.1", server->port()).ok());
+  Result<Client::BeginInfo> begin = Status::Aborted("begin never replied");
+  std::thread beginner([&] { begin = busy.Begin(); });
+  ASSERT_TRUE(points.WaitFor("admission.delay"));
+
+  Client idle;
+  ASSERT_TRUE(idle.Connect("127.0.0.1", server->port()).ok());
+  for (int i = 0; i < 200 && server->idle_drops() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server->idle_drops(), 1u);
+  // Park well past the timeout: ten more sweeps must leave it alone.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(server->idle_drops(), 1u);
+  EXPECT_EQ(server->sessions(), 1u);
+  EXPECT_FALSE(idle.Ping().ok()) << "the idle session was dropped";
+
+  db->RunGc();  // The parked Begin is admitted once the backlog drained.
+  points.Release("admission.delay");
+  beginner.join();
+  ASSERT_TRUE(begin.ok()) << begin.status();
+  EXPECT_GE(db->Stats().admission_delayed, 1u);
+  server->Stop();
+}
+
 TEST(ServerAdmission, MaxSessionsShedsNewBeginsUntilASlotFrees) {
   DatabaseOptions db_options;
   db_options.background_gc_interval_ms = 0;

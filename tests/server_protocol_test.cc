@@ -13,6 +13,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -23,6 +25,7 @@
 #include "graph/graph_database.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "sync_points.h"
 
 namespace neosi {
 namespace {
@@ -126,10 +129,20 @@ class ServerProtocolTest : public ::testing::Test {
   uint16_t port() const { return server_->port(); }
 
   /// Spin-waits for the session gauge to drain to `expected` (teardown is
-  /// asynchronous: the epoll thread processes the violation).
+  /// asynchronous: a server thread processes the violation).
   bool WaitForSessions(uint64_t expected) {
     for (int i = 0; i < 400; ++i) {
       if (server_->sessions() == expected) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return false;
+  }
+
+  /// A session count of zero can also mean "not accepted yet"; a counted
+  /// protocol error proves the server saw the connection and dropped it.
+  bool WaitForProtocolErrors(uint64_t expected) {
+    for (int i = 0; i < 400; ++i) {
+      if (server_->protocol_errors() >= expected) return true;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     return false;
@@ -185,7 +198,7 @@ TEST_F(ServerProtocolTest, TruncatedBodyInsideValidFrameDropsSession) {
   RawConn conn;
   ASSERT_TRUE(conn.Connect(port()));
   // Valid frame (good CRC) whose payload claims kBegin but carries no
-  // isolation/read-only bytes: the WORKER detects the violation.
+  // isolation/read-only bytes: only executing it detects the violation.
   std::string payload;
   payload.push_back(static_cast<char>(MsgType::kBegin));
   ASSERT_TRUE(conn.Send(EncodeFrame(payload)));
@@ -248,7 +261,9 @@ TEST_F(ServerProtocolTest, MidFrameDisconnectWithPartialHeaderIsClean) {
   ASSERT_TRUE(conn.Connect(port()));
   ASSERT_TRUE(conn.Send(std::string("\x08\x00", 2)));  // Half a length field.
   conn.Close();
+  EXPECT_TRUE(WaitForProtocolErrors(1)) << "a mid-frame hang-up counts";
   EXPECT_TRUE(WaitForSessions(0));
+  EXPECT_EQ(server_->protocol_errors(), 1u);
   // Server still serves.
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
@@ -323,6 +338,222 @@ TEST_F(ServerProtocolTest, PipelinedFramesAllAnswered) {
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_TRUE(replies[0].ok()) << replies[0];
   EXPECT_TRUE(replies[1].ok()) << replies[1];
+}
+
+/// One balance swap between accounts `a` and `b`. Inside the transaction
+/// the session first reads its own tag node, so a reply that reached the
+/// wrong session shows up as a foreign tag (or an undecodable body).
+/// Returns OK on commit; a retryable conflict is rolled back and returned.
+Status TaggedSwap(Client& client, NodeId tag, int64_t owner, NodeId a,
+                  NodeId b) {
+  NEOSI_RETURN_IF_ERROR(client.Begin().status());
+  auto abandon = [&client](const Status& st) {
+    if (st.IsRetryable()) (void)client.Rollback();
+    return st;
+  };
+  auto mine = client.GetNodeProperty(tag, "owner");
+  if (!mine.ok()) return abandon(mine.status());
+  if (mine->AsInt() != owner) {
+    return Status::Corruption("read tag " + std::to_string(mine->AsInt()) +
+                              " of another session");
+  }
+  auto va = client.GetNodeProperty(a, "balance");
+  if (!va.ok()) return abandon(va.status());
+  auto vb = client.GetNodeProperty(b, "balance");
+  if (!vb.ok()) return abandon(vb.status());
+  Status st = client.SetNodeProperty(a, "balance", *vb);
+  if (st.ok()) st = client.SetNodeProperty(b, "balance", *va);
+  if (!st.ok()) return abandon(st);
+  return client.Commit().status();
+}
+
+// Churn: clients connect, swap and hang up, vanish mid-transaction, or hang
+// up in the middle of a frame, while steady sessions run swaps throughout.
+// Afterwards no session or transaction is left, every mid-frame hang-up was
+// counted as exactly one protocol error, no session ever read a reply meant
+// for another, and the swaps conserved the balance multiset.
+TEST(ServerChurn, ChurnNeverCrossesRepliesOrLeaksSessions) {
+  DatabaseOptions options;
+  options.background_gc_interval_ms = 0;
+  // Conflicts abort at once: a lock wait would pin a server thread, and
+  // this test is about the front-end, not about lock queues.
+  options.conflict_policy = ConflictPolicy::kFirstUpdaterWinsNoWait;
+  auto db = std::move(*GraphDatabase::Open(options));
+  ServerOptions server_options;
+  server_options.workers = 2;
+  auto server = std::move(*Server::Start(db.get(), server_options));
+  const uint16_t port = server->port();
+
+  constexpr int kAccounts = 8;
+  constexpr int kSteady = 2;
+  constexpr int kChurners = 3;
+  constexpr int kChurnRounds = 100;
+  std::vector<NodeId> accounts;
+  std::vector<NodeId> tags;
+  std::vector<int64_t> initial;
+  {
+    Client setup;
+    ASSERT_TRUE(setup.Connect("127.0.0.1", port).ok());
+    ASSERT_TRUE(setup.Begin().ok());
+    for (int i = 0; i < kAccounts; ++i) {
+      initial.push_back(100 + 7 * i);  // Distinct: a lost swap shows.
+      auto id = setup.CreateNode(
+          {"Account"}, {{"balance", PropertyValue(initial.back())}});
+      ASSERT_TRUE(id.ok()) << id.status();
+      accounts.push_back(*id);
+    }
+    for (int t = 0; t < kSteady + kChurners; ++t) {
+      auto id = setup.CreateNode({"Tag"},
+                                 {{"owner", PropertyValue(int64_t{t})}});
+      ASSERT_TRUE(id.ok()) << id.status();
+      tags.push_back(*id);
+    }
+    ASSERT_TRUE(setup.Commit().ok());
+  }
+
+  std::atomic<int> crossed{0};       // Foreign tags and undecodable replies.
+  std::atomic<int> unexpected{0};    // Any other non-retryable failure.
+  std::atomic<uint64_t> mid_frame_drops{0};
+  std::atomic<bool> churning{true};
+  auto swap = [&](Client& client, int owner, Random& rng) {
+    const uint64_t a = rng.Uniform(kAccounts);
+    const uint64_t b = (a + 1 + rng.Uniform(kAccounts - 1)) % kAccounts;
+    const Status st =
+        TaggedSwap(client, tags[owner], owner, accounts[a], accounts[b]);
+    if (st.IsCorruption()) {
+      crossed.fetch_add(1);
+      ADD_FAILURE() << "session " << owner << ": " << st;
+    } else if (!st.ok() && !st.IsRetryable()) {
+      unexpected.fetch_add(1);
+      ADD_FAILURE() << "session " << owner << ": " << st;
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSteady; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(9100 + t);
+      Client client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+      for (int i = 0; i < 20 || churning.load(); ++i) swap(client, t, rng);
+    });
+  }
+  std::vector<std::thread> churners;
+  for (int c = 0; c < kChurners; ++c) {
+    const int owner = kSteady + c;
+    churners.emplace_back([&, owner] {
+      Random rng(9200 + owner);
+      for (int round = 0; round < kChurnRounds; ++round) {
+        switch (rng.Uniform(3)) {
+          case 0: {  // Connect, swap, hang up cleanly.
+            Client client;
+            ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+            swap(client, owner, rng);
+            break;
+          }
+          case 1: {  // Vanish with a transaction and a write lock open.
+            Client client;
+            ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+            if (client.Begin().ok()) {
+              (void)client.SetNodeProperty(tags[owner], "scratch",
+                                           PropertyValue(int64_t{round}));
+            }
+            break;
+          }
+          default: {  // Hang up in the middle of a frame.
+            const std::string frame = EncodeFrame(
+                EncodeGetNodeProperty(tags[owner], "owner"));
+            RawConn conn;
+            ASSERT_TRUE(conn.Connect(port));
+            ASSERT_TRUE(conn.Send(frame.substr(0, 1 + rng.Uniform(
+                                                          frame.size() - 1))));
+            conn.Close();
+            mid_frame_drops.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : churners) t.join();
+  churning.store(false);
+  for (std::thread& t : threads) t.join();
+
+  // Every other connection completed a round trip, so once the last drop
+  // is counted the server has accepted every connection ever made.
+  const uint64_t drops = mid_frame_drops.load();
+  EXPECT_GT(drops, 0u);
+  for (int i = 0; i < 400 && server->protocol_errors() < drops; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (int i = 0; i < 400 && server->sessions() != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server->sessions(), 0u);
+  EXPECT_EQ(server->protocol_errors(), drops);
+  EXPECT_EQ(crossed.load(), 0);
+  EXPECT_EQ(unexpected.load(), 0);
+  for (int i = 0; i < 400 && db->Stats().active_txns != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(db->Stats().active_txns, 0u) << "churn leaked a transaction";
+
+  std::vector<int64_t> balances;
+  auto txn = db->Begin();
+  for (NodeId id : accounts) {
+    auto v = txn->GetNodeProperty(id, "balance");
+    ASSERT_TRUE(v.ok()) << v.status();
+    balances.push_back(v->AsInt());
+  }
+  ASSERT_TRUE(txn->Commit().ok());
+  std::sort(balances.begin(), balances.end());
+  EXPECT_EQ(balances, initial) << "swaps must conserve the balance multiset";
+  server->Stop();
+}
+
+// No head-of-line blocking: with two server threads, a commit parked just
+// before publication holds one of them, and the other keeps serving a
+// second session. The parked commit is then acked once released.
+TEST(ServerScheduling, ParkedCommitDoesNotBlockOtherSessions) {
+  DatabaseOptions options;
+  options.background_gc_interval_ms = 0;
+  auto db = std::move(*GraphDatabase::Open(options));
+  ServerOptions server_options;
+  server_options.workers = 2;
+  auto server = std::move(*Server::Start(db.get(), server_options));
+  NodeId node;
+  {
+    auto txn = db->Begin();
+    node = *txn->CreateNode({"Row"}, {{"v", PropertyValue(int64_t{0})}});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+
+  Client parked;
+  ASSERT_TRUE(parked.Connect("127.0.0.1", server->port()).ok());
+  ASSERT_TRUE(parked.Begin().ok());
+  ASSERT_TRUE(parked.SetNodeProperty(node, "v", PropertyValue(int64_t{1})).ok());
+
+  ArmedPoints points(db.get());
+  points.Park("commit.pre_publish");
+  Result<Timestamp> committed = Status::Aborted("commit never replied");
+  std::thread committer([&] { committed = parked.Commit(); });
+  ASSERT_TRUE(points.WaitFor("commit.pre_publish"));
+
+  Client other;
+  ASSERT_TRUE(other.Connect("127.0.0.1", server->port()).ok());
+  ASSERT_TRUE(other.Begin(IsolationLevel::kSnapshotIsolation, true).ok());
+  for (int i = 0; i < 98; ++i) {
+    auto v = other.GetNodeProperty(node, "v");
+    ASSERT_TRUE(v.ok()) << v.status();
+    EXPECT_EQ(v->AsInt(), 0) << "the parked commit is not yet published";
+  }
+  ASSERT_TRUE(other.Commit().ok());  // Round trip 100.
+  EXPECT_EQ(points.Arrivals("commit.pre_publish"), 1u);
+
+  points.Release("commit.pre_publish");
+  committer.join();
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  server->Stop();
 }
 
 TEST(ServerIdleTimeout, IdleSessionDroppedAndTxnAborted) {
