@@ -15,10 +15,9 @@
 // GC list shards = cores clamped to [1, 64], 4 when unknown
 // (ShardedGcList; shards split commit-path append contention, one GC
 // thread drains them all), epoch slots max(64, 4 * cores) (EpochManager),
-// active-transaction shards max(16, 2 * cores) capped at 64
-// (ActiveTxnTable), 64 SSI marker shards (SsiTracker), group-commit batches
-// of at most max(8, 4 * cores) capped at 256 records (GroupCommitter), and
-// a 10 s lock-wait backstop (LockManager).
+// 64 SSI marker shards (SsiTracker), group-commit batches of at most
+// max(8, 4 * cores) capped at 256 records (GroupCommitter), and a 10 s
+// lock-wait backstop (LockManager).
 
 #ifndef NEOSI_COMMON_OPTIONS_H_
 #define NEOSI_COMMON_OPTIONS_H_

@@ -52,6 +52,8 @@ inline constexpr SyncPointInfo kSyncPoints[] = {
     {"cache.evict.pre_unpublish", SyncPointKind::kSchedule},
     {"cache.rel_list.pre_publish", SyncPointKind::kSchedule},
     {"store.chain.pre_drop", SyncPointKind::kSchedule},
+    {"txn.begin.pre_publish", SyncPointKind::kSchedule},
+    {"snapshot.expire.pre_mark", SyncPointKind::kSchedule},
 };
 
 /// One database's registry. Thread-safe.

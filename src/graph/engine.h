@@ -46,7 +46,10 @@ struct AdmissionCounters {
 /// Everything the engine is made of, wired once at Open().
 struct Engine {
   explicit Engine(const DatabaseOptions& opts)
-      : options(opts), store(opts), lock_manager(&store.sync_points()) {}
+      : options(opts),
+        store(opts),
+        active_txns(&store.sync_points()),
+        lock_manager(&store.sync_points()) {}
 
   DatabaseOptions options;
 

@@ -32,7 +32,8 @@ void GcDaemon::MaybeExpireSnapshots() {
     const Timestamp watermark = active_txns_->Watermark(fallback);
     pressure = gc_list_->OldestObsoleteSince() > watermark;
   }
-  active_txns_->ExpireSnapshots(snapshot_max_age_ms_, pressure);
+  active_txns_->ExpireSnapshots(std::chrono::steady_clock::now(),
+                                snapshot_max_age_ms_, pressure);
 }
 
 PacedLoop::Outcome GcDaemon::Pass() {

@@ -156,24 +156,24 @@ std::unique_ptr<Transaction> GraphDatabase::Begin(
   }
 
   // Atomic w.r.t. watermark computation: the snapshot timestamp is taken
-  // and published to the active table in one step, so GC can never reclaim
-  // a version this snapshot still needs. The registration also hands back
-  // the expiry flag the GC daemon's snapshot-lifecycle sweep may set; the
-  // transaction polls it on every operation.
+  // and published in the transaction's own slot of the active table, so GC
+  // can never reclaim a version this snapshot still needs; the expiry sweep
+  // may mark the slot, and the transaction polls it on every operation.
   //
   // Only snapshot-based transactions pin the watermark: a read-committed
   // transaction reads latest-committed versions only (never reclaimable)
   // with epoch protection covering its walks, so it neither holds
   // reclamation back nor can it be a SnapshotTooOld victim.
   const bool pins_watermark = isolation != IsolationLevel::kReadCommitted;
-  SnapshotRegistration reg = engine_->active_txns.RegisterAtomic(
+  ActiveTxnTable::Slot* slot = engine_->active_txns.RegisterAtomic(
       id, [this] { return engine_->oracle.ReadTs(); }, pins_watermark);
+  const Timestamp start_ts = slot->start_ts();
 
   if (serializable) {
     if (ssi) {
-      engine_->ssi.SetStartTs(ssi, reg.start_ts);
+      engine_->ssi.SetStartTs(ssi, start_ts);
     } else if (engine_->options.ssi_safe_snapshots &&
-               engine_->ssi.IsSnapshotSafe(reg.start_ts)) {
+               engine_->ssi.IsSnapshotSafe(start_ts)) {
       // Safe snapshot: no read-write serializable peer was registered when
       // this snapshot was taken AND every finished one committed at or
       // below it (a peer that finished the tracker but whose commit the
@@ -183,13 +183,12 @@ std::unique_ptr<Transaction> GraphDatabase::Begin(
       engine_->ssi.RecordSafeSnapshot();
     } else {
       ssi = engine_->ssi.Register(id, /*read_only=*/true);
-      engine_->ssi.SetStartTs(ssi, reg.start_ts);
+      engine_->ssi.SetStartTs(ssi, start_ts);
     }
   }
 
   std::unique_ptr<Transaction> txn(new Transaction(
-      engine_.get(), isolation, id, reg.start_ts, std::move(reg.expired),
-      std::move(ssi), options.read_only));
+      engine_.get(), isolation, id, slot, std::move(ssi), options.read_only));
   return txn;
 }
 

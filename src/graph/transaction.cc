@@ -10,14 +10,13 @@
 namespace neosi {
 
 Transaction::Transaction(Engine* engine, IsolationLevel isolation, TxnId id,
-                         Timestamp start_ts,
-                         std::shared_ptr<const std::atomic<bool>> expired,
+                         ActiveTxnTable::Slot* slot,
                          std::shared_ptr<SsiTxnInfo> ssi, bool read_only)
     : engine_(engine),
       isolation_(isolation),
       id_(id),
-      start_ts_(start_ts),
-      expired_(std::move(expired)),
+      start_ts_(slot->start_ts()),
+      slot_(slot),
       ssi_(std::move(ssi)),
       read_only_(read_only) {}
 
@@ -48,9 +47,7 @@ Status Transaction::CheckActive() const {
 
 Status Transaction::FailIfSnapshotExpired() {
   if (!UsesSnapshotReads()) return Status::OK();
-  if (!expired_ || !expired_->load(std::memory_order_acquire)) {
-    return Status::OK();
-  }
+  if (!slot_->expired()) return Status::OK();
   engine_->active_txns.NoteSnapshotTooOldAbort();
   RollbackLocked();
   return Status::SnapshotTooOld(
@@ -1018,7 +1015,7 @@ Status Transaction::Commit() {
   engine_->ssi.AdvanceSnapshotFloor(engine_->oracle.ReadTs());
 
   engine_->lock_manager.ReleaseAll(id_, locked_shards_);
-  engine_->active_txns.Unregister(id_);
+  engine_->active_txns.Unregister(slot_);
   state_ = TxnState::kCommitted;
   commit_ts_ = ts;
 
@@ -1086,7 +1083,7 @@ Status Transaction::CommitWithoutWrites() {
     ssi_commit_guard.unlock();
   }
   engine_->lock_manager.ReleaseAll(id_, locked_shards_);
-  engine_->active_txns.Unregister(id_);
+  engine_->active_txns.Unregister(slot_);
   state_ = TxnState::kCommitted;
   return Status::OK();
 }
@@ -1221,7 +1218,7 @@ void Transaction::RollbackLocked() {
   if (ssi_) engine_->ssi.Abort(ssi_);
 
   engine_->lock_manager.ReleaseAll(id_, locked_shards_);
-  engine_->active_txns.Unregister(id_);
+  engine_->active_txns.Unregister(slot_);
   state_ = TxnState::kAborted;
 }
 

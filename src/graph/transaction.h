@@ -154,8 +154,7 @@ class Transaction {
   friend class GraphDatabase;
 
   Transaction(Engine* engine, IsolationLevel isolation, TxnId id,
-              Timestamp start_ts,
-              std::shared_ptr<const std::atomic<bool>> expired,
+              ActiveTxnTable::Slot* slot,
               std::shared_ptr<SsiTxnInfo> ssi = nullptr,
               bool read_only = false);
 
@@ -195,19 +194,20 @@ class Transaction {
   /// daemon marks this snapshot expired, the reclamation watermark no
   /// longer waits for it and versions it could read may be reclaimed —
   /// so the transaction must fail before it can observe that. Called at
-  /// the START of every read/write/commit (cheap flag load) and AGAIN
-  /// after every chain walk / index scan: a read that overlapped its own
-  /// expiry is failed instead of returned, because the mark
-  /// happens-before any reclamation (shard mutex, then chain unlink), so
-  /// a walk that could have seen a pruned chain always re-reads the flag
+  /// the START of every read/write/commit (one acquire load of the
+  /// transaction's own slot) and AGAIN after every chain walk / index scan:
+  /// a read that overlapped its own expiry is failed instead of returned,
+  /// because the mark happens-before any reclamation (release CAS on the
+  /// slot's owner word, acquired by the watermark scan, then chain unlink),
+  /// so a walk that could have seen a pruned chain always re-reads the mark
   /// as set. (Memory safety is separate and unconditional: walks run
   /// inside an epoch guard, so even a version unlinked mid-walk stays
   /// allocated until the reader exits — expiry only governs logical
   /// staleness, never use-after-free; see mvcc/epoch.h.) On expiry: rolls
   /// back (releasing all locks) and returns Status::SnapshotTooOld. No-op
   /// under read committed — RC reads the newest committed state, which
-  /// reclamation never removes (and since PR 6 an RC registration never
-  /// pins the watermark in the first place; see ActiveTxnTable).
+  /// reclamation never removes (and an RC registration never pins the
+  /// watermark in the first place; see ActiveTxnTable).
   Status FailIfSnapshotExpired();
 
   /// Acquires the long write lock on `key` per the isolation level and
@@ -353,9 +353,9 @@ class Transaction {
   const IsolationLevel isolation_;
   const TxnId id_;
   const Timestamp start_ts_;
-  /// Expiry flag shared with the ActiveTxnTable registration (set by the
-  /// GC daemon's expiry sweep; null only for recovery-internal handles).
-  const std::shared_ptr<const std::atomic<bool>> expired_;
+  /// This transaction's ActiveTxnTable slot: the GC daemon's expiry sweep
+  /// marks it, FailIfSnapshotExpired polls it, commit and abort free it.
+  ActiveTxnTable::Slot* const slot_;
   /// SSI record in the engine's tracker; null for SI/RC transactions and
   /// for read-only serializable transactions on a safe snapshot.
   const std::shared_ptr<SsiTxnInfo> ssi_;

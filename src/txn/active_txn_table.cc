@@ -1,133 +1,134 @@
 #include "txn/active_txn_table.h"
 
 #include <algorithm>
+#include <memory>
 #include <thread>
+#include <utility>
 
 namespace neosi {
 
-ActiveTxnTable::ActiveTxnTable() {
-  const size_t shards =
-      std::clamp<size_t>(2 * std::thread::hardware_concurrency(), 16, 64);
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+ActiveTxnTable::~ActiveTxnTable() {
+  for (Chunk* chunk = head_.next.load(std::memory_order_acquire); chunk;) {
+    delete std::exchange(chunk, chunk->next.load(std::memory_order_relaxed));
   }
 }
 
-void ActiveTxnTable::Register(TxnId txn, Timestamp start_ts) {
-  Shard& shard = ShardFor(txn);
-  std::lock_guard<std::mutex> guard(shard.mu);
-  Entry& entry = shard.active[txn];
-  entry.start_ts = start_ts;
-  entry.registered_at = std::chrono::steady_clock::now();
-  entry.expired = std::make_shared<std::atomic<bool>>(false);
-  entry.pins_watermark = true;
+ActiveTxnTable::Slot* ActiveTxnTable::Claim(uint64_t word) {
+  // Probe from a sticky thread-local hint, so a thread re-claims the line
+  // its core already owns. Occupied slots are skipped on a plain load.
+  thread_local size_t hint =
+      std::hash<std::thread::id>{}(std::this_thread::get_id());
+  for (Chunk* chunk = &head_;;) {
+    for (size_t probe = 0; probe < kChunkSlots; ++probe) {
+      const size_t i = (hint + probe) % kChunkSlots;
+      Slot& slot = chunk->slots[i];
+      uint64_t expected = kFree;
+      if (slot.owner_.load(std::memory_order_relaxed) == kFree &&
+          slot.owner_.compare_exchange_strong(expected, word,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed)) {
+        hint = i;
+        return &slot;
+      }
+    }
+    // Every slot of this chunk taken: move on, linking a fresh chunk after
+    // the last one (a losing linker frees its own and follows the winner).
+    Chunk* next = chunk->next.load(std::memory_order_acquire);
+    if (next == nullptr) {
+      auto fresh = std::make_unique<Chunk>();
+      if (chunk->next.compare_exchange_strong(next, fresh.get(),
+                                              std::memory_order_acq_rel,
+                                              std::memory_order_acquire)) {
+        next = fresh.release();
+      }
+    }
+    chunk = next;
+  }
 }
 
-SnapshotRegistration ActiveTxnTable::RegisterAtomic(
+ActiveTxnTable::Slot* ActiveTxnTable::RegisterAtomic(
     TxnId txn, const std::function<Timestamp()>& ts_source,
     bool pins_watermark) {
-  Shard& shard = ShardFor(txn);
-  std::lock_guard<std::mutex> guard(shard.mu);
-  Entry& entry = shard.active[txn];
-  entry.start_ts = ts_source();
-  entry.registered_at = std::chrono::steady_clock::now();
-  entry.expired = std::make_shared<std::atomic<bool>>(false);
-  entry.pins_watermark = pins_watermark;
-  return {entry.start_ts, entry.expired};
+  const uint64_t word = txn << kIdShift | (pins_watermark ? kPins : 0);
+  Slot* slot = Claim(word | kRegistering);
+  slot->born_.store(std::chrono::steady_clock::now(),
+                    std::memory_order_relaxed);
+  Timestamp ts = ts_source();
+  if (sync_points_ != nullptr) {
+    (void)sync_points_->Check("txn.begin.pre_publish");
+  }
+  slot->start_ts_.store(ts, std::memory_order_relaxed);
+  // Publishes the birth time and start ts to sweeps and scans.
+  slot->owner_.store(word, std::memory_order_release);
+  // Invariant 1: confirm the published value with a fenced re-read.
+  for (;;) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    const Timestamp again = ts_source();
+    if (again == ts) return slot;
+    ts = again;
+    slot->start_ts_.store(ts, std::memory_order_relaxed);
+  }
 }
 
-void ActiveTxnTable::Unregister(TxnId txn) {
-  Shard& shard = ShardFor(txn);
-  std::lock_guard<std::mutex> guard(shard.mu);
-  shard.active.erase(txn);
+template <typename Judge>
+Timestamp ActiveTxnTable::MinStartTs(Timestamp min_ts, Judge&& judge) const {
+  ForEachSlot(*this, [&](const Slot& slot) {
+    if (Pins(slot.owner_.load(std::memory_order_acquire)) && judge(slot)) {
+      min_ts = std::min(min_ts, slot.start_ts());
+    }
+  });
+  return min_ts;
 }
 
 Timestamp ActiveTxnTable::Watermark(Timestamp fallback) const {
-  // Safety argument (per shard): a transaction registered when its shard is
-  // scanned bounds min_ts directly. One that registers AFTER its shard was
-  // scanned read its start timestamp from the (monotone) oracle after the
-  // caller evaluated `fallback`, so its start_ts >= fallback — which is why
-  // the result is clamped to fallback as well: a mid-scan registration in an
-  // already-scanned shard may hold a start timestamp below the minimum of
-  // the transactions the scan did see.
-  //
-  // Expired registrations are skipped: the expiry flag is set under the
-  // shard mutex this scan also takes, so a scan either sees the mark (and
-  // advances past the victim) or ran wholly before it (and the next scan
-  // advances). Reclamation that follows an advanced watermark is ordered
-  // after the mark — the victim's post-read expiry check therefore cannot
-  // miss it (mutex + chain-latch release/acquire chain).
-  // Non-pinning (read-committed) registrations are skipped outright: they
-  // only read latest-committed versions, which reclamation never touches,
-  // and epoch protection covers their mid-walk memory safety.
-  Timestamp min_ts = kMaxTimestamp;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> guard(shard->mu);
-    for (const auto& [txn, entry] : shard->active) {
-      if (!entry.pins_watermark) continue;
-      if (entry.expired->load(std::memory_order_relaxed)) continue;
-      min_ts = std::min(min_ts, entry.start_ts);
-    }
-  }
-  return std::min(min_ts, fallback);
+  // Pairs with the registrant's fence (invariant 1).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  return MinStartTs(fallback, [](const Slot&) { return true; });
 }
 
-SnapshotExpiryOutcome ActiveTxnTable::ExpireSnapshots(uint64_t max_age_ms,
-                                                      bool backlog_pressure) {
+template <typename Judge>
+uint64_t ActiveTxnTable::MarkWhere(Judge&& judge) {
+  uint64_t marked = 0;
+  ForEachSlot(*this, [&](Slot& slot) {
+    uint64_t word = slot.owner_.load(std::memory_order_acquire);
+    if (!Pins(word) || !judge(slot)) return;
+    if (sync_points_ != nullptr) {
+      (void)sync_points_->Check("snapshot.expire.pre_mark");
+    }
+    if (slot.owner_.compare_exchange_strong(word, word | kExpired,
+                                            std::memory_order_release,
+                                            std::memory_order_relaxed)) {
+      ++marked;
+    }
+  });
+  return marked;
+}
+
+SnapshotExpiryOutcome ActiveTxnTable::ExpireSnapshots(
+    std::chrono::steady_clock::time_point now, uint64_t max_age_ms,
+    bool backlog_pressure) {
   SnapshotExpiryOutcome outcome;
-  const auto now = std::chrono::steady_clock::now();
-
-  // Pass 1 — age: any live PINNING snapshot past max_age_ms expires, full
-  // stop. Non-pinning (read-committed) registrations hold nothing back and
-  // are never SnapshotTooOld victims.
+  auto born_by = [](const Slot& slot, std::chrono::steady_clock::time_point t) {
+    return slot.born_.load(std::memory_order_relaxed) <= t;
+  };
   if (max_age_ms > 0) {
-    const auto max_age = std::chrono::milliseconds(max_age_ms);
-    for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> guard(shard->mu);
-      for (auto& [txn, entry] : shard->active) {
-        if (!entry.pins_watermark) continue;
-        if (entry.expired->load(std::memory_order_relaxed)) continue;
-        if (now - entry.registered_at >= max_age) {
-          entry.expired->store(true, std::memory_order_release);
-          ++outcome.expired_by_age;
-        }
-      }
-    }
+    const auto cutoff = now - std::chrono::milliseconds(max_age_ms);
+    outcome.expired_by_age =
+        MarkWhere([&](const Slot& slot) { return born_by(slot, cutoff); });
   }
-
-  // Pass 2 — backlog pressure: evict the oldest-start-ts cohort of
-  // grace-aged snapshots (the ones actually pinning the watermark). Two
-  // scans (find the minimum, then mark it); a registration racing in
-  // between is younger than the grace period and cannot join the cohort,
-  // so the mark scan hits exactly the pinners the find scan chose — and a
-  // second sweep repairs any cohort the race split.
+  // Backlog pressure: mark the oldest-start-ts cohort of grace-aged
+  // snapshots. A registration racing in between is too young to join it; a
+  // later sweep repairs a cohort a release split.
   if (backlog_pressure) {
-    Timestamp victim_ts = kMaxTimestamp;
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> guard(shard->mu);
-      for (const auto& [txn, entry] : shard->active) {
-        if (!entry.pins_watermark) continue;
-        if (entry.expired->load(std::memory_order_relaxed)) continue;
-        if (now - entry.registered_at < kBacklogExpiryGrace) continue;
-        victim_ts = std::min(victim_ts, entry.start_ts);
-      }
-    }
+    const auto graced = now - kBacklogExpiryGrace;
+    const Timestamp victim_ts = MinStartTs(
+        kMaxTimestamp, [&](const Slot& slot) { return born_by(slot, graced); });
     if (victim_ts != kMaxTimestamp) {
-      for (auto& shard : shards_) {
-        std::lock_guard<std::mutex> guard(shard->mu);
-        for (auto& [txn, entry] : shard->active) {
-          if (!entry.pins_watermark) continue;
-          if (entry.start_ts != victim_ts) continue;
-          if (entry.expired->load(std::memory_order_relaxed)) continue;
-          if (now - entry.registered_at < kBacklogExpiryGrace) continue;
-          entry.expired->store(true, std::memory_order_release);
-          ++outcome.expired_by_backlog;
-        }
-      }
+      outcome.expired_by_backlog = MarkWhere([&](const Slot& slot) {
+        return born_by(slot, graced) && slot.start_ts() == victim_ts;
+      });
     }
   }
-
   expired_age_.fetch_add(outcome.expired_by_age, std::memory_order_relaxed);
   expired_backlog_.fetch_add(outcome.expired_by_backlog,
                              std::memory_order_relaxed);
@@ -135,52 +136,27 @@ SnapshotExpiryOutcome ActiveTxnTable::ExpireSnapshots(uint64_t max_age_ms,
 }
 
 uint64_t ActiveTxnTable::ExpireSnapshotsBelow(Timestamp ts) {
-  uint64_t marked = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> guard(shard->mu);
-    for (auto& [txn, entry] : shard->active) {
-      if (!entry.pins_watermark) continue;
-      if (entry.start_ts >= ts) continue;
-      if (entry.expired->load(std::memory_order_relaxed)) continue;
-      entry.expired->store(true, std::memory_order_release);
-      ++marked;
-    }
-  }
+  const uint64_t marked =
+      MarkWhere([&](const Slot& slot) { return slot.start_ts() < ts; });
   expired_replication_.fetch_add(marked, std::memory_order_relaxed);
   return marked;
 }
 
 size_t ActiveTxnTable::ActiveCount() const {
   size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> guard(shard->mu);
-    n += shard->active.size();
-  }
+  ForEachSlot(*this, [&](const Slot& slot) {
+    if (slot.owner_.load(std::memory_order_relaxed) != kFree) ++n;
+  });
   return n;
 }
 
-std::vector<TxnId> ActiveTxnTable::ActiveTxnIds() const {
-  std::vector<TxnId> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> guard(shard->mu);
-    for (const auto& [txn, entry] : shard->active) out.push_back(txn);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-bool ActiveTxnTable::IsActive(TxnId txn) const {
-  const Shard& shard = ShardFor(txn);
-  std::lock_guard<std::mutex> guard(shard.mu);
-  return shard.active.count(txn) != 0;
-}
-
-bool ActiveTxnTable::IsExpired(TxnId txn) const {
-  const Shard& shard = ShardFor(txn);
-  std::lock_guard<std::mutex> guard(shard.mu);
-  auto it = shard.active.find(txn);
-  return it != shard.active.end() &&
-         it->second.expired->load(std::memory_order_acquire);
+const ActiveTxnTable::Slot* ActiveTxnTable::Find(TxnId txn) const {
+  const Slot* found = nullptr;
+  ForEachSlot(*this, [&](const Slot& slot) {
+    const uint64_t word = slot.owner_.load(std::memory_order_acquire);
+    if (word != kFree && word >> kIdShift == txn) found = &slot;
+  });
+  return found;
 }
 
 }  // namespace neosi

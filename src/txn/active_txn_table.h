@@ -2,27 +2,41 @@
 // versions older than what the oldest active transaction can read are
 // garbage).
 //
-// Sharded by transaction id: with the commit pipeline running commits in
-// parallel, Begin()'s registration is the last per-transaction global touch
-// point, so it must not funnel every thread through one mutex.
+// One claimed slot per transaction: Begin() claims a free cache-line slot by
+// CAS, probing from a thread-local hint (as EpochManager::Enter does), and
+// commit or abort frees it with one release store. A slot holds an owner
+// word — the txn id plus three bits: pins watermark, expired, registering;
+// 0 is free — the start ts and the steady-clock birth time. When every slot
+// is taken a further chunk is linked in by CAS; chunks are freed only by the
+// destructor, so scans walk them without a lock.
 //
-// Snapshot lifecycle: each registration carries a wall-clock birth time and
-// a shared expired flag. The GC daemon's expiry sweep (ExpireSnapshots)
-// marks snapshots expired — by age (snapshot_max_age_ms) or under GC
-// backlog pressure — and Watermark() then IGNORES expired registrations, so
-// the reclamation watermark advances past a marked victim immediately. The
-// victim's Transaction holds the same flag and fails its next read or
-// commit with Status::SnapshotTooOld (checked before AND after each chain
-// walk: a read that overlaps its own expiry can never return state the
-// concurrent reclamation made inconsistent).
+// Snapshot lifecycle: the GC daemon's expiry sweep marks snapshots expired
+// (by age or under GC backlog pressure) and Watermark() then ignores them.
+// The victim's Transaction polls its slot and fails its next read or commit
+// with SnapshotTooOld (checked before AND after each chain walk).
+// Read-committed transactions register with pins_watermark=false: they read
+// only latest-committed versions, which are never reclaimable, so neither
+// Watermark() nor the sweeps see them; they still count as active.
 //
-// Watermark pinning is OPT-IN per registration: read-committed
-// transactions register with pins_watermark=false — they only ever read
-// the LATEST committed version, which is never reclaimable, and their
-// mid-walk memory safety comes from the epoch-based read path, not from
-// holding reclamation back. Non-pinning registrations are invisible to
-// both Watermark() and the expiry sweep (they can never be a
-// SnapshotTooOld victim), but still count as active transactions.
+// Three invariants hold without a lock:
+//  1. Watermark corollary. Begin claims with the registering bit set,
+//     publishes the birth time and the start ts it read from the oracle,
+//     clears the bit, then re-reads the oracle after a seq_cst fence,
+//     republishing until a re-read confirms the value. Watermark() fences
+//     after its caller read the fallback, and skips registering slots. If
+//     the registrant's fence came first the scan sees the final start ts (or
+//     a later owner); otherwise the fallback was read before the confirming
+//     re-read, so fallback <= start ts (the read ts is monotone). Either
+//     way the result, clamped to the fallback, is at most the start ts.
+//  2. No stale or reused victim. A sweep judges a slot by the owner word it
+//     loaded and the fields behind it, then marks it by a CAS from exactly
+//     that word. A slot freed and re-claimed meanwhile holds another txn id,
+//     so the CAS fails and no counter moves. Registering slots are never
+//     judged, so a new owner is never judged by its predecessor's birth.
+//  3. Mark before reclaim. The mark is a release CAS and the scan's load of
+//     the owner word an acquire, so reclamation that follows an advanced
+//     watermark is ordered after the mark, and the victim's post-walk check
+//     (an acquire load of its own owner word) cannot miss it.
 
 #ifndef NEOSI_TXN_ACTIVE_TXN_TABLE_H_
 #define NEOSI_TXN_ACTIVE_TXN_TABLE_H_
@@ -30,23 +44,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
 
+#include "common/sync_points.h"
 #include "common/types.h"
 
 namespace neosi {
-
-/// What Begin() gets back from a registration: the snapshot timestamp and
-/// the expiry flag shared with the table. The Transaction polls the flag
-/// (one relaxed/acquire load) instead of taking a shard mutex per read.
-struct SnapshotRegistration {
-  Timestamp start_ts = kNoTimestamp;
-  std::shared_ptr<const std::atomic<bool>> expired;
-};
 
 /// Outcome of one expiry sweep.
 struct SnapshotExpiryOutcome {
@@ -54,80 +58,81 @@ struct SnapshotExpiryOutcome {
   uint64_t expired_by_backlog = 0;
 };
 
-/// Thread-safe sharded active-transaction table.
+/// Thread-safe, lock-free active-transaction table.
 class ActiveTxnTable {
  public:
-  /// Shard count is auto-sized from std::thread::hardware_concurrency():
-  /// max(16, 2 * cores), capped at 64. More shards keep concurrent Begin()s
-  /// off each other's mutexes; fewer make the watermark scan cheaper.
-  ActiveTxnTable();
+  /// One transaction's registration. Begin() gets a pointer to it back and
+  /// hands it to the Transaction, which polls it for expiry and frees it.
+  class alignas(64) Slot {
+   public:
+    Timestamp start_ts() const {
+      return start_ts_.load(std::memory_order_relaxed);
+    }
+    /// True once a sweep has marked this snapshot (one acquire load).
+    bool expired() const {
+      return (owner_.load(std::memory_order_acquire) & kExpired) != 0;
+    }
 
+   private:
+    friend class ActiveTxnTable;
+    std::atomic<uint64_t> owner_{kFree};
+    std::atomic<Timestamp> start_ts_{kNoTimestamp};
+    std::atomic<std::chrono::steady_clock::time_point> born_{};
+  };
+
+  /// Every Begin() parks at "txn.begin.pre_publish" and every expiry mark at
+  /// "snapshot.expire.pre_mark" on `sync_points` (if any).
+  explicit ActiveTxnTable(SyncPoints* sync_points = nullptr)
+      : sync_points_(sync_points) {}
+  ~ActiveTxnTable();
   ActiveTxnTable(const ActiveTxnTable&) = delete;
   ActiveTxnTable& operator=(const ActiveTxnTable&) = delete;
 
-  /// Grace period from registration before a snapshot is eligible for
-  /// BACKLOG-pressure eviction (age-based expiry uses snapshot_max_age_ms
-  /// alone): a fresh snapshot under a write burst is never the victim.
+  /// Age before a snapshot can be a BACKLOG-pressure victim: a fresh
+  /// snapshot under a write burst is never evicted.
   static constexpr std::chrono::milliseconds kBacklogExpiryGrace{10};
 
-  void Register(TxnId txn, Timestamp start_ts);
+  /// Claims a slot for `txn` and publishes a start ts read from the
+  /// monotone `ts_source` (the oracle's read ts), as invariant 1 describes.
+  /// Allocates only when every slot of every chunk is taken.
+  Slot* RegisterAtomic(TxnId txn,
+                       const std::function<Timestamp()>& ts_source,
+                       bool pins_watermark = true);
 
-  /// Obtains a start timestamp from `ts_source` and registers the
-  /// transaction in one critical section (on the transaction's shard). This
-  /// closes the begin/GC race: Watermark() evaluates its fallback BEFORE
-  /// scanning the shards, and the oracle's read timestamp is monotone, so a
-  /// registration this scan misses must have read a start timestamp >= the
-  /// fallback — the watermark never exceeds a missed snapshot's timestamp.
-  ///
-  /// `pins_watermark=false` (read-committed) registers an active
-  /// transaction that neither holds Watermark() back nor participates in
-  /// the expiry sweep.
-  SnapshotRegistration RegisterAtomic(
-      TxnId txn, const std::function<Timestamp()>& ts_source,
-      bool pins_watermark = true);
+  /// Frees the slot (one release store). The slot must not be used after.
+  void Unregister(Slot* slot) {
+    slot->owner_.store(kFree, std::memory_order_release);
+  }
 
-  void Unregister(TxnId txn);
-
-  /// The reclamation watermark: the minimum start timestamp among active,
-  /// NON-EXPIRED transactions, or `fallback` (the oracle's current read
-  /// timestamp, which callers MUST evaluate before this call) when none
-  /// are active. Any version superseded at or before this timestamp can
-  /// never be read again (paper §3's example: versions 40 and 56 are dead
-  /// once the oldest active start timestamp is 100). An expired
-  /// registration no longer holds the watermark back — that is the whole
-  /// point of expiry: its transaction is doomed to SnapshotTooOld and must
-  /// not be allowed to read reclaimed state anyway.
+  /// The reclamation watermark: the minimum start ts among pinning,
+  /// NON-EXPIRED transactions, clamped to `fallback` (the oracle's read ts,
+  /// which callers MUST evaluate first). No version superseded at or before
+  /// it can be read again (paper §3: 40 and 56 die once the oldest is 100).
   Timestamp Watermark(Timestamp fallback) const;
 
-  /// One expiry sweep (called by the GC daemon, never by transactions).
-  /// Marks expired:
-  ///  - every active transaction older than `max_age_ms` (0 = age expiry
-  ///    disabled), and
-  ///  - when `backlog_pressure` is set, the oldest-start-ts cohort of
-  ///    active transactions older than kBacklogExpiryGrace (the snapshots
-  ///    actually pinning the watermark).
-  /// Idempotent per victim; per-cause totals accumulate in the stats
-  /// counters below.
-  SnapshotExpiryOutcome ExpireSnapshots(uint64_t max_age_ms,
-                                        bool backlog_pressure);
+  /// One expiry sweep at time `now` (the GC daemon passes
+  /// steady_clock::now()). Marks expired every pinning snapshot older than
+  /// `max_age_ms` (0 = off) and, under `backlog_pressure`, the
+  /// oldest-start-ts cohort of those older than kBacklogExpiryGrace (the
+  /// snapshots actually pinning the watermark). Idempotent per victim.
+  SnapshotExpiryOutcome ExpireSnapshots(
+      std::chrono::steady_clock::time_point now, uint64_t max_age_ms,
+      bool backlog_pressure);
 
-  /// Replication-conflict expiry (the standby-query-conflict path): marks
-  /// every watermark-pinning registration with start_ts < `ts` expired, so
-  /// a replica applier can replay a shipped purge that would otherwise wait
-  /// on those snapshots forever. Victims fail their next read or commit
-  /// with SnapshotTooOld. Returns the number newly marked; the total
-  /// accumulates in snapshots_expired_replication().
+  /// Replication-conflict expiry: marks every pinning snapshot with
+  /// start ts < `ts` expired, so a replica can replay a shipped purge that
+  /// would otherwise wait on them forever. Returns the number newly marked.
   uint64_t ExpireSnapshotsBelow(Timestamp ts);
 
   size_t ActiveCount() const;
-  size_t shard_count() const { return shards_.size(); }
-  std::vector<TxnId> ActiveTxnIds() const;
-  bool IsActive(TxnId txn) const;
+  bool IsActive(TxnId txn) const { return Find(txn) != nullptr; }
   /// True if the transaction is registered AND marked expired (test hook).
-  bool IsExpired(TxnId txn) const;
+  bool IsExpired(TxnId txn) const {
+    const Slot* slot = Find(txn);
+    return slot != nullptr && slot->expired();
+  }
 
-  /// Called by a Transaction when it turns an expiry mark into a
-  /// SnapshotTooOld abort (per-cause observability in DatabaseStats).
+  /// Counts a Transaction's SnapshotTooOld abort (DatabaseStats).
   void NoteSnapshotTooOldAbort() {
     too_old_aborts_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -147,28 +152,45 @@ class ActiveTxnTable {
   }
 
  private:
-  struct Entry {
-    Timestamp start_ts = kNoTimestamp;
-    std::chrono::steady_clock::time_point registered_at;
-    std::shared_ptr<std::atomic<bool>> expired;
-    /// False for read-committed registrations: ignored by Watermark() and
-    /// by the expiry sweep.
-    bool pins_watermark = true;
+  // Owner word: txn id << kIdShift | flag bits; kFree = no owner.
+  static constexpr uint64_t kFree = 0;
+  static constexpr uint64_t kRegistering = 1;
+  static constexpr uint64_t kExpired = 2;
+  static constexpr uint64_t kPins = 4;
+  static constexpr int kIdShift = 3;
+  static constexpr size_t kChunkSlots = 64;
+
+  struct Chunk {
+    Slot slots[kChunkSlots];
+    std::atomic<Chunk*> next{nullptr};
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<TxnId, Entry> active;
-  };
-
-  Shard& ShardFor(TxnId txn) { return *shards_[txn % shards_.size()]; }
-  const Shard& ShardFor(TxnId txn) const {
-    return *shards_[txn % shards_.size()];
+  /// A published, pinning, unexpired owner: holds the watermark back.
+  static bool Pins(uint64_t word) {
+    return (word & (kPins | kExpired | kRegistering)) == kPins;
   }
 
-  /// unique_ptr indirection: Shard owns a mutex and cannot be moved into a
-  /// runtime-sized vector directly.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Calls `fn` on every slot of every chunk of `table` (const or not).
+  template <typename Table, typename Fn>
+  static void ForEachSlot(Table& table, Fn&& fn) {
+    for (auto* chunk = &table.head_; chunk != nullptr;
+         chunk = chunk->next.load(std::memory_order_acquire)) {
+      for (auto& slot : chunk->slots) fn(slot);
+    }
+  }
+
+  Slot* Claim(uint64_t word);
+  /// min(`min_ts`, start ts of every pinning slot `judge` picks).
+  template <typename Judge>
+  Timestamp MinStartTs(Timestamp min_ts, Judge&& judge) const;
+  /// Marks every pinning slot that `judge` picks, by a CAS from the owner
+  /// word it was judged under (invariant 2). Returns the number marked.
+  template <typename Judge>
+  uint64_t MarkWhere(Judge&& judge);
+  const Slot* Find(TxnId txn) const;
+
+  SyncPoints* const sync_points_;
+  Chunk head_;
 
   std::atomic<uint64_t> expired_age_{0};
   std::atomic<uint64_t> expired_backlog_{0};

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "graph/graph_database.h"
+#include "sync_points.h"
 
 namespace neosi {
 namespace {
@@ -284,6 +285,90 @@ TEST(SnapshotLifecycle, ReadCommittedNeverPinsBacklogNorExpires) {
   EXPECT_EQ(db->engine().gc_list.backlog(), 0u);
   EXPECT_TRUE(rc->GetNodeProperty(id, "v").ok());
   EXPECT_TRUE(rc->Commit().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Race windows of the lock-free active-transaction table
+// ---------------------------------------------------------------------------
+
+NodeId CreateCounter(GraphDatabase& db) {
+  auto txn = db.Begin();
+  const NodeId id = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{0})}});
+  EXPECT_TRUE(txn->Commit().ok());
+  return id;
+}
+
+// A Begin parked between reading the oracle's read timestamp and publishing
+// it holds a registering slot, which the watermark skips. An overwrite
+// committed inside that window and the GC pass after it reclaim the version
+// the parked timestamp would read, so the Begin's confirming re-read must
+// carry its snapshot past the overwrite: the watermark taken during the
+// park is at most the reader's start ts, and the reader reads the state at
+// that start ts.
+TEST(SnapshotLifecycle, BeginParkedBeforePublishNeverTrailsTheWatermark) {
+  DatabaseOptions options;
+  options.background_gc_interval_ms = 0;  // GC passes run by hand.
+  auto db = OpenDb(options);
+  const NodeId id = CreateCounter(*db);
+  auto writer = db->Begin();
+  ASSERT_TRUE(writer->SetNodeProperty(id, "v", PropertyValue(int64_t{1})).ok());
+
+  ArmedPoints points(db.get());
+  points.Park("txn.begin.pre_publish");
+  std::unique_ptr<Transaction> reader;
+  std::thread begin([&] { reader = db->Begin(); });
+  EXPECT_TRUE(points.WaitFor("txn.begin.pre_publish"));
+  const Timestamp parked_read_ts = db->engine().oracle.ReadTs();
+
+  EXPECT_TRUE(writer->Commit().ok());
+  EXPECT_GT(writer->commit_ts(), parked_read_ts);
+  const GcStats gc = db->RunGc();
+  EXPECT_GE(gc.versions_pruned, 1u);  // The pre-overwrite version is gone.
+  const Timestamp watermark_in_park = db->Watermark();
+
+  points.Release("txn.begin.pre_publish");
+  begin.join();
+  ASSERT_NE(reader, nullptr);
+  EXPECT_LE(watermark_in_park, reader->start_ts());
+  EXPECT_GE(reader->start_ts(), writer->commit_ts());
+  auto read = reader->GetNodeProperty(id, "v");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->AsInt(), 1);
+  EXPECT_TRUE(reader->Commit().ok());
+}
+
+// An age sweep parked between judging a slot and marking it: the victim
+// ends and a new transaction re-claims the slot (a Begin on the same thread
+// probes from the same hint). The mark is a CAS on the owner word the sweep
+// judged, so the new owner is never marked and no counter moves.
+TEST(SnapshotLifecycle, ExpirySweepNeverMarksARecycledSlot) {
+  DatabaseOptions options;
+  options.background_gc_interval_ms = 0;  // Sweeps run by hand.
+  auto db = OpenDb(options);
+  const NodeId id = CreateCounter(*db);
+  ActiveTxnTable& table = db->engine().active_txns;
+  auto victim = db->Begin();
+
+  ArmedPoints points(db.get());
+  points.Park("snapshot.expire.pre_mark");
+  std::thread sweep([&] {
+    // An hour from now every open snapshot is over a 1 ms age limit.
+    table.ExpireSnapshots(
+        std::chrono::steady_clock::now() + std::chrono::hours(1),
+        /*max_age_ms=*/1, /*backlog_pressure=*/false);
+  });
+  EXPECT_TRUE(points.WaitFor("snapshot.expire.pre_mark"));
+  EXPECT_TRUE(victim->Commit().ok());
+  auto fresh = db->Begin();
+  EXPECT_EQ(table.ActiveCount(), 1u);
+  points.Release("snapshot.expire.pre_mark");
+  sweep.join();
+
+  EXPECT_FALSE(table.IsExpired(fresh->id()));
+  EXPECT_EQ(table.snapshots_expired_age(), 0u);
+  auto read = fresh->GetNodeProperty(id, "v");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_TRUE(fresh->Commit().ok());
 }
 
 // ---------------------------------------------------------------------------
