@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "graph/graph_database.h"
@@ -133,6 +134,36 @@ void BM_CachedRelPropertyRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CachedRelPropertyRead)->Threads(1)->Threads(4);
+
+// Every thread reads the same node's property, each inside SI transactions
+// of its own (a fresh one every 256 reads). A read that wrote a line shared
+// by all readers (a version reference count, a token-table latch, a hit
+// counter) would show as CPU per read growing from 1 to 4 threads.
+void BM_HotNodeRead(benchmark::State& state) {
+  constexpr int kReadsPerTxn = 256;
+  // Thread 0 replaces the previous run's database, as above.
+  static std::unique_ptr<GraphDatabase> db;
+  static NodeId hot;
+  if (state.thread_index() == 0) {
+    db = OpenDb();
+    auto txn = db->Begin();
+    hot = *txn->CreateNode({"Person"}, {{"name", PropertyValue("hot")},
+                                        {"age", PropertyValue(int64_t{42})}});
+    (void)txn->Commit();
+  }
+  const std::string key = "age";
+  std::unique_ptr<Transaction> txn;
+  int reads = 0;
+  for (auto _ : state) {
+    if (reads++ % kReadsPerTxn == 0) {
+      if (txn != nullptr) (void)txn->Commit();
+      txn = db->Begin(IsolationLevel::kSnapshotIsolation);
+    }
+    benchmark::DoNotOptimize(txn->GetNodeProperty(hot, key));
+  }
+  if (txn != nullptr) (void)txn->Commit();
+}
+BENCHMARK(BM_HotNodeRead)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_ReadCommittedRead(benchmark::State& state) {
   auto db = OpenDb();

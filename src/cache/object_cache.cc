@@ -21,6 +21,15 @@ bool IsDefunct(const VersionChain& chain) {
   return latest == nullptr || latest->data.deleted;
 }
 
+/// The calling thread's hit cell. Cells are handed out round-robin as
+/// threads first count, so up to `cells` threads each write a line of
+/// their own.
+size_t ThreadCell(size_t cells) {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t cell = next.fetch_add(1, std::memory_order_relaxed);
+  return cell % cells;
+}
+
 /// Installs `data` as `chain`'s one committed version, stamped with the
 /// persisted commit timestamp.
 Status Materialize(VersionChain* chain, VersionData data, Timestamp ts) {
@@ -75,15 +84,17 @@ ObjectCache::~ObjectCache() = default;
 
 template <typename Entry, typename Load>
 Result<Entry*> ObjectCache::Get(Table<Entry>& table, uint64_t id, Load load) {
-  Stripe& stripe = table.StripeOf(id);
   if (Entry* hit = table.Find(id)) {
-    stripe.hits.fetch_add(1, std::memory_order_relaxed);
+    table.hits[ThreadCell(kHitCells)].count.fetch_add(
+        1, std::memory_order_relaxed);
     return hit;
   }
   // Miss: load the newest committed version from the store.
+  Stripe& stripe = table.StripeOf(id);
   std::lock_guard<std::mutex> guard(stripe.latch);
   if (Entry* hit = table.Find(id)) {  // Raced another loader: our hit.
-    stripe.hits.fetch_add(1, std::memory_order_relaxed);
+    table.hits[ThreadCell(kHitCells)].count.fetch_add(
+        1, std::memory_order_relaxed);
     return hit;
   }
   Result<std::unique_ptr<Entry>> loaded = load(id);
@@ -160,6 +171,9 @@ Result<VersionChain*> ObjectCache::GetChain(const EntityKey& key) {
 template <typename Entry>
 Result<Entry*> ObjectCache::Insert(Table<Entry>& table, uint64_t id,
                                    std::unique_ptr<Entry> entry) {
+  // Covers IsDefunct's borrowed version; taken before the stripe latch (see
+  // DropRelList).
+  EpochManager::Guard epoch(epochs_);
   std::lock_guard<std::mutex> guard(table.StripeOf(id).latch);
   std::atomic<Entry*>* slot = table.Slot(id);
   if (slot == nullptr) {
@@ -328,15 +342,19 @@ void ObjectCache::Tally(const Table<Entry>& table, uint64_t* resident,
 
 ObjectCacheStats ObjectCache::Stats() const {
   ObjectCacheStats out;
+  for (const HitCell& cell : nodes_.hits) {
+    out.node_hits += cell.count.load(std::memory_order_relaxed);
+  }
+  for (const HitCell& cell : rels_.hits) {
+    out.rel_hits += cell.count.load(std::memory_order_relaxed);
+  }
   for (const Stripe& stripe : nodes_.stripes) {
-    out.node_hits += stripe.hits.load(std::memory_order_relaxed);
     out.node_misses += stripe.misses.load(std::memory_order_relaxed);
     out.loads += stripe.loads.load(std::memory_order_relaxed);
     out.rel_list_loads += stripe.rel_list_loads.load(std::memory_order_relaxed);
     out.rel_list_drops += stripe.rel_list_drops.load(std::memory_order_relaxed);
   }
   for (const Stripe& stripe : rels_.stripes) {
-    out.rel_hits += stripe.hits.load(std::memory_order_relaxed);
     out.rel_misses += stripe.misses.load(std::memory_order_relaxed);
     out.loads += stripe.loads.load(std::memory_order_relaxed);
   }

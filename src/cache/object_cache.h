@@ -138,15 +138,22 @@ class ObjectCache {
   static constexpr size_t kPageSlots = size_t{1} << kPageBits;
   static constexpr size_t kPages = size_t{1} << 16;  // Ids below 2^30.
 
+  static constexpr size_t kHitCells = 64;
+
   // A stripe's latch serializes slot writes for its ids; its counters are
-  // relaxed atomics on their own line, so a hit writes only that line.
+  // relaxed atomics bumped on the miss path.
   struct alignas(64) Stripe {
     std::mutex latch;
-    std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> loads{0};
     std::atomic<uint64_t> rel_list_loads{0};
     std::atomic<uint64_t> rel_list_drops{0};
+  };
+
+  // Hits count in a cell picked by the counting thread, not by the id: a
+  // hot entity read from many threads then writes no shared line.
+  struct alignas(64) HitCell {
+    std::atomic<uint64_t> count{0};
   };
 
   /// One entity kind's directory.
@@ -174,6 +181,7 @@ class ObjectCache {
     /// One past the highest allocated page index (eviction scans below it).
     std::atomic<size_t> page_limit{0};
     mutable std::array<Stripe, kStripes> stripes;
+    std::array<HitCell, kHitCells> hits;
     std::atomic<size_t> resident{0};
   };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 
 #include "common/coding.h"
 #include "graph/index_maintenance.h"
@@ -326,10 +327,14 @@ Status ReplicaApplier::ApplyEntityOp(const EntityKey& key, const WalOp& op,
   // post-state below), which eviction never unpublishes. As for a
   // transaction's first write, it is installed and then confirmed inside
   // one guard, and retried if eviction unpublished the entry first.
+  // `pre` copies the superseded state: the store apply below is I/O, and a
+  // borrowed version is not held across it.
   EpochManager::Guard guard(&engine_->epochs);
   VersionChain* chain = nullptr;
   std::shared_ptr<Version> pending;
+  std::optional<VersionData> pre;
   for (;;) {
+    pre.reset();
     auto cached = engine_->cache->GetChain(key);
     if (!cached.ok()) {
       if (!cached.status().IsNotFound()) return cached.status();
@@ -341,17 +346,14 @@ Status ReplicaApplier::ApplyEntityOp(const EntityKey& key, const WalOp& op,
     // entity, all sharing its commit_ts — the later ops stack same-ts
     // versions, and readers take the newest on a ts tie.
     if (chain->NewestCommitTs() > ts) return Status::OK();
-    const std::shared_ptr<const Version> latest = chain->LatestCommitted();
+    if (const Version* latest = chain->LatestCommitted()) pre = latest->data;
     NEOSI_ASSIGN_OR_RETURN(
-        pending, chain->InstallUncommitted(
-                     kApplierTxn, latest != nullptr ? latest->data
-                                                    : VersionData{}));
+        pending,
+        chain->InstallUncommitted(kApplierTxn, pre.value_or(VersionData{})));
     if (engine_->cache->Holds(key, chain)) break;
     chain->AbortHead(kApplierTxn);
     chain = nullptr;
   }
-  const std::shared_ptr<const Version> pre =
-      chain != nullptr ? chain->LatestCommitted() : nullptr;
 
   VersionData post;
   Timestamp persisted_ts = kNoTimestamp;
@@ -365,7 +367,7 @@ Status ReplicaApplier::ApplyEntityOp(const EntityKey& key, const WalOp& op,
     if (chain != nullptr) chain->AbortHead(kApplierTxn);
     return s;
   }
-  CommitIndexDiff(engine_, key, pre != nullptr ? &pre->data : nullptr,
+  CommitIndexDiff(engine_, key, pre.has_value() ? &*pre : nullptr,
                   rs.ok() ? &post : nullptr, kApplierTxn, ts);
   // No cache entry and the record was free before: a create replays with no
   // resident chain — a later reader materializes it lazily, and its

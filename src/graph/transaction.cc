@@ -411,8 +411,8 @@ Result<RelId> Transaction::CreateRelationship(NodeId src, NodeId dst,
   }
 
   // Endpoints must be visible in our snapshot.
-  NEOSI_RETURN_IF_ERROR(VisibleVersion(EntityKey::Node(src)).status());
-  NEOSI_RETURN_IF_ERROR(VisibleVersion(EntityKey::Node(dst)).status());
+  NEOSI_RETURN_IF_ERROR(CheckVisible(EntityKey::Node(src)));
+  NEOSI_RETURN_IF_ERROR(CheckVisible(EntityKey::Node(dst)));
   NEOSI_RETURN_IF_ERROR(LockEndpoints(src, dst));
 
   // Re-check after acquiring the locks: a concurrent transaction may have
@@ -559,8 +559,9 @@ Status Transaction::DeleteNode(NodeId id) {
 // Reads
 // ---------------------------------------------------------------------------
 
-Result<std::shared_ptr<const Version>> Transaction::VisibleVersion(
-    const EntityKey& key) {
+template <typename Fn>
+std::invoke_result_t<Fn&, const Version&> Transaction::WithVisible(
+    const EntityKey& key, Fn&& fn) {
   NEOSI_RETURN_IF_ERROR(CheckActive());
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
@@ -584,15 +585,15 @@ Result<std::shared_ptr<const Version>> Transaction::VisibleVersion(
     if (short_lock) engine_->lock_manager.Release(id_, key);
   };
 
-  // One guard covers the lookup and every walk of the borrowed chain (taken
-  // after the short lock: no guard is held across a lock wait).
+  // One guard covers the lookup, every walk of the borrowed chain and `fn`
+  // (taken after the short lock: no guard is held across a lock wait).
   EpochManager::Guard guard(&engine_->epochs);
   auto chain = engine_->cache->GetChain(key);
   if (!chain.ok()) {
     release();
     return chain.status();
   }
-  auto version = (*chain)->Visible(SnapshotTs(), id_);
+  const Version* version = (*chain)->Visible(SnapshotTs(), id_);
   // Read-time conflict-out: versions committed after our snapshot are
   // rw-antidependencies this --rw--> writer (we read underneath them).
   if (ssi_) {
@@ -607,62 +608,62 @@ Result<std::shared_ptr<const Version>> Transaction::VisibleVersion(
   // version we resolved (or the NotFound we are about to report) may
   // reflect reclaimed state — fail the read instead.
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  if (!version || version->data.deleted) {
+  if (version == nullptr || version->data.deleted) {
     return Status::NotFound(key.ToString() + " not visible");
   }
-  return version;
+  return fn(*version);
+}
+
+Status Transaction::CheckVisible(const EntityKey& key) {
+  return WithVisible(key, [](const Version&) { return Status::OK(); });
 }
 
 Result<NodeView> Transaction::GetNode(NodeId id) {
-  auto version = VisibleVersion(EntityKey::Node(id));
-  if (!version.ok()) return version.status();
-
-  NodeView view;
-  view.id = id;
-  for (LabelId label : (*version)->data.labels) {
-    auto name = engine_->store.labels().NameOf(label);
-    if (!name.ok()) return name.status();
-    view.labels.push_back(*name);
-  }
-  auto props = NameProps((*version)->data.props);
-  if (!props.ok()) return props.status();
-  view.props = std::move(*props);
-  return view;
+  return WithVisible(EntityKey::Node(id),
+                     [&](const Version& version) -> Result<NodeView> {
+    NodeView view;
+    view.id = id;
+    for (LabelId label : version.data.labels) {
+      NEOSI_ASSIGN_OR_RETURN(std::string name,
+                             engine_->store.labels().NameOf(label));
+      view.labels.push_back(std::move(name));
+    }
+    NEOSI_ASSIGN_OR_RETURN(view.props, NameProps(version.data.props));
+    return view;
+  });
 }
 
 Result<RelView> Transaction::GetRelationship(RelId id) {
-  auto version = VisibleVersion(EntityKey::Rel(id));
-  if (!version.ok()) return version.status();
-  EpochManager::Guard guard(&engine_->epochs);
-  auto rel = engine_->cache->GetRel(id);
-  if (!rel.ok()) return rel.status();
-
-  RelView view;
-  view.id = id;
-  view.src = (*rel)->src;
-  view.dst = (*rel)->dst;
-  auto type_name = engine_->store.rel_types().NameOf((*rel)->type);
-  if (!type_name.ok()) return type_name.status();
-  view.type = *type_name;
-  auto props = NameProps((*version)->data.props);
-  if (!props.ok()) return props.status();
-  view.props = std::move(*props);
-  return view;
+  return WithVisible(EntityKey::Rel(id),
+                     [&](const Version& version) -> Result<RelView> {
+    NEOSI_ASSIGN_OR_RETURN(CachedRel* rel, engine_->cache->GetRel(id));
+    RelView view;
+    view.id = id;
+    view.src = rel->src;
+    view.dst = rel->dst;
+    NEOSI_ASSIGN_OR_RETURN(view.type,
+                           engine_->store.rel_types().NameOf(rel->type));
+    NEOSI_ASSIGN_OR_RETURN(view.props, NameProps(version.data.props));
+    return view;
+  });
 }
 
 Result<PropertyValue> Transaction::PropertyOf(const EntityKey& entity,
                                               const std::string& key) {
   // The entity read (and its SIREAD marker) comes first: reading a key this
   // snapshot cannot name is still a read of the entity.
-  NEOSI_ASSIGN_OR_RETURN(auto version, VisibleVersion(entity));
-  NEOSI_ASSIGN_OR_RETURN(const PropertyKeyId token,
-                         Token(TokenKind::kPropertyKey, key, /*create=*/false));
-  auto it = version->data.props.find(token);
-  if (it == version->data.props.end()) {
-    return Status::NotFound(entity.ToString() + " has no property \"" + key +
-                            "\"");
-  }
-  return it->second;
+  return WithVisible(entity,
+                     [&](const Version& version) -> Result<PropertyValue> {
+    NEOSI_ASSIGN_OR_RETURN(
+        const PropertyKeyId token,
+        Token(TokenKind::kPropertyKey, key, /*create=*/false));
+    auto it = version.data.props.find(token);
+    if (it == version.data.props.end()) {
+      return Status::NotFound(entity.ToString() + " has no property \"" +
+                              key + "\"");
+    }
+    return it->second;
+  });
 }
 
 Result<PropertyValue> Transaction::GetNodeProperty(NodeId id,
@@ -677,23 +678,24 @@ Result<PropertyValue> Transaction::GetRelProperty(RelId id,
 
 Result<bool> Transaction::NodeHasLabel(NodeId id, const std::string& label) {
   // Entity read first, as in PropertyOf.
-  auto version = VisibleVersion(EntityKey::Node(id));
-  if (!version.ok()) return version.status();
-  auto token = Token(TokenKind::kLabel, label, /*create=*/false);
-  if (!token.ok()) {
-    if (token.status().IsNotFound()) return false;
-    return token.status();
-  }
-  const auto& labels = (*version)->data.labels;
-  return std::find(labels.begin(), labels.end(), *token) != labels.end();
+  return WithVisible(EntityKey::Node(id),
+                     [&](const Version& version) -> Result<bool> {
+    auto token = Token(TokenKind::kLabel, label, /*create=*/false);
+    if (!token.ok()) {
+      if (token.status().IsNotFound()) return false;
+      return token.status();
+    }
+    const auto& labels = version.data.labels;
+    return std::find(labels.begin(), labels.end(), *token) != labels.end();
+  });
 }
 
 bool Transaction::NodeExists(NodeId id) {
-  return VisibleVersion(EntityKey::Node(id)).ok();
+  return CheckVisible(EntityKey::Node(id)).ok();
 }
 
 bool Transaction::RelExists(RelId id) {
-  return VisibleVersion(EntityKey::Rel(id)).ok();
+  return CheckVisible(EntityKey::Rel(id)).ok();
 }
 
 Result<std::vector<NodeId>> Transaction::AllNodes() {
@@ -793,8 +795,7 @@ Result<std::vector<RelId>> Transaction::GetRelationships(
   NEOSI_RETURN_IF_ERROR(CheckActive());
 
   // The anchor node must itself be visible.
-  auto anchor = VisibleVersion(EntityKey::Node(node));
-  if (!anchor.ok()) return anchor.status();
+  NEOSI_RETURN_IF_ERROR(CheckVisible(EntityKey::Node(node)));
 
   // Adjacency-range SIREAD marker: later relationship creation/deletion
   // touching this node is a rw-antidependency into this transaction (the

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -248,8 +249,17 @@ class Transaction {
   void Unwind(const EntityKey& key, const WriteRecord& w);
 
   /// Resolves the version of an entity visible to this transaction (shared
-  /// short read lock under read committed); NotFound when invisible.
-  Result<std::shared_ptr<const Version>> VisibleVersion(const EntityKey& key);
+  /// short read lock under read committed) and returns `fn(version)`, run
+  /// under the read's epoch guard: the version is borrowed and must not
+  /// escape `fn`. NotFound when invisible. The guard is entered after the
+  /// short lock, so none is held across a lock wait. Defined and used in
+  /// transaction.cc only.
+  template <typename Fn>
+  std::invoke_result_t<Fn&, const Version&> WithVisible(const EntityKey& key,
+                                                        Fn&& fn);
+
+  /// OK when `key` is visible to this transaction (WithVisible's checks).
+  Status CheckVisible(const EntityKey& key);
 
   /// Property `key` of the visible version of `entity`.
   Result<PropertyValue> PropertyOf(const EntityKey& entity,

@@ -53,11 +53,10 @@ struct VersionData {
 /// latched mutators. `obsolete_since` is written under the chain latch and
 /// read only by GC/vacuum code — never on the latch-free path.
 ///
-/// enable_shared_from_this lets a latch-free walk hand back an owning
-/// pointer from a raw one: any version reachable inside an epoch guard is
-/// owned by its chain predecessor or by the epoch limbo, so its control
-/// block is live.
-struct Version : std::enable_shared_from_this<Version> {
+/// A latch-free walk hands back a borrowed `const Version*`: a version
+/// reachable inside an epoch guard is owned by its chain predecessor or by
+/// the epoch limbo, so it stays valid until that guard is released.
+struct Version {
   /// Commit timestamp; kNoTimestamp while the writing transaction is active.
   std::atomic<Timestamp> commit_ts{kNoTimestamp};
   /// Writer transaction (used for read-your-own-writes while uncommitted).

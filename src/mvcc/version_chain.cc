@@ -89,34 +89,30 @@ void VersionChain::AbortHead(TxnId writer) {
   }
 }
 
-std::shared_ptr<const Version> VersionChain::Visible(Timestamp start_ts,
-                                                     TxnId self) const {
-  // Latch-free walk: raw atomic links under an epoch guard. Every version
-  // reachable here is kept alive by its chain predecessor or by the epoch
-  // limbo, so promoting the raw pointer back to an owning one is safe.
+const Version* VersionChain::Visible(Timestamp start_ts, TxnId self) const {
+  // Latch-free walk: raw atomic links under an epoch guard (nested in the
+  // caller's, which keeps the returned version alive).
   EpochManager::Guard guard(epochs_);
   Timestamp ts = kNoTimestamp;
   for (const Version *v = head_raw_.load(std::memory_order_acquire), *older;
        v != nullptr; v = older) {
     older = OlderThenTs(v, &ts);
     if (ts == kNoTimestamp) {
-      if (self != kNoTxn && v->writer == self) {
-        return v->shared_from_this();  // Own write.
-      }
+      if (self != kNoTxn && v->writer == self) return v;  // Own write.
       continue;  // Private to another transaction.
     }
-    if (ts <= start_ts) return v->shared_from_this();
+    if (ts <= start_ts) return v;
   }
   return nullptr;
 }
 
-std::shared_ptr<const Version> VersionChain::LatestCommitted() const {
+const Version* VersionChain::LatestCommitted() const {
   EpochManager::Guard guard(epochs_);
   Timestamp ts = kNoTimestamp;
   for (const Version *v = head_raw_.load(std::memory_order_acquire), *older;
        v != nullptr; v = older) {
     older = OlderThenTs(v, &ts);
-    if (ts != kNoTimestamp) return v->shared_from_this();
+    if (ts != kNoTimestamp) return v;
   }
   return nullptr;
 }

@@ -64,13 +64,15 @@ class VersionChain {
 
   /// Snapshot read (paper §3 read rule): the most recent version with
   /// commit_ts <= start_ts, or the uncommitted version when owned by `self`
-  /// (read-your-own-writes). Null when nothing is visible. Latch-free.
-  std::shared_ptr<const Version> Visible(Timestamp start_ts,
-                                         TxnId self = kNoTxn) const;
+  /// (read-your-own-writes). Null when nothing is visible. Latch-free. The
+  /// version is BORROWED: it stays valid while the caller holds an
+  /// EpochManager::Guard on the chain's manager (its own pending version
+  /// also stays valid until it commits or aborts).
+  const Version* Visible(Timestamp start_ts, TxnId self = kNoTxn) const;
 
   /// Latest committed version regardless of snapshot (read-committed reads).
-  /// Latch-free.
-  std::shared_ptr<const Version> LatestCommitted() const;
+  /// Latch-free; borrowed like Visible's.
+  const Version* LatestCommitted() const;
 
   /// The head version (committed or not); null when empty.
   std::shared_ptr<Version> Head() const;

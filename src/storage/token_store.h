@@ -13,10 +13,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
-#include "common/latch.h"
 #include "common/status.h"
 #include "common/sync_points.h"
 #include "common/types.h"
@@ -33,13 +32,23 @@ struct Token {
 
 /// Thread-safe persistent token registry. Token ids are dense (0..n-1) and
 /// never reused; tokens are never deleted.
+///
+/// Lookups take no latch and write nothing: they read the published lookup
+/// table with one acquire load and then its slots. The table is an
+/// insert-only open-addressing name index plus an id-indexed array, both
+/// holding pointers to immutable tokens. Creators (serialised on
+/// create_mu_) fill a free slot with a release store; a full table is
+/// replaced by one of twice the size. Superseded tables stay allocated
+/// until the store closes, because a reader may still be probing one; they
+/// halve in size going back, so memory stays O(tokens).
 class TokenStore {
  public:
   /// GetOrCreate checks "token.page.write" on `sync_points` (if any).
   TokenStore(std::unique_ptr<PagedFile> file, std::string name,
              SyncPoints* sync_points = nullptr);
 
-  /// Loads existing tokens into the in-memory maps.
+  /// Loads existing tokens into the lookup table. Runs before the store is
+  /// shared between threads.
   Status Open();
 
   /// Returns the id for `name`, creating the token with `created_ts` if it
@@ -79,24 +88,46 @@ class TokenStore {
   /// All tokens visible at `snapshot_ts`, in id order.
   std::vector<Token> VisibleTokens(Timestamp snapshot_ts) const;
 
-  size_t size() const;
+  size_t size() const { return count_.load(std::memory_order_acquire); }
   Status Sync() { return store_.Sync(); }
   Result<bool> SyncIfDirty() { return store_.SyncIfDirty(); }
 
  private:
+  /// One generation of the lookup table. `by_id` has `capacity` slots and
+  /// `by_name` twice that (a power of two), so the name index stays at most
+  /// half full.
+  struct Table {
+    explicit Table(size_t capacity)
+        : capacity(capacity),
+          by_id(new std::atomic<const Token*>[capacity]()),
+          by_name(new std::atomic<const Token*>[2 * capacity]()) {}
+
+    const size_t capacity;
+    const std::unique_ptr<std::atomic<const Token*>[]> by_id;
+    const std::unique_ptr<std::atomic<const Token*>[]> by_name;
+  };
+
   /// Persists token `id`'s record page.
   Status WriteRecord(uint32_t id, const std::string& name,
                      Timestamp created_ts);
-  /// Makes token `id` visible to lookups (latch_ held exclusively).
-  void PublishLocked(uint32_t id, const std::string& name,
-                     Timestamp created_ts);
+  /// Makes token `id` visible to lookups (create_mu_ held, or not yet
+  /// shared).
+  void Publish(uint32_t id, const std::string& name, Timestamp created_ts);
+  /// Fills `token`'s slots in `table`, which has room for it.
+  static void Place(Table* table, const Token* token);
+  /// The published token named `name` / numbered `id`, or null.
+  const Token* FindByName(std::string_view name) const;
+  const Token* FindById(uint32_t id) const;
 
   RecordStore store_;
   SyncPoints* const sync_points_;
-  std::mutex create_mu_;  // Serialises GetOrCreate's allocate-log-publish.
-  mutable SharedLatch latch_;
-  std::unordered_map<std::string, uint32_t> by_name_;
-  std::vector<Token> by_id_;
+  std::mutex create_mu_;  // Serialises creators: GetOrCreate and Restore.
+  /// Every token and table generation ever published (create_mu_).
+  std::vector<std::unique_ptr<const Token>> tokens_;
+  std::vector<std::unique_ptr<Table>> tables_;
+  /// The newest generation, tables_.back().
+  std::atomic<const Table*> table_{nullptr};
+  std::atomic<size_t> count_{0};
 };
 
 }  // namespace neosi

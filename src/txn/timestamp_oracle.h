@@ -165,11 +165,13 @@ class TimestampOracle {
     std::condition_variable cv;
   };
 
-  std::atomic<Timestamp> last_committed_{0};
-  std::atomic<Timestamp> next_commit_{1};
-  std::atomic<TxnId> next_txn_{1};
+  // One line each: every Begin reads the watermark, and neither the commit
+  // sequencer's nor the id allocator's fetch_add may invalidate it.
+  alignas(64) std::atomic<Timestamp> last_committed_{0};
+  alignas(64) std::atomic<Timestamp> next_commit_{1};
+  alignas(64) std::atomic<TxnId> next_txn_{1};
 
-  mutable std::mutex mu_;  // guards finished_, wait_slots_ and the watermark
+  alignas(64) mutable std::mutex mu_;  // guards finished_, wait_slots_ and the watermark
   MinHeap finished_;
   std::map<Timestamp, std::shared_ptr<WaitSlot>> wait_slots_;
 };

@@ -223,6 +223,31 @@ TEST(ObjectCache, ConcurrentColdLookupsCountEveryCall) {
   EXPECT_EQ(stats.loads, static_cast<uint64_t>(kIds));
 }
 
+// Hits on one hot id from many threads land in per-thread cells, not in
+// the id's stripe; Stats() still sums every one of them.
+TEST(ObjectCache, HotIdHitsFromManyThreadsSumExactly) {
+  auto store = MakeStore();
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, &epochs);
+  const NodeId id = *store->AllocateNodeId();
+  ASSERT_TRUE(store->PersistNewNode(id, {}, {}, 1).ok());
+  ASSERT_TRUE(cache.GetNode(id).ok());  // The one miss.
+  constexpr int kThreads = 6;
+  constexpr int kHits = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kHits; ++i) EXPECT_TRUE(cache.GetNode(id).ok());
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  ObjectCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.node_hits, static_cast<uint64_t>(kThreads) * kHits);
+  EXPECT_EQ(stats.node_misses, 1u);
+  EXPECT_EQ(stats.rel_hits, 0u);
+}
+
 std::unique_ptr<GraphDatabase> OpenDb(size_t cache_capacity,
                                       uint64_t gc_interval_ms) {
   DatabaseOptions options;

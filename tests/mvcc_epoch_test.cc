@@ -25,7 +25,7 @@ VersionData Data(int64_t v) {
   return data;
 }
 
-int64_t ValueOf(const std::shared_ptr<const Version>& v) {
+int64_t ValueOf(const Version* v) {
   return v->data.props.at(1).AsInt();
 }
 
@@ -151,8 +151,9 @@ TEST(EpochManager, PruneRetiresTheSuffixAsOneEntryWithLinksIntact) {
   EXPECT_EQ(chain.Length(), 1u);
   // One limbo entry for the whole severed suffix.
   EXPECT_EQ(epochs.limbo_size(), 1u);
-  // The retired suffix is still walkable from the retained reference.
-  const Version* v = old_visible.get();
+  // The retired suffix is still walkable from the borrowed version: the
+  // reader's guard keeps the limbo from freeing it.
+  const Version* v = old_visible;
   int64_t expected = 20;
   while (v != nullptr) {
     EXPECT_EQ(v->data.props.at(1).AsInt(), expected);
@@ -255,7 +256,9 @@ TEST(EpochManager, TornReaderStressNeverObservesReclaimedMemory) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
         const Timestamp ts = newest_ts.load(std::memory_order_acquire);
-        auto v = chain.Visible(ts);
+        // The versions below are borrowed: valid while this guard is held.
+        EpochManager::Guard guard(&epochs);
+        const Version* v = chain.Visible(ts);
         if (v == nullptr) {
           // Legitimate: the writer may have pruned past this (stale) ts
           // between our newest_ts load and the walk. Not a safety issue —
@@ -267,7 +270,7 @@ TEST(EpochManager, TornReaderStressNeverObservesReclaimedMemory) {
                               v->commit_ts.load(std::memory_order_acquire))) {
           violations.fetch_add(1);
         }
-        auto latest = chain.LatestCommitted();
+        const Version* latest = chain.LatestCommitted();
         if (latest == nullptr || ValueOf(latest) < ValueOf(v)) {
           violations.fetch_add(1);
         }

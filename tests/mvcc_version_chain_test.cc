@@ -16,7 +16,7 @@ VersionData Data(int64_t v, bool deleted = false) {
   return data;
 }
 
-int64_t ValueOf(const std::shared_ptr<const Version>& v) {
+int64_t ValueOf(const Version* v) {
   return v->data.props.at(1).AsInt();
 }
 
@@ -36,7 +36,7 @@ TEST(VersionChain, InstallCommitRead) {
   auto v = chain.InstallUncommitted(7, Data(10));
   ASSERT_TRUE(v.ok());
   // Uncommitted: visible only to the writer.
-  EXPECT_EQ(chain.Visible(100, 7), *v);
+  EXPECT_EQ(chain.Visible(100, 7), v->get());
   EXPECT_EQ(chain.Visible(100, 8), nullptr);
   EXPECT_TRUE(chain.HasUncommitted());
 

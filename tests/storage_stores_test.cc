@@ -1,6 +1,12 @@
-// DynamicStore, PropertyStore and TokenStore behaviour.
+// DynamicStore, PropertyStore and TokenStore behaviour, including the
+// token table's latch-free lookups racing a creator.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/coding.h"
 #include "storage/dynamic_store.h"
@@ -175,6 +181,86 @@ TEST(TokenStore, UnknownLookupsFail) {
   EXPECT_TRUE(store.Lookup("nope").status().IsNotFound());
   EXPECT_TRUE(store.NameOf(42).status().IsNotFound());
   EXPECT_TRUE(store.CreatedTs(42).status().IsNotFound());
+}
+
+TEST(TokenStore, RestoreGrowsToSparseIdsAndRejectsClashes) {
+  TokenStore store(std::make_unique<InMemoryFile>(), "tokens");
+  ASSERT_TRUE(store.Open().ok());
+  ASSERT_TRUE(store.Restore(3, "three", 1).ok());
+  ASSERT_TRUE(store.Restore(1000, "far", 2).ok());
+  EXPECT_TRUE(store.Restore(1000, "far", 2).ok());  // Replayed twice.
+  EXPECT_TRUE(store.Restore(1000, "other", 2).IsCorruption());
+  EXPECT_TRUE(store.Restore(4, "three", 2).IsCorruption());
+  EXPECT_EQ(*store.Lookup("three"), 3u);
+  EXPECT_EQ(*store.Lookup("far"), 1000u);
+  EXPECT_EQ(*store.NameOf(1000), "far");
+  EXPECT_TRUE(store.NameOf(999).status().IsNotFound());
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.VisibleTokens(kMaxTimestamp).size(), 2u);
+}
+
+// One creator interns 10k names (token i created at ts i + 1, so the table
+// is replaced many times) while three readers look names and ids up
+// without a latch. Every hit must pair the right id with the right name,
+// every name published before a lookup must be found, and a name created
+// after a reader's snapshot ts must stay NotFound at that ts.
+TEST(TokenStore, LatchFreeLookupsRaceOneCreator) {
+  constexpr uint32_t kNames = 10000;
+  TokenStore store(std::make_unique<InMemoryFile>(), "tokens");
+  ASSERT_TRUE(store.Open().ok());
+  auto name_of = [](uint32_t i) { return "name-" + std::to_string(i); };
+  std::atomic<uint32_t> published{0};  // Names 0..published-1 exist.
+  std::atomic<bool> done{false};
+  std::atomic<int> violations{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t x = 0x9E3779B97F4A7C15ULL * (r + 1);
+      auto next = [&x] { return x = x * 6364136223846793005ULL + 1; };
+      while (!done.load(std::memory_order_acquire)) {
+        // The snapshot: tokens 0..snap-1 carry created_ts <= snap.
+        const uint32_t snap = published.load(std::memory_order_acquire);
+        const uint32_t i = static_cast<uint32_t>(next() >> 33) % kNames;
+        auto id = store.Lookup(name_of(i), snap);
+        if (i < snap) {
+          if (!id.ok()) {
+            violations.fetch_add(1);
+            continue;
+          }
+          auto name = store.NameOf(*id);
+          auto created = store.CreatedTs(*id);
+          if (!name.ok() || *name != name_of(i) || !created.ok() ||
+              *created != i + 1) {
+            violations.fetch_add(1);
+          }
+        } else if (!id.status().IsNotFound()) {
+          violations.fetch_add(1);  // Created after the snapshot ts.
+        }
+        // An unfiltered lookup may or may not find a racing creation, but a
+        // hit is always consistent.
+        auto any = store.Lookup(name_of(i));
+        if (any.ok() && *store.NameOf(*any) != name_of(i)) {
+          violations.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (uint32_t i = 0; i < kNames; ++i) {
+    auto id = store.GetOrCreate(name_of(i), i + 1, NoLog);
+    ASSERT_TRUE(id.ok()) << id.status();
+    published.store(i + 1, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(store.size(), kNames);
+  for (uint32_t i = 0; i < kNames; i += 997) {
+    auto id = store.Lookup(name_of(i));
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*store.NameOf(*id), name_of(i));
+  }
 }
 
 }  // namespace

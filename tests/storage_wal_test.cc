@@ -106,6 +106,42 @@ TEST(WalOps, RecordRoundTrip) {
   EXPECT_EQ(out.ops.back().id, 123456789u);
 }
 
+// The property map's layout is in-memory only: a multi-property op encodes
+// to exactly the bytes the std::map-backed encoder wrote (keys ascending,
+// whatever the insertion order), so logs written before and after read the
+// same.
+TEST(WalOps, MultiPropertyOpBytesAreUnchanged) {
+  PropertyMap props;
+  props[9] = PropertyValue("nine");
+  props[3] = PropertyValue(int64_t{-3});
+  props[5] = PropertyValue(true);
+  props[1] = PropertyValue(2.5);
+  props[7] = PropertyValue();
+  props[300] = PropertyValue(std::string(20, 'z'));
+  std::string buf;
+  WalOp::CreateNode(77, {4, 2}, props).EncodeTo(&buf);
+  WalOp::RelState(5, props).EncodeTo(&buf);
+  const std::string expected(
+      "\x01\x4d\x02\x04\x02\x06\x01\x03\x00\x00\x00\x00\x00\x00\x04\x40"
+      "\x03\x02\xfd\xff\xff\xff\xff\xff\xff\xff\x05\x01\x01\x07\x00\x09"
+      "\x04\x04\x6e\x69\x6e\x65\xac\x02\x04\x14\x7a\x7a\x7a\x7a\x7a\x7a"
+      "\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x10\x05"
+      "\x06\x01\x03\x00\x00\x00\x00\x00\x00\x04\x40\x03\x02\xfd\xff\xff"
+      "\xff\xff\xff\xff\xff\x05\x01\x01\x07\x00\x09\x04\x04\x6e\x69\x6e"
+      "\x65\xac\x02\x04\x14\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a"
+      "\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a\x7a",
+      121);
+  EXPECT_EQ(buf, expected);
+
+  Slice input(buf);
+  WalOp node, rel;
+  ASSERT_TRUE(WalOp::DecodeFrom(&input, &node).ok());
+  ASSERT_TRUE(WalOp::DecodeFrom(&input, &rel).ok());
+  EXPECT_TRUE(input.empty());
+  EXPECT_EQ(node.props, props);
+  EXPECT_EQ(rel.props, props);
+}
+
 TEST(WalOps, RetiredDeltaTypeBytesAreCorruption) {
   // 3-6, 9 and 10 were the per-property / per-label delta ops. A record
   // carrying one is from a log format this build no longer replays; the
