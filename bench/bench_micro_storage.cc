@@ -1,6 +1,13 @@
-// Micro benchmarks: record store and property chain hot paths.
+// Micro benchmarks: record store and property chain hot paths, and the
+// durable WAL commit.
 
 #include <benchmark/benchmark.h>
+#include <linux/magic.h>
+#include <sys/vfs.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "storage/graph_store.h"
 
@@ -86,6 +93,45 @@ void BM_WalAppend(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WalAppend);
+
+// Durable group commits on a real directory under the build tree, with the
+// engine's flush settings: each ack waits for the fdatasync that covers
+// it, so this times what the WAL's fill-ahead saves (a data-only fsync).
+// Skipped on tmpfs, where an fsync costs nothing.
+void BM_WalDurableCommit(benchmark::State& state) {
+  static std::filesystem::path path;
+  static std::unique_ptr<Wal> wal;
+  struct statfs fs;
+  const bool tmpfs = ::statfs(NEOSI_BENCH_BUILD_DIR, &fs) == 0 &&
+                     fs.f_type == TMPFS_MAGIC;
+  if (tmpfs) {
+    state.SkipWithError("build tree is on tmpfs: no fsync cost to time");
+  } else if (state.thread_index() == 0) {
+    path = std::filesystem::path(NEOSI_BENCH_BUILD_DIR) /
+           ("bench_wal_durable_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+    WalOptions options;
+    options.async_flush = true;
+    options.preallocate = true;
+    wal = std::make_unique<Wal>(std::make_shared<PosixWalDir>(path.string()),
+                                options);
+    if (!wal->Open().ok()) std::abort();
+  }
+  WalRecord record;
+  record.txn_id = static_cast<TxnId>(state.thread_index()) + 1;
+  record.commit_ts = 1;
+  record.ops.push_back(
+      WalOp::NodeState(7, {1}, {{1, PropertyValue(int64_t{5})}}));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wal->group().Commit(record, /*sync=*/true));
+  }
+  if (!tmpfs && state.thread_index() == 0) {
+    wal.reset();
+    std::filesystem::remove_all(path);
+  }
+}
+BENCHMARK(BM_WalDurableCommit)->Threads(1)->Threads(4)->UseRealTime();
 
 void BM_PropertyChainRoundTrip(benchmark::State& state) {
   auto store = MakeStore();

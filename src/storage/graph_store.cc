@@ -1057,6 +1057,7 @@ GraphStoreStats GraphStore::Stats() const {
   stats.wal_segments_created = wal_->segments_created();
   stats.wal_segments_deleted = wal_->segments_deleted();
   stats.wal_segments_preallocated = wal_->segments_preallocated();
+  stats.wal_zero_filled_bytes = wal_->zero_filled_bytes();
   stats.wal_flushed_lsn = wal_->FlushedLsn();
   stats.wal_poisoned = wal_->poisoned();
   stats.dyn_leaked_blocks = dyn_leaked_blocks_.load(std::memory_order_relaxed);

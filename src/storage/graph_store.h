@@ -76,6 +76,8 @@ struct GraphStoreStats {
   uint64_t wal_segments_deleted = 0;    ///< Dead segments unlinked.
   /// Rolls that adopted a segment the flusher built off-path.
   uint64_t wal_segments_preallocated = 0;
+  /// Zeros written ahead of the append cursor (0 in memory).
+  uint64_t wal_zero_filled_bytes = 0;
   /// Commit I/O state: the flushed-LSN watermark acks wait on, and the
   /// sticky-failure flag (true after any WAL fsync/dir-sync error — every
   /// later commit fails until the store is reopened).

@@ -165,6 +165,17 @@ Status PosixFile::Preallocate(uint64_t size) {
   return Status::OK();
 }
 
+Result<uint64_t> PosixFile::ZeroFill(uint64_t from, uint64_t to) {
+  constexpr uint64_t kPage = 4096;
+  static const char kZeros[kPage] = {};
+  for (uint64_t offset = from; offset < to;) {
+    const uint64_t page_end = std::min(to, (offset / kPage + 1) * kPage);
+    NEOSI_RETURN_IF_ERROR(WriteAt(offset, kZeros, page_end - offset));
+    offset = page_end;
+  }
+  return from < to ? to - from : 0;
+}
+
 uint64_t PosixFile::Size() const {
   struct stat st;
   if (::fstat(fd_, &st) != 0) return 0;

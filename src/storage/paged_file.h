@@ -35,13 +35,25 @@ class PagedFile {
   virtual Status Sync() = 0;
 
   /// Reserves physical storage for the first `size` bytes WITHOUT changing
-  /// the file size (fallocate KEEP_SIZE where supported), so later writes
-  /// into the range cannot fail with ENOSPC and extend cheaply. Advisory:
-  /// backends without allocation support return OK and do nothing. The WAL
-  /// flusher uses this to build the next segment off the append path.
+  /// the file size (fallocate KEEP_SIZE on Linux), so later writes into the
+  /// range cannot fail with ENOSPC. Advisory: a filesystem that does not
+  /// support the call, and every other backend, returns OK and does
+  /// nothing. The WAL flusher uses this to build the next segment off the
+  /// append path.
   virtual Status Preallocate(uint64_t size) {
     (void)size;
     return Status::OK();
+  }
+
+  /// Writes zeros over [from, to), extending the file as needed; returns
+  /// the bytes written. The WAL keeps its active segment zero-filled ahead
+  /// of the append cursor with this, so an append overwrites allocated
+  /// blocks inside the file size and a commit's fdatasync flushes data
+  /// only. A no-op returning 0 on backends without such a cost.
+  virtual Result<uint64_t> ZeroFill(uint64_t from, uint64_t to) {
+    (void)from;
+    (void)to;
+    return uint64_t{0};
   }
 
   /// True when writes have landed since the last SyncIfDirty() (or since
@@ -126,9 +138,13 @@ class PosixFile final : public PagedFile {
   Status Truncate(uint64_t size) override;
   uint64_t Size() const override;
   Status Sync() override;
-  /// fallocate(KEEP_SIZE) / posix_fallocate where supported; silently a
-  /// no-op on filesystems without allocation support.
+  /// fallocate(KEEP_SIZE) on Linux; a no-op elsewhere and on filesystems
+  /// that do not support it (an out-of-space error still surfaces).
   Status Preallocate(uint64_t size) override;
+  /// Page-sized pwrites of zeros. A larger write lets the page cache back
+  /// the range with large folios; each small append then dirties, and the
+  /// next fsync writes back, a whole folio instead of one page.
+  Result<uint64_t> ZeroFill(uint64_t from, uint64_t to) override;
 
  private:
   explicit PosixFile(int fd, std::string path)

@@ -228,9 +228,23 @@ Status Wal::AdoptPreparedLocked(Lsn base,
     segment_count_.store(segments_.size(), std::memory_order_release);
   }
   next_index_ = index + 1;
+  filled_to_ = kSegmentHeaderSize;
   segments_created_.fetch_add(1, std::memory_order_relaxed);
   NudgeFlusherPrep();
   return Status::OK();
+}
+
+void Wal::FillAheadLocked(Lsn end_lsn) {
+  Segment* active = active_.load(std::memory_order_relaxed);
+  const uint64_t end = kSegmentHeaderSize + (end_lsn - active->base);
+  if (end + kZeroFillWindow / 2 <= filled_to_) return;
+  const uint64_t from = std::max(filled_to_, end);
+  const uint64_t to = std::min(end + kZeroFillWindow, options_.segment_size);
+  if (from >= to) return;
+  auto filled = active->file->ZeroFill(from, to);
+  if (!filled.ok()) return;  // Advisory: the next append retries.
+  filled_to_ = to;
+  zero_filled_bytes_.fetch_add(*filled, std::memory_order_relaxed);
 }
 
 Status Wal::SyncRetiringLocked(Segment* retiring) {
@@ -287,10 +301,7 @@ Status Wal::OpenChain() {
   }
   std::sort(chain_names.begin(), chain_names.end());
 
-  next_index_ = 1;
-  for (const auto& [index, name] : chain_names) {
-    next_index_ = std::max(next_index_, index + 1);
-  }
+  next_index_ = chain_names.empty() ? 1 : chain_names.back().first + 1;
 
   for (size_t i = 0; i < chain_names.size(); ++i) {
     const auto& [index, name] = chain_names[i];
@@ -305,10 +316,12 @@ Status Wal::OpenChain() {
       if (i + 1 == chain_names.size()) {
         // Crash while creating the newest segment: its header never became
         // durable, so no frame can have entered it (appends only target a
-        // segment after its header synced). Discard the husk.
+        // segment after its header synced). Discard the husk; the next roll
+        // reuses its index, keeping the chain contiguous.
         file.reset();
         NEOSI_RETURN_IF_ERROR(dir_->Remove(name));
         NEOSI_RETURN_IF_ERROR(dir_->SyncDir());
+        next_index_ = index;
         break;
       }
       return Status::Corruption("wal segment " + name +
@@ -356,9 +369,10 @@ Status Wal::OpenChain() {
   head_lsn_.store(segments_.front()->base, std::memory_order_relaxed);
 
   // Position the cursor after the newest segment's valid frame prefix,
-  // truncating a torn tail (crash mid-append). Older segments were synced
-  // before the chain rolled past them; their frames are validated when
-  // replay actually reads them.
+  // truncating a torn tail (crash mid-append) and the zeros filled ahead of
+  // it — and with them any stale frame a torn one hides. Older segments
+  // were synced before the chain rolled past them; their frames are
+  // validated when replay actually reads them.
   Segment* active = active_.load(std::memory_order_relaxed);
   const uint64_t size = active->file->Size();
   auto end = WalkFrames(active->file.get(), kSegmentHeaderSize, size,
@@ -369,6 +383,7 @@ Status Wal::OpenChain() {
   }
   next_lsn_.store(active->base + (*end - kSegmentHeaderSize),
                   std::memory_order_relaxed);
+  filled_to_ = *end;
   return Status::OK();
 }
 
@@ -391,6 +406,11 @@ void Wal::RollbackUnpublishedSegmentsLocked() {
       segments_.pop_back();
       active_.store(segments_.back().get(), std::memory_order_release);
       segment_count_.store(segments_.size(), std::memory_order_release);
+      // The re-activated segment's fill state is unknown: start the mark
+      // at the cursor, so the next append refills from its own end.
+      filled_to_ = kSegmentHeaderSize +
+                   (next_lsn_.load(std::memory_order_relaxed) -
+                    segments_.back()->base);
     }
     // Best-effort, but dir-synced: an un-durable unlink could resurrect
     // this file after a crash with a base the surviving active segment has
@@ -500,6 +520,7 @@ Status Wal::AppendBatch(const std::vector<const WalRecord*>& records,
     RollbackUnpublishedSegmentsLocked();
     return write_status;
   }
+  FillAheadLocked(first + buffer.size());
   for (uint64_t frame_offset : frame_offsets) {
     lsns->push_back(first + frame_offset);
   }
@@ -987,13 +1008,14 @@ Status Wal::ReadFrom(Lsn from,
             ": frame walk ends before the next segment's base");
       }
     } else {
-      // Torn tail in the newest segment: drop it so subsequent appends
-      // extend a clean log.
+      // Torn tail (or zeros filled ahead) in the newest segment: drop it
+      // so subsequent appends extend a clean log.
       if (offset < size) {
         NEOSI_RETURN_IF_ERROR(seg->file->Truncate(offset));
       }
       std::lock_guard<SpinLatch> guard(latch_);
       next_lsn_.store(end, std::memory_order_release);
+      filled_to_ = std::min(filled_to_, offset);
       // The shave may land below where Open() pegged the flushed
       // watermark; a watermark above the cursor would let a later commit
       // ack without any fsync at all.

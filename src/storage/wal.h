@@ -80,6 +80,16 @@
 // With WalOptions::preallocate the flusher builds the next segment off-path
 // (fallocate-reserved) so a roll only adopts; otherwise, or when no built
 // file is ready, the roll builds one inline first.
+//
+// Fill-ahead: the appender keeps the active segment's bytes written as
+// zeros for up to kZeroFillWindow past the append cursor (never past
+// segment_size). An append then overwrites allocated blocks inside the
+// file size, so the fdatasync that acks it flushes data only, not a new
+// i_size and converted extents. The fill never writes below the cursor,
+// and a zero frame length ends every frame walk, so the zeros are never
+// read as frames. Recovery still truncates the newest segment at its valid
+// prefix: that is what removes stale frames lying past a torn one, and
+// the next append refills from the cursor.
 
 #ifndef NEOSI_STORAGE_WAL_H_
 #define NEOSI_STORAGE_WAL_H_
@@ -192,6 +202,11 @@ class Wal {
  public:
   /// Immutable per-segment header preceding the first frame.
   static constexpr uint64_t kSegmentHeaderSize = 32;
+
+  /// How far past the append cursor the active segment is kept zero-filled
+  /// (see "Fill-ahead" above). An append whose end comes within half of it
+  /// of the fill mark refills up to a whole window past its end.
+  static constexpr uint64_t kZeroFillWindow = 256 << 10;
 
   /// Decodes `file`'s segment header — the one definition of the format,
   /// shared with the replica tailer. *valid is false (status OK) when the
@@ -346,6 +361,12 @@ class Wal {
     return segments_preallocated_.load();
   }
 
+  /// Bytes of zeros written ahead of the append cursor (0 on the in-memory
+  /// backend, where the fill is a no-op).
+  uint64_t zero_filled_bytes() const {
+    return zero_filled_bytes_.load(std::memory_order_relaxed);
+  }
+
   /// Physical offset of `lsn` WITHIN its containing segment (test hook:
   /// lets tests inject torn frames at known byte positions).
   uint64_t PhysOf(Lsn lsn) const;
@@ -396,6 +417,13 @@ class Wal {
   /// Retiring-segment fsync at a roll (named EIO point; poisons on
   /// failure). Caller holds latch_.
   Status SyncRetiringLocked(Segment* retiring);
+
+  /// Fill-ahead after an append that ended at `end_lsn`, physical offset
+  /// `end` in the active segment: when `end` comes within half a window of
+  /// filled_to_, zero-fills [max(filled_to_, end), min(end + window,
+  /// segment_size)). Advisory: a failed fill leaves the mark where it was
+  /// and does not poison the log. Caller holds latch_.
+  void FillAheadLocked(Lsn end_lsn);
 
   /// Failure cleanup for the append path: pops (and deletes) every chain
   /// segment whose base lies above the published cursor. Such segments can
@@ -464,6 +492,10 @@ class Wal {
   SpinLatch latch_;  // serializes appends (file write + cursor advance)
   std::atomic<Lsn> head_lsn_{0};
   std::atomic<Lsn> next_lsn_{0};
+  /// Physical offset in the active segment below which its bytes past the
+  /// cursor are known to be zeros. Guarded by latch_; reset by every roll,
+  /// un-roll and valid-prefix truncation of the active segment.
+  uint64_t filled_to_ = 0;
 
   /// Chain of segments ordered by base. Structure guarded by seg_mu_; the
   /// BACK element only changes under latch_ (appends/rolls), the FRONT only
@@ -483,6 +515,7 @@ class Wal {
   std::atomic<uint64_t> segments_created_{0};
   std::atomic<uint64_t> segments_deleted_{0};
   std::atomic<uint64_t> segments_preallocated_{0};
+  std::atomic<uint64_t> zero_filled_bytes_{0};
 
   /// Set once Open() succeeds: sync failures before that are fail-stop
   /// (the open errors out), after it they poison.

@@ -71,6 +71,37 @@ TEST_F(RecoveryTest, CommittedDataSurvivesReopen) {
             1u);
 }
 
+// The WAL's zero fill ahead of its cursor shows in the stats: none in
+// memory, where the fill is a no-op, and on disk at most one fill window
+// beyond the log it was written for. Either way the data reopens intact.
+TEST_F(RecoveryTest, WalZeroFillStaysWithinOneWindowOfTheLog) {
+  for (const bool in_memory : {true, false}) {
+    DatabaseOptions options = DiskOptions();
+    options.in_memory = in_memory;
+    NodeId id;
+    {
+      auto db = std::move(*GraphDatabase::Open(options));
+      for (int64_t i = 1; i <= 200; ++i) {
+        auto txn = db->Begin();
+        id = *txn->CreateNode({"Fill"}, {{"v", PropertyValue(i)}});
+        ASSERT_TRUE(txn->Commit().ok());
+      }
+      const GraphStoreStats stats = db->Stats().store;
+      if (in_memory) {
+        EXPECT_EQ(stats.wal_zero_filled_bytes, 0u);
+        continue;
+      }
+      EXPECT_GT(stats.wal_zero_filled_bytes, 0u);
+      EXPECT_LE(stats.wal_zero_filled_bytes,
+                stats.wal_next_lsn + Wal::kZeroFillWindow);
+    }
+    auto db = std::move(*GraphDatabase::Open(options));
+    auto reader = db->Begin();
+    EXPECT_EQ(reader->GetNodesByLabel("Fill")->size(), 200u);
+    EXPECT_EQ(reader->GetNodeProperty(id, "v")->AsInt(), 200);
+  }
+}
+
 TEST_F(RecoveryTest, UncommittedDataDoesNotSurvive) {
   {
     auto db = std::move(*GraphDatabase::Open(DiskOptions()));

@@ -1,10 +1,14 @@
 // WAL framing, op serialization, torn-tail handling, segment rotation,
-// segment build-and-adopt, and chain validation.
+// segment build-and-adopt, chain validation, and the zero fill ahead of the
+// append cursor.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -731,6 +735,20 @@ TEST(WalChain, HalfCreatedNewestSegmentIsDiscarded) {
   // Appends continue; the discarded index is never resurrected with stale
   // content (a fresh header is written before any frame).
   ASSERT_TRUE(reopened->Append(SmallRecord(99, 990)).ok());
+  expect.push_back(990);
+
+  // The next roll reuses the discarded index, so the chain stays
+  // contiguous and opens again (skipping it left a gap Open() refuses).
+  const uint64_t segments = reopened->SegmentCount();
+  for (int i = 100; reopened->SegmentCount() == segments; ++i) {
+    ASSERT_TRUE(reopened->Append(SmallRecord(i, i * 10)).ok());
+    expect.push_back(i * 10);
+  }
+  EXPECT_TRUE(dir->Exists(Wal::SegmentName(last_index_plus_one)));
+  reopened.reset();
+  auto again = std::make_unique<Wal>(dir, TinySegments());
+  ASSERT_TRUE(again->Open().ok());
+  EXPECT_EQ(ReplayTimestamps(again.get()), expect);
 }
 
 TEST(WalChain, ValidEmptyNewestSegmentIsAccepted) {
@@ -1141,6 +1159,183 @@ TEST(WalPrealloc, RollsAdoptPreparedSegmentsAndReopenDiscardsPrepFiles) {
   EXPECT_EQ(ReplayTimestamps(reopened.get()).size(), size_t{kRecords});
   ASSERT_TRUE(reopened->Append(SmallRecord(kRecords + 1, 9990)).ok());
   ASSERT_TRUE(reopened->Sync().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Fill-ahead: the active segment stays zero-filled past the append cursor
+// ---------------------------------------------------------------------------
+
+/// A PosixWalDir in a fresh temp directory, removed afterwards.
+class WalFillAhead : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = std::filesystem::temp_directory_path() /
+            ("neosi_wal_fill_" + std::to_string(::getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+    dir_ = std::make_shared<PosixWalDir>(path_.string());
+  }
+  void TearDown() override { std::filesystem::remove_all(path_); }
+
+  std::unique_ptr<Wal> Open(WalOptions options = {}) {
+    auto wal = std::make_unique<Wal>(dir_, options);
+    EXPECT_TRUE(wal->Open().ok());
+    return wal;
+  }
+
+  /// The segment holding the append cursor, opened raw.
+  std::unique_ptr<PagedFile> ActiveFile(const Wal& wal) {
+    std::unique_ptr<PagedFile> file;
+    EXPECT_TRUE(dir_->Open(wal.SegmentNameOf(wal.NextLsn()), &file).ok());
+    return file;
+  }
+
+  std::vector<Timestamp> Replay(Wal* wal) {
+    std::vector<Timestamp> seen;
+    EXPECT_TRUE(wal->ReadAll([&](const WalRecord& record) {
+                     seen.push_back(record.commit_ts);
+                     return Status::OK();
+                   })
+                    .ok());
+    return seen;
+  }
+
+  std::filesystem::path path_;
+  std::shared_ptr<PosixWalDir> dir_;
+};
+
+/// `record` as one on-disk frame: [len u32][crc32c u32][payload].
+std::string Frame(const WalRecord& record) {
+  std::string payload;
+  record.EncodeTo(&payload);
+  std::string frame;
+  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&frame, Crc32c(payload.data(), payload.size()));
+  return frame + payload;
+}
+
+/// True iff every byte of `file` in [from, to) is zero.
+bool AllZero(const PagedFile& file, uint64_t from, uint64_t to) {
+  std::vector<char> buf(to - from);
+  if (!file.ReadAt(from, buf.size(), buf.data()).ok()) return false;
+  return std::all_of(buf.begin(), buf.end(), [](char c) { return c == 0; });
+}
+
+TEST_F(WalFillAhead, CursorToMarkReadsZerosAndTheFileStaysWithinTheSegment) {
+  constexpr uint64_t kSegment = 1 << 20;
+  static_assert(kSegment > 2 * Wal::kZeroFillWindow);
+  auto wal = Open(TinySegments(kSegment));
+  std::vector<Timestamp> expect;
+  for (int i = 1; wal->SegmentCount() < 3; ++i) {
+    ASSERT_TRUE(wal->Append(MakeRecord(i, i)).ok());
+    expect.push_back(i);
+    if (i % 97 != 0) continue;
+    auto file = ActiveFile(*wal);
+    const uint64_t cursor = wal->PhysOf(wal->NextLsn());
+    const uint64_t size = file->Size();
+    ASSERT_LE(size, kSegment);
+    // Filled at least half a window ahead, unless the segment ends first.
+    EXPECT_GE(size, std::min(cursor + Wal::kZeroFillWindow / 2, kSegment));
+    // ...and by at most one window past the append that filled it.
+    EXPECT_LE(size, cursor + Wal::kZeroFillWindow);
+    EXPECT_TRUE(AllZero(*file, cursor, size)) << "append " << i;
+  }
+  EXPECT_GT(wal->zero_filled_bytes(), 0u);
+  std::vector<std::string> names;
+  ASSERT_TRUE(dir_->List(&names).ok());
+  for (const std::string& name : names) {
+    std::unique_ptr<PagedFile> file;
+    ASSERT_TRUE(dir_->Open(name, &file).ok());
+    EXPECT_LE(file->Size(), kSegment) << name;
+  }
+  wal.reset();
+  auto reopened = Open(TinySegments(kSegment));
+  EXPECT_EQ(Replay(reopened.get()), expect);
+}
+
+TEST_F(WalFillAhead, StaleFrameBehindATornFrameIsNeverReplayed) {
+  auto wal = Open();
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
+  }
+  const Lsn cursor = wal->NextLsn();
+  const uint64_t phys = wal->PhysOf(cursor);
+  // Inside the filled region: a torn frame at the cursor, and behind it a
+  // valid frame exactly where the next append (record 4) will end.
+  const std::string next = Frame(SmallRecord(4, 40));
+  std::string torn = next;
+  torn[8] ^= 0x5a;  // Payload no longer matches the crc.
+  const std::string stale = Frame(SmallRecord(7, 666));
+  {
+    auto file = ActiveFile(*wal);
+    ASSERT_GE(file->Size(), phys + next.size() + stale.size());
+    ASSERT_TRUE(file->WriteAt(phys, torn.data(), torn.size()).ok());
+    ASSERT_TRUE(
+        file->WriteAt(phys + next.size(), stale.data(), stale.size()).ok());
+  }
+  wal.reset();  // Crash.
+
+  // Recovery keeps only the prefix before the torn frame...
+  wal = Open();
+  EXPECT_EQ(wal->NextLsn(), cursor);
+  EXPECT_EQ(Replay(wal.get()), (std::vector<Timestamp>{10, 20, 30}));
+  // ...and an append that ends exactly at the stale frame's offset never
+  // lets a later reopen walk into it.
+  ASSERT_TRUE(wal->Append(SmallRecord(4, 40)).ok());
+  ASSERT_EQ(wal->PhysOf(wal->NextLsn()), phys + next.size());
+  wal.reset();
+  wal = Open();
+  EXPECT_EQ(Replay(wal.get()), (std::vector<Timestamp>{10, 20, 30, 40}));
+}
+
+TEST_F(WalFillAhead, UnrolledSegmentTakesTheNextAppendAndRecovers) {
+  SyncPoints registry;
+  WalOptions options = TinySegments(4096);
+  options.sync_points = &registry;
+  auto wal = Open(options);
+  std::vector<Timestamp> expect;
+  for (int i = 1; i <= 20; ++i) {
+    ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
+    expect.push_back(i * 10);
+  }
+  // A batch that rolls mid-way and fails right after the roll: the fresh
+  // segment is un-rolled and the cursor's segment is active again.
+  std::vector<WalRecord> records;
+  std::vector<const WalRecord*> ptrs;
+  for (int i = 21; i <= 400; ++i) records.push_back(SmallRecord(i, i * 10));
+  for (const auto& r : records) ptrs.push_back(&r);
+  std::vector<Lsn> lsns;
+  {
+    ArmedPoints points(&registry);
+    points.Fail("wal.append.fail_after_roll", /*nth=*/1);
+    EXPECT_TRUE(wal->AppendBatch(ptrs, &lsns).IsIOError());
+  }
+  EXPECT_EQ(wal->SegmentCount(), 1u);
+
+  // The next append lands at the cursor, survives the fill behind it, and
+  // recovers.
+  ASSERT_TRUE(wal->Append(SmallRecord(999, 9990)).ok());
+  expect.push_back(9990);
+  auto file = ActiveFile(*wal);
+  EXPECT_TRUE(AllZero(*file, wal->PhysOf(wal->NextLsn()), file->Size()));
+  EXPECT_LE(file->Size(), 4096u);
+  EXPECT_EQ(Replay(wal.get()), expect);
+  wal.reset();
+  wal = Open(TinySegments(4096));
+  EXPECT_EQ(Replay(wal.get()), expect);
+}
+
+TEST(WalFillAheadInMemory, FileSizeIsTheBytesWritten) {
+  auto dir = std::make_shared<InMemoryWalDir>();
+  auto wal = OpenWal(dir);
+  for (int i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(wal->Append(MakeRecord(i, i)).ok());
+  }
+  std::unique_ptr<PagedFile> file;
+  ASSERT_TRUE(dir->Open(wal->SegmentNameOf(wal->NextLsn()), &file).ok());
+  EXPECT_EQ(file->Size(), Wal::kSegmentHeaderSize + wal->NextLsn());
+  EXPECT_EQ(wal->zero_filled_bytes(), 0u);
 }
 
 }  // namespace
