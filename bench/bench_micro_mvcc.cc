@@ -58,11 +58,7 @@ void BM_GcListAppendPop(benchmark::State& state) {
   GcList list;
   Timestamp ts = 1;
   for (auto _ : state) {
-    GcEntry entry;
-    entry.key = EntityKey::Node(ts);
-    entry.version = std::make_shared<Version>();
-    entry.obsolete_since = ts;
-    list.Append(std::move(entry));
+    list.Append({EntityKey::Node(ts), ts, /*tombstone=*/false});
     if (ts % 64 == 0) {
       benchmark::DoNotOptimize(list.PopReclaimable(ts));
     }

@@ -80,7 +80,7 @@ Row StragglerRow(uint64_t updates) {
   }
   // GC with the straggler open: nothing is reclaimable.
   GcStats during = db->RunGc();
-  row.queued_during = db->engine().gc_list.size();
+  row.queued_during = db->engine().gc_list.backlog();
   row.reclaimed_during = during.versions_pruned;
   // Straggler closes: one pass drains the backlog. The pass unlinks +
   // retires, and its built-in drain tick frees the PREVIOUS cycle's

@@ -2,12 +2,31 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <thread>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace neosi {
+
+namespace {
+
+/// True when `key`'s record is a tombstone committed at or below
+/// `watermark`. A GC-list tombstone entry can outlive its tombstone (a
+/// vacuum pass purges it too), and the recycled id may hold a live entity.
+bool IsTombstoneUpTo(const GraphStore& store, const EntityKey& key,
+                     Timestamp watermark) {
+  auto tombstone = [&](const auto& rec) {
+    return rec.in_use && rec.deleted && rec.commit_ts <= watermark;
+  };
+  if (key.type == EntityType::kNode) {
+    NodeRecord rec;
+    return store.ReadNodeRecord(key.id, &rec).ok() && tombstone(rec);
+  }
+  RelationshipRecord rec;
+  return store.ReadRelRecord(key.id, &rec).ok() && tombstone(rec);
+}
+
+}  // namespace
 
 uint64_t LogAndPurgeTombstones(Engine* engine, const std::vector<RelId>& rels,
                                const std::vector<NodeId>& nodes,
@@ -103,27 +122,30 @@ GcStats GcEngine::Collect() {
 void GcEngine::DrainEntries(std::vector<GcEntry> entries, Timestamp watermark,
                             GcStats* stats) {
   // Partition: superseded versions are pruned from their chains; tombstone
-  // versions trigger physical purges (relationships strictly before nodes,
+  // entries trigger physical purges (relationships strictly before nodes,
   // so node purges find an empty chain — a node whose chain is still
-  // populated is deferred below). Entries for the same entity are batched
-  // so a long backlog is pruned with ONE chain walk per entity (cost stays
-  // O(#reclaimed), the paper's complexity claim).
+  // populated is deferred below). An entity's superseded entries share ONE
+  // prune at the watermark: each names a version whose successor committed
+  // at or below it, so the version lies below the newest committed version
+  // <= watermark, which the prune keeps and everything under it goes. Cost
+  // stays O(#reclaimed), the paper's complexity claim. An entry whose
+  // version something else already freed prunes nothing, and a tombstone
+  // entry whose tombstone is gone is dropped.
   std::vector<GcEntry> purge_rels;
   std::vector<GcEntry> purge_nodes;
-  std::unordered_map<EntityKey, std::vector<std::shared_ptr<Version>>>
-      superseded_by_entity;
-  for (GcEntry& entry : entries) {
-    if (entry.version->data.deleted) {
-      if (entry.key.type == EntityType::kRelationship) {
-        purge_rels.push_back(std::move(entry));
-      } else {
-        purge_nodes.push_back(std::move(entry));
-      }
+  std::unordered_set<EntityKey> superseded;
+  for (const GcEntry& entry : entries) {
+    if (!entry.tombstone) {
+      superseded.insert(entry.key);
+    } else if (!IsTombstoneUpTo(engine_->store, entry.key, watermark)) {
       continue;
+    } else if (entry.key.type == EntityType::kRelationship) {
+      purge_rels.push_back(entry);
+    } else {
+      purge_nodes.push_back(entry);
     }
-    superseded_by_entity[entry.key].push_back(std::move(entry.version));
   }
-  for (auto& [key, versions] : superseded_by_entity) {
+  for (const EntityKey& key : superseded) {
     EpochManager::Guard guard(&engine_->epochs);  // The entry is borrowed.
     VersionChain* chain = nullptr;
     if (key.type == EntityType::kNode) {
@@ -133,19 +155,8 @@ void GcEngine::DrainEntries(std::vector<GcEntry> entries, Timestamp watermark,
     } else if (CachedRel* rel = engine_->cache->PeekRel(key.id)) {
       chain = &rel->chain;
     }
-    if (chain == nullptr) continue;
-    if (versions.size() > 1) {
-      // All these versions are superseded at or below the watermark; one
-      // prune pass drops every version older than the newest survivor.
+    if (chain != nullptr) {
       stats->versions_pruned += chain->PruneSupersededUpTo(watermark);
-      // Any stragglers (e.g. a version whose superseding commit is above
-      // the watermark cannot exist here by construction) fall through to
-      // the precise removal below and count zero.
-      for (const auto& version : versions) {
-        if (chain->Remove(version)) ++stats->versions_pruned;
-      }
-    } else {
-      if (chain->Remove(versions[0])) ++stats->versions_pruned;
     }
   }
 
@@ -169,7 +180,7 @@ void GcEngine::DrainEntries(std::vector<GcEntry> entries, Timestamp watermark,
   // the replay hits the chained node.
   std::vector<NodeId> node_ids;
   node_ids.reserve(purge_nodes.size());
-  for (GcEntry& entry : purge_nodes) {
+  for (const GcEntry& entry : purge_nodes) {
     auto chained = engine_->store.NodeHasRelChain(entry.key.id);
     // Fail CLOSED: a read error defers exactly like a populated chain — an
     // unverified node admitted here would still get its PurgeNode WAL op
@@ -177,7 +188,7 @@ void GcEngine::DrainEntries(std::vector<GcEntry> entries, Timestamp watermark,
     // purge is the recovery fail-stop this check exists to prevent.
     if (!chained.ok() || *chained) {
       ++stats->purges_deferred;
-      engine_->gc_list.Append(std::move(entry));
+      engine_->gc_list.Append(entry);
       continue;
     }
     node_ids.push_back(entry.key.id);

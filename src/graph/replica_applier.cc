@@ -331,7 +331,7 @@ Status ReplicaApplier::ApplyEntityOp(const EntityKey& key, const WalOp& op,
   // borrowed version is not held across it.
   EpochManager::Guard guard(&engine_->epochs);
   VersionChain* chain = nullptr;
-  std::shared_ptr<Version> pending;
+  Version* pending = nullptr;  // Borrowed: the chain owns it.
   std::optional<VersionData> pre;
   for (;;) {
     pre.reset();
@@ -378,8 +378,8 @@ Status ReplicaApplier::ApplyEntityOp(const EntityKey& key, const WalOp& op,
     return Status::OK();
   }
   pending->data = std::move(post);
-  NEOSI_ASSIGN_OR_RETURN(auto superseded, chain->CommitHead(kApplierTxn, ts));
-  if (superseded != nullptr) engine_->gc_list.Append({key, superseded, ts});
+  NEOSI_ASSIGN_OR_RETURN(bool superseded, chain->CommitHead(kApplierTxn, ts));
+  if (superseded) engine_->gc_list.Append({key, ts, /*tombstone=*/false});
   return Status::OK();
 }
 

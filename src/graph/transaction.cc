@@ -1174,8 +1174,10 @@ Status Transaction::ApplyToStore(Timestamp ts) {
 Status Transaction::StampVersions(Timestamp ts) {
   for (auto it = writes_.begin(); it != writes_.end(); ++it) {
     const auto& [key, w] = *it;
-    // CommitHead stamps obsolete_since on the superseded version (and on
-    // tombstones) under the chain latch; no global ordering is needed.
+    // Read before the stamp: once committed, the version no longer pins
+    // its entry, and eviction may free both.
+    const bool tombstone = w.pending->data.deleted;
+    // CommitHead runs under the chain latch; no global ordering is needed.
     auto superseded = w.chain().CommitHead(id_, ts);
     if (!superseded.ok()) {
       // The stamped records leave the write set: their entries are no
@@ -1183,12 +1185,8 @@ Status Transaction::StampVersions(Timestamp ts) {
       writes_.erase(writes_.begin(), it);
       return superseded.status();
     }
-    if (*superseded) {
-      engine_->gc_list.Append({key, *superseded, ts});
-    }
-    if (w.pending->data.deleted) {
-      engine_->gc_list.Append({key, w.pending, ts});
-    }
+    if (*superseded) engine_->gc_list.Append({key, ts, /*tombstone=*/false});
+    if (tombstone) engine_->gc_list.Append({key, ts, /*tombstone=*/true});
   }
   return Status::OK();
 }

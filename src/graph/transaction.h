@@ -159,13 +159,14 @@ class Transaction {
               std::shared_ptr<SsiTxnInfo> ssi = nullptr,
               bool read_only = false);
 
-  /// Book-keeping for one written entity. The cache entry is borrowed: the
-  /// pending version pins it (eviction skips chains with a pending version)
-  /// until StampVersions commits it or Unwind aborts it.
+  /// Book-keeping for one written entity. The cache entry and the pending
+  /// version are borrowed: the pending version pins the entry (eviction
+  /// skips chains with a pending version) and its chain owns it, until
+  /// StampVersions commits it or Unwind aborts it.
   struct WriteRecord {
     CachedNode* node = nullptr;  // exactly one of node/rel set
     CachedRel* rel = nullptr;
-    std::shared_ptr<Version> pending;  // the uncommitted version
+    Version* pending = nullptr;  // the uncommitted version
     bool created = false;
 
     VersionChain& chain() const { return node ? node->chain : rel->chain; }

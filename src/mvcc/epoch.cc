@@ -24,7 +24,7 @@ EpochManager::EpochManager(size_t slots)
     : slot_count_(ResolveSlots(slots)), slots_(new Slot[slot_count_]) {}
 
 EpochManager::~EpochManager() {
-  for (LimboEntry& entry : limbo_) Free(entry);
+  for (LimboEntry& entry : limbo_) entry.destroy(entry.object);
 }
 
 size_t EpochManager::Enter() {
@@ -70,14 +70,6 @@ void EpochManager::Push(LimboEntry entry) {
   }
 }
 
-void EpochManager::Free(LimboEntry& entry) {
-  if (entry.object != nullptr) {
-    entry.destroy(entry.object);
-  } else {
-    FreeRetired(std::move(entry.version));
-  }
-}
-
 size_t EpochManager::Drain() {
   std::vector<LimboEntry> eligible;
   size_t freed = 0;
@@ -102,8 +94,8 @@ size_t EpochManager::Drain() {
     limbo_count_ -= freed;
     limbo_size_.store(limbo_count_, std::memory_order_relaxed);
   }
-  // Free outside the mutex: unwinding a retired chain suffix is O(length).
-  for (LimboEntry& entry : eligible) Free(entry);
+  // Free outside the mutex: deleting a retired chain suffix is O(length).
+  for (LimboEntry& entry : eligible) entry.destroy(entry.object);
   total_freed_.fetch_add(freed, std::memory_order_relaxed);
   return freed;
 }
@@ -116,15 +108,6 @@ uint64_t EpochManager::MinActiveEpoch() const {
     if (e != kIdle) min_active = std::min(min_active, e);
   }
   return min_active;
-}
-
-void EpochManager::FreeRetired(std::shared_ptr<Version> version) {
-  while (version) {
-    if (version.use_count() > 1) break;  // Another owner finishes the job.
-    std::shared_ptr<Version> next = std::move(version->older);
-    version.reset();
-    version = std::move(next);
-  }
 }
 
 }  // namespace neosi

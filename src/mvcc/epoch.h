@@ -8,10 +8,11 @@
 //     cache-line-padded slot array + one fence) and EXITS after its last
 //     (one relaxed store). While entered, its slot publishes the global
 //     epoch value it observed.
-//   - A writer that unlinks a version from a chain (GC prune/remove, abort)
-//     RETIRES it into a limbo list stamped with the current global epoch,
-//     instead of freeing it. The version's own forward link stays intact, so
-//     a reader standing on a retired version keeps walking a valid chain.
+//   - A writer that unlinks versions from a chain (GC prune, abort)
+//     RETIRES them into a limbo list stamped with the current global epoch,
+//     instead of freeing them. The limbo then owns them. A retired version's
+//     own forward link stays intact, so a reader standing on it keeps
+//     walking a valid chain.
 //   - The GC daemon periodically BUMPS the global epoch and DRAINS the limbo
 //     list: an entry stamped `e` is freed only when every occupied slot
 //     publishes an epoch strictly greater than `e` — i.e. every reader that
@@ -35,9 +36,9 @@
 // Guards NEST: a guard taken while the same thread already holds one on the
 // same manager claims no slot, so one outer guard covers a whole engine call
 // (a cache lookup plus every chain walk inside it) and the walks' own guards
-// cost a thread-local compare. The limbo holds two kinds of retirees:
-// versions (chain unlinks) and unpublished object-cache entries (eviction,
-// erase), which the drain deletes like versions.
+// cost a thread-local compare. The limbo holds type-erased retirees: an
+// aborted version, a pruned chain suffix, and unpublished object-cache
+// entries (eviction, erase); the drain deletes each through its type.
 
 #ifndef NEOSI_MVCC_EPOCH_H_
 #define NEOSI_MVCC_EPOCH_H_
@@ -48,8 +49,6 @@
 #include <memory>
 #include <mutex>
 #include <vector>
-
-#include "mvcc/version.h"
 
 namespace neosi {
 
@@ -97,14 +96,6 @@ class EpochManager {
     size_t slot_ = kNested;
   };
 
-  /// Moves an unlinked version into the limbo list, stamped with the
-  /// current global epoch. The version's own `older` / `older_raw` links
-  /// must be left INTACT by the caller — a reader standing on it mid-walk
-  /// follows them.
-  void Retire(std::shared_ptr<Version> version) {
-    if (version) Push({std::move(version), nullptr, nullptr, 1, 0});
-  }
-
   /// Moves an object no reader can newly reach into the limbo list; the
   /// drain that frees it deletes it. `count` is the number of retirees it
   /// stands for in the gauges (an eviction pass retires its unpublished
@@ -112,8 +103,8 @@ class EpochManager {
   template <typename T>
   void Retire(std::unique_ptr<T> object, size_t count = 1) {
     if (object) {
-      Push({nullptr, object.release(),
-            [](void* p) { delete static_cast<T*>(p); }, count, 0});
+      Push({object.release(), [](void* p) { delete static_cast<T*>(p); },
+            count, 0});
     }
   }
 
@@ -157,10 +148,8 @@ class EpochManager {
     std::atomic<uint64_t> epoch{kIdle};
   };
 
-  /// Either a version (or severed chain suffix) or an object with its
-  /// deleter.
+  /// A retired object with its deleter.
   struct LimboEntry {
-    std::shared_ptr<Version> version;
     void* object;
     void (*destroy)(void*);
     size_t count;  ///< Retirees it stands for (limbo_size, totals).
@@ -169,18 +158,11 @@ class EpochManager {
 
   /// Stamps `entry` with the current global epoch and appends it to limbo.
   void Push(LimboEntry entry);
-  /// Frees one limbo entry.
-  static void Free(LimboEntry& entry);
 
   size_t Enter();
   void Exit(size_t slot) {
     slots_[slot].epoch.store(kIdle, std::memory_order_release);
   }
-
-  /// Drops the limbo's reference, unwinding the `older` chain iteratively
-  /// while this reference is the last one (a retired chain suffix would
-  /// otherwise destruct recursively and can overflow the stack).
-  static void FreeRetired(std::shared_ptr<Version> version);
 
   const size_t slot_count_;
   const std::unique_ptr<Slot[]> slots_;

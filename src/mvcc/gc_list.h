@@ -23,23 +23,25 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/types.h"
-#include "mvcc/version.h"
 
 namespace neosi {
 
-/// One obsolete version awaiting reclamation.
+/// One obsolete version awaiting reclamation. It names the entity, not the
+/// version: the chain owns its versions, and a pass prunes every version of
+/// the entity that its watermark has passed. An entry whose version was
+/// already freed (vacuum, eviction, erase) therefore drains as a no-op.
 struct GcEntry {
   EntityKey key;
-  std::shared_ptr<Version> version;
   /// The sort key: commit timestamp of the superseding version (a
   /// tombstone's own timestamp for tombstones). The version is reclaimable
   /// once every active transaction's start timestamp >= this.
   Timestamp obsolete_since = kNoTimestamp;
+  /// The entity's tombstone (a physical purge), not a superseded version.
+  bool tombstone = false;
 };
 
 /// Thread-safe timestamp-sorted reclamation queue.
@@ -60,9 +62,6 @@ class GcList {
   /// every commit to decide whether to nudge the GC daemon, so it must not
   /// contend with concurrent Append/PopReclaimable.
   size_t backlog() const { return backlog_.load(std::memory_order_relaxed); }
-
-  /// Alias of backlog() (kept for older call sites).
-  size_t size() const { return backlog(); }
 
   /// Largest backlog ever observed at an Append (pacing stat). Lock-free.
   uint64_t backlog_high_water() const {
@@ -124,9 +123,6 @@ class ShardedGcList {
 
   /// Entries currently queued across all shards. One lock-free load.
   size_t backlog() const { return backlog_.load(std::memory_order_relaxed); }
-
-  /// Alias of backlog() (kept for older call sites).
-  size_t size() const { return backlog(); }
 
   /// Largest aggregate backlog ever observed at an Append. Lock-free.
   uint64_t backlog_high_water() const {

@@ -9,7 +9,6 @@
 #define NEOSI_MVCC_VERSION_H_
 
 #include <atomic>
-#include <memory>
 #include <vector>
 
 #include "common/property_value.h"
@@ -48,30 +47,22 @@ struct VersionData {
 /// `data` (written strictly before, by the same transaction thread)
 /// visible to any reader whose acquire load observes it. `writer` and the
 /// initial `data` are published by the chain-head release store at install
-/// time. `older` (the OWNING link) is mutated only under the chain latch;
-/// latch-free walks follow `older_raw`, a raw mirror maintained by the same
-/// latched mutators. `obsolete_since` is written under the chain latch and
-/// read only by GC/vacuum code — never on the latch-free path.
+/// time. `older` is the one link: latched mutators release-store it and
+/// latch-free walks acquire-load it.
 ///
-/// A latch-free walk hands back a borrowed `const Version*`: a version
-/// reachable inside an epoch guard is owned by its chain predecessor or by
-/// the epoch limbo, so it stays valid until that guard is released.
+/// Ownership: a linked version is owned by its chain, an unlinked one by
+/// the epoch limbo; everything else borrows. Destroying a version never
+/// follows `older`. A latch-free walk hands back a borrowed
+/// `const Version*`, valid until the caller's epoch guard is released.
 struct Version {
   /// Commit timestamp; kNoTimestamp while the writing transaction is active.
   std::atomic<Timestamp> commit_ts{kNoTimestamp};
   /// Writer transaction (used for read-your-own-writes while uncommitted).
   TxnId writer = kNoTxn;
   VersionData data;
-  /// Next-older version (newest-first chain). Owning link; chain-latched.
-  std::shared_ptr<Version> older;
-  /// Raw mirror of `older` for latch-free traversal. Stays intact when this
+  /// Next-older version (newest-first chain). Stays intact when this
   /// version is retired, so a reader standing here mid-walk keeps going.
-  std::atomic<Version*> older_raw{nullptr};
-
-  /// Commit timestamp of the version that superseded this one; set when the
-  /// version is threaded onto the garbage-collection list (paper §4). For a
-  /// tombstone this is its own commit timestamp.
-  Timestamp obsolete_since = kNoTimestamp;
+  std::atomic<Version*> older{nullptr};
 
   bool committed() const {
     return commit_ts.load(std::memory_order_acquire) != kNoTimestamp;

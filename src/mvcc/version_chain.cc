@@ -1,5 +1,7 @@
 #include "mvcc/version_chain.h"
 
+#include <memory>
+
 #include "mvcc/epoch.h"
 
 namespace neosi {
@@ -15,77 +17,88 @@ namespace {
 /// timestamp load below sees the commit; a non-null one leads into a
 /// suffix the epoch guard keeps alive.
 const Version* OlderThenTs(const Version* v, Timestamp* ts) {
-  const Version* older = v->older_raw.load(std::memory_order_acquire);
+  const Version* older = v->older.load(std::memory_order_acquire);
   *ts = v->commit_ts.load(std::memory_order_acquire);
   return older;
 }
 
-}  // namespace
-
-VersionChain::~VersionChain() {
-  // Unwind the chain iteratively; a long shared_ptr chain would otherwise
-  // destruct recursively and can overflow the stack (E6 builds 1k+ chains).
-  // No retire needed: the object cache deletes an entry only when the
-  // epoch drain proves no guard that could reach it is still held, so
-  // reaching the destructor means no reader can walk this chain.
-  std::shared_ptr<Version> cur = std::move(head_);
-  while (cur) {
-    std::shared_ptr<Version> next = std::move(cur->older);
-    cur.reset();
-    cur = std::move(next);
+/// Deletes `v` and every version below it. Only the chain destructor and a
+/// retired suffix call this: each owns the whole run down to null.
+void DeleteDownward(Version* v) {
+  while (v != nullptr) {
+    Version* older = v->older.load(std::memory_order_relaxed);
+    delete v;
+    v = older;
   }
 }
 
-Result<std::shared_ptr<Version>> VersionChain::InstallUncommitted(
-    TxnId writer, VersionData data) {
-  auto version = std::make_shared<Version>();
+/// A chain suffix severed by a prune, retired as one limbo object.
+struct RetiredSuffix {
+  explicit RetiredSuffix(Version* head) : head(head) {}
+  ~RetiredSuffix() { DeleteDownward(head); }
+  Version* const head;
+};
+
+}  // namespace
+
+VersionChain::~VersionChain() {
+  // No retire needed: the object cache deletes an entry only when the
+  // epoch drain proves no guard that could reach it is still held, so
+  // reaching the destructor means no reader can walk this chain.
+  DeleteDownward(head_.load(std::memory_order_relaxed));
+}
+
+Result<Version*> VersionChain::InstallUncommitted(TxnId writer,
+                                                  VersionData data) {
+  // Allocated before the latch; freed after it if the install collapses or
+  // fails (the guard below is released first).
+  auto version = std::make_unique<Version>();
   version->writer = writer;
   version->data = std::move(data);
   std::lock_guard<SpinLatch> guard(latch_);
-  if (head_ && !head_->committed()) {
-    if (head_->writer == writer) {
+  Version* head = head_.load(std::memory_order_relaxed);
+  if (head != nullptr && !head->committed()) {
+    if (head->writer == writer) {
       // Same transaction writing again: collapse into one pending version
       // (a transaction has exactly one private version per entity). Safe
       // against latch-free readers: they skip uncommitted versions on the
       // commit_ts check alone and never touch this data (the writer itself
       // reads it from its own thread).
-      head_->data = std::move(version->data);
-      return head_;
+      head->data = std::move(version->data);
+      return head;
     }
     return Status::Internal(
         "version chain: concurrent uncommitted writers (lock bug)");
   }
-  version->older = head_;
-  version->older_raw.store(head_.get(), std::memory_order_relaxed);
-  head_ = version;
-  // Publication point for `writer` and the initial `data`.
-  head_raw_.store(version.get(), std::memory_order_release);
-  return version;
+  version->older.store(head, std::memory_order_relaxed);
+  // Publication point for `writer`, the initial `data` and the link.
+  head_.store(version.get(), std::memory_order_release);
+  return version.release();
 }
 
-Result<std::shared_ptr<Version>> VersionChain::CommitHead(TxnId writer,
-                                                          Timestamp ts) {
+Result<bool> VersionChain::CommitHead(TxnId writer, Timestamp ts) {
   std::lock_guard<SpinLatch> guard(latch_);
-  if (!head_ || head_->committed() || head_->writer != writer) {
+  Version* head = head_.load(std::memory_order_relaxed);
+  if (head == nullptr || head->committed() || head->writer != writer) {
     return Status::Internal("version chain: commit without pending version");
   }
   // Release: publishes the version's data to latch-free readers that
   // acquire-load this timestamp.
-  head_->commit_ts.store(ts, std::memory_order_release);
-  if (head_->data.deleted) head_->obsolete_since = ts;  // Tombstone.
-  if (head_->older) head_->older->obsolete_since = ts;
-  return head_->older;  // May be null (first version of the entity).
+  head->commit_ts.store(ts, std::memory_order_release);
+  // False for the first version of the entity.
+  return head->older.load(std::memory_order_relaxed) != nullptr;
 }
 
 void VersionChain::AbortHead(TxnId writer) {
   std::lock_guard<SpinLatch> guard(latch_);
-  if (head_ && !head_->committed() && head_->writer == writer) {
-    std::shared_ptr<Version> victim = std::move(head_);
-    head_ = victim->older;
-    head_raw_.store(head_.get(), std::memory_order_release);
-    // victim->older / older_raw stay intact: a latch-free reader standing
-    // on the aborted head keeps walking into the surviving chain.
-    epochs_->Retire(std::move(victim));
+  Version* victim = head_.load(std::memory_order_relaxed);
+  if (victim != nullptr && !victim->committed() && victim->writer == writer) {
+    head_.store(victim->older.load(std::memory_order_relaxed),
+                std::memory_order_release);
+    // victim->older stays intact: a latch-free reader standing on the
+    // aborted head keeps walking into the surviving chain. Freeing the
+    // victim frees it alone.
+    epochs_->Retire(std::unique_ptr<Version>(victim));
   }
 }
 
@@ -94,7 +107,7 @@ const Version* VersionChain::Visible(Timestamp start_ts, TxnId self) const {
   // caller's, which keeps the returned version alive).
   EpochManager::Guard guard(epochs_);
   Timestamp ts = kNoTimestamp;
-  for (const Version *v = head_raw_.load(std::memory_order_acquire), *older;
+  for (const Version *v = head_.load(std::memory_order_acquire), *older;
        v != nullptr; v = older) {
     older = OlderThenTs(v, &ts);
     if (ts == kNoTimestamp) {
@@ -109,7 +122,7 @@ const Version* VersionChain::Visible(Timestamp start_ts, TxnId self) const {
 const Version* VersionChain::LatestCommitted() const {
   EpochManager::Guard guard(epochs_);
   Timestamp ts = kNoTimestamp;
-  for (const Version *v = head_raw_.load(std::memory_order_acquire), *older;
+  for (const Version *v = head_.load(std::memory_order_acquire), *older;
        v != nullptr; v = older) {
     older = OlderThenTs(v, &ts);
     if (ts != kNoTimestamp) return v;
@@ -117,20 +130,16 @@ const Version* VersionChain::LatestCommitted() const {
   return nullptr;
 }
 
-std::shared_ptr<Version> VersionChain::Head() const {
-  std::lock_guard<SpinLatch> guard(latch_);
-  return head_;
-}
-
 bool VersionChain::HasUncommitted() const {
   std::lock_guard<SpinLatch> guard(latch_);
-  return head_ && !head_->committed();
+  const Version* head = head_.load(std::memory_order_relaxed);
+  return head != nullptr && !head->committed();
 }
 
 Timestamp VersionChain::NewestCommitTs() const {
   EpochManager::Guard guard(epochs_);
   Timestamp ts = kNoTimestamp;
-  for (const Version *v = head_raw_.load(std::memory_order_acquire), *older;
+  for (const Version *v = head_.load(std::memory_order_acquire), *older;
        v != nullptr; v = older) {
     older = OlderThenTs(v, &ts);
     if (ts != kNoTimestamp) return ts;
@@ -142,42 +151,13 @@ void VersionChain::CommittedNewerThan(
     Timestamp start_ts, std::vector<std::pair<TxnId, Timestamp>>* out) const {
   EpochManager::Guard guard(epochs_);
   Timestamp ts = kNoTimestamp;
-  for (const Version *v = head_raw_.load(std::memory_order_acquire), *older;
+  for (const Version *v = head_.load(std::memory_order_acquire), *older;
        v != nullptr; v = older) {
     older = OlderThenTs(v, &ts);
     if (ts == kNoTimestamp) continue;  // Private to an in-flight writer.
     if (ts <= start_ts) break;  // Newest-first: everything older is too.
     out->emplace_back(v->writer, ts);
   }
-}
-
-bool VersionChain::Remove(const std::shared_ptr<Version>& target) {
-  std::lock_guard<SpinLatch> guard(latch_);
-  if (!head_) return false;
-  if (head_ == target) {
-    head_ = head_->older;  // Copy: target's own forward links stay intact.
-    head_raw_.store(head_.get(), std::memory_order_release);
-    // Retire LAST: the caller's `target` reference keeps the version alive
-    // through the splice, and the limbo push (under limbo_mu_) must
-    // happen-after every access to target's fields above so the drainer's
-    // FreeRetired — which mutates target->older — is ordered after them.
-    epochs_->Retire(target);
-    return true;
-  }
-  for (std::shared_ptr<Version> v = head_; v->older; v = v->older) {
-    if (v->older == target) {
-      // Splice first (target's own forward links stay intact: a latch-free
-      // reader standing on target mid-walk keeps walking), retire LAST —
-      // the limbo push under limbo_mu_ orders these field accesses before
-      // the drainer's FreeRetired mutation of target->older. The caller's
-      // `target` reference keeps the version alive meanwhile.
-      v->older = target->older;
-      v->older_raw.store(target->older.get(), std::memory_order_release);
-      epochs_->Retire(target);
-      return true;
-    }
-  }
-  return false;
 }
 
 size_t VersionChain::PruneSupersededUpTo(Timestamp watermark) {
@@ -188,40 +168,43 @@ size_t VersionChain::PruneSupersededUpTo(Timestamp watermark) {
   // `keep` or newer — it can never be standing INSIDE the severed suffix
   // unless it is already expired, in which case its post-walk
   // SnapshotTooOld check rejects whatever it read; see ARCHITECTURE.md.)
-  std::shared_ptr<Version> keep;
-  for (keep = head_; keep; keep = keep->older) {
+  Version* keep = head_.load(std::memory_order_relaxed);
+  for (; keep != nullptr; keep = keep->older.load(std::memory_order_relaxed)) {
     if (keep->committed() &&
         keep->commit_ts.load(std::memory_order_relaxed) <= watermark) {
       break;
     }
   }
-  if (!keep) return 0;
+  if (keep == nullptr) return 0;
+  Version* suffix = keep->older.load(std::memory_order_relaxed);
   size_t dropped = 0;
-  for (std::shared_ptr<Version> v = keep->older; v; v = v->older) ++dropped;
+  for (const Version* v = suffix; v != nullptr;
+       v = v->older.load(std::memory_order_relaxed)) {
+    ++dropped;
+  }
   if (dropped == 0) return 0;
-  // The whole suffix is retired as ONE limbo entry; its interior links stay
-  // intact for any reader still walking inside it. Sever first, retire
-  // LAST: the limbo push (under limbo_mu_) must happen-after every chain-
-  // side access to the suffix (the counting walk above, the unlink here) so
-  // the drainer's FreeRetired — which mutates the suffix's `older` links —
-  // is ordered after them.
-  std::shared_ptr<Version> suffix = std::move(keep->older);
-  keep->older_raw.store(nullptr, std::memory_order_release);
-  epochs_->Retire(std::move(suffix));
+  // The whole suffix is retired as ONE limbo object; its interior links
+  // stay intact for any reader still walking inside it.
+  keep->older.store(nullptr, std::memory_order_release);
+  epochs_->Retire(std::make_unique<RetiredSuffix>(suffix));
   return dropped;
 }
 
 size_t VersionChain::Length() const {
   std::lock_guard<SpinLatch> guard(latch_);
   size_t n = 0;
-  for (std::shared_ptr<Version> v = head_; v; v = v->older) ++n;
+  for (const Version* v = head_.load(std::memory_order_relaxed); v != nullptr;
+       v = v->older.load(std::memory_order_relaxed)) {
+    ++n;
+  }
   return n;
 }
 
 size_t VersionChain::ApproximateBytes() const {
   std::lock_guard<SpinLatch> guard(latch_);
   size_t n = 0;
-  for (Version* v = head_.get(); v; v = v->older.get()) {
+  for (const Version* v = head_.load(std::memory_order_relaxed); v != nullptr;
+       v = v->older.load(std::memory_order_relaxed)) {
     n += sizeof(Version);
     // An uncommitted head's data is its writer's, rewritten without the
     // latch; only committed data is immutable.

@@ -4,19 +4,18 @@
 // the list of versions").
 //
 // Committed-visibility walks (Visible / LatestCommitted / NewestCommitTs /
-// CommittedNewerThan) are LATCH-FREE: they traverse the raw atomic mirror
-// links (`head_raw_` / `Version::older_raw`) under an epoch guard of the
-// chain's EpochManager and acquire ZERO latches. Writers still take the
-// chain latch, but only to install/commit/abort the head and to unlink for
-// GC — and an unlink RETIRES the version into the epoch limbo (its own
-// forward link intact) instead of freeing it, so a reader standing on it
-// mid-walk keeps walking a valid chain.
+// CommittedNewerThan) are LATCH-FREE: they acquire-load the atomic links
+// (`head_` / `Version::older`) under an epoch guard of the chain's
+// EpochManager and acquire ZERO latches. Writers still take the chain
+// latch, but only to install/commit/abort the head and to prune for GC —
+// and an unlink RETIRES the version into the epoch limbo (its own forward
+// link intact) instead of freeing it, so a reader standing on it mid-walk
+// keeps walking a valid chain.
 
 #ifndef NEOSI_MVCC_VERSION_CHAIN_H_
 #define NEOSI_MVCC_VERSION_CHAIN_H_
 
 #include <atomic>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -42,20 +41,17 @@ class VersionChain {
 
   /// Prepends an uncommitted version owned by `writer`. The engine's write
   /// locks guarantee at most one uncommitted version per entity; a second
-  /// concurrent installer is an engine bug and returns Internal.
-  Result<std::shared_ptr<Version>> InstallUncommitted(TxnId writer,
-                                                      VersionData data);
+  /// concurrent installer is an engine bug and returns Internal. The
+  /// returned version is borrowed by the writer until CommitHead or
+  /// AbortHead: the chain owns it, and eviction skips chains holding a
+  /// pending version.
+  Result<Version*> InstallUncommitted(TxnId writer, VersionData data);
 
-  /// Stamps the (uncommitted) head with its commit timestamp. Returns the
-  /// superseded previous head (now obsolete, to be threaded onto the GC
-  /// list) or nullptr if this was the first version. Obsolescence stamps
-  /// (`obsolete_since` on the superseded version, and on the head itself
-  /// when it is a tombstone) are applied under the chain latch, so commit
-  /// stamping is safe with many writers committing concurrently and no
-  /// global commit lock. The commit-timestamp store itself is a release:
-  /// it is the publication point for the version's data on the latch-free
-  /// read path.
-  Result<std::shared_ptr<Version>> CommitHead(TxnId writer, Timestamp ts);
+  /// Stamps the (uncommitted) head with its commit timestamp. Returns
+  /// whether it superseded a previous version (now obsolete, to be queued
+  /// on the GC list). The commit-timestamp store is a release: it is the
+  /// publication point for the version's data on the latch-free read path.
+  Result<bool> CommitHead(TxnId writer, Timestamp ts);
 
   /// Removes the uncommitted head if owned by `writer` (abort path). The
   /// popped head is retired, not freed: a latch-free reader may be standing
@@ -74,9 +70,6 @@ class VersionChain {
   /// Latch-free; borrowed like Visible's.
   const Version* LatestCommitted() const;
 
-  /// The head version (committed or not); null when empty.
-  std::shared_ptr<Version> Head() const;
-
   /// True if any version is uncommitted (i.e. a writer is in flight).
   bool HasUncommitted() const;
 
@@ -93,11 +86,6 @@ class VersionChain {
   void CommittedNewerThan(Timestamp start_ts,
                           std::vector<std::pair<TxnId, Timestamp>>* out) const;
 
-  /// Unlinks a specific version (GC). Returns true if found and removed.
-  /// The version is retired into limbo instead of dropping the last
-  /// reference.
-  bool Remove(const std::shared_ptr<Version>& target);
-
   /// Drops every version strictly older than the newest committed version
   /// with commit_ts <= watermark (those can never be read again). Returns
   /// the number of versions dropped. The severed suffix retires as ONE
@@ -113,7 +101,11 @@ class VersionChain {
   template <typename Fn>
   bool IfSoleCommitted(Fn&& fn) {
     std::lock_guard<SpinLatch> guard(latch_);
-    if (!head_ || head_->older || !head_->committed()) return false;
+    const Version* head = head_.load(std::memory_order_relaxed);
+    if (head == nullptr || head->older.load(std::memory_order_relaxed) ||
+        !head->committed()) {
+      return false;
+    }
     fn();
     return true;
   }
@@ -133,10 +125,9 @@ class VersionChain {
  private:
   EpochManager* const epochs_;
   mutable SpinLatch latch_;
-  std::shared_ptr<Version> head_;
-  /// Raw mirror of `head_` for latch-free traversal; every latched mutation
-  /// of `head_` release-stores it here.
-  std::atomic<Version*> head_raw_{nullptr};
+  /// Newest version; the chain owns every version reachable from here.
+  /// Latched mutators release-store it, latch-free walks acquire-load it.
+  std::atomic<Version*> head_{nullptr};
 };
 
 }  // namespace neosi

@@ -37,13 +37,13 @@ TEST(Gc, SupersededVersionsAreReclaimed) {
   auto node = db->engine().cache->PeekNode(id);
   ASSERT_NE(node, nullptr);
   EXPECT_EQ(node->chain.Length(), 6u);
-  EXPECT_EQ(db->engine().gc_list.size(), 5u);
+  EXPECT_EQ(db->engine().gc_list.backlog(), 5u);
 
   GcStats stats = db->RunGc();
   EXPECT_EQ(stats.versions_pruned, 5u);
   EXPECT_EQ(stats.tombstones_purged, 0u);
   EXPECT_EQ(node->chain.Length(), 1u);
-  EXPECT_EQ(db->engine().gc_list.size(), 0u);
+  EXPECT_EQ(db->engine().gc_list.backlog(), 0u);
 
   auto reader = db->Begin();
   EXPECT_EQ(reader->GetNodeProperty(id, "v")->AsInt(), 5);
@@ -69,7 +69,7 @@ TEST(Gc, ActiveSnapshotPinsVersions) {
   // The old reader's snapshot pins version 1: GC must reclaim nothing.
   GcStats stats = db->RunGc();
   EXPECT_EQ(stats.versions_pruned, 0u);
-  EXPECT_EQ(db->engine().gc_list.size(), 1u);
+  EXPECT_EQ(db->engine().gc_list.backlog(), 1u);
   EXPECT_EQ(old_reader->GetNodeProperty(id, "v")->AsInt(), 1);
 
   ASSERT_TRUE(old_reader->Commit().ok());
@@ -217,6 +217,127 @@ TEST(Gc, VacuumCollectsSameGarbage) {
   EXPECT_EQ(node->chain.Length(), 1u);
   auto reader = db->Begin();
   EXPECT_EQ(reader->GetNodeProperty(id, "v")->AsInt(), 4);
+}
+
+/// Frees everything in the epoch limbo (no reader is entered).
+void DrainLimbo(GraphDatabase* db) {
+  db->engine().epochs.BumpEpoch();
+  db->engine().epochs.Drain();
+  EXPECT_EQ(db->engine().epochs.limbo_size(), 0u);
+}
+
+TEST(Gc, StaleEntriesAreHarmless) {
+  // Vacuum frees the versions that GC-list entries were queued for. Those
+  // entries must drain as no-ops, and prune nothing that later commits
+  // allocate (possibly at the freed addresses).
+  auto db = OpenDb();
+  NodeId id;
+  {
+    auto txn = db->Begin();
+    id = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{0})}});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  auto update = [&](int64_t v) {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn->SetNodeProperty(id, "v", PropertyValue(v)).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  };
+  for (int64_t i = 1; i <= 4; ++i) update(i);
+  ASSERT_EQ(db->RunVacuum().versions_pruned, 4u);
+  DrainLimbo(db.get());  // The pruned versions are gone, not parked.
+  EXPECT_EQ(db->engine().gc_list.backlog(), 4u);
+
+  GcStats stale = db->RunGc();
+  EXPECT_EQ(stale.versions_pruned, 0u);
+  EXPECT_EQ(db->engine().gc_list.backlog(), 0u);
+
+  for (int64_t i = 5; i <= 7; ++i) update(i);
+  GcStats fresh = db->RunGc();
+  EXPECT_EQ(fresh.versions_pruned, 3u);
+  auto node = db->engine().cache->PeekNode(id);
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->chain.Length(), 1u);
+  auto reader = db->Begin();
+  EXPECT_EQ(reader->GetNodeProperty(id, "v")->AsInt(), 7);
+}
+
+TEST(Gc, EvictedSoleTombstoneIsStillPurged) {
+  DatabaseOptions options;
+  options.in_memory = true;
+  options.background_gc_interval_ms = 0;  // Manual GC only.
+  options.object_cache_capacity = 2;
+  auto db = std::move(*GraphDatabase::Open(options));
+  NodeId id;
+  {
+    auto txn = db->Begin();
+    id = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{1})}});
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(txn->CreateNode({}).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn->DeleteNode(id).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  EXPECT_EQ(db->engine().gc_list.backlog(), 2u);  // Superseded + tombstone.
+
+  // Leave the tombstone as the chain's only version, as an earlier prune
+  // would, then let eviction free the entry before the pass pops either.
+  {
+    EpochManager::Guard guard(&db->engine().epochs);
+    CachedNode* node = db->engine().cache->PeekNode(id);
+    ASSERT_NE(node, nullptr);
+    ASSERT_EQ(node->chain.PruneSupersededUpTo(db->engine().oracle.ReadTs()),
+              1u);
+  }
+  db->engine().cache->EvictIfNeeded();
+  ASSERT_EQ(db->engine().cache->PeekNode(id), nullptr);
+  DrainLimbo(db.get());
+
+  GcStats stats = db->RunGc();
+  EXPECT_EQ(stats.versions_pruned, 0u);
+  EXPECT_EQ(stats.tombstones_purged, 1u);
+  EXPECT_FALSE(db->engine().store.NodeInUse(id));
+  EXPECT_EQ(db->engine().gc_list.backlog(), 0u);
+}
+
+TEST(Gc, StaleTombstoneEntrySparesARecycledId) {
+  // Vacuum purges a node and a relationship tombstone whose GC-list
+  // entries are still queued, and new entities recycle both ids. The stale
+  // entries must not purge them.
+  auto db = OpenDb();
+  NodeId a, b, gone;
+  RelId rel;
+  {
+    auto txn = db->Begin();
+    a = *txn->CreateNode({});
+    b = *txn->CreateNode({});
+    gone = *txn->CreateNode({});
+    rel = *txn->CreateRelationship(a, b, "R");
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn->DeleteRelationship(rel).ok());
+    ASSERT_TRUE(txn->DeleteNode(gone).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ASSERT_EQ(db->RunVacuum().tombstones_purged, 2u);
+  {
+    auto txn = db->Begin();
+    ASSERT_EQ(*txn->CreateNode({}, {{"v", PropertyValue(int64_t{1})}}), gone);
+    ASSERT_EQ(*txn->CreateRelationship(a, b, "R"), rel);
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+
+  GcStats stats = db->RunGc();
+  EXPECT_EQ(stats.tombstones_purged, 0u);
+  EXPECT_EQ(db->engine().gc_list.backlog(), 0u);
+  EXPECT_TRUE(db->engine().store.NodeInUse(gone));
+  EXPECT_TRUE(db->engine().store.RelInUse(rel));
+  auto reader = db->Begin();
+  EXPECT_EQ(reader->GetNodeProperty(gone, "v")->AsInt(), 1);
+  EXPECT_EQ(reader->GetRelationships(a)->size(), 1u);
 }
 
 TEST(Gc, IndexEntriesCompacted) {

@@ -14,8 +14,6 @@ namespace {
 GcEntry Entry(uint64_t id, Timestamp obsolete_since) {
   GcEntry entry;
   entry.key = EntityKey::Node(id);
-  entry.version = std::make_shared<Version>();
-  entry.version->commit_ts = obsolete_since > 0 ? obsolete_since - 1 : 0;
   entry.obsolete_since = obsolete_since;
   return entry;
 }
@@ -27,7 +25,7 @@ TEST(GcList, PopsOnlyReclaimablePrefix) {
   ASSERT_EQ(popped.size(), 2u);
   EXPECT_EQ(popped[0].obsolete_since, 10u);
   EXPECT_EQ(popped[1].obsolete_since, 20u);
-  EXPECT_EQ(list.size(), 2u);
+  EXPECT_EQ(list.backlog(), 2u);
   EXPECT_EQ(list.OldestObsoleteSince(), 30u);
 }
 
@@ -42,7 +40,7 @@ TEST(GcList, WatermarkBoundaryIsInclusive) {
 TEST(GcList, EmptyListBehaviour) {
   GcList list;
   EXPECT_TRUE(list.PopReclaimable(kMaxTimestamp).empty());
-  EXPECT_EQ(list.size(), 0u);
+  EXPECT_EQ(list.backlog(), 0u);
   EXPECT_EQ(list.OldestObsoleteSince(), kMaxTimestamp);
 }
 
@@ -50,7 +48,7 @@ TEST(GcList, MaxBatchLimitsPop) {
   GcList list;
   for (Timestamp ts = 1; ts <= 10; ++ts) list.Append(Entry(ts, ts));
   EXPECT_EQ(list.PopReclaimable(100, 3).size(), 3u);
-  EXPECT_EQ(list.size(), 7u);
+  EXPECT_EQ(list.backlog(), 7u);
   EXPECT_EQ(list.PopReclaimable(100).size(), 7u);
 }
 
@@ -176,14 +174,14 @@ TEST(GcList, ConcurrentAppendersAndCollector) {
     stop.store(true);
   });
   std::thread collector([&] {
-    while (!stop.load() || list.size() > 0) {
+    while (!stop.load() || list.backlog() > 0) {
       reclaimed.fetch_add(list.PopReclaimable(next_ts.load()).size());
     }
   });
   appender.join();
   collector.join();
   EXPECT_EQ(reclaimed.load(), 20000u);
-  EXPECT_EQ(list.size(), 0u);
+  EXPECT_EQ(list.backlog(), 0u);
 }
 
 }  // namespace

@@ -36,13 +36,13 @@ TEST(VersionChain, InstallCommitRead) {
   auto v = chain.InstallUncommitted(7, Data(10));
   ASSERT_TRUE(v.ok());
   // Uncommitted: visible only to the writer.
-  EXPECT_EQ(chain.Visible(100, 7), v->get());
+  EXPECT_EQ(chain.Visible(100, 7), *v);
   EXPECT_EQ(chain.Visible(100, 8), nullptr);
   EXPECT_TRUE(chain.HasUncommitted());
 
   auto superseded = chain.CommitHead(7, 50);
   ASSERT_TRUE(superseded.ok());
-  EXPECT_EQ(*superseded, nullptr);  // First version supersedes nothing.
+  EXPECT_FALSE(*superseded);  // First version supersedes nothing.
   EXPECT_EQ(ValueOf(chain.Visible(50, 8)), 10);
   EXPECT_EQ(chain.Visible(49, 8), nullptr);  // Before the commit.
   EXPECT_EQ(chain.NewestCommitTs(), 50u);
@@ -112,7 +112,7 @@ TEST(VersionChain, CommitWithoutPendingIsInternal) {
   EXPECT_TRUE(chain.CommitHead(2, 10).status().IsInternal());  // Wrong txn.
 }
 
-TEST(VersionChain, CommitReturnsSupersededVersion) {
+TEST(VersionChain, CommitReportsSupersededVersion) {
   EpochManager epochs;
   VersionChain chain(&epochs);
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
@@ -120,8 +120,9 @@ TEST(VersionChain, CommitReturnsSupersededVersion) {
   ASSERT_TRUE(chain.InstallUncommitted(2, Data(2)).ok());
   auto superseded = chain.CommitHead(2, 20);
   ASSERT_TRUE(superseded.ok());
-  ASSERT_NE(*superseded, nullptr);
-  EXPECT_EQ((*superseded)->commit_ts, 10u);
+  EXPECT_TRUE(*superseded);
+  // The superseded version stays linked below the new head.
+  EXPECT_EQ(chain.Visible(15, 99)->commit_ts, 10u);
 }
 
 TEST(VersionChain, TombstoneVersionVisibleAsDeleted) {
@@ -136,24 +137,53 @@ TEST(VersionChain, TombstoneVersionVisibleAsDeleted) {
   EXPECT_TRUE(chain.Visible(25, 99)->data.deleted);
 }
 
-TEST(VersionChain, RemoveUnlinksSpecificVersion) {
+TEST(VersionChain, UnlinkedVersionsStayWalkableUnderAGuard) {
   EpochManager epochs;
   VersionChain chain(&epochs);
-  std::vector<std::shared_ptr<Version>> versions;
-  for (int i = 1; i <= 4; ++i) {
-    versions.push_back(*chain.InstallUncommitted(i, Data(i)));
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(chain.InstallUncommitted(i, Data(i)).ok());
     ASSERT_TRUE(chain.CommitHead(i, i * 10).ok());
   }
-  // Remove a middle version.
-  EXPECT_TRUE(chain.Remove(versions[1]));
+  ASSERT_TRUE(chain.InstallUncommitted(4, Data(4)).ok());
+  EpochManager::Guard reader(&epochs);
+
+  // Head unlink: a reader standing on the aborted head keeps walking into
+  // the surviving chain.
+  const Version* pending = chain.Visible(kMaxTimestamp, 4);
+  ASSERT_NE(pending, nullptr);
+  chain.AbortHead(4);
   EXPECT_EQ(chain.Length(), 3u);
-  EXPECT_FALSE(chain.Remove(versions[1]));  // Already gone.
-  // Remove the head.
-  EXPECT_TRUE(chain.Remove(versions[3]));
-  EXPECT_EQ(ValueOf(chain.Visible(kMaxTimestamp, 99)), 3);
-  // Remove the tail.
-  EXPECT_TRUE(chain.Remove(versions[0]));
+  const Version* below = pending->older.load(std::memory_order_acquire);
+  ASSERT_NE(below, nullptr);
+  EXPECT_EQ(ValueOf(below), 3);
+
+  // Interior unlink: a reader on a pruned version still reads it.
+  const Version* oldest = chain.Visible(10, 99);
+  ASSERT_NE(oldest, nullptr);
+  EXPECT_EQ(chain.PruneSupersededUpTo(30), 2u);
   EXPECT_EQ(chain.Length(), 1u);
+  EXPECT_EQ(ValueOf(oldest), 1);
+  EXPECT_EQ(ValueOf(chain.Visible(kMaxTimestamp, 99)), 3);
+  EXPECT_EQ(epochs.limbo_size(), 2u) << "the abort and the suffix";
+}
+
+TEST(VersionChain, FreeingAnAbortedHeadLeavesTheChainIntact) {
+  EpochManager epochs;
+  VersionChain chain(&epochs);
+  ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
+  ASSERT_TRUE(chain.CommitHead(1, 10).ok());
+  ASSERT_TRUE(chain.InstallUncommitted(2, Data(2)).ok());
+  chain.AbortHead(2);
+  // The retired head still links to the committed version; freeing it must
+  // free it alone.
+  EXPECT_EQ(epochs.Drain(), 1u);
+  EXPECT_EQ(chain.Length(), 1u);
+  EXPECT_EQ(ValueOf(chain.Visible(10, 99)), 1);
+}
+
+TEST(VersionChain, VersionFitsItsSizeBudget) {
+  // One link, no control block, no per-version obsolescence stamp.
+  EXPECT_LE(sizeof(Version), 168u);
 }
 
 TEST(VersionChain, PruneSupersededUpToWatermark) {
