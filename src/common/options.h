@@ -15,9 +15,8 @@
 // GC list shards = cores clamped to [1, 64], 4 when unknown
 // (ShardedGcList; shards split commit-path append contention, one GC
 // thread drains them all), epoch slots max(64, 4 * cores) (EpochManager),
-// 64 SSI marker shards (SsiTracker), group-commit batches of at most
-// max(8, 4 * cores) capped at 256 records (GroupCommitter), and a 10 s
-// lock-wait backstop (LockManager).
+// 64 SSI marker shards (SsiTracker), and a 10 s lock-wait backstop
+// (LockManager).
 
 #ifndef NEOSI_COMMON_OPTIONS_H_
 #define NEOSI_COMMON_OPTIONS_H_
@@ -160,17 +159,19 @@ struct DatabaseOptions {
   /// Consumed by the checkpoint truncation path.
   uint64_t wal_keep_segments = 0;
 
-  /// fsync the WAL on every commit (grouped: concurrent committers share
-  /// one fsync per batch through the GroupCommitter). Default: false — the
-  /// experiments measure concurrency-control behaviour, not disk stalls.
+  /// fsync the WAL on every commit: each commit appends its own frame and
+  /// waits until an fsync covers it (grouped: one fsync covers every frame
+  /// appended before it started, so concurrent committers share it).
+  /// Default: false — the experiments measure concurrency-control
+  /// behaviour, not disk stalls.
   bool sync_commits = false;
 
-  /// Hand WAL fsyncs to a dedicated flusher thread: the group-commit
-  /// leader enqueues a flush target and releases the leader seat, and
-  /// commit acks wait on the flushed-LSN watermark — the next batch forms
-  /// while the previous one's fsync runs. Default: true. False restores
-  /// the leader-fsync-inline baseline (the E18 bench comparison). Only
-  /// observable with sync_commits. Sync failures are STICKY either way:
+  /// Hand WAL fsyncs to a dedicated flusher thread: a durable commit posts
+  /// its frame's end as the flush target and waits on the flushed-LSN
+  /// watermark. Default: true. False makes the committer run the fsync
+  /// itself, unless a peer's fsync already covered its frame by the time it
+  /// holds the pass mutex (the E18 bench comparison). Only observable with
+  /// sync_commits. Sync failures are STICKY either way:
   /// after any WAL fsync/dir-sync error every later commit fails with a
   /// non-retryable IOError until the store is reopened (see
   /// docs/OPERATIONS.md, durability invariants).

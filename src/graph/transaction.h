@@ -307,7 +307,7 @@ class Transaction {
   Status ValidateCommit();
 
   /// Appends this transaction's commit record through the group committer
-  /// (one shared fsync per batch when sync_commits is set): one full
+  /// (flushed to its end when sync_commits is set): one full
   /// post-state op per written entity, in the order ApplyToStore persists
   /// them. The returned LSN is pinned against checkpoint truncation until
   /// the commit has been applied to the stores (Wal::Unpin).

@@ -388,164 +388,108 @@ Status Wal::OpenChain() {
 }
 
 void Wal::RollbackUnpublishedSegmentsLocked() {
-  for (;;) {
-    std::string victim;
-    {
-      std::lock_guard<std::mutex> guard(seg_mu_);
-      if (segments_.size() <= 1 ||
-          segments_.back()->base <=
-              next_lsn_.load(std::memory_order_relaxed)) {
-        break;
-      }
-      // The segment holds no published frame (its base is above the
-      // cursor): un-roll it so the cursor's segment is active again —
-      // otherwise every later append would compute its offset against a
-      // base ABOVE the cursor and underflow.
-      next_index_ = segments_.back()->index;
-      victim = SegmentName(segments_.back()->index);
-      segments_.pop_back();
-      active_.store(segments_.back().get(), std::memory_order_release);
-      segment_count_.store(segments_.size(), std::memory_order_release);
-      // The re-activated segment's fill state is unknown: start the mark
-      // at the cursor, so the next append refills from its own end.
-      filled_to_ = kSegmentHeaderSize +
-                   (next_lsn_.load(std::memory_order_relaxed) -
-                    segments_.back()->base);
-    }
-    // Best-effort, but dir-synced: an un-durable unlink could resurrect
-    // this file after a crash with a base the surviving active segment has
-    // since grown past, and Open() would refuse the chain. A leftover from
-    // a FAILED remove is defused at the next roll, which reuses the index
-    // and renames a freshly built file over it.
-    (void)dir_->Remove(victim);
-    (void)dir_->SyncDir();
+  const Lsn cursor = next_lsn_.load(std::memory_order_relaxed);
+  std::string victim;
+  {
+    std::lock_guard<std::mutex> guard(seg_mu_);
+    if (segments_.size() <= 1 || segments_.back()->base < cursor) return;
+    next_index_ = segments_.back()->index;
+    victim = SegmentName(segments_.back()->index);
+    segments_.pop_back();
+    active_.store(segments_.back().get(), std::memory_order_release);
+    segment_count_.store(segments_.size(), std::memory_order_release);
+    // The re-activated segment's fill state is unknown: start the mark at
+    // the cursor, so the next append refills from its own end.
+    filled_to_ = kSegmentHeaderSize + (cursor - segments_.back()->base);
   }
+  // Best-effort, but dir-synced: an un-durable unlink could resurrect this
+  // file after a crash with a base the surviving active segment has since
+  // grown past, and Open() would refuse the chain. A leftover from a FAILED
+  // remove is defused at the next roll, which reuses the index and renames
+  // a freshly built file over it.
+  (void)dir_->Remove(victim);
+  (void)dir_->SyncDir();
 }
 
 Result<Lsn> Wal::Append(const WalRecord& record, bool pin, Lsn* end_lsn) {
-  const std::vector<bool> pins{pin};
-  std::vector<Lsn> lsns;
-  NEOSI_RETURN_IF_ERROR(AppendBatch({&record}, &lsns, &pins, end_lsn));
-  return lsns.front();
-}
-
-Status Wal::AppendBatch(const std::vector<const WalRecord*>& records,
-                        std::vector<Lsn>* lsns,
-                        const std::vector<bool>* pins, Lsn* end_lsn) {
-  lsns->clear();
-  lsns->reserve(records.size());
-
-  // Encode every frame into one contiguous buffer outside the latch.
-  std::string buffer;
-  std::vector<uint64_t> frame_offsets;
-  frame_offsets.reserve(records.size());
-  std::string payload;
-  for (const WalRecord* record : records) {
-    payload.clear();
-    record->EncodeTo(&payload);
-    frame_offsets.push_back(buffer.size());
-    PutFixed32(&buffer, static_cast<uint32_t>(payload.size()));
-    PutFixed32(&buffer, Crc32c(payload.data(), payload.size()));
-    buffer.append(payload);
-  }
-  auto frame_len = [&](size_t i) {
-    return (i + 1 < frame_offsets.size() ? frame_offsets[i + 1]
-                                         : buffer.size()) -
-           frame_offsets[i];
-  };
+  // Encode the frame outside the latch: header placeholder, payload, then
+  // the header filled in over the payload.
+  std::string frame(kFrameHeader, '\0');
+  record.EncodeTo(&frame);
+  const size_t payload_len = frame.size() - kFrameHeader;
+  EncodeFixed32(frame.data(), static_cast<uint32_t>(payload_len));
+  EncodeFixed32(frame.data() + 4,
+                Crc32c(frame.data() + kFrameHeader, payload_len));
 
   std::lock_guard<SpinLatch> guard(latch_);
   // Sticky-poison check: an appender must not grow a log whose durability
   // is already unprovable.
   NEOSI_RETURN_IF_ERROR(PoisonedStatus());
-  const Lsn first = next_lsn_.load(std::memory_order_relaxed);
+  const Lsn lsn = next_lsn_.load(std::memory_order_relaxed);
+  Segment* active = active_.load(std::memory_order_relaxed);
+  uint64_t phys = kSegmentHeaderSize + (lsn - active->base);
   {
     Status fault = Point("wal.append.mid_frame");
     if (!fault.ok()) {
-      // Simulated mid-append crash: half the batch's bytes land, the cursor
+      // Simulated mid-append crash: half the frame's bytes land, the cursor
       // never advances. Recovery must detect and truncate the torn bytes.
-      Segment* active = active_.load(std::memory_order_relaxed);
-      active->file->WriteAt(kSegmentHeaderSize + (first - active->base),
-                            buffer.data(), buffer.size() / 2);
+      active->file->WriteAt(phys, frame.data(), frame.size() / 2);
       return fault;
     }
   }
-  // The lsn space is contiguous across segment rolls, so every record's lsn
-  // is just first + its offset in the batch; only the physical writes split
-  // at segment boundaries. Write maximal runs of frames that fit the
-  // current segment with single writes.
-  size_t idx = 0;
-  bool rolled = false;
-  Status write_status;
-  while (idx < frame_offsets.size()) {
-    const Lsn lsn = first + frame_offsets[idx];
-    Segment* active = active_.load(std::memory_order_relaxed);
-    uint64_t phys = kSegmentHeaderSize + (lsn - active->base);
-    if (lsn > active->base &&
-        phys + frame_len(idx) > options_.segment_size) {
-      // Roll: the retiring segment is synced BEFORE the new one enters the
-      // chain, so a valid-prefix walk can stop early only in the newest
-      // segment. (A frame larger than a whole segment gets one to itself —
-      // the roll happens, the oversized write below still succeeds.) This
-      // sync stays on the append path even with a flusher: older segments
-      // must be fully durable before the chain grows past them.
-      write_status = SyncRetiringLocked(active);
-      if (write_status.ok()) write_status = AddSegmentLocked(lsn);
-      if (!write_status.ok()) break;
-      rolled = true;
-      active = active_.load(std::memory_order_relaxed);
-      phys = kSegmentHeaderSize;
-    }
-    if (rolled) {
-      // Post-roll write-failure crash point: exercises the un-roll below.
-      write_status = Point("wal.append.fail_after_roll");
-      if (!write_status.ok()) break;
-    }
-    size_t end = idx + 1;
-    uint64_t run_bytes = frame_len(idx);
-    while (end < frame_offsets.size() &&
-           phys + run_bytes + frame_len(end) <= options_.segment_size) {
-      run_bytes += frame_len(end);
-      ++end;
-    }
-    write_status = active->file->WriteAt(
-        phys, buffer.data() + frame_offsets[idx], run_bytes);
-    if (!write_status.ok()) break;
-    idx = end;
+  Status s;
+  if (lsn > active->base && phys + frame.size() > options_.segment_size) {
+    // Roll: the retiring segment is synced BEFORE the new one enters the
+    // chain, so a valid-prefix walk can stop early only in the newest
+    // segment. (A frame larger than a whole segment gets one to itself —
+    // the roll happens, the oversized write below still succeeds.) This
+    // sync stays on the append path even with a flusher: older segments
+    // must be fully durable before the chain grows past them. The lsn
+    // space is contiguous across the roll: the new segment's base is `lsn`.
+    s = SyncRetiringLocked(active);
+    if (s.ok()) s = AddSegmentLocked(lsn);
+    // Post-roll write-failure crash point: exercises the un-roll below.
+    if (s.ok()) s = Point("wal.append.fail_after_roll");
+    active = active_.load(std::memory_order_relaxed);
+    phys = kSegmentHeaderSize;
   }
-  if (!write_status.ok()) {
-    // A failure after a roll would otherwise strand the cursor below the
-    // fresh segment's base — drop every unpublished segment so the next
-    // append lands back at the cursor, overwriting the partial batch.
+  if (s.ok()) s = active->file->WriteAt(phys, frame.data(), frame.size());
+  if (!s.ok()) {
+    // A failure after a roll leaves a fresh segment with no published
+    // frame: un-roll it, so the next append lands back at the cursor
+    // (overwriting the partial frame) and retries the roll from scratch.
     RollbackUnpublishedSegmentsLocked();
-    return write_status;
+    return s;
   }
-  FillAheadLocked(first + buffer.size());
-  for (uint64_t frame_offset : frame_offsets) {
-    lsns->push_back(first + frame_offset);
-  }
-  if (pins != nullptr) {
+  const Lsn end = lsn + frame.size();
+  FillAheadLocked(end);
+  if (pin) {
     std::lock_guard<std::mutex> pin_guard(pins_mu_);
-    for (size_t i = 0; i < lsns->size(); ++i) {
-      if ((*pins)[i]) pins_.insert((*lsns)[i]);
-    }
+    pins_.insert(lsn);
   }
-  // Release-publish AFTER the pins are registered: StableLsn() reads the
+  // Release-publish AFTER the pin is registered: StableLsn() reads the
   // cursor first, so any record it can observe below the cursor has its pin
   // already visible (or has been deliberately appended unpinned).
-  next_lsn_.store(first + buffer.size(), std::memory_order_release);
-  if (end_lsn != nullptr) *end_lsn = first + buffer.size();
-  return Status::OK();
+  next_lsn_.store(end, std::memory_order_release);
+  if (end_lsn != nullptr) *end_lsn = end;
+  return lsn;
+}
+
+Status Wal::FlushTo(Lsn target, bool always) {
+  if (UseAsyncFlush()) {
+    NEOSI_RETURN_IF_ERROR(RequestFlush(target));
+    return WaitFlushed(target);
+  }
+  std::lock_guard<std::mutex> sync_guard(sync_mu_);
+  // Re-check under the pass mutex: while this caller queued, a peer's pass
+  // may have read a cursor past `target` — its fsync already covers us.
+  if (!always && FlushedLsn() >= target) return Status::OK();
+  return FlushOnceLocked();
 }
 
 Status Wal::Sync() {
   NEOSI_RETURN_IF_ERROR(PoisonedStatus());
-  if (UseAsyncFlush()) {
-    const Lsn target = next_lsn_.load(std::memory_order_acquire);
-    NEOSI_RETURN_IF_ERROR(RequestFlush(target));
-    return WaitFlushed(target);
-  }
-  return FlushOnce();
+  return FlushTo(next_lsn_.load(std::memory_order_acquire), /*always=*/true);
 }
 
 void Wal::SimulateSyncLoss(const std::shared_ptr<PagedFile>& file, Lsn base) {
@@ -561,13 +505,11 @@ void Wal::SimulateSyncLoss(const std::shared_ptr<PagedFile>& file, Lsn base) {
   if (file->Size() > keep) (void)file->Truncate(keep);
 }
 
-Status Wal::FlushOnce() {
-  // Serialized: one syncer's fault-check → page-drop → poison-publish
-  // sequence is atomic against a peer's fsync, so no fsync can observe a
-  // healthy file, miss the poison flag, and report OK after a peer's EIO
-  // already dropped pages (the satellite race: two inline Sync()s, one
-  // injected).
-  std::lock_guard<std::mutex> sync_guard(sync_mu_);
+Status Wal::FlushOnceLocked() {
+  // Serialized by sync_mu_: one syncer's fault-check → page-drop →
+  // poison-publish sequence is atomic against a peer's fsync, so no fsync
+  // can observe a healthy file, miss the poison flag, and report OK after a
+  // peer's EIO already dropped pages (two inline Sync()s, one injected).
   NEOSI_RETURN_IF_ERROR(PoisonedStatus());
   // Cursor FIRST, file snapshot second: any frame below the cursor read
   // here is either in the file snapshotted next, or in an older segment a
@@ -613,6 +555,7 @@ Status Wal::FlushOnce() {
     }
   }
   AdvanceFlushed(durable_upto);
+  flush_passes_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -756,9 +699,12 @@ void Wal::FlusherMain() {
     if (flusher_stop_) return;
     if (flush_target_ > flushed_lsn_.load(std::memory_order_relaxed)) {
       lock.unlock();
-      // Failure poisons inside FlushOnce, which also fails every waiter —
-      // nothing further to do here; the predicate goes quiet.
-      (void)FlushOnce();
+      {
+        // Failure poisons inside the pass, which also fails every waiter —
+        // nothing further to do here; the predicate goes quiet.
+        std::lock_guard<std::mutex> sync_guard(sync_mu_);
+        (void)FlushOnceLocked();
+      }
       lock.lock();
       continue;
     }
@@ -855,107 +801,28 @@ Status Wal::TruncatePrefix(Lsn lsn) {
   return Status::OK();
 }
 
-Result<Lsn> GroupCommitter::Finish(const Request& req) {
-  if (!req.status.ok()) return req.status;
-  if (req.flush_target != 0) {
-    // Async hand-off: the leader only REQUESTED the flush — the ack waits
-    // out the watermark here, on the requester's own thread, while the
-    // next batch is already forming.
-    Status flushed = wal_->WaitFlushed(req.flush_target);
-    if (!flushed.ok()) {
-      // Same contract as the inline failure path below: the caller rolls
-      // back a commit that "didn't happen", so its pin must not freeze
-      // StableLsn() forever.
-      if (req.pin) wal_->Unpin(req.lsn);
-      return flushed;
-    }
-  }
-  return req.lsn;
-}
-
 Result<Lsn> GroupCommitter::Commit(const WalRecord& record, bool sync,
                                    bool pin) {
   NEOSI_RETURN_IF_ERROR(wal_->PoisonedStatus());
-  if (!sync) {
-    // Nothing to amortize without an fsync; a plain latched append is
-    // cheaper than parking behind a leader that may be mid-fsync.
-    records_.fetch_add(1, std::memory_order_relaxed);
-    return wal_->Append(record, pin);
-  }
-  Request req;
-  req.record = &record;
-  req.sync = sync;
-  req.pin = pin;
-  std::unique_lock<std::mutex> lock(mu_);
-  queue_.push_back(&req);
-  // Wait until a leader has handled us, or until the leader seat is free and
-  // our request is still queued (then we take the seat ourselves).
-  while (!req.done && leader_active_) cv_.wait(lock);
-  if (req.done) return Finish(req);
-
-  leader_active_ = true;
-  // Fold at most max_batch_ queued requests into this write; the remainder
-  // elects the next leader as soon as the seat frees (which, in async-flush
-  // mode, is before this batch's fsync even completes).
-  const size_t take = std::min(queue_.size(), max_batch_);
-  std::vector<Request*> batch(queue_.begin(),
-                              queue_.begin() + static_cast<long>(take));
-  queue_.erase(queue_.begin(), queue_.begin() + static_cast<long>(take));
-  lock.unlock();
-
-  std::vector<const WalRecord*> records;
-  std::vector<bool> pins;
-  records.reserve(batch.size());
-  pins.reserve(batch.size());
-  bool want_sync = false;
-  for (Request* r : batch) {
-    records.push_back(r->record);
-    pins.push_back(r->pin);
-    want_sync |= r->sync;
-  }
-  std::vector<Lsn> lsns;
-  Status write_status = wal_->AppendBatch(records, &lsns, &pins);
-  const bool async = wal_->UseAsyncFlush();
-  Status sync_status;
-  Lsn flush_target = 0;
-  if (write_status.ok() && want_sync) {
-    if (async) {
-      // Hand the fsync to the flusher and release the leader seat: the
-      // batch's acks wait on the watermark in Finish(), off this thread.
-      flush_target = wal_->NextLsn();
-      sync_status = wal_->RequestFlush(flush_target);
-    } else {
-      sync_status = wal_->Sync();
+  Lsn end = 0;
+  auto lsn = wal_->Append(record, pin, &end);
+  if (!lsn.ok()) return lsn;
+  records_.fetch_add(1, std::memory_order_relaxed);
+  if (sync) {
+    Status flushed = wal_->FlushTo(end);
+    if (!flushed.ok()) {
+      // The caller sees a failed commit and rolls back — release its pin
+      // here or StableLsn() would be frozen at this lsn forever (the caller
+      // never learns the lsn of a commit that "didn't happen").
+      if (pin) wal_->Unpin(*lsn);
+      return flushed;
     }
   }
+  return lsn;
+}
 
-  if (batch.size() > 1) batches_.fetch_add(1, std::memory_order_relaxed);
-  records_.fetch_add(batch.size(), std::memory_order_relaxed);
-
-  lock.lock();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Request* r = batch[i];
-    if (!write_status.ok()) {
-      r->status = write_status;
-    } else {
-      r->lsn = lsns[i];
-      if (r->sync && !sync_status.ok()) {
-        r->status = sync_status;
-        // The caller sees a failed commit and rolls back — release its pin
-        // here or StableLsn() would be frozen at this lsn forever (the
-        // caller never learns the lsn of a commit that "didn't happen").
-        if (r->pin) wal_->Unpin(lsns[i]);
-      } else if (r->sync && flush_target != 0) {
-        r->flush_target = flush_target;
-      }
-    }
-    r->done = true;
-  }
-  leader_active_ = false;
-  lock.unlock();
-  cv_.notify_all();
-
-  return Finish(req);
+uint64_t GroupCommitter::batches() const {
+  return wal_->flush_passes_.load(std::memory_order_relaxed);
 }
 
 Status Wal::ReadFrom(Lsn from,

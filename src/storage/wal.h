@@ -47,18 +47,22 @@
 // segment-granular head after a crash only costs replay work, never
 // correctness.
 //
-// Group commit and LSN pins are unchanged from the single-file WAL: see
-// GroupCommitter and StableLsn() below.
+// Commit I/O (one durable path, sticky failure, pre-allocation):
 //
-// Commit I/O (async flush, sticky failure, pre-allocation):
-//
-// With WalOptions::async_flush a dedicated flusher thread owns every fsync
-// of the active chain. The group-commit leader appends its batch, hands the
-// flusher a target LSN (RequestFlush) and releases the leader seat — the
-// next batch forms while the fsync runs. Every committer then blocks in
-// WaitFlushed(target) on a flushed-LSN watermark with per-LSN wait slots
-// (the TimestampOracle pattern), so an ack is issued only once the fsync
-// that covered the record has completed.
+// Every commit appends its own frame (Append, one write under the append
+// latch) and, when durable, waits until the flushed-LSN watermark covers the
+// frame's end (FlushTo). Commits group at the fsync, not at the append: one
+// fsync pass covers every frame below the cursor it read, so the commits
+// that appended while a pass ran share the next one. FlushTo is the one
+// place the flush mode matters. With WalOptions::async_flush a dedicated
+// flusher thread owns every fsync of the active chain: a committer hands it
+// a target LSN (RequestFlush) and blocks in WaitFlushed(target) on per-LSN
+// wait slots (the TimestampOracle pattern). Inline, the committer runs the
+// pass itself under sync_mu_, re-checking the watermark once it holds the
+// mutex, so a peer's pass that covered it while it queued ends its wait
+// (PostgreSQL's XLogFlush does the same). Either way an ack is issued only
+// once the fsync that covered the record has completed. LSN pins: see
+// StableLsn() below.
 //
 // Sync failures are STICKY: once any fsync/dir-sync of the active chain
 // fails, the log is poisoned — every subsequent append/sync/ack fails with
@@ -94,7 +98,6 @@
 #ifndef NEOSI_STORAGE_WAL_H_
 #define NEOSI_STORAGE_WAL_H_
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -126,9 +129,9 @@ struct WalOptions {
   /// prefix so a lagging replica can still read them (0 = retire eagerly).
   /// TruncatePrefix keeps this many extra segments below the cut.
   uint64_t keep_segments = 0;
-  /// Dedicated flusher thread owns fsync: Sync() and the group committer
-  /// hand off a target LSN and acks wait on the flushed-LSN watermark
-  /// instead of the leader blocking in fsync. Default OFF at this layer so
+  /// Dedicated flusher thread owns fsync: FlushTo() and Sync() hand it a
+  /// target LSN and wait on the flushed-LSN watermark, instead of the
+  /// committer running the fsync pass itself. Default OFF at this layer so
   /// raw-Wal unit tests keep deterministic inline syncs; DatabaseOptions
   /// turns it on for the engine.
   bool async_flush = false;
@@ -141,12 +144,7 @@ struct WalOptions {
   SyncPoints* sync_points = nullptr;
 };
 
-/// Leader/follower commit batcher over a Wal. Thread-safe.
-///
-/// A caller enqueues its record and either becomes the batch leader (writes
-/// every queued record with one append, syncs once if any participant wants
-/// durability) or blocks until a leader has written — and, if requested,
-/// synced — its record.
+/// The commit path over a Wal. Thread-safe; holds no lock of its own.
 class GroupCommitter {
  public:
   explicit GroupCommitter(Wal* wal) : wal_(wal) {}
@@ -154,46 +152,21 @@ class GroupCommitter {
   GroupCommitter(const GroupCommitter&) = delete;
   GroupCommitter& operator=(const GroupCommitter&) = delete;
 
-  /// Appends `record`, returning its LSN. When `sync` is true the record is
-  /// on stable storage before this returns (possibly via a leader's fsync
-  /// that covered a whole batch). When `pin` is true the LSN is pinned (see
-  /// Wal::Unpin) from the moment the record enters the log.
+  /// Appends `record`'s frame, returning its LSN. When `sync` is true the
+  /// frame is on stable storage before this returns (Wal::FlushTo its end;
+  /// the fsync may cover other commits' frames too). When `pin` is true the
+  /// LSN is pinned (see Wal::Unpin) from the moment the record enters the
+  /// log, and released again if the flush fails.
   Result<Lsn> Commit(const WalRecord& record, bool sync, bool pin = false);
 
-  /// Batches whose fsync covered more than one record (test / stats hook).
-  uint64_t batches() const { return batches_; }
+  /// Completed fsync passes on the active chain, whoever asked for them
+  /// (stats hook: fsyncs per commit is batches() / records()).
+  uint64_t batches() const;
+  /// Records appended through Commit.
   uint64_t records() const { return records_; }
 
  private:
-  struct Request {
-    const WalRecord* record = nullptr;
-    bool sync = false;
-    bool pin = false;
-    bool done = false;
-    Status status;
-    Lsn lsn = 0;
-    /// Async-flush mode: the watermark this request's ack must wait for
-    /// (0 = nothing to wait for — unsynced, failed, or inline mode).
-    Lsn flush_target = 0;
-  };
-
-  /// Post-batch ack: waits out the flushed-LSN watermark when the leader
-  /// handed the fsync to the flusher, unpinning on flush failure exactly
-  /// like the inline path does.
-  Result<Lsn> Finish(const Request& req);
-
   Wal* wal_;
-  /// Most records one leader folds into a batch: max(8, 4 * cores), capped
-  /// at 256 — enough to absorb every plausibly-runnable committer without
-  /// letting a burst build a batch whose ack latency is dominated by its
-  /// own tail. Later arrivals elect the next leader.
-  const size_t max_batch_ =
-      std::clamp<size_t>(4 * std::thread::hardware_concurrency(), 8, 256);
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Request*> queue_;
-  bool leader_active_ = false;
-  std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> records_{0};
 };
 
@@ -230,29 +203,27 @@ class Wal {
   /// gap or out-of-order base inside the chain is Corruption.
   Status Open();
 
-  /// Appends one record as a batch of one (see AppendBatch); returns its
-  /// LSN. With pin=true the LSN is pinned against prefix truncation until
-  /// Unpin(lsn). When `end_lsn` is non-null it receives the lsn one past the
-  /// appended frame (the checkpoint uses it to cut the log right after its
-  /// own marker).
+  /// Appends one record's frame with one write (rolling to a fresh segment
+  /// first when the frame does not fit) — the log's one frame-writing path;
+  /// returns its LSN. With pin=true the LSN is pinned against prefix
+  /// truncation until Unpin(lsn). When `end_lsn` is non-null it receives
+  /// the lsn one past the appended frame (a durable commit flushes to it;
+  /// the checkpoint cuts the log right after its own marker).
   Result<Lsn> Append(const WalRecord& record, bool pin = false,
                      Lsn* end_lsn = nullptr);
 
-  /// Appends every record, batching contiguous frames into single writes
-  /// (split only at segment rolls) — the log's one frame-writing path. On
-  /// success `lsns[i]` is the LSN of `records[i]`; records whose `pins[i]`
-  /// is true are pinned. `pins` may be null (nothing pinned). When `end_lsn`
-  /// is non-null it receives the lsn one past the batch's last frame.
-  Status AppendBatch(const std::vector<const WalRecord*>& records,
-                     std::vector<Lsn>* lsns,
-                     const std::vector<bool>* pins = nullptr,
-                     Lsn* end_lsn = nullptr);
+  /// Returns once every frame below `target` is on stable storage (every
+  /// older segment was already synced when the chain rolled past it) — the
+  /// one place that branches on the flush mode. Async mode hands `target`
+  /// to the flusher and waits on the flushed-LSN watermark; inline mode
+  /// runs an fsync pass on the calling thread unless, once it holds the
+  /// pass mutex, the watermark already covers `target`. `always` skips
+  /// that inline re-check. Fails sticky: once any chain sync fails the log
+  /// is poisoned (see poisoned()).
+  Status FlushTo(Lsn target, bool always = false);
 
-  /// Forces every frame appended so far to stable storage (every older
-  /// segment was already synced when the chain rolled past it). Inline
-  /// mode fsyncs on the calling thread; async mode hands the target to the
-  /// flusher and waits on the flushed-LSN watermark. Fails sticky: once
-  /// any chain sync fails the log is poisoned (see poisoned()).
+  /// FlushTo(NextLsn()) whose inline pass always runs (the checkpoint and
+  /// the replica applier call it).
   Status Sync();
 
   // --- async flush watermark --------------------------------------------
@@ -314,8 +285,7 @@ class Wal {
   /// stays at the front) so a later truncation can retry it.
   Status TruncatePrefix(Lsn lsn);
 
-  /// Releases a pin taken by an Append/AppendBatch/group Commit with
-  /// pin=true. Call exactly once per pinned lsn, after the record's effects
+  /// Releases a pin taken by an Append or group Commit with pin=true. Call exactly once per pinned lsn, after the record's effects
   /// have durably-orderably reached the stores.
   void Unpin(Lsn lsn);
 
@@ -382,7 +352,7 @@ class Wal {
     uint64_t index = 0;
     Lsn base = 0;
     uint64_t epoch = 0;
-    /// Shared so FlushOnce() can fsync outside seg_mu_ while a failed
+    /// Shared so an fsync pass can run outside seg_mu_ while a failed
     /// append's RollbackUnpublishedSegmentsLocked() concurrently pops the
     /// back Segment (fsync of an unlinked file is harmless).
     std::shared_ptr<PagedFile> file;
@@ -425,12 +395,13 @@ class Wal {
   /// and does not poison the log. Caller holds latch_.
   void FillAheadLocked(Lsn end_lsn);
 
-  /// Failure cleanup for the append path: pops (and deletes) every chain
-  /// segment whose base lies above the published cursor. Such segments can
-  /// only exist when an append rolled and then failed — nothing published
-  /// lives in them, but leaving them would strand the cursor BELOW the
-  /// active segment's base and brick every later append on an underflowed
-  /// offset. Caller holds latch_.
+  /// Failure cleanup for the append path: pops (and deletes) the active
+  /// segment when its base is at or above the published cursor and it is
+  /// not the only one. Such a segment holds no published frame: the append
+  /// that rolled to it then failed. Un-rolling it leaves the chain as it
+  /// was before that append, so the next append retries the roll with a
+  /// freshly built file rather than the one whose write just failed.
+  /// Caller holds latch_.
   void RollbackUnpublishedSegmentsLocked();
 
   /// Segment containing `lsn` (largest base <= lsn); caller holds seg_mu_.
@@ -449,10 +420,11 @@ class Wal {
   Status PoisonedStatusLocked() const;  // flush_mu_ held
 
   /// One fsync pass over the active segment: cursor first, file snapshot
-  /// second, then fsync, any deferred dir-sync, and the watermark advance.
-  /// Runs on the flusher thread (async mode) or the caller (inline mode);
-  /// serialized by sync_mu_ so a poisoning peer is always observed.
-  Status FlushOnce();
+  /// second, then fsync, any deferred dir-sync, the watermark advance and
+  /// the pass count. Runs on the flusher thread (async mode) or the caller
+  /// (inline mode); the caller holds sync_mu_, so a poisoning peer is
+  /// always observed.
+  Status FlushOnceLocked();
 
   /// Publishes `upto` into flushed_lsn_ and wakes satisfied waiters.
   void AdvanceFlushed(Lsn upto);
@@ -523,15 +495,18 @@ class Wal {
 
   /// Sticky failure flag. Published with RELEASE after poison_cause_ is
   /// recorded under flush_mu_; read with ACQUIRE by PoisonedStatus() and by
-  /// FlushOnce()'s pre-fsync check, so a thread that observes the flag also
-  /// observes the cause — and, because fsync passes are serialized by
+  /// FlushOnceLocked()'s pre-fsync check, so a thread that observes the flag
+  /// also observes the cause — and, because fsync passes are serialized by
   /// sync_mu_, no sync can report OK after a peer's EIO poisoned the log.
   std::atomic<bool> poisoned_{false};
   Status poison_cause_;  // guarded by flush_mu_
 
-  /// Serializes fsync passes (FlushOnce) so the fault-check → simulate →
-  /// poison sequence of one syncer is atomic against a peer's fsync+check.
+  /// Serializes fsync passes (FlushOnceLocked) so the fault-check →
+  /// simulate → poison sequence of one syncer is atomic against a peer's
+  /// fsync+check.
   std::mutex sync_mu_;
+  /// Completed fsync passes (GroupCommitter::batches()).
+  std::atomic<uint64_t> flush_passes_{0};
 
   /// Flusher thread state. flush_target_ / flusher_stop_ / prep_nudge_ /
   /// flush_waiters_ are guarded by flush_mu_.

@@ -250,24 +250,6 @@ TEST(Wal, OpenPositionsCursorAfterValidPrefix) {
   EXPECT_EQ(reopened->SizeBytes(), valid);
 }
 
-TEST(Wal, AppendBatchFramesDecodeIndividually) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  auto wal = OpenWal(dir);
-  ASSERT_TRUE(wal->Append(MakeRecord(1, 10)).ok());
-
-  WalRecord a = MakeRecord(2, 20);
-  WalRecord b = MakeRecord(3, 30);
-  WalRecord c = MakeRecord(4, 40);
-  std::vector<Lsn> lsns;
-  ASSERT_TRUE(wal->AppendBatch({&a, &b, &c}, &lsns).ok());
-  ASSERT_EQ(lsns.size(), 3u);
-  EXPECT_LT(lsns[0], lsns[1]);
-  EXPECT_LT(lsns[1], lsns[2]);
-
-  EXPECT_EQ(ReplayTimestamps(wal.get()),
-            (std::vector<Timestamp>{10, 20, 30, 40}));
-}
-
 // ---------------------------------------------------------------------------
 // Segment rotation
 // ---------------------------------------------------------------------------
@@ -332,19 +314,28 @@ TEST(WalSegments, LsnsStayMonotonicAndContiguousAcrossRolls) {
   for (size_t i = 1; i < lsns.size(); ++i) EXPECT_GT(lsns[i], lsns[i - 1]);
 }
 
-TEST(WalSegments, BatchAppendSplitsAtSegmentBoundaries) {
+TEST(WalSegments, FramesDecodeIndividuallyAcrossRolls) {
   auto dir = std::make_shared<InMemoryWalDir>();
   auto wal = OpenWal(dir, TinySegments());
-  std::vector<WalRecord> records;
-  std::vector<const WalRecord*> ptrs;
-  for (int i = 1; i <= 16; ++i) records.push_back(SmallRecord(i, i * 10));
-  for (const auto& r : records) ptrs.push_back(&r);
-  std::vector<Lsn> lsns;
-  ASSERT_TRUE(wal->AppendBatch(ptrs, &lsns).ok());
+  // Each append returns its own frame's lsn and end; replay hands back the
+  // same lsn with the same record, one frame at a time, across every roll.
+  std::vector<std::pair<Lsn, Timestamp>> appended;
+  for (int i = 1; i <= 16; ++i) {
+    Lsn end = 0;
+    auto lsn = wal->Append(SmallRecord(i, i * 10), /*pin=*/false, &end);
+    ASSERT_TRUE(lsn.ok());
+    EXPECT_GT(end, *lsn);
+    EXPECT_EQ(end, wal->NextLsn());
+    appended.emplace_back(*lsn, i * 10);
+  }
   EXPECT_GT(wal->SegmentCount(), 1u);
-  std::vector<Timestamp> expect;
-  for (int i = 1; i <= 16; ++i) expect.push_back(i * 10);
-  EXPECT_EQ(ReplayTimestamps(wal.get()), expect);
+  std::vector<std::pair<Lsn, Timestamp>> replayed;
+  ASSERT_TRUE(wal->ReadFrom(0, [&](Lsn lsn, const WalRecord& record) {
+                   replayed.emplace_back(lsn, record.commit_ts);
+                   return Status::OK();
+                 })
+                  .ok());
+  EXPECT_EQ(replayed, appended);
 }
 
 TEST(WalSegments, OversizedRecordGetsItsOwnSegment) {
@@ -359,7 +350,26 @@ TEST(WalSegments, OversizedRecordGetsItsOwnSegment) {
             (std::vector<Timestamp>{10, 20, 30}));
 }
 
-TEST(WalSegments, FailedWriteAfterMidBatchRollIsRolledBack) {
+/// Appends SmallRecord(i, i * 10) for i = first, first + 1, … with
+/// "wal.append.fail_after_roll" armed to fail once, until the append that
+/// rolls fails; returns that append's i (0 if none failed by `last`). Every
+/// earlier i lands in `expect`.
+int AppendUntilFailedRoll(Wal* wal, SyncPoints* registry, int first,
+                          int last, std::vector<Timestamp>* expect) {
+  ArmedPoints points(registry);
+  points.Fail("wal.append.fail_after_roll", /*nth=*/1);
+  for (int i = first; i <= last; ++i) {
+    Status s = wal->Append(SmallRecord(i, i * 10)).status();
+    if (!s.ok()) {
+      EXPECT_TRUE(s.IsIOError()) << s.ToString();
+      return i;
+    }
+    expect->push_back(i * 10);
+  }
+  return 0;
+}
+
+TEST(WalSegments, FailedWriteAfterRollIsRolledBack) {
   auto dir = std::make_shared<InMemoryWalDir>();
   SyncPoints registry;
   WalOptions options = TinySegments();
@@ -367,26 +377,23 @@ TEST(WalSegments, FailedWriteAfterMidBatchRollIsRolledBack) {
   auto wal = OpenWal(dir, options);
   ASSERT_TRUE(wal->Append(SmallRecord(1, 10)).ok());
 
-  // A batch big enough to roll mid-way, armed to fail right after the
-  // roll: the fresh (empty) segment must be un-rolled, or the cursor would
-  // sit BELOW the active base and every later append would underflow its
-  // physical offset.
-  ArmedPoints points(&registry);
-  points.Fail("wal.append.fail_after_roll", /*nth=*/1);
-  std::vector<WalRecord> records;
-  std::vector<const WalRecord*> ptrs;
-  for (int i = 2; i <= 17; ++i) records.push_back(SmallRecord(i, i * 10));
-  for (const auto& r : records) ptrs.push_back(&r);
-  std::vector<Lsn> lsns;
-  EXPECT_TRUE(wal->AppendBatch(ptrs, &lsns, nullptr).IsIOError());
+  // Append until one rolls, armed to fail right after the roll: the fresh
+  // (empty) segment is un-rolled, leaving the chain as it was before that
+  // append.
+  std::vector<Timestamp> expect{10};
+  const int failed =
+      AppendUntilFailedRoll(wal.get(), &registry, 2, 17, &expect);
+  ASSERT_GT(failed, 2);
   EXPECT_EQ(wal->SegmentCount(), 1u);  // The fresh segment was un-rolled.
 
-  // The log is fully usable: appends land at the cursor (overwriting the
-  // partial batch) and everything replays.
-  ASSERT_TRUE(wal->AppendBatch(ptrs, &lsns).ok());
+  // The log is fully usable: appends land at the cursor (the failed frame
+  // retried rolls for real) and everything replays.
+  for (int i = failed; i <= 17; ++i) {
+    ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
+    expect.push_back(i * 10);
+  }
+  EXPECT_GT(wal->SegmentCount(), 1u);
   ASSERT_TRUE(wal->Append(SmallRecord(99, 990)).ok());
-  std::vector<Timestamp> expect{10};
-  for (int i = 2; i <= 17; ++i) expect.push_back(i * 10);
   expect.push_back(990);
   EXPECT_EQ(ReplayTimestamps(wal.get()), expect);
   // And a reopen sees the same consistent chain.
@@ -926,9 +933,25 @@ TEST(WalPins, TruncationNeverPassesAPinAcrossSegments) {
   EXPECT_EQ(wal->SegmentCount(), 1u);
 }
 
-TEST(WalPins, GroupCommitPinsEveryPinnedParticipant) {
+// Durable commits in both flush modes: inline (the committer runs the fsync
+// pass) and async (the flusher thread does).
+class WalFlushModes : public testing::TestWithParam<bool> {
+ protected:
+  WalOptions Options(WalOptions options = {}) const {
+    options.async_flush = GetParam();
+    return options;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Modes, WalFlushModes, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "async"
+                                                         : "inline");
+                         });
+
+TEST_P(WalFlushModes, GroupCommitPinsEveryPinnedParticipant) {
   auto dir = std::make_shared<InMemoryWalDir>();
-  auto wal = OpenWal(dir);
+  auto wal = OpenWal(dir, Options());
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;
@@ -953,13 +976,14 @@ TEST(WalPins, GroupCommitPinsEveryPinnedParticipant) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(wal->PinnedCount(), 0u);
   EXPECT_EQ(wal->StableLsn(), wal->NextLsn());
+  EXPECT_GE(wal->FlushedLsn(), wal->NextLsn());
 }
 
-TEST(GroupCommitter, ConcurrentSyncCommitsAllDurableAndDecodable) {
+TEST_P(WalFlushModes, ConcurrentSyncCommitsAllDurableAndDecodable) {
   auto dir = std::make_shared<InMemoryWalDir>();
-  // Small segments: concurrent group-commit batches roll the chain many
-  // times mid-flight.
-  auto wal = OpenWal(dir, TinySegments(512));
+  // Small segments: concurrent durable commits roll the chain many times
+  // mid-flight.
+  auto wal = OpenWal(dir, Options(TinySegments(512)));
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
@@ -979,6 +1003,7 @@ TEST(GroupCommitter, ConcurrentSyncCommitsAllDurableAndDecodable) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(wal->group().records(), uint64_t{kThreads * kPerThread});
   EXPECT_GT(wal->SegmentCount(), 1u);
+  EXPECT_GE(wal->FlushedLsn(), wal->NextLsn());
 
   // Every record must decode, exactly once.
   std::vector<TxnId> seen;
@@ -992,6 +1017,49 @@ TEST(GroupCommitter, ConcurrentSyncCommitsAllDurableAndDecodable) {
   for (size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i], static_cast<TxnId>(i + 1));
   }
+}
+
+TEST(GroupCommitter, InlineDurableCommitsShareAnFsync) {
+  auto dir = std::make_shared<InMemoryWalDir>();
+  SyncPoints registry;
+  WalOptions options;
+  options.sync_points = &registry;
+  auto wal = OpenWal(dir, options);  // Inline flush: committers fsync.
+  ArmedPoints points(&registry);
+  points.Park("wal.sync.fail");
+
+  // The first committer appends and parks inside its fsync pass, holding
+  // the pass mutex; its pass read the cursor before parking.
+  std::vector<Result<Lsn>> acks(3, Status::IOError("not acked"));
+  std::vector<std::thread> committers;
+  committers.emplace_back([&] {
+    acks[0] = wal->group().Commit(SmallRecord(1, 10), /*sync=*/true);
+  });
+  ASSERT_TRUE(points.WaitFor("wal.sync.fail"));
+  const Lsn first_end = wal->NextLsn();
+  const Lsn frame = first_end;  // The log starts at lsn 0.
+  ASSERT_GT(frame, 0u);
+
+  // Two more committers append, then queue behind the parked pass.
+  for (int i = 1; i <= 2; ++i) {
+    committers.emplace_back([&, i] {
+      acks[i] = wal->group().Commit(SmallRecord(i + 1, (i + 1) * 10),
+                                    /*sync=*/true);
+    });
+  }
+  while (wal->NextLsn() < first_end + 2 * frame) std::this_thread::yield();
+  points.Release("wal.sync.fail");
+  for (auto& committer : committers) committer.join();
+
+  // The parked pass covered the first frame only; the next pass covered
+  // both queued frames, and the last committer found its frame covered.
+  for (const auto& ack : acks) {
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    EXPECT_LT(*ack, wal->FlushedLsn());
+  }
+  EXPECT_EQ(wal->group().batches(), 2u);
+  EXPECT_EQ(wal->group().records(), 3u);
+  EXPECT_EQ(wal->FlushedLsn(), wal->NextLsn());
 }
 
 // --- sticky poison & async commit I/O ----------------------------------------
@@ -1018,10 +1086,9 @@ TEST(WalPoison, SyncEioPoisonsUntilReopen) {
   // fsync acking them would be fsyncgate.
   EXPECT_TRUE(wal->Sync().IsIOError());
   EXPECT_TRUE(wal->Append(SmallRecord(3, 30)).status().IsIOError());
-  WalRecord record = SmallRecord(4, 40);
-  std::vector<const WalRecord*> ptrs{&record};
-  std::vector<Lsn> lsns;
-  EXPECT_TRUE(wal->AppendBatch(ptrs, &lsns, nullptr).IsIOError());
+  EXPECT_TRUE(
+      wal->Append(SmallRecord(4, 40), /*pin=*/true).status().IsIOError());
+  EXPECT_EQ(wal->PinnedCount(), 0u);  // A rejected append pins nothing.
   EXPECT_TRUE(wal->group().Commit(SmallRecord(5, 50), true).status().IsIOError());
   EXPECT_TRUE(wal->PoisonedStatus().IsIOError());
 
@@ -1299,18 +1366,9 @@ TEST_F(WalFillAhead, UnrolledSegmentTakesTheNextAppendAndRecovers) {
     ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
     expect.push_back(i * 10);
   }
-  // A batch that rolls mid-way and fails right after the roll: the fresh
+  // Appends until one rolls and fails right after the roll: the fresh
   // segment is un-rolled and the cursor's segment is active again.
-  std::vector<WalRecord> records;
-  std::vector<const WalRecord*> ptrs;
-  for (int i = 21; i <= 400; ++i) records.push_back(SmallRecord(i, i * 10));
-  for (const auto& r : records) ptrs.push_back(&r);
-  std::vector<Lsn> lsns;
-  {
-    ArmedPoints points(&registry);
-    points.Fail("wal.append.fail_after_roll", /*nth=*/1);
-    EXPECT_TRUE(wal->AppendBatch(ptrs, &lsns).IsIOError());
-  }
+  ASSERT_GT(AppendUntilFailedRoll(wal.get(), &registry, 21, 400, &expect), 0);
   EXPECT_EQ(wal->SegmentCount(), 1u);
 
   // The next append lands at the cursor, survives the fill behind it, and
