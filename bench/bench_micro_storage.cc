@@ -15,9 +15,8 @@ namespace neosi {
 namespace {
 
 std::unique_ptr<GraphStore> MakeStore() {
-  DatabaseOptions options;
-  options.in_memory = true;
-  auto store = std::make_unique<GraphStore>(options);
+  auto store = std::make_unique<GraphStore>(DatabaseOptions{},
+                                            std::make_shared<InMemoryDir>());
   if (!store->Open().ok()) std::abort();
   return store;
 }
@@ -114,7 +113,7 @@ void BM_WalDurableCommit(benchmark::State& state) {
     WalOptions options;
     options.async_flush = true;
     options.preallocate = true;
-    wal = std::make_unique<Wal>(std::make_shared<PosixWalDir>(path.string()),
+    wal = std::make_unique<Wal>(std::make_shared<PosixDir>(path.string()),
                                 options);
     if (!wal->Open().ok()) std::abort();
   }

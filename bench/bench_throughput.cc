@@ -739,7 +739,7 @@ int main() {
       for (int i = 0; i < replicas; ++i) {
         DatabaseOptions ropts;
         ropts.in_memory = true;
-        ropts.replica_of = primary->engine().store.wal().dir();
+        ropts.replica_of = primary->engine().store.dir();
         ropts.replica_poll_interval_ms = 1;
         auto rep = GraphDatabase::Open(ropts);
         if (!rep.ok()) {

@@ -30,20 +30,24 @@
 
 namespace neosi {
 
-class WalDir;  // storage/wal_dir.h; options only carries a handle
+class Dir;  // storage/dir.h; options only carries a handle
 
 /// Options controlling a GraphDatabase instance. Plain data; copyable.
 struct DatabaseOptions {
   // --- placement -----------------------------------------------------------
 
-  /// Directory for store files and the WAL segments. Created at Open() when
-  /// missing. Ignored when in_memory is true. No default: on-disk databases
-  /// must name one (Open() fails with InvalidArgument otherwise).
+  /// The database directory: the 8 store files, the WAL segments, a
+  /// replica's cursor file and the `LOCK` file. GraphDatabase::Open(options)
+  /// creates it when missing and flocks `LOCK` before touching any other
+  /// file (a second live opener fails with Busy). Ignored when in_memory is
+  /// true, and by Open(options, dir). No default: on-disk databases must
+  /// name one (Open() fails with InvalidArgument otherwise).
   std::string path;
 
-  /// When true (the DEFAULT), store files and WAL live in anonymous memory —
-  /// no files are created and nothing survives the process. Recovery tests
-  /// and the durability benches use on-disk mode.
+  /// When true (the DEFAULT), GraphDatabase::Open(options) builds an
+  /// in-memory Dir: no files are created and nothing survives the database
+  /// (unless a replica still holds the Dir). Recovery tests and the
+  /// durability benches use on-disk mode. Ignored by Open(options, dir).
   bool in_memory = true;
 
   // --- transaction semantics ----------------------------------------------
@@ -186,16 +190,20 @@ struct DatabaseOptions {
 
   /// Attach this database as a READ REPLICA of the primary whose WAL lives
   /// in this directory handle (in-process / in-memory topologies: pass the
-  /// primary's own WalDir). Default: null. Mutually exclusive with
-  /// replica_of_path. A replica serves snapshot-isolation reads pinned at
-  /// its replay watermark; writes and serializable begins fail with
-  /// Status::ReplicaReadOnly. Consumed at Open(): wires a
-  /// WalDirReplicationSource into the ReplicaApplier daemon.
-  std::shared_ptr<WalDir> replica_of;
+  /// primary's own `engine().store.dir()`). Default: null. Mutually
+  /// exclusive with replica_of_path. A replica serves snapshot-isolation
+  /// reads pinned at its replay watermark; writes and serializable begins
+  /// fail with Status::ReplicaReadOnly. Consumed at Open(): the
+  /// ReplicaApplier daemon tails this Dir through a ReplicationSource. The
+  /// handle keeps the primary's files alive: an in-memory primary's store
+  /// bytes and segments outlive its close while a replica holds them, and
+  /// an on-disk primary's `LOCK` stays held until the replica closes.
+  std::shared_ptr<Dir> replica_of;
 
   /// Attach as a read replica of the primary whose WAL segment directory is
   /// at this filesystem path (cross-process topology; the replica only ever
-  /// opens existing files in it, never creates any). Default: empty.
+  /// opens existing files in it, never creates any, and never takes the
+  /// primary's `LOCK`). Default: empty. Must differ from `path`.
   std::string replica_of_path;
 
   /// Poll interval of the replica applier daemon, in MILLISECONDS: how

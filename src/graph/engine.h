@@ -45,9 +45,9 @@ struct AdmissionCounters {
 
 /// Everything the engine is made of, wired once at Open().
 struct Engine {
-  explicit Engine(const DatabaseOptions& opts)
+  Engine(const DatabaseOptions& opts, std::shared_ptr<Dir> dir)
       : options(opts),
-        store(opts),
+        store(opts, std::move(dir)),
         active_txns(&store.sync_points()),
         lock_manager(&store.sync_points()) {}
 

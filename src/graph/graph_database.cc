@@ -4,8 +4,9 @@
 
 namespace neosi {
 
-GraphDatabase::GraphDatabase(const DatabaseOptions& options)
-    : engine_(std::make_unique<Engine>(options)) {}
+GraphDatabase::GraphDatabase(const DatabaseOptions& options,
+                             std::shared_ptr<Dir> dir)
+    : engine_(std::make_unique<Engine>(options, std::move(dir))) {}
 
 GraphDatabase::~GraphDatabase() {
   // The applier mutates engine state through the same paths a committing
@@ -24,22 +25,32 @@ GraphDatabase::~GraphDatabase() {
 
 Result<std::unique_ptr<GraphDatabase>> GraphDatabase::Open(
     const DatabaseOptions& options) {
-  if (!options.in_memory && options.path.empty()) {
+  if (options.in_memory) {
+    return Open(options, std::make_shared<InMemoryDir>());
+  }
+  if (options.path.empty()) {
     return Status::InvalidArgument(
         "on-disk database requires options.path");
   }
+  if (options.replica_of_path == options.path) {
+    return Status::InvalidArgument(
+        "a replica needs its own directory distinct from the primary's "
+        "(replica_of_path == path)");
+  }
+  auto dir = PosixDir::OpenLocked(options.path);
+  if (!dir.ok()) return dir.status();
+  return Open(options, std::move(*dir));
+}
+
+Result<std::unique_ptr<GraphDatabase>> GraphDatabase::Open(
+    const DatabaseOptions& options, std::shared_ptr<Dir> dir) {
   if (options.replica_of != nullptr && !options.replica_of_path.empty()) {
     return Status::InvalidArgument(
         "set replica_of (in-process) or replica_of_path (directory), not "
         "both");
   }
-  if (!options.replica_of_path.empty() &&
-      options.replica_of_path == options.path) {
-    return Status::InvalidArgument(
-        "a replica needs its own directory distinct from the primary's "
-        "(replica_of_path == path)");
-  }
-  std::unique_ptr<GraphDatabase> db(new GraphDatabase(options));
+  std::unique_ptr<GraphDatabase> db(
+      new GraphDatabase(options, std::move(dir)));
   Status s = db->OpenImpl();
   if (!s.ok()) return s;
   return db;
@@ -90,14 +101,14 @@ Status GraphDatabase::OpenImpl() {
                                      std::memory_order_release);
   }
   if (engine_->options.IsReplica()) {
-    std::shared_ptr<WalDir> source_dir = engine_->options.replica_of;
-    if (source_dir == nullptr) {
-      source_dir =
-          std::make_shared<PosixWalDir>(engine_->options.replica_of_path);
+    // A tailer's handle on a primary's path takes no lock: the primary
+    // holds it.
+    std::shared_ptr<Dir> primary = engine_->options.replica_of;
+    if (primary == nullptr) {
+      primary = std::make_shared<PosixDir>(engine_->options.replica_of_path);
     }
     replica_applier_ = std::make_unique<ReplicaApplier>(
-        engine_.get(),
-        std::make_unique<WalDirReplicationSource>(std::move(source_dir)),
+        engine_.get(), std::move(primary),
         engine_->options.replica_poll_interval_ms,
         engine_->options.replica_conflict_grace_ms);
     NEOSI_RETURN_IF_ERROR(replica_applier_->Bootstrap(*max_ts));

@@ -114,10 +114,16 @@ struct TransactionOptions {
 class GraphDatabase {
  public:
   /// Opens (or recovers) a database. For on-disk databases, `options.path`
-  /// must name a directory (created if missing); recovery replays the WAL
-  /// and rebuilds the in-memory indexes.
+  /// must name a directory (created if missing, then locked for exclusive
+  /// use); recovery replays the WAL and rebuilds the in-memory indexes.
   static Result<std::unique_ptr<GraphDatabase>> Open(
       const DatabaseOptions& options);
+
+  /// Opens (or recovers) the database in `dir`; `options.path` and
+  /// `options.in_memory` are not consulted. Tests hold one Dir across close
+  /// and reopen with this.
+  static Result<std::unique_ptr<GraphDatabase>> Open(
+      const DatabaseOptions& options, std::shared_ptr<Dir> dir);
 
   ~GraphDatabase();
 
@@ -165,7 +171,7 @@ class GraphDatabase {
   ReplicaApplier* replica_applier() { return replica_applier_.get(); }
 
  private:
-  explicit GraphDatabase(const DatabaseOptions& options);
+  GraphDatabase(const DatabaseOptions& options, std::shared_ptr<Dir> dir);
 
   Status OpenImpl();
   Status RebuildIndexes();

@@ -28,12 +28,11 @@ constexpr size_t kCursorPayload = 4 + 8 + 4;   // magic + cursor + crc
 
 }  // namespace
 
-ReplicaApplier::ReplicaApplier(Engine* engine,
-                               std::unique_ptr<ReplicationSource> source,
+ReplicaApplier::ReplicaApplier(Engine* engine, std::shared_ptr<Dir> primary,
                                uint64_t poll_interval_ms,
                                uint64_t conflict_grace_ms)
     : engine_(engine),
-      source_(std::move(source)),
+      source_(std::move(primary)),
       poll_interval_ms_(poll_interval_ms),
       conflict_grace_ms_(conflict_grace_ms) {}
 
@@ -129,7 +128,7 @@ Status ReplicaApplier::RunOnePass(bool* progressed) {
   std::vector<ShippedRecord> batch;
   Lsn next = cursor_.load(std::memory_order_acquire);
   NEOSI_RETURN_IF_ERROR(
-      source_->Poll(cursor_.load(std::memory_order_acquire), &batch, &next));
+      source_.Poll(cursor_.load(std::memory_order_acquire), &batch, &next));
   *progressed = !batch.empty();
 
   for (ShippedRecord& shipped : batch) {
@@ -419,9 +418,8 @@ void ReplicaApplier::CancelConflictsBelow(Timestamp purge_ts) {
 
 Status ReplicaApplier::ReadCursorFile(Lsn* cursor, bool* found) {
   *found = false;
-  std::unique_ptr<PagedFile> file;
-  Status s =
-      engine_->store.wal().dir()->OpenExisting(kCursorFileName, &file);
+  std::shared_ptr<PagedFile> file;
+  Status s = engine_->store.dir()->OpenExisting(kCursorFileName, &file);
   if (s.IsNotFound()) return Status::OK();
   NEOSI_RETURN_IF_ERROR(s);
   char buf[kCursorPayload];
@@ -439,9 +437,9 @@ Status ReplicaApplier::ReadCursorFile(Lsn* cursor, bool* found) {
 }
 
 Status ReplicaApplier::WriteCursorFile(Lsn cursor) {
-  const std::shared_ptr<WalDir>& dir = engine_->store.wal().dir();
+  const std::shared_ptr<Dir>& dir = engine_->store.dir();
   const std::string tmp = std::string(kCursorFileName) + ".tmp";
-  std::unique_ptr<PagedFile> file;
+  std::shared_ptr<PagedFile> file;
   NEOSI_RETURN_IF_ERROR(dir->Open(tmp, &file));
   NEOSI_RETURN_IF_ERROR(file->Truncate(0));
   char buf[kCursorPayload];

@@ -61,7 +61,8 @@ class ReplicaApplier {
   /// absent or complete.
   static constexpr const char* kCursorFileName = "replica.cursor";
 
-  ReplicaApplier(Engine* engine, std::unique_ptr<ReplicationSource> source,
+  /// Ships from the primary whose WAL segments live in `primary`.
+  ReplicaApplier(Engine* engine, std::shared_ptr<Dir> primary,
                  uint64_t poll_interval_ms, uint64_t conflict_grace_ms);
   ~ReplicaApplier();
 
@@ -149,7 +150,7 @@ class ReplicaApplier {
   Status WriteCursorFile(Lsn cursor);
 
   Engine* engine_;
-  std::unique_ptr<ReplicationSource> source_;
+  ReplicationSource source_;
   const uint64_t poll_interval_ms_;
   const uint64_t conflict_grace_ms_;
 

@@ -7,7 +7,7 @@
 
 namespace neosi {
 
-DynamicStore::DynamicStore(std::unique_ptr<PagedFile> file, std::string name)
+DynamicStore::DynamicStore(std::shared_ptr<PagedFile> file, std::string name)
     : store_(std::move(file), DynRecord::kSize, DynRecord::kMagic,
              std::move(name)) {}
 

@@ -17,7 +17,7 @@ namespace neosi {
 /// Stores arbitrary-length blobs as chains of fixed 64-byte blocks.
 class DynamicStore {
  public:
-  explicit DynamicStore(std::unique_ptr<PagedFile> file,
+  explicit DynamicStore(std::shared_ptr<PagedFile> file,
                         std::string name = "dynamic-store");
 
   Status Open() { return store_.Open(); }

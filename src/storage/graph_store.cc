@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "common/coding.h"
 
@@ -72,80 +67,46 @@ bool LabelsFitInline(const std::vector<LabelId>& labels) {
 
 }  // namespace
 
-GraphStore::GraphStore(const DatabaseOptions& options) : options_(options) {}
-
-GraphStore::~GraphStore() {
-  if (lock_fd_ >= 0) {
-    ::flock(lock_fd_, LOCK_UN);
-    ::close(lock_fd_);
-  }
-}
+GraphStore::GraphStore(const DatabaseOptions& options,
+                       std::shared_ptr<Dir> dir)
+    : options_(options), dir_(std::move(dir)) {}
 
 Status GraphStore::Open() {
-  const bool mem = options_.in_memory;
-  const std::string& dir = options_.path;
-  if (!mem) {
-    // Best-effort directory creation; Open of the files reports real errors.
-    ::mkdir(dir.c_str(), 0755);
-    // Exclusive directory ownership, taken BEFORE any file is touched: a
-    // second opener must fail before its recovery replay can truncate the
-    // holder's live WAL. flock (not a pidfile) so a crash-left LOCK file is
-    // inert — the lock lives with the open file description and dies with
-    // the process.
-    const std::string lock_path = dir + "/LOCK";
-    const int fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
-                          0644);
-    if (fd < 0) {
-      return Status::IOError("cannot open " + lock_path + ": " +
-                             std::strerror(errno));
-    }
-    if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-      ::close(fd);
-      return Status::Busy("database directory " + dir +
-                          " is locked by another live opener (LOCK held)");
-    }
-    lock_fd_ = fd;
-  }
-  auto open_file = [&](const std::string& name,
-                       std::unique_ptr<PagedFile>* out) {
-    return OpenPagedFile(dir + "/" + name, mem, out);
-  };
-
-  std::unique_ptr<PagedFile> f;
-  NEOSI_RETURN_IF_ERROR(open_file("nodes.store", &f));
+  std::shared_ptr<PagedFile> f;
+  NEOSI_RETURN_IF_ERROR(dir_->Open("nodes.store", &f));
   nodes_ = std::make_unique<RecordStore>(std::move(f), NodeRecord::kSize,
                                          NodeRecord::kMagic, "node-store");
   NEOSI_RETURN_IF_ERROR(nodes_->Open());
 
-  NEOSI_RETURN_IF_ERROR(open_file("rels.store", &f));
+  NEOSI_RETURN_IF_ERROR(dir_->Open("rels.store", &f));
   rels_ = std::make_unique<RecordStore>(std::move(f), RelationshipRecord::kSize,
                                         RelationshipRecord::kMagic,
                                         "relationship-store");
   NEOSI_RETURN_IF_ERROR(rels_->Open());
 
-  std::unique_ptr<PagedFile> props_file, strings_file;
-  NEOSI_RETURN_IF_ERROR(open_file("props.store", &props_file));
-  NEOSI_RETURN_IF_ERROR(open_file("strings.store", &strings_file));
+  std::shared_ptr<PagedFile> props_file, strings_file;
+  NEOSI_RETURN_IF_ERROR(dir_->Open("props.store", &props_file));
+  NEOSI_RETURN_IF_ERROR(dir_->Open("strings.store", &strings_file));
   props_ = std::make_unique<PropertyStore>(std::move(props_file),
                                            std::move(strings_file));
   NEOSI_RETURN_IF_ERROR(props_->Open());
 
-  NEOSI_RETURN_IF_ERROR(open_file("labels.store", &f));
+  NEOSI_RETURN_IF_ERROR(dir_->Open("labels.store", &f));
   label_dyn_ = std::make_unique<DynamicStore>(std::move(f), "label-store");
   NEOSI_RETURN_IF_ERROR(label_dyn_->Open());
 
-  NEOSI_RETURN_IF_ERROR(open_file("tokens_label.store", &f));
+  NEOSI_RETURN_IF_ERROR(dir_->Open("tokens_label.store", &f));
   label_tokens_ = std::make_unique<TokenStore>(std::move(f), "label-tokens",
                                                &sync_points_);
   NEOSI_RETURN_IF_ERROR(label_tokens_->Open());
 
-  NEOSI_RETURN_IF_ERROR(open_file("tokens_propkey.store", &f));
+  NEOSI_RETURN_IF_ERROR(dir_->Open("tokens_propkey.store", &f));
   prop_key_tokens_ =
       std::make_unique<TokenStore>(std::move(f), "prop-key-tokens",
                                    &sync_points_);
   NEOSI_RETURN_IF_ERROR(prop_key_tokens_->Open());
 
-  NEOSI_RETURN_IF_ERROR(open_file("tokens_reltype.store", &f));
+  NEOSI_RETURN_IF_ERROR(dir_->Open("tokens_reltype.store", &f));
   rel_type_tokens_ =
       std::make_unique<TokenStore>(std::move(f), "rel-type-tokens",
                                    &sync_points_);
@@ -153,19 +114,13 @@ Status GraphStore::Open() {
 
   // The WAL is a rotating chain of segment files in the same directory
   // (wal.000001, wal.000002, …), not one file — see Wal's header comment.
-  std::shared_ptr<WalDir> wal_dir;
-  if (mem) {
-    wal_dir = std::make_shared<InMemoryWalDir>();
-  } else {
-    wal_dir = std::make_shared<PosixWalDir>(dir);
-  }
   WalOptions wal_options;
   wal_options.segment_size = options_.wal_segment_size;
   wal_options.keep_segments = options_.wal_keep_segments;
   wal_options.async_flush = options_.wal_async_flush;
   wal_options.preallocate = options_.wal_preallocate;
   wal_options.sync_points = &sync_points_;
-  wal_ = std::make_unique<Wal>(std::move(wal_dir), wal_options);
+  wal_ = std::make_unique<Wal>(dir_, wal_options);
   return wal_->Open();
 }
 

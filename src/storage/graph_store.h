@@ -1,11 +1,12 @@
 // Physical graph storage facade: the Neo4j store-file layer of Figure 1.
 //
-// Owns the node / relationship / property / dynamic / token store files plus
-// the WAL, and exposes typed physical operations used by the transaction
-// engine at commit time, by the garbage collector at purge time, and by
-// recovery. This layer knows nothing about versions or visibility: it always
-// holds exactly the NEWEST COMMITTED version of each entity (paper §4 —
-// older versions live only in the object cache).
+// Opens the node / relationship / property / dynamic / token store files and
+// the WAL through the one database Dir it is given, and exposes typed
+// physical operations used by the transaction engine at commit time, by the
+// garbage collector at purge time, and by recovery. This layer knows nothing
+// about versions or visibility: it always holds exactly the NEWEST COMMITTED
+// version of each entity (paper §4 — older versions live only in the object
+// cache).
 //
 // Concurrency: per-entity sharded reader/writer latches. Mutators follow a
 // strict acquisition order (node shards ascending, then the relationship
@@ -28,6 +29,7 @@
 #include "common/status.h"
 #include "common/sync_points.h"
 #include "common/types.h"
+#include "storage/dir.h"
 #include "storage/dynamic_store.h"
 #include "storage/property_store.h"
 #include "storage/record_store.h"
@@ -98,18 +100,15 @@ struct GraphStoreStats {
 /// The persistent half of the engine. Thread-safe.
 class GraphStore {
  public:
-  explicit GraphStore(const DatabaseOptions& options);
-  ~GraphStore();
+  /// Every file of the database opens through `dir`.
+  GraphStore(const DatabaseOptions& options, std::shared_ptr<Dir> dir);
 
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
 
-  /// Opens or creates every store file and the WAL. On-disk databases first
-  /// take an exclusive flock on a `LOCK` file in the directory: a second
-  /// process (or handle) opening the same directory fails fast with
-  /// Status::Busy instead of replaying and truncating the WAL out from
-  /// under the holder's live appends. The lock dies with the holder, so a
-  /// crash-left LOCK file is reclaimed by the next opener automatically.
+  /// Opens or creates every store file and the WAL in the Dir. Exclusive
+  /// ownership of an on-disk directory is the Dir's (PosixDir::OpenLocked),
+  /// taken before this runs.
   Status Open();
 
   /// fsyncs only the store files dirtied since the last checkpoint
@@ -215,6 +214,10 @@ class GraphStore {
   // --- WAL & recovery ------------------------------------------------------
 
   Wal& wal() { return *wal_; }
+
+  /// The database directory: store files, WAL segments and a replica's
+  /// cursor file. An in-process replica tails a primary through it.
+  const std::shared_ptr<Dir>& dir() const { return dir_; }
 
   /// Replays one logical op onto the stores, idempotently: an op whose
   /// entity already carries commit_ts >= op's record ts is repaired rather
@@ -322,10 +325,7 @@ class GraphStore {
   /// crash recovery so far. Gauge, refreshed by every Recover().
   std::atomic<uint64_t> dyn_leaked_blocks_{0};
 
-  /// flock'd LOCK-file descriptor guarding exclusive directory ownership
-  /// (-1 when in-memory or not yet opened). Held for the store's lifetime;
-  /// the kernel drops the lock when the fd closes — including on crash.
-  int lock_fd_ = -1;
+  std::shared_ptr<Dir> dir_;
 
   /// Declared before the stores: the WAL's flusher may check a point
   /// while the WAL shuts down.

@@ -84,21 +84,12 @@ PosixFile::~PosixFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status PosixFile::Open(const std::string& path,
-                       std::unique_ptr<PagedFile>* out) {
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+Status PosixFile::Open(const std::string& path, bool create,
+                       std::shared_ptr<PagedFile>* out) {
+  const int flags = create ? O_RDWR | O_CREAT : O_RDWR;
+  const int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) {
-    return Status::IOError("open " + path + ": " + strerror(errno));
-  }
-  out->reset(new PosixFile(fd, path));
-  return Status::OK();
-}
-
-Status PosixFile::OpenExisting(const std::string& path,
-                               std::unique_ptr<PagedFile>* out) {
-  int fd = ::open(path.c_str(), O_RDWR);
-  if (fd < 0) {
-    if (errno == ENOENT) {
+    if (!create && errno == ENOENT) {
       return Status::NotFound("open " + path + ": no such file");
     }
     return Status::IOError("open " + path + ": " + strerror(errno));
@@ -187,15 +178,6 @@ Status PosixFile::Sync() {
     return Status::IOError("fdatasync " + path_ + ": " + strerror(errno));
   }
   return Status::OK();
-}
-
-Status OpenPagedFile(const std::string& path, bool in_memory,
-                     std::unique_ptr<PagedFile>* out) {
-  if (in_memory) {
-    out->reset(new InMemoryFile());
-    return Status::OK();
-  }
-  return PosixFile::Open(path, out);
 }
 
 }  // namespace neosi

@@ -1,8 +1,9 @@
 // Byte-addressable file abstraction backing the record stores and the WAL.
 //
-// Two implementations: an anonymous in-memory buffer (default; experiments
+// Two implementations: a heap buffer (the in-memory default; experiments
 // measure concurrency control, not disks) and a POSIX pread/pwrite file used
-// by the durability / recovery tests and the persistence benches.
+// by the durability / recovery tests and the persistence benches. Files are
+// opened through a Dir (storage/dir.h), which picks the implementation.
 
 #ifndef NEOSI_STORAGE_PAGED_FILE_H_
 #define NEOSI_STORAGE_PAGED_FILE_H_
@@ -119,19 +120,15 @@ class InMemoryFile final : public PagedFile {
   uint64_t size_ = 0;
 };
 
-/// POSIX file using pread/pwrite; created if absent.
+/// POSIX file using pread/pwrite.
 class PosixFile final : public PagedFile {
  public:
   ~PosixFile() override;
 
-  /// Opens (creating if needed) the file at path.
-  static Status Open(const std::string& path, std::unique_ptr<PagedFile>* out);
-
-  /// Opens the file at path WITHOUT creating it; NotFound if absent.
-  /// Replica tailers use this so racing a primary's segment retirement can
-  /// never plant an empty file in the primary's directory.
-  static Status OpenExisting(const std::string& path,
-                             std::unique_ptr<PagedFile>* out);
+  /// Opens the file at path, creating it if absent when `create` is set;
+  /// NotFound if it is absent otherwise. The parent directory must exist.
+  static Status Open(const std::string& path, bool create,
+                     std::shared_ptr<PagedFile>* out);
 
   Status ReadAt(uint64_t offset, size_t n, char* buf) const override;
   Status WriteAt(uint64_t offset, const char* data, size_t n) override;
@@ -153,11 +150,6 @@ class PosixFile final : public PagedFile {
   int fd_;
   std::string path_;
 };
-
-/// Opens an in-memory file when in_memory is true, otherwise a POSIX file at
-/// `path` (parent directory must exist).
-Status OpenPagedFile(const std::string& path, bool in_memory,
-                     std::unique_ptr<PagedFile>* out);
 
 }  // namespace neosi
 

@@ -7,8 +7,8 @@
 
 namespace neosi {
 
-PropertyStore::PropertyStore(std::unique_ptr<PagedFile> prop_file,
-                             std::unique_ptr<PagedFile> dyn_file)
+PropertyStore::PropertyStore(std::shared_ptr<PagedFile> prop_file,
+                             std::shared_ptr<PagedFile> dyn_file)
     : props_(std::move(prop_file), PropertyRecord::kSize,
              PropertyRecord::kMagic, "property-store"),
       dyn_(std::move(dyn_file), "string-store") {}

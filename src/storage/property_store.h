@@ -23,8 +23,8 @@ namespace neosi {
 /// exactly the "persist only the newest committed version" model of §4.
 class PropertyStore {
  public:
-  PropertyStore(std::unique_ptr<PagedFile> prop_file,
-                std::unique_ptr<PagedFile> dyn_file);
+  PropertyStore(std::shared_ptr<PagedFile> prop_file,
+                std::shared_ptr<PagedFile> dyn_file);
 
   Status Open();
 

@@ -7,7 +7,7 @@
 
 namespace neosi {
 
-RecordStore::RecordStore(std::unique_ptr<PagedFile> file, uint32_t record_size,
+RecordStore::RecordStore(std::shared_ptr<PagedFile> file, uint32_t record_size,
                          uint32_t magic, std::string name)
     : file_(std::move(file)),
       record_size_(record_size),

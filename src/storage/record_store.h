@@ -36,7 +36,7 @@ class RecordStore {
  public:
   /// Takes ownership of `file`. `magic` identifies the store kind in the
   /// header and is validated on open.
-  RecordStore(std::unique_ptr<PagedFile> file, uint32_t record_size,
+  RecordStore(std::shared_ptr<PagedFile> file, uint32_t record_size,
               uint32_t magic, std::string name);
 
   RecordStore(const RecordStore&) = delete;
@@ -103,7 +103,7 @@ class RecordStore {
 
   static constexpr uint64_t kHeaderSize = 64;
 
-  std::unique_ptr<PagedFile> file_;
+  std::shared_ptr<PagedFile> file_;
   const uint32_t record_size_;
   const uint32_t magic_;
   const std::string name_;

@@ -16,7 +16,7 @@ struct TailSegment {
   uint64_t index = 0;
   Lsn base = 0;
   uint64_t epoch = 0;
-  std::unique_ptr<PagedFile> file;
+  std::shared_ptr<PagedFile> file;
 };
 
 /// True iff `name` is "wal." followed by digits only (the Wal's
@@ -50,9 +50,8 @@ bool ReadHeader(PagedFile* file, Lsn* base, uint64_t* epoch) {
 
 }  // namespace
 
-Status WalDirReplicationSource::Poll(Lsn cursor,
-                                     std::vector<ShippedRecord>* out,
-                                     Lsn* next_cursor) {
+Status ReplicationSource::Poll(Lsn cursor, std::vector<ShippedRecord>* out,
+                               Lsn* next_cursor) {
   *next_cursor = cursor;
 
   // Snapshot the directory and open every segment whose header validates.

@@ -1,14 +1,12 @@
 // Record shipping for read replicas.
 //
 // A ReplicationSource hands a replica the primary's WAL records in LSN
-// order, from wherever the replica's shipping cursor stands. The first
-// implementation tails the primary's WalDir directly (file-copy shipping:
-// same machine or a shared / snapshotted filesystem); the interface is a
-// single pull call so a socket-streaming source can slot in later without
-// touching the applier.
+// order, from wherever the replica's shipping cursor stands, by tailing the
+// segment files in the primary's Dir (file-copy shipping: the same process,
+// the same machine, or a shared / snapshotted filesystem).
 //
 // Safety against the live primary:
-//  - the source only ever opens EXISTING files (WalDir::OpenExisting), so
+//  - the source only ever opens EXISTING files (Dir::OpenExisting), so
 //    losing a race against segment retirement can never create a stray file
 //    in the primary's directory;
 //  - a segment's frames are final once a successor segment exists (the Wal
@@ -36,7 +34,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "storage/wal_dir.h"
+#include "storage/dir.h"
 #include "storage/wal_ops.h"
 
 namespace neosi {
@@ -47,10 +45,11 @@ struct ShippedRecord {
   WalRecord record;
 };
 
-/// Pull interface the ReplicaApplier drains.
+/// Tails a primary's WAL segments; the ReplicaApplier drains it.
 class ReplicationSource {
  public:
-  virtual ~ReplicationSource() = default;
+  explicit ReplicationSource(std::shared_ptr<Dir> dir)
+      : dir_(std::move(dir)) {}
 
   /// Appends every record with LSN >= `cursor` currently readable at the
   /// source to *out, in LSN order, and sets *next_cursor one past the last
@@ -58,21 +57,10 @@ class ReplicationSource {
   /// records yet" is OK with an empty batch; Corruption means the cursor
   /// fell behind the source's retained history and the replica must be
   /// re-seeded.
-  virtual Status Poll(Lsn cursor, std::vector<ShippedRecord>* out,
-                      Lsn* next_cursor) = 0;
-};
-
-/// Tails a primary's WAL segment directory (file-copy shipping).
-class WalDirReplicationSource final : public ReplicationSource {
- public:
-  explicit WalDirReplicationSource(std::shared_ptr<WalDir> dir)
-      : dir_(std::move(dir)) {}
-
-  Status Poll(Lsn cursor, std::vector<ShippedRecord>* out,
-              Lsn* next_cursor) override;
+  Status Poll(Lsn cursor, std::vector<ShippedRecord>* out, Lsn* next_cursor);
 
  private:
-  std::shared_ptr<WalDir> dir_;
+  std::shared_ptr<Dir> dir_;
 };
 
 }  // namespace neosi

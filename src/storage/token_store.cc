@@ -4,7 +4,7 @@
 
 namespace neosi {
 
-TokenStore::TokenStore(std::unique_ptr<PagedFile> file, std::string name,
+TokenStore::TokenStore(std::shared_ptr<PagedFile> file, std::string name,
                        SyncPoints* sync_points)
     : store_(std::move(file), TokenRecord::kSize, TokenRecord::kMagic,
              std::move(name)),

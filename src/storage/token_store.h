@@ -44,7 +44,7 @@ struct Token {
 class TokenStore {
  public:
   /// GetOrCreate checks "token.page.write" on `sync_points` (if any).
-  TokenStore(std::unique_ptr<PagedFile> file, std::string name,
+  TokenStore(std::shared_ptr<PagedFile> file, std::string name,
              SyncPoints* sync_points = nullptr);
 
   /// Loads existing tokens into the lookup table. Runs before the store is

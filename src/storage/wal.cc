@@ -77,7 +77,7 @@ std::string Wal::PrepName(uint64_t seq) {
   return IndexedName("wal.prep.", seq);
 }
 
-Wal::Wal(std::shared_ptr<WalDir> dir, WalOptions options)
+Wal::Wal(std::shared_ptr<Dir> dir, WalOptions options)
     : dir_(std::move(dir)), options_(options) {
   if (options_.segment_size < kSegmentHeaderSize + kFrameHeader) {
     options_.segment_size = kSegmentHeaderSize + kFrameHeader;
@@ -305,7 +305,7 @@ Status Wal::OpenChain() {
 
   for (size_t i = 0; i < chain_names.size(); ++i) {
     const auto& [index, name] = chain_names[i];
-    std::unique_ptr<PagedFile> file;
+    std::shared_ptr<PagedFile> file;
     NEOSI_RETURN_IF_ERROR(dir_->Open(name, &file));
     Lsn base = 0;
     uint64_t epoch = 0;

@@ -1,7 +1,7 @@
 // Framed write-ahead log over ROTATING fixed-size segment files.
 //
 // Layout: the log is a chain of segment files `wal.000001`, `wal.000002`, …
-// in one WalDir. Each segment starts with an immutable 32-byte header
+// in the database Dir. Each segment starts with an immutable 32-byte header
 //
 //   [magic u32][version u32][base_lsn u64][epoch u64][crc32c u32][pad]
 //
@@ -113,8 +113,8 @@
 #include "common/latch.h"
 #include "common/status.h"
 #include "common/sync_points.h"
+#include "storage/dir.h"
 #include "storage/paged_file.h"
-#include "storage/wal_dir.h"
 #include "storage/wal_ops.h"
 
 namespace neosi {
@@ -188,11 +188,11 @@ class Wal {
   static Status ReadSegmentHeader(PagedFile* file, Lsn* base, uint64_t* epoch,
                                   bool* valid);
 
-  /// File names inside the WalDir.
+  /// File names inside the Dir.
   static std::string SegmentName(uint64_t index);  ///< "wal.000001"
   static std::string PrepName(uint64_t seq);     ///< "wal.prep.000001"
 
-  explicit Wal(std::shared_ptr<WalDir> dir, WalOptions options = {});
+  explicit Wal(std::shared_ptr<Dir> dir, WalOptions options = {});
   ~Wal();
 
   /// Discovers, orders and validates the segment chain (creating the first
@@ -257,11 +257,6 @@ class Wal {
 
   /// The commit batcher bound to this log.
   GroupCommitter& group() { return group_; }
-
-  /// The directory this log lives in. Replication hands this to a
-  /// WalDirReplicationSource so an in-process replica can tail the live
-  /// primary without going through the filesystem.
-  const std::shared_ptr<WalDir>& dir() const { return dir_; }
 
   /// Replays every live record in order (from the head). Stops cleanly at a
   /// torn tail in the newest segment (which is then truncated so later
@@ -362,7 +357,7 @@ class Wal {
   /// adopted into the chain by a roll.
   struct PreparedSegment {
     std::string name;
-    std::unique_ptr<PagedFile> file;
+    std::shared_ptr<PagedFile> file;
   };
 
   static Status WriteSegmentHeader(PagedFile* file, Lsn base, uint64_t epoch);
@@ -458,7 +453,7 @@ class Wal {
   void StopFlusher();
   void FlusherMain();
 
-  std::shared_ptr<WalDir> dir_;
+  std::shared_ptr<Dir> dir_;
   WalOptions options_;
 
   SpinLatch latch_;  // serializes appends (file write + cursor advance)

@@ -120,7 +120,13 @@ class CrashLoopHarness {
     std::filesystem::create_directories(dir_);
   }
 
-  ~CrashLoopHarness() { std::filesystem::remove_all(dir_); }
+  /// Shadow model only: the caller opens every database over its own Dir
+  /// (GraphDatabase::Open(DbOptions(), dir)), so no directory is made.
+  explicit CrashLoopHarness(Options options) : options_(options) {}
+
+  ~CrashLoopHarness() {
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
 
   DatabaseOptions DbOptions() const {
     DatabaseOptions options;

@@ -252,7 +252,7 @@ TEST(RelListEditPaths, ReplicaAppliesShippedCreateAndPurge) {
   auto primary = std::move(*GraphDatabase::Open(primary_options));
   DatabaseOptions replica_options;
   replica_options.in_memory = true;
-  replica_options.replica_of = primary->engine().store.wal().dir();
+  replica_options.replica_of = primary->engine().store.dir();
   replica_options.replica_poll_interval_ms = 0;  // Driven by RunOnce.
   replica_options.background_gc_interval_ms = 0;
   auto replica = std::move(*GraphDatabase::Open(replica_options));

@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "graph/graph_database.h"
+#include "storage/dir.h"
 #include "storage/replication_source.h"
 #include "storage/wal.h"
-#include "storage/wal_dir.h"
 #include "fault_injection.h"
 
 namespace neosi {
@@ -30,7 +30,7 @@ DatabaseOptions PrimaryOptions() {
 DatabaseOptions ManualReplicaOptions(GraphDatabase* primary) {
   DatabaseOptions options;
   options.in_memory = true;
-  options.replica_of = primary->engine().store.wal().dir();
+  options.replica_of = primary->engine().store.dir();
   options.replica_poll_interval_ms = 0;  // Manual: tests call RunOnce().
   return options;
 }
@@ -429,7 +429,7 @@ TEST(Replication, ReplicaKeepsServingAfterPrimaryCloses) {
     ASSERT_TRUE(txn->Commit().ok());
   }
   CatchUp(replica.get());
-  primary.reset();  // The shared in-memory WalDir outlives the primary.
+  primary.reset();  // The shared in-memory Dir outlives the primary.
   EXPECT_TRUE(replica->Begin()->GetNode(id).ok());
   CatchUp(replica.get());  // Polling a quiescent source stays clean.
 }
@@ -442,7 +442,7 @@ TEST(Replication, ReplicaKeepsServingAfterPrimaryCloses) {
 class TailerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::make_shared<InMemoryWalDir>();
+    dir_ = std::make_shared<InMemoryDir>();
     WalOptions options;
     options.segment_size = 256;  // Tiny: every few records rotate.
     wal_ = std::make_unique<Wal>(dir_, options);
@@ -457,12 +457,12 @@ class TailerTest : public ::testing::Test {
     return record;
   }
 
-  std::shared_ptr<InMemoryWalDir> dir_;
+  std::shared_ptr<InMemoryDir> dir_;
   std::unique_ptr<Wal> wal_;
 };
 
 TEST_F(TailerTest, ShipsAcrossRotationsAndTracksCursor) {
-  WalDirReplicationSource source(dir_);
+  ReplicationSource source(dir_);
   Lsn cursor = 0;
   std::vector<ShippedRecord> shipped;
   for (Timestamp ts = 1; ts <= 50; ++ts) {
@@ -502,14 +502,14 @@ TEST_F(TailerTest, TornTailInNewestSegmentShipsCleanPrefixOnly) {
     }
   }
   ASSERT_EQ(newest, 1u);
-  std::unique_ptr<PagedFile> file;
+  std::shared_ptr<PagedFile> file;
   ASSERT_TRUE(dir_->OpenExisting(newest_name, &file).ok());
   const uint64_t size = file->Size();
   ASSERT_GT(size, 4u);
   const char garbage[4] = {'\x5a', '\x5a', '\x5a', '\x5a'};
   ASSERT_TRUE(file->WriteAt(size - 4, garbage, 4).ok());
 
-  WalDirReplicationSource source(dir_);
+  ReplicationSource source(dir_);
   Lsn cursor = 0;
   std::vector<ShippedRecord> shipped;
   ASSERT_TRUE(source.Poll(cursor, &shipped, &cursor).ok());
@@ -527,7 +527,7 @@ TEST_F(TailerTest, CursorBelowRetainedHistoryIsCorruption) {
   ASSERT_TRUE(wal_->TruncatePrefix(wal_->StableLsn()).ok());
   ASSERT_GT(wal_->HeadLsn(), 0u);
 
-  WalDirReplicationSource source(dir_);
+  ReplicationSource source(dir_);
   Lsn cursor = 0;
   std::vector<ShippedRecord> shipped;
   Status s = source.Poll(0, &shipped, &cursor);
@@ -544,7 +544,7 @@ TEST_F(TailerTest, RetiredSegmentsBelowTheCursorAreNeverRead) {
   for (Timestamp ts = 1; ts <= 50; ++ts) {
     ASSERT_TRUE(wal_->Append(MakeRecord(ts)).ok());
   }
-  WalDirReplicationSource source(dir_);
+  ReplicationSource source(dir_);
   Lsn cursor = 0;
   std::vector<ShippedRecord> shipped;
   ASSERT_TRUE(source.Poll(cursor, &shipped, &cursor).ok());

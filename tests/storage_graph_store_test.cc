@@ -9,9 +9,8 @@ namespace neosi {
 namespace {
 
 std::unique_ptr<GraphStore> MakeStore() {
-  DatabaseOptions options;
-  options.in_memory = true;
-  auto store = std::make_unique<GraphStore>(options);
+  auto store = std::make_unique<GraphStore>(DatabaseOptions{},
+                                            std::make_shared<InMemoryDir>());
   EXPECT_TRUE(store->Open().ok());
   return store;
 }

@@ -139,13 +139,15 @@ class PosixFileTest : public ::testing::Test {
 
 TEST_F(PosixFileTest, CreatesAndPersists) {
   {
-    std::unique_ptr<PagedFile> file;
-    ASSERT_TRUE(PosixFile::Open(path_.string(), &file).ok());
+    std::shared_ptr<PagedFile> file;
+    ASSERT_TRUE(
+        PosixFile::Open(path_.string(), /*create=*/true, &file).ok());
     ASSERT_TRUE(file->WriteAt(0, "durable", 7).ok());
     ASSERT_TRUE(file->Sync().ok());
   }
-  std::unique_ptr<PagedFile> reopened;
-  ASSERT_TRUE(PosixFile::Open(path_.string(), &reopened).ok());
+  std::shared_ptr<PagedFile> reopened;
+  ASSERT_TRUE(
+      PosixFile::Open(path_.string(), /*create=*/true, &reopened).ok());
   EXPECT_EQ(reopened->Size(), 7u);
   char buf[7];
   ASSERT_TRUE(reopened->ReadAt(0, 7, buf).ok());
@@ -153,8 +155,9 @@ TEST_F(PosixFileTest, CreatesAndPersists) {
 }
 
 TEST_F(PosixFileTest, SparseWriteAndTruncate) {
-  std::unique_ptr<PagedFile> file;
-  ASSERT_TRUE(PosixFile::Open(path_.string(), &file).ok());
+  std::shared_ptr<PagedFile> file;
+  ASSERT_TRUE(
+      PosixFile::Open(path_.string(), /*create=*/true, &file).ok());
   ASSERT_TRUE(file->WriteAt(1000, "tail", 4).ok());
   EXPECT_EQ(file->Size(), 1004u);
   char buf[4];
@@ -165,23 +168,11 @@ TEST_F(PosixFileTest, SparseWriteAndTruncate) {
   EXPECT_TRUE(file->ReadAt(1000, 4, buf).IsOutOfRange());
 }
 
-TEST_F(PosixFileTest, OpenFactorySelectsBackend) {
-  std::unique_ptr<PagedFile> mem;
-  ASSERT_TRUE(OpenPagedFile("ignored", /*in_memory=*/true, &mem).ok());
-  ASSERT_TRUE(mem->WriteAt(0, "m", 1).ok());
-  EXPECT_EQ(mem->Size(), 1u);
-
-  std::unique_ptr<PagedFile> disk;
-  ASSERT_TRUE(
-      OpenPagedFile(path_.string(), /*in_memory=*/false, &disk).ok());
-  ASSERT_TRUE(disk->WriteAt(0, "d", 1).ok());
-  EXPECT_TRUE(std::filesystem::exists(path_));
-}
-
 TEST_F(PosixFileTest, OpenFailsOnBadPath) {
-  std::unique_ptr<PagedFile> file;
+  std::shared_ptr<PagedFile> file;
   EXPECT_TRUE(
-      PosixFile::Open("/nonexistent-dir-xyz/file", &file).IsIOError());
+      PosixFile::Open("/nonexistent-dir-xyz/file", /*create=*/true, &file)
+          .IsIOError());
 }
 
 // ---------------------------------------------------------------------------
@@ -208,8 +199,9 @@ TEST(DirtyTracking, WritesDirtyAndSyncIfDirtyClears) {
 }
 
 TEST_F(PosixFileTest, DirtyTrackingAcrossWriteSyncCycles) {
-  std::unique_ptr<PagedFile> file;
-  ASSERT_TRUE(PosixFile::Open(path_.string(), &file).ok());
+  std::shared_ptr<PagedFile> file;
+  ASSERT_TRUE(
+      PosixFile::Open(path_.string(), /*create=*/true, &file).ok());
   EXPECT_FALSE(file->dirty());
   ASSERT_TRUE(file->WriteAt(0, "xyz", 3).ok());
   EXPECT_TRUE(file->dirty());

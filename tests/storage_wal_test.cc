@@ -51,7 +51,7 @@ WalRecord SmallRecord(TxnId txn, Timestamp ts) {
   return record;
 }
 
-std::unique_ptr<Wal> OpenWal(std::shared_ptr<InMemoryWalDir> dir,
+std::unique_ptr<Wal> OpenWal(std::shared_ptr<InMemoryDir> dir,
                              WalOptions options = {}) {
   auto wal = std::make_unique<Wal>(std::move(dir), options);
   EXPECT_TRUE(wal->Open().ok());
@@ -68,7 +68,7 @@ std::vector<Timestamp> ReplayTimestamps(Wal* wal) {
   return seen;
 }
 
-std::vector<std::string> ListNames(InMemoryWalDir* dir) {
+std::vector<std::string> ListNames(InMemoryDir* dir) {
   std::vector<std::string> names;
   EXPECT_TRUE(dir->List(&names).ok());
   std::sort(names.begin(), names.end());
@@ -178,7 +178,7 @@ TEST(WalOps, TrailingBytesRejected) {
 }
 
 TEST(Wal, AppendAndReadAll) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir);
   for (int i = 1; i <= 5; ++i) {
     auto lsn = wal->Append(MakeRecord(i, i * 10));
@@ -189,7 +189,7 @@ TEST(Wal, AppendAndReadAll) {
 }
 
 TEST(Wal, LsnsAreMonotonic) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir);
   Lsn prev = 0;
   for (int i = 0; i < 3; ++i) {
@@ -203,14 +203,14 @@ TEST(Wal, LsnsAreMonotonic) {
 }
 
 TEST(Wal, TornTailTruncated) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir);
   ASSERT_TRUE(wal->Append(MakeRecord(1, 10)).ok());
   ASSERT_TRUE(wal->Append(MakeRecord(2, 20)).ok());
   const uint64_t valid = wal->SizeBytes();
   // Simulate a torn frame in the active segment: plausible header, garbage
   // payload.
-  std::unique_ptr<PagedFile> raw;
+  std::shared_ptr<PagedFile> raw;
   ASSERT_TRUE(dir->Open(wal->SegmentNameOf(wal->NextLsn()), &raw).ok());
   const char torn[] = "\x40\x00\x00\x00\x99\x99\x99\x99only-half-written";
   ASSERT_TRUE(raw->WriteAt(wal->PhysOf(wal->NextLsn()), torn, sizeof torn).ok());
@@ -224,12 +224,12 @@ TEST(Wal, TornTailTruncated) {
 }
 
 TEST(Wal, CorruptPayloadStopsReplay) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir);
   ASSERT_TRUE(wal->Append(MakeRecord(1, 10)).ok());
   const Lsn second = *wal->Append(MakeRecord(2, 20));
   // Flip a payload byte of the second frame: CRC must catch it.
-  std::unique_ptr<PagedFile> raw;
+  std::shared_ptr<PagedFile> raw;
   ASSERT_TRUE(dir->Open(wal->SegmentNameOf(second), &raw).ok());
   char byte;
   ASSERT_TRUE(raw->ReadAt(wal->PhysOf(second) + 12, 1, &byte).ok());
@@ -239,7 +239,7 @@ TEST(Wal, CorruptPayloadStopsReplay) {
 }
 
 TEST(Wal, OpenPositionsCursorAfterValidPrefix) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   uint64_t valid;
   {
     auto wal = OpenWal(dir);
@@ -261,7 +261,7 @@ WalOptions TinySegments(uint64_t segment_size = 192) {
 }
 
 /// Files in `dir` whose name starts with `prefix`.
-int CountPrefixed(InMemoryWalDir* dir, const std::string& prefix) {
+int CountPrefixed(InMemoryDir* dir, const std::string& prefix) {
   int count = 0;
   for (const std::string& name : ListNames(dir)) {
     count += name.rfind(prefix, 0) == 0 ? 1 : 0;
@@ -270,7 +270,7 @@ int CountPrefixed(InMemoryWalDir* dir, const std::string& prefix) {
 }
 
 TEST(WalSegments, AppendRollsAtThreshold) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir, TinySegments());
   EXPECT_EQ(wal->SegmentCount(), 1u);
 
@@ -282,7 +282,7 @@ TEST(WalSegments, AppendRollsAtThreshold) {
   EXPECT_GT(wal->SegmentCount(), 1u);
   // Every segment file stays within the configured size.
   for (const std::string& name : ListNames(dir.get())) {
-    std::unique_ptr<PagedFile> raw;
+    std::shared_ptr<PagedFile> raw;
     ASSERT_TRUE(dir->Open(name, &raw).ok());
     EXPECT_LE(raw->Size(), 192u) << name;
   }
@@ -291,7 +291,7 @@ TEST(WalSegments, AppendRollsAtThreshold) {
 }
 
 TEST(WalSegments, LsnsStayMonotonicAndContiguousAcrossRolls) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir, TinySegments());
   Lsn prev_end = wal->NextLsn();
   for (int i = 1; i <= 40; ++i) {
@@ -315,7 +315,7 @@ TEST(WalSegments, LsnsStayMonotonicAndContiguousAcrossRolls) {
 }
 
 TEST(WalSegments, FramesDecodeIndividuallyAcrossRolls) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir, TinySegments());
   // Each append returns its own frame's lsn and end; replay hands back the
   // same lsn with the same record, one frame at a time, across every roll.
@@ -339,7 +339,7 @@ TEST(WalSegments, FramesDecodeIndividuallyAcrossRolls) {
 }
 
 TEST(WalSegments, OversizedRecordGetsItsOwnSegment) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir, TinySegments(128));
   ASSERT_TRUE(wal->Append(SmallRecord(1, 10)).ok());
   // MakeRecord's frame is far larger than a 128-byte segment: it must still
@@ -370,7 +370,7 @@ int AppendUntilFailedRoll(Wal* wal, SyncPoints* registry, int first,
 }
 
 TEST(WalSegments, FailedWriteAfterRollIsRolledBack) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   SyncPoints registry;
   WalOptions options = TinySegments();
   options.sync_points = &registry;
@@ -403,7 +403,7 @@ TEST(WalSegments, FailedWriteAfterRollIsRolledBack) {
 }
 
 TEST(WalSegments, ChainSurvivesReopen) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   std::vector<Timestamp> expect;
   uint64_t segments;
   {
@@ -429,7 +429,7 @@ TEST(WalSegments, ChainSurvivesReopen) {
 // ---------------------------------------------------------------------------
 
 TEST(WalTruncatePrefix, DropsOnlyThePrefix) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir);
   ASSERT_TRUE(wal->Append(MakeRecord(1, 10)).ok());
   ASSERT_TRUE(wal->Append(MakeRecord(2, 20)).ok());
@@ -446,7 +446,7 @@ TEST(WalTruncatePrefix, DropsOnlyThePrefix) {
 }
 
 TEST(WalTruncatePrefix, AtZeroAndBelowHeadAreNoOps) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir);
   // Truncating an empty log at zero does nothing.
   ASSERT_TRUE(wal->TruncatePrefix(0).ok());
@@ -467,7 +467,7 @@ TEST(WalTruncatePrefix, AtZeroAndBelowHeadAreNoOps) {
 }
 
 TEST(WalTruncatePrefix, AtEndEmptiesLogAndBeyondEndIsRejected) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir);
   ASSERT_TRUE(wal->Append(MakeRecord(1, 10)).ok());
   ASSERT_TRUE(wal->Append(MakeRecord(2, 20)).ok());
@@ -486,7 +486,7 @@ TEST(WalTruncatePrefix, AtEndEmptiesLogAndBeyondEndIsRejected) {
 }
 
 TEST(WalTruncatePrefix, UnlinksWholeSegmentsOnAnyBackend) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir, TinySegments());
   for (int i = 1; i <= 24; ++i) {
     ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
@@ -511,7 +511,7 @@ TEST(WalTruncatePrefix, UnlinksWholeSegmentsOnAnyBackend) {
 }
 
 TEST(WalTruncatePrefix, PartialSegmentStaysUntilWhollyDead) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir, TinySegments());
   std::vector<Lsn> lsns;
   std::vector<Timestamp> ts;
@@ -532,7 +532,7 @@ TEST(WalTruncatePrefix, PartialSegmentStaysUntilWhollyDead) {
 }
 
 TEST(WalTruncatePrefix, HeadSurvivesReopenAtSegmentGranularity) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   std::vector<Timestamp> live;
   Lsn head_after_truncate;
   {
@@ -562,7 +562,7 @@ TEST(WalTruncatePrefix, HeadSurvivesReopenAtSegmentGranularity) {
 }
 
 TEST(WalTruncatePrefix, TornTailAfterTruncationStillDetected) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir);
   ASSERT_TRUE(wal->Append(MakeRecord(1, 10)).ok());
   const Lsn second = *wal->Append(MakeRecord(2, 20));
@@ -570,7 +570,7 @@ TEST(WalTruncatePrefix, TornTailAfterTruncationStillDetected) {
   ASSERT_TRUE(wal->Append(MakeRecord(3, 30)).ok());
 
   // Torn frame beyond the valid suffix.
-  std::unique_ptr<PagedFile> raw;
+  std::shared_ptr<PagedFile> raw;
   ASSERT_TRUE(dir->Open(wal->SegmentNameOf(wal->NextLsn()), &raw).ok());
   const char torn[] = "\x30\x00\x00\x00\x77\x77\x77\x77half";
   ASSERT_TRUE(raw->WriteAt(wal->PhysOf(wal->NextLsn()), torn, sizeof torn).ok());
@@ -588,7 +588,7 @@ TEST(WalTruncatePrefix, TornTailAfterTruncationStillDetected) {
 // ---------------------------------------------------------------------------
 
 TEST(WalSegments, TruncationLeavesOnlyTheChainAndOnePrepFile) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   WalOptions options = TinySegments();
   options.async_flush = true;
   options.preallocate = true;
@@ -612,7 +612,7 @@ TEST(WalSegments, TruncationLeavesOnlyTheChainAndOnePrepFile) {
 }
 
 TEST(WalSegments, InlineRollsBuildThenAdoptWithoutPreallocation) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   std::vector<Timestamp> expect;
   {
     WalOptions options = TinySegments();
@@ -635,21 +635,21 @@ TEST(WalSegments, InlineRollsBuildThenAdoptWithoutPreallocation) {
   EXPECT_EQ(ReplayTimestamps(reopened.get()), expect);
 }
 
-/// Forwards to an InMemoryWalDir, failing the Remove calls it is armed for.
-class FlakyRemoveDir : public WalDir {
+/// Forwards to an InMemoryDir, failing the Remove calls it is armed for.
+class FlakyRemoveDir : public Dir {
  public:
-  explicit FlakyRemoveDir(std::shared_ptr<InMemoryWalDir> inner)
+  explicit FlakyRemoveDir(std::shared_ptr<InMemoryDir> inner)
       : inner_(std::move(inner)) {}
 
   Status List(std::vector<std::string>* names) const override {
     return inner_->List(names);
   }
   Status Open(const std::string& name,
-              std::unique_ptr<PagedFile>* out) override {
+              std::shared_ptr<PagedFile>* out) override {
     return inner_->Open(name, out);
   }
   Status OpenExisting(const std::string& name,
-                      std::unique_ptr<PagedFile>* out) override {
+                      std::shared_ptr<PagedFile>* out) override {
     return inner_->OpenExisting(name, out);
   }
   bool Exists(const std::string& name) const override {
@@ -670,11 +670,11 @@ class FlakyRemoveDir : public WalDir {
   int fail_removes = 0;
 
  private:
-  std::shared_ptr<InMemoryWalDir> inner_;
+  std::shared_ptr<InMemoryDir> inner_;
 };
 
 TEST(WalTruncatePrefix, FailedUnlinkKeepsTheChainContiguous) {
-  auto mem = std::make_shared<InMemoryWalDir>();
+  auto mem = std::make_shared<InMemoryDir>();
   auto flaky = std::make_shared<FlakyRemoveDir>(mem);
   std::vector<Lsn> lsns;
   std::vector<Timestamp> ts;
@@ -719,7 +719,7 @@ TEST(WalTruncatePrefix, FailedUnlinkKeepsTheChainContiguous) {
 // ---------------------------------------------------------------------------
 
 TEST(WalChain, HalfCreatedNewestSegmentIsDiscarded) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   std::vector<Timestamp> expect;
   uint64_t last_index_plus_one;
   {
@@ -732,7 +732,7 @@ TEST(WalChain, HalfCreatedNewestSegmentIsDiscarded) {
   }
   // Simulate a crash during segment creation: a newest segment file whose
   // header never became durable (garbage bytes).
-  std::unique_ptr<PagedFile> husk;
+  std::shared_ptr<PagedFile> husk;
   ASSERT_TRUE(dir->Open(Wal::SegmentName(last_index_plus_one), &husk).ok());
   ASSERT_TRUE(husk->WriteAt(0, "garbage-half-written-header", 27).ok());
 
@@ -762,7 +762,7 @@ TEST(WalChain, ValidEmptyNewestSegmentIsAccepted) {
   // The state a REAL crash at the post-create point leaves behind: a fully
   // created (valid header, zero frames) segment at the end of the chain
   // that no append ever entered. Open must adopt it, not reject it.
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   std::vector<Timestamp> expect;
   uint64_t segments;
   Lsn cursor;
@@ -783,7 +783,7 @@ TEST(WalChain, ValidEmptyNewestSegmentIsAccepted) {
   EncodeFixed64(header + 8, cursor);  // base
   EncodeFixed64(header + 16, 7);      // epoch
   EncodeFixed32(header + 24, Crc32c(header, 24));
-  std::unique_ptr<PagedFile> crafted;
+  std::shared_ptr<PagedFile> crafted;
   ASSERT_TRUE(dir->Open(Wal::SegmentName(segments + 1), &crafted).ok());
   ASSERT_TRUE(crafted->WriteAt(0, header, sizeof header).ok());
   crafted.reset();
@@ -801,7 +801,7 @@ TEST(WalChain, LeftoverFreePoolFileIsRemovedAtOpen) {
   // Older versions parked retired segments in a recycle pool under
   // wal.free.N names. Such a file is never part of the chain: reopen drops
   // it, replays the chain alone, and rolls on as usual.
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   std::vector<Timestamp> expect;
   {
     auto wal = OpenWal(dir, TinySegments());
@@ -812,11 +812,11 @@ TEST(WalChain, LeftoverFreePoolFileIsRemovedAtOpen) {
   }
   // The pool kept a retired segment's bytes as they were: valid header,
   // valid frames.
-  std::unique_ptr<PagedFile> retired;
+  std::shared_ptr<PagedFile> retired;
   ASSERT_TRUE(dir->Open(Wal::SegmentName(1), &retired).ok());
   std::vector<char> bytes(retired->Size());
   ASSERT_TRUE(retired->ReadAt(0, bytes.size(), bytes.data()).ok());
-  std::unique_ptr<PagedFile> free_file;
+  std::shared_ptr<PagedFile> free_file;
   ASSERT_TRUE(dir->Open("wal.free.000003", &free_file).ok());
   ASSERT_TRUE(free_file->WriteAt(0, bytes.data(), bytes.size()).ok());
   free_file.reset();
@@ -834,7 +834,7 @@ TEST(WalChain, LeftoverFreePoolFileIsRemovedAtOpen) {
 }
 
 TEST(WalChain, MissingMiddleSegmentIsCorruption) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   {
     auto wal = OpenWal(dir, TinySegments());
     for (int i = 1; i <= 24; ++i) {
@@ -850,7 +850,7 @@ TEST(WalChain, MissingMiddleSegmentIsCorruption) {
 }
 
 TEST(WalChain, BadHeaderInsideTheChainIsCorruption) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   {
     auto wal = OpenWal(dir, TinySegments());
     for (int i = 1; i <= 24; ++i) {
@@ -860,7 +860,7 @@ TEST(WalChain, BadHeaderInsideTheChainIsCorruption) {
   }
   // Corrupt a NON-newest segment header: unlike the newest (where a torn
   // header means a crash before any frame), this is data loss — fail stop.
-  std::unique_ptr<PagedFile> raw;
+  std::shared_ptr<PagedFile> raw;
   ASSERT_TRUE(dir->Open(Wal::SegmentName(2), &raw).ok());
   char byte;
   ASSERT_TRUE(raw->ReadAt(9, 1, &byte).ok());
@@ -871,7 +871,7 @@ TEST(WalChain, BadHeaderInsideTheChainIsCorruption) {
 }
 
 TEST(WalChain, TornFrameInsideOlderSegmentFailsReplayLoudly) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir, TinySegments());
   std::vector<Lsn> lsns;
   for (int i = 1; i <= 24; ++i) {
@@ -881,7 +881,7 @@ TEST(WalChain, TornFrameInsideOlderSegmentFailsReplayLoudly) {
   // Corrupt a frame in the FIRST segment: older segments were synced before
   // the chain rolled past them, so this is corruption of durably-acked
   // records — replay must say so, not silently truncate them away.
-  std::unique_ptr<PagedFile> raw;
+  std::shared_ptr<PagedFile> raw;
   ASSERT_TRUE(dir->Open(wal->SegmentNameOf(lsns[0]), &raw).ok());
   char byte;
   ASSERT_TRUE(raw->ReadAt(wal->PhysOf(lsns[0]) + 12, 1, &byte).ok());
@@ -896,7 +896,7 @@ TEST(WalChain, TornFrameInsideOlderSegmentFailsReplayLoudly) {
 // ---------------------------------------------------------------------------
 
 TEST(WalPins, StableLsnTracksOldestPin) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir);
   EXPECT_EQ(wal->StableLsn(), wal->NextLsn());
 
@@ -914,7 +914,7 @@ TEST(WalPins, StableLsnTracksOldestPin) {
 }
 
 TEST(WalPins, TruncationNeverPassesAPinAcrossSegments) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir, TinySegments());
   const Lsn pinned = *wal->Append(SmallRecord(1, 10), /*pin=*/true);
   for (int i = 2; i <= 24; ++i) {
@@ -950,7 +950,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, WalFlushModes, testing::Bool(),
                          });
 
 TEST_P(WalFlushModes, GroupCommitPinsEveryPinnedParticipant) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir, Options());
 
   constexpr int kThreads = 4;
@@ -980,7 +980,7 @@ TEST_P(WalFlushModes, GroupCommitPinsEveryPinnedParticipant) {
 }
 
 TEST_P(WalFlushModes, ConcurrentSyncCommitsAllDurableAndDecodable) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   // Small segments: concurrent durable commits roll the chain many times
   // mid-flight.
   auto wal = OpenWal(dir, Options(TinySegments(512)));
@@ -1020,7 +1020,7 @@ TEST_P(WalFlushModes, ConcurrentSyncCommitsAllDurableAndDecodable) {
 }
 
 TEST(GroupCommitter, InlineDurableCommitsShareAnFsync) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   SyncPoints registry;
   WalOptions options;
   options.sync_points = &registry;
@@ -1065,7 +1065,7 @@ TEST(GroupCommitter, InlineDurableCommitsShareAnFsync) {
 // --- sticky poison & async commit I/O ----------------------------------------
 
 TEST(WalPoison, SyncEioPoisonsUntilReopen) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   SyncPoints registry;
   WalOptions options;
   options.sync_points = &registry;
@@ -1104,7 +1104,7 @@ TEST(WalPoison, SyncEioPoisonsUntilReopen) {
 }
 
 TEST(WalPoison, ConcurrentSyncersSeeStickyFailure) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   SyncPoints registry;
   WalOptions options;
   options.sync_points = &registry;
@@ -1146,7 +1146,7 @@ TEST(WalPoison, ConcurrentSyncersSeeStickyFailure) {
 }
 
 TEST(WalAsyncFlush, WatermarkAcksExactlyTheSyncedPrefix) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   WalOptions options;
   options.async_flush = true;
   auto wal = OpenWal(dir, options);
@@ -1170,7 +1170,7 @@ TEST(WalAsyncFlush, WatermarkAcksExactlyTheSyncedPrefix) {
 }
 
 TEST(WalAsyncFlush, PoisonFailsWaitersAndLaterCommits) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   SyncPoints registry;
   WalOptions options;
   options.async_flush = true;
@@ -1196,7 +1196,7 @@ TEST(WalAsyncFlush, PoisonFailsWaitersAndLaterCommits) {
 }
 
 TEST(WalPrealloc, RollsAdoptPreparedSegmentsAndReopenDiscardsPrepFiles) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   WalOptions options = TinySegments(192);
   options.async_flush = true;
   options.preallocate = true;
@@ -1232,7 +1232,7 @@ TEST(WalPrealloc, RollsAdoptPreparedSegmentsAndReopenDiscardsPrepFiles) {
 // Fill-ahead: the active segment stays zero-filled past the append cursor
 // ---------------------------------------------------------------------------
 
-/// A PosixWalDir in a fresh temp directory, removed afterwards.
+/// A PosixDir in a fresh temp directory, removed afterwards.
 class WalFillAhead : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -1241,7 +1241,7 @@ class WalFillAhead : public ::testing::Test {
              ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(path_);
     std::filesystem::create_directories(path_);
-    dir_ = std::make_shared<PosixWalDir>(path_.string());
+    dir_ = std::make_shared<PosixDir>(path_.string());
   }
   void TearDown() override { std::filesystem::remove_all(path_); }
 
@@ -1252,8 +1252,8 @@ class WalFillAhead : public ::testing::Test {
   }
 
   /// The segment holding the append cursor, opened raw.
-  std::unique_ptr<PagedFile> ActiveFile(const Wal& wal) {
-    std::unique_ptr<PagedFile> file;
+  std::shared_ptr<PagedFile> ActiveFile(const Wal& wal) {
+    std::shared_ptr<PagedFile> file;
     EXPECT_TRUE(dir_->Open(wal.SegmentNameOf(wal.NextLsn()), &file).ok());
     return file;
   }
@@ -1269,7 +1269,7 @@ class WalFillAhead : public ::testing::Test {
   }
 
   std::filesystem::path path_;
-  std::shared_ptr<PosixWalDir> dir_;
+  std::shared_ptr<PosixDir> dir_;
 };
 
 /// `record` as one on-disk frame: [len u32][crc32c u32][payload].
@@ -1312,7 +1312,7 @@ TEST_F(WalFillAhead, CursorToMarkReadsZerosAndTheFileStaysWithinTheSegment) {
   std::vector<std::string> names;
   ASSERT_TRUE(dir_->List(&names).ok());
   for (const std::string& name : names) {
-    std::unique_ptr<PagedFile> file;
+    std::shared_ptr<PagedFile> file;
     ASSERT_TRUE(dir_->Open(name, &file).ok());
     EXPECT_LE(file->Size(), kSegment) << name;
   }
@@ -1385,12 +1385,12 @@ TEST_F(WalFillAhead, UnrolledSegmentTakesTheNextAppendAndRecovers) {
 }
 
 TEST(WalFillAheadInMemory, FileSizeIsTheBytesWritten) {
-  auto dir = std::make_shared<InMemoryWalDir>();
+  auto dir = std::make_shared<InMemoryDir>();
   auto wal = OpenWal(dir);
   for (int i = 1; i <= 50; ++i) {
     ASSERT_TRUE(wal->Append(MakeRecord(i, i)).ok());
   }
-  std::unique_ptr<PagedFile> file;
+  std::shared_ptr<PagedFile> file;
   ASSERT_TRUE(dir->Open(wal->SegmentNameOf(wal->NextLsn()), &file).ok());
   EXPECT_EQ(file->Size(), Wal::kSegmentHeaderSize + wal->NextLsn());
   EXPECT_EQ(wal->zero_filled_bytes(), 0u);
