@@ -52,33 +52,66 @@ void BM_Adjacency(benchmark::State& state) {
 }
 BENCHMARK(BM_Adjacency)->Arg(4)->Arg(32)->Arg(256);
 
-// The cold shape BM_Adjacency hides: each call reads a random person of a
-// 20k-person graph, so its node entry, relationship list and relationship
-// entries are rarely in the CPU cache. Threads share one database.
-void BM_AdjacencyScattered(benchmark::State& state) {
-  // Thread 0 replaces the previous run's database (its threads have all
-  // finished); the last one lives until exit, after every reader is done.
-  static std::unique_ptr<GraphDatabase> db;
-  static SocialGraph graph;
+// The 20k-person graph the scattered benchmarks read. Thread 0 replaces
+// the previous run's database (its threads have all finished); the last
+// one lives until exit, after every reader is done.
+struct ScatteredGraph {
+  std::unique_ptr<GraphDatabase> db;
+  SocialGraph graph;
+};
+
+ScatteredGraph& SetUpScattered(const benchmark::State& state) {
+  static ScatteredGraph scattered;
   if (state.thread_index() == 0) {
-    db = OpenDb();
+    scattered.db = OpenDb();
     SocialGraphSpec spec;
     spec.people = 20000;
-    graph = *BuildSocialGraph(*db, spec);
+    scattered.graph = *BuildSocialGraph(*scattered.db, spec);
   }
+  return scattered;
+}
+
+// Runs `read(txn, person)` on random people of the scattered graph, each
+// thread in one SI transaction of its own.
+template <typename Read>
+void ReadScattered(benchmark::State& state, Read read) {
+  ScatteredGraph& scattered = SetUpScattered(state);
   Random rng(11 + state.thread_index());
   // Begun inside the loop: only its start barrier orders the other threads
   // after thread 0's set-up.
   std::unique_ptr<Transaction> txn;
   for (auto _ : state) {
-    if (txn == nullptr) txn = db->Begin(IsolationLevel::kSnapshotIsolation);
-    const NodeId person = graph.people[rng.Uniform(graph.people.size())];
-    auto rels = txn->GetRelationships(person);
-    if (!rels.ok()) std::abort();
-    benchmark::DoNotOptimize(rels->size());
+    if (txn == nullptr) {
+      txn = scattered.db->Begin(IsolationLevel::kSnapshotIsolation);
+    }
+    const std::vector<NodeId>& people = scattered.graph.people;
+    const size_t found = read(*txn, people[rng.Uniform(people.size())]);
+    benchmark::DoNotOptimize(found);
   }
 }
+
+// The cold shape BM_Adjacency hides: each call reads a random person of a
+// 20k-person graph, so its node entry, relationship list and relationship
+// entries are rarely in the CPU cache. Threads share one database.
+void BM_AdjacencyScattered(benchmark::State& state) {
+  ReadScattered(state, [](Transaction& txn, NodeId person) {
+    auto rels = txn.GetRelationships(person);
+    if (!rels.ok()) std::abort();
+    return rels->size();
+  });
+}
 BENCHMARK(BM_AdjacencyScattered)->Threads(1)->Threads(4);
+
+// The same cold shape through GetNeighbors, which takes each neighbour from
+// the relationship entry the adjacency walk already resolved.
+void BM_NeighborsScattered(benchmark::State& state) {
+  ReadScattered(state, [](Transaction& txn, NodeId person) {
+    auto neighbors = txn.GetNeighbors(person);
+    if (!neighbors.ok()) std::abort();
+    return neighbors->size();
+  });
+}
+BENCHMARK(BM_NeighborsScattered)->Threads(1)->Threads(4);
 
 void BM_LabelScan(benchmark::State& state) {
   auto db = OpenDb();

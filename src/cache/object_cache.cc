@@ -1,5 +1,6 @@
 #include "cache/object_cache.h"
 
+#include <cassert>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -28,6 +29,16 @@ size_t ThreadCell(size_t cells) {
   static std::atomic<size_t> next{0};
   thread_local const size_t cell = next.fetch_add(1, std::memory_order_relaxed);
   return cell % cells;
+}
+
+/// Requests the lines `*object` spans; it is no larger than one line, so
+/// its first and last bytes name them all.
+template <typename T>
+void PrefetchObject(const T* object) {
+  static_assert(sizeof(T) <= 64, "spans more than two lines");
+  const char* bytes = reinterpret_cast<const char*>(object);
+  __builtin_prefetch(bytes);
+  __builtin_prefetch(bytes + sizeof(T) - 1);
 }
 
 /// Installs `data` as `chain`'s one committed version, stamped with the
@@ -82,19 +93,23 @@ ObjectCache::ObjectCache(GraphStore* store, size_t capacity,
 
 ObjectCache::~ObjectCache() = default;
 
+template <typename Entry>
+void ObjectCache::CountHits(Table<Entry>& table, uint64_t n) {
+  table.hits[ThreadCell(kHitCells)].count.fetch_add(n,
+                                                    std::memory_order_relaxed);
+}
+
 template <typename Entry, typename Load>
 Result<Entry*> ObjectCache::Get(Table<Entry>& table, uint64_t id, Load load) {
   if (Entry* hit = table.Find(id)) {
-    table.hits[ThreadCell(kHitCells)].count.fetch_add(
-        1, std::memory_order_relaxed);
+    CountHits(table, 1);
     return hit;
   }
   // Miss: load the newest committed version from the store.
   Stripe& stripe = table.StripeOf(id);
   std::lock_guard<std::mutex> guard(stripe.latch);
   if (Entry* hit = table.Find(id)) {  // Raced another loader: our hit.
-    table.hits[ThreadCell(kHitCells)].count.fetch_add(
-        1, std::memory_order_relaxed);
+    CountHits(table, 1);
     return hit;
   }
   Result<std::unique_ptr<Entry>> loaded = load(id);
@@ -141,6 +156,7 @@ Result<CachedNode*> ObjectCache::GetNode(NodeId id) {
 Result<CachedRel*> ObjectCache::GetRel(RelId id) {
   using Loaded = Result<std::unique_ptr<CachedRel>>;
   return Get(rels_, id, [this](RelId rel_id) -> Loaded {
+    NEOSI_RETURN_IF_ERROR(store_->sync_points().Check("cache.rel.load"));
     RelState state;
     Status s = store_->ReadRelState(rel_id, &state);
     if (s.IsOutOfRange() || (s.ok() && !state.in_use)) {
@@ -157,6 +173,39 @@ Result<CachedRel*> ObjectCache::GetRel(RelId id) {
         Materialize(&rel->chain, std::move(data), state.commit_ts));
     return rel;
   });
+}
+
+void ObjectCache::ResolveRels(const RelId* ids, size_t n, CachedRel** out) {
+  assert(n <= kResolveWindow);
+  // Each stage issues the whole batch's independent loads before any of
+  // them is waited on: slots, then entries, then head versions.
+  const std::atomic<CachedRel*>* slots[kResolveWindow];
+  for (size_t i = 0; i < n; ++i) {
+    slots[i] = rels_.FindSlot(ids[i]);
+    if (slots[i] != nullptr) __builtin_prefetch(slots[i]);
+  }
+  uint64_t hits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = slots[i] == nullptr ? nullptr
+                                 : slots[i]->load(std::memory_order_acquire);
+    if (out[i] == nullptr) continue;
+    ++hits;
+    PrefetchObject(out[i]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (out[i] == nullptr) continue;
+    if (const Version* head = out[i]->chain.HeadForPrefetch()) {
+      __builtin_prefetch(&head->commit_ts);
+      __builtin_prefetch(&head->older);
+    }
+  }
+  if (hits > 0) CountHits(rels_, hits);
+}
+
+void ObjectCache::PrefetchRelList(const CachedNode& node) {
+  if (const RelIdList* list = node.rel_list.load(std::memory_order_acquire)) {
+    __builtin_prefetch(list);
+  }
 }
 
 Result<VersionChain*> ObjectCache::GetChain(const EntityKey& key) {

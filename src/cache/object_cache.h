@@ -19,7 +19,8 @@
 // nothing else unpublishes a live entry.
 //
 // Every slot write (publish on miss, insert, erase, evict) happens under the
-// id's stripe latch; reads take none.
+// id's stripe latch; reads take none. ResolveRels is the hit path for a run
+// of relationship ids at once, so an adjacency walk overlaps their misses.
 //
 // A cached node's relationship list (CachedNode::rel_list) is filled by
 // RelListOf from GraphStore::RelChainOf while that walk still holds the
@@ -79,6 +80,15 @@ class ObjectCache {
   /// Borrowed (see the header comment).
   Result<CachedNode*> GetNode(NodeId id);
   Result<CachedRel*> GetRel(RelId id);
+  /// The longest run of ids one ResolveRels call takes.
+  static constexpr size_t kResolveWindow = 16;
+  /// GetRel's hit path for `n` <= kResolveWindow ids as one batch: out[i]
+  /// is the published entry for ids[i], or null when it is not resident
+  /// (GetRel then loads it). Every directory slot is requested, then every
+  /// entry, then every head version's lines, so the batch's cache misses
+  /// overlap instead of forming one dependent chain per id. The hits count
+  /// once for the batch. Borrowed, like GetRel's entries.
+  void ResolveRels(const RelId* ids, size_t n, CachedRel** out);
   /// GetNode / GetRel by key type, returning the entity's version chain.
   Result<VersionChain*> GetChain(const EntityKey& key);
 
@@ -92,6 +102,9 @@ class ObjectCache {
   /// the store when the node has none. `node` comes from GetNode, and the
   /// caller's guard covers the result as it covers the entry.
   Result<const RelIdList*> RelListOf(CachedNode* node);
+  /// Requests the line of `node`'s relationship list, if it has one, so
+  /// the miss overlaps whatever the caller does before RelListOf.
+  static void PrefetchRelList(const CachedNode& node);
 
   /// Drops the published node's relationship list, if any. The store's
   /// chain-changed hook: the caller holds the node's shard write latch.
@@ -113,8 +126,9 @@ class ObjectCache {
   void EraseNode(NodeId id);
   void EraseRel(RelId id);
 
-  /// Evicts clean single-version entries while above capacity. Returns the
-  /// number evicted.
+  /// When resident entries exceed capacity, one pass unpublishes every
+  /// clean single-version entry, not just enough to get back under it.
+  /// Returns the number evicted.
   size_t EvictIfNeeded();
 
   /// Called by whichever thread publishes an entry that takes the resident
@@ -166,12 +180,18 @@ class ObjectCache {
     Table() : pages(new std::atomic<Page*>[kPages]()) {}
     ~Table();
 
-    /// The published entry for `id`, or null.
-    Entry* Find(uint64_t id) const {
+    /// The slot for `id`, or null when its page was never allocated.
+    const std::atomic<Entry*>* FindSlot(uint64_t id) const {
       if (id >= kPages * kPageSlots) return nullptr;
       const Page* page = pages[id >> kPageBits].load(std::memory_order_acquire);
       if (page == nullptr) return nullptr;
-      return page->slots[id & (kPageSlots - 1)].load(std::memory_order_acquire);
+      return &page->slots[id & (kPageSlots - 1)];
+    }
+    /// The published entry for `id`, or null.
+    Entry* Find(uint64_t id) const {
+      const std::atomic<Entry*>* slot = FindSlot(id);
+      return slot == nullptr ? nullptr
+                             : slot->load(std::memory_order_acquire);
     }
     /// The slot for `id`, allocating its page; null past the directory.
     std::atomic<Entry*>* Slot(uint64_t id);
@@ -185,6 +205,9 @@ class ObjectCache {
     std::atomic<size_t> resident{0};
   };
 
+  /// Adds `n` hits to the calling thread's cell.
+  template <typename Entry>
+  static void CountHits(Table<Entry>& table, uint64_t n);
   /// The lookup behind GetNode / GetRel: a hit, or `load(id)` under the
   /// stripe latch, published on success.
   template <typename Entry, typename Load>

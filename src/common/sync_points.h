@@ -45,6 +45,7 @@ inline constexpr SyncPointInfo kSyncPoints[] = {
     {"replica.cursor.sync", SyncPointKind::kFault},
     {"commit.pre_apply", SyncPointKind::kFault},
     {"commit.apply.op", SyncPointKind::kFault},
+    {"cache.rel.load", SyncPointKind::kFault},
     {"commit.pre_publish", SyncPointKind::kSchedule},
     {"lock.wait", SyncPointKind::kSchedule},
     {"admission.delay", SyncPointKind::kSchedule},

@@ -535,7 +535,10 @@ Status Transaction::DeleteNode(NodeId id) {
       continue;  // We are deleting it in this transaction.
     }
     auto rel = engine_->cache->GetRel(rel_id);
-    if (!rel.ok()) continue;  // Purged: certainly not live.
+    if (!rel.ok()) {
+      if (rel.status().IsNotFound()) continue;  // Purged: certainly not live.
+      return rel.status();
+    }
     auto latest = (*rel)->chain.LatestCommitted();
     if (latest && !latest->data.deleted) {
       RollbackLocked();
@@ -560,8 +563,10 @@ Status Transaction::DeleteNode(NodeId id) {
 // ---------------------------------------------------------------------------
 
 template <typename Fn>
-std::invoke_result_t<Fn&, const Version&> Transaction::WithVisible(
-    const EntityKey& key, Fn&& fn) {
+Transaction::VisibleResult<Fn> Transaction::WithVisible(const EntityKey& key,
+                                                        Fn&& fn) {
+  constexpr bool kTakesNode =
+      std::is_invocable_v<Fn&, const Version&, CachedNode&>;
   NEOSI_RETURN_IF_ERROR(CheckActive());
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
@@ -588,7 +593,17 @@ std::invoke_result_t<Fn&, const Version&> Transaction::WithVisible(
   // One guard covers the lookup, every walk of the borrowed chain and `fn`
   // (taken after the short lock: no guard is held across a lock wait).
   EpochManager::Guard guard(&engine_->epochs);
-  auto chain = engine_->cache->GetChain(key);
+  CachedNode* node = nullptr;
+  auto chain = [&]() -> Result<VersionChain*> {
+    if constexpr (kTakesNode) {
+      NEOSI_ASSIGN_OR_RETURN(node, engine_->cache->GetNode(key.id));
+      // Requested now, the list's miss overlaps the chain walk's.
+      ObjectCache::PrefetchRelList(*node);
+      return &node->chain;
+    } else {
+      return engine_->cache->GetChain(key);
+    }
+  }();
   if (!chain.ok()) {
     release();
     return chain.status();
@@ -611,7 +626,11 @@ std::invoke_result_t<Fn&, const Version&> Transaction::WithVisible(
   if (version == nullptr || version->data.deleted) {
     return Status::NotFound(key.ToString() + " not visible");
   }
-  return fn(*version);
+  if constexpr (kTakesNode) {
+    return fn(*version, *node);
+  } else {
+    return fn(*version);
+  }
 }
 
 Status Transaction::CheckVisible(const EntityKey& key) {
@@ -789,94 +808,130 @@ Result<std::vector<RelId>> Transaction::GetRelsByProperty(
   return ScanIndex(IndexId::kRelProperty, key, value, value);
 }
 
+namespace {
+
+/// Runs `visit` on the cache entry of each of `ids[0..n)`, a window at a
+/// time: ResolveRels returns the window's resident entries as one batch,
+/// and GetRel loads the rest. A relationship purged since the list was
+/// read is skipped (invisible regardless); any other load error is
+/// returned. The caller's guard covers the entries.
+template <typename Visit>
+Status VisitRels(ObjectCache& cache, const RelId* ids, size_t n,
+                 Visit&& visit) {
+  CachedRel* window[ObjectCache::kResolveWindow];
+  for (size_t at = 0; at < n; at += ObjectCache::kResolveWindow) {
+    const size_t count = std::min(n - at, ObjectCache::kResolveWindow);
+    cache.ResolveRels(ids + at, count, window);
+    for (size_t i = 0; i < count; ++i) {
+      CachedRel* rel = window[i];
+      if (rel == nullptr) {
+        auto loaded = cache.GetRel(ids[at + i]);
+        if (!loaded.ok()) {
+          if (loaded.status().IsNotFound()) continue;
+          return loaded.status();
+        }
+        rel = *loaded;
+      }
+      visit(*rel);
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+template <typename Emit>
+Result<std::vector<std::invoke_result_t<Emit&, const CachedRel&>>>
+Transaction::Adjacency(NodeId node, Direction direction,
+                       const std::optional<std::string>& type, Emit emit) {
+  using Out = std::vector<std::invoke_result_t<Emit&, const CachedRel&>>;
+  // The anchor node must itself be visible. Its one lookup also yields the
+  // relationship list, and the read's guard covers the whole walk.
+  return WithVisible(
+      EntityKey::Node(node),
+      [&](const Version&, CachedNode& anchor) -> Result<Out> {
+    // Adjacency-range SIREAD marker: later relationship creation/deletion
+    // touching this node is a rw-antidependency into this transaction (the
+    // anchor read already left its own entity marker). Placed, and the
+    // walk below run, even for a type this snapshot cannot name: "no such
+    // relationship" is still a read.
+    if (ssi_) engine_->ssi.AddAdjacencyRead(ssi_, node);
+
+    bool type_known = true;
+    RelTypeId type_token = kInvalidToken;
+    if (type.has_value()) {
+      auto token = Token(TokenKind::kRelType, *type, /*create=*/false);
+      if (token.ok()) {
+        type_token = *token;
+      } else if (token.status().IsNotFound()) {
+        type_known = false;
+      } else {
+        return token.status();
+      }
+    }
+
+    // Enriched iterator (§4): the node's persistent relationship chain,
+    // served from its cache entry's list, merged with the transaction's own
+    // in-cache, not-yet-committed relationships.
+    const RelIdList* persistent = nullptr;
+    auto list = engine_->cache->RelListOf(&anchor);
+    if (list.ok()) {
+      persistent = *list;
+    } else if (!list.status().IsOutOfRange()) {
+      return list.status();
+    }
+    const std::vector<RelId>* created = nullptr;
+    if (auto it = created_rels_by_node_.find(node);
+        it != created_rels_by_node_.end()) {
+      created = &it->second;
+    }
+
+    Out out;
+    out.reserve((persistent != nullptr ? persistent->size() : 0) +
+                (created != nullptr ? created->size() : 0));
+    const Snapshot snap = ReadSnapshot();
+    std::vector<std::pair<TxnId, Timestamp>> newer;
+    auto visit = [&](const CachedRel& rel) {
+      const Version* version = rel.chain.Visible(snap.start_ts, snap.txn_id);
+      if (ssi_) rel.chain.CommittedNewerThan(start_ts_, &newer);
+      if (!version || version->data.deleted || !type_known) return;
+
+      const bool outgoing = rel.src == node;
+      const bool incoming = rel.dst == node;
+      if (!outgoing && !incoming) return;  // A recycled id.
+      if (direction == Direction::kOutgoing && !outgoing) return;
+      if (direction == Direction::kIncoming && !incoming) return;
+      if (type_token != kInvalidToken && rel.type != type_token) return;
+      out.push_back(emit(rel));
+    };
+    if (persistent != nullptr) {
+      NEOSI_RETURN_IF_ERROR(VisitRels(*engine_->cache, persistent->begin(),
+                                      persistent->size(), visit));
+    }
+    if (created != nullptr) {
+      NEOSI_RETURN_IF_ERROR(VisitRels(*engine_->cache, created->data(),
+                                      created->size(), visit));
+    }
+    NEOSI_RETURN_IF_ERROR(SsiObserveNewer(newer));
+    // Post-scan expiry check (see AllNodes).
+    NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
+    return out;
+  });
+}
+
 Result<std::vector<RelId>> Transaction::GetRelationships(
     NodeId node, Direction direction,
     const std::optional<std::string>& type) {
-  NEOSI_RETURN_IF_ERROR(CheckActive());
-
-  // The anchor node must itself be visible.
-  NEOSI_RETURN_IF_ERROR(CheckVisible(EntityKey::Node(node)));
-
-  // Adjacency-range SIREAD marker: later relationship creation/deletion
-  // touching this node is a rw-antidependency into this transaction (the
-  // anchor read above already left its own entity marker). Placed, and the
-  // walk below run, even for a type this snapshot cannot name: "no such
-  // relationship" is still a read.
-  if (ssi_) engine_->ssi.AddAdjacencyRead(ssi_, node);
-
-  bool type_known = true;
-  RelTypeId type_token = kInvalidToken;
-  if (type.has_value()) {
-    auto token = Token(TokenKind::kRelType, *type, /*create=*/false);
-    if (token.ok()) {
-      type_token = *token;
-    } else if (token.status().IsNotFound()) {
-      type_known = false;
-    } else {
-      return token.status();
-    }
-  }
-
-  // Enriched iterator (§4): the node's persistent relationship chain,
-  // served from its cache entry's list, merged with the transaction's own
-  // in-cache, not-yet-committed relationships. One guard covers every
-  // lookup and walk below, the list included.
-  EpochManager::Guard guard(&engine_->epochs);
-  const RelIdList* persistent = nullptr;
-  auto cached = engine_->cache->GetNode(node);
-  if (cached.ok()) {
-    auto list = engine_->cache->RelListOf(*cached);
-    if (!list.ok() && !list.status().IsOutOfRange()) return list.status();
-    if (list.ok()) persistent = *list;
-  } else if (!cached.status().IsNotFound()) {
-    return cached.status();
-  }
-
-  const Snapshot snap = ReadSnapshot();
-  std::vector<RelId> out;
-  std::vector<std::pair<TxnId, Timestamp>> newer;
-  auto visit = [&](RelId rel_id) {
-    auto rel = engine_->cache->GetRel(rel_id);
-    if (!rel.ok()) return;  // Purged concurrently: invisible regardless.
-    auto version = (*rel)->chain.Visible(snap.start_ts, snap.txn_id);
-    if (ssi_) (*rel)->chain.CommittedNewerThan(start_ts_, &newer);
-    if (!version || version->data.deleted || !type_known) return;
-
-    const bool outgoing = (*rel)->src == node;
-    const bool incoming = (*rel)->dst == node;
-    if (!outgoing && !incoming) return;  // A recycled id.
-    if (direction == Direction::kOutgoing && !outgoing) return;
-    if (direction == Direction::kIncoming && !incoming) return;
-    if (type_token != kInvalidToken && (*rel)->type != type_token) return;
-    out.push_back(rel_id);
-  };
-  if (persistent != nullptr) {
-    for (RelId rel_id : *persistent) visit(rel_id);
-  }
-  auto created_it = created_rels_by_node_.find(node);
-  if (created_it != created_rels_by_node_.end()) {
-    for (RelId rel_id : created_it->second) visit(rel_id);
-  }
-  NEOSI_RETURN_IF_ERROR(SsiObserveNewer(newer));
-  // Post-scan expiry check (see AllNodes).
-  NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  return out;
+  return Adjacency(node, direction, type,
+                   [](const CachedRel& rel) { return rel.id; });
 }
 
 Result<std::vector<NodeId>> Transaction::GetNeighbors(
     NodeId node, Direction direction,
     const std::optional<std::string>& type) {
-  auto rels = GetRelationships(node, direction, type);
-  if (!rels.ok()) return rels.status();
-  std::vector<NodeId> out;
-  out.reserve(rels->size());
-  EpochManager::Guard guard(&engine_->epochs);
-  for (RelId rel_id : *rels) {
-    auto rel = engine_->cache->GetRel(rel_id);
-    if (!rel.ok()) continue;
-    out.push_back((*rel)->src == node ? (*rel)->dst : (*rel)->src);
-  }
-  return out;
+  return Adjacency(node, direction, type, [node](const CachedRel& rel) {
+    return rel.src == node ? rel.dst : rel.src;
+  });
 }
 
 Result<size_t> Transaction::Degree(NodeId node, Direction direction) {

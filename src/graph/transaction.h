@@ -249,15 +249,33 @@ class Transaction {
   /// cache and hands its id back.
   void Unwind(const EntityKey& key, const WriteRecord& w);
 
+  /// What WithVisible returns: `fn(version)`, or `fn(version, node)` for
+  /// an `fn` that also takes the node's cache entry.
+  template <typename Fn>
+  using VisibleResult = typename std::conditional_t<
+      std::is_invocable_v<Fn&, const Version&, CachedNode&>,
+      std::invoke_result<Fn&, const Version&, CachedNode&>,
+      std::invoke_result<Fn&, const Version&>>::type;
+
   /// Resolves the version of an entity visible to this transaction (shared
   /// short read lock under read committed) and returns `fn(version)`, run
   /// under the read's epoch guard: the version is borrowed and must not
   /// escape `fn`. NotFound when invisible. The guard is entered after the
-  /// short lock, so none is held across a lock wait. Defined and used in
-  /// transaction.cc only.
+  /// short lock, so none is held across a lock wait. For a node, `fn` may
+  /// also take the node's cache entry, borrowed under the same guard; the
+  /// read then requests the entry's relationship list before it walks the
+  /// chain. Defined and used in transaction.cc only.
   template <typename Fn>
-  std::invoke_result_t<Fn&, const Version&> WithVisible(const EntityKey& key,
-                                                        Fn&& fn);
+  VisibleResult<Fn> WithVisible(const EntityKey& key, Fn&& fn);
+
+  /// The adjacency read behind GetRelationships and GetNeighbors:
+  /// `emit(rel)` for every relationship of `node` this transaction sees
+  /// that passes the direction and type filters. Defined and used in
+  /// transaction.cc only.
+  template <typename Emit>
+  Result<std::vector<std::invoke_result_t<Emit&, const CachedRel&>>>
+  Adjacency(NodeId node, Direction direction,
+            const std::optional<std::string>& type, Emit emit);
 
   /// OK when `key` is visible to this transaction (WithVisible's checks).
   Status CheckVisible(const EntityKey& key);

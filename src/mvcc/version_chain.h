@@ -70,6 +70,12 @@ class VersionChain {
   /// Latch-free; borrowed like Visible's.
   const Version* LatestCommitted() const;
 
+  /// The head version by an unordered load, for prefetching only: it may
+  /// already be superseded, so nothing may be read through it.
+  const Version* HeadForPrefetch() const {
+    return head_.load(std::memory_order_relaxed);
+  }
+
   /// True if any version is uncommitted (i.e. a writer is in flight).
   bool HasUncommitted() const;
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -94,6 +95,42 @@ TEST(ObjectCache, RelTopologyOnCachedObject) {
   EXPECT_EQ((*rel)->type, 3u);
   EXPECT_EQ((*rel)->chain.LatestCommitted()->data.props.at(1),
             PropertyValue(2.5));
+}
+
+// The batched lookup returns exactly the resident entries, leaves every
+// other id to GetRel, loads nothing itself, and counts one hit per entry.
+TEST(ObjectCache, ResolveRelsReturnsResidentEntriesAndCountsTheirHits) {
+  auto store = MakeStore();
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, &epochs);
+  const NodeId a = *store->AllocateNodeId();
+  ASSERT_TRUE(store->PersistNewNode(a, {}, {}, 1).ok());
+  std::vector<RelId> ids;
+  for (size_t i = 0; i + 2 < ObjectCache::kResolveWindow; ++i) {
+    const RelId r = *store->AllocateRelId();
+    ASSERT_TRUE(store->PersistNewRel(r, a, a, 1, {}, 2).ok());
+    ids.push_back(r);
+  }
+  std::vector<CachedRel*> expected(ids.size(), nullptr);
+  for (size_t i = 0; i < ids.size(); i += 2) {
+    expected[i] = *cache.GetRel(ids[i]);
+  }
+  ids.push_back(ids.back() + 1);  // Never allocated.
+  ids.push_back(RelId{1} << 40);  // Beyond the directory.
+  expected.resize(ids.size(), nullptr);
+  const ObjectCacheStats before = cache.Stats();
+
+  EpochManager::Guard guard(&epochs);
+  std::vector<CachedRel*> out(ids.size(), nullptr);
+  cache.ResolveRels(ids.data(), ids.size(), out.data());
+  EXPECT_EQ(out, expected);
+  const ObjectCacheStats after = cache.Stats();
+  const auto resident = static_cast<uint64_t>(
+      ids.size() - std::count(expected.begin(), expected.end(), nullptr));
+  EXPECT_EQ(after.rel_hits - before.rel_hits, resident);
+  EXPECT_EQ(after.rel_misses, before.rel_misses);
+  EXPECT_EQ(after.loads, before.loads);
+  EXPECT_EQ(after.resident_rels, before.resident_rels);
 }
 
 TEST(ObjectCache, InsertNewAndErase) {

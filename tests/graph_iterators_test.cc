@@ -1,7 +1,9 @@
 // Cursor-style iterator API, and the cached relationship list behind
 // GetRelationships: after every kind of store chain edit a fresh snapshot
-// reads exactly the store chain (the sanitizer jobs and the repeat-until-
-// fail step run this suite).
+// reads exactly the store chain; the list is resolved in batched windows
+// whatever mix of entries it holds, and a relationship that fails to load
+// fails the read (the sanitizer jobs and the repeat-until-fail step run
+// this suite).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "graph/iterators.h"
 #include "graph/replica_applier.h"
 #include "mvcc/epoch.h"
+#include "sync_points.h"
 
 namespace neosi {
 namespace {
@@ -444,6 +448,304 @@ TEST(RelListStress, SnapshotDegreeMatchesAdjacencyUnderChurnAndEviction) {
     EXPECT_EQ(static_cast<int64_t>(txn->GetRelationships(hub)->size()),
               txn->GetNodeProperty(hub, "degree")->AsInt());
   }
+}
+
+// --- The batched walk ------------------------------------------------------
+
+/// A relationship as the model of the batch tests sees it.
+struct ModelRel {
+  RelId id;
+  NodeId src;
+  NodeId dst;
+  std::string type;
+};
+
+/// Opens a database that evicts and purges only when a test asks: no GC
+/// daemon, and a capacity of one, so EvictIfNeeded unpublishes every clean
+/// single-version entry.
+std::unique_ptr<GraphDatabase> OpenEvictable() {
+  DatabaseOptions options;
+  options.in_memory = true;
+  options.background_gc_interval_ms = 0;
+  options.object_cache_capacity = 1;
+  return std::move(*GraphDatabase::Open(options));
+}
+
+bool Resident(GraphDatabase& db, RelId id) {
+  EpochManager::Guard guard(&db.engine().epochs);
+  return db.engine().cache->PeekRel(id) != nullptr;
+}
+
+// A 42-entry list crosses three windows and holds every kind of entry the
+// walk must tell apart: resident and evicted relationships, multi-version
+// ones, a committed tombstone, the reader's own delete, a relationship
+// committed after the reader's snapshot, and an id recycled to a
+// relationship elsewhere. The reader's own creation joins from the
+// transaction's side. Every direction and type filter must give the model's
+// answer, for GetRelationships, GetNeighbors and Degree alike.
+TEST(AdjacencyBatch, MixedListAcrossWindowsMatchesTheModel) {
+  auto db = OpenEvictable();
+  NodeId hub;
+  std::vector<ModelRel> model;
+  RelId recycled;
+  {
+    auto txn = db->Begin();
+    hub = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{0})}});
+    for (int i = 0; i < 40; ++i) {
+      const NodeId other = *txn->CreateNode({});
+      const std::string type = i % 2 == 0 ? "A" : "B";
+      const bool in = i % 3 == 0;
+      const NodeId src = in ? other : hub;
+      const NodeId dst = in ? hub : other;
+      model.push_back({*txn->CreateRelationship(src, dst, type), src, dst,
+                       type});
+    }
+    model.push_back({*txn->CreateRelationship(hub, hub, "B"), hub, hub, "B"});
+    recycled = *txn->CreateRelationship(hub, *txn->CreateNode({}), "A");
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  // Purge `recycled`, then hand its id to a relationship elsewhere.
+  {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn->DeleteRelationship(recycled).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ASSERT_GE(db->RunGc().tombstones_purged, 1u);
+  {
+    auto txn = db->Begin();
+    const NodeId a = *txn->CreateNode({});
+    const NodeId b = *txn->CreateNode({});
+    ASSERT_EQ(*txn->CreateRelationship(a, b, "A"), recycled);
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  // A committed tombstone, and two relationships (and the hub) pinned by a
+  // second version: nothing purges from here on.
+  {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn->DeleteRelationship(model[5].id).ok());
+    for (size_t i : {7u, 20u}) {
+      ASSERT_TRUE(
+          txn->SetRelProperty(model[i].id, "w", PropertyValue(int64_t{1}))
+              .ok());
+    }
+    ASSERT_TRUE(txn->SetNodeProperty(hub, "v", PropertyValue(int64_t{1})).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  model.erase(model.begin() + 5);
+
+  auto reader = db->Begin();
+  // Committed after the reader's snapshot: in the list, invisible to it.
+  RelId late;
+  {
+    auto txn = db->Begin();
+    late = *txn->CreateRelationship(hub, *txn->CreateNode({}), "A");
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+
+  // Fill the hub's list, then make it an older list that still names the
+  // recycled id (as an entry evicted before the purge would keep it).
+  ASSERT_TRUE(db->Begin()->GetRelationships(hub).ok());
+  {
+    EpochManager::Guard guard(&db->engine().epochs);
+    CachedNode* cached = db->engine().cache->PeekNode(hub);
+    ASSERT_NE(cached, nullptr);
+    const RelIdList* list = cached->rel_list.load(std::memory_order_acquire);
+    ASSERT_NE(list, nullptr);
+    std::vector<RelId> ids(list->begin(), list->end());
+    ASSERT_EQ(std::count(ids.begin(), ids.end(), late), 1);
+    ids.insert(ids.begin() + 17, recycled);
+    RelIdList* old = cached->rel_list.exchange(
+        RelIdList::Copy(ids).release(), std::memory_order_acq_rel);
+    db->engine().epochs.Retire(std::unique_ptr<RelIdList>(old));
+  }
+
+  // Evict every clean entry, then reload every third relationship.
+  db->engine().cache->EvictIfNeeded();
+  {
+    auto txn = db->Begin();
+    for (size_t i = 0; i < model.size(); i += 3) {
+      ASSERT_TRUE(txn->GetRelationship(model[i].id).ok());
+    }
+  }
+  size_t resident = 0;
+  for (const ModelRel& rel : model) resident += Resident(*db, rel.id);
+  ASSERT_GT(resident, 0u);
+  ASSERT_LT(resident, model.size());
+  ASSERT_FALSE(Resident(*db, late));
+  ASSERT_FALSE(Resident(*db, recycled));
+
+  // The reader deletes one relationship and creates one of its own.
+  ASSERT_TRUE(reader->DeleteRelationship(model[9].id).ok());
+  model.erase(model.begin() + 9);
+  const NodeId mine_dst = *reader->CreateNode({});
+  model.push_back(
+      {*reader->CreateRelationship(hub, mine_dst, "B"), hub, mine_dst, "B"});
+  {
+    // The walk below reads the altered list, in three windows.
+    EpochManager::Guard guard(&db->engine().epochs);
+    const RelIdList* list =
+        db->engine().cache->PeekNode(hub)->rel_list.load(
+            std::memory_order_acquire);
+    ASSERT_NE(list, nullptr);
+    ASSERT_EQ(std::count(list->begin(), list->end(), recycled), 1);
+    ASSERT_GT(list->size(), 2 * ObjectCache::kResolveWindow);
+  }
+
+  for (Direction direction :
+       {Direction::kOutgoing, Direction::kIncoming, Direction::kBoth}) {
+    for (const std::optional<std::string>& type :
+         {std::optional<std::string>(), std::optional<std::string>("A"),
+          std::optional<std::string>("B"),
+          std::optional<std::string>("NOPE")}) {
+      std::vector<RelId> rels;
+      std::vector<NodeId> neighbors;
+      for (const ModelRel& rel : model) {
+        const bool out = rel.src == hub;
+        const bool in = rel.dst == hub;
+        if (direction == Direction::kOutgoing && !out) continue;
+        if (direction == Direction::kIncoming && !in) continue;
+        if (type.has_value() && rel.type != *type) continue;
+        rels.push_back(rel.id);
+        neighbors.push_back(out ? rel.dst : rel.src);
+      }
+      std::sort(neighbors.begin(), neighbors.end());
+      SCOPED_TRACE(::testing::Message()
+                   << "direction " << static_cast<int>(direction)
+                   << " type " << type.value_or("(any)"));
+      auto got = reader->GetRelationships(hub, direction, type);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(Sorted(*got), Sorted(rels));
+      auto got_neighbors = reader->GetNeighbors(hub, direction, type);
+      ASSERT_TRUE(got_neighbors.ok()) << got_neighbors.status();
+      std::sort(got_neighbors->begin(), got_neighbors->end());
+      EXPECT_EQ(*got_neighbors, neighbors);
+      if (!type.has_value()) {
+        EXPECT_EQ(*reader->Degree(hub, direction), rels.size());
+      }
+    }
+  }
+  ASSERT_TRUE(reader->Commit().ok());
+}
+
+// Write skew through an adjacency read: T1 reads the hub's relationships
+// and writes y; T2 reads y and adds a relationship to the hub. The walk
+// must turn T2's relationship, committed after T1's snapshot, into T1's
+// conflict-out edge whether its entry is resident (writer known) or was
+// evicted and reloads with only its commit timestamp.
+class AdjacencyWriteSkew : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AdjacencyWriteSkew, SerializableAbortsTheSkew) {
+  const bool evicted = GetParam();
+  auto db = OpenEvictable();
+  NodeId hub, y;
+  {
+    auto txn = db->Begin();
+    hub = *txn->CreateNode({});
+    y = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{0})}});
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          txn->CreateRelationship(hub, *txn->CreateNode({}), "E").ok());
+    }
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  auto t1 = db->Begin(IsolationLevel::kSerializable);
+  auto t2 = db->Begin(IsolationLevel::kSerializable);
+  ASSERT_TRUE(t2->GetNodeProperty(y, "v").ok());
+  auto added = t2->CreateRelationship(hub, *t2->CreateNode({}), "E");
+  ASSERT_TRUE(added.ok()) << added.status();
+  ASSERT_TRUE(t2->Commit().ok());
+  if (evicted) db->engine().cache->EvictIfNeeded();
+  ASSERT_EQ(Resident(*db, *added), !evicted);
+
+  Status s = t1->GetRelationships(hub).status();
+  if (s.ok()) s = t1->SetNodeProperty(y, "v", PropertyValue(int64_t{1}));
+  if (s.ok()) s = t1->Commit();
+  EXPECT_TRUE(s.IsSerializationFailure()) << s;
+}
+
+INSTANTIATE_TEST_SUITE_P(ConflictingEntry, AdjacencyWriteSkew,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("Evicted")
+                                             : std::string("Resident");
+                         });
+
+// --- Relationship load errors ------------------------------------------------
+
+// Only a purge (NotFound) may drop a relationship from an adjacency read:
+// an I/O error loading an evicted one fails the read instead of shortening
+// its result.
+TEST(AdjacencyErrors, EvictedRelationshipLoadErrorFailsTheRead) {
+  auto db = OpenEvictable();
+  NodeId hub;
+  {
+    auto txn = db->Begin();
+    hub = *txn->CreateNode({});
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(
+          txn->CreateRelationship(hub, *txn->CreateNode({}), "E").ok());
+    }
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ASSERT_EQ(db->Begin()->GetRelationships(hub)->size(), 20u);
+  db->engine().cache->EvictIfNeeded();
+  {
+    ArmedPoints points(db.get());
+    points.Fail("cache.rel.load", /*nth=*/20);
+    auto txn = db->Begin();
+    EXPECT_TRUE(txn->GetRelationships(hub).status().IsIOError());
+    EXPECT_TRUE(points.Fired("cache.rel.load"));
+    db->engine().cache->EvictIfNeeded();
+    points.Fail("cache.rel.load");
+    EXPECT_TRUE(txn->GetNeighbors(hub).status().IsIOError());
+    EXPECT_TRUE(txn->Degree(hub).status().IsIOError());
+  }
+  EXPECT_EQ(db->Begin()->GetRelationships(hub)->size(), 20u);
+}
+
+// DeleteNode's attachment check reads the latest committed state of every
+// relationship in the store chain. A relationship committed after the
+// deleter's snapshot is invisible to its adjacency read; if loading it
+// then fails, the delete must fail rather than take it for purged and
+// leave it dangling.
+TEST(AdjacencyErrors, DeleteNodeFailsWhenAnAttachmentCannotLoad) {
+  auto db = OpenEvictable();
+  NodeId hub;
+  {
+    auto txn = db->Begin();
+    hub = *txn->CreateNode({});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  auto deleter = db->Begin();
+  RelId late;
+  {
+    auto txn = db->Begin();
+    late = *txn->CreateRelationship(hub, *txn->CreateNode({}), "E");
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+
+  {
+    ArmedPoints points(db.get());
+    // Park the delete after its adjacency read, evict the relationship it
+    // just loaded, and fail its reload.
+    points.Park("txn.write.pre_install");
+    Status deleted;
+    std::thread thread([&] { deleted = deleter->DeleteNode(hub); });
+    ASSERT_TRUE(points.WaitFor("txn.write.pre_install"));
+    db->engine().cache->EvictIfNeeded();
+    EXPECT_FALSE(Resident(*db, late));
+    points.Fail("cache.rel.load");
+    points.Release("txn.write.pre_install");
+    thread.join();
+    EXPECT_TRUE(deleted.IsIOError()) << deleted;
+    EXPECT_TRUE(points.Fired("cache.rel.load"));
+  }
+  // The failed delete left the node as it was: committing the rest of the
+  // transaction keeps both.
+  ASSERT_TRUE(deleter->Commit().ok());
+  auto check = db->Begin();
+  EXPECT_TRUE(check->NodeExists(hub));
+  EXPECT_TRUE(check->RelExists(late));
 }
 
 }  // namespace

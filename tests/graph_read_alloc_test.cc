@@ -1,8 +1,9 @@
 // A cached snapshot read allocates nothing: the visible version is
 // borrowed under the read's epoch guard (no reference count, no copy), a
 // small property set is read in place, and the token lookup reads the
-// published table. This binary replaces the global operator new with a
-// per-thread counting one, so it keeps to reads whose count is exact.
+// published table. A cached adjacency read allocates only its result. This
+// binary replaces the global operator new with a per-thread counting one,
+// so it keeps to reads whose count is exact.
 
 #include <gtest/gtest.h>
 
@@ -67,6 +68,38 @@ TEST(ReadAllocations, CachedSnapshotReadsAllocateNothing) {
   const size_t before_miss = t_news;
   EXPECT_TRUE(txn->GetNodeProperty(id, robot).status().IsNotFound());
   EXPECT_GT(t_news, before_miss);
+  ASSERT_TRUE(txn->Commit().ok());
+}
+
+// A cached adjacency read allocates its result once: the walk reserves the
+// list's size up front and resolves the relationships without a copy.
+TEST(ReadAllocations, CachedAdjacencyReadAllocatesOnlyItsResult) {
+  DatabaseOptions options;
+  options.in_memory = true;
+  auto db = GraphDatabase::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  NodeId hub;
+  {
+    auto txn = (*db)->Begin();
+    hub = *txn->CreateNode({});
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(txn->CreateRelationship(hub, *txn->CreateNode({}), "KNOWS")
+                      .ok());
+    }
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+
+  auto txn = (*db)->Begin(IsolationLevel::kSnapshotIsolation);
+  // Warm-up: loads the node, fills its list and loads every relationship.
+  ASSERT_EQ(txn->GetRelationships(hub)->size(), 6u);
+
+  const size_t before = t_news;
+  auto rels = txn->GetRelationships(hub);
+  const size_t news = t_news - before;
+
+  ASSERT_TRUE(rels.ok()) << rels.status();
+  EXPECT_EQ(rels->size(), 6u);
+  EXPECT_EQ(news, 1u) << "a cached SI adjacency read of 6 relationships";
   ASSERT_TRUE(txn->Commit().ok());
 }
 
