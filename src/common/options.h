@@ -64,23 +64,6 @@ struct DatabaseOptions {
   /// validation for kFirstCommitterWins.
   ConflictPolicy conflict_policy = ConflictPolicy::kFirstUpdaterWinsWait;
 
-  // --- serializable mode (SSI; strictly opt-in per transaction) ------------
-
-  /// When true (the DEFAULT), a READ-ONLY kSerializable transaction gets a
-  /// SAFE SNAPSHOT when the tracker's probe proves no concurrent
-  /// read-write serializable peer can still commit: (a) no read-write
-  /// serializable transaction is registered and unfinished, AND (b) every
-  /// finished one committed at or below the snapshot timestamp — (b)
-  /// closes the ordered-publication window, where a peer has left the
-  /// tracker but its commit timestamp is not yet readable, so the active
-  /// count alone would miss it. A safe snapshot skips all SIREAD marking
-  /// and rw-antidependency tracking and is guaranteed to commit without a
-  /// SerializationFailure (the Ports/Grittner read-only optimization).
-  /// Consumed once per Begin(kSerializable, {read_only}); counted in
-  /// DatabaseStats::ssi_safe_snapshots. False forces every serializable
-  /// transaction through full tracking (useful to exercise the tracker).
-  bool ssi_safe_snapshots = true;
-
   // --- storage -------------------------------------------------------------
 
   /// Soft capacity of the object cache, in CACHED OBJECTS (nodes + rels).

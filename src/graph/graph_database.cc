@@ -183,8 +183,7 @@ std::unique_ptr<Transaction> GraphDatabase::Begin(
   if (serializable) {
     if (ssi) {
       engine_->ssi.SetStartTs(ssi, start_ts);
-    } else if (engine_->options.ssi_safe_snapshots &&
-               engine_->ssi.IsSnapshotSafe(start_ts)) {
+    } else if (engine_->ssi.IsSnapshotSafe(start_ts)) {
       // Safe snapshot: no read-write serializable peer was registered when
       // this snapshot was taken AND every finished one committed at or
       // below it (a peer that finished the tracker but whose commit the

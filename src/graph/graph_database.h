@@ -102,10 +102,10 @@ struct DatabaseStats {
 struct TransactionOptions {
   /// Declares the transaction read-only: every write operation fails with
   /// FailedPrecondition. Under kSerializable this enables the safe-snapshot
-  /// optimization (DatabaseOptions::ssi_safe_snapshots): a read-only
-  /// serializable transaction whose snapshot sees no concurrent read-write
-  /// serializable transaction skips SSI tracking entirely and can never
-  /// abort with SerializationFailure.
+  /// optimization (counted in DatabaseStats::ssi_safe_snapshots): a
+  /// read-only serializable transaction whose snapshot sees no concurrent
+  /// read-write serializable transaction skips SSI tracking entirely and
+  /// can never abort with SerializationFailure.
   bool read_only = false;
 };
 

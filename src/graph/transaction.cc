@@ -952,12 +952,9 @@ Status Transaction::Commit() {
   // behind a commit that is doomed anyway.
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-
   PruneAnnihilated();
-  if (writes_.empty()) return CommitWithoutWrites();
 
-  // Stage 1 — validate, then sequence. The oracle's timestamp allocation is
-  // the ONLY global synchronization point of the whole commit.
+  // Stage 1 — before sequencing: every failure rolls back.
   NEOSI_RETURN_IF_ERROR(ValidateCommit());
   // Last expiry gate, immediately before the commit becomes irrevocable
   // (sequencing). Past this point expiry cannot affect correctness: every
@@ -970,91 +967,87 @@ Status Transaction::Commit() {
   // reader's own commit decision therefore cannot interleave into the
   // window where our stamps and edges are only partially published. On
   // success we are in kCommitting — any peer's later check treats us as
-  // committed.
+  // committed. Even a writeless commit passes it: a committed reader can
+  // be the incoming side of a pivot (the read-only-anomaly shape).
   std::unique_lock<std::mutex> ssi_commit_guard;
   if (ssi_) {
-    Status ssi_s =
+    Status s =
         engine_->ssi.PreCommitCheck(ssi_, ssi_footprints_, &ssi_commit_guard);
-    if (!ssi_s.ok()) {
+    if (!s.ok()) {
       RollbackLocked();
-      return ssi_s;
+      return s;
     }
   }
+  if (writes_.empty()) {
+    // Nothing to log or apply. A writeless serializable commit publishes
+    // the newest read timestamp, which bounds everything it observed — what
+    // peers' danger checks compare against (the read-only anomaly turns on
+    // this reader's commit ORDER relative to the pivot's out-neighbour).
+    if (ssi_) {
+      engine_->ssi.FinishCommit(ssi_, engine_->oracle.ReadTs());
+      ssi_commit_guard.unlock();
+    }
+    End(TxnState::kCommitted);
+    return Status::OK();
+  }
   const Timestamp ts = engine_->oracle.NextCommitTs();
-  // Timestamps are dense: every exit below must hand `ts` back to the
-  // oracle via FinishCommit, or the publication watermark stalls.
+  // Timestamps are dense: every exit below hands `ts` back to the oracle
+  // via FinishCommit, or the publication watermark stalls.
 
-  // Stage 2 — durability: group-commit WAL append (+ shared fsync). The
-  // record's LSN comes back PINNED: a fuzzy checkpoint's stable LSN cannot
-  // advance past it (so the prefix truncation cannot drop it) until our
-  // effects have reached the store and we unpin below. Checkpoints never
-  // block commits anymore — they simply truncate up to the oldest pin.
-  auto lsn = WriteCommitRecord(ts);
+  // Stage 2 — durability: append the record (+ shared fsync). Its LSN comes
+  // back PINNED: a fuzzy checkpoint's stable LSN cannot advance past it (so
+  // the prefix truncation cannot drop it) until our effects have reached
+  // the store and we unpin below. A failed append or flush has released
+  // the pin again.
+  const WalRecord record = CommitRecord(ts);
+  auto lsn = engine_->store.wal().group().Commit(
+      record, engine_->options.sync_commits, /*pin=*/true);
   if (!lsn.ok()) {
     engine_->oracle.FinishCommit(ts);  // Nothing applied at ts.
     RollbackLocked();
     return lsn.status();
   }
 
-  // Between WAL append and store apply, with the record's lsn pinned. A
-  // failure here is a crash: the pin is deliberately NOT released, so like
-  // a real crash the record stays replayable until recovery applies it.
+  // Stage 3 — application, outside any global lock: store apply, version
+  // stamping, index stamping. Concurrent committers interleave freely
+  // here; the long write locks (held until this commit has fully applied
+  // and handed its timestamp back) keep each entity single-writer. A
+  // failure before the store apply completes keeps the pin: the record is
+  // then the only complete copy of the commit, and recovery replays it.
   Status s = engine_->store.sync_points().Check("commit.pre_apply");
-  if (!s.ok()) {
-    // The commit record is durable — recovery will replay it — so the SSI
-    // record must read committed: peers' danger checks and marker pruning
-    // would otherwise treat a durable commit as aborted and commit over a
-    // dangerous structure whose effects exist after recovery.
-    if (ssi_) engine_->ssi.FinishCommit(ssi_, ts);
-    engine_->oracle.FinishCommit(ts);
-    return s;
+  if (s.ok()) s = ApplyToStore(record);
+  if (s.ok()) {
+    engine_->store.wal().Unpin(*lsn);
+    s = StampVersions(ts);
+  }
+  if (s.ok()) {
+    StampIndexes(ts);
+  } else {
+    // Fail-stop: the record is logged but memory does not show it, so a
+    // later writer would read the old state and commit over it. Poisoned
+    // while our write locks still hold and before `ts` is handed back, the
+    // log refuses every later append until a reopen replays the record.
+    engine_->store.wal().Poison(s);
   }
 
-  // Stage 3 — parallel application, outside any global lock: store apply,
-  // version stamping, index stamping. Concurrent committers interleave
-  // freely here; the long write locks (held until this commit has fully
-  // applied and handed its timestamp back) keep each entity single-writer.
-  s = ApplyToStore(ts);
-  if (!s.ok()) {
-    // Pin retained: the WAL record is now the only complete copy of this
-    // commit; truncating it before recovery replays it would lose the
-    // commit. The SSI record still publishes as committed — the commit is
-    // durable and will be replayed, so serializable peers must not treat
-    // this writer as aborted (pruning its markers and edges would let them
-    // commit over a dangerous structure).
-    if (ssi_) engine_->ssi.FinishCommit(ssi_, ts);
-    engine_->oracle.FinishCommit(ts);
-    return s;  // Store apply failure: recovery will repair from the WAL.
-  }
-  engine_->store.wal().Unpin(*lsn);
-
-  s = StampVersions(ts);
-  if (!s.ok()) {
-    // Same as the store-apply failure above: the record is durable, so the
-    // SSI side must publish the commit. Stamps may have partially landed —
-    // run the post-stamp rescan too, so a reader that walked a stamped
-    // chain in the window is still picked up (dooming it is the
-    // conservative direction).
-    if (ssi_) {
-      engine_->ssi.FinishCommit(ssi_, ts);
-      engine_->ssi.OnPostStamp(ssi_, ssi_footprints_);
-      ssi_commit_guard.unlock();
-    }
-    engine_->oracle.FinishCommit(ts);
-    return s;
-  }
-  StampIndexes(ts);
-
-  // SSI finish BEFORE the oracle publishes ts — a reader that can observe
-  // this commit must find its SIREAD edges fully recorded — then the
+  // Success or not, the record is logged: the SSI record finishes as
+  // committed BEFORE the oracle publishes ts — a reader that can observe
+  // this commit must find its SIREAD edges fully recorded, and peers must
+  // not prune the markers of a commit that recovery replays. Then the
   // post-stamp rescan: any marker inserted by a reader that walked our
   // chains before our stamps became visible is picked up here (the reader
   // inserts its marker before walking; we stamp before rescanning; one
-  // side always sees the other).
+  // side always sees the other). After a failure the stamps may have only
+  // partly landed; dooming such a reader is the conservative direction.
   if (ssi_) {
     engine_->ssi.FinishCommit(ssi_, ts);
     engine_->ssi.OnPostStamp(ssi_, ssi_footprints_);
     ssi_commit_guard.unlock();
+  }
+  if (!s.ok()) {
+    engine_->oracle.FinishCommit(ts);
+    RollbackLocked();  // Withdraws the versions still pending.
+    return s;
   }
 
   // Between SSI finish and ordered publication: the window in which a
@@ -1070,9 +1063,7 @@ Status Transaction::Commit() {
   // the commits that are no longer observable.
   engine_->ssi.AdvanceSnapshotFloor(engine_->oracle.ReadTs());
 
-  engine_->lock_manager.ReleaseAll(id_, locked_shards_);
-  engine_->active_txns.Unregister(slot_);
-  state_ = TxnState::kCommitted;
+  End(TxnState::kCommitted);
   commit_ts_ = ts;
 
   // Publication is the GC daemon's pacing signal: when the backlog of
@@ -1116,34 +1107,6 @@ void Transaction::PruneAnnihilated() {
       }));
 }
 
-Status Transaction::CommitWithoutWrites() {
-  NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  // Even a read-only serializable commit must pass the dangerous-structure
-  // gate: a committed reader can be the incoming side of a pivot (that is
-  // exactly the read-only-anomaly shape). Nothing is applied or logged.
-  std::unique_lock<std::mutex> ssi_commit_guard;
-  if (ssi_) {
-    Status ssi_s =
-        engine_->ssi.PreCommitCheck(ssi_, ssi_footprints_, &ssi_commit_guard);
-    if (!ssi_s.ok()) {
-      RollbackLocked();
-      return ssi_s;
-    }
-  }
-  // Commit timestamp for a writeless serializable txn: the newest read
-  // timestamp bounds everything it observed, which is what peers' danger
-  // checks compare against (critical for the read-only anomaly, where the
-  // reader's commit ORDER relative to the pivot's out-neighbour matters).
-  if (ssi_) {
-    engine_->ssi.FinishCommit(ssi_, engine_->oracle.ReadTs());
-    ssi_commit_guard.unlock();
-  }
-  engine_->lock_manager.ReleaseAll(id_, locked_shards_);
-  engine_->active_txns.Unregister(slot_);
-  state_ = TxnState::kCommitted;
-  return Status::OK();
-}
-
 Status Transaction::ValidateCommit() {
   if (!UsesSnapshotReads() ||
       engine_->options.conflict_policy != ConflictPolicy::kFirstCommitterWins) {
@@ -1161,7 +1124,7 @@ Status Transaction::ValidateCommit() {
   return Status::OK();
 }
 
-Result<Lsn> Transaction::WriteCommitRecord(Timestamp ts) {
+WalRecord Transaction::CommitRecord(Timestamp ts) const {
   WalRecord record;
   record.txn_id = id_;
   record.commit_ts = ts;
@@ -1171,7 +1134,8 @@ Result<Lsn> Transaction::WriteCommitRecord(Timestamp ts) {
   record.publish_ts = engine_->oracle.ReadTs();
   // One op per written entity, carrying its final state: full post-state,
   // never a delta, so replay never needs the (possibly torn) on-disk
-  // pre-state (see WalOpType::kNodeState). Same split as ApplyToStore.
+  // pre-state (see WalOpType::kNodeState).
+  record.ops.reserve(writes_.size());
   for (const auto& [key, w] : writes_) {
     const VersionData& data = w.pending->data;
     if (w.node) {
@@ -1187,41 +1151,18 @@ Result<Lsn> Transaction::WriteCommitRecord(Timestamp ts) {
                          : WalOp::RelState(key.id, data.props));
     }
   }
-  // pin=true: the returned lsn stays checkpoint-proof until the caller has
-  // applied this commit to the stores and unpins it.
-  return engine_->store.wal().group().Commit(
-      record, engine_->options.sync_commits, /*pin=*/true);
+  return record;
 }
 
-Status Transaction::ApplyToStore(Timestamp ts) {
+Status Transaction::ApplyToStore(const WalRecord& record) {
   // Entered before any store latch: a relationship-chain edit drops cached
   // lists under the node's write latch, and its guard nests in this one
   // instead of claiming a slot there (see ObjectCache::DropRelList).
   EpochManager::Guard guard(&engine_->epochs);
-  for (const auto& [key, w] : writes_) {
-    Status s = engine_->store.sync_points().Check("commit.apply.op");
-    if (!s.ok()) return s;
-    const VersionData& data = w.pending->data;
-    if (w.node) {
-      if (w.created) {
-        s = engine_->store.PersistNewNode(key.id, data.labels, data.props, ts);
-      } else if (data.deleted) {
-        s = engine_->store.PersistNodeTombstone(key.id, ts);
-      } else {
-        s = engine_->store.PersistNodeState(key.id, data.labels, data.props,
-                                            ts);
-      }
-    } else {
-      if (w.created) {
-        s = engine_->store.PersistNewRel(key.id, w.rel->src, w.rel->dst,
-                                         w.rel->type, data.props, ts);
-      } else if (data.deleted) {
-        s = engine_->store.PersistRelTombstone(key.id, ts);
-      } else {
-        s = engine_->store.PersistRelState(key.id, data.props, ts);
-      }
-    }
-    if (!s.ok()) return s;
+  for (const WalOp& op : record.ops) {
+    NEOSI_RETURN_IF_ERROR(
+        engine_->store.sync_points().Check("commit.apply.op"));
+    NEOSI_RETURN_IF_ERROR(engine_->store.Persist(op, record.commit_ts));
   }
   return Status::OK();
 }
@@ -1270,10 +1211,13 @@ void Transaction::RollbackLocked() {
   // SSI: drop out of the tracker (prunes our markers, breaks our edges).
   // Idempotent and a no-op if we already reached kCommitted.
   if (ssi_) engine_->ssi.Abort(ssi_);
+  End(TxnState::kAborted);
+}
 
+void Transaction::End(TxnState state) {
   engine_->lock_manager.ReleaseAll(id_, locked_shards_);
   engine_->active_txns.Unregister(slot_);
-  state_ = TxnState::kAborted;
+  state_ = state;
 }
 
 Status Transaction::Abort() {

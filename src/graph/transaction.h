@@ -141,8 +141,12 @@ class Transaction {
   /// write operation fails with FailedPrecondition.
   bool read_only() const { return read_only_; }
 
-  /// Commits; on any failure the transaction is rolled back and the error
-  /// returned (Status::IsRetryable() distinguishes conflict aborts).
+  /// Commits. A failure before the commit record is appended rolls the
+  /// transaction back and returns the error (Status::IsRetryable()
+  /// distinguishes conflict aborts). A failure after the append returns an
+  /// IOError for a commit that is durable but not applied in memory:
+  /// recovery replays it at the next open, and until then the database
+  /// refuses every later commit.
   Status Commit();
 
   /// Rolls back all effects.
@@ -303,20 +307,18 @@ class Transaction {
   Result<NamedProperties> NameProps(const PropertyMap& props) const;
 
   // --- commit pipeline stages (see ARCHITECTURE.md, "Commit pipeline").
-  // Commit() = PruneAnnihilated -> [no-writes shortcut] -> Validate ->
-  // sequence (oracle.NextCommitTs) -> WriteCommitRecord (group-commit WAL)
-  // -> ApplyToStore -> StampVersions -> StampIndexes -> ordered publication
-  // (oracle.FinishCommit). No stage after sequencing holds a global lock;
-  // per-entity safety comes from the long write locks held until the end.
+  // Commit() = PruneAnnihilated -> ValidateCommit -> SSI PreCommitCheck
+  // [a writeless commit ends here] -> sequence (oracle.NextCommitTs) ->
+  // append CommitRecord (WAL, flushed when sync_commits) -> ApplyToStore ->
+  // StampVersions -> StampIndexes -> ordered publication
+  // (oracle.FinishCommit). No stage after sequencing holds a global lock
+  // but a serializable commit's SSI mutex; per-entity safety comes from
+  // the long write locks held until the end.
 
   /// Entities created AND deleted inside this transaction cancel out: they
   /// were never visible to anyone and leave no trace (no WAL, no store, no
   /// index entry).
   void PruneAnnihilated();
-
-  /// Commit path for transactions with no surviving writes: nothing to
-  /// apply or log, only the SSI commit decision.
-  Status CommitWithoutWrites();
 
   /// First-committer-wins validation (§3's alternative write rule). Needs no
   /// global lock: every checked entity is pinned by this transaction's long
@@ -324,18 +326,17 @@ class Transaction {
   /// back and returns Aborted on conflict.
   Status ValidateCommit();
 
-  /// Appends this transaction's commit record through the group committer
-  /// (flushed to its end when sync_commits is set): one full
-  /// post-state op per written entity, in the order ApplyToStore persists
-  /// them. The returned LSN is pinned against checkpoint truncation until
-  /// the commit has been applied to the stores (Wal::Unpin).
-  Result<Lsn> WriteCommitRecord(Timestamp ts);
+  /// This transaction's commit record at `ts`: one full post-state op per
+  /// written entity, in write-set order. It is both what the WAL logs and
+  /// what ApplyToStore persists.
+  WalRecord CommitRecord(Timestamp ts) const;
 
-  /// Persists the newest committed version of every written entity (§4 —
-  /// older versions remain in memory only). Runs concurrently with other
-  /// committers; the store's per-entity shard latches handle the physical
-  /// races, the long write locks the logical ones.
-  Status ApplyToStore(Timestamp ts);
+  /// Persists `record`'s ops, the newest committed version of every
+  /// written entity (§4 — older versions remain in memory only). Runs
+  /// concurrently with other committers; the store's per-entity shard
+  /// latches handle the physical races, the long write locks the logical
+  /// ones.
+  Status ApplyToStore(const WalRecord& record);
 
   /// Stamps in-memory versions with the commit timestamp and threads
   /// superseded versions (and tombstones) onto the GC list (§4).
@@ -352,6 +353,9 @@ class Transaction {
 
   /// Abort internals shared by Abort() and failed Commit().
   void RollbackLocked();
+
+  /// Releases the locks, leaves the active table and enters `state`.
+  void End(TxnState state);
 
   // --- SSI hooks (all no-ops unless this is a tracked kSerializable
   //     transaction; see txn/ssi_tracker.h for the protocol) ---------------

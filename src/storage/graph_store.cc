@@ -233,6 +233,25 @@ Status GraphStore::LoadLabels(const NodeRecord& rec,
 // second.
 // ---------------------------------------------------------------------------
 
+Status GraphStore::Persist(const WalOp& op, Timestamp ts) {
+  switch (op.type) {
+    case WalOpType::kCreateNode:
+      return PersistNewNode(op.id, op.labels, op.props, ts);
+    case WalOpType::kNodeState:
+      return PersistNodeState(op.id, op.labels, op.props, ts);
+    case WalOpType::kDeleteNode:
+      return PersistNodeTombstone(op.id, ts);
+    case WalOpType::kCreateRel:
+      return PersistNewRel(op.id, op.src, op.dst, op.rel_type, op.props, ts);
+    case WalOpType::kRelState:
+      return PersistRelState(op.id, op.props, ts);
+    case WalOpType::kDeleteRel:
+      return PersistRelTombstone(op.id, ts);
+    default:
+      return Status::InvalidArgument("not an entity op");
+  }
+}
+
 Status GraphStore::PersistNewNode(NodeId id, const std::vector<LabelId>& labels,
                                   const PropertyMap& props, Timestamp ts) {
   WriteGuard guard(NodeShard(id));
@@ -692,7 +711,7 @@ Status GraphStore::ApplyWalOp(const WalOp& op, Timestamp commit_ts) {
         }
         return Status::OK();
       }
-      return PersistNewNode(op.id, op.labels, op.props, commit_ts);
+      return Persist(op, commit_ts);
     }
 
     case WalOpType::kNodeState: {
@@ -707,7 +726,7 @@ Status GraphStore::ApplyWalOp(const WalOp& op, Timestamp commit_ts) {
       NEOSI_RETURN_IF_ERROR(ReadNodeRecord(op.id, &rec));
       if (!rec.in_use) return Status::OK();
       if (rec.commit_ts > commit_ts) return Status::OK();
-      return PersistNodeState(op.id, op.labels, op.props, commit_ts);
+      return Persist(op, commit_ts);
     }
 
     case WalOpType::kDeleteNode: {
@@ -716,7 +735,7 @@ Status GraphStore::ApplyWalOp(const WalOp& op, Timestamp commit_ts) {
       if (!rec.in_use || (rec.deleted && rec.commit_ts >= commit_ts)) {
         return Status::OK();
       }
-      return PersistNodeTombstone(op.id, commit_ts);
+      return Persist(op, commit_ts);
     }
 
     case WalOpType::kCreateRel: {
@@ -733,8 +752,7 @@ Status GraphStore::ApplyWalOp(const WalOp& op, Timestamp commit_ts) {
         // the surgery between record write and chain rewiring.
         return EnsureRelLinked(op.id);
       }
-      return PersistNewRel(op.id, op.src, op.dst, op.rel_type, op.props,
-                           commit_ts);
+      return Persist(op, commit_ts);
     }
 
     case WalOpType::kRelState: {
@@ -747,7 +765,7 @@ Status GraphStore::ApplyWalOp(const WalOp& op, Timestamp commit_ts) {
       NEOSI_RETURN_IF_ERROR(ReadRelRecord(op.id, &rec));
       if (!rec.in_use) return Status::OK();
       if (rec.commit_ts > commit_ts) return Status::OK();
-      return PersistRelState(op.id, op.props, commit_ts);
+      return Persist(op, commit_ts);
     }
 
     case WalOpType::kDeleteRel: {
@@ -756,7 +774,7 @@ Status GraphStore::ApplyWalOp(const WalOp& op, Timestamp commit_ts) {
       if (!rec.in_use || (rec.deleted && rec.commit_ts >= commit_ts)) {
         return Status::OK();
       }
-      return PersistRelTombstone(op.id, commit_ts);
+      return Persist(op, commit_ts);
     }
 
     case WalOpType::kPurgeNode: {

@@ -81,8 +81,9 @@ struct GraphStoreStats {
   /// Zeros written ahead of the append cursor (0 in memory).
   uint64_t wal_zero_filled_bytes = 0;
   /// Commit I/O state: the flushed-LSN watermark acks wait on, and the
-  /// sticky-failure flag (true after any WAL fsync/dir-sync error — every
-  /// later commit fails until the store is reopened).
+  /// sticky-failure flag (true after any WAL fsync/dir-sync error or a
+  /// commit failing after its append — every later commit fails until the
+  /// store is reopened).
   uint64_t wal_flushed_lsn = 0;
   bool wal_poisoned = false;
   /// Dynamic-store blocks in use but unreachable from any live property
@@ -123,6 +124,12 @@ class GraphStore {
   Status ReleaseRelId(RelId id) { return rels_->Free(id); }
 
   // --- commit-time persistence (newest committed version only) ------------
+
+  /// Writes one entity op of a commit record (create, full state or delete
+  /// of a node or relationship) through the matching Persist* below: the
+  /// commit's store apply and, after its replay guards, ApplyWalOp. Any
+  /// other op kind is InvalidArgument.
+  Status Persist(const WalOp& op, Timestamp ts);
 
   /// Writes a brand-new node record (labels + property chain + commit ts).
   Status PersistNewNode(NodeId id, const std::vector<LabelId>& labels,

@@ -89,7 +89,7 @@ Wal::~Wal() { StopFlusher(); }
 // --- sticky poison state --------------------------------------------------
 
 Status Wal::PoisonedStatusLocked() const {
-  return Status::IOError("wal poisoned by earlier sync failure (" +
+  return Status::IOError("wal poisoned by an earlier failure (" +
                          poison_cause_.ToString() +
                          "); reopen the store to recover");
 }

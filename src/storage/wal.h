@@ -244,9 +244,9 @@ class Wal {
 
   // --- sticky failure state ---------------------------------------------
 
-  /// True once a sync/dir-sync of the active chain has failed. A poisoned
-  /// log rejects every append/sync/truncate until the store is reopened
-  /// (which replays only what was durably acked).
+  /// True once a sync/dir-sync of the active chain has failed or Poison()
+  /// was called. A poisoned log rejects every append/sync/truncate until
+  /// the store is reopened (which replays what reached stable storage).
   bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
 
   /// The sticky non-retryable IOError handed to every operation on a
@@ -254,6 +254,14 @@ class Wal {
   /// check of every append / sync / truncate path (acquire side of the
   /// poison publication).
   Status PoisonedStatus() const;
+
+  /// Records `cause` (first failure wins) and publishes the poison flag
+  /// with release ordering, failing every parked flush waiter. A failed
+  /// sync poisons the log itself; a commit that fails after its record was
+  /// appended poisons it so no later commit can build on state the record
+  /// does not show. No-op before Open() completes — recovery-time failures
+  /// stay fail-stop.
+  void Poison(const Status& cause);
 
   /// The commit batcher bound to this log.
   GroupCommitter& group() { return group_; }
@@ -406,11 +414,6 @@ class Wal {
   Status OpenChain();
 
   // --- poison / flusher internals ---------------------------------------
-
-  /// Records `cause` (first failure wins) and publishes the poison flag
-  /// with release ordering, failing every parked flush waiter. No-op
-  /// before Open() completes — recovery-time sync failures stay fail-stop.
-  void Poison(const Status& cause);
 
   Status PoisonedStatusLocked() const;  // flush_mu_ held
 

@@ -6,7 +6,8 @@
 // never exceeds a timestamp below which some commit is still mid-apply.
 // These stress tests hammer that invariant: if the watermark ever exposed a
 // gap, a reader would observe a HALF-APPLIED commit (some entities of a
-// committed transaction visible, others not).
+// committed transaction visible, others not). A table test then walks every
+// exit of Commit() against the same checks.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 
 #include "common/random.h"
 #include "graph/graph_database.h"
+#include "sync_points.h"
 
 namespace neosi {
 namespace {
@@ -226,6 +228,88 @@ TEST(CommitPipeline, ConservedTotalUnderConflictingOutOfOrderCommits) {
     total += (*txn->GetNodeProperty(account, "balance")).AsInt();
   }
   EXPECT_EQ(total, kAccounts * kInitial);
+}
+
+
+// One row per exit of Commit(), each under SI and Serializable. Whatever the
+// exit, the oracle gets back every timestamp it handed out. The WAL pin
+// outlives the commit only when its record reached the log but not the
+// store. A failure after the append is a fail-stop: the record is durable
+// but memory does not show it, so every later write commit fails until a
+// reopen replays it.
+TEST(CommitPipeline, EveryCommitExitFollowsItsStageRule) {
+  struct Row {
+    const char* name;
+    const char* point;  // The sync point failed; null for none.
+    uint64_t nth;       // Which arrival fails (0: every one).
+    size_t pins_kept;   // WAL pins the commit leaves behind.
+  };
+  const Row rows[] = {
+      {"read-only", nullptr, 0, 0},
+      {"append failure", "wal.sync.fail", 0, 0},
+      {"pre-apply failure", "commit.pre_apply", 1, 1},
+      {"store-apply failure", "commit.apply.op", 2, 1},
+  };
+  for (IsolationLevel isolation :
+       {IsolationLevel::kSnapshotIsolation, IsolationLevel::kSerializable}) {
+    for (const Row& row : rows) {
+      SCOPED_TRACE(std::string(row.name) +
+                   (isolation == IsolationLevel::kSerializable
+                        ? " / serializable"
+                        : " / snapshot isolation"));
+      DatabaseOptions options;
+      options.in_memory = true;
+      options.sync_commits = true;
+      options.background_gc_interval_ms = 0;
+      options.checkpoint_interval_ms = 0;
+      auto db = std::move(*GraphDatabase::Open(options));
+      NodeId a, b;
+      {
+        auto txn = db->Begin();
+        a = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{1})}});
+        b = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{1})}});
+        ASSERT_TRUE(txn->Commit().ok());
+      }
+      const TimestampOracle& oracle = db->engine().oracle;
+      const Wal& wal = db->engine().store.wal();
+      const Timestamp allocated = oracle.LastAllocatedCommitTs();
+      const size_t pins = wal.PinnedCount();
+      {
+        ArmedPoints points(db.get());
+        if (row.point != nullptr) points.Fail(row.point, row.nth);
+        auto txn = db->Begin(isolation);
+        ASSERT_TRUE(txn->GetNodeProperty(a, "v").ok());
+        if (row.point != nullptr) {
+          ASSERT_TRUE(
+              txn->SetNodeProperty(a, "v", PropertyValue(int64_t{2})).ok());
+          ASSERT_TRUE(
+              txn->SetNodeProperty(b, "v", PropertyValue(int64_t{2})).ok());
+        }
+        Status s = txn->Commit();
+        if (row.point == nullptr) {
+          EXPECT_TRUE(s.ok()) << s;
+        } else {
+          EXPECT_TRUE(s.IsIOError()) << s;
+        }
+      }
+      EXPECT_EQ(oracle.ReadTs(), oracle.LastAllocatedCommitTs());
+      EXPECT_EQ(oracle.PendingPublishCount(), 0u);
+      EXPECT_EQ(wal.PinnedCount(), pins + row.pins_kept);
+      if (row.point == nullptr) {
+        EXPECT_EQ(oracle.LastAllocatedCommitTs(), allocated);
+      }
+
+      auto next = db->Begin(isolation);
+      ASSERT_TRUE(
+          next->SetNodeProperty(b, "v", PropertyValue(int64_t{3})).ok());
+      Status s = next->Commit();
+      if (row.point == nullptr) {
+        EXPECT_TRUE(s.ok()) << s;
+      } else {
+        EXPECT_TRUE(s.IsIOError()) << s;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -167,6 +167,41 @@ TEST_F(RecoveryTest, CrashMidStoreApplyIsRepairedFromWal) {
   EXPECT_EQ(reader->GetNodeProperty(b, "v")->AsInt(), 2);
 }
 
+// A commit that fails after its record was appended is durable (recovery
+// replays it) but never reached memory. Until a reopen, no later commit may
+// build on the state that record overwrites: T2 reads x=1 after T1's failed
+// commit logged x=2, and committing T2's x=11 would lose T1's update once
+// replay applies both.
+TEST_F(RecoveryTest, CommitFailingAfterItsAppendStopsLaterCommits) {
+  NodeId x;
+  {
+    auto db = std::move(*GraphDatabase::Open(DiskOptions()));
+    {
+      auto txn = db->Begin();
+      x = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{1})}});
+      ASSERT_TRUE(txn->Commit().ok());
+    }
+    {
+      ArmedPoints points(db.get());
+      points.Fail("commit.pre_apply", /*nth=*/1);
+      auto t1 = db->Begin();
+      ASSERT_TRUE(t1->SetNodeProperty(x, "v", PropertyValue(int64_t{2})).ok());
+      Status s = t1->Commit();
+      EXPECT_TRUE(s.IsIOError()) << s;
+    }
+    auto t2 = db->Begin();
+    auto v = t2->GetNodeProperty(x, "v");
+    ASSERT_TRUE(v.ok()) << v.status();
+    ASSERT_TRUE(
+        t2->SetNodeProperty(x, "v", PropertyValue(v->AsInt() + 10)).ok());
+    Status s = t2->Commit();
+    EXPECT_TRUE(s.IsIOError()) << s;
+  }
+  auto db = std::move(*GraphDatabase::Open(DiskOptions()));
+  auto reader = db->Begin();
+  EXPECT_EQ(reader->GetNodeProperty(x, "v")->AsInt(), 2);
+}
+
 TEST_F(RecoveryTest, CrashDuringRelCreationRepairsChains) {
   NodeId a, b;
   {
@@ -415,16 +450,20 @@ TEST_F(RecoveryTest, CrashBetweenMarkerAndTruncationRecovers) {
       ASSERT_TRUE(txn->Commit().ok());
     }
     // This commit reaches the WAL but "crashes" before the store apply; its
-    // lsn stays pinned, so the checkpoint's stable LSN stops below it.
+    // lsn stays pinned, so the checkpoint's stable LSN stops below it. The
+    // checkpoint runs while the commit is parked there: once the commit
+    // fails, the log refuses every later append, the marker's included.
     ArmedPoints points(db.get());
+    points.Park("commit.pre_apply");
     points.Fail("commit.pre_apply", /*nth=*/1);
-    {
+    std::thread committer([&] {
       auto txn = db->Begin();
       ASSERT_TRUE(
           txn->SetNodeProperty(unapplied, "v", PropertyValue(int64_t{7}))
               .ok());
       EXPECT_TRUE(txn->Commit().IsIOError());
-    }
+    });
+    EXPECT_TRUE(points.WaitFor("commit.pre_apply"));
 
     // Checkpoint crashes after writing + syncing the marker, before
     // truncating the prefix.
@@ -433,6 +472,9 @@ TEST_F(RecoveryTest, CrashBetweenMarkerAndTruncationRecovers) {
     const auto stats = db->engine().store.Stats();
     EXPECT_GE(stats.checkpoint_markers, 1u);
     EXPECT_EQ(stats.checkpoints, 0u);  // Truncation never happened.
+
+    points.Release("commit.pre_apply");
+    committer.join();
   }
   // Reopen: replay starts from the marker's stable LSN; the pinned
   // (unapplied) record above it is replayed, the synced prefix below it is
