@@ -5,8 +5,8 @@
 // membership is a pure function of an entity's state. Every path that
 // changes state derives its index work from the same diff of the entity's
 // pre- and post-state:
-//  - a transaction's writes stage each change as a pending entry (and take
-//    the change's SSI write footprint), journal the change with the handle
+//  - a transaction's writes stage each change as a pending entry (and
+//    write the change's SSI target), journal the change with the handle
 //    staging returned, then commit or abort it through that handle;
 //  - the replica applier diffs latest-committed against the store's
 //    post-state and commits at the record's timestamp;
@@ -22,7 +22,6 @@
 #include "common/types.h"
 #include "graph/engine.h"
 #include "mvcc/version.h"
-#include "txn/ssi_tracker.h"
 
 namespace neosi {
 
@@ -39,12 +38,6 @@ struct IndexChange {
   EntityKey Entity() const {
     return index == IndexId::kRelProperty ? EntityKey::Rel(entity)
                                           : EntityKey::Node(entity);
-  }
-
-  /// The SIREAD range the tuple lies in: writing it is a rw-antidependency
-  /// from every serializable scan of that range (Ports & Grittner).
-  SsiWriteFootprint Footprint() const {
-    return SsiWriteFootprint::Index(index, token, value);
   }
 };
 

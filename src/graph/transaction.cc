@@ -9,6 +9,15 @@
 
 namespace neosi {
 
+namespace {
+
+/// The token store that names index `which`'s keys.
+TokenStore& IndexTokens(GraphStore& store, IndexId which) {
+  return which == IndexId::kLabel ? store.labels() : store.prop_keys();
+}
+
+}  // namespace
+
 Transaction::Transaction(Engine* engine, IsolationLevel isolation, TxnId id,
                          ActiveTxnTable::Slot* slot,
                          std::shared_ptr<SsiTxnInfo> ssi, bool read_only)
@@ -77,14 +86,14 @@ Status Transaction::FailIfDoomed() {
   return s;
 }
 
-Status Transaction::SsiOnWrite(SsiWriteFootprint fp) {
+Status Transaction::SsiOnWrite(SsiTarget target) {
   if (!ssi_) return Status::OK();
-  Status s = engine_->ssi.OnWrite(ssi_, fp);
+  Status s = engine_->ssi.OnWrite(ssi_, target);
   if (!s.ok()) {
     RollbackLocked();
     return s;
   }
-  ssi_footprints_.push_back(std::move(fp));
+  ssi_writes_.push_back(std::move(target));
   return Status::OK();
 }
 
@@ -93,18 +102,6 @@ Status Transaction::SsiObserveNewer(
   if (!ssi_) return Status::OK();
   for (const auto& [writer, ts] : newer) {
     Status s = engine_->ssi.OnReadObservedCommit(ssi_, writer, ts);
-    if (!s.ok()) {
-      RollbackLocked();
-      return s;
-    }
-  }
-  return Status::OK();
-}
-
-Status Transaction::SsiObserveAnonymous(const std::vector<Timestamp>& commits) {
-  if (!ssi_) return Status::OK();
-  for (Timestamp ts : commits) {
-    Status s = engine_->ssi.OnReadObservedCommit(ssi_, kNoTxn, ts);
     if (!s.ok()) {
       RollbackLocked();
       return s;
@@ -265,11 +262,11 @@ Status Transaction::Update(const EntityKey& key,
   mutate(post);
   std::vector<IndexChange> changes =
       DiffIndexEntries(key, &w->pending->data, &post);
-  // A write that changes nothing leaves no index or SSI footprint: it must
+  // A write that changes nothing leaves no index entry or SSI target: it must
   // not be able to fail a serializable transaction or doom concurrent
   // readers.
   if (changes.empty()) return Status::OK();
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Entity(key)));
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiTarget::Entity(key)));
   NEOSI_RETURN_IF_ERROR(StageIndexChanges(std::move(changes)));
   w->pending->data = std::move(post);
   return Status::OK();
@@ -277,7 +274,16 @@ Status Transaction::Update(const EntityKey& key,
 
 Status Transaction::StageIndexChanges(std::vector<IndexChange> changes) {
   for (IndexChange& change : changes) {
-    NEOSI_RETURN_IF_ERROR(SsiOnWrite(change.Footprint()));
+    if (ssi_) {
+      // Keyed by the token's name, as a scan's marker is: writing the tuple
+      // is a rw-antidependency from every serializable scan of its range,
+      // including one that ran before the token existed (Ports & Grittner).
+      NEOSI_ASSIGN_OR_RETURN(
+          const std::string name,
+          IndexTokens(engine_->store, change.index).NameOf(change.token));
+      NEOSI_RETURN_IF_ERROR(
+          SsiOnWrite(SsiTarget::Index(change.index, name, change.value)));
+    }
     StageIndexChange(engine_, &change, id_);
     index_ops_.push_back(std::move(change));
   }
@@ -348,8 +354,8 @@ Result<NodeId> Transaction::CreateNode(const std::vector<std::string>& labels,
 
   // SSI phantom protection: a fresh node invalidates full scans, and its
   // index entries the label and property scans that predate it (no Entity
-  // footprint — the id was never visible, so no marker can exist on it).
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::AllNodes()));
+  // target — the id was never visible, so no marker can exist on it).
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiTarget::AllNodes()));
   NEOSI_RETURN_IF_ERROR(
       StageIndexChanges(DiffIndexEntries(key, nullptr, &pending->data)));
   return id;
@@ -460,9 +466,9 @@ Result<RelId> Transaction::CreateRelationship(NodeId src, NodeId dst,
   // SSI phantom protection: the new edge invalidates adjacency scans of
   // both endpoints, and its index entries the rel-property scans covering
   // its properties.
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(src)));
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiTarget::Adjacency(src)));
   if (dst != src) {
-    NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(dst)));
+    NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiTarget::Adjacency(dst)));
   }
   NEOSI_RETURN_IF_ERROR(
       StageIndexChanges(DiffIndexEntries(key, nullptr, &pending->data)));
@@ -475,10 +481,10 @@ Status Transaction::DeleteRelationship(RelId id) {
   const NodeId src = w->rel->src, dst = w->rel->dst;
   NEOSI_RETURN_IF_ERROR(LockEndpoints(src, dst));
 
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Entity(key)));
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(src)));
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiTarget::Entity(key)));
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiTarget::Adjacency(src)));
   if (dst != src) {
-    NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(dst)));
+    NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiTarget::Adjacency(dst)));
   }
   NEOSI_RETURN_IF_ERROR(
       StageIndexChanges(DiffIndexEntries(key, &w->pending->data, nullptr)));
@@ -548,9 +554,9 @@ Status Transaction::DeleteNode(NodeId id) {
     }
   }
 
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Entity(key)));
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::AllNodes()));
-  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiWriteFootprint::Adjacency(id)));
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiTarget::Entity(key)));
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiTarget::AllNodes()));
+  NEOSI_RETURN_IF_ERROR(SsiOnWrite(SsiTarget::Adjacency(id)));
   NEOSI_RETURN_IF_ERROR(
       StageIndexChanges(DiffIndexEntries(key, &w->pending->data, nullptr)));
   w->pending->data = VersionData{};
@@ -575,7 +581,7 @@ Transaction::VisibleResult<Fn> Transaction::WithVisible(const EntityKey& key,
   // before its post-stamp marker rescan, so one side always observes the
   // other; see ssi_tracker.h). Inserted even when the read lands NotFound:
   // the predicate "this id is invisible to me" is still a read.
-  if (ssi_) engine_->ssi.AddEntityRead(ssi_, key);
+  if (ssi_) engine_->ssi.AddRead(ssi_, SsiTarget::Entity(key));
 
   // Stock Neo4j read committed: short shared read lock around the read.
   const bool short_lock = isolation_ == IsolationLevel::kReadCommitted;
@@ -726,7 +732,7 @@ Result<std::vector<NodeId>> Transaction::AllNodes() {
 
   // Full-scan predicate read: the all-nodes SIREAD range marker makes any
   // later node creation/deletion a rw-antidependency into this transaction.
-  if (ssi_) engine_->ssi.AddAllNodesRead(ssi_);
+  if (ssi_) engine_->ssi.AddRead(ssi_, SsiTarget::AllNodes());
   std::vector<std::pair<TxnId, Timestamp>> newer;
 
   // Persistent store scan merged with cached versions: the enriched
@@ -764,24 +770,31 @@ Result<std::vector<uint64_t>> Transaction::ScanIndex(
     const std::optional<PropertyValue>& lo,
     const std::optional<PropertyValue>& hi) {
   NEOSI_RETURN_IF_ERROR(CheckActive());
+  NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
   NEOSI_RETURN_IF_ERROR(FailIfDoomed());
-  const TokenKind kind = which == IndexId::kLabel ? TokenKind::kLabel
-                                                  : TokenKind::kPropertyKey;
-  auto token = Token(kind, name, /*create=*/false);
+  // Index-range SIREAD marker before the name is resolved: it is keyed by
+  // the name, so a scan of a name no token carries yet still conflicts
+  // with the write that creates it.
+  if (ssi_) engine_->ssi.AddRead(ssi_, SsiTarget::Index(which, name), lo, hi);
+  // A serializable scan resolves a token created after its snapshot too:
+  // every entry under it committed later, so the scan's result is the same,
+  // and those commits must still reach the tracker as conflicts-out.
+  auto token = IndexTokens(engine_->store, which)
+                   .Lookup(name, ssi_ ? kMaxTimestamp : SnapshotTs());
   if (!token.ok()) {
     if (token.status().IsNotFound()) return std::vector<uint64_t>{};
     return token.status();
   }
-  // Index-range SIREAD marker before the scan; anonymous conflict-out after
-  // it (index entries only carry commit timestamps, not writer ids — see
-  // SsiObserveAnonymous).
   const VersionedIndex& index = engine_->index(which);
-  if (ssi_) engine_->ssi.AddIndexRead(ssi_, which, *token, lo, hi);
   std::vector<uint64_t> out = index.Scan(*token, lo, hi, ReadSnapshot());
   if (ssi_) {
-    std::vector<Timestamp> conflicts;
-    index.CollectConflictsOut(*token, lo, hi, start_ts_, &conflicts);
-    NEOSI_RETURN_IF_ERROR(SsiObserveAnonymous(conflicts));
+    // Index entries carry commit timestamps, not writer ids: each later
+    // commit is an anonymous conflict-out.
+    std::vector<Timestamp> commits;
+    index.CollectConflictsOut(*token, lo, hi, start_ts_, &commits);
+    std::vector<std::pair<TxnId, Timestamp>> newer;
+    for (Timestamp ts : commits) newer.emplace_back(kNoTxn, ts);
+    NEOSI_RETURN_IF_ERROR(SsiObserveNewer(newer));
   }
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
   return out;
@@ -855,7 +868,7 @@ Transaction::Adjacency(NodeId node, Direction direction,
     // anchor read already left its own entity marker). Placed, and the
     // walk below run, even for a type this snapshot cannot name: "no such
     // relationship" is still a read.
-    if (ssi_) engine_->ssi.AddAdjacencyRead(ssi_, node);
+    if (ssi_) engine_->ssi.AddRead(ssi_, SsiTarget::Adjacency(node));
 
     bool type_known = true;
     RelTypeId type_token = kInvalidToken;
@@ -972,7 +985,7 @@ Status Transaction::Commit() {
   std::unique_lock<std::mutex> ssi_commit_guard;
   if (ssi_) {
     Status s =
-        engine_->ssi.PreCommitCheck(ssi_, ssi_footprints_, &ssi_commit_guard);
+        engine_->ssi.PreCommitCheck(ssi_, ssi_writes_, &ssi_commit_guard);
     if (!s.ok()) {
       RollbackLocked();
       return s;
@@ -1041,7 +1054,7 @@ Status Transaction::Commit() {
   // partly landed; dooming such a reader is the conservative direction.
   if (ssi_) {
     engine_->ssi.FinishCommit(ssi_, ts);
-    engine_->ssi.OnPostStamp(ssi_, ssi_footprints_);
+    engine_->ssi.OnPostStamp(ssi_, ssi_writes_);
     ssi_commit_guard.unlock();
   }
   if (!s.ok()) {

@@ -239,7 +239,7 @@ class Transaction {
   Status Update(const EntityKey& key,
                 const std::function<void(VersionData&)>& mutate);
 
-  /// For each change: the SSI write check on its footprint, the pending
+  /// For each change: the SSI write check on its target, the pending
   /// index entry, and the journal entry StampIndexes/RollbackLocked replay.
   Status StageIndexChanges(std::vector<IndexChange> changes);
 
@@ -368,19 +368,16 @@ class Transaction {
   /// when set.
   Status FailIfDoomed();
 
-  /// Write-time marker scan for one footprint; records the footprint for
-  /// the post-stamp rescan. Rolls back and returns SerializationFailure
-  /// when the write makes this transaction a dangerous pivot.
-  Status SsiOnWrite(SsiWriteFootprint fp);
+  /// Write-time marker scan for one target; records the target for the
+  /// post-stamp rescan. Rolls back and returns SerializationFailure when
+  /// the write makes this transaction a dangerous pivot.
+  Status SsiOnWrite(SsiTarget target);
 
-  /// Read-time conflict-out for tracked writers found on a version chain
-  /// (CommittedNewerThan output). Rolls back on SerializationFailure.
+  /// Read-time conflict-out for the writers of commits a walk or scan
+  /// found after the snapshot (kNoTxn for an index entry's anonymous
+  /// writer). Rolls back on SerializationFailure.
   Status SsiObserveNewer(
       const std::vector<std::pair<TxnId, Timestamp>>& newer);
-
-  /// Read-time conflict-out for anonymous index-entry commits
-  /// (CollectConflictsOut output). Rolls back on SerializationFailure.
-  Status SsiObserveAnonymous(const std::vector<Timestamp>& commits);
 
   Engine* const engine_;
   const IsolationLevel isolation_;
@@ -409,8 +406,9 @@ class Transaction {
   std::unordered_map<NodeId, std::vector<RelId>> created_rels_by_node_;
   /// Nodes created by this txn (merged into AllNodes()).
   std::vector<NodeId> created_nodes_;
-  /// Write footprints replayed for the SSI post-stamp marker rescan.
-  std::vector<SsiWriteFootprint> ssi_footprints_;
+  /// Written SSI targets, replayed for the pre-commit and post-stamp
+  /// marker rescans.
+  std::vector<SsiTarget> ssi_writes_;
 };
 
 }  // namespace neosi

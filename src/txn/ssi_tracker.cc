@@ -64,21 +64,13 @@ OutView ViewOut(const SsiTxnInfo::OutEdge& e) {
 
 SsiTracker::SsiTracker() : shards_(kShardCount) {}
 
-uint64_t SsiTracker::Mix(uint64_t x) {
-  // Splitmix finalizer (matches the EntityKey hash's diffusion).
-  x *= 0x9E3779B97F4A7C15ULL;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  return x;
-}
-
-SsiTracker::Shard& SsiTracker::ShardForEntity(const EntityKey& key) {
-  return shards_[std::hash<EntityKey>{}(key) % kShardCount];
-}
-
-SsiTracker::Shard& SsiTracker::ShardForKey(uint64_t key) {
-  return shards_[Mix(key) % kShardCount];
+SsiTracker::Shard& SsiTracker::ShardFor(uint64_t key) {
+  // Splitmix finalizer: spreads the kind bits and dense ids over shards.
+  key *= 0x9E3779B97F4A7C15ULL;
+  key ^= key >> 30;
+  key *= 0xBF58476D1CE4E5B9ULL;
+  key ^= key >> 27;
+  return shards_[key % kShardCount];
 }
 
 // ---------------------------------------------------------------------------
@@ -226,105 +218,59 @@ Status SsiTracker::FailIfDoomed(const std::shared_ptr<SsiTxnInfo>& self) {
 // Markers
 // ---------------------------------------------------------------------------
 
-void SsiTracker::InsertMarkerLocked(MarkerList* list,
-                                    const std::shared_ptr<SsiTxnInfo>& reader) {
-  list->erase(std::remove_if(list->begin(), list->end(),
-                             [&](const std::shared_ptr<SsiTxnInfo>& m) {
-                               return Prunable(*m);
-                             }),
-              list->end());
-  for (const auto& m : *list) {
-    if (m == reader) return;
-  }
-  list->push_back(reader);
-}
-
-void SsiTracker::AddEntityRead(const std::shared_ptr<SsiTxnInfo>& self,
-                               const EntityKey& key) {
-  Shard& shard = ShardForEntity(key);
+void SsiTracker::AddRead(const std::shared_ptr<SsiTxnInfo>& self,
+                         const SsiTarget& target,
+                         const std::optional<PropertyValue>& lo,
+                         const std::optional<PropertyValue>& hi) {
+  Shard& shard = ShardFor(target.key);
   {
     std::lock_guard<std::mutex> guard(shard.mu);
-    InsertMarkerLocked(&shard.entities[key], self);
-  }
-  NEOSI_SSI_TRACE("M t=%llu k=%llu", (unsigned long long)self->id,
-                  (unsigned long long)key.id);
-}
-
-void SsiTracker::AddAdjacencyRead(const std::shared_ptr<SsiTxnInfo>& self,
-                                  NodeId node) {
-  Shard& shard = ShardForKey(node);
-  std::lock_guard<std::mutex> guard(shard.mu);
-  InsertMarkerLocked(&shard.adjacency[node], self);
-}
-
-void SsiTracker::AddAllNodesRead(const std::shared_ptr<SsiTxnInfo>& self) {
-  std::lock_guard<std::mutex> guard(all_nodes_mu_);
-  InsertMarkerLocked(&all_nodes_, self);
-}
-
-void SsiTracker::AddIndexRead(const std::shared_ptr<SsiTxnInfo>& self,
-                              IndexId which, uint32_t token,
-                              const std::optional<PropertyValue>& lo,
-                              const std::optional<PropertyValue>& hi) {
-  const uint64_t key = IndexKey(which, token);
-  Shard& shard = ShardForKey(key);
-  std::lock_guard<std::mutex> guard(shard.mu);
-  auto& ranges = shard.index_ranges[key];
-  std::erase_if(ranges, [&](const auto& m) { return Prunable(*m.reader); });
-  for (const RangeMarker& m : ranges) {
-    if (m.reader == self && m.lo == lo && m.hi == hi) return;
-  }
-  ranges.push_back(RangeMarker{lo, hi, self});
-}
-
-std::vector<std::shared_ptr<SsiTxnInfo>> SsiTracker::CollectReaders(
-    const SsiWriteFootprint& fp) {
-  std::vector<std::shared_ptr<SsiTxnInfo>> out;
-  auto harvest = [&](MarkerList* list) {
-    list->erase(std::remove_if(list->begin(), list->end(),
-                               [&](const std::shared_ptr<SsiTxnInfo>& m) {
-                                 return Prunable(*m);
-                               }),
-                list->end());
-    out.insert(out.end(), list->begin(), list->end());
-  };
-  switch (fp.kind) {
-    case SsiWriteFootprint::Kind::kEntity: {
-      Shard& shard = ShardForEntity(fp.entity);
-      std::lock_guard<std::mutex> guard(shard.mu);
-      auto it = shard.entities.find(fp.entity);
-      if (it != shard.entities.end()) harvest(&it->second);
-      break;
-    }
-    case SsiWriteFootprint::Kind::kIndex: {
-      const uint64_t key = IndexKey(fp.index, fp.token);
-      Shard& shard = ShardForKey(key);
-      std::lock_guard<std::mutex> guard(shard.mu);
-      auto it = shard.index_ranges.find(key);
-      if (it == shard.index_ranges.end()) break;
-      std::erase_if(it->second,
-                    [&](const auto& m) { return Prunable(*m.reader); });
-      for (const RangeMarker& m : it->second) {
-        if (m.lo.has_value() && fp.value < *m.lo) continue;
-        if (m.hi.has_value() && *m.hi < fp.value) continue;
-        out.push_back(m.reader);
+    std::vector<Marker>& markers = shard.markers[target.key];
+    std::erase_if(markers,
+                  [&](const Marker& m) { return Prunable(*m.reader); });
+    for (const Marker& m : markers) {
+      if (m.reader == self &&
+          (m.range == nullptr || (m.range->lo == lo && m.range->hi == hi))) {
+        return;  // Already covered.
       }
-      break;
     }
-    case SsiWriteFootprint::Kind::kAdjacency: {
-      Shard& shard = ShardForKey(fp.node);
-      std::lock_guard<std::mutex> guard(shard.mu);
-      auto it = shard.adjacency.find(fp.node);
-      if (it != shard.adjacency.end()) harvest(&it->second);
-      break;
-    }
-    case SsiWriteFootprint::Kind::kAllNodes: {
-      std::lock_guard<std::mutex> guard(all_nodes_mu_);
-      harvest(&all_nodes_);
-      break;
+    markers.push_back(Marker{
+        self, lo || hi ? std::make_unique<Marker::Range>(Marker::Range{lo, hi})
+                       : nullptr});
+  }
+  NEOSI_SSI_TRACE("M t=%llu key=%016llx", (unsigned long long)self->id,
+                  (unsigned long long)target.key);
+}
+
+std::vector<std::shared_ptr<SsiTxnInfo>> SsiTracker::LinkReaders(
+    const std::shared_ptr<SsiTxnInfo>& self, const SsiTarget& target) {
+  std::vector<std::shared_ptr<SsiTxnInfo>> readers;
+  {
+    Shard& shard = ShardFor(target.key);
+    std::lock_guard<std::mutex> guard(shard.mu);
+    auto it = shard.markers.find(target.key);
+    if (it == shard.markers.end()) return readers;
+    std::erase_if(it->second,
+                  [&](const Marker& m) { return Prunable(*m.reader); });
+    for (const Marker& m : it->second) {
+      if (m.reader != self && m.Covers(target.value)) {
+        readers.push_back(m.reader);
+      }
     }
   }
-  return out;
+  for (const auto& reader : readers) LinkEdge(reader, self);
+  return readers;
+}
+
+size_t SsiTracker::MarkerCount(TxnId txn) {
+  size_t n = 0;
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    for (const auto& [key, markers] : shard.markers) {
+      for (const Marker& m : markers) n += m.reader->id == txn;
+    }
+  }
+  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -449,11 +395,8 @@ Status SsiTracker::OnReadObservedCommit(
 }
 
 Status SsiTracker::OnWrite(const std::shared_ptr<SsiTxnInfo>& self,
-                           const SsiWriteFootprint& fp) {
-  for (const auto& reader : CollectReaders(fp)) {
-    if (reader == self) continue;
-    LinkEdge(reader, self);
-  }
+                           const SsiTarget& target) {
+  LinkReaders(self, target);
   std::lock_guard<std::mutex> guard(self->mu);
   if (DangerousPivot(*self)) {
     aborts_pivot_.fetch_add(1, std::memory_order_relaxed);
@@ -466,11 +409,9 @@ Status SsiTracker::OnWrite(const std::shared_ptr<SsiTxnInfo>& self,
 }
 
 void SsiTracker::OnPostStamp(const std::shared_ptr<SsiTxnInfo>& self,
-                             const std::vector<SsiWriteFootprint>& footprints) {
-  for (const SsiWriteFootprint& fp : footprints) {
-    for (const auto& reader : CollectReaders(fp)) {
-      if (reader == self) continue;
-      LinkEdge(reader, self);
+                             const std::vector<SsiTarget>& writes) {
+  for (const SsiTarget& target : writes) {
+    for (const auto& reader : LinkReaders(self, target)) {
       const SsiTxnState r_state =
           reader->state.load(std::memory_order_acquire);
       if (r_state == SsiTxnState::kActive ||
@@ -518,7 +459,7 @@ void SsiTracker::OnPostStamp(const std::shared_ptr<SsiTxnInfo>& self,
 
 Status SsiTracker::PreCommitCheck(
     const std::shared_ptr<SsiTxnInfo>& self,
-    const std::vector<SsiWriteFootprint>& footprints,
+    const std::vector<SsiTarget>& writes,
     std::unique_lock<std::mutex>* commit_guard) {
   *commit_guard = std::unique_lock<std::mutex>(commit_mu_);
   NEOSI_SSI_TRACE("PCC t=%llu enter", (unsigned long long)self->id);
@@ -526,12 +467,7 @@ Status SsiTracker::PreCommitCheck(
   // committed) since the write-time OnWrite scans; its edge must exist
   // before the pivot evaluation below or self commits over a dangerous
   // structure nobody can abort any more.
-  for (const SsiWriteFootprint& fp : footprints) {
-    for (const auto& reader : CollectReaders(fp)) {
-      if (reader == self) continue;
-      LinkEdge(reader, self);
-    }
-  }
+  for (const SsiTarget& target : writes) LinkReaders(self, target);
   if (self->doomed.load(std::memory_order_acquire)) {
     NEOSI_SSI_TRACE("PCC t=%llu doomed", (unsigned long long)self->id);
   }

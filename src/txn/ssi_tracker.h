@@ -6,11 +6,12 @@
 // edges: I --rw--> P --rw--> O where the three are pairwise concurrent and O
 // commits first (the "dangerous structure"; P is the pivot). SSI therefore
 // leaves SIREAD markers behind every snapshot read a kSerializable
-// transaction performs — on entities for point reads, on index ranges (a
-// label scan covers its label's whole range) and adjacency keys for index
-// and traversal scans — and records an rw-antidependency edge whenever
+// transaction performs — one SsiTarget per entity for point reads, per
+// adjacency anchor for traversals, per index name (with the scanned value
+// range) for index scans, and one for the all-nodes scan — and records an
+// rw-antidependency edge whenever
 //
-//   * a writer's footprint overlaps an existing marker (write-time
+//   * a written target is covered by an existing marker (write-time
 //     detection: the reader read before this write), or
 //   * a reader's chain walk or index scan observes a version committed
 //     after its snapshot (read-time detection: the writer committed before
@@ -27,7 +28,7 @@
 // serializable transaction remains (commit_ts <= oldest tracked active
 // start_ts, the same retention rule PostgreSQL uses for SIREAD locks).
 //
-// Marker tables are sharded like the 64-way LockManager. Lock hierarchy:
+// The one marker table is sharded like the 64-way LockManager. Lock hierarchy:
 // commit_mu_ > shard/registry mutex > SsiTxnInfo::mu (two infos always in
 // ascending txn-id order). State fields read during danger evaluation
 // (state, commit_ts, doomed) are atomics, so peers are inspected without
@@ -46,6 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -68,7 +70,7 @@ enum class SsiTxnState : uint8_t {
 
 /// Per-transaction SSI record. Outlives the Transaction handle (markers and
 /// edges must survive commit); owned by shared_ptr from the registry, the
-/// marker tables and peer edge lists.
+/// marker table and peer edge lists.
 struct SsiTxnInfo {
   TxnId id = kNoTxn;
   /// Snapshot timestamp; 0 until SetStartTs (the Begin() window between
@@ -97,52 +99,34 @@ struct SsiTxnInfo {
   std::vector<OutEdge> out_;                     ///< O with this --rw--> O.
 };
 
-/// What one write operation touched, from the marker tables' point of view.
-/// Recorded by Transaction for the write-time marker scan and replayed for
-/// the post-stamp rescan (a reader that walked the chain before the commit
-/// stamp landed inserts its marker after the write-time scan; exactly one
-/// of the two scans is guaranteed to see it).
-struct SsiWriteFootprint {
-  enum class Kind : uint8_t {
-    kEntity,     ///< Point-read marker on a node/rel id.
-    kIndex,      ///< Index-range marker (index, token, value bounds).
-    kAdjacency,  ///< GetRelationships marker on an anchor node.
-    kAllNodes,   ///< AllNodes() full-scan marker.
-  };
-  Kind kind = Kind::kEntity;
-  EntityKey entity{};
-  IndexId index = IndexId::kLabel;
-  uint32_t token = kInvalidToken;
-  PropertyValue value;
-  NodeId node = kInvalidNodeId;
+/// What a SIREAD marker covers and what a write touches: one key per
+/// entity, adjacency anchor, the all-nodes scan, or index name, plus the
+/// value a written index tuple carries. The key's top three bits hold the
+/// kind; the rest hold the id or, for an index, the IndexId and a hash of
+/// the label or property key NAME, so a scan marks a name before any token
+/// exists for it. An id or hash that overflows its bits can only merge two
+/// targets, which adds conflicts and never loses one.
+struct SsiTarget {
+  uint64_t key = 0;
+  PropertyValue value;  ///< A written index tuple's value; null otherwise.
 
-  static SsiWriteFootprint Entity(const EntityKey& key) {
-    SsiWriteFootprint fp;
-    fp.kind = Kind::kEntity;
-    fp.entity = key;
-    return fp;
+  static SsiTarget Entity(const EntityKey& entity) {
+    return {Tagged(entity.type == EntityType::kNode ? 0 : 1, entity.id), {}};
   }
-  /// The index tuple (token, value) in index `which`; a label's value is
-  /// null.
-  static SsiWriteFootprint Index(IndexId which, uint32_t token,
-                                 PropertyValue value) {
-    SsiWriteFootprint fp;
-    fp.kind = Kind::kIndex;
-    fp.index = which;
-    fp.token = token;
-    fp.value = std::move(value);
-    return fp;
+  static SsiTarget Adjacency(NodeId node) { return {Tagged(2, node), {}}; }
+  static SsiTarget AllNodes() { return {Tagged(3, 0), {}}; }
+  /// The index tuple (name, value) in index `which`; a scan's target
+  /// leaves the value null and carries its range to AddRead instead.
+  static SsiTarget Index(IndexId which, std::string_view name,
+                         PropertyValue value = {}) {
+    const uint64_t hash = std::hash<std::string_view>{}(name);
+    return {Tagged(4, static_cast<uint64_t>(which) << 59 | hash >> 5),
+            std::move(value)};
   }
-  static SsiWriteFootprint Adjacency(NodeId node) {
-    SsiWriteFootprint fp;
-    fp.kind = Kind::kAdjacency;
-    fp.node = node;
-    return fp;
-  }
-  static SsiWriteFootprint AllNodes() {
-    SsiWriteFootprint fp;
-    fp.kind = Kind::kAllNodes;
-    return fp;
+
+ private:
+  static uint64_t Tagged(uint64_t kind, uint64_t payload) {
+    return kind << 61 | (payload & ((uint64_t{1} << 61) - 1));
   }
 };
 
@@ -154,7 +138,7 @@ struct SsiTrackerStats {
   uint64_t aborts_doomed = 0;   ///< Victims doomed by a committing peer.
 };
 
-/// Sharded SIREAD-marker tables + rw-antidependency edge registry.
+/// Sharded SIREAD-marker table + rw-antidependency edge registry.
 class SsiTracker {
  public:
   SsiTracker();
@@ -196,18 +180,16 @@ class SsiTracker {
 
   // --- reader side ---------------------------------------------------------
 
-  /// SIREAD marker inserts. Must be called BEFORE the corresponding chain
-  /// walk / index scan (marker-then-read on this side, stamp-then-rescan on
-  /// the writer side: one of the two orders always observes the other).
-  void AddEntityRead(const std::shared_ptr<SsiTxnInfo>& self,
-                     const EntityKey& key);
-  /// Range marker over the values [lo, hi] (either bound optional;
-  /// inclusive) of `token` in index `which`. A label scan is the open range.
-  void AddIndexRead(const std::shared_ptr<SsiTxnInfo>& self, IndexId which,
-                    uint32_t token, const std::optional<PropertyValue>& lo,
-                    const std::optional<PropertyValue>& hi);
-  void AddAdjacencyRead(const std::shared_ptr<SsiTxnInfo>& self, NodeId node);
-  void AddAllNodesRead(const std::shared_ptr<SsiTxnInfo>& self);
+  /// SIREAD marker insert on `target`, covering the written values in
+  /// [lo, hi] (either bound optional; inclusive; both absent cover every
+  /// value, as a label scan and every non-index target do). Must be called
+  /// BEFORE the corresponding chain walk / index scan (marker-then-read on
+  /// this side, stamp-then-rescan on the writer side: one of the two orders
+  /// always observes the other).
+  void AddRead(const std::shared_ptr<SsiTxnInfo>& self,
+               const SsiTarget& target,
+               const std::optional<PropertyValue>& lo = std::nullopt,
+               const std::optional<PropertyValue>& hi = std::nullopt);
 
   /// Read-time conflict-out: `self`'s walk/scan observed a version (or
   /// index interval) committed after its snapshot by `writer` (kNoTxn when
@@ -220,18 +202,18 @@ class SsiTracker {
 
   // --- writer side ---------------------------------------------------------
 
-  /// Write-time marker scan for one footprint: records reader --rw--> self
+  /// Write-time marker scan for one target: records reader --rw--> self
   /// edges for every overlapping marker and fails with SerializationFailure
   /// when self becomes a dangerous pivot. The caller rolls back.
   Status OnWrite(const std::shared_ptr<SsiTxnInfo>& self,
-                 const SsiWriteFootprint& fp);
+                 const SsiTarget& target);
 
   /// Post-stamp rescan, after the commit timestamps landed on versions and
   /// index entries: records edges to markers inserted since the write-time
   /// scans. Never fails self (it is already committed); dangerous pivots
   /// found among the markers' owners are doomed instead.
   void OnPostStamp(const std::shared_ptr<SsiTxnInfo>& self,
-                   const std::vector<SsiWriteFootprint>& footprints);
+                   const std::vector<SsiTarget>& writes);
 
   // --- lifecycle -----------------------------------------------------------
 
@@ -241,7 +223,7 @@ class SsiTracker {
   Status FailIfDoomed(const std::shared_ptr<SsiTxnInfo>& self);
 
   /// Serialized (commit_mu_) pre-commit danger check. First re-collects the
-  /// SIREAD markers overlapping self's write footprints and links any edges
+  /// SIREAD markers overlapping self's write targets and links any edges
   /// from readers whose markers landed after the write-time scans — without
   /// this, a reader that slipped its marker in and committed between
   /// OnWrite and this check would leave self an undetected committed pivot.
@@ -257,7 +239,7 @@ class SsiTracker {
   /// decision see the rw-edge to self. On failure the caller's guard simply
   /// unwinds on scope exit.
   Status PreCommitCheck(const std::shared_ptr<SsiTxnInfo>& self,
-                        const std::vector<SsiWriteFootprint>& footprints,
+                        const std::vector<SsiTarget>& writes,
                         std::unique_lock<std::mutex>* commit_guard);
 
   /// Publishes the commit timestamp (writers: the oracle timestamp;
@@ -270,28 +252,32 @@ class SsiTracker {
 
   SsiTrackerStats Stats() const;
 
- private:
-  struct RangeMarker {
-    std::optional<PropertyValue> lo, hi;
-    std::shared_ptr<SsiTxnInfo> reader;
-  };
+  /// Markers `txn` holds across the whole table (test accessor).
+  size_t MarkerCount(TxnId txn);
 
-  using MarkerList = std::vector<std::shared_ptr<SsiTxnInfo>>;
+ private:
+  /// One SIREAD marker: its reader and, for a bounded index scan, the
+  /// value range out of line (null covers every value).
+  struct Marker {
+    struct Range {
+      std::optional<PropertyValue> lo, hi;
+    };
+    std::shared_ptr<SsiTxnInfo> reader;
+    std::unique_ptr<Range> range;
+
+    bool Covers(const PropertyValue& value) const {
+      return range == nullptr ||
+             ((!range->lo || !(value < *range->lo)) &&
+              (!range->hi || !(*range->hi < value)));
+    }
+  };
 
   struct Shard {
     std::mutex mu;
-    std::unordered_map<EntityKey, MarkerList> entities;
-    std::unordered_map<NodeId, MarkerList> adjacency;
-    /// Keyed by IndexKey(which, token).
-    std::unordered_map<uint64_t, std::vector<RangeMarker>> index_ranges;
+    std::unordered_map<uint64_t, std::vector<Marker>> markers;  ///< By key.
   };
 
-  static uint64_t IndexKey(IndexId which, uint32_t token) {
-    return static_cast<uint64_t>(which) << 32 | token;
-  }
-  static uint64_t Mix(uint64_t x);
-  Shard& ShardForEntity(const EntityKey& key);
-  Shard& ShardForKey(uint64_t key);
+  Shard& ShardFor(uint64_t key);
 
   /// True when a marker or registry record can never participate in a new
   /// edge: its owner aborted, or committed at-or-below BOTH retention
@@ -299,14 +285,11 @@ class SsiTracker {
   /// snapshot floor).
   bool Prunable(const SsiTxnInfo& info) const;
 
-  /// Appends `reader` to `list` unless already present; drops prunable
-  /// markers in passing. Caller holds the shard mutex.
-  void InsertMarkerLocked(MarkerList* list,
-                          const std::shared_ptr<SsiTxnInfo>& reader);
-
-  /// Readers whose markers overlap `fp` (prunable markers dropped).
-  std::vector<std::shared_ptr<SsiTxnInfo>> CollectReaders(
-      const SsiWriteFootprint& fp);
+  /// Records reader --rw--> self for every other reader whose marker
+  /// covers `target` (prunable markers dropped in passing), and returns
+  /// those readers.
+  std::vector<std::shared_ptr<SsiTxnInfo>> LinkReaders(
+      const std::shared_ptr<SsiTxnInfo>& self, const SsiTarget& target);
 
   /// Records reader --rw--> writer (both tracked). Dedupes; locks the two
   /// infos in ascending txn-id order.
@@ -330,11 +313,9 @@ class SsiTracker {
   void RecomputeRegistryLocked();
 
   /// Marker-table shards: the LockManager's fan-out. Only kSerializable
-  /// transactions touch these tables.
+  /// transactions touch the table.
   static constexpr size_t kShardCount = 64;
   std::vector<Shard> shards_;
-  std::mutex all_nodes_mu_;
-  MarkerList all_nodes_;
 
   mutable std::mutex registry_mu_;
   std::unordered_map<TxnId, std::shared_ptr<SsiTxnInfo>> registry_;

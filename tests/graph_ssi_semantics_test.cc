@@ -23,7 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "graph/graph_database.h"
 #include "sync_points.h"
@@ -634,6 +637,55 @@ TEST_F(UnknownTokenReadSkew, LabelTestOfAMissingLabel) {
   EXPECT_EQ(committed, 1);
 }
 
+// The index scans key their marker by the name, so a scan of a name no
+// token carries yet still meets the write that creates the token.
+TEST_F(UnknownTokenReadSkew, LabelScanOfAMissingLabel) {
+  const int committed = RunSkew(
+      [&](Transaction& t1) {
+        auto vips = t1.GetNodesByLabel("VIP");
+        ASSERT_TRUE(vips.ok()) << vips.status();
+        EXPECT_TRUE(vips->empty());
+      },
+      [&](Transaction& t2) { return t2.AddLabel(n_, "VIP"); });
+  EXPECT_EQ(committed, 1);
+}
+
+TEST_F(UnknownTokenReadSkew, PropertyScanOfAMissingKey) {
+  const int committed = RunSkew(
+      [&](Transaction& t1) {
+        auto flagged = t1.GetNodesByProperty("flag", PropertyValue(true));
+        ASSERT_TRUE(flagged.ok()) << flagged.status();
+        EXPECT_TRUE(flagged->empty());
+      },
+      [&](Transaction& t2) {
+        return t2.SetNodeProperty(n_, "flag", PropertyValue(true));
+      });
+  EXPECT_EQ(committed, 1);
+}
+
+// T2 creates the label after T1's snapshot and commits before T1 scans it.
+// T1's scan must still see T2's entry as a conflict-out, or T1 commits as
+// the pivot of T2 --rw--> T1 (via m) --rw--> T2 (via the label).
+TEST_F(UnknownTokenReadSkew, LabelScanOfALabelCreatedAfterTheSnapshot) {
+  auto t1 = db_->Begin(IsolationLevel::kSerializable);
+  // An unrelated commit moves T2's snapshot, and so the token it creates,
+  // past T1's.
+  auto bump = db_->Begin();
+  ASSERT_TRUE(bump->SetNodeProperty(k_, "tick", PropertyValue(true)).ok());
+  ASSERT_TRUE(bump->Commit().ok());
+  auto t2 = db_->Begin(IsolationLevel::kSerializable);
+  EXPECT_EQ(Balance(*t2, m_), 0);
+  ASSERT_TRUE(t2->AddLabel(n_, "VIP").ok());
+  ASSERT_TRUE(t2->Commit().ok());
+
+  auto vips = t1->GetNodesByLabel("VIP");
+  ASSERT_TRUE(vips.ok()) << vips.status();
+  EXPECT_TRUE(vips->empty());
+  Status s = t1->SetNodeProperty(m_, "balance", PropertyValue(int64_t{1}));
+  if (s.ok()) s = t1->Commit();
+  EXPECT_TRUE(s.IsSerializationFailure()) << s;
+}
+
 // Run with and without the type already named by some relationship: the
 // outcome must not depend on whether the reader's snapshot knows the type.
 class UnknownRelTypeReadSkew
@@ -662,6 +714,145 @@ INSTANTIATE_TEST_SUITE_P(TypeKnown, UnknownRelTypeReadSkew, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "TypeExists" : "TypeMissing";
                          });
+
+
+// --- Every public read leaves a marker --------------------------------------
+
+// Each public read of Transaction, in a fresh read-write serializable
+// transaction, must leave at least one SIREAD marker whatever it is pointed
+// at: a known name, a name no token carries, an id never allocated, or an
+// entity that was deleted. A read that leaves none is a write-skew hole.
+enum class ReadCase { kKnownName, kUnknownName, kMissingId, kDeletedEntity };
+constexpr const char* kReadCaseNames[] = {"KnownName", "UnknownName",
+                                         "MissingId", "DeletedEntity"};
+
+/// What one row's read is pointed at.
+struct ReadArgs {
+  NodeId node = kInvalidNodeId;
+  RelId rel = kInvalidRelId;
+  std::string label, node_key, rel_key, type;
+};
+
+struct PublicRead {
+  const char* name;
+  void (*read)(Transaction&, const ReadArgs&);
+};
+
+constexpr PublicRead kPublicReads[] = {
+    {"GetNode", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetNode(a.node);
+     }},
+    {"GetRelationship", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetRelationship(a.rel);
+     }},
+    {"GetNodeProperty", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetNodeProperty(a.node, a.node_key);
+     }},
+    {"GetRelProperty", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetRelProperty(a.rel, a.rel_key);
+     }},
+    {"NodeHasLabel", [](Transaction& t, const ReadArgs& a) {
+       (void)t.NodeHasLabel(a.node, a.label);
+     }},
+    {"NodeExists", [](Transaction& t, const ReadArgs& a) {
+       (void)t.NodeExists(a.node);
+     }},
+    {"RelExists", [](Transaction& t, const ReadArgs& a) {
+       (void)t.RelExists(a.rel);
+     }},
+    {"AllNodes", [](Transaction& t, const ReadArgs&) {
+       (void)t.AllNodes();
+     }},
+    {"GetNodesByLabel", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetNodesByLabel(a.label);
+     }},
+    {"GetNodesByProperty", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetNodesByProperty(a.node_key, PropertyValue(int64_t{1}));
+     }},
+    {"GetNodesByPropertyRange", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetNodesByPropertyRange(a.node_key, PropertyValue(int64_t{0}),
+                                       PropertyValue(int64_t{9}));
+     }},
+    {"GetRelsByProperty", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetRelsByProperty(a.rel_key, PropertyValue(int64_t{1}));
+     }},
+    {"GetRelationships", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetRelationships(a.node, Direction::kBoth);
+     }},
+    {"GetRelationshipsTyped", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetRelationships(a.node, Direction::kBoth, a.type);
+     }},
+    {"GetNeighbors", [](Transaction& t, const ReadArgs& a) {
+       (void)t.GetNeighbors(a.node, Direction::kBoth, a.type);
+     }},
+    {"Degree", [](Transaction& t, const ReadArgs& a) {
+       (void)t.Degree(a.node);
+     }},
+};
+
+class EveryReadLeavesAMarker
+    : public ::testing::TestWithParam<std::tuple<size_t, ReadCase>> {
+ protected:
+  void SetUp() override {
+    db_ = OpenDb();
+    auto txn = db_->Begin();
+    node_ = *txn->CreateNode({"Person"}, {{"age", PropertyValue(int64_t{1})}});
+    const NodeId peer = *txn->CreateNode({});
+    rel_ = *txn->CreateRelationship(node_, peer, "KNOWS",
+                                    {{"weight", PropertyValue(int64_t{1})}});
+    // The deleted entities alone carried the "Gone"/"gone"/"GONE" names.
+    deleted_node_ =
+        *txn->CreateNode({"Gone"}, {{"gone", PropertyValue(int64_t{1})}});
+    deleted_rel_ = *txn->CreateRelationship(
+        peer, peer, "GONE", {{"gone", PropertyValue(int64_t{1})}});
+    ASSERT_TRUE(txn->Commit().ok());
+    auto del = db_->Begin();
+    ASSERT_TRUE(del->DeleteRelationship(deleted_rel_).ok());
+    ASSERT_TRUE(del->DeleteNode(deleted_node_).ok());
+    ASSERT_TRUE(del->Commit().ok());
+  }
+
+  ReadArgs ArgsFor(ReadCase c) const {
+    constexpr uint64_t kNeverAllocated = 1'000'000;
+    switch (c) {
+      case ReadCase::kKnownName:
+        return {node_, rel_, "Person", "age", "weight", "KNOWS"};
+      case ReadCase::kUnknownName:
+        return {node_, rel_, "Ghost", "ghost", "ghost", "GHOST"};
+      case ReadCase::kMissingId:
+        return {kNeverAllocated, kNeverAllocated, "Person", "age", "weight",
+                "KNOWS"};
+      case ReadCase::kDeletedEntity:
+        return {deleted_node_, deleted_rel_, "Gone", "gone", "gone", "GONE"};
+    }
+    return {};
+  }
+
+  std::unique_ptr<GraphDatabase> db_;
+  NodeId node_ = kInvalidNodeId;
+  RelId rel_ = kInvalidRelId;
+  NodeId deleted_node_ = kInvalidNodeId;
+  RelId deleted_rel_ = kInvalidRelId;
+};
+
+TEST_P(EveryReadLeavesAMarker, InEachCase) {
+  const auto [row, read_case] = GetParam();
+  auto txn = db_->Begin(IsolationLevel::kSerializable);
+  kPublicReads[row].read(*txn, ArgsFor(read_case));
+  EXPECT_GE(db_->engine().ssi.MarkerCount(txn->id()), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ReadSurface, EveryReadLeavesAMarker,
+    ::testing::Combine(::testing::Range<size_t>(0, std::size(kPublicReads)),
+                       ::testing::Values(ReadCase::kKnownName,
+                                         ReadCase::kUnknownName,
+                                         ReadCase::kMissingId,
+                                         ReadCase::kDeletedEntity)),
+    [](const auto& info) {
+      return std::string(kPublicReads[std::get<0>(info.param)].name) + "_" +
+             kReadCaseNames[static_cast<int>(std::get<1>(info.param))];
+    });
 
 }  // namespace
 }  // namespace neosi
