@@ -177,7 +177,7 @@ struct DatabaseOptions {
   /// exclusive with replica_of_path. A replica serves snapshot-isolation
   /// reads pinned at its replay watermark; writes and serializable begins
   /// fail with Status::ReplicaReadOnly. Consumed at Open(): the
-  /// ReplicaApplier daemon tails this Dir through a ReplicationSource. The
+  /// ReplicaApplier daemon tails this Dir through Wal::Tail. The
   /// handle keeps the primary's files alive: an in-memory primary's store
   /// bytes and segments outlive its close while a replica holds them, and
   /// an on-disk primary's `LOCK` stays held until the replica closes.

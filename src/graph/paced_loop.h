@@ -1,7 +1,7 @@
-// The one background-daemon loop. GcDaemon and CheckpointDaemon each own a
-// PacedLoop and supply only their pass: the loop owns the thread, the
-// interval wait, the nudge flag, the armed commit-path nudge, idempotent
-// Start/Stop and the pacing counters.
+// The one background-daemon loop. GcDaemon, CheckpointDaemon and
+// ReplicaApplier each own a PacedLoop and supply only their pass: the loop
+// owns the thread, the interval wait, the nudge flag, the armed commit-path
+// nudge, idempotent Start/Stop and the pacing counters.
 //
 // Pacing: the thread sleeps until the wait the previous pass asked for has
 // elapsed or a Nudge() arrives, then calls the pass. The pass reports

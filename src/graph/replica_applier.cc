@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <optional>
+#include <thread>
 
 #include "common/coding.h"
 #include "graph/index_maintenance.h"
@@ -32,9 +33,10 @@ ReplicaApplier::ReplicaApplier(Engine* engine, std::shared_ptr<Dir> primary,
                                uint64_t poll_interval_ms,
                                uint64_t conflict_grace_ms)
     : engine_(engine),
-      source_(std::move(primary)),
+      primary_(std::move(primary)),
       poll_interval_ms_(poll_interval_ms),
-      conflict_grace_ms_(conflict_grace_ms) {}
+      conflict_grace_ms_(conflict_grace_ms),
+      loop_(/*interval_ms=*/0, [this](bool) { return Pass(); }) {}
 
 ReplicaApplier::~ReplicaApplier() { Stop(); }
 
@@ -61,55 +63,39 @@ Status ReplicaApplier::Bootstrap(Timestamp recovered_ts) {
 }
 
 void ReplicaApplier::Start() {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (running_) return;
-  running_ = true;
   stop_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { Loop(); });
+  loop_.Start();
 }
 
 void ReplicaApplier::Stop() {
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    stop_.store(true, std::memory_order_release);
-    cv_.notify_all();
-    caught_up_cv_.notify_all();
-  }
-  if (thread_.joinable()) thread_.join();
-  std::lock_guard<std::mutex> guard(mu_);
-  running_ = false;
+  stop_.store(true, std::memory_order_release);
+  loop_.Stop();
 }
 
-void ReplicaApplier::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_.load(std::memory_order_acquire)) {
-    const uint64_t seq = ++pass_seq_;
-    lock.unlock();
-
-    bool progressed = false;
-    Status s = RunOnePass(&progressed);
-
-    lock.lock();
-    if (!s.ok()) {
-      {
-        std::lock_guard<std::mutex> err_guard(err_mu_);
-        last_error_ = s;
-      }
-      // A cursor gap or shipped corruption never heals on its own: park and
-      // keep serving the last published watermark instead of spinning.
-      fatal_ = true;
-      caught_up_cv_.notify_all();
-      cv_.wait(lock, [this] { return stop_.load(std::memory_order_acquire); });
-      break;
-    }
-    if (!progressed && pending_.empty()) {
-      last_caught_up_seq_ = seq;
-      caught_up_cv_.notify_all();
-    }
-    if (progressed) continue;  // Hot tail: poll again immediately.
-    cv_.wait_for(lock, std::chrono::milliseconds(poll_interval_ms_),
-                 [this] { return stop_.load(std::memory_order_acquire); });
+PacedLoop::Outcome ReplicaApplier::Pass() {
+  uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    // A cursor gap or a record this replica cannot read never heals on its
+    // own: stay parked and keep serving the last published watermark.
+    if (fatal_) return {false, poll_interval_ms_};
+    seq = ++pass_seq_;
   }
+  bool progressed = false;
+  Status s = RunOnePass(&progressed);
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    if (!s.ok()) {
+      std::lock_guard<std::mutex> err_guard(err_mu_);
+      last_error_ = s;
+      fatal_ = true;
+    } else if (!progressed && pending_.empty()) {
+      last_caught_up_seq_ = seq;
+    }
+  }
+  caught_up_cv_.notify_all();
+  // Hot tail: poll again at once.
+  return {true, progressed ? 0 : poll_interval_ms_};
 }
 
 Status ReplicaApplier::RunOnce() {
@@ -126,9 +112,9 @@ Status ReplicaApplier::RunOnePass(bool* progressed) {
   polls_.fetch_add(1, std::memory_order_relaxed);
 
   std::vector<ShippedRecord> batch;
-  Lsn next = cursor_.load(std::memory_order_acquire);
-  NEOSI_RETURN_IF_ERROR(
-      source_.Poll(cursor_.load(std::memory_order_acquire), &batch, &next));
+  Lsn next = 0;
+  NEOSI_RETURN_IF_ERROR(Wal::Tail(
+      *primary_, cursor_.load(std::memory_order_acquire), &batch, &next));
   *progressed = !batch.empty();
 
   for (ShippedRecord& shipped : batch) {
@@ -161,12 +147,12 @@ bool ReplicaApplier::WaitCaughtUp(uint64_t timeout_ms) {
   // poll observes everything the caller appended to the source before
   // calling.
   const uint64_t want = pass_seq_ + 1;
-  const bool done = caught_up_cv_.wait_for(
-      lock, std::chrono::milliseconds(timeout_ms), [this, want] {
-        return fatal_ || last_caught_up_seq_ >= want ||
-               stop_.load(std::memory_order_acquire);
-      });
-  return done && !fatal_ && last_caught_up_seq_ >= want;
+  loop_.Nudge();
+  caught_up_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                         [this, want] {
+                           return fatal_ || last_caught_up_seq_ >= want;
+                         });
+  return !fatal_ && last_caught_up_seq_ >= want;
 }
 
 Status ReplicaApplier::last_error() const {

@@ -1,6 +1,7 @@
 // Replica replay daemon: continuously ships the primary's WAL records
-// through a ReplicationSource and replays them into this (read-only)
-// engine, publishing a REPLAY WATERMARK that replica snapshots pin to.
+// through Wal::Tail and replays them into this (read-only) engine,
+// publishing a REPLAY WATERMARK that replica snapshots pin to. The daemon
+// is a PacedLoop pass, like the GC and checkpoint daemons.
 //
 // Watermark protocol. Commit timestamps are dense integers, but the
 // primary's WAL orders records by append, not by timestamp, and a commit
@@ -46,11 +47,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "graph/engine.h"
-#include "storage/replication_source.h"
+#include "graph/paced_loop.h"
+#include "storage/wal.h"
 
 namespace neosi {
 
@@ -82,9 +83,9 @@ class ReplicaApplier {
   void Start();
   void Stop();
 
-  /// One synchronous ship-and-apply pass (the daemon loop body; tests call
-  /// it directly for deterministic replay). Returns the first error; fatal
-  /// gap/corruption errors also stick in last_error().
+  /// One synchronous ship-and-apply pass (what the daemon's pass runs;
+  /// tests call it directly for deterministic replay). Returns the first
+  /// error; fatal gap/corruption errors also stick in last_error().
   Status RunOnce();
 
   /// Blocks until the applier has caught up to the source's current end (a
@@ -120,8 +121,9 @@ class ReplicaApplier {
     return conflicts_cancelled_.load(std::memory_order_relaxed);
   }
 
-  /// Sticky fatal error (cursor gap / corruption): the daemon parks on it
-  /// and the replica keeps serving its last watermark until re-seeded.
+  /// Sticky fatal error (cursor gap / corruption / an I/O error reading the
+  /// primary): the daemon parks on it and the replica keeps serving its
+  /// last watermark until re-seeded.
   Status last_error() const;
 
  private:
@@ -129,7 +131,10 @@ class ReplicaApplier {
   enum class RecordKind { kCheckpointMarker, kTokenOnly, kPurge, kCommit };
   static RecordKind Classify(const WalRecord& record);
 
-  void Loop();
+  /// The PacedLoop pass: one RunOnePass, then the next wait — none after
+  /// progress, the poll interval otherwise. Idle-skips once parked on a
+  /// fatal error.
+  PacedLoop::Outcome Pass();
   /// One full poll -> ingest -> drain -> persist-cursor pass.
   Status RunOnePass(bool* progressed);
   /// Applies / buffers one shipped record; advances pending_ draining.
@@ -150,7 +155,7 @@ class ReplicaApplier {
   Status WriteCursorFile(Lsn cursor);
 
   Engine* engine_;
-  ReplicationSource source_;
+  std::shared_ptr<Dir> primary_;
   const uint64_t poll_interval_ms_;
   const uint64_t conflict_grace_ms_;
 
@@ -178,7 +183,6 @@ class ReplicaApplier {
   Status last_error_;
 
   std::mutex mu_;
-  std::condition_variable cv_;
   std::condition_variable caught_up_cv_;
   /// Pass sequencing for WaitCaughtUp: a waiter needs a CLEAN-and-empty
   /// pass that STARTED after it sampled pass_seq_, so "caught up" always
@@ -186,9 +190,11 @@ class ReplicaApplier {
   uint64_t pass_seq_ = 0;
   uint64_t last_caught_up_seq_ = 0;
   bool fatal_ = false;
+  /// Set by Stop() so CancelConflictsBelow stops waiting out its grace.
   std::atomic<bool> stop_{false};
-  bool running_ = false;
-  std::thread thread_;
+
+  /// Declared last: its thread runs Pass(), which touches everything above.
+  PacedLoop loop_;
 };
 
 }  // namespace neosi

@@ -29,8 +29,8 @@ std::string IndexedName(const char* prefix, uint64_t index) {
 /// frame whose length and checksum hold, invokes `fn(frame_offset,
 /// payload)`; stops at the first invalid frame (torn tail). Returns the
 /// offset one past the last valid frame. The single definition of what "a
-/// valid frame prefix" means — Open's cursor scan and replay both walk
-/// through here.
+/// valid frame prefix" means — Open's cursor scan, replay and the replica's
+/// tailer (Wal::Tail) all walk through here.
 Result<uint64_t> WalkFrames(
     PagedFile* file, uint64_t offset, uint64_t size,
     const std::function<Status(uint64_t, const Slice&)>& fn) {
@@ -825,6 +825,51 @@ uint64_t GroupCommitter::batches() const {
   return wal_->flush_passes_.load(std::memory_order_relaxed);
 }
 
+Status Wal::WalkChain(const std::vector<const Segment*>& chain, Lsn from,
+                      bool clip,
+                      const std::function<Status(Lsn, const WalRecord&)>& fn,
+                      Lsn* end) {
+  *end = from;
+  for (size_t i = 0; i < chain.size(); ++i) {
+    const Segment& seg = *chain[i];
+    const bool newest = i + 1 == chain.size();
+    const Lsn successor = newest ? 0 : chain[i + 1]->base;
+    if (!newest && successor <= from) continue;  // Wholly below.
+
+    uint64_t size = seg.file->Size();
+    if (clip && !newest) {
+      size = std::min(size, kSegmentHeaderSize + (successor - seg.base));
+    }
+    const Lsn start = std::max(from, seg.base);
+    *end = start;
+    NEOSI_RETURN_IF_ERROR(
+        WalkFrames(seg.file.get(), kSegmentHeaderSize + (start - seg.base),
+                   size,
+                   [&](uint64_t offset, const Slice& payload) {
+                     const Lsn lsn = seg.base + (offset - kSegmentHeaderSize);
+                     WalRecord record;
+                     NEOSI_RETURN_IF_ERROR(
+                         WalRecord::DecodeFrom(payload, &record));
+                     NEOSI_RETURN_IF_ERROR(fn(lsn, record));
+                     *end = lsn + kFrameHeader + payload.size();
+                     return Status::OK();
+                   })
+            .status());
+    // Older segments were synced before the chain rolled past them, so
+    // their frames must walk exactly up to the successor's base — a short
+    // or invalid walk here is real corruption, not a torn tail, and
+    // silently truncating it would drop durably-acked commits.
+    if (!newest && *end != successor) {
+      return Status::Corruption("wal segment " + SegmentName(seg.index) +
+                                ": frame walk ends at lsn " +
+                                std::to_string(*end) +
+                                ", not at the next segment's base " +
+                                std::to_string(successor));
+    }
+  }
+  return Status::OK();
+}
+
 Status Wal::ReadFrom(Lsn from,
                      const std::function<Status(Lsn, const WalRecord&)>& fn) {
   const Lsn head = head_lsn_.load(std::memory_order_acquire);
@@ -838,59 +883,106 @@ Status Wal::ReadFrom(Lsn from,
 
   // Snapshot the chain. ReadFrom must not race TruncatePrefix (it runs
   // during single-threaded recovery and in tests).
-  std::vector<Segment*> segs;
+  std::vector<const Segment*> chain;
   {
     std::lock_guard<std::mutex> guard(seg_mu_);
-    segs.reserve(segments_.size());
-    for (const auto& segment : segments_) segs.push_back(segment.get());
+    chain.reserve(segments_.size());
+    for (const auto& segment : segments_) chain.push_back(segment.get());
+  }
+  if (chain.empty()) return Status::OK();  // Not opened.
+
+  Lsn end = from;
+  NEOSI_RETURN_IF_ERROR(WalkChain(chain, from, /*clip=*/false, fn, &end));
+
+  // Torn tail (or zeros filled ahead) in the newest segment: drop it so
+  // subsequent appends extend a clean log.
+  const Segment& newest = *chain.back();
+  const uint64_t offset = kSegmentHeaderSize + (end - newest.base);
+  if (offset < newest.file->Size()) {
+    NEOSI_RETURN_IF_ERROR(newest.file->Truncate(offset));
+  }
+  std::lock_guard<SpinLatch> guard(latch_);
+  next_lsn_.store(end, std::memory_order_release);
+  filled_to_ = std::min(filled_to_, offset);
+  // The shave may land below where Open() pegged the flushed watermark; a
+  // watermark above the cursor would let a later commit ack without any
+  // fsync at all.
+  if (flushed_lsn_.load(std::memory_order_relaxed) > end) {
+    flushed_lsn_.store(end, std::memory_order_release);
+  }
+  return Status::OK();
+}
+
+Status Wal::Tail(Dir& dir, Lsn cursor, std::vector<ShippedRecord>* out,
+                 Lsn* next_cursor) {
+  *next_cursor = cursor;
+
+  // Snapshot the directory and open every segment whose header validates.
+  // Races with the primary are benign: a file that vanished (retired) or
+  // whose header does not validate yet (mid-adoption) is skipped until the
+  // next poll. Unlike OpenChain, nothing is repaired or removed.
+  std::vector<std::string> names;
+  NEOSI_RETURN_IF_ERROR(dir.List(&names));
+  std::vector<Segment> listed;
+  for (const std::string& name : names) {
+    Segment seg;
+    if (!ParseIndexed(name, "wal.", &seg.index)) continue;
+    Status s = dir.OpenExisting(name, &seg.file);
+    if (s.IsNotFound()) continue;
+    NEOSI_RETURN_IF_ERROR(s);
+    bool valid = false;
+    if (!ReadSegmentHeader(seg.file.get(), &seg.base, &seg.epoch, &valid)
+             .ok() ||
+        !valid) {
+      continue;
+    }
+    listed.push_back(std::move(seg));
+  }
+  if (listed.empty()) return Status::OK();  // Primary not initialized yet.
+  std::sort(listed.begin(), listed.end(),
+            [](const Segment& a, const Segment& b) { return a.base < b.base; });
+  if (cursor < listed.front().base) {
+    return Status::Corruption(
+        "replication cursor " + std::to_string(cursor) +
+        " is below the primary's oldest retained segment (base " +
+        std::to_string(listed.front().base) +
+        "): history was checkpointed away; re-seed this replica from a "
+        "fresh copy of the primary (see wal_keep_segments)");
   }
 
-  for (size_t i = 0; i < segs.size(); ++i) {
-    Segment* seg = segs[i];
-    const bool newest = i + 1 == segs.size();
-    if (!newest && segs[i + 1]->base <= from) continue;  // Wholly below.
+  std::vector<const Segment*> chain;
+  for (const Segment& seg : listed) chain.push_back(&seg);
+  const size_t batch_start = out->size();
+  Lsn end = cursor;
+  Status walked = WalkChain(
+      chain, cursor, /*clip=*/true,
+      [out](Lsn lsn, const WalRecord& record) {
+        out->push_back(ShippedRecord{lsn, record});
+        return Status::OK();
+      },
+      &end);
 
-    const uint64_t size = seg->file->Size();
-    const Lsn start = std::max(from, seg->base);
-    auto walked = WalkFrames(
-        seg->file.get(), kSegmentHeaderSize + (start - seg->base), size,
-        [&](uint64_t offset, const Slice& payload) {
-          const Lsn lsn = seg->base + (offset - kSegmentHeaderSize);
-          WalRecord record;
-          NEOSI_RETURN_IF_ERROR(WalRecord::DecodeFrom(payload, &record));
-          return fn(lsn, record);
-        });
-    if (!walked.ok()) return walked.status();
-    const uint64_t offset = *walked;
-
-    const Lsn end = seg->base + (offset - kSegmentHeaderSize);
-    if (!newest) {
-      // Older segments were synced before the chain rolled past them, so
-      // their frames must walk exactly up to the successor's base — a short
-      // or invalid walk here is real corruption, not a torn tail, and
-      // silently truncating it would drop durably-acked commits.
-      if (end != segs[i + 1]->base) {
-        return Status::Corruption(
-            "wal segment " + SegmentName(seg->index) +
-            ": frame walk ends before the next segment's base");
-      }
-    } else {
-      // Torn tail (or zeros filled ahead) in the newest segment: drop it
-      // so subsequent appends extend a clean log.
-      if (offset < size) {
-        NEOSI_RETURN_IF_ERROR(seg->file->Truncate(offset));
-      }
-      std::lock_guard<SpinLatch> guard(latch_);
-      next_lsn_.store(end, std::memory_order_release);
-      filled_to_ = std::min(filled_to_, offset);
-      // The shave may land below where Open() pegged the flushed
-      // watermark; a watermark above the cursor would let a later commit
-      // ack without any fsync at all.
-      if (flushed_lsn_.load(std::memory_order_relaxed) > end) {
-        flushed_lsn_.store(end, std::memory_order_release);
-      }
+  // Identity re-check, a safety net: a segment enters the chain by rename
+  // and leaves by unlink, so an open file keeps its header — but a rename
+  // can replace a chain name a failed rollback left behind. If any walked
+  // segment's header changed, nothing read this poll can be trusted: drop
+  // the batch and whatever error the walk found, and let the next poll
+  // re-list.
+  for (size_t i = 0; i < chain.size(); ++i) {
+    if (i + 1 < chain.size() && chain[i + 1]->base <= cursor) continue;
+    Lsn base = 0;
+    uint64_t epoch = 0;
+    bool valid = false;
+    if (!ReadSegmentHeader(chain[i]->file.get(), &base, &epoch, &valid).ok() ||
+        !valid || base != chain[i]->base || epoch != chain[i]->epoch) {
+      out->resize(batch_start);
+      return Status::OK();
     }
   }
+  // A read past the end of a file: the primary truncated a torn tail under
+  // the walk. Ship the frames before it; the next poll reads on.
+  if (!walked.ok() && !walked.IsOutOfRange()) return walked;
+  *next_cursor = end;
   return Status::OK();
 }
 
@@ -927,6 +1019,11 @@ std::string Wal::SegmentNameOf(Lsn lsn) const {
   std::lock_guard<std::mutex> guard(seg_mu_);
   const Segment* segment = SegmentAtLocked(lsn);
   return segment == nullptr ? std::string() : SegmentName(segment->index);
+}
+
+bool Wal::HasPreparedSegment() const {
+  std::lock_guard<std::mutex> guard(seg_mu_);
+  return prepared_ != nullptr;
 }
 
 }  // namespace neosi

@@ -121,6 +121,13 @@ namespace neosi {
 
 class Wal;
 
+/// One record read by Wal::Tail, plus its primary LSN (the replica's
+/// shipping-cursor unit).
+struct ShippedRecord {
+  Lsn lsn = 0;
+  WalRecord record;
+};
+
 /// Tuning knobs for the segmented log.
 struct WalOptions {
   /// Roll to a fresh segment once the current one reaches this many bytes.
@@ -181,16 +188,26 @@ class Wal {
   /// of the fill mark refills up to a whole window past its end.
   static constexpr uint64_t kZeroFillWindow = 256 << 10;
 
-  /// Decodes `file`'s segment header — the one definition of the format,
-  /// shared with the replica tailer. *valid is false (status OK) when the
-  /// header is absent, torn or fails its CRC; an intact header with an
-  /// unsupported version is Corruption.
-  static Status ReadSegmentHeader(PagedFile* file, Lsn* base, uint64_t* epoch,
-                                  bool* valid);
-
   /// File names inside the Dir.
   static std::string SegmentName(uint64_t index);  ///< "wal.000001"
   static std::string PrepName(uint64_t seq);     ///< "wal.prep.000001"
+
+  /// The replica's tailer: appends every record with LSN >= `cursor` now
+  /// readable in the primary's `dir` to *out, in LSN order, and sets
+  /// *next_cursor one past the last record shipped (`cursor` when nothing
+  /// new arrived). Reads through the same frame and chain walk as
+  /// ReadFrom, but never creates, writes, renames or removes a file: a
+  /// segment that vanished or whose header does not validate yet is
+  /// skipped until the next poll, and an older segment is walked only up
+  /// to its successor's base. A read past the end of a file (the primary
+  /// truncated a torn tail under the walk) ends the poll with OK; if any
+  /// walked segment's header changed under the walk, the poll's batch and
+  /// any error it found are dropped. Corruption: `cursor` is below the
+  /// oldest retained segment (re-seed the replica), an older segment's
+  /// walk does not reach its successor's base, or a frame whose CRC holds
+  /// does not decode.
+  static Status Tail(Dir& dir, Lsn cursor, std::vector<ShippedRecord>* out,
+                     Lsn* next_cursor);
 
   explicit Wal(std::shared_ptr<Dir> dir, WalOptions options = {});
   ~Wal();
@@ -268,8 +285,10 @@ class Wal {
 
   /// Replays every live record in order (from the head). Stops cleanly at a
   /// torn tail in the newest segment (which is then truncated so later
-  /// appends start from a clean state); a short frame walk in any older
-  /// segment is Corruption. Must not race TruncatePrefix.
+  /// appends start from a clean state); an older segment whose frames do
+  /// not end exactly at its successor's base, or a frame whose CRC holds
+  /// but which does not decode, is Corruption. Must not race
+  /// TruncatePrefix.
   Status ReadAll(const std::function<Status(const WalRecord&)>& fn);
 
   /// Replays every live record at or above `from`, passing each record's
@@ -347,6 +366,10 @@ class Wal {
   /// File name of the segment containing `lsn` (test hook).
   std::string SegmentNameOf(Lsn lsn) const;
 
+  /// True while a segment the flusher built waits for a roll to adopt it
+  /// (test hook: only a roll consumes it).
+  bool HasPreparedSegment() const;
+
 
  private:
   friend class GroupCommitter;
@@ -369,6 +392,25 @@ class Wal {
   };
 
   static Status WriteSegmentHeader(PagedFile* file, Lsn base, uint64_t epoch);
+
+  /// Decodes `file`'s segment header. *valid is false (status OK) when the
+  /// header is absent, torn or fails its CRC; an intact header with an
+  /// unsupported version is Corruption.
+  static Status ReadSegmentHeader(PagedFile* file, Lsn* base, uint64_t* epoch,
+                                  bool* valid);
+
+  /// The chain walk ReadFrom and Tail share. Walks `chain` (ordered by
+  /// base) from the frame boundary `from`, skipping segments wholly below
+  /// it, and calls `fn` for each decoded record. *end tracks one past the
+  /// last frame walked, also when an error stops the walk. An older
+  /// segment is walked to its file size, or with `clip` only up to its
+  /// successor's base (a tailer may list a stale successor the segment has
+  /// grown past); either way its walk must end exactly at that base, or
+  /// the chain is Corrupt. A frame whose CRC holds but which does not
+  /// decode is Corruption; read errors are returned as they are.
+  static Status WalkChain(
+      const std::vector<const Segment*>& chain, Lsn from, bool clip,
+      const std::function<Status(Lsn, const WalRecord&)>& fn, Lsn* end);
 
   /// Checks sync point `name` (see WalOptions::sync_points).
   Status Point(const char* name) const {

@@ -5,14 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
 #include "graph/graph_database.h"
 #include "storage/dir.h"
-#include "storage/replication_source.h"
 #include "storage/wal.h"
 #include "fault_injection.h"
 
@@ -435,9 +436,17 @@ TEST(Replication, ReplicaKeepsServingAfterPrimaryCloses) {
 }
 
 // ---------------------------------------------------------------------------
-// Tailer robustness at the ReplicationSource level (deterministic byte-level
+// Tailer robustness at the Wal::Tail level (deterministic byte-level
 // scenarios a live primary only produces probabilistically).
 // ---------------------------------------------------------------------------
+
+WalRecord MakeRecord(Timestamp ts) {
+  WalRecord record;
+  record.txn_id = ts;
+  record.commit_ts = ts;
+  record.ops.push_back(WalOp::CreateNode(ts, {}, {}));
+  return record;
+}
 
 class TailerTest : public ::testing::Test {
  protected:
@@ -449,27 +458,18 @@ class TailerTest : public ::testing::Test {
     ASSERT_TRUE(wal_->Open().ok());
   }
 
-  WalRecord MakeRecord(Timestamp ts) {
-    WalRecord record;
-    record.txn_id = ts;
-    record.commit_ts = ts;
-    record.ops.push_back(WalOp::CreateNode(ts, {}, {}));
-    return record;
-  }
-
   std::shared_ptr<InMemoryDir> dir_;
   std::unique_ptr<Wal> wal_;
 };
 
 TEST_F(TailerTest, ShipsAcrossRotationsAndTracksCursor) {
-  ReplicationSource source(dir_);
   Lsn cursor = 0;
   std::vector<ShippedRecord> shipped;
   for (Timestamp ts = 1; ts <= 50; ++ts) {
     ASSERT_TRUE(wal_->Append(MakeRecord(ts)).ok());
   }
   ASSERT_GT(wal_->SegmentCount(), 1u);
-  ASSERT_TRUE(source.Poll(cursor, &shipped, &cursor).ok());
+  ASSERT_TRUE(Wal::Tail(*dir_, cursor, &shipped, &cursor).ok());
   ASSERT_EQ(shipped.size(), 50u);
   for (size_t i = 0; i < shipped.size(); ++i) {
     EXPECT_EQ(shipped[i].record.commit_ts, i + 1);
@@ -477,65 +477,12 @@ TEST_F(TailerTest, ShipsAcrossRotationsAndTracksCursor) {
   }
   // Incremental polls ship only the delta.
   std::vector<ShippedRecord> more;
-  ASSERT_TRUE(source.Poll(cursor, &more, &cursor).ok());
+  ASSERT_TRUE(Wal::Tail(*dir_, cursor, &more, &cursor).ok());
   EXPECT_TRUE(more.empty());
   ASSERT_TRUE(wal_->Append(MakeRecord(51)).ok());
-  ASSERT_TRUE(source.Poll(cursor, &more, &cursor).ok());
+  ASSERT_TRUE(Wal::Tail(*dir_, cursor, &more, &cursor).ok());
   ASSERT_EQ(more.size(), 1u);
   EXPECT_EQ(more[0].record.commit_ts, 51u);
-}
-
-TEST_F(TailerTest, TornTailInNewestSegmentShipsCleanPrefixOnly) {
-  for (Timestamp ts = 1; ts <= 5; ++ts) {
-    ASSERT_TRUE(wal_->Append(MakeRecord(ts)).ok());
-  }
-  // Corrupt the last frame's payload bytes in the newest segment — exactly
-  // what a torn in-flight append looks like to a tailer.
-  std::vector<std::string> names;
-  ASSERT_TRUE(dir_->List(&names).ok());
-  uint64_t newest = 0;
-  std::string newest_name;
-  for (const auto& name : names) {
-    if (name.rfind("wal.", 0) == 0 && name >= newest_name) {
-      newest_name = name;
-      newest = 1;
-    }
-  }
-  ASSERT_EQ(newest, 1u);
-  std::shared_ptr<PagedFile> file;
-  ASSERT_TRUE(dir_->OpenExisting(newest_name, &file).ok());
-  const uint64_t size = file->Size();
-  ASSERT_GT(size, 4u);
-  const char garbage[4] = {'\x5a', '\x5a', '\x5a', '\x5a'};
-  ASSERT_TRUE(file->WriteAt(size - 4, garbage, 4).ok());
-
-  ReplicationSource source(dir_);
-  Lsn cursor = 0;
-  std::vector<ShippedRecord> shipped;
-  ASSERT_TRUE(source.Poll(cursor, &shipped, &cursor).ok());
-  // The torn record is withheld, everything before it ships.
-  ASSERT_FALSE(shipped.empty());
-  EXPECT_LT(shipped.size(), 5u);
-  for (const auto& s : shipped) EXPECT_LT(s.record.commit_ts, 5u);
-}
-
-TEST_F(TailerTest, CursorBelowRetainedHistoryIsCorruption) {
-  for (Timestamp ts = 1; ts <= 40; ++ts) {
-    ASSERT_TRUE(wal_->Append(MakeRecord(ts)).ok());
-  }
-  // Retire every full segment below the stable cursor (checkpoint path).
-  ASSERT_TRUE(wal_->TruncatePrefix(wal_->StableLsn()).ok());
-  ASSERT_GT(wal_->HeadLsn(), 0u);
-
-  ReplicationSource source(dir_);
-  Lsn cursor = 0;
-  std::vector<ShippedRecord> shipped;
-  Status s = source.Poll(0, &shipped, &cursor);
-  EXPECT_TRUE(s.IsCorruption()) << s;
-  // From the oldest RETAINED base the walk is clean.
-  shipped.clear();
-  cursor = wal_->HeadLsn();
-  EXPECT_TRUE(source.Poll(cursor, &shipped, &cursor).ok());
 }
 
 TEST_F(TailerTest, RetiredSegmentsBelowTheCursorAreNeverRead) {
@@ -544,10 +491,9 @@ TEST_F(TailerTest, RetiredSegmentsBelowTheCursorAreNeverRead) {
   for (Timestamp ts = 1; ts <= 50; ++ts) {
     ASSERT_TRUE(wal_->Append(MakeRecord(ts)).ok());
   }
-  ReplicationSource source(dir_);
   Lsn cursor = 0;
   std::vector<ShippedRecord> shipped;
-  ASSERT_TRUE(source.Poll(cursor, &shipped, &cursor).ok());
+  ASSERT_TRUE(Wal::Tail(*dir_, cursor, &shipped, &cursor).ok());
   const size_t total = shipped.size();
   ASSERT_EQ(total, 50u);
 
@@ -557,9 +503,267 @@ TEST_F(TailerTest, RetiredSegmentsBelowTheCursorAreNeverRead) {
   ASSERT_TRUE(wal_->TruncatePrefix(wal_->StableLsn()).ok());
   ASSERT_TRUE(wal_->Append(MakeRecord(51)).ok());
   std::vector<ShippedRecord> more;
-  ASSERT_TRUE(source.Poll(cursor, &more, &cursor).ok());
+  ASSERT_TRUE(Wal::Tail(*dir_, cursor, &more, &cursor).ok());
   ASSERT_EQ(more.size(), 1u);
   EXPECT_EQ(more[0].record.commit_ts, 51u);
+}
+
+// ---------------------------------------------------------------------------
+// One table over both WAL readers. Each row damages a chain of tiny
+// segments the way a crash or a racing primary can, then states what the
+// replica's Wal::Tail does and what recovery's ReadFrom does after a
+// reopen. Tail never changes a name or a byte of the primary's Dir.
+// ---------------------------------------------------------------------------
+
+using DirBytes = std::map<std::string, std::string>;
+
+/// Every file in `dir`, with its bytes.
+DirBytes DirContents(Dir& dir) {
+  DirBytes out;
+  std::vector<std::string> names;
+  EXPECT_TRUE(dir.List(&names).ok());
+  for (const std::string& name : names) {
+    std::shared_ptr<PagedFile> file;
+    EXPECT_TRUE(dir.OpenExisting(name, &file).ok()) << name;
+    std::string bytes(file->Size(), '\0');
+    EXPECT_TRUE(file->ReadAt(0, bytes.size(), bytes.data()).ok()) << name;
+    out[name] = std::move(bytes);
+  }
+  return out;
+}
+
+/// A primary chain of 50 records over 256-byte segments, and what a clean
+/// poll read from it before any damage.
+struct Chain {
+  std::shared_ptr<InMemoryDir> dir = std::make_shared<InMemoryDir>();
+  std::vector<ShippedRecord> records;
+  Lsn end = 0;  ///< One past the last record.
+
+  /// Segment names, oldest first (the indices are zero-padded).
+  std::vector<std::string> Segments() const {
+    std::vector<std::string> out;
+    for (const auto& [name, bytes] : DirContents(*dir)) out.push_back(name);
+    return out;
+  }
+
+  std::shared_ptr<PagedFile> File(const std::string& name) const {
+    std::shared_ptr<PagedFile> file;
+    EXPECT_TRUE(dir->OpenExisting(name, &file).ok()) << name;
+    return file;
+  }
+
+  /// Timestamps of the clean records in [from, below); *next is one past
+  /// the last of them (`from` when there is none).
+  std::vector<Timestamp> Between(Lsn from, Lsn below, Lsn* next) const {
+    std::vector<Timestamp> out;
+    *next = from;
+    for (size_t i = 0; i < records.size(); ++i) {
+      if (records[i].lsn < from || records[i].lsn >= below) continue;
+      out.push_back(records[i].record.commit_ts);
+      *next = i + 1 < records.size() ? records[i + 1].lsn : end;
+    }
+    return out;
+  }
+};
+
+/// Where a row leaves the readers.
+struct Damaged {
+  Lsn tail_from = 0;             ///< Cursor Tail polls from.
+  Lsn head = 0;                  ///< First record recovery replays.
+  Lsn clean_below = kInvalidId;  ///< A clean read stops below this LSN.
+};
+
+struct ReaderRow {
+  const char* name;
+  /// Damages the chain while its Wal is still open.
+  std::function<Damaged(Chain&, Wal&)> damage;
+  bool tail_corrupt;
+  bool recovery_corrupt;
+  /// Optional checks after both readers ran: `before` is the Dir as the
+  /// damage left it, `shipped` is Tail's batch.
+  std::function<void(const Chain&, const Damaged&, const DirBytes& before,
+                     const std::vector<ShippedRecord>& shipped)>
+      check;
+};
+
+std::vector<Timestamp> Timestamps(const std::vector<ShippedRecord>& batch) {
+  std::vector<Timestamp> out;
+  for (const auto& shipped : batch) out.push_back(shipped.record.commit_ts);
+  return out;
+}
+
+const std::vector<ReaderRow>& ReaderRows() {
+  static const std::vector<ReaderRow> rows = {
+      {"torn newest tail",
+       [](Chain& chain, Wal&) {
+         // Garbage over the last frame's payload: a torn in-flight append.
+         auto file = chain.File(chain.Segments().back());
+         const char garbage[4] = {'\x5a', '\x5a', '\x5a', '\x5a'};
+         EXPECT_TRUE(file->WriteAt(file->Size() - 4, garbage, 4).ok());
+         return Damaged{0, 0, chain.records.back().lsn};
+       },
+       false, false,
+       [](const Chain& chain, const Damaged&, const DirBytes& before,
+          const std::vector<ShippedRecord>& shipped) {
+         // The torn record is withheld, everything before it ships.
+         ASSERT_FALSE(shipped.empty());
+         EXPECT_LT(shipped.size(), chain.records.size());
+         for (const auto& s : shipped) {
+           EXPECT_LT(s.record.commit_ts,
+                     chain.records.back().record.commit_ts);
+         }
+         // Only recovery truncates: the reopen cut the torn frame off.
+         const std::string newest = before.rbegin()->first;
+         EXPECT_EQ(chain.File(newest)->Size(),
+                   before.at(newest).size() -
+                       (chain.end - chain.records.back().lsn));
+       }},
+      {"flipped byte in an older segment",
+       [](Chain& chain, Wal&) {
+         auto file = chain.File(chain.Segments().front());
+         char byte = 0;
+         const uint64_t at = Wal::kSegmentHeaderSize + 8;  // First payload.
+         EXPECT_TRUE(file->ReadAt(at, 1, &byte).ok());
+         byte = static_cast<char>(byte ^ 0xff);
+         EXPECT_TRUE(file->WriteAt(at, &byte, 1).ok());
+         return Damaged{};
+       },
+       true, true, nullptr},
+      {"CRC-valid frame that does not decode, newest segment",
+       [](Chain& chain, Wal&) {
+         // What a record format this build does not know looks like: the
+         // frame is whole and its CRC holds, the payload is no WalRecord.
+         auto file = chain.File(chain.Segments().back());
+         const char payload[1] = {'\x80'};  // An unfinished varint.
+         char frame[9];
+         EncodeFixed32(frame, 1);
+         EncodeFixed32(frame + 4, Crc32c(payload, 1));
+         frame[8] = payload[0];
+         EXPECT_TRUE(file->WriteAt(file->Size(), frame, sizeof frame).ok());
+         return Damaged{};
+       },
+       true, true, nullptr},
+      {"headerless newest segment",
+       [](Chain& chain, Wal&) {
+         // A crash mid-adoption: the next chain name exists, its header
+         // never landed.
+         const std::string name = Wal::SegmentName(
+             std::stoull(chain.Segments().back().substr(4)) + 1);
+         std::shared_ptr<PagedFile> file;
+         EXPECT_TRUE(chain.dir->Open(name, &file).ok());
+         EXPECT_TRUE(file->WriteAt(0, "NWS", 3).ok());
+         return Damaged{};
+       },
+       false, false,
+       [](const Chain& chain, const Damaged&, const DirBytes& before,
+          const std::vector<ShippedRecord>&) {
+         // Tail skipped it; the reopen discarded it.
+         const std::string husk = before.rbegin()->first;
+         EXPECT_EQ(before.at(husk).size(), 3u);
+         EXPECT_FALSE(chain.dir->Exists(husk));
+       }},
+      {"cursor below the head",
+       [](Chain&, Wal& wal) {
+         // Retire every full segment below the stable cursor (the
+         // checkpoint path); the replica's cursor 0 is history now.
+         EXPECT_TRUE(wal.TruncatePrefix(wal.StableLsn()).ok());
+         EXPECT_GT(wal.HeadLsn(), 0u);
+         // Recovery replays from the oldest retained segment's base.
+         const Lsn next = wal.NextLsn();
+         return Damaged{0, next - (wal.PhysOf(next) - Wal::kSegmentHeaderSize)};
+       },
+       true, false,
+       [](const Chain& chain, const Damaged& damaged, const DirBytes&,
+          const std::vector<ShippedRecord>&) {
+         // From the oldest RETAINED base the walk is clean.
+         std::vector<ShippedRecord> shipped;
+         Lsn next = 0;
+         ASSERT_TRUE(
+             Wal::Tail(*chain.dir, damaged.head, &shipped, &next).ok());
+         Lsn want_next = 0;
+         EXPECT_EQ(Timestamps(shipped),
+                   chain.Between(damaged.head, kInvalidId, &want_next));
+         EXPECT_EQ(next, chain.end);
+       }},
+      {"stale successor its predecessor grew past",
+       [](Chain& chain, Wal&) {
+         // What an undone roll whose Remove failed leaves: the successor's
+         // name and header, no frames, and the predecessor appending on
+         // past that base. Frames carry no LSN, so the successor's frames
+         // moved onto the predecessor are valid frames there.
+         const std::vector<std::string> names = chain.Segments();
+         auto pred = chain.File(names[names.size() - 2]);
+         auto succ = chain.File(names.back());
+         std::string frames(succ->Size() - Wal::kSegmentHeaderSize, '\0');
+         EXPECT_TRUE(succ->ReadAt(Wal::kSegmentHeaderSize, frames.size(),
+                                  frames.data())
+                         .ok());
+         EXPECT_TRUE(
+             pred->WriteAt(pred->Size(), frames.data(), frames.size()).ok());
+         EXPECT_TRUE(succ->Truncate(Wal::kSegmentHeaderSize).ok());
+         // Tail ships the predecessor up to the successor's base.
+         return Damaged{0, 0, chain.end - frames.size()};
+       },
+       false, true, nullptr},
+  };
+  return rows;
+}
+
+TEST(WalReaders, DamagedChainTable) {
+  WalOptions options;
+  options.segment_size = 256;  // Tiny: every few records rotate.
+  for (const ReaderRow& row : ReaderRows()) {
+    SCOPED_TRACE(row.name);
+    Chain chain;
+    Damaged damaged;
+    {
+      Wal wal(chain.dir, options);
+      ASSERT_TRUE(wal.Open().ok());
+      for (Timestamp ts = 1; ts <= 50; ++ts) {
+        ASSERT_TRUE(wal.Append(MakeRecord(ts)).ok());
+      }
+      ASSERT_GT(wal.SegmentCount(), 2u);
+      ASSERT_TRUE(Wal::Tail(*chain.dir, 0, &chain.records, &chain.end).ok());
+      ASSERT_EQ(chain.records.size(), 50u);
+      damaged = row.damage(chain, wal);
+    }
+
+    // The replica's tailer.
+    const DirBytes before = DirContents(*chain.dir);
+    std::vector<ShippedRecord> shipped;
+    Lsn next = 0;
+    Status tailed = Wal::Tail(*chain.dir, damaged.tail_from, &shipped, &next);
+    EXPECT_EQ(DirContents(*chain.dir), before) << "Tail changed the Dir";
+    Lsn want_next = 0;
+    const std::vector<Timestamp> want_tail =
+        chain.Between(damaged.tail_from, damaged.clean_below, &want_next);
+    if (row.tail_corrupt) {
+      EXPECT_TRUE(tailed.IsCorruption()) << tailed;
+    } else {
+      ASSERT_TRUE(tailed.ok()) << tailed;
+      EXPECT_EQ(Timestamps(shipped), want_tail);
+      EXPECT_EQ(next, want_next);
+    }
+
+    // Recovery: reopen, replay from the head.
+    Wal reopened(chain.dir, options);
+    Status recovered = reopened.Open();
+    std::vector<Timestamp> replayed;
+    if (recovered.ok()) {
+      recovered = reopened.ReadAll([&](const WalRecord& record) {
+        replayed.push_back(record.commit_ts);
+        return Status::OK();
+      });
+    }
+    if (row.recovery_corrupt) {
+      EXPECT_TRUE(recovered.IsCorruption()) << recovered;
+    } else {
+      ASSERT_TRUE(recovered.ok()) << recovered;
+      EXPECT_EQ(replayed,
+                chain.Between(damaged.head, damaged.clean_below, &want_next));
+    }
+    if (row.check) row.check(chain, damaged, before, shipped);
+  }
 }
 
 }  // namespace

@@ -254,9 +254,18 @@ TEST(SiChecker, HistorySpansRotationDaemonCheckpointAndMidRotationCrash) {
     keys = seeded_keys;
     history.push_back(seed);
 
-    auto recorded = RecordHistory(*db, keys, /*threads=*/4,
-                                  /*txns_per_thread=*/150);
-    for (auto& rec : recorded) history.push_back(std::move(rec));
+    // The checkpoint daemon must run while the history records, and a
+    // loaded host may not schedule it within one round: record rounds
+    // (values clear of the crash writer's 8 and the post-recovery 16, 17)
+    // until it has checkpointed.
+    for (int round = 0; round < 20; ++round) {
+      auto recorded = RecordHistory(*db, keys, /*threads=*/4,
+                                    /*txns_per_thread=*/150,
+                                    /*thread_offset=*/32 + 4 * round);
+      for (auto& rec : recorded) history.push_back(std::move(rec));
+      const GraphStoreStats store = db->Stats().store;
+      if (store.checkpoint_markers + store.checkpoints >= 1) break;
+    }
 
     // The workload really did span rotation and concurrent checkpoints.
     const DatabaseStats stats = db->Stats();

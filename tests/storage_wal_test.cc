@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -1203,10 +1204,16 @@ TEST(WalPrealloc, RollsAdoptPreparedSegmentsAndReopenDiscardsPrepFiles) {
   auto wal = OpenWal(dir, options);
   constexpr int kRecords = 120;
   for (int i = 1; i <= kRecords; ++i) {
+    // A loaded host need not schedule the flusher between one Sync and the
+    // next roll: wait until its prepared segment exists. Only a roll
+    // consumes it, so every roll below is a rename adoption.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!wal->HasPreparedSegment() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
     ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
-    // Each sync parks this thread on the watermark, which hands the core
-    // to the flusher — its prep loop keeps the next segment ready, so
-    // nearly every roll below is a rename adoption.
     ASSERT_TRUE(wal->Sync().ok());
   }
   EXPECT_GT(wal->SegmentCount(), 1u);
