@@ -185,7 +185,8 @@ BENCHMARK(BM_ReadCommittedRead);
 // label scan and a property write, so entity, index and write targets all
 // pass through the SSI marker table. At 4 threads the transactions share
 // its shards and abort on real rw-conflicts; "aborts" is the share of
-// iterations that failed.
+// iterations that failed, and "marker_keys" the keys left in the marker
+// table when thread 0 finishes (pruned transactions release theirs).
 void BM_SerializableReadWrite(benchmark::State& state) {
   constexpr size_t kNodes = 4096;
   constexpr int kReads = 8;
@@ -220,6 +221,11 @@ void BM_SerializableReadWrite(benchmark::State& state) {
   }
   state.counters["aborts"] = benchmark::Counter(
       static_cast<double>(aborts), benchmark::Counter::kAvgIterations);
+  // A gauge, not a per-thread sum: only thread 0 reports it.
+  if (state.thread_index() == 0) {
+    state.counters["marker_keys"] =
+        static_cast<double>(db->Stats().ssi_marker_keys);
+  }
 }
 BENCHMARK(BM_SerializableReadWrite)->Threads(1)->Threads(4);
 

@@ -72,6 +72,10 @@ struct DatabaseStats {
   uint64_t ssi_safe_snapshots = 0;  ///< Read-only txns on safe snapshots.
   uint64_t ssi_aborts_pivot = 0;    ///< Dangerous-structure aborts.
   uint64_t ssi_aborts_doomed = 0;   ///< Victims doomed by a committing peer.
+  /// Tracker size gauges: keys in the SIREAD marker table (the sum over its
+  /// 64 shards) and transaction records not yet pruned.
+  uint64_t ssi_marker_keys = 0;
+  uint64_t ssi_registry_records = 0;
   uint64_t active_txns = 0;
   Timestamp last_committed = kNoTimestamp;
   /// Replication gauges (all zero on a primary). replica_applied_ts is the

@@ -96,8 +96,13 @@ void SsiTracker::SetStartTs(const std::shared_ptr<SsiTxnInfo>& info,
   info->start_ts.store(start_ts, std::memory_order_release);
   NEOSI_SSI_TRACE("ST t=%llu ts=%llu", (unsigned long long)info->id,
                   (unsigned long long)start_ts);
-  std::lock_guard<std::mutex> guard(registry_mu_);
-  RecomputeRegistryLocked();
+  std::vector<std::shared_ptr<SsiTxnInfo>> pruned;
+  {
+    std::lock_guard<std::mutex> guard(registry_mu_);
+    RecomputeRegistryLocked();
+    pruned.swap(pruned_);
+  }
+  ReleaseMarkers(pruned);
 }
 
 bool SsiTracker::IsSnapshotSafe(Timestamp snapshot_ts) const {
@@ -150,16 +155,33 @@ void SsiTracker::RecomputeRegistryLocked() {
   for (auto it = registry_.begin(); it != registry_.end();) {
     if (Prunable(*it->second)) {
       // Break the shared_ptr cycle (R.out_ holds W while W.in_ holds R) so
-      // the records actually free once the lazy marker pruning lets go.
+      // the records actually free once ReleaseMarkers lets go.
       {
         std::lock_guard<std::mutex> info_guard(it->second->mu);
         it->second->in_.clear();
         it->second->out_.clear();
       }
       NEOSI_SSI_TRACE("PRUNE t=%llu", (unsigned long long)it->second->id);
+      if (!it->second->marked.empty()) pruned_.push_back(it->second);
       it = registry_.erase(it);
     } else {
       ++it;
+    }
+  }
+}
+
+void SsiTracker::ReleaseMarkers(
+    const std::vector<std::shared_ptr<SsiTxnInfo>>& pruned) {
+  for (const auto& info : pruned) {
+    for (const uint64_t key : info->marked) {
+      Shard& shard = ShardFor(key);
+      std::lock_guard<std::mutex> guard(shard.mu);
+      auto it = shard.markers.find(key);
+      if (it == shard.markers.end()) continue;
+      std::erase_if(it->second, [&](const Marker& m) {
+        return m.reader == info || Prunable(*m.reader);
+      });
+      if (it->second.empty()) shard.markers.erase(it);
     }
   }
 }
@@ -238,6 +260,7 @@ void SsiTracker::AddRead(const std::shared_ptr<SsiTxnInfo>& self,
         self, lo || hi ? std::make_unique<Marker::Range>(Marker::Range{lo, hi})
                        : nullptr});
   }
+  self->marked.push_back(target.key);
   NEOSI_SSI_TRACE("M t=%llu key=%016llx", (unsigned long long)self->id,
                   (unsigned long long)target.key);
 }
@@ -523,6 +546,12 @@ SsiTrackerStats SsiTracker::Stats() const {
   stats.safe_snapshots = safe_snapshots_.load(std::memory_order_relaxed);
   stats.aborts_pivot = aborts_pivot_.load(std::memory_order_relaxed);
   stats.aborts_doomed = aborts_doomed_.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    stats.marker_keys += shard.markers.size();
+  }
+  std::lock_guard<std::mutex> guard(registry_mu_);
+  stats.registry_records = registry_.size();
   return stats;
 }
 

@@ -27,6 +27,11 @@
 // marker dooms a later writer — and become prunable once no concurrent
 // serializable transaction remains (commit_ts <= oldest tracked active
 // start_ts, the same retention rule PostgreSQL uses for SIREAD locks).
+// Pruning a registry record releases its markers too: each record lists
+// the keys it marked, and the next SetStartTs walks that list outside
+// commit_mu_ and registry_mu_, one shard mutex at a time, and erases every
+// key left without a marker. A marker a later read or write meets before
+// then is dropped in passing.
 //
 // The one marker table is sharded like the 64-way LockManager. Lock hierarchy:
 // commit_mu_ > shard/registry mutex > SsiTxnInfo::mu (two infos always in
@@ -97,6 +102,12 @@ struct SsiTxnInfo {
   std::mutex mu;
   std::vector<std::shared_ptr<SsiTxnInfo>> in_;  ///< I with I --rw--> this.
   std::vector<OutEdge> out_;                     ///< O with this --rw--> O.
+
+  /// Keys this transaction pushed a marker on (one entry per push). Only
+  /// the owner's AddRead appends; the tracker reads it only once the
+  /// registry pruned the record, and registry_mu_ orders the two (the
+  /// owner's NoteFinished takes it after its last AddRead).
+  std::vector<uint64_t> marked;
 };
 
 /// What a SIREAD marker covers and what a write touches: one key per
@@ -136,6 +147,8 @@ struct SsiTrackerStats {
   uint64_t safe_snapshots = 0;  ///< Read-only txns that skipped tracking.
   uint64_t aborts_pivot = 0;    ///< Dangerous-structure aborts (self-found).
   uint64_t aborts_doomed = 0;   ///< Victims doomed by a committing peer.
+  uint64_t marker_keys = 0;       ///< Keys in the marker table (gauge).
+  uint64_t registry_records = 0;  ///< Records not yet pruned (gauge).
 };
 
 /// Sharded SIREAD-marker table + rw-antidependency edge registry.
@@ -153,6 +166,9 @@ class SsiTracker {
   /// below cannot miss a concurrent read-write peer); SetStartTs() follows
   /// once the snapshot timestamp is known.
   std::shared_ptr<SsiTxnInfo> Register(TxnId id, bool read_only);
+  /// Also releases the markers of every record pruned since the last call
+  /// (ReleaseMarkers): each tracked Begin runs it, and none holds
+  /// commit_mu_, so serializable commits never wait behind a release.
   void SetStartTs(const std::shared_ptr<SsiTxnInfo>& info, Timestamp start_ts);
 
   /// Raises the future-snapshot lower bound (monotonic). The engine calls
@@ -273,7 +289,7 @@ class SsiTracker {
   };
 
   struct Shard {
-    std::mutex mu;
+    mutable std::mutex mu;
     std::unordered_map<uint64_t, std::vector<Marker>> markers;  ///< By key.
   };
 
@@ -308,9 +324,14 @@ class SsiTracker {
   size_t DoomActiveInPeers(const std::shared_ptr<SsiTxnInfo>& p);
 
   void NoteFinished(const std::shared_ptr<SsiTxnInfo>& info);
-  /// Recomputes min-active-start and sweeps prunable registry records;
-  /// caller holds registry_mu_.
+  /// Recomputes min-active-start and moves prunable registry records to
+  /// pruned_, with their edges cleared; caller holds registry_mu_. Their
+  /// markers stay until ReleaseMarkers.
   void RecomputeRegistryLocked();
+  /// Erases, on every key a pruned record marked, that record's markers and
+  /// any prunable reader's, and then the key if its list is empty. Holds
+  /// one shard mutex at a time and never commit_mu_ or registry_mu_.
+  void ReleaseMarkers(const std::vector<std::shared_ptr<SsiTxnInfo>>& pruned);
 
   /// Marker-table shards: the LockManager's fan-out. Only kSerializable
   /// transactions touch the table.
@@ -319,6 +340,9 @@ class SsiTracker {
 
   mutable std::mutex registry_mu_;
   std::unordered_map<TxnId, std::shared_ptr<SsiTxnInfo>> registry_;
+  /// Records pruned from registry_ whose markers are not yet released;
+  /// guarded by registry_mu_, drained by SetStartTs.
+  std::vector<std::shared_ptr<SsiTxnInfo>> pruned_;
   /// min start_ts over unfinished tracked txns (kMaxTimestamp when none):
   /// the marker/registry retention horizon for ALREADY-REGISTERED readers.
   std::atomic<Timestamp> min_active_start_{kMaxTimestamp};

@@ -440,6 +440,19 @@ TEST(SiChecker, CheckerRejectsFabricatedAbortedRead) {
 }
 
 
+/// Keys one RecordHistory transaction can mark: each of its at most 3
+/// reads and 2 writes touches one key.
+constexpr uint64_t kMaxMarkedKeysPerTxn = 3 + 2;
+
+/// Once a serializable history has finished, one more tracked Begin
+/// releases the SIREAD markers of every pruned transaction: the marker
+/// table may then hold no more than `threads` concurrent transactions
+/// could have marked.
+void ExpectMarkersReleased(GraphDatabase& db, int threads) {
+  auto txn = db.Begin(IsolationLevel::kSerializable);
+  EXPECT_LE(db.Stats().ssi_marker_keys, threads * kMaxMarkedKeysPerTxn);
+}
+
 // Recorded kSerializable histories must be FULLY serializable (DSG acyclic)
 // on top of satisfying every SI axiom — with the GC daemon racing the
 // workload exactly like the SI suites above.
@@ -461,6 +474,26 @@ TEST(DsgChecker, SerializableHistoryIsFullySerializable) {
   DsgChecker dsg(std::move(history));
   const auto cycle = dsg.FindCycle();
   EXPECT_FALSE(cycle.has_value()) << *cycle;
+  ExpectMarkersReleased(*db, /*threads=*/4);
+}
+
+// Over 256 keys the history marks far more keys than the bound above, so
+// the bound holds only because pruned transactions release their markers.
+TEST(DsgChecker, WideSerializableHistoryReleasesItsMarkers) {
+  auto db = OpenDb(/*gc_interval_ms=*/1, /*gc_backlog_threshold=*/8);
+  auto [keys, seed] = Seed(*db, 256);
+  auto history = RecordHistory(*db, keys, /*threads=*/4,
+                               /*txns_per_thread=*/100, /*thread_offset=*/0,
+                               IsolationLevel::kSerializable);
+  history.push_back(seed);
+
+  SiHistoryChecker si_checker(history);
+  for (const auto& v : si_checker.Check()) ADD_FAILURE() << v;
+
+  DsgChecker dsg(std::move(history));
+  const auto cycle = dsg.FindCycle();
+  EXPECT_FALSE(cycle.has_value()) << *cycle;
+  ExpectMarkersReleased(*db, /*threads=*/4);
 }
 
 // Same property on one hot key, where every transaction conflicts and the
@@ -480,6 +513,7 @@ TEST(DsgChecker, HighContentionSerializableHistoryIsFullySerializable) {
   // The tracker really was engaged.
   const DatabaseStats stats = db->Stats();
   EXPECT_GT(stats.ssi_tracked_txns, 0u);
+  ExpectMarkersReleased(*db, /*threads=*/4);
 }
 
 // A LIVE write-skew history recorded under SI: the SI checker must accept

@@ -27,6 +27,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "graph/graph_database.h"
 #include "sync_points.h"
@@ -853,6 +854,79 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(kPublicReads[std::get<0>(info.param)].name) + "_" +
              kReadCaseNames[static_cast<int>(std::get<1>(info.param))];
     });
+
+// A pruned transaction record takes its SIREAD markers with it: the next
+// tracked Begin releases them and erases every key left without a marker,
+// so the table's size follows the concurrent serializable transactions,
+// not the history.
+
+/// Creates `n` nodes carrying v=0 in one SI transaction.
+std::vector<NodeId> CreateNodes(GraphDatabase& db, size_t n) {
+  std::vector<NodeId> nodes;
+  auto txn = db.Begin();
+  for (size_t i = 0; i < n; ++i) {
+    nodes.push_back(*txn->CreateNode({}, {{"v", PropertyValue(int64_t{0})}}));
+  }
+  EXPECT_TRUE(txn->Commit().ok());
+  return nodes;
+}
+
+TEST(SsiMarkers, PrunedTransactionsLeaveNoMarkers) {
+  constexpr size_t kTxns = 1000;
+  auto db = OpenDb();
+  const std::vector<NodeId> nodes = CreateNodes(*db, 2 * kTxns);
+  for (size_t i = 0; i < kTxns; ++i) {
+    auto txn = db->Begin(IsolationLevel::kSerializable);
+    ASSERT_TRUE(txn->GetNodeProperty(nodes[i], "v").ok());
+    ASSERT_TRUE(txn->SetNodeProperty(nodes[kTxns + i], "v",
+                                     PropertyValue(int64_t(i)))
+                    .ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  auto last = db->Begin(IsolationLevel::kSerializable);
+  const DatabaseStats stats = db->Stats();
+  EXPECT_LE(stats.ssi_marker_keys, 16u);
+  EXPECT_LE(stats.ssi_registry_records, 16u);
+}
+
+TEST(SsiMarkers, CommittedReaderKeepsMarkersWhileAPeerIsActive) {
+  auto db = OpenDb();
+  const std::vector<NodeId> nodes = CreateNodes(*db, 3);
+
+  // S is older than R and still active when R commits: R's markers are
+  // what a later write by S (or a peer of S) must still find.
+  auto s = db->Begin(IsolationLevel::kSerializable);
+  ASSERT_TRUE(s->GetNodeProperty(nodes[2], "v").ok());
+  auto r = db->Begin(IsolationLevel::kSerializable);
+  const TxnId r_id = r->id();
+  ASSERT_TRUE(r->GetNodeProperty(nodes[0], "v").ok());
+  ASSERT_TRUE(r->SetNodeProperty(nodes[1], "v", PropertyValue(int64_t{1})).ok());
+  ASSERT_TRUE(r->Commit().ok());
+
+  for (int i = 0; i < 3; ++i) {
+    auto later = db->Begin(IsolationLevel::kSerializable);
+    ASSERT_TRUE(later->Commit().ok());
+    EXPECT_GE(db->engine().ssi.MarkerCount(r_id), 1u) << "begin " << i;
+  }
+
+  ASSERT_TRUE(s->Commit().ok());
+  auto after = db->Begin(IsolationLevel::kSerializable);
+  EXPECT_EQ(db->engine().ssi.MarkerCount(r_id), 0u);
+}
+
+TEST(SsiMarkers, AbortedTransactionReleasesItsMarkers) {
+  auto db = OpenDb();
+  const std::vector<NodeId> nodes = CreateNodes(*db, 4);
+  auto txn = db->Begin(IsolationLevel::kSerializable);
+  const TxnId id = txn->id();
+  for (NodeId node : nodes) ASSERT_TRUE(txn->GetNodeProperty(node, "v").ok());
+  EXPECT_EQ(db->engine().ssi.MarkerCount(id), nodes.size());
+  ASSERT_TRUE(txn->Abort().ok());
+
+  auto next = db->Begin(IsolationLevel::kSerializable);
+  EXPECT_EQ(db->engine().ssi.MarkerCount(id), 0u);
+  EXPECT_EQ(db->Stats().ssi_marker_keys, 0u);
+}
 
 }  // namespace
 }  // namespace neosi
