@@ -49,18 +49,57 @@ void BM_PersistNewNode(benchmark::State& state) {
 }
 BENCHMARK(BM_PersistNewNode);
 
-void BM_ReadNodeState(benchmark::State& state) {
-  auto store = MakeStore();
-  const NodeId id = *store->AllocateNodeId();
-  PropertyMap props{{1, PropertyValue(int64_t{5})},
-                    {2, PropertyValue("name-string")}};
-  if (!store->PersistNewNode(id, {1, 2}, props, 1).ok()) std::abort();
-  for (auto _ : state) {
-    NodeState out;
-    benchmark::DoNotOptimize(store->ReadNodeState(id, &out));
+// One in-memory store shared by every thread of a multi-threaded
+// benchmark. Thread 0 builds it before the timed loop and drops it after;
+// the loop's start and end are barriers across the threads. Each thread
+// works on its own nodes: the ids congruent to its index mod the thread
+// count.
+constexpr uint64_t kSharedNodes = 1024;
+std::unique_ptr<GraphStore> shared_store;
+const PropertyMap kSharedProps{{1, PropertyValue(int64_t{5})},
+                               {2, PropertyValue("name-string")}};
+
+void SetUpSharedStore(const benchmark::State& state) {
+  if (state.thread_index() != 0) return;
+  shared_store = MakeStore();
+  for (uint64_t i = 0; i < kSharedNodes; ++i) {
+    const NodeId id = *shared_store->AllocateNodeId();
+    if (!shared_store->PersistNewNode(id, {1, 2}, kSharedProps, 1).ok()) {
+      std::abort();
+    }
   }
 }
-BENCHMARK(BM_ReadNodeState);
+
+void TearDownSharedStore(const benchmark::State& state) {
+  if (state.thread_index() == 0) shared_store.reset();
+}
+
+void BM_ReadNodeState(benchmark::State& state) {
+  SetUpSharedStore(state);
+  NodeId id = static_cast<NodeId>(state.thread_index());
+  for (auto _ : state) {
+    NodeState out;
+    benchmark::DoNotOptimize(shared_store->ReadNodeState(id, &out));
+    id = (id + state.threads()) % kSharedNodes;
+  }
+  TearDownSharedStore(state);
+}
+BENCHMARK(BM_ReadNodeState)->Threads(1)->Threads(4);
+
+// Rewrites a node's record with a fresh two-property chain and frees the
+// old chain: every rewrite allocates and frees property records.
+void BM_PersistNodeState(benchmark::State& state) {
+  SetUpSharedStore(state);
+  NodeId id = static_cast<NodeId>(state.thread_index());
+  uint64_t ts = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        shared_store->PersistNodeState(id, {1, 2}, kSharedProps, ++ts));
+    id = (id + state.threads()) % kSharedNodes;
+  }
+  TearDownSharedStore(state);
+}
+BENCHMARK(BM_PersistNodeState)->Threads(1)->Threads(4);
 
 void BM_RelChainScan(benchmark::State& state) {
   auto store = MakeStore();

@@ -15,67 +15,140 @@ namespace neosi {
 
 // ----------------------------- InMemoryFile -------------------------------
 
+namespace {
+
+// Copies between a chunk span and a private buffer one relaxed atomic
+// access at a time: 8-byte words where the span is word-aligned (chunks
+// are), single bytes at its edges. A reader racing a writer of the same
+// bytes sees a mix of old and new words, never undefined behaviour.
+void LoadSpan(char* span, char* out, size_t n) {
+  size_t i = 0;
+  for (; i < n && (reinterpret_cast<uintptr_t>(span + i) % 8 != 0); ++i) {
+    out[i] = std::atomic_ref<char>(span[i]).load(std::memory_order_relaxed);
+  }
+  for (; i + 8 <= n; i += 8) {
+    const uint64_t word = std::atomic_ref<uint64_t>(
+        *reinterpret_cast<uint64_t*>(span + i)).load(std::memory_order_relaxed);
+    memcpy(out + i, &word, 8);
+  }
+  for (; i < n; ++i) {
+    out[i] = std::atomic_ref<char>(span[i]).load(std::memory_order_relaxed);
+  }
+}
+
+void StoreSpan(const char* in, char* span, size_t n) {
+  size_t i = 0;
+  for (; i < n && (reinterpret_cast<uintptr_t>(span + i) % 8 != 0); ++i) {
+    std::atomic_ref<char>(span[i]).store(in[i], std::memory_order_relaxed);
+  }
+  for (; i + 8 <= n; i += 8) {
+    uint64_t word;
+    memcpy(&word, in + i, 8);
+    std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(span + i))
+        .store(word, std::memory_order_relaxed);
+  }
+  for (; i < n; ++i) {
+    std::atomic_ref<char>(span[i]).store(in[i], std::memory_order_relaxed);
+  }
+}
+
+}  // namespace
+
+InMemoryFile::~InMemoryFile() {
+  for (uint64_t i = 0; i < chunks_; ++i) {
+    delete[] root_[i / kLeafChunks].load(std::memory_order_relaxed)
+        ->chunks[i % kLeafChunks].load(std::memory_order_relaxed);
+  }
+  for (auto& leaf : root_) delete leaf.load(std::memory_order_relaxed);
+}
+
 template <typename Fn>
 void InMemoryFile::ForEachSpan(uint64_t offset, size_t n, Fn&& fn) const {
   while (n > 0) {
+    const uint64_t chunk = offset / kChunkSize;
     const size_t in_chunk = offset % kChunkSize;
     const size_t len = std::min(n, kChunkSize - in_chunk);
-    fn(chunks_[offset / kChunkSize].get() + in_chunk, len);
+    uint64_t* words = root_[chunk / kLeafChunks]
+                          .load(std::memory_order_acquire)
+                          ->chunks[chunk % kLeafChunks]
+                          .load(std::memory_order_acquire);
+    fn(reinterpret_cast<char*>(words) + in_chunk, len);
     offset += len;
     n -= len;
   }
 }
 
-void InMemoryFile::Resize(uint64_t size) {
-  const size_t chunks = (size + kChunkSize - 1) / kChunkSize;
-  chunks_.resize(std::min(chunks, chunks_.size()));
-  while (chunks_.size() < chunks) {
-    chunks_.push_back(std::make_unique_for_overwrite<char[]>(kChunkSize));
+void InMemoryFile::Grow(uint64_t end, uint64_t zero_to) {
+  for (; chunks_ * kChunkSize < end; ++chunks_) {
+    std::atomic<Leaf*>& slot = root_[chunks_ / kLeafChunks];
+    Leaf* leaf = slot.load(std::memory_order_relaxed);
+    if (leaf == nullptr) {
+      leaf = new Leaf();
+      slot.store(leaf, std::memory_order_release);
+    }
+    leaf->chunks[chunks_ % kLeafChunks].store(
+        new uint64_t[kChunkSize / 8], std::memory_order_release);
   }
-  if (size > size_) {
-    ForEachSpan(size_, size - size_,
-                [](char* span, size_t len) { memset(span, 0, len); });
+  static const char kZeros[kChunkSize] = {};
+  const uint64_t size = size_.load(std::memory_order_relaxed);
+  if (zero_to > size) {
+    ForEachSpan(size, zero_to - size, [](char* span, size_t len) {
+      StoreSpan(kZeros, span, len);
+    });
   }
-  size_ = size;
 }
 
 Status InMemoryFile::ReadAt(uint64_t offset, size_t n, char* buf) const {
-  ReadGuard guard(latch_);
-  if (offset + n > size_) {
+  const uint64_t size = size_.load(std::memory_order_acquire);
+  if (offset > size || n > size - offset) {
     return Status::OutOfRange("read past end of in-memory file");
   }
   ForEachSpan(offset, n, [&](char* span, size_t len) {
-    memcpy(buf, span, len);
+    LoadSpan(span, buf, len);
     buf += len;
   });
   return Status::OK();
 }
 
 Status InMemoryFile::WriteAt(uint64_t offset, const char* data, size_t n) {
-  {
-    WriteGuard guard(latch_);
-    if (offset + n > size_) Resize(offset + n);
+  if (offset > kCapacity || n > kCapacity - offset) {
+    return Status::IOError("write past the in-memory file's capacity");
+  }
+  const uint64_t end = offset + n;
+  const auto copy = [&] {
     ForEachSpan(offset, n, [&](char* span, size_t len) {
-      memcpy(span, data, len);
+      StoreSpan(data, span, len);
       data += len;
     });
+  };
+  if (end <= size_.load(std::memory_order_acquire)) {
+    copy();
+  } else {
+    std::lock_guard<std::mutex> guard(grow_mu_);
+    const uint64_t size = size_.load(std::memory_order_relaxed);
+    Grow(end, offset);
+    copy();
+    if (end > size) size_.store(end, std::memory_order_release);
   }
   MarkDirty();
   return Status::OK();
 }
 
 Status InMemoryFile::Truncate(uint64_t size) {
+  if (size > kCapacity) {
+    return Status::IOError("truncate past the in-memory file's capacity");
+  }
   {
-    WriteGuard guard(latch_);
-    Resize(size);
+    std::lock_guard<std::mutex> guard(grow_mu_);
+    Grow(size, size);
+    size_.store(size, std::memory_order_release);
   }
   MarkDirty();
   return Status::OK();
 }
 
 uint64_t InMemoryFile::Size() const {
-  ReadGuard guard(latch_);
-  return size_;
+  return size_.load(std::memory_order_acquire);
 }
 
 // ------------------------------- PosixFile --------------------------------

@@ -8,18 +8,23 @@
 #ifndef NEOSI_STORAGE_PAGED_FILE_H_
 #define NEOSI_STORAGE_PAGED_FILE_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <vector>
 
-#include "common/latch.h"
 #include "common/status.h"
 
 namespace neosi {
 
 /// Random-access byte file. Implementations must support concurrent reads
 /// and serialized writes (callers coordinate writer exclusion per region).
+/// A read racing a write of the same bytes is defined behaviour but may see
+/// any mix of their old and new contents (the in-memory backend copies
+/// whole 8-byte words, so the mix is word-grained there); a caller that
+/// reads while another thread may write, such as a replica tailing the
+/// WAL, must check what it read (the WAL's frame CRC rejects a torn frame).
 class PagedFile {
  public:
   virtual ~PagedFile() = default;
@@ -66,7 +71,7 @@ class PagedFile {
   /// file for the next checkpoint instead of being silently treated as
   /// persisted.
   Result<bool> SyncIfDirty() {
-    if (!dirty_.exchange(false, std::memory_order_acq_rel)) {
+    if (!dirty_.exchange(false)) {
       return false;
     }
     Status s = Sync();
@@ -80,7 +85,19 @@ class PagedFile {
  protected:
   /// Implementations call this AFTER a mutation completes, so that a
   /// cleared dirty flag implies every completed write is fsync-covered.
-  void MarkDirty() { dirty_.store(true, std::memory_order_release); }
+  /// It stores only while the flag is clear: a store to a set flag would
+  /// still take its cache line from every thread reading it, and the
+  /// in-memory file's hot directory shares that line. A write racing
+  /// SyncIfDirty still re-dirties the file: the load, the store and the
+  /// exchange are all seq_cst, so either the load comes after the exchange
+  /// in their total order, sees false and stores true, or it comes before
+  /// it, the exchange then reads true, and the sync that follows runs after
+  /// the write completed.
+  void MarkDirty() {
+    if (!dirty_.load(std::memory_order_seq_cst)) {
+      dirty_.store(true, std::memory_order_seq_cst);
+    }
+  }
 
  private:
   std::atomic<bool> dirty_{false};
@@ -92,13 +109,31 @@ class PagedFile {
 /// time and no write copies the contents: a doubling buffer would hold the
 /// old and the new copy at once while a WAL segment grows to its rotation
 /// size, and its capacity can overshoot the segment by up to 2x.
-/// Invariant: exactly the chunks covering [0, size_) are allocated. Bytes
-/// past size_ are left as they are (a shrink does not clear them, a new
-/// chunk is not zeroed); growth zero-fills from the old end instead, so an
-/// append never clears a whole chunk.
+///
+/// A fixed two-level directory finds a chunk: a root of kRootLeaves leaf
+/// pointers, each leaf kLeafChunks chunk pointers. Every pointer is
+/// release-published once and neither moves nor is freed before the file
+/// dies, so ReadAt and a WriteAt inside the size take no lock: they find
+/// their chunks with acquire loads and copy through relaxed atomic 8-byte
+/// words (single bytes at unaligned edges). Growth, a write past the end
+/// and Truncate serialize on grow_mu_; a write past the end copies its
+/// bytes before it release-publishes size_, so a reader that sees the new
+/// size sees them. A write or Truncate past kCapacity fails with IOError.
+/// Invariant: the chunks covering [0, the largest size so far) are
+/// allocated. Bytes past size_ are left as they are (a shrink keeps its
+/// chunks and does not clear them, a new chunk is not zeroed); growth
+/// zero-fills from the old end instead, so an append never clears a whole
+/// chunk.
 class InMemoryFile final : public PagedFile {
  public:
   static constexpr size_t kChunkSize = 64 << 10;
+  static constexpr size_t kLeafChunks = 1024;  // 64 MiB per leaf.
+  static constexpr size_t kRootLeaves = 1024;
+  /// Largest size the directory holds: 64 GiB.
+  static constexpr uint64_t kCapacity =
+      uint64_t{kChunkSize} * kLeafChunks * kRootLeaves;
+
+  ~InMemoryFile() override;
 
   Status ReadAt(uint64_t offset, size_t n, char* buf) const override;
   Status WriteAt(uint64_t offset, const char* data, size_t n) override;
@@ -107,17 +142,22 @@ class InMemoryFile final : public PagedFile {
   Status Sync() override { return Status::OK(); }
 
  private:
+  struct Leaf {
+    std::array<std::atomic<uint64_t*>, kLeafChunks> chunks{};
+  };
+
   /// Calls fn(span, len) on each within-chunk piece of [offset, offset + n),
   /// in order. The range must lie within the allocated chunks.
   template <typename Fn>
   void ForEachSpan(uint64_t offset, size_t n, Fn&& fn) const;
-  /// Sets the size, allocating or freeing whole chunks, and zero-fills
-  /// [old size, size) on growth. Caller holds the write latch.
-  void Resize(uint64_t size);
+  /// Allocates and publishes the chunks covering [0, end) and zero-fills
+  /// [size_, zero_to). Caller holds grow_mu_ and has checked kCapacity.
+  void Grow(uint64_t end, uint64_t zero_to);
 
-  mutable SharedLatch latch_;
-  std::vector<std::unique_ptr<char[]>> chunks_;
-  uint64_t size_ = 0;
+  std::array<std::atomic<Leaf*>, kRootLeaves> root_{};
+  std::atomic<uint64_t> size_{0};
+  std::mutex grow_mu_;  // Serializes growth and every store to size_.
+  uint64_t chunks_ = 0;  // Chunks allocated; under grow_mu_.
 };
 
 /// POSIX file using pread/pwrite.

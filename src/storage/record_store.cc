@@ -1,5 +1,6 @@
 #include "storage/record_store.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "common/coding.h"
@@ -76,9 +77,7 @@ Result<uint64_t> RecordStore::Allocate() {
       high_id_.store(id + 1, std::memory_order_release);
     }
   }
-  std::string zeros(record_size_, '\0');
-  Status s = file_->WriteAt(OffsetOf(id), zeros.data(), zeros.size());
-  if (!s.ok()) return s;
+  NEOSI_RETURN_IF_ERROR(WriteZeros(id));
   return id;
 }
 
@@ -87,11 +86,19 @@ Status RecordStore::Free(uint64_t id) {
     return Status::OutOfRange(name_ + ": free of unallocated id " +
                               std::to_string(id));
   }
-  std::string zeros(record_size_, '\0');
-  NEOSI_RETURN_IF_ERROR(file_->WriteAt(OffsetOf(id), zeros.data(),
-                                       zeros.size()));
+  NEOSI_RETURN_IF_ERROR(WriteZeros(id));
   std::lock_guard<SpinLatch> guard(latch_);
   free_list_.push_back(id);
+  return Status::OK();
+}
+
+Status RecordStore::WriteZeros(uint64_t id) {
+  static const char kZeros[256] = {};
+  for (uint32_t done = 0; done < record_size_;) {
+    const uint32_t n = std::min<uint32_t>(record_size_ - done, sizeof kZeros);
+    NEOSI_RETURN_IF_ERROR(file_->WriteAt(OffsetOf(id) + done, kZeros, n));
+    done += n;
+  }
   return Status::OK();
 }
 
@@ -179,10 +186,8 @@ Status RecordStore::EnsureAllocated(uint64_t id) {
     to_zero.push_back(id);
     high_id_.store(id + 1, std::memory_order_release);
   }
-  std::string zeros(record_size_, '\0');
   for (uint64_t gap : to_zero) {
-    NEOSI_RETURN_IF_ERROR(
-        file_->WriteAt(OffsetOf(gap), zeros.data(), zeros.size()));
+    NEOSI_RETURN_IF_ERROR(WriteZeros(gap));
   }
   return Status::OK();
 }

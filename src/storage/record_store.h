@@ -100,6 +100,9 @@ class RecordStore {
   }
   Status WriteHeader();
   Status ValidateHeader();
+  /// Writes zeros over the record from one static buffer, in pieces when
+  /// the record is larger than the buffer.
+  Status WriteZeros(uint64_t id);
 
   static constexpr uint64_t kHeaderSize = 64;
 

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "storage/paged_file.h"
 
@@ -124,6 +128,136 @@ TEST(InMemoryFile, ReadPastEndIsOutOfRangeAcrossChunks) {
   EXPECT_TRUE(file.ReadAt(0, kChunk - 1, buf.data()).ok());
 }
 
+// ---------------------------------------------------------------------------
+// Lock-free reads and in-size writes racing growth and each other
+// ---------------------------------------------------------------------------
+
+char AppendedByte(uint64_t offset) {
+  return static_cast<char>(1 + offset % 251);  // Never zero.
+}
+
+TEST(InMemoryFile, ReadersBelowObservedSizeSeeAppendedBytes) {
+  InMemoryFile file;
+  constexpr uint64_t kTotal = 4ull << 20;
+  // Append sizes from one byte to more than a chunk, so appends straddle
+  // chunk boundaries and start at every word alignment.
+  const size_t kSizes[] = {1, 7, 13, 64, 1000, 4099, 70000};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> bad{0};
+  std::thread appender([&] {
+    std::string piece;
+    uint64_t size = 0;
+    for (size_t i = 0; size < kTotal; ++i) {
+      piece.resize(std::min<uint64_t>(kSizes[i % 7], kTotal - size));
+      for (size_t j = 0; j < piece.size(); ++j) {
+        piece[j] = AppendedByte(size + j);
+      }
+      if (!file.WriteAt(size, piece.data(), piece.size()).ok()) {
+        bad.fetch_add(1);
+        break;
+      }
+      size += piece.size();
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      std::string buf;
+      uint64_t checked = 0;  // Every byte below it was checked.
+      for (bool last = false; !last;) {
+        last = done.load();
+        const uint64_t size = file.Size();
+        buf.resize(size - checked);
+        ASSERT_TRUE(file.ReadAt(checked, buf.size(), buf.data()).ok());
+        for (size_t j = 0; j < buf.size(); ++j) {
+          if (buf[j] != AppendedByte(checked + j)) bad.fetch_add(1);
+        }
+        checked = size;
+      }
+      EXPECT_EQ(checked, kTotal);
+    });
+  }
+  appender.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+}
+
+TEST(InMemoryFile, DisjointRecordWritersLeaveNeighboursExact) {
+  InMemoryFile file;
+  // Odd-sized records at an odd base, so neighbours share 8-byte words.
+  constexpr uint64_t kBase = 5;
+  constexpr size_t kRecord = 13;
+  constexpr uint64_t kRecords = 3000;
+  constexpr uint32_t kVersions = 100;
+  auto fill = [](uint64_t id, uint32_t version) {
+    std::string rec(kRecord, '\0');
+    for (size_t j = 0; j < kRecord; ++j) {
+      rec[j] = static_cast<char>(id * 31 + version * 7 + j);
+    }
+    return rec;
+  };
+  for (uint64_t id = 0; id < kRecords; ++id) {
+    const std::string rec = fill(id, 0);
+    ASSERT_TRUE(file.WriteAt(kBase + id * kRecord, rec.data(), kRecord).ok());
+  }
+  // Writer w rewrites the ids that are w mod 3, so the two writers' records
+  // are neighbours; readers read the ids that are 2 mod 3, which never
+  // change.
+  std::atomic<uint64_t> bad{0};
+  std::vector<std::thread> threads;
+  for (uint64_t w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      char back[kRecord];
+      for (uint32_t version = 1; version <= kVersions; ++version) {
+        for (uint64_t id = w; id < kRecords; id += 3) {
+          const std::string rec = fill(id, version);
+          const uint64_t at = kBase + id * kRecord;
+          ASSERT_TRUE(file.WriteAt(at, rec.data(), kRecord).ok());
+          ASSERT_TRUE(file.ReadAt(at, kRecord, back).ok());
+          if (std::string(back, kRecord) != rec) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      char back[kRecord];
+      for (uint32_t pass = 0; pass < kVersions; ++pass) {
+        for (uint64_t id = 2; id < kRecords; id += 3) {
+          ASSERT_TRUE(file.ReadAt(kBase + id * kRecord, kRecord, back).ok());
+          if (std::string(back, kRecord) != fill(id, 0)) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(file.Size(), kBase + kRecords * kRecord);
+  char back[kRecord];
+  for (uint64_t id = 0; id < kRecords; ++id) {
+    ASSERT_TRUE(file.ReadAt(kBase + id * kRecord, kRecord, back).ok());
+    EXPECT_EQ(std::string(back, kRecord), fill(id, id % 3 == 2 ? 0 : kVersions))
+        << id;
+  }
+}
+
+TEST(InMemoryFile, WriteBeyondCapacityFailsCleanly) {
+  InMemoryFile file;
+  ASSERT_TRUE(file.WriteAt(0, "abc", 3).ok());
+  constexpr uint64_t kCap = InMemoryFile::kCapacity;
+  EXPECT_TRUE(file.WriteAt(kCap, "x", 1).IsIOError());
+  EXPECT_TRUE(file.WriteAt(kCap - 1, "xy", 2).IsIOError());
+  EXPECT_TRUE(file.WriteAt(UINT64_MAX, "x", 1).IsIOError());
+  EXPECT_TRUE(file.Truncate(kCap + 1).IsIOError());
+  EXPECT_EQ(file.Size(), 3u);
+  // The file is unharmed and still grows.
+  ASSERT_TRUE(file.WriteAt(3, "d", 1).ok());
+  char buf[4];
+  ASSERT_TRUE(file.ReadAt(0, 4, buf).ok());
+  EXPECT_EQ(std::string(buf, 4), "abcd");
+}
+
 class PosixFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -196,6 +330,19 @@ TEST(DirtyTracking, WritesDirtyAndSyncIfDirtyClears) {
   // Truncate dirties too (it mutates persistent length).
   ASSERT_TRUE(file.Truncate(1).ok());
   EXPECT_TRUE(file.dirty());
+}
+
+TEST(DirtyTracking, WriteAfterSyncIfDirtyRedirties) {
+  InMemoryFile file;
+  ASSERT_TRUE(file.WriteAt(0, "abc", 3).ok());
+  ASSERT_TRUE(file.WriteAt(0, "abd", 3).ok());  // Already dirty: no store.
+  ASSERT_TRUE(file.SyncIfDirty().ok());
+  EXPECT_FALSE(file.dirty());
+  ASSERT_TRUE(file.WriteAt(1, "z", 1).ok());  // An in-size write.
+  EXPECT_TRUE(file.dirty());
+  auto r = file.SyncIfDirty();
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(*r);
 }
 
 TEST_F(PosixFileTest, DirtyTrackingAcrossWriteSyncCycles) {
