@@ -19,9 +19,7 @@ void Add(VersionedIndex& index, uint32_t token, const PropertyValue& value,
   index.Commit(index.Stage(/*add=*/true, token, value, entity, 7), ts);
 }
 
-/// Removes `entity` from (token, value), committed at `ts`. The removal
-/// scans the key newest slot first, so removing the entity added last is
-/// O(1).
+/// Removes `entity` from (token, value), committed at `ts`.
 void Remove(VersionedIndex& index, uint32_t token, const PropertyValue& value,
             uint64_t entity, Timestamp ts) {
   index.Commit(index.Stage(/*add=*/false, token, value, entity, 8), ts);
@@ -130,6 +128,23 @@ void BM_EntrySetMove(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EntrySetMove)->Arg(11560);
+
+/// A staged removal of a random entity from one key of range(0) committed
+/// entities, aborted again: the lookup of the entity's open interval. At
+/// 16 entries it is the scan; above kScanLimit, the slot table.
+void BM_IndexRemovePending(benchmark::State& state) {
+  VersionedEntrySet set;
+  const uint64_t entities = static_cast<uint64_t>(state.range(0));
+  for (uint64_t e = 0; e < entities; ++e) {
+    set.CommitAdd(set.AddPending(e, 7), 1);
+  }
+  std::mt19937_64 rng(42);
+  for (auto _ : state) {
+    const uint32_t slot = set.RemovePending(rng() % entities, 9);
+    set.AbortRemove(slot);
+  }
+}
+BENCHMARK(BM_IndexRemovePending)->Arg(16)->Arg(1000)->Arg(16000);
 
 /// A GC pass over an index of range(0) keys in which 16 intervals closed
 /// since the last pass.

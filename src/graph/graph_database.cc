@@ -252,6 +252,8 @@ DatabaseStats GraphDatabase::Stats() const {
   stats.ssi_safe_snapshots = ssi.safe_snapshots;
   stats.ssi_aborts_pivot = ssi.aborts_pivot;
   stats.ssi_aborts_doomed = ssi.aborts_doomed;
+  stats.ssi_writeless_commits = ssi.writeless_commits;
+  stats.ssi_writeless_window_waits = ssi.writeless_window_waits;
   stats.ssi_marker_keys = ssi.marker_keys;
   stats.ssi_registry_records = ssi.registry_records;
   stats.active_txns = engine_->active_txns.ActiveCount();

@@ -72,6 +72,10 @@ struct DatabaseStats {
   uint64_t ssi_safe_snapshots = 0;  ///< Read-only txns on safe snapshots.
   uint64_t ssi_aborts_pivot = 0;    ///< Dangerous-structure aborts.
   uint64_t ssi_aborts_doomed = 0;   ///< Victims doomed by a committing peer.
+  /// Tracked commits without write targets, which skip the commit mutex,
+  /// and how many of them waited for a writer's commit window to close.
+  uint64_t ssi_writeless_commits = 0;
+  uint64_t ssi_writeless_window_waits = 0;
   /// Tracker size gauges: keys in the SIREAD marker table (the sum over its
   /// 64 shards) and transaction records not yet pruned.
   uint64_t ssi_marker_keys = 0;

@@ -1,7 +1,6 @@
 #include "graph/transaction.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "graph/checkpoint_daemon.h"
 #include "graph/gc_daemon.h"
@@ -974,19 +973,25 @@ Status Transaction::Commit() {
   // read is done, validation pinned the write set under long locks, and
   // the commit's own effects carry its fresh commit timestamp.
   NEOSI_RETURN_IF_ERROR(FailIfSnapshotExpired());
-  // SSI dangerous-structure gate: serialized with every other serializable
-  // commit decision under the tracker's commit mutex, which stays held
-  // through the post-stamp rescan below — a concurrent serializable
-  // reader's own commit decision therefore cannot interleave into the
-  // window where our stamps and edges are only partially published. On
-  // success we are in kCommitting — any peer's later check treats us as
-  // committed. Even a writeless commit passes it: a committed reader can
+  // Built before the SSI window: the ops depend only on the write set.
+  WalRecord record = CommitRecord();
+  // SSI dangerous-structure gate. A commit with write targets opens its
+  // window: serialized with every other writer's under the tracker's
+  // commit mutex, and held through the post-stamp rescan below, so a
+  // concurrent serializable reader's commit decision cannot interleave
+  // into the span where our stamps and edges are only partly published.
+  // On success we are in kCommitting — any peer's later check treats us as
+  // committed. A commit without write targets takes no mutex; it only
+  // waits out a window open when it decides, since a committed reader can
   // be the incoming side of a pivot (the read-only-anomaly shape).
-  std::unique_lock<std::mutex> ssi_commit_guard;
+  SsiTracker::CommitWindow ssi_window;
   if (ssi_) {
-    Status s =
-        engine_->ssi.PreCommitCheck(ssi_, ssi_writes_, &ssi_commit_guard);
+    Status s = writes_.empty() && ssi_writes_.empty()
+                   ? engine_->ssi.PreCommitWriteless(ssi_)
+                   : engine_->ssi.PreCommitCheck(ssi_, ssi_writes_,
+                                                 &ssi_window);
     if (!s.ok()) {
+      ssi_window.Close();
       RollbackLocked();
       return s;
     }
@@ -998,9 +1003,10 @@ Status Transaction::Commit() {
     // this reader's commit ORDER relative to the pivot's out-neighbour).
     if (ssi_) {
       engine_->ssi.FinishCommit(ssi_, engine_->oracle.ReadTs());
-      ssi_commit_guard.unlock();
+      ssi_window.Close();
     }
     End(TxnState::kCommitted);
+    if (ssi_) engine_->ssi.Prune();
     return Status::OK();
   }
   const Timestamp ts = engine_->oracle.NextCommitTs();
@@ -1012,11 +1018,16 @@ Status Transaction::Commit() {
   // the prefix truncation cannot drop it) until our effects have reached
   // the store and we unpin below. A failed append or flush has released
   // the pin again.
-  const WalRecord record = CommitRecord(ts);
+  record.commit_ts = ts;
+  // Publication hint for replica appliers: every commit with a timestamp at
+  // or below the CURRENT watermark already finished its append (appends
+  // happen before publication), so it sits at a lower LSN than this record.
+  record.publish_ts = engine_->oracle.ReadTs();
   auto lsn = engine_->store.wal().group().Commit(
       record, engine_->options.sync_commits, /*pin=*/true);
   if (!lsn.ok()) {
     engine_->oracle.FinishCommit(ts);  // Nothing applied at ts.
+    ssi_window.Close();
     RollbackLocked();
     return lsn.status();
   }
@@ -1055,13 +1066,16 @@ Status Transaction::Commit() {
   if (ssi_) {
     engine_->ssi.FinishCommit(ssi_, ts);
     engine_->ssi.OnPostStamp(ssi_, ssi_writes_);
-    ssi_commit_guard.unlock();
+    ssi_window.Close();
   }
   if (!s.ok()) {
     engine_->oracle.FinishCommit(ts);
     RollbackLocked();  // Withdraws the versions still pending.
+    if (ssi_) engine_->ssi.Prune();
     return s;
   }
+  // Out of the window: Compact may free the intervals our removals closed.
+  RetireIndexRemovals(ts);
 
   // Between SSI finish and ordered publication: the window in which a
   // freshly begun transaction's snapshot can still predate this commit.
@@ -1078,6 +1092,8 @@ Status Transaction::Commit() {
 
   End(TxnState::kCommitted);
   commit_ts_ = ts;
+  // With the floor advanced, this commit's own record may prune now.
+  if (ssi_) engine_->ssi.Prune();
 
   // Publication is the GC daemon's pacing signal: when the backlog of
   // obsolete versions crosses the configured threshold, wake it now instead
@@ -1137,14 +1153,9 @@ Status Transaction::ValidateCommit() {
   return Status::OK();
 }
 
-WalRecord Transaction::CommitRecord(Timestamp ts) const {
+WalRecord Transaction::CommitRecord() const {
   WalRecord record;
   record.txn_id = id_;
-  record.commit_ts = ts;
-  // Publication hint for replica appliers: every commit with a timestamp at
-  // or below the CURRENT watermark already finished its append (appends
-  // happen before publication), so it sits at a lower LSN than this record.
-  record.publish_ts = engine_->oracle.ReadTs();
   // One op per written entity, carrying its final state: full post-state,
   // never a delta, so replay never needs the (possibly torn) on-disk
   // pre-state (see WalOpType::kNodeState).
@@ -1202,7 +1213,13 @@ Status Transaction::StampVersions(Timestamp ts) {
 
 void Transaction::StampIndexes(Timestamp ts) {
   for (const IndexChange& change : index_ops_) {
-    engine_->index(change.index).Commit(change.handle, ts);
+    engine_->index(change.index).Stamp(change.handle, ts);
+  }
+}
+
+void Transaction::RetireIndexRemovals(Timestamp ts) {
+  for (const IndexChange& change : index_ops_) {
+    engine_->index(change.index).Retire(change.handle, ts);
   }
 }
 

@@ -307,13 +307,15 @@ class Transaction {
   Result<NamedProperties> NameProps(const PropertyMap& props) const;
 
   // --- commit pipeline stages (see ARCHITECTURE.md, "Commit pipeline").
-  // Commit() = PruneAnnihilated -> ValidateCommit -> SSI PreCommitCheck
+  // Commit() = PruneAnnihilated -> ValidateCommit -> CommitRecord ops ->
+  // SSI PreCommitCheck (PreCommitWriteless without write targets)
   // [a writeless commit ends here] -> sequence (oracle.NextCommitTs) ->
-  // append CommitRecord (WAL, flushed when sync_commits) -> ApplyToStore ->
-  // StampVersions -> StampIndexes -> ordered publication
-  // (oracle.FinishCommit). No stage after sequencing holds a global lock
-  // but a serializable commit's SSI mutex; per-entity safety comes from
-  // the long write locks held until the end.
+  // append the record (WAL, flushed when sync_commits) -> ApplyToStore ->
+  // StampVersions -> StampIndexes -> SSI window closes ->
+  // RetireIndexRemovals -> ordered publication (oracle.FinishCommit). No
+  // stage after sequencing holds a global lock but a serializable
+  // writer's SSI window; per-entity safety comes from the long write locks
+  // held until the end.
 
   /// Entities created AND deleted inside this transaction cancel out: they
   /// were never visible to anyone and leave no trace (no WAL, no store, no
@@ -326,10 +328,10 @@ class Transaction {
   /// back and returns Aborted on conflict.
   Status ValidateCommit();
 
-  /// This transaction's commit record at `ts`: one full post-state op per
-  /// written entity, in write-set order. It is both what the WAL logs and
-  /// what ApplyToStore persists.
-  WalRecord CommitRecord(Timestamp ts) const;
+  /// This transaction's commit record, its timestamps still unset: one
+  /// full post-state op per written entity, in write-set order. It is both
+  /// what the WAL logs and what ApplyToStore persists.
+  WalRecord CommitRecord() const;
 
   /// Persists `record`'s ops, the newest committed version of every
   /// written entity (§4 — older versions remain in memory only). Runs
@@ -344,8 +346,12 @@ class Transaction {
 
   /// Stamps pending index entries with the commit timestamp, each through
   /// its journaled handle: O(1) per change, no key lookup and no entry
-  /// scan, since a serializable commit runs it under the SSI commit mutex.
+  /// scan, since a serializable commit runs it in its SSI window.
   void StampIndexes(Timestamp ts);
+
+  /// Queues the intervals the stamped removals closed for Compact; runs
+  /// after the SSI window.
+  void RetireIndexRemovals(Timestamp ts);
 
   /// Aborts, newest first, the journaled index changes from `first` to the
   /// end of index_ops_, and drops them.

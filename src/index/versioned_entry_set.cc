@@ -1,5 +1,7 @@
 #include "index/versioned_entry_set.h"
 
+#include <algorithm>
+
 namespace neosi {
 
 uint32_t VersionedEntrySet::AddPending(uint64_t entity, TxnId txn) {
@@ -15,21 +17,94 @@ uint32_t VersionedEntrySet::AddPending(uint64_t entity, TxnId txn) {
   entries_[slot].entity = entity;
   entries_[slot].added_by = txn;
   ++occupied_;
+  if (table_ != nullptr) {
+    // Past 85% full, regrow to 75%: amortized O(1), since the next
+    // rebuild needs the key to grow by more than an eighth.
+    if (uint64_t{occupied_} * 20 > uint64_t{Cells()} * 17) {
+      RebuildTable();
+    } else {
+      TableInsert(slot);
+    }
+  }
   return slot;
 }
 
 uint32_t VersionedEntrySet::RemovePending(uint64_t entity, TxnId txn) {
   std::lock_guard<SpinLatch> guard(latch_);
-  // At most one open interval per entity: the committed one, or this
-  // transaction's own pending add. Newest slots first: a key that has only
-  // grown keeps its recent adds at the end.
-  for (uint32_t slot = static_cast<uint32_t>(entries_.size()); slot-- > 0;) {
-    IndexEntry& entry = entries_[slot];
-    if (entry.entity != entity || !entry.Open()) continue;
-    entry.removed_by = txn;
-    return slot;
+  // Built on the first removal, so a key that only grows (a label every
+  // node carries) never pays for one.
+  if (table_ == nullptr && entries_.size() > kScanLimit) RebuildTable();
+  const uint32_t slot = OpenSlotLocked(entity);
+  if (slot != kNoSlot) entries_[slot].removed_by = txn;
+  return slot;
+}
+
+uint32_t VersionedEntrySet::OpenSlot(uint64_t entity) const {
+  std::lock_guard<SpinLatch> guard(latch_);
+  return OpenSlotLocked(entity);
+}
+
+uint32_t VersionedEntrySet::OpenSlotLocked(uint64_t entity) const {
+  if (table_ == nullptr) {
+    // Newest slots first: a key that has only grown keeps its recent adds
+    // at the end.
+    for (uint32_t slot = static_cast<uint32_t>(entries_.size()); slot-- > 0;) {
+      if (entries_[slot].entity == entity && entries_[slot].Open()) {
+        return slot;
+      }
+    }
+    return kNoSlot;
+  }
+  // The entity's other slots (intervals awaiting Free) share its probe run.
+  const uint32_t* cells = table_.get() + 1;
+  for (uint32_t i = Home(entity); cells[i] != kNoSlot; i = Next(i)) {
+    const IndexEntry& entry = entries_[cells[i]];
+    if (entry.entity == entity && entry.Open()) return cells[i];
   }
   return kNoSlot;
+}
+
+uint32_t VersionedEntrySet::Home(uint64_t entity) const {
+  // Fibonacci hashing spreads dense ids; the multiply-shift maps the top
+  // 32 bits onto [0, Cells()) without a division.
+  const uint64_t hash = (entity * 0x9E3779B97F4A7C15ULL) >> 32;
+  return static_cast<uint32_t>((hash * Cells()) >> 32);
+}
+
+void VersionedEntrySet::RebuildTable() {
+  // 75% full, and never full: a probe always meets an empty cell.
+  const uint32_t cells = occupied_ + occupied_ / 3 + 1;
+  table_ = std::make_unique_for_overwrite<uint32_t[]>(size_t{cells} + 1);
+  table_[0] = cells;
+  std::fill_n(table_.get() + 1, cells, kNoSlot);
+  for (uint32_t slot = 0; slot < entries_.size(); ++slot) {
+    if (entries_[slot].entity != kInvalidId) TableInsert(slot);
+  }
+}
+
+void VersionedEntrySet::TableInsert(uint32_t slot) {
+  uint32_t* cells = table_.get() + 1;
+  uint32_t i = Home(entries_[slot].entity);
+  while (cells[i] != kNoSlot) i = Next(i);
+  cells[i] = slot;
+}
+
+void VersionedEntrySet::TableErase(uint32_t slot) {
+  uint32_t* cells = table_.get() + 1;
+  uint32_t hole = Home(entries_[slot].entity);
+  while (cells[hole] != slot) hole = Next(hole);
+  // Backward shift: pull each later cell of the run into the hole unless
+  // its home lies cyclically in (hole, cell], where it must stay.
+  const auto distance = [&](uint32_t from, uint32_t to) {
+    return to >= from ? to - from : to + Cells() - from;
+  };
+  for (uint32_t i = Next(hole); cells[i] != kNoSlot; i = Next(i)) {
+    if (distance(Home(entries_[cells[i]].entity), i) >= distance(hole, i)) {
+      cells[hole] = cells[i];
+      hole = i;
+    }
+  }
+  cells[hole] = kNoSlot;
 }
 
 void VersionedEntrySet::CommitAdd(uint32_t slot, Timestamp ts) {
@@ -59,6 +134,7 @@ void VersionedEntrySet::AbortRemove(uint32_t slot) {
 
 bool VersionedEntrySet::Free(uint32_t slot) {
   std::lock_guard<SpinLatch> guard(latch_);
+  if (table_ != nullptr) TableErase(slot);
   entries_[slot] = IndexEntry{};
   entries_[slot].added_by = free_head_;
   free_head_ = slot;

@@ -11,13 +11,17 @@
 // are private to their writer (read-your-own-writes applies to index scans
 // too). Entries live in stable slots: the pending step returns the slot, so
 // commit and abort touch it directly, and a closed interval keeps its slot
-// until GC frees it below the watermark.
+// until GC frees it below the watermark. A staged removal finds its
+// entity's open interval by scanning a small key, and through a
+// linear-probe table of occupied slots hashed by entity once a removal
+// meets a key larger than kScanLimit slots.
 
 #ifndef NEOSI_INDEX_VERSIONED_ENTRY_SET_H_
 #define NEOSI_INDEX_VERSIONED_ENTRY_SET_H_
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/latch.h"
@@ -75,8 +79,12 @@ class VersionedEntrySet {
   uint32_t AddPending(uint64_t entity, TxnId txn);
 
   /// Marks the open interval of `entity` as pending removal by `txn` and
-  /// returns its slot; kNoSlot if it has none.
+  /// returns its slot; kNoSlot if it has none. O(1) expected.
   uint32_t RemovePending(uint64_t entity, TxnId txn);
+
+  /// The slot of `entity`'s open interval (at most one: the committed one,
+  /// or a writer's own pending add); kNoSlot if it has none.
+  uint32_t OpenSlot(uint64_t entity) const;
 
   /// Commit / abort of the pending step at `slot`. CommitRemove closes the
   /// interval at `ts`; AbortAdd closes it, empty, at kNoTimestamp. Closed
@@ -112,10 +120,30 @@ class VersionedEntrySet {
   bool Empty() const;
 
  private:
+  /// Slots a key may reach before a removal stops scanning them for the
+  /// entity and keeps a table instead.
+  static constexpr size_t kScanLimit = 16;
+
+  uint32_t OpenSlotLocked(uint64_t entity) const;
+
+  uint32_t Cells() const { return table_[0]; }
+  uint32_t Next(uint32_t cell) const {
+    return cell + 1 == Cells() ? 0 : cell + 1;
+  }
+  uint32_t Home(uint64_t entity) const;
+  /// Sizes the table to the occupied slots and refills it.
+  void RebuildTable();
+  void TableInsert(uint32_t slot);
+  void TableErase(uint32_t slot);
+
   mutable SpinLatch latch_;
-  std::vector<IndexEntry> entries_;
   uint32_t free_head_ = kNoSlot;
   uint32_t occupied_ = 0;
+  std::vector<IndexEntry> entries_;
+  /// Every occupied slot, by its entity's hash: table_[0] is the cell
+  /// count, the cells follow, and kNoSlot marks an empty one. At most 85%
+  /// full. Null until a removal meets more than kScanLimit slots.
+  std::unique_ptr<uint32_t[]> table_;
 };
 
 }  // namespace neosi

@@ -28,13 +28,21 @@ IndexHandle VersionedIndex::Stage(bool add, uint32_t token,
 }
 
 void VersionedIndex::Commit(const IndexHandle& handle, Timestamp ts) {
+  Stamp(handle, ts);
+  Retire(handle, ts);
+}
+
+void VersionedIndex::Stamp(const IndexHandle& handle, Timestamp ts) {
   if (handle.set == nullptr) return;
   if (handle.add) {
     handle.set->CommitAdd(handle.slot, ts);
   } else {
     handle.set->CommitRemove(handle.slot, ts);
-    Close(handle, ts);
   }
+}
+
+void VersionedIndex::Retire(const IndexHandle& handle, Timestamp ts) {
+  if (handle.set != nullptr && !handle.add) Close(handle, ts);
 }
 
 void VersionedIndex::Abort(const IndexHandle& handle) {

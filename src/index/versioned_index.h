@@ -62,8 +62,16 @@ class VersionedIndex {
   /// Commits a staged change at `ts`, and aborts one: O(1) on its slot,
   /// no key lookup. A committed removal and an aborted add close their
   /// interval onto the queue Compact() drains. No-ops on a null handle.
+  /// Commit is Stamp then Retire; a committer that must keep its stamping
+  /// short runs Retire later.
   void Commit(const IndexHandle& handle, Timestamp ts);
   void Abort(const IndexHandle& handle);
+
+  /// Stamps the change at `ts`.
+  void Stamp(const IndexHandle& handle, Timestamp ts);
+  /// Queues the interval a stamped removal closed for Compact; no-op for an
+  /// add.
+  void Retire(const IndexHandle& handle, Timestamp ts);
 
   /// Entities filed under `token` with a value in [lo, hi] (either bound
   /// optional; inclusive) that are visible at `snap`, in value order. When

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 namespace neosi {
 
@@ -86,7 +87,7 @@ std::shared_ptr<SsiTxnInfo> SsiTracker::Register(TxnId id, bool read_only) {
   std::lock_guard<std::mutex> guard(registry_mu_);
   registry_[id] = info;
   // start_ts is still 0 ("older than everything"), which holds the
-  // retention horizon down until SetStartTs.
+  // retention horizon down until a Prune after SetStartTs.
   min_active_start_.store(kNoTimestamp, std::memory_order_release);
   return info;
 }
@@ -96,6 +97,9 @@ void SsiTracker::SetStartTs(const std::shared_ptr<SsiTxnInfo>& info,
   info->start_ts.store(start_ts, std::memory_order_release);
   NEOSI_SSI_TRACE("ST t=%llu ts=%llu", (unsigned long long)info->id,
                   (unsigned long long)start_ts);
+}
+
+void SsiTracker::Prune() {
   std::vector<std::shared_ptr<SsiTxnInfo>> pruned;
   {
     std::lock_guard<std::mutex> guard(registry_mu_);
@@ -186,12 +190,6 @@ void SsiTracker::ReleaseMarkers(
   }
 }
 
-void SsiTracker::NoteFinished(const std::shared_ptr<SsiTxnInfo>& info) {
-  if (!info->read_only) active_rw_.fetch_sub(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> guard(registry_mu_);
-  RecomputeRegistryLocked();
-}
-
 void SsiTracker::FinishCommit(const std::shared_ptr<SsiTxnInfo>& self,
                               Timestamp ts) {
   // Timestamp before state: an observer that sees kCommitted always reads a
@@ -199,20 +197,20 @@ void SsiTracker::FinishCommit(const std::shared_ptr<SsiTxnInfo>& self,
   self->commit_ts.store(ts, std::memory_order_release);
   self->state.store(SsiTxnState::kCommitted, std::memory_order_release);
   if (!self->read_only) {
-    // Raise the read-write commit high-water BEFORE NoteFinished drops
-    // active_rw_: IsSnapshotSafe reads the counter first, so a probe that
-    // sees this transaction uncounted is guaranteed to see its commit
-    // timestamp and reject snapshots that predate it.
+    // Raise the read-write commit high-water BEFORE dropping active_rw_:
+    // IsSnapshotSafe reads the counter first, so a probe that sees this
+    // transaction uncounted is guaranteed to see its commit timestamp and
+    // reject snapshots that predate it.
     Timestamp cur = last_rw_commit_.load(std::memory_order_relaxed);
     while (cur < ts &&
            !last_rw_commit_.compare_exchange_weak(cur, ts,
                                                   std::memory_order_release,
                                                   std::memory_order_relaxed)) {
     }
+    active_rw_.fetch_sub(1, std::memory_order_acq_rel);
   }
   NEOSI_SSI_TRACE("FC t=%llu ts=%llu", (unsigned long long)self->id,
                   (unsigned long long)ts);
-  NoteFinished(self);
 }
 
 void SsiTracker::Abort(const std::shared_ptr<SsiTxnInfo>& self) {
@@ -225,7 +223,8 @@ void SsiTracker::Abort(const std::shared_ptr<SsiTxnInfo>& self) {
   } while (!self->state.compare_exchange_weak(expected, SsiTxnState::kAborted,
                                               std::memory_order_acq_rel));
   NEOSI_SSI_TRACE("AB t=%llu", (unsigned long long)self->id);
-  NoteFinished(self);
+  if (!self->read_only) active_rw_.fetch_sub(1, std::memory_order_acq_rel);
+  Prune();
 }
 
 Status SsiTracker::FailIfDoomed(const std::shared_ptr<SsiTxnInfo>& self) {
@@ -480,11 +479,40 @@ void SsiTracker::OnPostStamp(const std::shared_ptr<SsiTxnInfo>& self,
   }
 }
 
-Status SsiTracker::PreCommitCheck(
-    const std::shared_ptr<SsiTxnInfo>& self,
-    const std::vector<SsiTarget>& writes,
-    std::unique_lock<std::mutex>* commit_guard) {
-  *commit_guard = std::unique_lock<std::mutex>(commit_mu_);
+void SsiTracker::CommitWindow::Close() {
+  if (seq_ == nullptr) return;
+  seq_->fetch_add(1, std::memory_order_release);
+  seq_ = nullptr;
+  guard_.unlock();
+}
+
+Status SsiTracker::PreCommitWriteless(const std::shared_ptr<SsiTxnInfo>& self) {
+  // The acquire load pairs with the window's close: a doom the post-stamp
+  // rescan stored is visible once the sequence has moved on.
+  const uint64_t seq = window_seq_.load(std::memory_order_acquire);
+  if (seq % 2 == 1) {
+    writeless_window_waits_.fetch_add(1, std::memory_order_relaxed);
+    for (int spins = 0; window_seq_.load(std::memory_order_acquire) == seq;
+         ++spins) {
+      if (spins >= 64) std::this_thread::yield();
+    }
+  }
+  NEOSI_RETURN_IF_ERROR(FailIfDoomed(self));
+  writeless_commits_.fetch_add(1, std::memory_order_relaxed);
+  NEOSI_SSI_TRACE("PCW t=%llu ok seq=%llu", (unsigned long long)self->id,
+                  (unsigned long long)seq);
+  return Status::OK();
+}
+
+Status SsiTracker::PreCommitCheck(const std::shared_ptr<SsiTxnInfo>& self,
+                                  const std::vector<SsiTarget>& writes,
+                                  CommitWindow* window) {
+  window->guard_ = std::unique_lock<std::mutex>(commit_mu_);
+  // Opened before the rescan locks any shard: a writeless committer whose
+  // marker that rescan misses inserted it later, under the same shard
+  // mutex, and so loads an odd sequence (PreCommitWriteless).
+  window_seq_.fetch_add(1, std::memory_order_relaxed);
+  window->seq_ = &window_seq_;
   NEOSI_SSI_TRACE("PCC t=%llu enter", (unsigned long long)self->id);
   // Marker rescan: a reader may have inserted its marker (and even
   // committed) since the write-time OnWrite scans; its edge must exist
@@ -546,6 +574,9 @@ SsiTrackerStats SsiTracker::Stats() const {
   stats.safe_snapshots = safe_snapshots_.load(std::memory_order_relaxed);
   stats.aborts_pivot = aborts_pivot_.load(std::memory_order_relaxed);
   stats.aborts_doomed = aborts_doomed_.load(std::memory_order_relaxed);
+  stats.writeless_commits = writeless_commits_.load(std::memory_order_relaxed);
+  stats.writeless_window_waits =
+      writeless_window_waits_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> guard(shard.mu);
     stats.marker_keys += shard.markers.size();

@@ -28,10 +28,16 @@
 // serializable transaction remains (commit_ts <= oldest tracked active
 // start_ts, the same retention rule PostgreSQL uses for SIREAD locks).
 // Pruning a registry record releases its markers too: each record lists
-// the keys it marked, and the next SetStartTs walks that list outside
-// commit_mu_ and registry_mu_, one shard mutex at a time, and erases every
-// key left without a marker. A marker a later read or write meets before
-// then is dropped in passing.
+// the keys it marked, and the Prune that every finish runs once commit_mu_
+// is released walks that list outside registry_mu_, one shard mutex at a
+// time, and erases every key left without a marker. A marker a later read
+// or write meets before then is dropped in passing.
+//
+// Only a writer's commit decision is serialized. Its window (the marker
+// rescan through the post-stamp rescan) runs under commit_mu_ with the
+// window sequence odd; a commit without write targets takes no mutex and
+// waits only for the window open when it loads the sequence (see
+// PreCommitWriteless).
 //
 // The one marker table is sharded like the 64-way LockManager. Lock hierarchy:
 // commit_mu_ > shard/registry mutex > SsiTxnInfo::mu (two infos always in
@@ -106,7 +112,7 @@ struct SsiTxnInfo {
   /// Keys this transaction pushed a marker on (one entry per push). Only
   /// the owner's AddRead appends; the tracker reads it only once the
   /// registry pruned the record, and registry_mu_ orders the two (the
-  /// owner's NoteFinished takes it after its last AddRead).
+  /// owner's Prune takes it after its last AddRead).
   std::vector<uint64_t> marked;
 };
 
@@ -147,6 +153,8 @@ struct SsiTrackerStats {
   uint64_t safe_snapshots = 0;  ///< Read-only txns that skipped tracking.
   uint64_t aborts_pivot = 0;    ///< Dangerous-structure aborts (self-found).
   uint64_t aborts_doomed = 0;   ///< Victims doomed by a committing peer.
+  uint64_t writeless_commits = 0;       ///< Commits that skipped commit_mu_.
+  uint64_t writeless_window_waits = 0;  ///< ... that waited out a window.
   uint64_t marker_keys = 0;       ///< Keys in the marker table (gauge).
   uint64_t registry_records = 0;  ///< Records not yet pruned (gauge).
 };
@@ -159,6 +167,24 @@ class SsiTracker {
   SsiTracker(const SsiTracker&) = delete;
   SsiTracker& operator=(const SsiTracker&) = delete;
 
+  /// A writer's commit window: commit_mu_ held and the window sequence
+  /// odd. Close() (or destruction) makes the sequence even, then releases
+  /// the mutex; it is a no-op once closed or when never opened.
+  class CommitWindow {
+   public:
+    CommitWindow() = default;
+    CommitWindow(const CommitWindow&) = delete;
+    CommitWindow& operator=(const CommitWindow&) = delete;
+    ~CommitWindow() { Close(); }
+
+    void Close();
+
+   private:
+    friend class SsiTracker;
+    std::atomic<uint64_t>* seq_ = nullptr;
+    std::unique_lock<std::mutex> guard_;
+  };
+
   // --- registration --------------------------------------------------------
 
   /// Registers a serializable transaction. Read-write transactions MUST
@@ -166,9 +192,8 @@ class SsiTracker {
   /// below cannot miss a concurrent read-write peer); SetStartTs() follows
   /// once the snapshot timestamp is known.
   std::shared_ptr<SsiTxnInfo> Register(TxnId id, bool read_only);
-  /// Also releases the markers of every record pruned since the last call
-  /// (ReleaseMarkers): each tracked Begin runs it, and none holds
-  /// commit_mu_, so serializable commits never wait behind a release.
+  /// Stores the snapshot timestamp. The retention horizon stays at "older
+  /// than everything" for this record until the next Prune.
   void SetStartTs(const std::shared_ptr<SsiTxnInfo>& info, Timestamp start_ts);
 
   /// Raises the future-snapshot lower bound (monotonic). The engine calls
@@ -238,33 +263,51 @@ class SsiTracker {
   /// back.
   Status FailIfDoomed(const std::shared_ptr<SsiTxnInfo>& self);
 
-  /// Serialized (commit_mu_) pre-commit danger check. First re-collects the
-  /// SIREAD markers overlapping self's write targets and links any edges
-  /// from readers whose markers landed after the write-time scans — without
-  /// this, a reader that slipped its marker in and committed between
-  /// OnWrite and this check would leave self an undetected committed pivot.
-  /// Then fails self if doomed or a dangerous pivot; otherwise dooms any
-  /// still-active in-neighbour that self's commit turns into a
-  /// committed-out-first pivot, and moves self to kCommitting.
+  /// Serialized (commit_mu_) pre-commit danger check for a transaction
+  /// with write targets. Opens self's window (*window: commit_mu_ held,
+  /// sequence odd), then re-collects the SIREAD markers overlapping self's
+  /// write targets and links any edges from readers whose markers landed
+  /// after the write-time scans — without this, a reader that slipped its
+  /// marker in and committed between OnWrite and this check would leave
+  /// self an undetected committed pivot. Then fails self if doomed or a
+  /// dangerous pivot; otherwise dooms any still-active in-neighbour that
+  /// self's commit turns into a committed-out-first pivot, and moves self
+  /// to kCommitting.
   ///
-  /// commit_mu_ is handed back LOCKED in *commit_guard (on success and on
-  /// failure alike). The caller must keep holding it through FinishCommit
-  /// and OnPostStamp: a concurrent serializable reader whose marker misses
-  /// this rescan can only reach its own PreCommitCheck after self's stamps
-  /// and post-stamp edges are published, which is what makes its commit
-  /// decision see the rw-edge to self. On failure the caller's guard simply
-  /// unwinds on scope exit.
+  /// The window is handed back open on success and on failure alike. The
+  /// caller keeps it open through FinishCommit and OnPostStamp: a
+  /// concurrent serializable reader whose marker misses this rescan can
+  /// only decide its own commit after self's stamps and post-stamp edges
+  /// are published, which is what makes its decision see the rw-edge to
+  /// self.
   Status PreCommitCheck(const std::shared_ptr<SsiTxnInfo>& self,
                         const std::vector<SsiTarget>& writes,
-                        std::unique_lock<std::mutex>* commit_guard);
+                        CommitWindow* window);
+
+  /// Commit decision for a transaction with no write targets, without
+  /// commit_mu_: waits until the window open when it loads the sequence
+  /// (if any) closes, then fails self if doomed. Such a transaction has no
+  /// in-edges, so it can never pivot; what it must not miss is a doom from
+  /// the post-stamp rescan of a writer whose pre-commit rescan ran before
+  /// its marker landed. Its markers are in before the load, and a writer
+  /// opens its window before it rescans a marker's shard under the shard
+  /// mutex, so either that rescan links the marker or the load sees the
+  /// window and waits out its post-stamp rescan.
+  Status PreCommitWriteless(const std::shared_ptr<SsiTxnInfo>& self);
 
   /// Publishes the commit timestamp (writers: the oracle timestamp;
   /// read-only commits pass the newest read timestamp, the upper bound of
-  /// everything they observed).
+  /// everything they observed). Prune follows once commit_mu_ is released.
   void FinishCommit(const std::shared_ptr<SsiTxnInfo>& self, Timestamp ts);
 
-  /// Abort notification (every rollback path). Idempotent.
+  /// Abort notification (every rollback path; never under commit_mu_).
+  /// Idempotent; prunes on the first call.
   void Abort(const std::shared_ptr<SsiTxnInfo>& self);
+
+  /// Registry upkeep after a finish, with commit_mu_ released: recomputes
+  /// the retention horizon, moves prunable records out of the registry and
+  /// releases their markers (ReleaseMarkers).
+  void Prune();
 
   SsiTrackerStats Stats() const;
 
@@ -323,7 +366,6 @@ class SsiTracker {
   /// doomed.
   size_t DoomActiveInPeers(const std::shared_ptr<SsiTxnInfo>& p);
 
-  void NoteFinished(const std::shared_ptr<SsiTxnInfo>& info);
   /// Recomputes min-active-start and moves prunable registry records to
   /// pruned_, with their edges cleared; caller holds registry_mu_. Their
   /// markers stay until ReleaseMarkers.
@@ -341,7 +383,7 @@ class SsiTracker {
   mutable std::mutex registry_mu_;
   std::unordered_map<TxnId, std::shared_ptr<SsiTxnInfo>> registry_;
   /// Records pruned from registry_ whose markers are not yet released;
-  /// guarded by registry_mu_, drained by SetStartTs.
+  /// guarded by registry_mu_, drained by Prune.
   std::vector<std::shared_ptr<SsiTxnInfo>> pruned_;
   /// min start_ts over unfinished tracked txns (kMaxTimestamp when none):
   /// the marker/registry retention horizon for ALREADY-REGISTERED readers.
@@ -356,22 +398,27 @@ class SsiTracker {
   std::atomic<Timestamp> snapshot_floor_{kNoTimestamp};
   std::atomic<uint64_t> active_rw_{0};
   /// High-water commit timestamp over finished read-write serializable
-  /// transactions. FinishCommit raises it BEFORE NoteFinished drops
-  /// active_rw_, and IsSnapshotSafe reads active_rw_ first — so a probe
-  /// that observes zero active peers is guaranteed to observe the commit
-  /// timestamp of every peer that finished, and can reject snapshots that
+  /// transactions. FinishCommit raises it BEFORE it drops active_rw_, and
+  /// IsSnapshotSafe reads active_rw_ first — so a probe that observes zero
+  /// active peers is guaranteed to observe the commit timestamp of every
+  /// peer that finished, and can reject snapshots that
   /// predate one (the ordered-publication window).
   std::atomic<Timestamp> last_rw_commit_{kNoTimestamp};
 
-  /// Serializes PreCommitCheck: the danger evaluation and the transition
-  /// to kCommitting must be atomic across committers, or two write-skew
-  /// halves could both pass and both commit.
+  /// Serializes writers' windows: the danger evaluation and the
+  /// transition to kCommitting must be atomic across committers, or two
+  /// write-skew halves could both pass and both commit.
   std::mutex commit_mu_;
+  /// Odd while a writer's window is open. Windows lie inside commit_mu_
+  /// holds, so they never overlap and each moves the sequence by two.
+  std::atomic<uint64_t> window_seq_{0};
 
   std::atomic<uint64_t> tracked_txns_{0};
   std::atomic<uint64_t> safe_snapshots_{0};
   std::atomic<uint64_t> aborts_pivot_{0};
   std::atomic<uint64_t> aborts_doomed_{0};
+  std::atomic<uint64_t> writeless_commits_{0};
+  std::atomic<uint64_t> writeless_window_waits_{0};
 };
 
 }  // namespace neosi

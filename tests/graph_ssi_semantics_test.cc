@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -481,6 +483,83 @@ TEST(SsiSemantics, ReadOnlyBeginningBeforeCommitPublicationIsNotSafe) {
   auto reader2 = db->Begin(IsolationLevel::kSerializable, ro);
   EXPECT_EQ(Balance(*reader2, acc.x), 10);
   EXPECT_EQ(db->Stats().ssi_safe_snapshots, safe_before + 1);
+}
+
+// --- Writeless commits and writers' commit windows -------------------------
+
+// A commit without write targets takes no commit mutex, but it must not
+// decide inside a writer's window. The read-only-anomaly shape: O commits;
+// W read O's old value (W --rw--> O) and writes X; R, whose snapshot
+// includes O, reads X while W is parked inside its window, after W's
+// pre-commit rescan, so only W's post-stamp rescan links R --rw--> W and
+// dooms R. R's commit must wait for that rescan and then fail.
+TEST(SsiSemantics, WritelessCommitWaitsOutAnOpenWindowAndFails) {
+  auto db = OpenDb();
+  const Accounts acc = SetupBank(*db);
+
+  auto w = db->Begin(IsolationLevel::kSerializable);
+  EXPECT_EQ(Balance(*w, acc.y), 0);
+  {
+    auto o = db->Begin(IsolationLevel::kSerializable);
+    ASSERT_TRUE(
+        o->SetNodeProperty(acc.y, "balance", PropertyValue(int64_t{20})).ok());
+    ASSERT_TRUE(o->Commit().ok());
+  }
+  TransactionOptions ro;
+  ro.read_only = true;
+  auto r = db->Begin(IsolationLevel::kSerializable, ro);
+  ASSERT_TRUE(
+      w->SetNodeProperty(acc.x, "balance", PropertyValue(int64_t{-11})).ok());
+
+  ArmedPoints points(db.get());
+  points.Park("commit.pre_apply");
+  std::thread writer([&] { EXPECT_TRUE(w->Commit().ok()); });
+  ASSERT_TRUE(points.WaitFor("commit.pre_apply"));
+
+  // W's write is not stamped yet: R reads the old X, and O's Y.
+  EXPECT_EQ(Balance(*r, acc.x), 0);
+  EXPECT_EQ(Balance(*r, acc.y), 20);
+  std::atomic<bool> released{false};
+  std::atomic<bool> r_done{false};
+  bool returned_after_release = false;
+  Status r_status;
+  std::thread reader([&] {
+    r_status = r->Commit();
+    returned_after_release = released.load();
+    r_done = true;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (db->Stats().ssi_writeless_window_waits == 0 && !r_done &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  released = true;
+  points.Release("commit.pre_apply");
+  writer.join();
+  reader.join();
+
+  EXPECT_TRUE(returned_after_release);
+  EXPECT_TRUE(r_status.IsSerializationFailure()) << r_status;
+  const DatabaseStats stats = db->Stats();
+  EXPECT_EQ(stats.ssi_writeless_window_waits, 1u);
+  EXPECT_EQ(stats.ssi_aborts_doomed, 1u);
+  auto check = db->Begin();
+  EXPECT_EQ(Balance(*check, acc.x), -11);
+}
+
+// With no writer inside a window, a writeless commit neither waits nor
+// takes the commit mutex.
+TEST(SsiSemantics, WritelessCommitOutsideAnyWindowTakesTheFastPath) {
+  auto db = OpenDb();
+  const Accounts acc = SetupBank(*db);
+  auto t = db->Begin(IsolationLevel::kSerializable);
+  EXPECT_EQ(Balance(*t, acc.x), 0);
+  ASSERT_TRUE(t->Commit().ok());
+  const DatabaseStats stats = db->Stats();
+  EXPECT_EQ(stats.ssi_tracked_txns, 1u);
+  EXPECT_EQ(stats.ssi_writeless_commits, 1u);
+  EXPECT_EQ(stats.ssi_writeless_window_waits, 0u);
 }
 
 // --- Durable commits that fail store-apply ----------------------------------

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -94,6 +96,197 @@ TEST(VersionedEntrySet, FreedSlotIsReusedByTheNextAdd) {
   set.CollectVisible(At(15), &seen);
   EXPECT_EQ(seen, (std::vector<uint64_t>{8}));
   EXPECT_EQ(set.RemovePending(7, 4), VersionedEntrySet::kNoSlot);
+}
+
+// Seeded random staging, commit, abort and free sequences over one key, from
+// a single entity up to 5,000: they cross kScanLimit and every table growth,
+// and a transaction may remove and re-add one entity. After each step the
+// set must agree with a brute-force scan of a slot-by-slot model of its
+// entries.
+class EntrySetModel {
+ public:
+  EntrySetModel(uint64_t entities, uint64_t seed)
+      : entities_(entities), rng_(seed) {}
+
+  void Run(size_t steps) {
+    for (size_t step = 0; step < steps; ++step) {
+      const uint64_t touched = Step();
+      Check(touched);
+      for (int i = 0; i < 2; ++i) Check(rng_.Uniform(entities_));
+      ASSERT_EQ(set_.SizeIncludingDead(), occupied_) << "step " << step;
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (!txns_.empty()) Finish(0, /*commit=*/true);
+    for (uint64_t e = 0; e < entities_; ++e) Check(e);
+    // Drain: every closed interval freed, the last Free reports empty.
+    for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
+      if (slots_[slot].state == State::kLive) Close(slot);
+    }
+    for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
+      if (slots_[slot].state == State::kClosed) Free(slot);
+    }
+    EXPECT_TRUE(set_.Empty());
+  }
+
+ private:
+  enum class State { kFree, kPendingAdd, kLive, kPendingRemove, kClosed };
+  struct Slot {
+    uint64_t entity = kInvalidId;
+    State state = State::kFree;
+    bool own_add = false;  ///< The pending removal's txn also added it.
+  };
+  struct Op {
+    bool add;
+    uint32_t slot;
+  };
+  struct Txn {
+    TxnId id;
+    std::vector<Op> ops;
+    std::set<uint64_t> entities;
+  };
+
+  /// Brute force: the one slot whose interval for `entity` is open.
+  uint32_t ExpectedOpen(uint64_t entity) const {
+    uint32_t found = VersionedEntrySet::kNoSlot;
+    for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
+      const Slot& s = slots_[slot];
+      if (s.entity == entity &&
+          (s.state == State::kPendingAdd || s.state == State::kLive)) {
+        EXPECT_EQ(found, VersionedEntrySet::kNoSlot) << "two open intervals";
+        found = slot;
+      }
+    }
+    return found;
+  }
+
+  void Check(uint64_t entity) {
+    ASSERT_EQ(set_.OpenSlot(entity), ExpectedOpen(entity))
+        << "entity " << entity << " of " << entities_;
+  }
+
+  /// One random step; returns the entity it touched (or a random one).
+  uint64_t Step() {
+    const uint64_t roll = rng_.Uniform(100);
+    if (roll < 60 || txns_.empty()) return Stage();
+    if (roll < 75) {
+      Finish(rng_.Uniform(txns_.size()), /*commit=*/true);
+    } else if (roll < 85) {
+      Finish(rng_.Uniform(txns_.size()), /*commit=*/false);
+    } else if (!closed_.empty()) {
+      const size_t pick = rng_.Uniform(closed_.size());
+      const uint32_t slot = closed_[pick];
+      closed_[pick] = closed_.back();
+      closed_.pop_back();
+      Free(slot);
+      return slots_[slot].entity;
+    }
+    return rng_.Uniform(entities_);
+  }
+
+  /// Stages an add or a removal of one entity in a random transaction:
+  /// often one it already touched, so removals and re-adds pile up.
+  uint64_t Stage() {
+    if (txns_.empty() || (txns_.size() < 4 && rng_.Uniform(8) == 0)) {
+      txns_.push_back(Txn{next_txn_++, {}, {}});
+    }
+    Txn& txn = txns_[rng_.Uniform(txns_.size())];
+    uint64_t entity = rng_.Uniform(entities_);
+    if (!txn.entities.empty() && rng_.Uniform(3) == 0) {
+      auto it = txn.entities.begin();
+      std::advance(it, rng_.Uniform(txn.entities.size()));
+      entity = *it;
+    }
+    // Long write locks keep an entity to one writer at a time.
+    if (owner_.count(entity) != 0 && owner_[entity] != txn.id) return entity;
+    owner_[entity] = txn.id;
+    txn.entities.insert(entity);
+    const uint32_t open = ExpectedOpen(entity);
+    if (open == VersionedEntrySet::kNoSlot) {
+      const uint32_t slot = set_.AddPending(entity, txn.id);
+      if (slot == slots_.size()) slots_.emplace_back();
+      EXPECT_EQ(slots_[slot].state, State::kFree) << "slot " << slot;
+      slots_[slot] = Slot{entity, State::kPendingAdd, false};
+      ++occupied_;
+      txn.ops.push_back({true, slot});
+    } else {
+      EXPECT_EQ(set_.RemovePending(entity, txn.id), open);
+      slots_[open].own_add = slots_[open].state == State::kPendingAdd;
+      slots_[open].state = State::kPendingRemove;
+      txn.ops.push_back({false, open});
+    }
+    return entity;
+  }
+
+  /// Commits (ops in order) or aborts (newest first) transaction `i`.
+  void Finish(size_t i, bool commit) {
+    Txn txn = std::move(txns_[i]);
+    txns_.erase(txns_.begin() + static_cast<std::ptrdiff_t>(i));
+    const Timestamp ts = ++clock_;
+    if (commit) {
+      for (const Op& op : txn.ops) {
+        Slot& s = slots_[op.slot];
+        if (op.add) {
+          set_.CommitAdd(op.slot, ts);
+          if (s.state == State::kPendingAdd) s.state = State::kLive;
+        } else {
+          set_.CommitRemove(op.slot, ts);
+          s.state = State::kClosed;
+          closed_.push_back(op.slot);
+        }
+      }
+    } else {
+      for (auto it = txn.ops.rbegin(); it != txn.ops.rend(); ++it) {
+        Slot& s = slots_[it->slot];
+        if (it->add) {
+          set_.AbortAdd(it->slot);
+          s.state = State::kClosed;
+          closed_.push_back(it->slot);
+        } else {
+          set_.AbortRemove(it->slot);
+          s.state = s.own_add ? State::kPendingAdd : State::kLive;
+        }
+      }
+    }
+    for (uint64_t entity : txn.entities) owner_.erase(entity);
+  }
+
+  /// Removes a live interval in a transaction of its own.
+  void Close(uint32_t slot) {
+    const TxnId txn = next_txn_++;
+    ASSERT_EQ(set_.RemovePending(slots_[slot].entity, txn), slot);
+    set_.CommitRemove(slot, ++clock_);
+    slots_[slot].state = State::kClosed;
+  }
+
+  void Free(uint32_t slot) {
+    --occupied_;
+    EXPECT_EQ(set_.Free(slot), occupied_ == 0);
+    slots_[slot].state = State::kFree;
+  }
+
+  const uint64_t entities_;
+  Random rng_;
+  VersionedEntrySet set_;
+  std::vector<Slot> slots_;
+  size_t occupied_ = 0;
+  std::vector<uint32_t> closed_;  ///< Closed slots not yet freed.
+  std::vector<Txn> txns_;
+  std::map<uint64_t, TxnId> owner_;
+  TxnId next_txn_ = 1;
+  Timestamp clock_ = 0;
+};
+
+TEST(VersionedEntrySet, RandomSequencesAgreeWithABruteForceScan) {
+  for (const uint64_t entities : {uint64_t{1}, uint64_t{8}, uint64_t{17},
+                                  uint64_t{300}, uint64_t{5000}}) {
+    for (const uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << entities << " entities, seed " << seed);
+      EntrySetModel model(entities, seed);
+      model.Run(std::max<size_t>(400, 4 * entities));
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 /// A label entry's value.
